@@ -51,6 +51,9 @@ from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    as_integer,
+    as_rational,
+    f2_insert,
     factorize,
     hilbert,
     is_prime,
@@ -66,19 +69,13 @@ class BrauerManinError(ExactNumError):
     pass
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise BrauerManinError(
-            "rational data must not pass through floats: %r" % x)
-    return Fraction(x)
-
-
 def _place_key(v: Place):
     return (0, 0) if v.is_real else (1, v.p)
 
 
 def _bits(data: ConicBundleData, n) -> Tuple[int, ...]:
-    bits = n.n if isinstance(n, BrauerElement) else tuple(int(b) for b in n)
+    bits = n.n if isinstance(n, BrauerElement) \
+        else tuple(as_integer(b, BrauerManinError) for b in n)
     if len(bits) != data.r:
         raise BrauerManinError("coefficient vector length %d does not match "
                                "r = %d" % (len(bits), data.r))
@@ -104,7 +101,7 @@ def local_invariant(data: ConicBundleData, n, t, v: Place) -> int:
     Evaluates the vector as given; the pairing, which works modulo the
     all-ones class, canonicalizes before calling this."""
     bits = _bits(data, n)
-    t = _as_fraction(t)
+    t = as_rational(t, BrauerManinError)
     _check_pole(data, t)
     total = 0
     for b, a, e in zip(bits, data.a, data.e):
@@ -126,14 +123,15 @@ class LocalParameter:
     precision: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _as_fraction(self.t))
+        object.__setattr__(self, "t", as_rational(self.t, BrauerManinError))
         if self.precision is not None:
             if self.place.is_real:
                 raise BrauerManinError(
                     "precision tags apply to finite places only")
-            if int(self.precision) < 1:
+            precision = as_integer(self.precision, BrauerManinError)
+            if precision < 1:
                 raise BrauerManinError("precision must be >= 1")
-            object.__setattr__(self, "precision", int(self.precision))
+            object.__setattr__(self, "precision", precision)
 
 
 @dataclass(frozen=True)
@@ -246,18 +244,22 @@ def _default_resolution(p: int) -> int:
     return DEFAULT_RESOLUTION_TWO if p == 2 else DEFAULT_RESOLUTION_ODD
 
 
-def _mandatory_places(data: ConicBundleData,
-                      bits: Tuple[int, ...]) -> Tuple[Place, ...]:
+def _support_places(data: ConicBundleData, bits: Tuple[int, ...],
+                    values=()) -> Tuple[Place, ...]:
     # places where an unramified integral residue is not automatically
     # invariant-free: 2 and infinity, primes carried by the a_i or by the
-    # denominators of the e_i, and small primes whose residues the e_i
-    # might exhaust
+    # denominators of the e_i of the selected fibres, and small primes
+    # whose residues the e_i might exhaust; plus the odd primes in the
+    # numerators and denominators of the nonzero rationals `values`
     odd = set()
     for b, a, e in zip(bits, data.a, data.e):
         if not b:
             continue
         odd.update(q for q in a.primes if q != 2)
         odd.update(q for q, _ in factorize(e.denominator) if q != 2)
+    for x in values:
+        for part in (abs(x.numerator), x.denominator):
+            odd.update(q for q, _ in factorize(part) if q != 2)
     odd.update(q for q in range(3, data.r + 1) if is_prime(q))
     return (REAL_PLACE, Place(2)) + tuple(Place(q) for q in sorted(odd))
 
@@ -323,7 +325,7 @@ def pairing(data: ConicBundleData, point: AdelicFiberPoint, n,
     bits = _canonical(raw)
     vec = invariant_vector(data, point, bits)
     support = set(point.support)
-    for v in _mandatory_places(data, bits):
+    for v in _support_places(data, bits):
         if v in support:
             continue
         if _default_trivial_parameter(data, bits, v, resolution) is None:
@@ -340,36 +342,26 @@ def global_point(data: ConicBundleData, t) -> AdelicFiberPoint:
     The support collects every place where any (a_i, t - e_i) can be
     nontrivial, plus the places the pairing always wants declared, so
     pairing against any kernel class reproduces the full reciprocity sum."""
-    t = _as_fraction(t)
+    t = as_rational(t, BrauerManinError)
     _check_pole(data, t)
-    odd = set()
-    for a, e in zip(data.a, data.e):
-        odd.update(q for q in a.primes if q != 2)
-        odd.update(q for q, _ in factorize(e.denominator) if q != 2)
-        d = t - e
-        for part in (abs(d.numerator), d.denominator):
-            odd.update(q for q, _ in factorize(part) if q != 2)
-    odd.update(q for q in range(3, data.r + 1) if is_prime(q))
-    places = (REAL_PLACE, Place(2)) + tuple(Place(q) for q in sorted(odd))
+    places = _support_places(data, (1,) * data.r, [t - e for e in data.e])
     return AdelicFiberPoint(tuple(LocalParameter(v, t) for v in places))
 
 
 def quotient_generators(data: ConicBundleData) -> Tuple[BrauerElement, ...]:
     """A basis of Ker(delta) modulo the all-ones class, canonical form."""
-    rows = []  # (pivot index, reduced vector)
-    for vec in brauer_group(data).kernel_basis:
-        cur = list(_canonical(tuple(vec)))
-        for piv, row in rows:
-            if cur[piv]:
-                cur = [x ^ y for x, y in zip(cur, row)]
-        if any(cur):
-            rows.append((cur.index(1), cur))
-    expected = brauer_group(data).quotient_rank
-    if len(rows) != expected:
+    group = brauer_group(data)
+    r = data.r
+    rows: list = []  # n_1 is the top bit, so a pivot is a leading 1
+    for vec in group.kernel_basis:
+        f2_insert(rows, sum(b << (r - 1 - i)
+                            for i, b in enumerate(_canonical(vec))))
+    if len(rows) != group.quotient_rank:
         raise BrauerManinError(
             "internal rank mismatch: reduced %d generators, group rank %d"
-            % (len(rows), expected))
-    return tuple(BrauerElement(tuple(row)) for _, row in rows)
+            % (len(rows), group.quotient_rank))
+    return tuple(BrauerElement(tuple(row >> (r - 1 - i) & 1 for i in range(r)))
+                 for _, row, _ in rows)
 
 
 @dataclass(frozen=True)
@@ -542,8 +534,10 @@ def obstruction_scan(data: ConicBundleData, support: Iterable[Place],
     Finite cells start as residues mod p^resolution away from the poles
     and refine as needed; real cells are the pole-cut open intervals."""
     places = tuple(sorted(set(support), key=_place_key))
-    if resolution is not None and int(resolution) < 1:
-        raise BrauerManinError("resolution must be >= 1")
+    if resolution is not None:
+        resolution = as_integer(resolution, BrauerManinError)
+        if resolution < 1:
+            raise BrauerManinError("resolution must be >= 1")
     gens = quotient_generators(data)
     cells = []
     res = []

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -682,7 +683,7 @@ def _suite_crt(rng: random.Random, quick: bool):
         form = BinaryForm(rng.choice(nonsquares))
         q1 = rng.choice(prime_powers)
         q2 = rng.choice(prime_powers)
-        while _share_prime(q1, q2):
+        while math.gcd(q1, q2) != 1:
             q2 = rng.choice(prime_powers)
         A = rng.randrange(q1 * q2)
         left = rho(form, q1 * q2, A)
@@ -692,12 +693,6 @@ def _suite_crt(rng: random.Random, quick: bool):
             detail.append("rho(a=%d; %d, %d) = %d but the coprime parts "
                           "give %d" % (form.a, q1 * q2, A, left, right))
     return cases, failures, detail
-
-
-def _share_prime(m: int, n: int) -> bool:
-    while n:
-        m, n = n, m % n
-    return m != 1
 
 
 _SELFTEST_JOBS = (

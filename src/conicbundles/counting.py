@@ -47,7 +47,14 @@ from typing import Optional, Tuple
 import mpmath
 import numpy
 
-from .exactnum import ExactNumError, factorize, is_prime, valuation
+from .exactnum import (
+    ExactNumError,
+    as_integer,
+    as_rational,
+    factorize,
+    is_prime,
+    valuation,
+)
 from .pencil import NormFormSystem
 from .quadform import (
     BinaryForm,
@@ -68,12 +75,6 @@ _CHUNK_CELLS = 1 << 22
 _SUM_GUARD = 1 << 62
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise CountingError("rational data must not pass through floats: %r" % x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class CountJob:
     """A congruence-and-box counting problem for one norm-form system.
@@ -90,14 +91,15 @@ class CountJob:
 
     def __post_init__(self):
         s = self.system.s
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "uM",
-                           tuple(int(x) for x in (self.uM or (0,) * s)))
-        object.__setattr__(self, "uInf",
-                           tuple(_as_fraction(x) for x in self.uInf))
-        object.__setattr__(self, "epsilon", _as_fraction(self.epsilon))
-        object.__setattr__(self, "B_schedule",
-                           tuple(int(b) for b in self.B_schedule))
+        object.__setattr__(self, "M", as_integer(self.M, CountingError))
+        object.__setattr__(self, "uM", tuple(
+            as_integer(x, CountingError) for x in (self.uM or (0,) * s)))
+        object.__setattr__(self, "uInf", tuple(
+            as_rational(x, CountingError) for x in self.uInf))
+        object.__setattr__(self, "epsilon",
+                           as_rational(self.epsilon, CountingError))
+        object.__setattr__(self, "B_schedule", tuple(
+            as_integer(b, CountingError) for b in self.B_schedule))
         if self.M < 1:
             raise CountingError("modulus M must be positive")
         if len(self.uM) != s or len(self.uInf) != s:
@@ -138,9 +140,10 @@ def box_measure(s: int, epsilon: Fraction, M: int, B: int) -> Fraction:
     Kept separate from CountJob so the formula is usable for parameter
     combinations a valid job cannot carry (eq. M = 2 never clears the
     technical valuation bound at p = 2)."""
+    s, M, B = (as_integer(x, CountingError) for x in (s, M, B))
     if B < 1 or M < 1 or s < 1:
         raise CountingError("B, M, s must be positive")
-    eps = _as_fraction(epsilon)
+    eps = as_rational(epsilon, CountingError)
     if eps <= 0:
         raise CountingError("epsilon must be positive")
     return (2 * eps * B / M) ** s
@@ -173,10 +176,15 @@ def _form_window(coeffs, axes):
     return lo, hi
 
 
-def _grid_sum(axes, coeff_rows, tables, offsets, maxima, row_range):
+def _grid_sum(axes, coeff_rows, consts, tables, maxima, row_range,
+              modulus=None):
     # sum over the sub-grid axes[0][row_range] x axes[1] x ... of the
-    # product of table lookups; exact, chunked to bound memory and to keep
-    # every partial int64 sum below _SUM_GUARD
+    # product of lookups tables[i][consts[i] + coeff_rows[i] . u], the
+    # index taken mod `modulus` when one is given; exact, chunked to bound
+    # memory and to keep every partial int64 sum below _SUM_GUARD.  With a
+    # modulus m the caller passes consts, coefficients and axis values in
+    # [0, m), so the unreduced index stays below (s + 1) m^2, far inside
+    # int64 for any grid small enough to allocate
     rest = 1
     for ax in axes[1:]:
         rest *= ax.size
@@ -197,12 +205,14 @@ def _grid_sum(axes, coeff_rows, tables, offsets, maxima, row_range):
         r1 = min(r0 + step, stop)
         head = axes[0][r0:r1].reshape((r1 - r0,) + (1,) * (len(axes) - 1))
         prod = None
-        for coeffs, tab, off in zip(coeff_rows, tables, offsets):
-            vals = coeffs[0] * head
+        for coeffs, const, tab in zip(coeff_rows, consts, tables):
+            vals = const + coeffs[0] * head
             for c, ax in zip(coeffs[1:], shapes):
                 if c:
                     vals = vals + c * ax
-            looked = tab[vals - off]
+            if modulus is not None:
+                vals = vals % modulus
+            looked = tab[vals]
             prod = looked if prod is None else prod * looked
         # axes never touched by any nonzero coefficient stay broadcast
         # length 1; each such axis multiplies the count uniformly
@@ -225,22 +235,22 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         return 0
     coeff_rows = job.system.forms
     tables = []
-    offsets = []
+    consts = []
     maxima = []
     for i, form in enumerate(coeff_rows):
         lo, hi = _form_window(form, axes)
         tab = representation_table(BinaryForm(job.system.a[i]), lo, hi)
         tables.append(numpy.array(tab, dtype=numpy.int64))
-        offsets.append(lo)
+        consts.append(-lo)
         maxima.append(max(tab) if tab else 0)
     n0 = axes[0].size
     parts = max(1, min(int(threads), n0))
     bounds = [(n0 * q // parts, n0 * (q + 1) // parts) for q in range(parts)]
     if parts == 1:
-        return _grid_sum(axes, coeff_rows, tables, offsets, maxima, bounds[0])
+        return _grid_sum(axes, coeff_rows, consts, tables, maxima, bounds[0])
     with ThreadPoolExecutor(max_workers=parts) as pool:
         sums = pool.map(
-            lambda rr: _grid_sum(axes, coeff_rows, tables, offsets, maxima, rr),
+            lambda rr: _grid_sum(axes, coeff_rows, consts, tables, maxima, rr),
             bounds)
     return sum(sums)
 
@@ -296,37 +306,8 @@ def G(job: CountJob, p: int, k: int,
         maxima.append(max(tab))
         consts.append(const % m)
         coeff_rows.append(tuple(c % m for c in coeffs))
-    axis = numpy.arange(m, dtype=numpy.int64)
-    rest = m ** (s - 1)
-    prod_cap = 1
-    for mx in maxima:
-        prod_cap *= max(mx, 1)
-    step = max(1, min(_CHUNK_CELLS // max(rest, 1),
-                      _SUM_GUARD // max(rest * prod_cap, 1)))
-    shapes = []
-    for j in range(1, s):
-        shape = [1] * (s - 1)
-        shape[j - 1] = m
-        shapes.append(axis.reshape(shape))
-    total = 0
-    for r0 in range(0, m, step):
-        r1 = min(r0 + step, m)
-        head = axis[r0:r1].reshape((r1 - r0,) + (1,) * (s - 1))
-        prod = None
-        for const, coeffs, tab in zip(consts, coeff_rows, tables):
-            vals = (const + coeffs[0] * head) % m
-            for c, ax in zip(coeffs[1:], shapes):
-                if c:
-                    vals = (vals + c * ax) % m
-            looked = tab[vals]
-            prod = looked if prod is None else prod * looked
-        # t-coordinates absent from every g_i contribute a free factor of m
-        mult = 1
-        for j in range(1, s):
-            if prod.shape[j] == 1:
-                mult *= m
-        total += int(prod.sum()) * mult
-    return total
+    axes = [numpy.arange(m, dtype=numpy.int64)] * s
+    return _grid_sum(axes, coeff_rows, consts, tables, maxima, (0, m), m)
 
 
 def _rank_mod_p(rows, p: int) -> int:

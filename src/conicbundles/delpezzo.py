@@ -36,7 +36,6 @@ vanishes exactly when the form has a repeated root, a root at infinity
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -44,6 +43,7 @@ from typing import Optional, Sequence, Tuple
 from .exactnum import (
     ExactNumError,
     SquareClass,
+    as_rational,
     f2_independent,
     squarefree_class,
 )
@@ -52,15 +52,6 @@ from .pencil import ConicBundleData
 
 class DelPezzoError(ExactNumError):
     pass
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise DelPezzoError("float is not exact: %r" % (x,))
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DelPezzoError("not a rational number: %r" % (x,)) from exc
 
 
 # -- dense polynomials over Fraction, ascending coefficients -----------------
@@ -209,9 +200,10 @@ class SplitPolynomial:
     roots: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "leading", _as_fraction(self.leading))
-        object.__setattr__(
-            self, "roots", tuple(_as_fraction(x) for x in self.roots))
+        object.__setattr__(self, "leading",
+                           as_rational(self.leading, DelPezzoError))
+        object.__setattr__(self, "roots", tuple(
+            as_rational(x, DelPezzoError) for x in self.roots))
         if self.leading == 0:
             raise DelPezzoError("leading coefficient must be nonzero")
 
@@ -226,7 +218,7 @@ class SplitPolynomial:
         return tuple(poly)
 
     def evaluate(self, t) -> Fraction:
-        t = _as_fraction(t)
+        t = as_rational(t, DelPezzoError)
         acc = self.leading
         for e in self.roots:
             acc *= t - e
@@ -393,7 +385,8 @@ class Quartic:
     coefficients: Tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        coeffs = tuple(_as_fraction(x) for x in self.coefficients)
+        coeffs = tuple(as_rational(x, DelPezzoError)
+                       for x in self.coefficients)
         if len(coeffs) != 5:
             raise DelPezzoError("a quartic takes five coefficients p0..p4")
         object.__setattr__(self, "coefficients", coeffs)
@@ -426,10 +419,10 @@ class DP1Data:
     c2: Fraction
 
     def __post_init__(self):
-        e = tuple(_as_fraction(x) for x in self.e)
+        e = tuple(as_rational(x, DelPezzoError) for x in self.e)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "c1", _as_fraction(self.c1))
-        object.__setattr__(self, "c2", _as_fraction(self.c2))
+        object.__setattr__(self, "c1", as_rational(self.c1, DelPezzoError))
+        object.__setattr__(self, "c2", as_rational(self.c2, DelPezzoError))
         if len(e) != 8 or len(set(e)) != 8:
             raise DelPezzoError("e must hold eight pairwise distinct points")
         if self.c1 == 0 or self.c2 == 0:

@@ -25,6 +25,7 @@ deterministic Miller-Rabin primality check; inputs at desk scale are small.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +43,33 @@ class ExactNumError(ValueError):
 
 class FactorizationError(ExactNumError):
     """An integer resisted factorization at desk scale."""
+
+
+def as_rational(x, error=ExactNumError) -> Fraction:
+    """x as an exact Fraction; floats and non-numbers raise `error`.
+
+    Every module coerces its rational inputs here, passing its own error
+    class, so a float never silently becomes its binary expansion."""
+    if isinstance(x, float):
+        raise error("rational data must not pass through floats: %r" % (x,))
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise error("not a rational number: %r" % (x,)) from exc
+    if type(q.numerator) is not int:
+        # Fraction keeps numpy integers, whose arithmetic wraps silently
+        q = Fraction(int(q.numerator), int(q.denominator))
+    return q
+
+
+def as_integer(x, error=ExactNumError) -> int:
+    """x as a Python int; floats and non-integral values raise `error`."""
+    if isinstance(x, int):
+        return int(x)
+    q = as_rational(x, error)
+    if q.denominator != 1:
+        raise error("not an integer: %r" % (x,))
+    return q.numerator
 
 
 # Deterministic for n < 3,317,044,064,679,887,385,961,981.
@@ -103,27 +131,29 @@ def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple:
     if n > 1:
         if is_prime(n):
             out.append((n, 1))
+        elif is_square(n) and is_prime(math.isqrt(n)):
+            out.append((math.isqrt(n), 2))
         else:
-            s = _isqrt_exact(n)
-            if s is not None and is_prime(s):
-                out.append((s, 2))
-            else:
-                raise FactorizationError(
-                    "cofactor %d has no prime factor below %d" % (n, bound))
+            raise FactorizationError(
+                "cofactor %d has no prime factor below %d" % (n, bound))
     out.sort()
     return tuple(out)
 
 
-def _isqrt_exact(n: int) -> Optional[int]:
-    import math
+def is_square(n: int) -> bool:
+    """Whether the integer n is a perfect square (0 included)."""
+    if n < 0:
+        return False
     s = math.isqrt(n)
-    return s if s * s == n else None
+    return s * s == n
 
 
 def valuation(x: IntLike, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     if not is_prime(p):
         raise ExactNumError("valuation needs a prime, got %r" % (p,))
+    if isinstance(x, float):
+        raise ExactNumError("valuation of a float is not exact: %r" % (x,))
     x = Fraction(x)
     if x == 0:
         raise ExactNumError("valuation of 0 is undefined")
@@ -204,6 +234,9 @@ TRIVIAL_CLASS = SquareClass()
 
 def squarefree_class(x: IntLike, bound: int = TRIAL_DIVISION_BOUND) -> SquareClass:
     """Image of a nonzero rational in Q*/Q*^2."""
+    if isinstance(x, float):
+        raise ExactNumError("the square class of a float is not exact: %r"
+                            % (x,))
     x = Fraction(x)
     if x == 0:
         raise ExactNumError("0 has no square class")
@@ -234,6 +267,8 @@ def legendre(a: int, p: int) -> int:
 def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     """Hilbert symbol (a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
     Q_v-point.  Depends only on the square classes of a and b."""
+    if isinstance(a, float) or isinstance(b, float):
+        raise ExactNumError("the Hilbert symbol of a float is not exact")
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:
@@ -281,7 +316,9 @@ def hilbert_support(a: IntLike, b: IntLike) -> list:
     return out
 
 
-def _class_masks(classes: Sequence[SquareClass]):
+def class_masks(classes: Sequence[SquareClass]) -> list:
+    """Bitmasks of square classes: bit 0 is the sign, bit i the i-th
+    smallest prime in the combined support."""
     keys = sorted({q for c in classes for q in c.primes})
     pos = {q: i + 1 for i, q in enumerate(keys)}
     masks = []
@@ -293,6 +330,24 @@ def _class_masks(classes: Sequence[SquareClass]):
     return masks
 
 
+def f2_insert(rows: list, vec: int, tag: int = 0):
+    """Reduce an F2 vector against echelon rows and keep the remainder.
+
+    `rows` holds (pivot bit, row, tag) triples in insertion order; every
+    stored row whose pivot bit is set in the running vector is XORed in,
+    tag included, so tags record which inputs were combined.  A nonzero
+    remainder is appended with its top bit as pivot.  Returns the reduced
+    (vec, tag); vec == 0 means the input lay in the span of the rows.
+    """
+    for pivot, row, row_tag in rows:
+        if vec & pivot:
+            vec ^= row
+            tag ^= row_tag
+    if vec:
+        rows.append((1 << (vec.bit_length() - 1), vec, tag))
+    return vec, tag
+
+
 def f2_independent(classes: Sequence[SquareClass]):
     """Whether the classes are independent in the F2-vector space Q*/Q*^2.
 
@@ -301,21 +356,14 @@ def f2_independent(classes: Sequence[SquareClass]):
     of minimal support, ties broken by lowest index order.
     """
     classes = list(classes)
-    masks = _class_masks(classes)
-    pivots = {}  # pivot bit position -> (mask, combo over input indices)
+    masks = class_masks(classes)
+    rows: list = []
     dep_combo = None
     for idx, m in enumerate(masks):
-        cur, combo = m, 1 << idx
-        while cur:
-            row = pivots.get(cur.bit_length())
-            if row is None:
-                break
-            cur ^= row[0]
-            combo ^= row[1]
+        cur, combo = f2_insert(rows, m, 1 << idx)
         if cur == 0:
             dep_combo = combo
             break
-        pivots[cur.bit_length()] = (cur, combo)
     if dep_combo is None:
         return True, None
     # minimal-support certificate: smallest subset, then lexicographically

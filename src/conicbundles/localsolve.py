@@ -30,6 +30,7 @@ from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    as_rational,
     hilbert,
     is_prime,
     legendre,
@@ -161,13 +162,13 @@ def _technical_bound(system: NormFormSystem, p: int) -> int:
     return max(valuation(4 * a, p) for a in system.a)
 
 
-def _symbol_state(a: int, value: int, p: int, level: int, depth: int):
+def _symbol_state(a: int, value: int, p: int, level: int):
     """Classify f_i(u) known mod p^level.
 
     Returns ("zero",), ("undetermined",) or ("known", symbol).  A nonzero
     residue pins the valuation; the symbol needs the unit part mod p (odd
     p) or mod 8 (p = 2), and is reported only when available at this
-    level or guaranteed available at full depth.
+    level.
     """
     m = p**level
     value %= m
@@ -210,8 +211,7 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     def determined_ok(u, level):
         # all symbols known and +1, values nonzero; permits early accept
         for i in range(system.r):
-            state = _symbol_state(a[i], _evaluate(forms[i], u), p, level,
-                                  depth)
+            state = _symbol_state(a[i], _evaluate(forms[i], u), p, level)
             if state[0] != "known" or state[1] != 1:
                 return False
         return True
@@ -219,8 +219,7 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     def viable(u, level):
         # no symbol is determined and -1; zero residues stay viable
         for i in range(system.r):
-            state = _symbol_state(a[i], _evaluate(forms[i], u), p, level,
-                                  depth)
+            state = _symbol_state(a[i], _evaluate(forms[i], u), p, level)
             if state[0] == "known" and state[1] != 1:
                 return False
         return True
@@ -352,7 +351,7 @@ def diagonal_quadric_soluble(coeffs: Sequence, place: Place) -> bool:
     square and the product of the symbols (c_i, c_j) over i < j is the
     negative of (-1, -1).
     """
-    c = [Fraction(x) for x in coeffs]
+    c = [as_rational(x, LocalSolveError) for x in coeffs]
     if len(c) != 4 or any(x == 0 for x in c):
         raise LocalSolveError("four nonzero coefficients are required")
     det = c[0] * c[1] * c[2] * c[3]

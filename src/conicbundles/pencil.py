@@ -19,6 +19,7 @@ coefficients, and quadric_intersection_system assembles the pencil data
 of a fibred product of two-fibre bundles (u - e v)(u - e' v) = c N(x, y).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -27,6 +28,11 @@ from .exactnum import (
     ExactNumError,
     SquareClass,
     TRIVIAL_CLASS,
+    as_integer,
+    as_rational,
+    class_masks,
+    f2_insert,
+    is_square,
     squarefree_class,
 )
 
@@ -35,17 +41,10 @@ class PencilError(ExactNumError):
     pass
 
 
-def _as_fraction(x) -> Fraction:
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise PencilError("not a rational number: %r" % (x,)) from exc
-
-
 def _as_class(x) -> SquareClass:
     if isinstance(x, SquareClass):
         return x
-    return squarefree_class(_as_fraction(x))
+    return squarefree_class(as_rational(x, PencilError))
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class ConicBundleData:
     lam: Optional[Tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        e = tuple(_as_fraction(x) for x in self.e)
+        e = tuple(as_rational(x, PencilError) for x in self.e)
         a = tuple(_as_class(x) for x in self.a)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "a", a)
@@ -71,7 +70,7 @@ class ConicBundleData:
             if cls.is_trivial:
                 raise PencilError("each a_i must be a nontrivial square class")
         if self.lam is not None:
-            lam = tuple(_as_fraction(x) for x in self.lam)
+            lam = tuple(as_rational(x, PencilError) for x in self.lam)
             object.__setattr__(self, "lam", lam)
             if len(lam) != len(e):
                 raise PencilError("lambda must have one entry per fibre")
@@ -126,7 +125,7 @@ def validate(data: ConicBundleData) -> ValidationReport:
 
 
 def _check_bits(data: ConicBundleData, n: Sequence[int]) -> Tuple[int, ...]:
-    bits = tuple(int(x) for x in n)
+    bits = tuple(as_integer(x, PencilError) for x in n)
     if len(bits) != data.r:
         raise PencilError("vector length %d does not match r = %d"
                           % (len(bits), data.r))
@@ -155,7 +154,7 @@ class BrauerElement:
     n: Tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(int(x) for x in self.n)
+        bits = tuple(as_integer(x, PencilError) for x in self.n)
         object.__setattr__(self, "n", bits)
         if not bits:
             raise PencilError("empty coefficient vector")
@@ -198,32 +197,6 @@ class BrauerGroupDescription:
         return len(self.kernel_basis)
 
 
-def _class_mask(cls: SquareClass, dims: dict) -> int:
-    mask = cls.sign
-    for p in cls.primes:
-        mask |= 1 << dims.setdefault(p, len(dims) + 1)
-    return mask
-
-
-def _rref(rows):
-    # reduced echelon form over F_2; rows are bitmasks with pivot = lowest bit
-    pivots: dict = {}
-    for row in rows:
-        while row:
-            p = row & -row
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = row
-                break
-            row ^= other
-    order = sorted(pivots, reverse=True)
-    for p in order:
-        for q in pivots:
-            if q != p and pivots[q] & p:
-                pivots[q] ^= pivots[p]
-    return [pivots[p] for p in order]
-
-
 def brauer_group(data: ConicBundleData) -> BrauerGroupDescription:
     """Basis of Ker(delta) and the rank of Ker(delta)/<(1,...,1)>.
 
@@ -235,31 +208,18 @@ def brauer_group(data: ConicBundleData) -> BrauerGroupDescription:
         raise PencilError(
             "product of the a_i is the nontrivial class %s; the Brauer "
             "description needs it to be a square" % (cls,))
-    r = data.r
-    dims: dict = {}
-    masks = [_class_mask(x, dims) for x in data.a]
-    # incremental nullspace of delta: combo records which inputs were folded in
-    pivots: dict = {}
+    # incremental nullspace of delta: an input dependent on the earlier
+    # ones yields a kernel vector whose last nonzero entry is that input
+    # and whose other entries lie on independent inputs only, so the
+    # vectors come out as the reduced echelon basis, ordered by that entry
+    rows: list = []
     kernel = []
-    for idx, m in enumerate(masks):
-        cur, combo = m, 1 << idx
-        while cur:
-            row = pivots.get(cur.bit_length())
-            if row is None:
-                break
-            cur ^= row[0]
-            combo ^= row[1]
+    for idx, m in enumerate(class_masks(data.a)):
+        cur, combo = f2_insert(rows, m, 1 << idx)
         if cur == 0:
             kernel.append(combo)
-        else:
-            pivots[cur.bit_length()] = (cur, combo)
-    # combos use bit idx for coordinate n_{idx+1}; re-pack so bit (r-1-i) is n_i,
-    # echelonize for a unique basis, then unpack to 0/1 tuples
-    packed = [sum(1 << (r - 1 - i) for i in range(r) if combo >> i & 1)
-              for combo in kernel]
-    basis = _rref(packed)
-    vectors = tuple(tuple(row >> (r - 1 - i) & 1 for i in range(r))
-                    for row in basis)
+    vectors = tuple(tuple(combo >> i & 1 for i in range(data.r))
+                    for combo in kernel)
     return BrauerGroupDescription(
         kernel_basis=vectors,
         quotient_rank=max(len(vectors) - 1, 0),
@@ -277,21 +237,24 @@ class NormFormSystem:
     clearing: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "r", as_integer(self.r, PencilError))
+        object.__setattr__(self, "s", as_integer(self.s, PencilError))
         if self.r < 1:
             raise PencilError("r must be positive")
         if self.s < 2:
             raise PencilError("at least two parameters are required")
-        a = tuple(int(x) for x in self.a)
-        forms = tuple(tuple(int(c) for c in f) for f in self.forms)
-        clearing = tuple(int(c) for c in self.clearing) or (1,) * self.r
+        a = tuple(as_integer(x, PencilError) for x in self.a)
+        forms = tuple(tuple(as_integer(c, PencilError) for c in f)
+                      for f in self.forms)
+        clearing = tuple(as_integer(c, PencilError)
+                         for c in self.clearing) or (1,) * self.r
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "clearing", clearing)
         if len(a) != self.r or len(forms) != self.r or len(clearing) != self.r:
             raise PencilError("a, forms and clearing must have length r")
-        from .exactnum import _isqrt_exact
         for x in a:
-            if x == 0 or (x > 0 and _isqrt_exact(x) is not None):
+            if is_square(x):
                 raise PencilError("each a_i must be a nonzero nonsquare")
         for f in forms:
             if len(f) != self.s:
@@ -336,18 +299,12 @@ def torsor_system(data: ConicBundleData) -> NormFormSystem:
         mu = 1 / lam[i]
         cu, cv = mu, -mu * data.e[i]
         d = cu.denominator
-        d *= cv.denominator // _gcd(d, cv.denominator)
+        d *= cv.denominator // math.gcd(d, cv.denominator)
         forms.append((int(cu * d), int(cv * d)))
         clearing.append(d)
         a.append(data.a[i].representative())
     return NormFormSystem(r=data.r, s=2, a=tuple(a), forms=tuple(forms),
                           clearing=tuple(clearing))
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 @dataclass(frozen=True)
@@ -379,8 +336,8 @@ def quadric_intersection_system(e: Sequence, a: Sequence,
     point with mismatched classes is an error.
     """
     aa = tuple(_as_class(x) for x in a)
-    cc = tuple(_as_fraction(x) for x in c)
-    ee = tuple(_as_fraction(x) for x in e)
+    cc = tuple(as_rational(x, PencilError) for x in c)
+    ee = tuple(as_rational(x, PencilError) for x in e)
     n = len(aa)
     if n < 1:
         raise PencilError("at least one factor is required")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .exactnum import ExactNumError, factorize, is_prime, valuation
+from .exactnum import ExactNumError, factorize, is_square, valuation
 
 DIRECT_ENUMERATION_CAP = 1_000_000
 _KRONECKER_CAP = 1 << 18
@@ -47,13 +47,6 @@ class QuadFormError(ExactNumError):
     pass
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    s = math.isqrt(n)
-    return s * s == n
-
-
 @dataclass(frozen=True)
 class BinaryForm:
     """x^2 - a y^2 for a nonzero integer a, not a perfect square."""
@@ -61,7 +54,7 @@ class BinaryForm:
     a: int
 
     def __post_init__(self):
-        if self.a == 0 or _is_square(self.a):
+        if is_square(self.a):
             raise QuadFormError("form coefficient must be nonzero and nonsquare")
 
     @property
@@ -114,7 +107,7 @@ def _sqrt_cf_fundamental(a: int):
 def fundamental_unit(a: int):
     """Smallest unit x + y*sqrt(a) > 1 of Z[sqrt(a)], a > 0 nonsquare.
     Returns (x, y, norm) with x^2 - a y^2 = norm in {+1, -1}."""
-    if a <= 0 or _is_square(a):
+    if a <= 0 or is_square(a):
         raise QuadFormError("fundamental_unit needs a positive nonsquare")
     return _sqrt_cf_fundamental(a)
 
@@ -203,7 +196,7 @@ def primary_representatives(form: BinaryForm, n: int):
         ylo, yhi = (1 + 1.0 / eps) * sq / (2 * ra), (eps + 1) * sq / (2 * ra)
     for y in range(int(ylo) - 2, int(yhi) + 3):
         r = n + a * y * y
-        if r < 0 or not _is_square(r):
+        if not is_square(r):
             continue
         x0 = math.isqrt(r)
         for x in {x0, -x0}:

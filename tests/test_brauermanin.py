@@ -15,7 +15,8 @@ from conicbundles.brauermanin import (
     quotient_generators,
 )
 from conicbundles.exactnum import Place, REAL_PLACE, hilbert, squarefree_part
-from conicbundles.pencil import ConicBundleData
+from conicbundles.pencil import ConicBundleData, brauer_group
+from test_pencil import brute_kernel, random_classes, span
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 
@@ -70,8 +71,6 @@ def test_local_invariant_against_brute_hilbert():
 def test_local_invariant_errors():
     with pytest.raises(BrauerManinError, match="pole"):
         local_invariant(FLAG, (1, 1, 0, 0), 2, Place(5))
-    with pytest.raises(BrauerManinError, match="float"):
-        local_invariant(FLAG, (1, 1, 0, 0), 0.5, Place(5))
     with pytest.raises(BrauerManinError, match="length"):
         local_invariant(FLAG, (1, 1), Fraction(1, 2), Place(5))
     with pytest.raises(BrauerManinError, match="0 or 1"):
@@ -107,6 +106,32 @@ def test_quotient_generators():
     assert [g.n for g in gens] == [(0, 0, 1, 1), (0, 1, 0, 1)]
     assert quotient_generators(ConicBundleData(e=(0, 1, 2), a=(2, 3, 6))) == ()
     assert quotient_generators(ConicBundleData(e=(0, 1), a=(5, 5))) == ()
+    # generators depend on the reduction order; pin cases where reducing
+    # by the top bit alone would pick a different basis
+    pinned = {
+        (3, 6, 2, 15, 2, 30): ((0, 0, 0, 1, 1, 1), (0, 0, 1, 0, 1, 0)),
+        (5, 15, 7, 3, 5, 35): ((0, 0, 1, 0, 1, 1), (0, 1, 0, 1, 1, 0)),
+        (5, 35, 6, 6, 15, 3, 35): ((0, 0, 1, 1, 0, 0, 0),
+                                   (0, 1, 0, 0, 0, 0, 1)),
+    }
+    for a, expect in pinned.items():
+        data = ConicBundleData(e=tuple(range(len(a))), a=a)
+        assert tuple(g.n for g in quotient_generators(data)) == expect
+    # against the brute-force kernel: leading entry 0, in the kernel,
+    # independent modulo (1, ..., 1) and spanning the quotient
+    rng = random.Random(29)
+    for _ in range(150):
+        r = rng.randint(2, 7)
+        a = random_classes(rng, r, force_faddeev=True)
+        data = ConicBundleData(e=tuple(range(r)), a=tuple(a))
+        kernel = brute_kernel(data)
+        gens = [g.n for g in quotient_generators(data)]
+        assert len(gens) == brauer_group(data).quotient_rank
+        for g in gens:
+            assert g[0] == 0 and g in kernel
+        # with (1, ..., 1) the generators span the kernel freely
+        spanned = span(gens + [(1,) * r], r)
+        assert len(spanned) == 2 ** (len(gens) + 1) == len(kernel)
 
 
 def test_pairing_global_reciprocity():

@@ -112,8 +112,6 @@ def test_job_validation():
         job1(uInf=(Fraction(-1), Fraction(0)))
     with pytest.raises(CountingError, match="epsilon"):
         job1(epsilon=Fraction(0))
-    with pytest.raises(CountingError, match="float"):
-        job1(epsilon=0.5)
     with pytest.raises(CountingError, match="length"):
         job1(uM=(1,))
     with pytest.raises(CountingError, match="positive"):

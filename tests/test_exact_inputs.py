@@ -1,0 +1,97 @@
+"""Exactness policy: no entry path lets a float, or a wrapping numpy
+integer, into exact data; each rejects a float with its module's error."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
+                                      global_point, local_invariant)
+from conicbundles.counting import CountJob, CountingError, box_measure
+from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
+                                   SplitPolynomial)
+from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE, hilbert,
+                                   squarefree_class, valuation)
+from conicbundles.localsolve import LocalSolveError, diagonal_quadric_soluble
+from conicbundles.pencil import (BrauerElement, ConicBundleData,
+                                 NormFormSystem, PencilError,
+                                 quadric_intersection_system)
+
+FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
+SYSTEM = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
+F64 = np.float64(0.5)
+
+
+def job(**kw):
+    args = dict(system=SYSTEM, uInf=(1, 0), B_schedule=(100,))
+    args.update(kw)
+    return CountJob(**args)
+
+
+# test id -> (expected error, call that feeds a float to one entry path)
+FLOAT_ENTRY_PATHS = {
+    "bundle e": (PencilError,
+                 lambda: ConicBundleData(e=(0.1, 1), a=(5, 5))),
+    "bundle e float64": (PencilError,
+                         lambda: ConicBundleData(e=(F64, 1), a=(5, 5))),
+    "bundle a": (PencilError,
+                 lambda: ConicBundleData(e=(0, 1), a=(5.0, 5))),
+    "bundle lam": (PencilError,
+                   lambda: ConicBundleData(e=(0, 1), a=(5, 5), lam=(0.5, 1))),
+    "quadric e": (PencilError,
+                  lambda: quadric_intersection_system((0.5, 1), (5,), (1,))),
+    "quadric c": (PencilError,
+                  lambda: quadric_intersection_system((0, 1), (5,), (1.5,))),
+    "norm a": (PencilError, lambda: NormFormSystem(
+        r=1, s=2, a=(-1.5,), forms=((1, 0),))),
+    "norm forms": (PencilError, lambda: NormFormSystem(
+        r=1, s=2, a=(-1,), forms=((1.9, 0.2),))),
+    "job M": (CountingError, lambda: job(M=1.5)),
+    "job uM": (CountingError, lambda: job(uM=(0.0, 1))),
+    "job uInf": (CountingError, lambda: job(uInf=(1.0, 0))),
+    "job epsilon": (CountingError, lambda: job(epsilon=0.5)),
+    "job B": (CountingError, lambda: job(B_schedule=(100.7,))),
+    "box epsilon": (CountingError, lambda: box_measure(2, 0.5, 1, 4)),
+    "box B": (CountingError, lambda: box_measure(2, 1, 1, 4.0)),
+    "local invariant": (BrauerManinError, lambda: local_invariant(
+        FLAG, (1, 1, 0, 0), 0.5, Place(5))),
+    "local parameter": (BrauerManinError,
+                        lambda: LocalParameter(Place(5), 0.5)),
+    "local parameter precision": (BrauerManinError,
+                                  lambda: LocalParameter(Place(5), 1, 2.0)),
+    "global point": (BrauerManinError, lambda: global_point(FLAG, F64)),
+    "split roots": (DelPezzoError, lambda: SplitPolynomial(1, (0.5,))),
+    "split leading": (DelPezzoError, lambda: SplitPolynomial(0.5, (1,))),
+    "quartic": (DelPezzoError, lambda: Quartic((0.5, 0, 0, 0, 1))),
+    "dp1 e": (DelPezzoError,
+              lambda: DP1Data((0.5, 1, 2, 3, 4, 5, 6, 7), 1, 1)),
+    "dp1 c": (DelPezzoError, lambda: DP1Data(tuple(range(8)), 1, 0.5)),
+    "square class": (ExactNumError, lambda: squarefree_class(0.1)),
+    "square class float64": (ExactNumError,
+                             lambda: squarefree_class(np.float64(2.0))),
+    "valuation": (ExactNumError, lambda: valuation(0.5, 2)),
+    "hilbert": (ExactNumError, lambda: hilbert(-1.0, -1, REAL_PLACE)),
+    "diagonal quadric": (LocalSolveError, lambda: diagonal_quadric_soluble(
+        (1.0, 1, 1, -1), Place(2))),
+    "brauer element": (PencilError, lambda: BrauerElement((1.0, 0.0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("error, call", list(FLOAT_ENTRY_PATHS.values()),
+                         ids=list(FLOAT_ENTRY_PATHS))
+def test_exact_inputs_reject_floats(error, call):
+    with pytest.raises(error, match="float"):
+        call()
+
+
+def test_integer_inputs_are_python_ints():
+    with pytest.raises(PencilError, match="not an integer"):
+        NormFormSystem(r=1, s=2, a=(Fraction(-3, 2),), forms=((1, 0),))
+    with pytest.raises(CountingError, match="not an integer"):
+        job(B_schedule=(Fraction(201, 2),))
+    system = NormFormSystem(r=1, s=2, a=(np.int64(-1),), forms=((1, 0),))
+    assert system.a == (-1,) and type(system.a[0]) is int
+    # numpy integers become Python integers, so later products cannot wrap
+    data = ConicBundleData(e=(np.int64(2**62), 1), a=(5, 5))
+    assert data.e[0] * 4 == 2**64
