@@ -51,6 +51,8 @@ from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    _valuation_unit,
+    as_bits,
     as_integer,
     as_rational,
     f2_insert,
@@ -74,14 +76,8 @@ def _place_key(v: Place):
 
 
 def _bits(data: ConicBundleData, n) -> Tuple[int, ...]:
-    bits = n.n if isinstance(n, BrauerElement) \
-        else tuple(as_integer(b, BrauerManinError) for b in n)
-    if len(bits) != data.r:
-        raise BrauerManinError("coefficient vector length %d does not match "
-                               "r = %d" % (len(bits), data.r))
-    if any(b not in (0, 1) for b in bits):
-        raise BrauerManinError("coefficients must be 0 or 1")
-    return bits
+    return as_bits(n.n if isinstance(n, BrauerElement) else n,
+                   BrauerManinError, data.r)
 
 
 def _canonical(bits: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -196,14 +192,8 @@ def _cell_symbol(a_rep: int, e: Fraction, p: int, c: Fraction,
     if j >= K:
         return None
     if p == 2:
-        alpha = valuation(a_rep, 2) % 2
-        u_a = a_rep // (2 ** valuation(a_rep, 2))
-        eps_a = (u_a - 1) // 2 % 2
-        need = 1
-        if eps_a:
-            need = 2
-        if alpha:
-            need = 3
+        alpha, u_a = _valuation_unit(a_rep, 2)
+        need = 3 if alpha % 2 else 2 if u_a % 4 == 3 else 1
         if K - j < need:
             return None
     return hilbert(a_rep, d, Place(p))

@@ -18,8 +18,12 @@ the symbol is -1 exactly when both arguments are negative.  The formulas
 are anchored in the test suite by brute-force residue searches (mod p^3 at
 odd p, mod 2^6 at p = 2), not trusted as transcriptions.
 
-Factorization is trial division with a configurable bound plus a
-deterministic Miller-Rabin primality check; inputs at desk scale are small.
+Symbols and local squares read only v_p and the unit part mod p (mod 8 at
+p = 2), so they need no factorization and accept arguments of any size.
+Only global data factors: square classes, `hilbert_support` and the lists
+of bad primes.  Factorization is trial division with a configurable bound
+plus a deterministic Miller-Rabin primality check; inputs at desk scale
+are small.
 """
 
 from __future__ import annotations
@@ -70,6 +74,18 @@ def as_integer(x, error=ExactNumError) -> int:
     if q.denominator != 1:
         raise error("not an integer: %r" % (x,))
     return q.numerator
+
+
+def as_bits(n, error=ExactNumError, r: Optional[int] = None) -> tuple:
+    """n as a tuple of 0/1 Python ints, of length r when r is given;
+    anything else raises `error`."""
+    bits = tuple(as_integer(b, error) for b in n)
+    if r is not None and len(bits) != r:
+        raise error("vector length %d does not match r = %d"
+                    % (len(bits), r))
+    if any(b not in (0, 1) for b in bits):
+        raise error("coefficients must be 0 or 1")
+    return bits
 
 
 # Deterministic for n < 3,317,044,064,679,887,385,961,981.
@@ -148,25 +164,35 @@ def is_square(n: int) -> bool:
     return s * s == n
 
 
+def _exact(x) -> IntLike:
+    # plain ints skip the Fraction round trip: the symbol kernels below
+    # sit on every hot path, and ints are their commonest input
+    return x if type(x) is int else as_rational(x)
+
+
+def _valuation_unit(x: IntLike, p: int):
+    """(v_p(x), w) for a nonzero int or Fraction x and a prime p, where w,
+    the numerator times the denominator of x / p^v, is an integer prime to
+    p in the square class of the unit part: all that a symbol reads."""
+    n, d = x.as_integer_ratio()
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v, n * d
+
+
 def valuation(x: IntLike, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     if not is_prime(p):
         raise ExactNumError("valuation needs a prime, got %r" % (p,))
-    if isinstance(x, float):
-        raise ExactNumError("valuation of a float is not exact: %r" % (x,))
-    x = Fraction(x)
+    x = _exact(x)
     if x == 0:
         raise ExactNumError("valuation of 0 is undefined")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _valuation_unit(x, p)[0]
 
 
 @dataclass(frozen=True)
@@ -234,10 +260,7 @@ TRIVIAL_CLASS = SquareClass()
 
 def squarefree_class(x: IntLike, bound: int = TRIAL_DIVISION_BOUND) -> SquareClass:
     """Image of a nonzero rational in Q*/Q*^2."""
-    if isinstance(x, float):
-        raise ExactNumError("the square class of a float is not exact: %r"
-                            % (x,))
-    x = Fraction(x)
+    x = _exact(x)
     if x == 0:
         raise ExactNumError("0 has no square class")
     sign = 1 if x < 0 else 0
@@ -266,33 +289,25 @@ def legendre(a: int, p: int) -> int:
 
 def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     """Hilbert symbol (a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
-    Q_v-point.  Depends only on the square classes of a and b."""
-    if isinstance(a, float) or isinstance(b, float):
-        raise ExactNumError("the Hilbert symbol of a float is not exact")
-    a = Fraction(a)
-    b = Fraction(b)
+    Q_v-point.  Depends only on the square classes of a and b, and at a
+    prime p only on v_p and the unit parts, so nothing is factorized."""
+    a = _exact(a)
+    b = _exact(b)
     if a == 0 or b == 0:
         raise ExactNumError("hilbert symbol needs nonzero arguments")
     if place.is_real:
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    A = squarefree_class(a).representative()
-    B = squarefree_class(b).representative()
+    alpha, u = _valuation_unit(a, p)
+    beta, w = _valuation_unit(b, p)
     if p == 2:
-        alpha = valuation(A, 2)
-        beta = valuation(B, 2)
-        u = A >> alpha
-        w = B >> beta
+        u, w = u % 8, w % 8
         eps_u = (u - 1) // 2 % 2
         eps_w = (w - 1) // 2 % 2
         om_u = (u * u - 1) // 8 % 2
         om_w = (w * w - 1) // 8 % 2
         e = eps_u * eps_w + alpha * om_w + beta * om_u
         return -1 if e % 2 else 1
-    alpha = valuation(A, p)
-    beta = valuation(B, p)
-    u = A // p**alpha
-    w = B // p**beta
     s = 1
     if alpha * beta % 2 and p % 4 == 3:
         s = -s

@@ -30,11 +30,12 @@ from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    _valuation_unit,
     as_rational,
+    factorize,
     hilbert,
     is_prime,
     legendre,
-    squarefree_class,
     valuation,
 )
 from .pencil import NormFormSystem
@@ -200,7 +201,6 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     if depth < bound + 1:
         raise LocalSolveError(
             "depth %d is below the technical bound %d" % (depth, bound + 1))
-    need = 1 if p != 2 else 3
     fast = _good_prime_witness(system, p, depth)
     if fast is not None:
         return True, fast
@@ -318,7 +318,6 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
 
 
 def _factor_abs(x: int):
-    from .exactnum import factorize
     if x in (0, 1, -1):
         return ()
     return factorize(abs(x))
@@ -331,16 +330,13 @@ def _factor_abs(x: int):
 def _is_local_square(x: Fraction, place: Place) -> bool:
     if place.is_real:
         return x > 0
-    cls = squarefree_class(x)
-    rep = cls.representative()
     p = place.p
-    v = valuation(rep, p)
+    v, unit = _valuation_unit(x, p)
     if v % 2 != 0:
         return False
-    unit = rep // p**v
     if p == 2:
         return unit % 8 == 1
-    return legendre(unit % p, p) == 1
+    return legendre(unit, p) == 1
 
 
 def diagonal_quadric_soluble(coeffs: Sequence, place: Place) -> bool:

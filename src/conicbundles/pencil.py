@@ -28,6 +28,7 @@ from .exactnum import (
     ExactNumError,
     SquareClass,
     TRIVIAL_CLASS,
+    as_bits,
     as_integer,
     as_rational,
     class_masks,
@@ -124,19 +125,9 @@ def validate(data: ConicBundleData) -> ValidationReport:
     )
 
 
-def _check_bits(data: ConicBundleData, n: Sequence[int]) -> Tuple[int, ...]:
-    bits = tuple(as_integer(x, PencilError) for x in n)
-    if len(bits) != data.r:
-        raise PencilError("vector length %d does not match r = %d"
-                          % (len(bits), data.r))
-    if any(b not in (0, 1) for b in bits):
-        raise PencilError("vector entries must be 0 or 1")
-    return bits
-
-
 def delta(data: ConicBundleData, n: Sequence[int]) -> SquareClass:
     """The square class of prod a_i^{n_i}."""
-    bits = _check_bits(data, n)
+    bits = as_bits(n, PencilError, data.r)
     cls = TRIVIAL_CLASS
     for b, x in zip(bits, data.a):
         if b:
@@ -154,12 +145,10 @@ class BrauerElement:
     n: Tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(as_integer(x, PencilError) for x in self.n)
+        bits = as_bits(self.n, PencilError)
         object.__setattr__(self, "n", bits)
         if not bits:
             raise PencilError("empty coefficient vector")
-        if any(b not in (0, 1) for b in bits):
-            raise PencilError("coefficients must be 0 or 1")
 
     def canonical(self) -> Tuple[int, ...]:
         """The representative of {n, n + (1,...,1)} with leading entry 0."""
@@ -174,7 +163,7 @@ class BrauerElement:
 
 def brauer_element(data: ConicBundleData, n: Sequence[int]) -> BrauerElement:
     """Construct an element, checking membership in Ker(delta)."""
-    bits = _check_bits(data, n)
+    bits = as_bits(n, PencilError, data.r)
     if not delta(data, bits).is_trivial:
         raise PencilError(
             "the vector %s is not in Ker(delta): class %s"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conicbundles import brauermanin, exactnum, localsolve
 from conicbundles.brauermanin import (
     AdelicFiberPoint,
     BrauerManinError,
@@ -15,7 +16,8 @@ from conicbundles.brauermanin import (
     quotient_generators,
 )
 from conicbundles.exactnum import Place, REAL_PLACE, hilbert, squarefree_part
-from conicbundles.pencil import ConicBundleData, brauer_group
+from conicbundles.localsolve import padic_soluble
+from conicbundles.pencil import ConicBundleData, brauer_group, torsor_system
 from test_pencil import brute_kernel, random_classes, span
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
@@ -66,6 +68,39 @@ def test_local_invariant_against_brute_hilbert():
     assert brute_hilbert_odd(5, 10, 5) == hilbert(5, 10, Place(5)) == -1
     assert brute_hilbert_odd(5, 9, 5) == hilbert(5, 9, Place(5)) == 1
     assert local_invariant(FLAG, (0, 0, 1, 1), 12, Place(5)) == 1
+    # t beyond trial division: the oracle reads t - e_i mod 5^3, which lies
+    # in the same 5-adic square class because t - e_i is a 5-adic unit
+    N = 1000003 * 1000033
+    pair = ConicBundleData(e=(0, 1), a=(5, 5))
+    expect = 0
+    for e in pair.e:
+        if brute_hilbert_odd(5, (N - e) % 125, 5) == -1:
+            expect ^= 1
+    assert local_invariant(pair, (1, 1), N, Place(5)) == expect == 1
+
+
+def test_symbols_need_no_factorization(monkeypatch):
+    # symbols, local solubility and the scan read v_p and unit residues
+    # only; with factorization refused they must give the same answers
+    system = torsor_system(FLAG)
+    values = [5, -1, 2, 10, -15, Fraction(3, 50), Fraction(-7, 12)]
+    places = [Place(p) for p in (2, 3, 5, 7)]
+
+    def run():
+        symbols = [hilbert(a, b, v) for a in values for b in values
+                   for v in places]
+        local = [padic_soluble(system, p) for p in (2, 5)]
+        scan = obstruction_scan(FLAG, [Place(2), Place(5)]).as_json_dict()
+        return symbols, local, scan
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorize called")
+
+    for module in (exactnum, localsolve, brauermanin):
+        monkeypatch.setattr(module, "factorize", refuse, raising=False)
+    assert run() == expected
 
 
 def test_local_invariant_errors():

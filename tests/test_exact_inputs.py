@@ -95,3 +95,5 @@ def test_integer_inputs_are_python_ints():
     # numpy integers become Python integers, so later products cannot wrap
     data = ConicBundleData(e=(np.int64(2**62), 1), a=(5, 5))
     assert data.e[0] * 4 == 2**64
+    # 2^62 + 1 = 1 mod 8 is a 2-adic square, whatever the second argument
+    assert hilbert(np.int64(2**62 + 1), np.int64(-1), Place(2)) == 1

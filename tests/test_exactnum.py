@@ -141,6 +141,21 @@ def test_hilbert_against_brute_oracle():
     for a in (-2, -1, 1, 2, 3, 5, 6, 7, 10, -10, 14, 15):
         for b in (-2, -1, 1, 2, 3, 5, 6, 7, 10, -10, 14, 15):
             assert hilbert(a, b, Place(2)) == brute_hilbert(a, b, 2), (a, b)
+    # arguments beyond trial division: the symbol reads only v_p and the
+    # unit part, so the oracle runs on small integers of the same local
+    # square classes, built from residues of N (a unit and its residue
+    # mod p^k differ by a unit = 1 mod p, or mod 8, a local square)
+    N = 1000003 * 1000033
+    cases = [
+        (5, N, 5, (5, N % 125)),
+        (5, N - 1, 5, (5, (N - 1) % 125)),
+        (Fraction(1, N), 3, 3, (N % 27, 3)),
+        (2 * N, Fraction(-N, 7), 7, (2 * N % 343, 7 * (-N % 49))),
+        (N, 2, 2, (N % 64, 2)),
+        (Fraction(2, N), 3 * N, 2, (2 * N % 64, 3 * N % 64)),
+    ]
+    for a, b, p, small in cases:
+        assert hilbert(a, b, Place(p)) == brute_hilbert(*small, p), (a, b, p)
 
 
 def test_hilbert_bilinearity_and_symmetry():

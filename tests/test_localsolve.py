@@ -232,6 +232,11 @@ def test_diagonal_quadric_examples():
     # x^2 + y^2 = 3 z^2 + 3 w^2 forces odd against even 3-adic valuation
     assert not diagonal_quadric_soluble((1, 1, -3, -3), Place(3))
     assert brute_quadric((1, 1, -3, -3), Place(3)) is False
+    # a coefficient beyond trial division: the oracle reads it mod 5^3,
+    # a 5-adic unit of the same square class
+    N = 1000003 * 1000033
+    assert diagonal_quadric_soluble((1, 1, 1, N), Place(5)) == \
+        brute_quadric((1, 1, 1, N % 125), Place(5))
     with pytest.raises(LocalSolveError):
         diagonal_quadric_soluble((1, 0, 1, 1), Place(3))
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conicbundles.quadform import (
@@ -23,14 +24,22 @@ from conicbundles.quadform import (
 )
 
 
-def brute_pell(a):
-    u = 1
+def brute_pell(a, chunk=1 << 20):
+    # every u = 1, 2, ... in order, a chunk at a time in int64: the float
+    # square root only proposes t, and (t - 1)^2, t^2, (t + 1)^2 are
+    # compared with 1 + a u^2 exactly, which brackets the true root
+    start = 1
     while True:
-        t2 = 1 + a * u * u
-        t = math.isqrt(t2)
-        if t * t == t2:
-            return t, u
-        u += 1
+        assert a * (start + chunk) ** 2 + 1 < 2**62, "int64 chunk would wrap"
+        u = np.arange(start, start + chunk, dtype=np.int64)
+        t2 = a * u * u + 1
+        t = np.sqrt(t2.astype(np.float64)).astype(np.int64)
+        hit = ((t - 1) * (t - 1) == t2) | (t * t == t2) | \
+            ((t + 1) * (t + 1) == t2)
+        if hit.any():
+            u = int(u[np.argmax(hit)])
+            return math.isqrt(1 + a * u * u), u
+        start += chunk
 
 
 def brute_fundamental_unit(a):
