@@ -29,6 +29,19 @@ p^(-rm) > 0, and a violation of that bound is reported as an error since
 it contradicts an identity; when the mod-M data admits no lift, beta_p is
 honestly 0 and prediction is refused place by place.
 
+Lattice lines.  enumerate_N and G sum prod_i R_i(f_i(u)) (resp. the
+rho_i) along lattice lines rather than cell by cell, in one grid-sum
+kernel.  For one form f_j and a primitive direction w with f_i . w = 0
+for every i != j, each R_i with i != j is constant along a line parallel
+to w and f_j steps by d = M (f_j . w).  In the box a line is a segment of
+L points from its entry point, contributing the other factors times the
+prefix difference P_d[x + (L - 1) d] - P_d[x - d] of the stride-d prefix
+sum P_d of R_j's table (L R_j(x) when d = 0).  On the torus (Z/p^k)^s a
+line is a full cycle of p^k points, contributing the other factors times
+g C_g[x mod g] with g = gcd(d, p^k) and C_g the residue-class sums of the
+rho_j table.  When no form admits such a w (r > s), every cell is its own
+line.
+
 All lattice counts and beta_p values are exact (Python integers and
 Fractions); only beta_inf and the final ratios are floating point.  The
 Euler product is truncated at a configurable cutoff and the truncation is
@@ -176,83 +189,236 @@ def _form_window(coeffs, axes):
     return lo, hi
 
 
-def _grid_sum(axes, coeff_rows, consts, tables, maxima, row_range,
-              modulus=None):
-    # sum over the sub-grid axes[0][row_range] x axes[1] x ... of the
-    # product of lookups tables[i][consts[i] + coeff_rows[i] . u], the
-    # index taken mod `modulus` when one is given; exact, chunked to bound
-    # memory and to keep every partial int64 sum below _SUM_GUARD.  With a
-    # modulus m the caller passes consts, coefficients and axis values in
-    # [0, m), so the unreduced index stays below (s + 1) m^2, far inside
-    # int64 for any grid small enough to allocate
-    rest = 1
-    for ax in axes[1:]:
-        rest *= ax.size
-    prod_cap = 1
-    for m in maxima:
-        prod_cap *= max(m, 1)
-    rows_mem = max(1, _CHUNK_CELLS // max(rest, 1))
-    rows_sum = max(1, _SUM_GUARD // max(rest * prod_cap, 1))
-    step = min(rows_mem, rows_sum)
-    shapes = []
-    for j in range(1, len(axes)):
-        shape = [1] * len(axes)
-        shape[j] = axes[j].size
-        shapes.append(axes[j].reshape(shape[1:]))
+def _dot(row, w):
+    return sum(c * x for c, x in zip(row, w))
+
+
+def _echelon(rows, s: int, p: Optional[int] = None):
+    # reduced row echelon form of integer rows of length s, over Q or,
+    # when p is given, over F_p; returns the nonzero rows and their pivots
+    if p is None:
+        mat = [[Fraction(c) for c in row] for row in rows]
+        norm = lambda v: v
+    else:
+        mat = [[c % p for c in row] for row in rows]
+        norm = lambda v: v % p
+    pivots = []
+    for col in range(s):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        lead = mat[rank][col]
+        inv = 1 / lead if p is None else pow(lead, -1, p)
+        mat[rank] = [norm(v * inv) for v in mat[rank]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != rank and f:
+                mat[i] = [norm(v - f * q) for v, q in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def _nullspace(rows, s: int):
+    # a basis of {w in Z^s : row . w = 0 for every row}, one primitive
+    # vector per free column of the echelon form
+    mat, pivots = _echelon(rows, s)
+    basis = []
+    for free in range(s):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * s
+        vec[free] = Fraction(1)
+        for row, col in zip(mat, pivots):
+            vec[col] = -row[free]
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        g = math.gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return basis
+
+
+def _line_direction(forms, extents):
+    # (j, w) with w primitive, f_i . w = 0 for every i != j and f_j . w >= 0,
+    # chosen so that lines parallel to w cover the index box of the given
+    # extents with the fewest entry points; None when no form admits one
+    cells = math.prod(extents)
+    best = None
+    for j in range(len(forms)):
+        for w in _nullspace(forms[:j] + forms[j + 1:], len(extents)):
+            if _dot(forms[j], w) < 0:
+                w = tuple(-c for c in w)
+            entries = cells - math.prod(
+                max(0, n - abs(c)) for n, c in zip(extents, w))
+            if best is None or entries < best[0]:
+                best = (entries, j, w)
+    return None if best is None else best[1:]
+
+
+def _entry_boxes(extents, w):
+    # the entry points t of the lines t + k w (t - w outside the index box)
+    # as disjoint boxes: for each axis h with w_h != 0, the |w_h|-thick
+    # slab at the face t - w leaves through, minus the earlier slabs
+    boxes = []
+    box = [(0, n) for n in extents]
+    for h, (n, c) in enumerate(zip(extents, w)):
+        if c == 0:
+            continue
+        cut = min(abs(c), n)
+        slab, rest = ((0, cut), (cut, n)) if c > 0 else ((n - cut, n),
+                                                          (0, n - cut))
+        cand = tuple(box[:h] + [slab] + box[h + 1:])
+        if all(a < b for a, b in cand):
+            boxes.append(cand)
+        box[h] = rest
+    return boxes
+
+
+def _stride_prefix(tab, d: int):
+    # Q[y] = tab[y - d] + tab[y - 2d] + ... (indices >= 0), so the sum of
+    # tab[x], tab[x + d], ..., tab[x + (L - 1) d] is Q[x + L d] - Q[x];
+    # Q is P_d shifted by d, the padding that makes P_d[x - d] exist
+    n = tab.size + d
+    rows = -(-n // d)
+    buf = numpy.zeros(rows * d, dtype=numpy.int64)
+    buf[d:n] = tab
+    return buf.reshape(rows, d).cumsum(axis=0).ravel()[:n]
+
+
+def _pieces(box, limit: int):
+    # sub-boxes of at most `limit` cells, cut across the longest axis (and
+    # recursively when a single slice across it is still too large)
+    extents = [b - a for a, b in box]
+    cells = math.prod(extents)
+    if cells <= limit:
+        yield box
+        return
+    h = max(range(len(box)), key=extents.__getitem__)
+    rows = max(1, limit // (cells // extents[h]))
+    a, b = box[h]
+    for r0 in range(a, b, rows):
+        yield from _pieces(box[:h] + ((r0, min(r0 + rows, b)),) + box[h + 1:],
+                           limit)
+
+
+def _along(ax, piece, h):
+    # ax restricted to the piece's range on axis h, shaped to broadcast
+    a, b = piece[h]
+    shape = [1] * len(piece)
+    shape[h] = b - a
+    return ax[a:b].reshape(shape)
+
+
+def _grid_sum(boxes, index_axes, consts, tables, line=None):
+    # sum over every cell t of the boxes (tuples of index ranges, one per
+    # axis) of prod_i tables[i][consts[i] + sum_h index_axes[i][h][t_h]],
+    # axes with a None entry contributing nothing to that index; exact.
+    # With line = (j, lengths, d) factor j is instead the sum of tables[j]
+    # over the L(t) = min_h lengths[h][t_h] points x, x + d, ... of the
+    # line through t: Q[x + L d] - Q[x] for the stride prefix Q that
+    # tables[j] then holds, or L tables[j][x] when d = 0.  Cells are taken
+    # in pieces of at most `limit`: no array exceeds _CHUNK_CELLS, and a
+    # piece's int64 sum stays below limit * cap <= _SUM_GUARD, cap being
+    # the product of the factors' maxima
+    maxima = [int(tab.max()) for tab in tables]
+    if line is not None:
+        j, lengths, d = line
+        if not d:
+            maxima[j] *= max(int(ax.max()) for ax in lengths if ax is not None)
+    cap = max(1, math.prod(maxima))
+    limit = max(1, min(_CHUNK_CELLS, _SUM_GUARD // cap))
     total = 0
-    start, stop = row_range
-    for r0 in range(start, stop, step):
-        r1 = min(r0 + step, stop)
-        head = axes[0][r0:r1].reshape((r1 - r0,) + (1,) * (len(axes) - 1))
-        prod = None
-        for coeffs, const, tab in zip(coeff_rows, consts, tables):
-            vals = const + coeffs[0] * head
-            for c, ax in zip(coeffs[1:], shapes):
-                if c:
-                    vals = vals + c * ax
-            if modulus is not None:
-                vals = vals % modulus
-            looked = tab[vals]
-            prod = looked if prod is None else prod * looked
-        # axes never touched by any nonzero coefficient stay broadcast
-        # length 1; each such axis multiplies the count uniformly
-        mult = 1
-        for j in range(1, len(axes)):
-            if prod.shape[j] == 1:
-                mult *= axes[j].size
-        total += int(prod.sum()) * mult
+    for box in boxes:
+        for piece in _pieces(box, limit):
+            prod = None
+            for i, (row, const, tab) in enumerate(zip(index_axes, consts,
+                                                      tables)):
+                idx = numpy.full((1,) * len(piece), const, dtype=numpy.int64)
+                for h, ax in enumerate(row):
+                    if ax is not None:
+                        idx = idx + _along(ax, piece, h)
+                if line is not None and i == j:
+                    L = None
+                    for h, ax in enumerate(lengths):
+                        if ax is not None:
+                            v = _along(ax, piece, h)
+                            L = v if L is None else numpy.minimum(L, v)
+                    looked = tab[idx + L * d] - tab[idx] if d else L * tab[idx]
+                else:
+                    looked = tab[idx]
+                prod = looked if prod is None else prod * looked
+            # axes no factor reads stay broadcast length 1; each such axis
+            # multiplies the piece's sum uniformly
+            mult = 1
+            for h, (a, b) in enumerate(piece):
+                if prod.shape[h] == 1:
+                    mult *= b - a
+            total += int(prod.sum()) * mult
     return total
 
 
 def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     """Exact number of primary solutions in the congruence class and box.
 
-    The box is partitioned along the first coordinate; partial sums are
-    exact integers, so the merge is associative and the result does not
-    depend on the partition."""
+    In t-coordinates (u = uM + M t) the box is a product of index ranges.
+    One form f_j and a primitive direction w with f_i . w = 0 for every
+    i != j split it into disjoint segments {t + k w : 0 <= k < L(t)}, one
+    per entry point t (t - w outside the box); the entry points fill the
+    |w_h|-thick slabs at the faces with w_h != 0, so there are
+    O(|w|_1 B^(s-1)) of them instead of B^s cells, and (j, w) is chosen to
+    make them fewest.  Along a segment every R_i with i != j is constant
+    and f_j steps by d = M (f_j . w), so the segment contributes
+    prod_{i != j} R_i(f_i(t)) * (P_d[x + (L - 1) d] - P_d[x - d]) with
+    x = f_j(t) and P_d the stride-d prefix sum of R_j, or L R_j(x) when
+    d = 0.  When no form admits such a w (r > s), every cell is its own
+    segment.  With threads > 1 the entry points are partitioned among
+    worker threads; partial sums are exact integers, so the result does
+    not depend on the partition."""
     axes = [_axis_values(job, B, j) for j in range(job.system.s)]
     if any(ax is None for ax in axes):
         return 0
-    coeff_rows = job.system.forms
-    tables = []
+    forms = job.system.forms
+    extents = [ax.size for ax in axes]
+    index_axes = []
     consts = []
-    maxima = []
-    for i, form in enumerate(coeff_rows):
+    tables = []
+    for i, form in enumerate(forms):
         lo, hi = _form_window(form, axes)
         tab = representation_table(BinaryForm(job.system.a[i]), lo, hi)
         tables.append(numpy.array(tab, dtype=numpy.int64))
         consts.append(-lo)
-        maxima.append(max(tab) if tab else 0)
-    n0 = axes[0].size
-    parts = max(1, min(int(threads), n0))
-    bounds = [(n0 * q // parts, n0 * (q + 1) // parts) for q in range(parts)]
+        index_axes.append([c * ax if c else None for c, ax in zip(form, axes)])
+    choice = _line_direction(forms, extents)
+    if choice is None:
+        boxes = [tuple((0, n) for n in extents)]
+        line = None
+    else:
+        j, w = choice
+        d = job.M * _dot(forms[j], w)
+        boxes = _entry_boxes(extents, w)
+        lengths = []
+        for n, c in zip(extents, w):
+            t = numpy.arange(n, dtype=numpy.int64)
+            lengths.append(None if c == 0 else
+                           (n - 1 - t) // c + 1 if c > 0 else t // -c + 1)
+        if d:
+            tables[j] = _stride_prefix(tables[j], d)
+        line = (j, lengths, d)
+    parts = max(1, int(threads))
     if parts == 1:
-        return _grid_sum(axes, coeff_rows, consts, tables, maxima, bounds[0])
-    with ThreadPoolExecutor(max_workers=parts) as pool:
+        return _grid_sum(boxes, index_axes, consts, tables, line)
+    shares = [[] for _ in range(parts)]
+    for box in boxes:
+        cells = math.prod(b - a for a, b in box)
+        for q, piece in enumerate(_pieces(box, -(-cells // parts))):
+            shares[q % parts].append(piece)
+    shares = [share for share in shares if share]
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         sums = pool.map(
-            lambda rr: _grid_sum(axes, coeff_rows, consts, tables, maxima, rr),
-            bounds)
-    return sum(sums)
+            lambda bs: _grid_sum(bs, index_axes, consts, tables, line),
+            shares)
+        return sum(sums)
 
 
 def beta_infinity(job: CountJob, B: int, bits: int = 80):
@@ -285,7 +451,17 @@ def _g_rows(job: CountJob):
 
 def G(job: CountJob, p: int, k: int,
       cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """#{(x, y, t) mod p^k : x_i^2 - a_i y_i^2 = g_i(t) for all i}, exact."""
+    """#{(x, y, t) mod p^k : x_i^2 - a_i y_i^2 = g_i(t) for all i}, exact.
+
+    The sum over t of prod_i rho_i(g_i(t)) runs along lattice lines of the
+    torus (Z/p^k)^s.  For f_j and a primitive w with f_i . w = 0 for every
+    i != j, some w_h is a unit mod p, so every line t + k w is a full
+    cycle of length p^k meeting {t_h = 0} exactly once: p^(k(s-1)) lines.
+    Along one, each rho_i with i != j is constant and g_j steps by
+    d = M (f_j . w), so with g = gcd(d, p^k) it visits each residue
+    x mod g exactly g times and contributes g * C_g[x mod g], C_g holding
+    the residue-class sums of rho_j.  When no form admits such a w
+    (r > s), every cell is its own line."""
     if not is_prime(p):
         raise CountingError("%r is not prime" % (p,))
     if k < 1:
@@ -296,37 +472,29 @@ def G(job: CountJob, p: int, k: int,
         raise CountingError(
             "G(%d^%d) needs %d residue vectors, beyond the cap %d; raise the "
             "cap or use beta_p's stabilization shortcut" % (p, k, m**s, cap))
-    tables = []
-    maxima = []
+    # index axes are reduced mod m and the tables repeated s + 1 times, so
+    # const + sum of s axis values (each below m) indexes them unreduced
+    t = numpy.arange(m, dtype=numpy.int64)
+    index_axes = []
     consts = []
-    coeff_rows = []
+    tables = []
     for (const, coeffs), a in zip(_g_rows(job), job.system.a):
-        tab = rho_table(BinaryForm(a), p, k)
-        tables.append(numpy.array(tab, dtype=numpy.int64))
-        maxima.append(max(tab))
+        tab = numpy.array(rho_table(BinaryForm(a), p, k), dtype=numpy.int64)
+        tables.append(numpy.tile(tab, s + 1))
         consts.append(const % m)
-        coeff_rows.append(tuple(c % m for c in coeffs))
-    axes = [numpy.arange(m, dtype=numpy.int64)] * s
-    return _grid_sum(axes, coeff_rows, consts, tables, maxima, (0, m), m)
-
-
-def _rank_mod_p(rows, p: int) -> int:
-    mat = [list(c % p for c in row) for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        index_axes.append([c % m * t % m if c % m else None for c in coeffs])
+    forms = job.system.forms
+    choice = _line_direction(forms, (m,) * s)
+    if choice is None:
+        boxes = [((0, m),) * s]
+    else:
+        j, w = choice
+        g = math.gcd(job.M * _dot(forms[j], w), m)
+        class_sums = tables[j][:m].reshape(m // g, g).sum(axis=0)
+        tables[j] = numpy.tile(g * class_sums, (s + 1) * m // g)
+        h0 = next(h for h, c in enumerate(w) if c % p)
+        boxes = [tuple((0, 1) if h == h0 else (0, m) for h in range(s))]
+    return _grid_sum(boxes, index_axes, consts, tables)
 
 
 def beta_p(job: CountJob, p: int, k_max: Optional[int] = None,
@@ -344,7 +512,7 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None,
         raise CountingError("%r is not prime" % (p,))
     s, r = job.system.s, job.system.r
     if (p % 2 and job.M % p and all(a % p for a in job.system.a)
-            and _rank_mod_p(job.system.forms, p) == r):
+            and len(_echelon(job.system.forms, s, p)[1]) == r):
         return Fraction(1)
     if job.M % p == 0:
         m = valuation(job.M, p)

@@ -208,37 +208,35 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     a = system.a
     s = system.s
 
-    def determined_ok(u, level):
-        # all symbols known and +1, values nonzero; permits early accept
+    def symbol_states(u, level):
+        # the r symbol states of u mod p^level, or None as soon as one is
+        # known and -1 (the branch is dead); zero residues stay viable
+        states = []
         for i in range(system.r):
             state = _symbol_state(a[i], _evaluate(forms[i], u), p, level)
-            if state[0] != "known" or state[1] != 1:
-                return False
-        return True
+            if state == ("known", -1):
+                return None
+            states.append(state)
+        return states
 
-    def viable(u, level):
-        # no symbol is determined and -1; zero residues stay viable
-        for i in range(system.r):
-            state = _symbol_state(a[i], _evaluate(forms[i], u), p, level)
-            if state[0] == "known" and state[1] != 1:
-                return False
-        return True
-
-    def dfs(u, level):
-        if determined_ok(u, level):
+    def dfs(u, level, states):
+        # all symbols known and +1, values nonzero: accept early
+        if all(state == ("known", 1) for state in states):
             return tuple(x % p**depth for x in u)
         if level == depth:
             return None
         m = p**level
         for digits in _digit_vectors(p, s):
             cand = tuple(x + d * m for x, d in zip(u, digits))
-            if viable(cand, level + 1):
-                hit = dfs(cand, level + 1)
+            cand_states = symbol_states(cand, level + 1)
+            if cand_states is not None:
+                hit = dfs(cand, level + 1, cand_states)
                 if hit is not None:
                     return hit
         return None
 
-    found = dfs((0,) * s, 0)
+    root = (0,) * s
+    found = dfs(root, 0, symbol_states(root, 0))
     if found is None:
         return False, None
     return True, LocalWitness(place=Place(p), u=found, precision=depth)

@@ -448,3 +448,124 @@ def test_predict_and_compare_obstructed():
 def test_predict_and_compare_empty_schedule():
     with pytest.raises(CountingError, match="schedule"):
         predict_and_compare(job1())
+
+
+def geometry_job(rng, r, s, M, eps):
+    # a valid job whose forms have no zero coefficient and whose direction
+    # has a negative entry; M = 4 needs odd a_i, M = 3 needs 9 not | a_i
+    pool = {1: (-1, -2, 2, 3, -5), 3: (-1, -2, 2, -5, 5), 4: (-1, 3, -5, 5)}
+    for _ in range(2000):
+        a = tuple(rng.choice(pool[M]) for _ in range(r))
+        forms = tuple(tuple(rng.choice((-2, -1, 1, 2, 3)) for _ in range(s))
+                      for _ in range(r))
+        uM = tuple(rng.randrange(M) for _ in range(s))
+        uInf = tuple(Fraction(rng.randrange(-3, 4), rng.choice((1, 2)))
+                     for _ in range(s))
+        if min(uInf) >= 0:
+            continue
+        try:
+            sysm = NormFormSystem(r=r, s=s, a=a, forms=forms)
+            return CountJob(system=sysm, M=M, uM=uM, uInf=uInf, epsilon=eps)
+        except Exception:
+            continue
+    raise AssertionError("rejection sampling failed to find a valid job")
+
+
+def largest_B(M, eps, s, points):
+    # the largest admissible B = C^2, C = 1 mod M, whose brute window
+    # (2 eps B + 2)^s stays within `points`
+    best = 1
+    for C in range(1, 200, M):
+        if (2 * eps * C * C + 2) ** s <= points:
+            best = C * C
+    return best
+
+
+def test_enumerate_line_geometry_against_brute():
+    # lines along a direction w with f_i . w = 0 for i != j: s = 3 with
+    # r = 1, 2; r = 3 > s = 2, where no w exists and every cell is its own
+    # line; forms without zero coefficients, so for r >= 2 the direction is
+    # not a coordinate axis; M in {1, 3, 4}, several eps, negative uInf
+    from conicbundles.counting import _line_direction
+    rng = random.Random(57)
+    seen = set()
+    for r, s in ((1, 3), (2, 3), (3, 2), (2, 2)):
+        for M in (1, 3, 4):
+            for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(2)):
+                job = geometry_job(rng, r, s, M, eps)
+                B = largest_B(M, eps, s, 6000 if s == 3 else 12000)
+                choice = _line_direction(job.system.forms, (B,) * s)
+                if r > s:
+                    assert choice is None
+                    seen.add("cells")
+                elif r >= 2:
+                    j, w = choice
+                    assert sum(1 for c in w if c) >= 2, (job, w)
+                    seen.add("oblique")
+                expect = brute_N(job.system, job.M, job.uM, job.uInf,
+                                 job.epsilon, B)
+                for threads in (1, 2, 7):
+                    assert enumerate_N(job, B, threads=threads) == expect, (
+                        job, B, threads)
+                seen.add(expect > 0)
+    assert seen == {"cells", "oblique", True, False}
+
+
+def test_G_line_geometry_against_brute():
+    # every line of the torus (Z/p^k)^s is one full cycle; cover s = 3,
+    # r = 3 > s = 2 (cell by cell), and k >= 2 with a direction entry
+    # divisible by p or a step d = 0 mod p^k (d = 5 mod 25: g = 5)
+    from conicbundles.counting import _line_direction
+    oblique = NormFormSystem(r=2, s=2, a=(-1, 3), forms=((1, 2), (2, -1)))
+    j, w = _line_direction(oblique.forms, (4, 4))
+    assert (j, w) == (0, (1, 2))  # w_2 = 2 is 0 mod 2, f_0 . w = 5
+    cases = [
+        (CountJob(system=oblique, uInf=(Fraction(1), Fraction(0))), 2, 2),
+        (CountJob(system=oblique, uInf=(Fraction(1), Fraction(0))), 2, 3),
+        (CountJob(system=oblique, uInf=(Fraction(1), Fraction(0))), 5, 2),
+        # d = 4 * 5 = 0 mod 4
+        (CountJob(system=oblique, M=4, uM=(1, 0),
+                  uInf=(Fraction(1), Fraction(0))), 2, 2),
+        # w = e_2 with f . w = 0, so d = 0
+        (job1(), 3, 2),
+        (CountJob(system=NormFormSystem(r=3, s=2, a=(-1, 2, -3),
+                                        forms=((1, 1), (1, -2), (2, 1))),
+                  uInf=(Fraction(2), Fraction(1))), 2, 2),
+        (CountJob(system=NormFormSystem(r=3, s=2, a=(-1, 2, -3),
+                                        forms=((1, 1), (1, -2), (2, 1))),
+                  uInf=(Fraction(2), Fraction(1))), 3, 2),
+    ]
+    # w_1 = 0 mod p: the lines start on {t_2 = 0}, not {t_1 = 0}; in the
+    # first system d = 4 = 0 mod 4 as well
+    for forms, p, w in ((((1, 2), (3, 2)), 2, (2, -1)),
+                        (((1, 3), (2, 3)), 3, (3, -1)),
+                        (((2, 1, 1), (1, 2, 2)), 2, (2, -1, 0))):
+        s = len(w)
+        steep = NormFormSystem(r=2, s=s, a=(-1, 3), forms=forms)
+        assert _line_direction(forms, (p * p,) * s)[1] == w
+        steep_job = CountJob(system=steep,
+                             uInf=(Fraction(1),) + (Fraction(0),) * (s - 1))
+        cases += [(steep_job, p, 2), (steep_job, p, 3 if p == 2 else 1)]
+    rng = random.Random(61)
+    for r in (1, 2, 2):
+        job = geometry_job(rng, r, 3, 1, Fraction(1, 2))
+        cases += [(job, 2, 1), (job, 2, 2), (job, 3, 1), (job, 3, 2)]
+    for job, p, k in cases:
+        assert G(job, p, k) == brute_G(job, p, k), (job, p, k)
+
+
+def test_enumerate_separable_at_ten_billion_cells():
+    # forms u_1 and u_2 with definite a: N is the product of the two
+    # one-dimensional sums of R over the axis windows, on a box of more
+    # than 10^10 cells that no cell-by-cell pass could visit
+    from conicbundles.quadform import representation_table
+    sysm = NormFormSystem(r=2, s=2, a=(-1, -2), forms=((1, 0), (0, 1)))
+    job = CountJob(system=sysm, uInf=(Fraction(1), Fraction(1)))
+    B = 317**2
+    lo, hi = B // 2 + 1, B + B // 2  # |u - B| < B / 2 with B odd
+    assert (hi - lo + 1) ** 2 >= 10**10
+    expect = 1
+    for a in sysm.a:
+        expect *= sum(representation_table(BinaryForm(a), lo, hi))
+    assert enumerate_N(job, B) == expect
+    assert enumerate_N(job, B, threads=2) == expect
