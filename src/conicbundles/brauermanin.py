@@ -24,15 +24,15 @@ place when none is found, since the declared support then omits a place
 that can carry the invariant.
 
 Constancy on cells is decided analytically, not by sampling: a symbol
-(a, t - e)_p is determined by t mod p^K when the valuation j of the
-known difference is below K and the unit part is pinned down far enough
-for what the symbol actually reads (nothing beyond the valuation parity
-for unit a prime to 2 with a = 1 mod 4; the unit mod 4 when a = 3 mod 4;
-mod 8 when a is even), so cells too close to a pole are rejected rather
-than mis-evaluated.  A scan cell that is not yet determined splits into
-its p children until it is, so scans may list cells finer than the
-stated resolution; the scan additionally re-verifies each reported cell
-value by subdividing the cell once and comparing.
+(a, t - e)_p on the cell t = c mod p^K is read by the residue kernel
+`exactnum._residue_symbol(a, c - e, p, K)`, which returns it only when
+every t in the cell shares it (the valuation of c - e is below K and
+the unit bits the Serre formulas read are known), so cells too close to
+a pole are rejected rather than mis-evaluated.  A scan cell that is
+not yet determined splits into its p children until it is, so scans may
+list cells finer than the stated resolution; the scan additionally
+re-verifies each reported cell value by subdividing the cell once and
+comparing.
 
 Evaluation at t = e_i and t = infinity is excluded throughout: the
 chosen representatives have their polar locus there and no alternative
@@ -51,7 +51,7 @@ from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
-    _valuation_unit,
+    _residue_symbol,
     as_bits,
     as_integer,
     as_rational,
@@ -59,7 +59,6 @@ from .exactnum import (
     factorize,
     hilbert,
     is_prime,
-    valuation,
 )
 from .pencil import BrauerElement, ConicBundleData, brauer_group, delta
 
@@ -176,36 +175,13 @@ class InvariantVector:
         return tuple(v for v, val in self.entries if val)
 
 
-def _cell_symbol(a_rep: int, e: Fraction, p: int, c: Fraction,
-                 K: int) -> Optional[int]:
-    """(a_rep, t - e)_p for every t = c mod p^K, or None if not constant.
-
-    The difference d = c - e is known exactly; t - e = d + O(p^K), so the
-    valuation j = val_p(d) is certain once j < K and the unit part is
-    known mod p^(K - j).  The symbol reads the valuation parity always,
-    the unit mod p for odd p, and at p = 2 the unit mod 4 or 8 depending
-    on the square class of a."""
-    d = c - e
-    if d == 0:
-        return None
-    j = valuation(d, p)
-    if j >= K:
-        return None
-    if p == 2:
-        alpha, u_a = _valuation_unit(a_rep, 2)
-        need = 3 if alpha % 2 else 2 if u_a % 4 == 3 else 1
-        if K - j < need:
-            return None
-    return hilbert(a_rep, d, Place(p))
-
-
 def _cell_invariant(data: ConicBundleData, bits: Tuple[int, ...], p: int,
                     c: Fraction, K: int) -> Optional[int]:
     total = 0
     for b, a, e in zip(bits, data.a, data.e):
         if not b:
             continue
-        sym = _cell_symbol(a.representative(), e, p, c, K)
+        sym = _residue_symbol(a.representative(), c - e, p, K)
         if sym is None:
             return None
         if sym == -1:
@@ -277,8 +253,9 @@ def _validate_components(data: ConicBundleData, bits: Tuple[int, ...],
         for i, b in enumerate(bits):
             if not b:
                 continue
-            sym = _cell_symbol(data.a[i].representative(), data.e[i],
-                               comp.place.p, comp.t, comp.precision)
+            sym = _residue_symbol(data.a[i].representative(),
+                                  comp.t - data.e[i], comp.place.p,
+                                  comp.precision)
             if sym is None:
                 raise BrauerManinError(
                     "precision %d at place %s does not determine the symbol "
@@ -451,16 +428,19 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
     # cells exist whenever val_2(c - e_i) reaches K - 1, so refinement is
     # part of the partition rather than an error
     queue = [(c, K) for c in range(p ** K)]
+    # the residues mod p^K of the p-integral e_i; other e_i have
+    # valuation(c - e_i) < 0 and never hug an integral cell
+    poles = {e.numerator * pow(e.denominator, -1, p ** K) % p ** K
+             for e in data.e if e.denominator % p}
     found = []
     idx = 0
     while idx < len(queue):
         c, k = queue[idx]
         idx += 1
         m = p ** k
-        cf = Fraction(c)
-        if k == K and any(cf == e or valuation(cf - e, p) >= K
-                          for e in data.e):
+        if k == K and c in poles:
             continue  # the cell hugs a pole; not part of the partition
+        cf = Fraction(c)
         values = []
         for g in gens:
             val = _cell_invariant(data, g.n, p, cf, k)

@@ -24,6 +24,12 @@ Only global data factors: square classes, `hilbert_support` and the lists
 of bad primes.  Factorization is trial division with a configurable bound
 plus a deterministic Miller-Rabin primality check; inputs at desk scale
 are small.
+
+The formulas live once, in `_serre_symbol`, which `hilbert` shares with
+the residue kernel `_residue_symbol(a, x, p, K)`: the symbol (a, y)_p
+common to every y = x mod p^K, or None when that ball does not pin
+v_p(y) and the unit bits the formulas read.  `localsolve` reads it on
+search nodes and `brauermanin` on scan cells.
 """
 
 from __future__ import annotations
@@ -287,19 +293,9 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
-    """Hilbert symbol (a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
-    Q_v-point.  Depends only on the square classes of a and b, and at a
-    prime p only on v_p and the unit parts, so nothing is factorized."""
-    a = _exact(a)
-    b = _exact(b)
-    if a == 0 or b == 0:
-        raise ExactNumError("hilbert symbol needs nonzero arguments")
-    if place.is_real:
-        return -1 if (a < 0 and b < 0) else 1
-    p = place.p
-    alpha, u = _valuation_unit(a, p)
-    beta, w = _valuation_unit(b, p)
+def _serre_symbol(p: int, alpha: int, u: int, beta: int, w: int) -> int:
+    """(p^alpha u, p^beta w)_p for integers u, w prime to p: the Serre
+    formulas of the module docstring, reading u, w mod p (mod 8 at p = 2)."""
     if p == 2:
         u, w = u % 8, w % 8
         eps_u = (u - 1) // 2 % 2
@@ -316,6 +312,41 @@ def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     if alpha % 2:
         s *= legendre(w, p)
     return s
+
+
+def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
+    """Hilbert symbol (a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
+    Q_v-point.  Depends only on the square classes of a and b, and at a
+    prime p only on v_p and the unit parts, so nothing is factorized."""
+    a = _exact(a)
+    b = _exact(b)
+    if a == 0 or b == 0:
+        raise ExactNumError("hilbert symbol needs nonzero arguments")
+    if place.is_real:
+        return -1 if (a < 0 and b < 0) else 1
+    p = place.p
+    return _serre_symbol(p, *_valuation_unit(a, p), *_valuation_unit(b, p))
+
+
+def _residue_symbol(a: IntLike, x: IntLike, p: int, K: int) -> Optional[int]:
+    """The symbol (a, y)_p shared by every y = x mod p^K, or None when it
+    is not constant on that ball.
+
+    a is a nonzero int or Fraction, x an int or Fraction, p a prime.  The
+    ball pins v_p(y) = v_p(x) when v_p(x) < K, and the unit part mod
+    p^(K - v_p(x)).  At odd p the formulas read one unit digit; at p = 2
+    they read 3 bits when v_2(a) is odd, 2 when the unit part of a is
+    3 mod 4 and 1 otherwise, so None is returned exactly when two points
+    of the ball can disagree."""
+    if x == 0:
+        return None
+    beta, w = _valuation_unit(x, p)
+    if beta >= K:
+        return None
+    alpha, u = _valuation_unit(a, p)
+    if p == 2 and K - beta < (3 if alpha % 2 else 2 if u % 4 == 3 else 1):
+        return None
+    return _serre_symbol(p, alpha, u, beta, w)
 
 
 def hilbert_support(a: IntLike, b: IntLike) -> list:

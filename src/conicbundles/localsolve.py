@@ -7,10 +7,13 @@ need f_i(u) > 0 and the rest just need f_i(u) != 0, so the question is
 feasibility of a homogeneous system of strict linear inequalities and is
 decided exactly by Fourier-Motzkin elimination.  Over Q_p the predicate
 is finite by design: a residue u mod p^depth determines val_p(f_i(u)) and
-enough of the unit part to evaluate hilbert(a_i, f_i(u), p) whenever the
-value's valuation stays below depth (odd p) or depth - 2 (p = 2, where
-units need three bits); padic_soluble searches residues digit by digit,
-pruning a branch only once a symbol is determined and equal to -1, so a
+the unit part of each value as far as its digits reach.  padic_soluble
+searches residues digit by digit.  It prunes a branch as soon as the
+residue kernel `exactnum._residue_symbol` reads some (a_i, f_i(u))_p as
+-1 on the whole ball, with exactly the unit bits the Serre formulas
+need, so a pruned branch held no witness.  It accepts only with the
+margin a LocalWitness keeps: every value nonzero with one unit digit
+known at odd p and three bits at p = 2, and every symbol +1, so a
 returned witness survives every lift.  Insolubility verdicts at large p
 require exhausting the residue tree and get expensive; the primes where
 that can happen divide the coefficients and stay small in practice.
@@ -30,6 +33,7 @@ from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    _residue_symbol,
     _valuation_unit,
     as_rational,
     factorize,
@@ -163,25 +167,6 @@ def _technical_bound(system: NormFormSystem, p: int) -> int:
     return max(valuation(4 * a, p) for a in system.a)
 
 
-def _symbol_state(a: int, value: int, p: int, level: int):
-    """Classify f_i(u) known mod p^level.
-
-    Returns ("zero",), ("undetermined",) or ("known", symbol).  A nonzero
-    residue pins the valuation; the symbol needs the unit part mod p (odd
-    p) or mod 8 (p = 2), and is reported only when available at this
-    level.
-    """
-    m = p**level
-    value %= m
-    if value == 0:
-        return ("zero",)
-    v = valuation(value, p)
-    need = 1 if p != 2 else 3
-    if level - v < need:
-        return ("undetermined",)
-    return ("known", hilbert(a, value, Place(p)))
-
-
 def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     """Search u mod p^depth certifying solubility at p.
 
@@ -207,36 +192,39 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     forms = system.forms
     a = system.a
     s = system.s
+    need = 3 if p == 2 else 1  # unit digits a LocalWitness keeps
 
-    def symbol_states(u, level):
-        # the r symbol states of u mod p^level, or None as soon as one is
-        # known and -1 (the branch is dead); zero residues stay viable
-        states = []
-        for i in range(system.r):
-            state = _symbol_state(a[i], _evaluate(forms[i], u), p, level)
-            if state == ("known", -1):
+    def viable(u, level):
+        # None when some symbol is -1 on the whole ball u mod p^level, so
+        # no lift can be a witness; otherwise whether u is a witness: every
+        # symbol +1 with `need` unit digits of every value known
+        accept = level >= need
+        for ai, f in zip(a, forms):
+            x = _evaluate(f, u)
+            sym = _residue_symbol(ai, x, p, level)
+            if sym == -1:
                 return None
-            states.append(state)
-        return states
+            accept = accept and sym == 1 and \
+                x % p ** (level - need + 1) != 0
+        return accept
 
-    def dfs(u, level, states):
-        # all symbols known and +1, values nonzero: accept early
-        if all(state == ("known", 1) for state in states):
+    def dfs(u, level, accept):
+        if accept:
             return tuple(x % p**depth for x in u)
         if level == depth:
             return None
         m = p**level
         for digits in _digit_vectors(p, s):
             cand = tuple(x + d * m for x, d in zip(u, digits))
-            cand_states = symbol_states(cand, level + 1)
-            if cand_states is not None:
-                hit = dfs(cand, level + 1, cand_states)
+            cand_accept = viable(cand, level + 1)
+            if cand_accept is not None:
+                hit = dfs(cand, level + 1, cand_accept)
                 if hit is not None:
                     return hit
         return None
 
     root = (0,) * s
-    found = dfs(root, 0, symbol_states(root, 0))
+    found = dfs(root, 0, viable(root, 0))
     if found is None:
         return False, None
     return True, LocalWitness(place=Place(p), u=found, precision=depth)

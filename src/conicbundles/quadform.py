@@ -16,9 +16,12 @@ R(n) = 0 for n < 0 when a < 0.
 
 rho(q, A) counts solutions of x^2 - a y^2 = A over Z/q; it is
 multiplicative in q, computed at prime powers from the square-count tables
-S[v] = #{x : x^2 = v} and T[w] = #{y : -a y^2 = w}.  Full tables mod p^k
-are built by an exact integer-packed convolution of S and T (no floating
-point), so the scaling identity
+S[v] = #{x : x^2 = v} and T[w] = #{y : -a y^2 = w}.  Substituting
+(x, y) -> (c x, c y) shows rho(p^k; c^2 A) = rho(p^k; A) for every unit
+c, so a full table mod p^k is constant on each orbit (v_p(A), unit
+square class of A / p^v): two classes per valuation at odd p, up to four
+at p = 2, and A = 0.  rho_table evaluates one member of each orbit
+exactly and fills the rest, so the scaling identity
 
     rho(p^k; A) = (1/p) rho(p^(k+1); A + l p^k)
 
@@ -37,10 +40,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .exactnum import ExactNumError, factorize, is_square, valuation
+from .exactnum import ExactNumError, factorize, is_square, legendre, valuation
 
 DIRECT_ENUMERATION_CAP = 1_000_000
-_KRONECKER_CAP = 1 << 18
 
 
 class QuadFormError(ExactNumError):
@@ -296,26 +298,6 @@ def _rho_single(a: int, m: int, A: int) -> int:
     return total
 
 
-def _pack(coeffs, width: int) -> int:
-    buf = bytearray(len(coeffs) * width)
-    for v, s in enumerate(coeffs):
-        buf[v * width:v * width + width] = s.to_bytes(width, "little")
-    return int.from_bytes(bytes(buf), "little")
-
-
-def _convolve_fold(S, T, m: int):
-    # exact circular convolution by packing coefficients into one integer;
-    # every product coefficient is < m^2, so this field width never carries
-    width = (2 * m.bit_length() + 15) // 8
-    prod = (_pack(S, width) * _pack(T, width)).to_bytes(2 * m * width + width,
-                                                        "little")
-    out = [0] * m
-    for j in range(2 * m - 1):
-        c = int.from_bytes(prod[j * width:(j + 1) * width], "little")
-        out[j % m] += c
-    return out
-
-
 def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
     """Whether rho(p^k; A) = (1/p) rho(p^(k+1); A + l p^k) for every l.
 
@@ -336,31 +318,32 @@ _table_cache = {}
 
 
 def rho_table(form: BinaryForm, p: int, k: int):
-    """The full vector (rho(p^k; A))_{A mod p^k}, computed exactly."""
+    """The full vector (rho(p^k; A))_{A mod p^k}, computed exactly.
+
+    One `_rho_single` evaluation per orbit (v_p(A), unit square class of
+    A / p^v) fills every A of that orbit."""
     a = form.a
     m = p**k
     key = (a, p, k)
     hit = _table_cache.get(key)
     if hit is not None:
         return hit
-    if m <= _KRONECKER_CAP:
-        S, T = _square_tables(a, m)
-        tab = _convolve_fold(S, T, m)
-    else:
-        v4a = valuation(4 * a, p)
-        kprev = k - 1
-        if kprev < v4a:
-            raise QuadFormError(
-                "rho table mod %d^%d exceeds the enumeration cap" % (p, k))
-        prev = rho_table(form, p, kprev)
-        mp = p**kprev
-        tab = [0] * m
-        for A in range(m):
-            Ar = A % mp
-            if Ar != 0 and scaling_valid(form, p, kprev, Ar):
-                tab[A] = p * prev[Ar]
-            else:
-                tab[A] = _rho_single(a, m, A)
+    tab = [_rho_single(a, m, 0)] * m
+    for v in range(k):
+        # A = p^v w with w prime to p; up to unit squares w is its
+        # Legendre symbol at odd p, and w mod 2^min(k - v, 3) at p = 2,
+        # where the unit squares are the units = 1 mod 8
+        j = min(k - v, 3) if p == 2 else 1
+        step = p ** (v + j)
+        by_class = {}
+        for w in range(1, p ** j):
+            if w % p == 0:
+                continue
+            start = w * p**v
+            cls = w if p == 2 else legendre(w, p)
+            if cls not in by_class:
+                by_class[cls] = _rho_single(a, m, start)
+            tab[start::step] = [by_class[cls]] * len(range(start, m, step))
     _table_cache[key] = tab
     return tab
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conicbundles.exactnum import (
     REAL_PLACE,
     SquareClass,
     TRIVIAL_CLASS,
+    _residue_symbol,
     f2_independent,
     factorize,
     hilbert,
@@ -156,6 +158,41 @@ def test_hilbert_against_brute_oracle():
     ]
     for a, b, p, small in cases:
         assert hilbert(a, b, Place(p)) == brute_hilbert(*small, p), (a, b, p)
+
+
+@lru_cache(maxsize=None)
+def _brute_cached(a, b, p):
+    return brute_hilbert(a, b, p)
+
+
+def test_residue_symbol_against_brute_on_balls():
+    # on the ball y = x mod p^K the kernel must return the one symbol every
+    # sampled lift has (sound), and None with v_p(x) < K only when two
+    # lifts disagree (sharp); at p = 2 eight lifts cover the three unit
+    # bits the formulas can read
+    checked = {None: 0, 1: 0, -1: 0}
+    for p in (2, 3, 5):
+        avals = (1, 5, -3, 13, -1, 3, 7, -5, p, -p, 2 * p, 3 * p, 4 * p,
+                 p * p * 3, Fraction(3, p))
+        xs = list(range(-12, 13)) + [p ** 3, -2 * p ** 2] + \
+            [Fraction(x, p ** j) for x in (1, -1, 2, 3, -7) for j in (1, 2)]
+        for K in range(1, 6):
+            lifts = range(8) if p == 2 else range(p)
+            for a in avals:
+                for x in xs:
+                    sym = _residue_symbol(a, x, p, K)
+                    checked[sym] += 1
+                    if x == 0:
+                        assert sym is None
+                        continue
+                    seen = {_brute_cached(a, x + t * p ** K, p)
+                            for t in lifts if x + t * p ** K != 0}
+                    if sym is not None:
+                        assert sym == _brute_cached(a, x, p), (a, x, p, K)
+                        assert seen == {sym}, (a, x, p, K)
+                    elif valuation(x, p) < K:
+                        assert p == 2 and seen == {1, -1}, (a, x, p, K)
+    assert min(checked.values()) > 100, checked
 
 
 def test_hilbert_bilinearity_and_symmetry():

@@ -268,6 +268,22 @@ def test_rho_table_matches_pointwise():
                 assert tab[A] == rho(f, m, A)
 
 
+def test_rho_table_against_bincount():
+    # every entry of the orbit-filled table against an exhaustive count of
+    # x^2 - a y^2 mod p^k, including p | a and a with square factors
+    for a in (-1, 2, 3, -6, 5, 12, 18, -4, 45, -27, 50, 8):
+        f = BinaryForm(a)
+        for p in (2, 3, 5, 7):
+            k = 1
+            while p ** k <= 1 << 10:
+                m = p ** k
+                x = np.arange(m, dtype=np.int64)
+                values = (x[:, None] ** 2 - a * x[None, :] ** 2) % m
+                expect = np.bincount(values.ravel(), minlength=m)
+                assert rho_table(f, p, k) == expect.tolist(), (a, p, k)
+                k += 1
+
+
 def test_rho_scaling_identity_spots():
     # rho(p^k; A) = (1/p) rho(p^(k+1); A + l p^k) on the scaling_valid domain
     from conicbundles.exactnum import valuation
