@@ -385,8 +385,8 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     tables = []
     for i, form in enumerate(forms):
         lo, hi = _form_window(form, axes)
-        tab = representation_table(BinaryForm(job.system.a[i]), lo, hi)
-        tables.append(numpy.array(tab, dtype=numpy.int64))
+        tables.append(representation_table(BinaryForm(job.system.a[i]), lo,
+                                           hi, as_array=True))
         consts.append(-lo)
         index_axes.append([c * ax if c else None for c, ax in zip(form, axes)])
     choice = _line_direction(forms, extents)

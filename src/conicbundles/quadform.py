@@ -4,7 +4,7 @@ local densities.
 For a < 0 the (proper) automorph group is finite of order w(4a): the four
 rotations when a = -1, else {+-1}.  For a > 0 nonsquare it is {+-1} times
 the infinite cyclic group generated by the smallest Pell solution
-t + u*sqrt(a), t^2 - a u^2 = 1.  Representation counts R(n) are orbit
+eps = t + u*sqrt(a), t^2 - a u^2 = 1.  Representation counts R(n) are orbit
 counts; for a > 0 one solution per orbit is selected by the fundamental
 domain
 
@@ -13,6 +13,31 @@ domain
 and membership is decided with exact integer arithmetic (comparisons of
 A + B*sqrt(a) against 0 via squaring).  By convention R(0) = 0, and
 R(n) = 0 for n < 0 when a < 0.
+
+An orbit count does not depend on which fundamental domain picks the
+orbits, and representation_table uses a balanced one.  Write z = x + y*sqrt(a)
+and z' = x - y*sqrt(a), so z z' = n; eps multiplies z / z' by eps^2 and -1
+flips the sign of z.  So each orbit has one solution with z > 0 and
+1/eps <= z / z' < eps (n > 0), or 1/eps <= -z / z' < eps (n < 0).  With
+s = t + 1, so that s^2 - a u^2 = 2 s and s (t - 1) = a u^2, expanding gives
+
+    eps z' - z = (u x - s y) c,     eps z - z' = (u x + s y) c,
+    -eps z' - z = (a u y - s x) d,  eps z + z' = (s x + a u y) d,
+
+with c = (t - 1) / u + sqrt(a) > 0 and d = 1 + u*sqrt(a) / s > 0.  Hence
+the domain is exactly two integer half-planes,
+
+    n > 0:  -s y <= u x  and  s y < u x;     n < 0:  -a u y <= s x < a u y,
+
+which already force z > 0 (x > 0, resp. y > 0).  They bound the rows:
+u x >= s |y| gives n >= (s^2 - a u^2) y^2 / u^2 = 2 s y^2 / u^2, and
+s |x| <= a u y gives |n| >= a y^2 (s^2 - a u^2) / s^2 = 2 a y^2 / s.  The
+same computation for the interval [1, eps^2) turns the domain above into
+y >= 0 and u x > t y (n > 0), x >= 0 and t x < a u y (n < 0), whose rows
+reach y^2 < n u^2 and a y^2 < |n| t^2: about sqrt(t / 2) times as many
+row intervals, nearly all of them empty when t is large.
+The per-point test _in_fundamental_domain and the per-n search
+primary_representatives stay as the independent oracle.
 
 rho(q, A) counts solutions of x^2 - a y^2 = A over Z/q; it is
 multiplicative in q, computed at prime powers from the square-count tables
@@ -39,6 +64,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
+
+import numpy
 
 from .exactnum import ExactNumError, factorize, is_square, legendre, valuation
 
@@ -213,54 +240,111 @@ def representation_count(form: BinaryForm, n: int) -> int:
     return len(primary_representatives(form, n))
 
 
-def representation_table(form: BinaryForm, lo: int, hi: int):
-    """R(n) for lo <= n <= hi, as a list indexed by n - lo.
+def _ceil_isqrt(m: int) -> int:
+    # least x >= 0 with x^2 >= m
+    return 0 if m <= 0 else math.isqrt(m - 1) + 1
 
-    Same orbit selection as primary_representatives, but batched: one sweep
-    over the representatives landing in the window instead of a separate
-    search per n."""
+
+def _gather_rows(rows, width: int):
+    # rows (x0, x1, c) with x0 <= x1: one count at x^2 + c for each
+    # x0 <= x <= x1, every such index in [0, width).  Index x0 + k is
+    # base + (2 x0 + k) k with the Python-int base = x0^2 + c.  The base is
+    # an index and (2 x0 + k) k a difference of two; 2 x0 enters only rows
+    # of two or more points, where 2 x0 + 1 is such a difference too.  So
+    # no int64 value exceeds the window length or the number of points,
+    # and none can overflow: no guard and no Python-int path are needed
+    bases, steps, lengths = [], [], []
+    for x0, x1, c in rows:
+        bases.append(x0 * x0 + c)
+        steps.append(2 * x0 if x1 > x0 else 0)
+        lengths.append(x1 - x0 + 1)
+    if not lengths:
+        return numpy.zeros(width, dtype=numpy.int64)
+    lengths = numpy.array(lengths, dtype=numpy.int64)
+    starts = numpy.cumsum(lengths) - lengths
+    k = numpy.arange(int(lengths.sum()), dtype=numpy.int64)
+    k -= numpy.repeat(starts, lengths)
+    idx = numpy.repeat(numpy.array(steps, dtype=numpy.int64), lengths)
+    idx += k
+    idx *= k
+    idx += numpy.repeat(numpy.array(bases, dtype=numpy.int64), lengths)
+    return numpy.bincount(idx, minlength=width)
+
+
+def _definite_rows(b: int, lo: int, hi: int):
+    # a = -b < 0: orbit representatives x > 0, y >= 0 for b = 1 (the four
+    # rotations), else x > 0, or x = 0 and y > 0 (the pair +-1); the rows
+    # for n = x^2 + b y^2 in [max(lo, 1), hi]
+    nlo = max(lo, 1)
+    if hi < nlo:
+        return
+    ymax = math.isqrt(hi // b)
+    for y in range(0 if b == 1 else -ymax, ymax + 1):
+        by2 = b * y * y
+        x0 = max(0 if b > 1 and y > 0 else 1, _ceil_isqrt(nlo - by2))
+        x1 = math.isqrt(hi - by2)
+        if x0 <= x1:
+            yield x0, x1, by2 - lo
+
+
+def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int):
+    # a > 0 with Pell solution (t, u): the rows of the balanced domain
+    # (module docstring) for n = x^2 - a y^2 in [lo, hi], n != 0; rows y
+    # and -y, and the two signs of x for n < 0, share their values of n
+    s = t + 1
+    if hi >= 1:
+        nlo = max(lo, 1)
+        # n > 0: x > s y / u for y >= 0, x >= s |y| / u for y < 0
+        for y in range(math.isqrt(hi * u * u // (2 * s)) + 1):
+            ay2 = a * y * y
+            x0 = _ceil_isqrt(nlo + ay2)
+            x1 = math.isqrt(hi + ay2)
+            for end in (s * y // u + 1, -(-s * y // u)) if y else (1,):
+                first = max(x0, end)
+                if first <= x1:
+                    yield first, x1, -ay2 - lo
+    if lo <= -1:
+        nhi = min(hi, -1)
+        # n < 0: y >= 1, 0 <= s x < a u y or 0 < -s x <= a u y
+        for y in range(1, math.isqrt(-lo * s // (2 * a)) + 1):
+            ay2 = a * y * y
+            if nhi + ay2 < 0:
+                continue
+            x0 = _ceil_isqrt(lo + ay2)
+            x1 = math.isqrt(nhi + ay2)
+            for first, end in ((x0, (a * u * y - 1) // s),
+                               (max(x0, 1), a * u * y // s)):
+                last = min(x1, end)
+                if first <= last:
+                    yield first, last, -ay2 - lo
+
+
+def representation_table(form: BinaryForm, lo: int, hi: int, *,
+                         as_array: bool = False):
+    """R(n) for lo <= n <= hi, as a list indexed by n - lo (an int64
+    numpy array with as_array=True).
+
+    Counts the same orbits as primary_representatives, one solution each
+    from the balanced domain of the module docstring, by rows instead of
+    a search per n.  For a > 0 row y meets the domain in x-intervals
+    whose ends are s y // u + 1 or -(-s y // u) (n > 0) and
+    (a u y - 1) // s or a u y // s (n < 0), s = t + 1, cut by the isqrt of
+    the window bounds shifted by a y^2, so no quadratic irrational is
+    compared; only rows with 2 s y^2 <= hi u^2 (n > 0) and
+    2 a y^2 <= |lo| s (n < 0) can meet the window.  For a < 0 the rows
+    are those of x^2 + |a| y^2 over the orbit representatives.  One
+    numpy.bincount gathers every row; its int64 indices never exceed the
+    window length (_gather_rows)."""
     if lo > hi:
         raise QuadFormError("empty representation window")
-    out = [0] * (hi - lo + 1)
     a = form.a
     if a < 0:
-        b = -a
-        nlo = max(lo, 1)
-        if hi < nlo:
-            return out
-        ymax = math.isqrt(hi // b)
-        for y in range(0 if a == -1 else -ymax, ymax + 1):
-            by2 = b * y * y
-            if hi - by2 < 1:
-                continue
-            b1 = nlo - by2
-            x0 = 1 if b1 <= 1 else math.isqrt(b1 - 1) + 1
-            for x in range(x0, math.isqrt(hi - by2) + 1):
-                out[x * x + by2 - lo] += 1
-        if a < -1:
-            y0 = 1 if b >= nlo else math.isqrt((nlo - 1) // b) + 1
-            for y in range(y0, math.isqrt(hi // b) + 1):
-                out[b * y * y - lo] += 1
-        return out
-    pell = pell_fundamental(a)
-    big = max(abs(lo), abs(hi), 1)
-    eb = pell.t + pell.u * (math.isqrt(a) + 1)
-    ymax = math.isqrt(big * (eb + 1) ** 2 // (4 * a)) + 2
-    for y in range(-ymax, ymax + 1):
-        ay2 = a * y * y
-        b2 = hi + ay2
-        if b2 < 0:
-            continue
-        b1 = lo + ay2
-        x0 = 0 if b1 <= 0 else (1 if b1 == 1 else math.isqrt(b1 - 1) + 1)
-        for x in range(x0, math.isqrt(b2) + 1):
-            n = x * x - ay2
-            if n == 0:
-                continue
-            for sx in ((x,) if x == 0 else (x, -x)):
-                if _in_fundamental_domain(form, sx, y, n):
-                    out[n - lo] += 1
-    return out
+        rows = _definite_rows(-a, lo, hi)
+    else:
+        pell = pell_fundamental(a)
+        rows = _indefinite_rows(a, pell.t, pell.u, lo, hi)
+    out = _gather_rows(rows, hi - lo + 1)
+    return out if as_array else out.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conicbundles import quadform
 from conicbundles.quadform import (
     AutomorphGroup,
     BinaryForm,
@@ -204,16 +205,46 @@ def test_indefinite_domain_is_exact_transversal():
 
 
 def test_representation_table_matches_pointwise():
-    windows = [(-30, 30), (0, 120), (-120, -1), (17, 17)]
-    for a in (-1, -2, -5, -6, 2, 3, 5, 6, 10):
+    # windows straddling 0 (symmetric and not), all positive, all
+    # negative, and single values, among them n = 1 and n = -1
+    windows = [(-30, 30), (0, 120), (-120, -1), (17, 17), (-45, 13),
+               (-7, 60), (-300, -200), (1, 1), (-1, -1)]
+    for a in (-1, -2, -3, -5, -6, -7, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15):
         f = BinaryForm(a)
         for lo, hi in windows:
             tab = representation_table(f, lo, hi)
             assert len(tab) == hi - lo + 1
             for n in range(lo, hi + 1):
                 assert tab[n - lo] == representation_count(f, n), (a, n)
+            arr = representation_table(f, lo, hi, as_array=True)
+            assert arr.dtype == np.int64 and arr.tolist() == tab
     with pytest.raises(QuadFormError):
         representation_table(BinaryForm(-1), 5, 3)
+
+
+def test_representation_table_needs_no_domain_test(monkeypatch):
+    # the rows of the cone replace the per-point test: with the oracle
+    # refused and pell_fundamental counted, the tables are unchanged and
+    # each reads the Pell solution at most once
+    windows = [(-50, 50), (3, 400), (-400, -3), (-1, 1), (-9, -9)]
+    cases = [(BinaryForm(a), lo, hi) for a in (2, 3, 6) for lo, hi in windows]
+    expected = [representation_table(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_in_fundamental_domain called")
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return pell_fundamental(a)
+
+    monkeypatch.setattr(quadform, "_in_fundamental_domain", refuse)
+    monkeypatch.setattr(quadform, "pell_fundamental", counted)
+    for case, tab in zip(cases, expected):
+        del calls[:]
+        assert representation_table(*case) == tab
+        assert len(calls) <= 1, (case, calls)
 
 
 def brute_rho(a, m, A):
