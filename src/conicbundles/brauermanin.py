@@ -23,16 +23,17 @@ mod p^resolution for a vanishing one and reports an error naming the
 place when none is found, since the declared support then omits a place
 that can carry the invariant.
 
-Constancy on cells is decided analytically, not by sampling: a symbol
-(a, t - e)_p on the cell t = c mod p^K is read by the residue kernel
-`exactnum._residue_symbol(a, c - e, p, K)`, which returns it only when
-every t in the cell shares it (the valuation of c - e is below K and
-the unit bits the Serre formulas read are known), so cells too close to
-a pole are rejected rather than mis-evaluated.  A scan cell that is
-not yet determined splits into its p children until it is, so scans may
-list cells finer than the stated resolution; the scan additionally
-re-verifies each reported cell value by subdividing the cell once and
-comparing.
+Constancy on cells is decided analytically, not by sampling.  With
+e = n/d and v = v_p(d), (a, t - e)_p = (a, (d t - n) d)_p as d^2 is a
+square, and the cell t = c mod p^K maps onto the integer ball
+(d c - n) d mod p^(K + 2v).  The residue kernel
+`exactnum._residue_symbol` reads each symbol on that ball once and
+returns it only when every point of the ball shares it, so cells too
+close to a pole are rejected rather than mis-evaluated; an undetermined
+cell splits into its p children, so scans may list cells finer than the
+stated resolution.  That soundness is tested, not re-checked at run
+time: against brute-force symbols on balls in `tests/test_exactnum.py`
+and on every scan cell in `tests/test_brauermanin.py`.
 
 Evaluation at t = e_i and t = infinity is excluded throughout: the
 chosen representatives have their polar locus there and no alternative
@@ -52,6 +53,7 @@ from .exactnum import (
     Place,
     REAL_PLACE,
     _residue_symbol,
+    _valuation_unit,
     as_bits,
     as_integer,
     as_rational,
@@ -175,13 +177,21 @@ class InvariantVector:
         return tuple(v for v, val in self.entries if val)
 
 
-def _cell_invariant(data: ConicBundleData, bits: Tuple[int, ...], p: int,
-                    c: Fraction, K: int) -> Optional[int]:
+def _cell_model(data: ConicBundleData, p: int):
+    """(a_i, n_i, d_i, 2 v_p(d_i)) per fibre, for e_i = n_i / d_i: the
+    integers `_cell_invariant` reads the cells at p from."""
+    return tuple((a.representative(), e.numerator, e.denominator,
+                  2 * _valuation_unit(e.denominator, p)[0])
+                 for a, e in zip(data.a, data.e))
+
+
+def _cell_invariant(model, bits: Tuple[int, ...], p: int, c: int,
+                    k: int) -> Optional[int]:
     total = 0
-    for b, a, e in zip(bits, data.a, data.e):
+    for b, (a, n, d, shift) in zip(bits, model):
         if not b:
             continue
-        sym = _residue_symbol(a.representative(), c - e, p, K)
+        sym = _residue_symbol(a, (d * c - n) * d, p, k + shift)
         if sym is None:
             return None
         if sym == -1:
@@ -238,37 +248,39 @@ def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
         return max(data.e) + 1  # every t - e_i > 0, all symbols +1
     p = v.p
     K = resolution if resolution is not None else _default_resolution(p)
+    model = _cell_model(data, p)
     for c in range(p ** K):
-        if _cell_invariant(data, bits, p, Fraction(c), K) == 0:
+        if _cell_invariant(model, bits, p, c, K) == 0:
             return Fraction(c)
     return None
 
 
-def _validate_components(data: ConicBundleData, bits: Tuple[int, ...],
-                         point: AdelicFiberPoint):
-    for comp in point.components:
-        _check_pole(data, comp.t)
-        if comp.precision is None:
+def _tagged_invariant(data: ConicBundleData, bits: Tuple[int, ...],
+                      comp: LocalParameter) -> int:
+    # the kernel call that proves a symbol constant mod p^precision gives it
+    _check_pole(data, comp.t)
+    total = 0
+    for i, b in enumerate(bits):
+        if not b:
             continue
-        for i, b in enumerate(bits):
-            if not b:
-                continue
-            sym = _residue_symbol(data.a[i].representative(),
-                                  comp.t - data.e[i], comp.place.p,
-                                  comp.precision)
-            if sym is None:
-                raise BrauerManinError(
-                    "precision %d at place %s does not determine the symbol "
-                    "(a_%d, t - e_%d)" % (comp.precision, comp.place,
-                                          i + 1, i + 1))
+        sym = _residue_symbol(data.a[i].representative(), comp.t - data.e[i],
+                              comp.place.p, comp.precision)
+        if sym is None:
+            raise BrauerManinError(
+                "precision %d at place %s does not determine the symbol "
+                "(a_%d, t - e_%d)" % (comp.precision, comp.place,
+                                      i + 1, i + 1))
+        if sym == -1:
+            total ^= 1
+    return total
 
 
 def invariant_vector(data: ConicBundleData, point: AdelicFiberPoint,
                      n) -> InvariantVector:
     """Per-place invariants of the canonical representative on the support."""
     bits = _canonical(_bits(data, n))
-    _validate_components(data, bits, point)
-    entries = tuple((comp.place,
+    entries = tuple((comp.place, _tagged_invariant(data, bits, comp)
+                     if comp.precision else
                      local_invariant(data, bits, comp.t, comp.place))
                     for comp in point.components)
     return InvariantVector(entries)
@@ -428,10 +440,11 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
     # cells exist whenever val_2(c - e_i) reaches K - 1, so refinement is
     # part of the partition rather than an error
     queue = [(c, K) for c in range(p ** K)]
+    model = _cell_model(data, p)
     # the residues mod p^K of the p-integral e_i; other e_i have
     # valuation(c - e_i) < 0 and never hug an integral cell
-    poles = {e.numerator * pow(e.denominator, -1, p ** K) % p ** K
-             for e in data.e if e.denominator % p}
+    poles = {n * pow(d, -1, p ** K) % p ** K
+             for _, n, d, shift in model if not shift}
     found = []
     idx = 0
     while idx < len(queue):
@@ -440,10 +453,9 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
         m = p ** k
         if k == K and c in poles:
             continue  # the cell hugs a pole; not part of the partition
-        cf = Fraction(c)
         values = []
         for g in gens:
-            val = _cell_invariant(data, g.n, p, cf, k)
+            val = _cell_invariant(model, g.n, p, c, k)
             if val is None:
                 if k - K >= _MAX_EXTRA_LEVELS:
                     raise BrauerManinError(
@@ -452,13 +464,6 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
                 queue.extend((c + j * m, k + 1) for j in range(p))
                 values = None
                 break
-            # verify by subdividing once: every child must agree
-            for j in range(p):
-                child = _cell_invariant(data, g.n, p, cf + j * m, k + 1)
-                if child != val:
-                    raise BrauerManinError(
-                        "local constancy failed under subdivision at the "
-                        "cell %d mod %d^%d" % (c, p, k))
             values.append(val)
         if values is not None:
             found.append((k, c, tuple(values)))
@@ -480,19 +485,10 @@ def _real_cells(data: ConicBundleData, gens):
             rep = lo + 1
         else:
             rep = (lo + hi) / 2
-        values = []
-        for g in gens:
-            val = _interval_invariant(data, g.n, lo, hi)
-            # verify with a second interior sample
-            second = lo + Fraction(3, 4) * (hi - lo) if lo is not None \
-                and hi is not None else rep + (1 if lo is not None else -1)
-            if local_invariant(data, g.n, second, REAL_PLACE) != val:
-                raise BrauerManinError(
-                    "interval (%s, %s) is not invariant-constant" % (lo, hi))
-            values.append(val)
+        values = tuple(_interval_invariant(data, g.n, lo, hi) for g in gens)
         label = "(%s, %s)" % ("-oo" if lo is None else lo,
                               "+oo" if hi is None else hi)
-        cells.append(ScanCell(REAL_PLACE, label, rep, tuple(values)))
+        cells.append(ScanCell(REAL_PLACE, label, rep, values))
     return cells
 
 

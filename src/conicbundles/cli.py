@@ -81,9 +81,10 @@ from typing import Dict, Optional, Tuple
 
 from . import __version__
 from .exactnum import (ExactNumError, Place, REAL_PLACE, hilbert,
-                       hilbert_support, is_prime, valuation)
+                       hilbert_support, is_prime)
 from .pencil import (ConicBundleData, NormFormSystem, brauer_group,
-                     quadric_intersection_system, torsor_system, validate)
+                     quadric_intersection_system, technical_bound,
+                     torsor_system, validate)
 from .localsolve import everywhere_locally_soluble
 from .quadform import BinaryForm, rho
 from .counting import (CountJob, DEFAULT_PRIME_CUTOFF, G, beta_p,
@@ -484,34 +485,23 @@ def _cmd_brauer(problem: ProblemFile, options: dict) -> dict:
 def _cmd_local(problem: ProblemFile, options: dict) -> dict:
     _want_kind(problem, "local",
                ("system", "count-job", "pencil", "quadric-intersection"))
-    L = options["L"]
-    depth = options["depth"]
+
+    def local(system, pencil=None) -> dict:
+        out = {} if pencil is None else {"pencil": _bundle_dict(pencil)}
+        out["system"] = _system_dict(system)
+        out["report"] = _local_report_dict(everywhere_locally_soluble(
+            system, L=options["L"], depth=options["depth"]))
+        return out
+
     if problem.kind == "system":
-        system = _build_system(problem)
-        return {"system": _system_dict(system),
-                "report": _local_report_dict(
-                    everywhere_locally_soluble(system, L=L, depth=depth))}
+        return local(_build_system(problem))
     if problem.kind == "count-job":
-        system = _build_job(problem).system
-        return {"system": _system_dict(system),
-                "report": _local_report_dict(
-                    everywhere_locally_soluble(system, L=L, depth=depth))}
+        return local(_build_job(problem).system)
     if problem.kind == "pencil":
         data = _build_pencil(problem)
-        system = torsor_system(data)
-        return {"pencil": _bundle_dict(data),
-                "system": _system_dict(system),
-                "report": _local_report_dict(
-                    everywhere_locally_soluble(system, L=L, depth=depth))}
+        return local(torsor_system(data), data)
     data = _build_quadric_intersection(problem)
-    factors = []
-    for bundle in data.factors:
-        system = torsor_system(bundle)
-        factors.append({"pencil": _bundle_dict(bundle),
-                        "system": _system_dict(system),
-                        "report": _local_report_dict(
-                            everywhere_locally_soluble(system, L=L,
-                                                       depth=depth))})
+    factors = [local(torsor_system(bundle), bundle) for bundle in data.factors]
     return {"n": data.n, "factors": factors,
             "soluble_factors": all(f["report"]["soluble"] for f in factors)}
 
@@ -713,7 +703,7 @@ def _suite_stabilization(rng: random.Random, quick: bool):
         s, r = job.system.s, job.system.r
         for p in primes:
             cases += 1
-            bound = max(valuation(4 * a, p) for a in job.system.a)
+            bound = technical_bound(job.system, p)
             k0 = max(1, bound + 1)
             lower = G(job, p, k0)
             upper = G(job, p, k0 + 1)

@@ -68,7 +68,7 @@ from .exactnum import (
     is_prime,
     valuation,
 )
-from .pencil import NormFormSystem
+from .pencil import NormFormSystem, technical_bound
 from .quadform import (
     BinaryForm,
     pell_fundamental,
@@ -125,7 +125,7 @@ class CountJob:
                     "f_%d(uInf) must be positive for definite index %d"
                     % (i + 1, i + 1))
         for p, m in factorize(self.M) if self.M > 1 else ():
-            bound = max(valuation(4 * a, p) for a in self.system.a)
+            bound = technical_bound(self.system, p)
             if m < bound:
                 raise CountingError(
                     "val_%d(M) = %d is below the technical bound %d"
@@ -526,7 +526,7 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None,
                 "G(%d^%d) < %d^%d despite a solvable congruence witness"
                 % (p, m, p, s * m))
         return val
-    bound = max(valuation(4 * a, p) for a in job.system.a)
+    bound = technical_bound(job.system, p)
     k0 = max(1, bound + 1)
     if k_max is None:
         k_max = bound + 4

@@ -41,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-Rational = Fraction
 IntLike = Union[int, Fraction]
 
 TRIAL_DIVISION_BOUND = 1_000_000

@@ -42,7 +42,7 @@ from .exactnum import (
     legendre,
     valuation,
 )
-from .pencil import NormFormSystem
+from .pencil import NormFormSystem, technical_bound
 
 
 class LocalSolveError(ExactNumError):
@@ -163,10 +163,6 @@ def real_soluble(system: NormFormSystem):
 # finite places
 
 
-def _technical_bound(system: NormFormSystem, p: int) -> int:
-    return max(valuation(4 * a, p) for a in system.a)
-
-
 def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     """Search u mod p^depth certifying solubility at p.
 
@@ -176,12 +172,12 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     """
     if not is_prime(p):
         raise LocalSolveError("%d is not prime" % p)
-    bound = _technical_bound(system, p)
+    bound = technical_bound(system, p)
     if depth is None:
-        # floor of 4: forms whose coefficient matrix degenerates mod p
-        # force extra valuation on the values, so the bound alone can be
-        # too shallow; searching mod p^4 restores the margin the symbol
-        # test needs for every matrix this toolkit accepts
+        # floor of 4, a heuristic: degenerate form matrices force extra
+        # valuation on the values, and p^4 covers common cases but not
+        # all: at p = 5, a = (-1, -3), forms ((0, 25), (125, 0)) it reports
+        # insoluble, while depth 9 finds the witness u = (3125, 15625)
         depth = max(bound + 2, 4)
     if depth < bound + 1:
         raise LocalSolveError(
@@ -273,7 +269,8 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     Bad primes are those dividing some a_i or some coefficient of some
     f_i; beyond them and L, solubility is automatic for odd good primes.
     The per-prime depth defaults to the technical bound + 2, floored at
-    4 so degenerate coefficient matrices keep their symbol margin.
+    4 by a heuristic, so a place insoluble at the default depth may be
+    soluble deeper (see `padic_soluble`); soluble places carry witnesses.
     """
     primes = {2}
     for x in system.a:

@@ -35,6 +35,7 @@ from .exactnum import (
     f2_insert,
     is_square,
     squarefree_class,
+    valuation,
 )
 
 
@@ -263,6 +264,12 @@ class NormFormSystem:
     @property
     def i_plus(self) -> Tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.a) if x > 0)
+
+
+def technical_bound(system: NormFormSystem, p: int) -> int:
+    """max_i v_p(4 a_i), the technical bound at the prime p: local search
+    depths must exceed it and the p-part of a congruence modulus reach it."""
+    return max(valuation(4 * a, p) for a in system.a)
 
 
 def _independent_pair(f, g) -> bool:

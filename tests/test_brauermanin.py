@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,9 +16,16 @@ from conicbundles.brauermanin import (
     pairing,
     quotient_generators,
 )
-from conicbundles.exactnum import Place, REAL_PLACE, hilbert, squarefree_part
+from conicbundles.exactnum import (
+    Place,
+    REAL_PLACE,
+    hilbert,
+    squarefree_part,
+    valuation,
+)
 from conicbundles.localsolve import padic_soluble
 from conicbundles.pencil import ConicBundleData, brauer_group, torsor_system
+from test_exactnum import brute_hilbert
 from test_pencil import brute_kernel, random_classes, span
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
@@ -338,6 +346,118 @@ def test_obstruction_scan_adaptive_refinement():
     assert all(v in (0, 1) for c in tab.cells for v in c.values)
     with pytest.raises(BrauerManinError, match=">= 1"):
         obstruction_scan(data, [Place(2)], resolution=0)
+
+
+def _oracle_class(x, p):
+    # an integer in the Q_p square class of the nonzero rational x:
+    # p^(v_p(x) mod 2) times the unit part mod p (mod 8 at p = 2), since
+    # two units that agree mod p (mod 8) differ by a square factor
+    n, d = x.numerator, x.denominator
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return p ** (v % 2) * (n * d % (8 if p == 2 else p))
+
+
+@lru_cache(maxsize=None)
+def _oracle_symbol(a, cls, p):
+    return brute_hilbert(a, cls, p)
+
+
+def _oracle_symbols(data, fibres, t, p):
+    # fibre -> (a_i, t - e_i)_p by the brute-force search, memoized on
+    # the square class of t - e_i
+    return {i: _oracle_symbol(data.a[i].representative(),
+                              _oracle_class(t - data.e[i], p), p)
+            for i in fibres}
+
+
+def _scan_bundles(rng, count):
+    # seeded Faddeev bundles with a nontrivial quotient, e_i with 2, 3, 5
+    # and 7 in the denominator; the first one pins a = -2 on e = 1/2 and
+    # e = 5/4, where the 2-adic cells read the three unit bits of t - e_i
+    # from the two or four bits the denominator adds
+    out = [ConicBundleData(e=(0, 1, Fraction(1, 2), Fraction(5, 4)),
+                           a=(5, 5, -2, -2))]
+    while len(out) < count:
+        r = rng.choice((4, 5))
+        e = set()
+        while len(e) < r:
+            e.add(Fraction(rng.randint(-9, 9),
+                           rng.choice((1, 1, 2, 3, 4, 5, 7, 9, 25))))
+        data = ConicBundleData(e=tuple(e),
+                               a=random_classes(rng, r, force_faddeev=True))
+        if quotient_generators(data):
+            out.append(data)
+    return out
+
+
+def test_scan_cells_against_brute_hilbert():
+    # the scan reads each cell once through the residue kernel, so the
+    # constancy of every tabulated value is checked here instead: against
+    # the brute-force symbol at all p children of the cell and at two
+    # random deeper lifts (one not an integer); every refined cell must
+    # have a parent on which some symbol it reads takes both values; the
+    # cells must partition the residues mod p^K that avoid the poles; and
+    # each real interval is checked at two interior points by the sign
+    # rule (a, b)_oo = -1 iff a < 0 and b < 0
+    rng = random.Random(43)
+    refined = p_in_denominator = 0
+    for data in _scan_bundles(rng, 4):
+        gens = [g.n for g in quotient_generators(data)]
+        fibres = sorted({i for g in gens for i, b in enumerate(g) if b})
+        for cell in obstruction_scan(data, [REAL_PLACE]).cells:
+            lo, hi = (None if x[1:] == "oo" else Fraction(x)
+                      for x in cell.label[1:-1].split(", "))
+            for t in (cell.representative,
+                      hi - Fraction(1, 7) if lo is None else
+                      lo + Fraction(1, 7) if hi is None else
+                      (lo + 3 * hi) / 4):
+                assert tuple(
+                    sum(data.a[i].representative() < 0 and t < data.e[i]
+                        for i in fibres if g[i]) % 2
+                    for g in gens) == cell.values, (data, cell, t)
+        for p in (2, 3, 5, 7):
+            p_in_denominator += any(e.denominator % p == 0 for e in data.e)
+            for K in range(1, 5):
+                levels = {}
+                for cell in obstruction_scan(data, [Place(p)],
+                                             resolution=K).cells:
+                    label, k = cell.label.split("^")
+                    c, k = int(label.split()[0]), int(k)
+                    assert c == cell.representative and 0 <= c < p ** k
+                    levels[c, k] = cell.values
+                    points = [c + j * p ** k for j in range(p)]
+                    points += [c + p ** k * rng.randrange(1, p ** 4),
+                               c + p ** k * Fraction(rng.randrange(p ** 4),
+                                                     p * rng.randrange(1, 9)
+                                                     + 1)]
+                    for t in points:
+                        sym = _oracle_symbols(data, fibres, t, p)
+                        got = tuple(sum(sym[i] == -1 for i in fibres if g[i])
+                                    % 2 for g in gens)
+                        assert got == cell.values, (data, p, K, cell, t)
+                    if k > K:
+                        refined += 1
+                        base = c % p ** (k - 1)
+                        seen = [_oracle_symbols(data, fibres,
+                                                base + j * p ** (k - 1), p)
+                                for j in range(8 if p == 2 else p)]
+                        assert any(len({s[i] for s in seen}) == 2
+                                   for i in fibres), (data, p, K, cell)
+                # a partition of the residues mod p^K off the poles
+                for c, k in levels:
+                    assert not any((c % p ** j, j) in levels
+                                   for j in range(K, k))
+                poles = sum(any(c == e or valuation(c - e, p) >= K
+                                for e in data.e) for c in range(p ** K))
+                assert sum(Fraction(1, p ** k) for _, k in levels) == \
+                    1 - Fraction(poles, p ** K)
+    assert refined > 20 and p_in_denominator >= 4, (refined, p_in_denominator)
 
 
 def test_obstruction_scan_permutation_invariance():

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conicbundles"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "conicbundles"
 
 
 def _unused_imports(tree):
@@ -17,10 +18,52 @@ def _unused_imports(tree):
     return sorted(set(imported) - used)
 
 
+def _module_names(tree):
+    """Names a module binds at top level by def, class or assignment,
+    dunder names left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _references(tree):
+    """Every name a module reads: loaded names, attributes, imported
+    names, and identifiers in string constants (getattr and monkeypatch
+    targets such as "brauermanin.obstruction_scan")."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(part for part in node.value.split(".")
+                        if part.isidentifier())
+    return refs
+
+
 def test_unused_import_detector():
     tree = ast.parse("import os.path\nfrom typing import Dict, List\n"
                      "x: List = os.sep\n")
     assert _unused_imports(tree) == ["Dict"]
+
+
+def test_dead_name_detector():
+    tree = ast.parse("A = 1\nB: int = A\n__all__ = ['f']\n"
+                     "def f(): return g\ndef g(): pass\nclass C: pass\n"
+                     "getattr(m, 'mod.D')\n")
+    assert _module_names(tree) == ["A", "B", "f", "g", "C"]
+    assert {"A", "g", "f", "mod", "D"} <= _references(tree)
+    assert not {"B", "C"} & _references(tree)
 
 
 def test_no_unused_imports():
@@ -30,3 +73,17 @@ def test_no_unused_imports():
     unused = {p.name: _unused_imports(ast.parse(p.read_text()))
               for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_no_dead_names():
+    # a module-level name of the package must be read somewhere in src/,
+    # tests/ or bench/; a definition alone does not count
+    files = [p for part in ("src", "tests", "bench")
+             for p in sorted((ROOT / part).rglob("*.py"))]
+    refs = set()
+    for p in files:
+        refs |= _references(ast.parse(p.read_text()))
+    dead = {p.name: sorted(set(_module_names(ast.parse(p.read_text())))
+                           - refs)
+            for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in dead.items() if names} == {}
