@@ -177,26 +177,27 @@ class InvariantVector:
         return tuple(v for v, val in self.entries if val)
 
 
-def _cell_model(data: ConicBundleData, p: int):
-    """(a_i, n_i, d_i, 2 v_p(d_i)) per fibre, for e_i = n_i / d_i: the
-    integers `_cell_invariant` reads the cells at p from."""
-    return tuple((a.representative(), e.numerator, e.denominator,
+def _cell_model(data: ConicBundleData, p: int, fibres):
+    """(2^i, a_i, n_i, d_i, 2 v_p(d_i)), e_i = n_i / d_i, for the fibres i
+    with fibres[i] = 1: what `_cell_signs` reads the cells at p from."""
+    return tuple((1 << i, a.representative(), e.numerator, e.denominator,
                   2 * _valuation_unit(e.denominator, p)[0])
-                 for a, e in zip(data.a, data.e))
+                 for i, (b, a, e) in enumerate(zip(fibres, data.a, data.e))
+                 if b)
 
 
-def _cell_invariant(model, bits: Tuple[int, ...], p: int, c: int,
-                    k: int) -> Optional[int]:
-    total = 0
-    for b, (a, n, d, shift) in zip(bits, model):
-        if not b:
-            continue
+def _cell_signs(model, p: int, c: int, k: int) -> Optional[int]:
+    """The sum of 2^i over the fibres i of the model with
+    (a_i, t - e_i)_p = -1 on the cell t = c mod p^k, reading each symbol
+    once, or None when one of them is not constant on the cell."""
+    signs = 0
+    for bit, a, n, d, shift in model:
         sym = _residue_symbol(a, (d * c - n) * d, p, k + shift)
         if sym is None:
             return None
         if sym == -1:
-            total ^= 1
-    return total
+            signs |= bit
+    return signs
 
 
 def _interval_invariant(data: ConicBundleData, bits: Tuple[int, ...],
@@ -248,9 +249,10 @@ def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
         return max(data.e) + 1  # every t - e_i > 0, all symbols +1
     p = v.p
     K = resolution if resolution is not None else _default_resolution(p)
-    model = _cell_model(data, p)
+    model = _cell_model(data, p, bits)
     for c in range(p ** K):
-        if _cell_invariant(model, bits, p, c, K) == 0:
+        signs = _cell_signs(model, p, c, K)
+        if signs is not None and signs.bit_count() % 2 == 0:
             return Fraction(c)
     return None
 
@@ -440,11 +442,14 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
     # cells exist whenever val_2(c - e_i) reaches K - 1, so refinement is
     # part of the partition rather than an error
     queue = [(c, K) for c in range(p ** K)]
-    model = _cell_model(data, p)
+    # every fibre some generator selects, read once per cell
+    model = _cell_model(data, p, map(any, zip(*(g.n for g in gens))))
+    masks = [sum(b << i for i, b in enumerate(g.n)) for g in gens]
+    values = {}  # the generator values per sign mask
     # the residues mod p^K of the p-integral e_i; other e_i have
     # valuation(c - e_i) < 0 and never hug an integral cell
-    poles = {n * pow(d, -1, p ** K) % p ** K
-             for _, n, d, shift in model if not shift}
+    poles = {e.numerator * pow(e.denominator, -1, p ** K) % p ** K
+             for e in data.e if e.denominator % p}
     found = []
     idx = 0
     while idx < len(queue):
@@ -453,20 +458,17 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
         m = p ** k
         if k == K and c in poles:
             continue  # the cell hugs a pole; not part of the partition
-        values = []
-        for g in gens:
-            val = _cell_invariant(model, g.n, p, c, k)
-            if val is None:
-                if k - K >= _MAX_EXTRA_LEVELS:
-                    raise BrauerManinError(
-                        "the cell %d mod %d^%d resisted %d refinements"
-                        % (c, p, k, _MAX_EXTRA_LEVELS))
-                queue.extend((c + j * m, k + 1) for j in range(p))
-                values = None
-                break
-            values.append(val)
-        if values is not None:
-            found.append((k, c, tuple(values)))
+        signs = _cell_signs(model, p, c, k)
+        if signs is None:
+            if k - K >= _MAX_EXTRA_LEVELS:
+                raise BrauerManinError(
+                    "the cell %d mod %d^%d resisted %d refinements"
+                    % (c, p, k, _MAX_EXTRA_LEVELS))
+            queue.extend((c + j * m, k + 1) for j in range(p))
+            continue
+        if signs not in values:
+            values[signs] = tuple((g & signs).bit_count() % 2 for g in masks)
+        found.append((k, c, values[signs]))
     found.sort(key=lambda item: (item[0], item[1]))
     return [ScanCell(Place(p), "%d mod %d^%d" % (c, p, k), Fraction(c), vals)
             for k, c, vals in found]

@@ -92,13 +92,6 @@ def _pderiv(a):
     return _trim([i * a[i] for i in range(1, len(a))])
 
 
-def _peval(a, t):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * t + c
-    return acc
-
-
 def _pdivmod(a, b):
     if not b:
         raise DelPezzoError("polynomial division by zero")

@@ -21,9 +21,9 @@ odd p, mod 2^6 at p = 2), not trusted as transcriptions.
 Symbols and local squares read only v_p and the unit part mod p (mod 8 at
 p = 2), so they need no factorization and accept arguments of any size.
 Only global data factors: square classes, `hilbert_support` and the lists
-of bad primes.  Factorization is trial division with a configurable bound
-plus a deterministic Miller-Rabin primality check; inputs at desk scale
-are small.
+of bad primes.  Factorization is trial division up to the fixed
+TRIAL_DIVISION_BOUND plus a deterministic Miller-Rabin primality check;
+inputs at desk scale are small.
 
 The formulas live once, in `_serre_symbol`, which `hilbert` shares with
 the residue kernel `_residue_symbol(a, x, p, K)`: the symbol (a, y)_p
@@ -123,11 +123,11 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple:
+def factorize(n: int) -> tuple:
     """Prime factorization of n >= 1 as a tuple of (p, exponent) pairs.
 
-    Trial division up to `bound`; a surviving cofactor must be prime or a
-    prime square, otherwise FactorizationError.
+    Trial division up to TRIAL_DIVISION_BOUND; a surviving cofactor must be
+    prime or a prime square, otherwise FactorizationError.
     """
     if n < 1:
         raise ExactNumError("factorize expects a positive integer, got %r" % (n,))
@@ -140,7 +140,7 @@ def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple:
                 e += 1
             out.append((p, e))
     q = 5
-    while q * q <= n and q <= bound:
+    while q * q <= n and q <= TRIAL_DIVISION_BOUND:
         for p in (q, q + 2):
             if n % p == 0:
                 e = 0
@@ -156,7 +156,8 @@ def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple:
             out.append((math.isqrt(n), 2))
         else:
             raise FactorizationError(
-                "cofactor %d has no prime factor below %d" % (n, bound))
+                "cofactor %d has no prime factor below %d"
+                % (n, TRIAL_DIVISION_BOUND))
     out.sort()
     return tuple(out)
 
@@ -263,7 +264,7 @@ class SquareClass:
 TRIVIAL_CLASS = SquareClass()
 
 
-def squarefree_class(x: IntLike, bound: int = TRIAL_DIVISION_BOUND) -> SquareClass:
+def squarefree_class(x: IntLike) -> SquareClass:
     """Image of a nonzero rational in Q*/Q*^2."""
     x = _exact(x)
     if x == 0:
@@ -271,14 +272,14 @@ def squarefree_class(x: IntLike, bound: int = TRIAL_DIVISION_BOUND) -> SquareCla
     sign = 1 if x < 0 else 0
     primes = set()
     for n in (abs(x.numerator), x.denominator):
-        for p, e in factorize(n, bound):
+        for p, e in factorize(n):
             if e % 2:
                 primes.symmetric_difference_update({p})
     return SquareClass(sign, frozenset(primes))
 
 
-def squarefree_part(x: IntLike, bound: int = TRIAL_DIVISION_BOUND) -> int:
-    return squarefree_class(x, bound).representative()
+def squarefree_part(x: IntLike) -> int:
+    return squarefree_class(x).representative()
 
 
 def legendre(a: int, p: int) -> int:

@@ -39,23 +39,34 @@ row intervals, nearly all of them empty when t is large.
 The per-point test _in_fundamental_domain and the per-n search
 primary_representatives stay as the independent oracle.
 
-rho(q, A) counts solutions of x^2 - a y^2 = A over Z/q; it is
-multiplicative in q, computed at prime powers from the square-count tables
-S[v] = #{x : x^2 = v} and T[w] = #{y : -a y^2 = w}.  Substituting
-(x, y) -> (c x, c y) shows rho(p^k; c^2 A) = rho(p^k; A) for every unit
-c, so a full table mod p^k is constant on each orbit (v_p(A), unit
-square class of A / p^v): two classes per valuation at odd p, up to four
-at p = 2, and A = 0.  rho_table evaluates one member of each orbit
-exactly and fills the rest, so the scaling identity
+rho(q, A) counts solutions of x^2 - a y^2 = A over Z/q, multiplicatively
+in q.  _local_count finds N_k(Q; A) = #{(x, y) mod p^k : c1 x^2 + c2 y^2 =
+A} from (c1, c2) = (1, -a) by the good/zero/bad split of local densities
+(Hanke, Duke Math. J. 124, 2004; Cassels, Rational Quadratic Forms, ch. 8)
+in O(k + v_p(a)) steps, as each lowers k or v_p(c2):
 
-    rho(p^k; A) = (1/p) rho(p^(k+1); A + l p^k)
+1. if p^g, g >= 1, divides both c_i: N_k = p^(2k) [A = 0] for k <= g, else
+   [p^g | A] p^(2g) N_(k-g)(Q / p^g; A / p^g);
+2. with c1 a unit, the solutions with p not dividing x have gradient
+   valuation v_p(2), so by Hensel's lemma they number p^(k-j) G_j(A),
+   j = min(k, 2 v_p(2) + 1), G_j their count mod p^j: at p = 2, 2^(j-1)
+   odd x per y mod 2^j with c1 (A - c2 y^2) = 1 mod 2^j (odd squares and
+   c1^2 are 1 mod 8); at odd p, p (1 + (c1 A | p)) [p does not divide A]
+   if p | c2, else the p - e (A != 0) or p + (p - 1) e (A = 0) points of
+   the conic over F_p, e = (-c1 c2 | p), less the 1 + (c2 A | p) with x = 0;
+3. the solutions with x = p x1 number N_k(c2 y^2 + p^2 c1 x1^2; A) / p.
 
-remains an honest downstream check rather than a construction rule.  The
-identity holds for A != 0 mod p^k once k >= v_p(4a) at odd p; at p = 2 that
+Substituting (x, y) -> (c x, c y) shows rho(p^k; c^2 A) = rho(p^k; A) for
+every unit c, so a full table mod p^k is constant on each orbit (v_p(A),
+unit square class of A / p^v): two classes per valuation at odd p, up to
+four at p = 2, and A = 0.  rho_table counts one member of each orbit and
+fills the rest.  No construction uses the scaling identity rho(p^k; A) =
+(1/p) rho(p^(k+1); A + l p^k), so it remains an honest downstream check.
+It holds for A != 0 mod p^k once k >= v_p(4a) at odd p; at p = 2 that
 margin is not enough (a = -1, k = 2, A = 2: rho(4;2) = 4 but rho(8;2) = 16,
 since the odd squares mod 2^k only stabilize three bits up) and the sharp
-domain is k >= v_2(4a) + v_2(A).  scaling_valid() encodes this and is the
-single source of truth for both rho()'s reduction path and the tests.
+domain is k >= v_2(4a) + v_2(A).  scaling_valid() states this domain and
+the tests check it.
 """
 
 from __future__ import annotations
@@ -68,8 +79,6 @@ from typing import Optional
 import numpy
 
 from .exactnum import ExactNumError, factorize, is_square, legendre, valuation
-
-DIRECT_ENUMERATION_CAP = 1_000_000
 
 
 class QuadFormError(ExactNumError):
@@ -351,35 +360,41 @@ def representation_table(form: BinaryForm, lo: int, hi: int, *,
 # local densities
 
 
-_st_cache = {}
-
-
-def _square_tables(a: int, m: int):
-    """S[v] = #{x mod m : x^2 = v},  T[w] = #{y mod m : -a y^2 = w}."""
-    key = (a % m, m)
-    hit = _st_cache.get(key)
-    if hit is not None:
-        return hit
-    S = [0] * m
-    T = [0] * m
-    na = (-a) % m
-    for x in range(m):
-        x2 = x * x % m
-        S[x2] += 1
-        T[na * x2 % m] += 1
-    _st_cache[key] = (S, T)
-    return S, T
-
-
-def _rho_single(a: int, m: int, A: int) -> int:
-    S, T = _square_tables(a, m)
-    A = A % m
-    total = 0
-    for v in range(m):
-        s = S[v]
-        if s:
-            total += s * T[(A - v) % m]
-    return total
+def _local_count(a: int, p: int, k: int, A: int) -> int:
+    """#{(x, y) mod p^k : x^2 - a y^2 = A}, by the steps of the module
+    docstring."""
+    c1, c2 = 1, -a
+    # p^drops * result = total + mult * N_k(c1 x^2 + c2 y^2; A): the
+    # descent's division by p waits until the end
+    total, mult, drops = 0, 1, 0
+    while True:
+        A %= p**k
+        g = min(valuation(c1, p), valuation(c2, p))
+        pg = p**g
+        if k <= g or A % pg:
+            break
+        if g:
+            mult *= pg * pg
+            c1, c2, A, k = c1 // pg, c2 // pg, A // pg, k - g
+            continue
+        if c1 % p == 0:
+            c1, c2 = c2, c1
+        if p == 2:
+            j = min(k, 3)
+            good = sum(1 << j - 1 for y in range(1 << j)
+                       if c1 * (A - c2 * y * y) % (1 << j) == 1)
+        elif c2 % p:
+            j, e = 1, legendre(-c1 * c2, p)
+            good = (p + (p - 1) * e if A % p == 0 else p - e) - 1 \
+                - legendre(c2 * A, p)
+        else:
+            j, good = 1, p * (1 + legendre(c1 * A, p)) if A % p else 0
+        total = p * (total + mult * good * p ** (k - j))
+        drops += 1
+        c1, c2 = c2, p * p * c1
+    # N_k = p^(2k) [A = 0] if k <= g; otherwise p^g does not divide A != 0
+    last = mult * p ** (2 * k) if A == 0 else 0
+    return (total + last) // p**drops
 
 
 def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
@@ -404,15 +419,15 @@ _table_cache = {}
 def rho_table(form: BinaryForm, p: int, k: int):
     """The full vector (rho(p^k; A))_{A mod p^k}, computed exactly.
 
-    One `_rho_single` evaluation per orbit (v_p(A), unit square class of
-    A / p^v) fills every A of that orbit."""
+    One `_local_count` per orbit (v_p(A), unit square class of A / p^v)
+    fills every A of that orbit."""
     a = form.a
     m = p**k
     key = (a, p, k)
     hit = _table_cache.get(key)
     if hit is not None:
         return hit
-    tab = [_rho_single(a, m, 0)] * m
+    tab = [_local_count(a, p, k, 0)] * m
     for v in range(k):
         # A = p^v w with w prime to p; up to unit squares w is its
         # Legendre symbol at odd p, and w mod 2^min(k - v, 3) at p = 2,
@@ -426,33 +441,18 @@ def rho_table(form: BinaryForm, p: int, k: int):
             start = w * p**v
             cls = w if p == 2 else legendre(w, p)
             if cls not in by_class:
-                by_class[cls] = _rho_single(a, m, start)
+                by_class[cls] = _local_count(a, p, k, start)
             tab[start::step] = [by_class[cls]] * len(range(start, m, step))
     _table_cache[key] = tab
     return tab
 
 
-def rho(form: BinaryForm, q: int, A: int,
-        cap: int = DIRECT_ENUMERATION_CAP) -> int:
-    """Number of (x, y) mod q with x^2 - a y^2 = A, for q >= 1.
-
-    Prime powers above `cap` are reduced with the scaling identity where it
-    applies; otherwise an error asks for a larger cap.
-    """
+def rho(form: BinaryForm, q: int, A: int) -> int:
+    """Number of (x, y) mod q with x^2 - a y^2 = A, for q >= 1: the product
+    of the prime-power counts over the factorization of q."""
     if q < 1:
         raise QuadFormError("modulus must be positive")
-    a = form.a
     total = 1
     for p, k in factorize(q):
-        m = p**k
-        scale = 1
-        while m > cap:
-            if not scaling_valid(form, p, k - 1, A):
-                raise QuadFormError(
-                    "rho at %d^%d is beyond the enumeration cap %d and the "
-                    "scaling identity does not apply; raise the cap" % (p, k, cap))
-            scale *= p
-            k -= 1
-            m //= p
-        total *= scale * _rho_single(a, m, A % m)
+        total *= _local_count(form.a, p, k, A)
     return total

@@ -63,9 +63,10 @@ def test_factorize():
     assert factorize(97 * 97) == ((97, 2),)
     with pytest.raises(ExactNumError):
         factorize(0)
-    # a product of two large distinct primes beyond the bound must fail loudly
+    # a product of two distinct primes beyond TRIAL_DIVISION_BOUND must
+    # fail loudly
     with pytest.raises(FactorizationError):
-        factorize((10**9 + 7) * (10**9 + 9), 10**5)
+        factorize((10**9 + 7) * (10**9 + 9))
 
 
 def test_valuation():

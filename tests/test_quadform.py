@@ -302,7 +302,7 @@ def test_rho_table_matches_pointwise():
 def test_rho_table_against_bincount():
     # every entry of the orbit-filled table against an exhaustive count of
     # x^2 - a y^2 mod p^k, including p | a and a with square factors
-    for a in (-1, 2, 3, -6, 5, 12, 18, -4, 45, -27, 50, 8):
+    for a in (-1, 2, 3, -6, 5, 12, 18, -4, 45, -27, 50, 8, -250, 375, -192):
         f = BinaryForm(a)
         for p in (2, 3, 5, 7):
             k = 1
@@ -348,8 +348,65 @@ def test_rho_scaling_two_adic_margin():
 
 def test_rho_cap_behaviour():
     f = BinaryForm(-1)
-    # beyond the cap but reducible by scaling
+    # beyond any enumeration: 5^9 by scaling and by the split closed form
+    # below; at 2^k, 4 | A forces x and y even, so
+    # rho(2^k; A) = 4 rho(2^(k-2); A / 4), and rho(4; 0) = 4
     big = 5**9
-    assert rho(f, big, 1, cap=10**5) == 5**7 * rho(f, 25, 1)
-    with pytest.raises(QuadFormError):
-        rho(f, big, 0, cap=10**5)
+    assert rho(f, big, 1) == 5**7 * rho(f, 25, 1)
+    assert rho(f, big, 0) == 16015625
+    assert rho(f, 2**30, 2**28) == 4**14 * rho(f, 4, 1)
+    assert rho(f, 2**30, 0) == 4**14 * rho(f, 4, 0) == 2**30
+
+
+def closed_form_rho(chi, p, k, v):
+    # rho(p^k; A) for x^2 - a y^2 at odd p not dividing a, chi = (a|p),
+    # v = v_p(A) (v = k for A = 0 mod p^k): the split and inert cases
+    if chi == 1:
+        if v < k:
+            return (v + 1) * (p**k - p**(k - 1))
+        return k * (p**k - p**(k - 1)) + p**k
+    if v < k:
+        return (p + 1) * p**(k - 1) if v % 2 == 0 else 0
+    return p ** (2 * (k // 2))
+
+
+def test_rho_split_and_inert_closed_forms():
+    from conicbundles.exactnum import legendre
+    for p in (3, 5, 7, 13):
+        chis = set()
+        for a in (-1, 2, 3, -5):
+            if a % p == 0:
+                continue
+            f = BinaryForm(a)
+            chi = legendre(a, p)
+            chis.add(chi)
+            for k in range(1, 41):
+                m = p**k
+                for v in range(k + 1):
+                    for u in (1, 2, p - 1):
+                        assert rho(f, m, u * p**v) == \
+                            closed_form_rho(chi, p, k, v), (a, p, k, v, u)
+                if m > 3**8:
+                    continue
+                tab = rho_table(f, p, k)
+                for A in range(m):
+                    v = k if A == 0 else next(
+                        i for i in range(k) if A % p ** (i + 1))
+                    assert tab[A] == closed_form_rho(chi, p, k, v), \
+                        (a, p, k, A)
+        assert chis == {1, -1}, p
+
+
+def test_rho_two_adic_mass_beyond_enumeration():
+    # the orbit of A = 2^v w holds 2^(k - v - j) residues, j = min(k - v, 3),
+    # one per class of w mod 2^j, and the masses over all A add up to 4^k
+    for a in (-1, 3, -6, 12, -250, 384):
+        f = BinaryForm(a)
+        for k in range(1, 41):
+            m = 2**k
+            total = rho(f, m, 0)
+            for v in range(k):
+                j = min(k - v, 3)
+                for w in range(1, 2**j, 2):
+                    total += 2 ** (k - v - j) * rho(f, m, w * 2**v)
+            assert total == 4**k, (a, k)
