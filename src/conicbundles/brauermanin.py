@@ -470,7 +470,8 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
             values[signs] = tuple((g & signs).bit_count() % 2 for g in masks)
         found.append((k, c, values[signs]))
     found.sort(key=lambda item: (item[0], item[1]))
-    return [ScanCell(Place(p), "%d mod %d^%d" % (c, p, k), Fraction(c), vals)
+    place = Place(p)
+    return [ScanCell(place, "%d mod %d^%d" % (c, p, k), Fraction(c), vals)
             for k, c, vals in found]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy
 import pytest
 
+from conicbundles import localsolve
 from conicbundles.exactnum import (
     Place,
     REAL_PLACE,
@@ -16,12 +17,13 @@ from conicbundles.exactnum import (
 from conicbundles.localsolve import (
     LocalSolveError,
     _fm_witness,
+    _good_prime_witness,
     diagonal_quadric_soluble,
     everywhere_locally_soluble,
     padic_soluble,
     real_soluble,
 )
-from conicbundles.pencil import NormFormSystem, PencilError
+from conicbundles.pencil import NormFormSystem, PencilError, technical_bound
 
 
 def evaluate(form, u):
@@ -170,6 +172,132 @@ def test_padic_matches_brute_force():
             if ok:
                 check_padic_witness(system, p, wit)
     assert seen == {True, False}
+
+
+class ReferenceBudget(Exception):
+    pass
+
+
+def digit_dfs(system, p, depth, budget):
+    """padic_soluble's search without its value-ball prunes.
+
+    Residues u mod p^level grow digit by digit in the library's order; a
+    node is cut only when some value already keeps the witness margin
+    (valuation at most level - need) and its symbol is -1, which no lift
+    changes.  Every cut here and in the library is sound, so both return
+    the first witness of the same preorder.  The good-prime shortcut runs
+    first, as in the library.  Raises ReferenceBudget past `budget` nodes.
+    """
+    fast = _good_prime_witness(system, p, depth)
+    if fast is not None:
+        return True, fast.u
+    need = 3 if p == 2 else 1
+    nodes = [0]
+
+    def state(u, level):
+        # None: cut; True: witness; False: read deeper
+        witness = True
+        for a, f in zip(system.a, system.forms):
+            x = evaluate(f, u)
+            kept = x % p**level != 0 and valuation(x, p) <= level - need
+            if kept and hilbert(a, x, Place(p)) == -1:
+                return None
+            witness = witness and kept
+        return witness
+
+    def dfs(u, level):
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise ReferenceBudget
+        st = state(u, level)
+        if st is None:
+            return None
+        if st:
+            return tuple(x % p**depth for x in u)
+        if level == depth:
+            return None
+        for digits in itertools.product(range(p), repeat=system.s):
+            hit = dfs(tuple(x + d * p**level for x, d in zip(u, digits)),
+                      level + 1)
+            if hit is not None:
+                return hit
+        return None
+
+    found = dfs((0,) * system.s, 0)
+    return found is not None, found
+
+
+def content_system(rng, p):
+    # forms with p-power contents and null coordinates, the shapes whose
+    # values sit in small balls
+    pool = [0, 1, -1, 2, p, p**2, p**3, p**5, -p**4, 7]
+    while True:
+        r = rng.randint(1, 3)
+        s = rng.choice([2, 3])
+        a = tuple(rng.choice([-1, 2, -2, 3, -3, 5, -5, 6, 7, -10])
+                  for _ in range(r))
+        forms = tuple(tuple(rng.choice(pool) for _ in range(s))
+                      for _ in range(r))
+        try:
+            return NormFormSystem(r=r, s=s, a=a, forms=forms)
+        except PencilError:
+            continue
+
+
+def test_padic_value_ball_prunes_keep_the_search():
+    # verdict, witness and precision equal those of the digit search on a
+    # seeded family; systems whose reference search passes its node budget
+    # are skipped, and enough are compared
+    rng = random.Random(909)
+    compared = brute = 0
+    verdicts = set()
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        system = content_system(rng, p)
+        depth = rng.choice([None, 5, 6])
+        ok, wit = padic_soluble(system, p, depth)
+        used = max(technical_bound(system, p) + 2, 4) if depth is None \
+            else depth
+        try:
+            want = digit_dfs(system, p, used, budget=5000)
+        except ReferenceBudget:
+            continue
+        compared += 1
+        verdicts.add(ok)
+        assert (ok, wit and wit.u, wit and wit.precision) == \
+            (want[0], want[1], used if want[0] else None), (system, p, depth)
+        if ok:
+            check_padic_witness(system, p, wit)
+        if p**(used * system.s) <= 2**12:
+            brute += 1
+            assert ok == brute_padic(system, p, used), (system, p, used)
+    assert compared >= 120 and brute >= 30 and verdicts == {True, False}
+
+
+def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
+    # forms with large p-content: values lie in small balls that the
+    # search reads whole, instead of branching digit by digit
+    calls = []
+    kernel = localsolve._residue_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    item1 = NormFormSystem(r=2, s=2, a=(-1, -3), forms=((0, 25), (125, 0)))
+    null = NormFormSystem(r=2, s=3, a=(7, 11),
+                          forms=((7, 1, 0), (-125, -125, 0)))
+    monkeypatch.setattr(localsolve, "_residue_symbol", counted)
+    # still insoluble at the default depth, whose heuristic floor of 4 is
+    # too shallow for this system's witnesses
+    assert padic_soluble(item1, 5) == (False, None)
+    assert len(calls) < 1000
+    calls.clear()
+    ok, wit = padic_soluble(null, 5)
+    assert ok and wit.u == (0, 1, 0) and len(calls) < 1000
+    ok, wit = padic_soluble(item1, 5, depth=9)
+    assert ok and wit.u == (3125, 15625) and wit.precision == 9
+    check_padic_witness(item1, 5, wit)
 
 
 def test_padic_witness_lifts():
