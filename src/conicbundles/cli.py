@@ -65,7 +65,8 @@ REPORTS
 
 EXIT CODES
     0 success, 1 computational failure (including a failed selftest),
-    2 input error (bad flags, unparsable file, invalid payload).
+    2 input error (bad flags, unparsable file, invalid payload,
+    unwritable --out path).
 """
 
 from __future__ import annotations
@@ -824,8 +825,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CLIInputError("cannot write %s: %s" % (out, exc))
     else:
         sys.stdout.write(text)
 
@@ -860,23 +864,19 @@ def main(argv=None) -> int:
             return 0 if results["passed"] else 1
         problem = load_problem(args.file)
         options = effective_options(problem, args)
-    except CLIInputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
-    inputs = {"file": dict(sorted(problem.fields.items())),
-              "kind": problem.kind,
-              "options": {k: v for k, v in sorted(options.items())
-                          if v is not None}}
-    try:
+        inputs = {"file": dict(sorted(problem.fields.items())),
+                  "kind": problem.kind,
+                  "options": {k: v for k, v in sorted(options.items())
+                              if v is not None}}
         results = _COMMANDS[args.command](problem, options)
+        _emit(_report(args.command, inputs, results, started), args.out)
+        return 0
     except CLIInputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except ExactNumError as exc:
         print("computational failure: %s" % exc, file=sys.stderr)
         return 1
-    _emit(_report(args.command, inputs, results, started), args.out)
-    return 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ log(eta)/sqrt(a) for the fundamental unit eta; when all units have norm
 +1 (a = 3, 6, 7, ...) the orbit density is half the naive log(eta)/sqrt(a),
 and direct counts confirm the halved value, so that is what beta_infinity
 uses.  beta_inf = (2 eps B / M)^s times the product of these factors,
-evaluated with mpmath at >= 80 working bits.
+evaluated with mpmath at 80 working bits.
 
 Finite densities.  G(p^k) counts (x, y, t) mod p^k solving the system at
 g_i(t) = f_i(u^(M) + M t); beta_p is the limit of p^(-(s+r)k) G(p^k).  For
@@ -84,6 +84,7 @@ class CountingError(ExactNumError):
 
 DEFAULT_PRIME_CUTOFF = 100
 DEFAULT_ENUMERATION_CAP = 10**7
+_WORKING_BITS = 80
 _CHUNK_CELLS = 1 << 22
 _SUM_GUARD = 1 << 62
 
@@ -421,14 +422,14 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         return sum(sums)
 
 
-def beta_infinity(job: CountJob, B: int, bits: int = 80):
+def beta_infinity(job: CountJob, B: int):
     """Archimedean density: measure of the box times the mean orbit count
-    of each form, as an mpmath float at >= 80 working bits.
+    of each form, as an mpmath float at 80 working bits.
 
     Each factor is exact up to directed rounding, so the relative error is
-    below 2**(6 - bits) for r <= 8."""
+    below 2**-74 for r <= 8."""
     meas = region_measure(job, B)
-    with mpmath.workprec(max(bits, 80)):
+    with mpmath.workprec(_WORKING_BITS):
         val = mpmath.mpf(meas.numerator) / meas.denominator
         for a in job.system.a:
             if a < 0:
@@ -497,8 +498,7 @@ def G(job: CountJob, p: int, k: int,
     return _grid_sum(boxes, index_axes, consts, tables)
 
 
-def beta_p(job: CountJob, p: int, k_max: Optional[int] = None,
-           cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
     """Exact local density at p.
 
     Odd p with p dividing neither M nor any a_i, and the form matrix of
@@ -516,7 +516,7 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None,
         return Fraction(1)
     if job.M % p == 0:
         m = valuation(job.M, p)
-        val = Fraction(G(job, p, m, cap=cap), p ** ((s + r) * m))
+        val = Fraction(G(job, p, m), p ** ((s + r) * m))
         pm = p**m
         liftable = all(
             rho_table(BinaryForm(a), p, m)[job._f(i, job.uM) % pm] > 0
@@ -534,10 +534,10 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None,
         raise CountingError("k_max = %d is below the first admissible k = %d"
                             % (k_max, k0))
     step = p ** (s + r)
-    prev = G(job, p, k0, cap=cap)
+    prev = G(job, p, k0)
     history = [(k0, prev)]
     for k in range(k0, k_max + 1):
-        nxt = G(job, p, k + 1, cap=cap)
+        nxt = G(job, p, k + 1)
         history.append((k + 1, nxt))
         if nxt == step * prev:
             return Fraction(prev, p ** ((s + r) * k))
@@ -552,7 +552,7 @@ class DensityReport:
     """Prediction vs. exact count at one B.
 
     beta_p values are exact; beta_inf_per_Bs, predicted, and ratio are
-    floats computed from >= 80-bit intermediates and rounded to 53 bits.
+    floats computed from 80-bit intermediates and rounded to 53 bits.
     The Euler product is truncated at prime_cutoff; the tail is 1 + O(p^-2)
     per factor and is not estimated."""
 
@@ -586,8 +586,6 @@ def _primes_upto(n: int):
 
 def predict_and_compare(job: CountJob,
                         prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                        bits: int = 80,
-                        cap: int = DEFAULT_ENUMERATION_CAP,
                         threads: int = 1) -> Tuple[DensityReport, ...]:
     """One DensityReport per scheduled B.
 
@@ -599,7 +597,7 @@ def predict_and_compare(job: CountJob,
     betas = {}
     zero_at = []
     for p in _primes_upto(prime_cutoff):
-        betas[p] = beta_p(job, p, cap=cap)
+        betas[p] = beta_p(job, p)
         if betas[p] == 0:
             zero_at.append(p)
     finite = Fraction(1)
@@ -611,7 +609,7 @@ def predict_and_compare(job: CountJob,
         if zero_at:
             reports.append(DensityReport(
                 B=B,
-                beta_inf_per_Bs=float(beta_infinity(job, B, bits) / B**job.system.s),
+                beta_inf_per_Bs=float(beta_infinity(job, B) / B**job.system.s),
                 beta_p=dict(betas),
                 prime_cutoff=prime_cutoff,
                 predicted=0.0,
@@ -620,8 +618,8 @@ def predict_and_compare(job: CountJob,
                 note="no prediction: beta_p = 0 at p = %s"
                      % ", ".join(str(p) for p in zero_at)))
             continue
-        with mpmath.workprec(max(bits, 80)):
-            binf = beta_infinity(job, B, bits)
+        with mpmath.workprec(_WORKING_BITS):
+            binf = beta_infinity(job, B)
             pred = binf * mpmath.mpf(finite.numerator) / finite.denominator
             ratio = mpmath.mpf(empirical) / pred
         reports.append(DensityReport(

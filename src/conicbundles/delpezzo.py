@@ -26,7 +26,11 @@ double root.  Both parts are certified exactly: the discriminant of the
 pencil member is a degree-6 form whose squarefreeness is a gcd
 computation, and "no member has a repeated factor of degree >= 2" is
 the nonvanishing of the resultant of that form with the first principal
-subresultant coefficient of (P, dP/dt).
+subresultant coefficient S1 of (P, dP/dt).  The coefficients of P are
+linear in r, so D(r, 1) has degree <= 6 and S1 degree <= 5 in r; both
+are interpolated exactly from their scalar values on the members
+r = 0..6, so one discriminant formula and one determinant serve the
+scalar and the pencil cases.
 
 The quartic discriminant uses the degree-6 invariant of the binary form
 p_4 T^4 + ... + p_0 U^4, normalized so t^4 + a maps to -256 a^3; it
@@ -61,15 +65,6 @@ def _trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _trim(out)
 
 
 def _pscale(a, s):
@@ -166,21 +161,21 @@ def _resultant(a, b):
     return _det_fractions(rows)
 
 
-def _det_poly(m):
-    # cofactor expansion; entries are polynomials over Fraction
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = []
-    for r in range(n):
-        if not m[r][0]:
-            continue
-        minor = [[m[i][j] for j in range(1, n)] for i in range(n) if i != r]
-        term = _pmul(m[r][0], _det_poly(minor))
-        if r % 2:
-            term = _pscale(term, -1)
-        total = _padd(total, term)
-    return total
+def _interpolate(values):
+    # the polynomial of degree < len(values) taking values[k] at r = k:
+    # Newton divided differences on the nodes 0, 1, ..., where x_i - x_{i-k}
+    # is k, expanded by Horner's rule
+    c = list(values)
+    for k in range(1, len(c)):
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / k
+    poly = []
+    for k in reversed(range(len(c))):
+        # poly <- poly * (r - k) + c[k]
+        poly = [a - k * b for a, b in zip([Fraction(0)] + poly,
+                                          poly + [Fraction(0)])]
+        poly[0] += c[k]
+    return _trim(poly)
 
 
 # -- split polynomials and the induced bundle --------------------------------
@@ -425,16 +420,10 @@ class DP1Data:
         scale = self.c1 ** 2
         for i in range(4):
             scale /= self.e[7] - self.e[i]
-        poly = [scale]
-        for i in range(4):
-            poly = _pmul(poly, [-self.e[i], Fraction(1)])
-        return tuple(poly)
+        return SplitPolynomial(scale, self.e[:4]).coefficients()
 
     def q_coefficients(self) -> Tuple[Fraction, ...]:
-        poly = [self.c2 ** 2]
-        for j in range(4, 8):
-            poly = _pmul(poly, [-self.e[j], Fraction(1)])
-        return tuple(poly)
+        return SplitPolynomial(self.c2 ** 2, self.e[4:]).coefficients()
 
 
 @dataclass(frozen=True)
@@ -447,23 +436,18 @@ class DP1ConditionReport:
     discriminant: Tuple[Fraction, ...]  # D(r, 1), ascending in r
 
 
-def _first_subresultant(p_coeffs):
-    # first principal subresultant coefficient of (P, dP/dt) where the
-    # t-coefficients of P live in Q[r]: the 5x5 determinant whose rows
-    # are t*P, P, t^2*P', t*P', P' read off degrees 5 down to 1
-    a = list(p_coeffs)  # index = t-degree, entries are polys in r
-    b = [_pscale(c, i) for i, c in enumerate(a)][1:]  # dP/dt
+def _first_subresultant(p):
+    # first principal subresultant coefficient of (P, dP/dt) for the
+    # formal quartic P = p0 + p1 t + ... + p4 t^4: the 5x5 determinant
+    # whose rows are t*P, P, t^2*P', t*P', P' read off degrees 5 down to 1
+    b = [i * c for i, c in enumerate(p)][1:]  # dP/dt
 
-    def row(poly, shift, top):
-        # coefficients of t^shift * poly at degrees top..1
-        out = []
-        for d in range(top, 0, -1):
-            k = d - shift
-            out.append(poly[k] if 0 <= k < len(poly) else [])
-        return out
+    def row(poly, shift):
+        return [poly[d - shift] if 0 <= d - shift < len(poly) else Fraction(0)
+                for d in range(5, 0, -1)]
 
-    m = [row(a, 1, 5), row(a, 0, 5), row(b, 2, 5), row(b, 1, 5), row(b, 0, 5)]
-    return _det_poly(m)
+    return _det_fractions([row(p, 1), row(p, 0),
+                           row(b, 2), row(b, 1), row(b, 0)])
 
 
 def dp1_condition(data: DP1Data) -> DP1ConditionReport:
@@ -474,32 +458,20 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
     six (nonzero on both charts), D is squarefree, and Res(D, S1) is
     nonzero for the first subresultant coefficient S1 of (P, dP/dt), so
     no member carries a repeated factor of degree two or more.
+
+    The t-coefficients of P = r p + q are linear in r, so D(r, 1), a
+    sextic in them, has degree <= 6 in r and S1, a 5x5 determinant of
+    them, degree <= 5.  Both are therefore interpolated exactly from
+    their values on the members r = 0..6 (r = 0..5 for S1).  D(q) and
+    D(p) are the constant and r^6 coefficients, the two charts.
     """
     p = data.p_coefficients()
     q = data.q_coefficients()
-    # t-coefficients of P = r p + q as polynomials in r
-    coeffs = [[q[i], p[i]] for i in range(5)]
-    i_inv = _padd(_padd(_pscale(_pmul(coeffs[4], coeffs[0]), 12),
-                        _pscale(_pmul(coeffs[3], coeffs[1]), -3)),
-                  _pmul(coeffs[2], coeffs[2]))
-    j_inv = _padd(
-        _padd(_pscale(_pmul(_pmul(coeffs[4], coeffs[2]), coeffs[0]), 72),
-              _pscale(_pmul(_pmul(coeffs[3], coeffs[2]), coeffs[1]), 9)),
-        _padd(_padd(_pscale(_pmul(coeffs[4], _pmul(coeffs[1], coeffs[1])),
-                            -27),
-                    _pscale(_pmul(coeffs[0], _pmul(coeffs[3], coeffs[3])),
-                            -27)),
-              _pscale(_pmul(_pmul(coeffs[2], coeffs[2]), coeffs[2]), -2)))
-    disc = _pscale(_padd(_pmul(j_inv, j_inv),
-                         _pscale(_pmul(_pmul(i_inv, i_inv), i_inv), -4)),
-                   Fraction(1, 27))
-    d_p = _disc_from_invariants(*p)
-    d_q = _disc_from_invariants(*q)
-    full_degree = d_p != 0 and d_q != 0 and len(disc) == 7
-    if full_degree and disc[6] != d_p:
-        raise DelPezzoError("discriminant charts disagree")
+    members = [[r * x + y for x, y in zip(p, q)] for r in range(7)]
+    disc = _interpolate([_disc_from_invariants(*m) for m in members])
+    s1 = _interpolate([_first_subresultant(m) for m in members[:6]])
+    full_degree = len(disc) == 7 and disc[0] != 0
     squarefree = bool(disc) and len(_pgcd(disc, _pderiv(disc))) == 1
-    s1 = _first_subresultant(coeffs)
     if disc and s1:
         simple = _resultant(disc, s1) != 0
     else:

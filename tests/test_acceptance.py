@@ -495,6 +495,31 @@ def test_criterion_8_del_pezzo_suite():
                            report.discriminant_squarefree,
                            report.double_roots_simple)
         assert _ptrim(list(report.discriminant)) == disc
+        pencil_rng = random.Random(802)
+        scalars = (1, 2, Fraction(1, 2), -3, Fraction(2, 3))
+        for trial in range(40):
+            points = set()
+            if trial % 4:
+                while len(points) < 8:
+                    points.add(Fraction(pencil_rng.randint(-12, 12),
+                                        pencil_rng.randint(1, 3)))
+                e = pencil_rng.sample(sorted(points), 8)
+            else:
+                # e = (v1, -v1, ..., v4, -v4) makes p and q even: degenerate
+                while len(points) < 4:
+                    points.add(Fraction(pencil_rng.randint(1, 12),
+                                        pencil_rng.randint(1, 3)))
+                e = [y for v in pencil_rng.sample(sorted(points), 4)
+                     for y in (v, -v)]
+            data = DP1Data(e=tuple(e), c1=pencil_rng.choice(scalars),
+                           c2=pencil_rng.choice(scalars))
+            report = dp1_condition(data)
+            holds, clauses, disc = _dp1_second_route(data)
+            assert report.holds is holds, data
+            assert clauses == (report.full_degree,
+                               report.discriminant_squarefree,
+                               report.double_roots_simple), data
+            assert _ptrim(list(report.discriminant)) == disc, data
         for _ in range(10):
             lead = rng.choice((1, 4, 9, 25))
             roots = []

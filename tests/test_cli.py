@@ -79,6 +79,20 @@ def test_missing_file_exit_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["brauer", "selftest"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    if command == "brauer":
+        args = ["brauer", write_problem(tmp_path, FLAG_PENCIL)]
+    else:
+        args = ["selftest", "--quick"]
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "input error: cannot write" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_command_exit_2(tmp_path, capsys):
     assert main(["frobnicate", "x"]) == 2
     capsys.readouterr()
