@@ -94,7 +94,7 @@ from .brauermanin import obstruction_scan, quotient_generators
 from .delpezzo import (DP1Data, DP2Data, Quartic, SplitPolynomial,
                        bundle_from_fgh, dp1_condition, dp1_minimality,
                        dp2_minimality, dp2_ramification_quartic,
-                       quartic_discriminant, _pderiv, _resultant)
+                       quartic_discriminant)
 
 SCHEMA = 1
 
@@ -741,20 +741,22 @@ def _suite_discriminant(rng: random.Random, quick: bool):
             failures += 1
             detail.append("disc(t^4 + %d) = %s, pinned %d"
                           % (a, got, expect))
+    # split quartics against the closed form -c^6 prod_{i<j} (r_i - r_j)^2,
+    # the sign fixed by t^4 + a -> -256 a^3; roots may repeat
     trials = 40 if quick else 200
     for _ in range(trials):
         cases += 1
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
-        lead = Fraction(0)
-        while lead == 0:
-            lead = Fraction(rng.randint(-9, 9))
-        coeffs.append(lead)
-        got = quartic_discriminant(Quartic(tuple(coeffs)))
-        via_resultant = -_resultant(coeffs, _pderiv(coeffs)) / lead
-        if got != via_resultant:
+        lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(4)]
+        expect = -lead ** 6 * math.prod((roots[i] - roots[j]) ** 2
+                                        for i in range(4) for j in range(i))
+        got = quartic_discriminant(
+            Quartic(SplitPolynomial(lead, roots).coefficients()))
+        if got != expect:
             failures += 1
-            detail.append("disc%r = %s disagrees with the resultant "
-                          "route %s" % (tuple(coeffs), got, via_resultant))
+            detail.append("disc(%s prod (t - r), r in %s) = %s, closed form %s"
+                          % (lead, ", ".join(map(str, roots)), got, expect))
     return cases, failures, detail
 
 

@@ -376,6 +376,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     segment.  With threads > 1 the entry points are partitioned among
     worker threads; partial sums are exact integers, so the result does
     not depend on the partition."""
+    B = as_integer(B, CountingError)
     axes = [_axis_values(job, B, j) for j in range(job.system.s)]
     if any(ax is None for ax in axes):
         return 0
@@ -463,6 +464,7 @@ def G(job: CountJob, p: int, k: int,
     x mod g exactly g times and contributes g * C_g[x mod g], C_g holding
     the residue-class sums of rho_j.  When no form admits such a w
     (r > s), every cell is its own line."""
+    p, k = as_integer(p, CountingError), as_integer(k, CountingError)
     if not is_prime(p):
         raise CountingError("%r is not prime" % (p,))
     if k < 1:
@@ -508,6 +510,9 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
     solvable mod p^m the value is checked against the lower bound p^(-rm).
     Otherwise: detect G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k
     and return p^(-(s+r)k) G(p^k)."""
+    p = as_integer(p, CountingError)
+    if k_max is not None:
+        k_max = as_integer(k_max, CountingError)
     if not is_prime(p):
         raise CountingError("%r is not prime" % (p,))
     s, r = job.system.s, job.system.r

@@ -22,15 +22,20 @@ scalars and forms the pencil r p(t) + s q(t) of quartics with
 p = c1^2 prod_{i<=4} (t - e_i)/(e_8 - e_i) and
 q = c2^2 prod_{j>=5} (t - e_j).  The construction needs the pencil to
 contain exactly six members with a repeated root, each with a single
-double root.  Both parts are certified exactly: the discriminant of the
-pencil member is a degree-6 form whose squarefreeness is a gcd
-computation, and "no member has a repeated factor of degree >= 2" is
-the nonvanishing of the resultant of that form with the first principal
-subresultant coefficient S1 of (P, dP/dt).  The coefficients of P are
-linear in r, so D(r, 1) has degree <= 6 and S1 degree <= 5 in r; both
-are interpolated exactly from their scalar values on the members
-r = 0..6, so one discriminant formula and one determinant serve the
-scalar and the pencil cases.
+double root.  Both parts are certified exactly by gcds: the discriminant
+of the pencil member is a degree-6 form D, squarefree when gcd(D, D') is
+constant, and "no member has a repeated factor of degree >= 2" holds
+when D is coprime to the first principal subresultant coefficient S1 of
+(P, dP/dt).  The coefficients of P are linear in r, so D(r, 1) has
+degree <= 6 and S1 degree <= 5 in r; both are interpolated exactly from
+their scalar values on the members r = 0..6, so one discriminant
+formula and one determinant serve the scalar and the pencil cases.
+
+S1 is the formal determinant for a quartic, so it vanishes on the member
+whose t^4 coefficient does: if D vanishes there too, the clause fails
+although that member may have a single double root.  This happens when
+sum_{i<=4} e_i = sum_{j>=5} e_j: the member is then U^2 times a
+quadratic, a double root at t = infinity.
 
 The quartic discriminant uses the degree-6 invariant of the binary form
 p_4 T^4 + ... + p_0 U^4, normalized so t^4 + a maps to -256 a^3; it
@@ -133,32 +138,6 @@ def _det_fractions(m):
             for c in range(col, n):
                 m[r][c] -= s * m[col][c]
     return det
-
-
-def _resultant(a, b):
-    # Sylvester determinant at the actual degrees; Res(a, b) = 0 exactly
-    # when the polynomials share a root (both assumed nonzero)
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        raise DelPezzoError("resultant needs nonzero polynomials")
-    m, n = len(a) - 1, len(b) - 1
-    if m == 0:
-        return a[0] ** n
-    if n == 0:
-        return b[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    return _det_fractions(rows)
 
 
 def _interpolate(values):
@@ -455,9 +434,12 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
     each a single double root.
 
     Three exact clauses: the member discriminant D(r, s) has full degree
-    six (nonzero on both charts), D is squarefree, and Res(D, S1) is
-    nonzero for the first subresultant coefficient S1 of (P, dP/dt), so
-    no member carries a repeated factor of degree two or more.
+    six (nonzero on both charts), D is squarefree, and gcd(D, S1) is
+    constant for the first subresultant coefficient S1 of (P, dP/dt), so
+    no member carries a repeated factor of degree two or more.  The
+    formal S1 vanishes on the member with no t^4 term, so that member
+    fails the last clause whenever D vanishes there, even with a single
+    double root at t = infinity (see the module docstring).
 
     The t-coefficients of P = r p + q are linear in r, so D(r, 1), a
     sextic in them, has degree <= 6 in r and S1, a 5x5 determinant of
@@ -472,10 +454,7 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
     s1 = _interpolate([_first_subresultant(m) for m in members[:6]])
     full_degree = len(disc) == 7 and disc[0] != 0
     squarefree = bool(disc) and len(_pgcd(disc, _pderiv(disc))) == 1
-    if disc and s1:
-        simple = _resultant(disc, s1) != 0
-    else:
-        simple = False
+    simple = bool(disc) and bool(s1) and len(_pgcd(disc, s1)) == 1
     failed = tuple(name for name, ok in (
         ("full degree", full_degree),
         ("discriminant squarefree", squarefree),

@@ -208,8 +208,11 @@ class Place:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ExactNumError("finite place needs a prime, got %r" % (self.p,))
+        if self.p is not None:
+            object.__setattr__(self, "p", as_integer(self.p))
+            if not is_prime(self.p):
+                raise ExactNumError(
+                    "finite place needs a prime, got %r" % (self.p,))
 
     @property
     def is_real(self) -> bool:

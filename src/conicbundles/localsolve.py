@@ -37,6 +37,7 @@ from .exactnum import (
     REAL_PLACE,
     _residue_symbol,
     _valuation_unit,
+    as_integer,
     as_rational,
     factorize,
     hilbert,
@@ -185,6 +186,9 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     on x_i + p^L Z_p, equal to the one read on the smaller value ball; so
     one kernel call per form serves both the cut and the acceptance.
     """
+    p = as_integer(p, LocalSolveError)
+    if depth is not None:
+        depth = as_integer(depth, LocalSolveError)
     if not is_prime(p):
         raise LocalSolveError("%d is not prime" % p)
     bound = technical_bound(system, p)
@@ -292,6 +296,7 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     4 by a heuristic, so a place insoluble at the default depth may be
     soluble deeper (see `padic_soluble`); soluble places carry witnesses.
     """
+    L = as_integer(L, LocalSolveError)
     primes = {2}
     for x in system.a:
         primes.update(q for q, _ in _factor_abs(x))

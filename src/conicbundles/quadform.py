@@ -78,7 +78,8 @@ from typing import Optional
 
 import numpy
 
-from .exactnum import ExactNumError, factorize, is_square, legendre, valuation
+from .exactnum import (ExactNumError, as_integer, factorize, is_square,
+                       legendre, valuation)
 
 
 class QuadFormError(ExactNumError):
@@ -92,6 +93,7 @@ class BinaryForm:
     a: int
 
     def __post_init__(self):
+        object.__setattr__(self, "a", as_integer(self.a, QuadFormError))
         if is_square(self.a):
             raise QuadFormError("form coefficient must be nonzero and nonsquare")
 
@@ -450,6 +452,7 @@ def rho_table(form: BinaryForm, p: int, k: int):
 def rho(form: BinaryForm, q: int, A: int) -> int:
     """Number of (x, y) mod q with x^2 - a y^2 = A, for q >= 1: the product
     of the prime-power counts over the factorization of q."""
+    q, A = as_integer(q, QuadFormError), as_integer(A, QuadFormError)
     if q < 1:
         raise QuadFormError("modulus must be positive")
     total = 1

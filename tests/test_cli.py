@@ -421,3 +421,22 @@ def test_selftest_pins_match_fresh_build():
     assert report["passed"] is True
     full = cli.run_selftest(quick=False, seed=3)
     assert full["passed"] is True
+
+
+def test_selftest_corrupted_discriminant_fails(tmp_path, monkeypatch):
+    # the fault leaves the pins t^4 + a (p1 = 0) right, so only the
+    # random split quartics can catch it
+    honest = cli.quartic_discriminant
+
+    def lying(q):
+        value = honest(q)
+        return value + 1 if q.coefficients[1] != 0 else value
+
+    monkeypatch.setattr(cli, "quartic_discriminant", lying)
+    code, report = run_cli(["selftest", "--quick"], tmp_path)
+    assert code == 1
+    suite = next(s for s in report["results"]["suites"]
+                 if s["name"] == "discriminant")
+    assert suite["cases"] == 43
+    assert 0 < suite["failures"] < suite["cases"]
+    assert "closed form" in suite["detail"][0]

@@ -8,15 +8,19 @@ import pytest
 
 from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
                                       global_point, local_invariant)
-from conicbundles.counting import CountJob, CountingError, box_measure
+from conicbundles.counting import (CountJob, CountingError, G, beta_p,
+                                   box_measure, enumerate_N)
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
                                    SplitPolynomial)
 from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE, hilbert,
                                    squarefree_class, valuation)
-from conicbundles.localsolve import LocalSolveError, diagonal_quadric_soluble
+from conicbundles.localsolve import (LocalSolveError, diagonal_quadric_soluble,
+                                     everywhere_locally_soluble,
+                                     padic_soluble)
 from conicbundles.pencil import (BrauerElement, ConicBundleData,
                                  NormFormSystem, PencilError,
                                  quadric_intersection_system)
+from conicbundles.quadform import BinaryForm, QuadFormError, rho
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 SYSTEM = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
@@ -52,6 +56,11 @@ FLOAT_ENTRY_PATHS = {
     "job uInf": (CountingError, lambda: job(uInf=(1.0, 0))),
     "job epsilon": (CountingError, lambda: job(epsilon=0.5)),
     "job B": (CountingError, lambda: job(B_schedule=(100.7,))),
+    "enumerate B": (CountingError, lambda: enumerate_N(job(), 100.0)),
+    "G p": (CountingError, lambda: G(job(), 5.0, 1)),
+    "G k": (CountingError, lambda: G(job(), 5, 1.5)),
+    "beta p": (CountingError, lambda: beta_p(job(), 5.0)),
+    "beta k_max": (CountingError, lambda: beta_p(job(), 3, 4.5)),
     "box epsilon": (CountingError, lambda: box_measure(2, 0.5, 1, 4)),
     "box B": (CountingError, lambda: box_measure(2, 1, 1, 4.0)),
     "local invariant": (BrauerManinError, lambda: local_invariant(
@@ -70,10 +79,21 @@ FLOAT_ENTRY_PATHS = {
     "square class": (ExactNumError, lambda: squarefree_class(0.1)),
     "square class float64": (ExactNumError,
                              lambda: squarefree_class(np.float64(2.0))),
+    "place": (ExactNumError, lambda: Place(5.0)),
+    "binary form": (QuadFormError, lambda: BinaryForm(-1.0)),
+    "rho q": (QuadFormError, lambda: rho(BinaryForm(-1), 25.0, 1)),
+    "rho A": (QuadFormError, lambda: rho(BinaryForm(-1), 25, 1.5)),
     "valuation": (ExactNumError, lambda: valuation(0.5, 2)),
     "hilbert": (ExactNumError, lambda: hilbert(-1.0, -1, REAL_PLACE)),
     "diagonal quadric": (LocalSolveError, lambda: diagonal_quadric_soluble(
         (1.0, 1, 1, -1), Place(2))),
+    "padic p": (LocalSolveError, lambda: padic_soluble(SYSTEM, 5.0)),
+    "padic depth": (LocalSolveError,
+                    lambda: padic_soluble(SYSTEM, 3, 5.5)),
+    "everywhere L": (LocalSolveError,
+                     lambda: everywhere_locally_soluble(SYSTEM, L=10.5)),
+    "everywhere depth": (LocalSolveError, lambda: everywhere_locally_soluble(
+        SYSTEM, depth=5.5)),
     "brauer element": (PencilError, lambda: BrauerElement((1.0, 0.0, 1, 0))),
 }
 
