@@ -25,15 +25,30 @@ that can carry the invariant.
 
 Constancy on cells is decided analytically, not by sampling.  With
 e = n/d and v = v_p(d), (a, t - e)_p = (a, (d t - n) d)_p as d^2 is a
-square, and the cell t = c mod p^K maps onto the integer ball
-(d c - n) d mod p^(K + 2v).  The residue kernel
+square, and the ball t = c mod p^k maps onto the integer ball
+(d c - n) d mod p^(k + 2v).  The residue kernel
 `exactnum._residue_symbol` reads each symbol on that ball once and
-returns it only when every point of the ball shares it, so cells too
-close to a pole are rejected rather than mis-evaluated; an undetermined
-cell splits into its p children, so scans may list cells finer than the
-stated resolution.  That soundness is tested, not re-checked at run
-time: against brute-force symbols on balls in `tests/test_exactnum.py`
-and on every scan cell in `tests/test_brauermanin.py`.
+returns it only when every point of the ball shares it, so balls too
+close to a pole are rejected rather than mis-evaluated.  The kernel's
+answer is monotone: a sub-ball has the same v_p and more known unit
+digits, so it returns the same symbol there.  Scans therefore descend by
+balls, t = c mod p^k from k = 1 (`_balls`): a ball on which every
+selected symbol is constant gives its values to all its residues mod
+p^resolution at once, and only the balls that are not constant split
+into their p children.  The invariant depends only on which ball around
+the e_i t lies in (Serre, *A Course in Arithmetic*, ch. III), so the
+kernel runs about r p times per level rather than once per residue.  A
+residue still undetermined at the stated resolution splits further, so
+scans may list cells finer than that resolution.  That soundness is
+tested, not re-checked at run time: against brute-force symbols on
+balls in `tests/test_exactnum.py` and on every scan cell in
+`tests/test_brauermanin.py`.
+
+A scan keeps the cells of each finite place as integer columns (level,
+residue, generator values) and builds `ScanCell` objects and labels only
+when asked; it counts the allowed combinations by convolving one
+histogram of invariant masks per place over F_2^g, in
+O(places * masks^2) steps rather than one step per cell.
 
 Evaluation at t = e_i and t = infinity is excluded throughout: the
 chosen representatives have their polar locus there and no alternative
@@ -44,9 +59,11 @@ in the enlarge-the-support error.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .exactnum import (
     ExactNumError,
@@ -241,6 +258,31 @@ def _support_places(data: ConicBundleData, bits: Tuple[int, ...],
     return (REAL_PLACE, Place(2)) + tuple(Place(q) for q in sorted(odd))
 
 
+def _balls(model, p: int, K: int, poles=frozenset(), last=None):
+    """Descend through the balls t = c mod p^k, 0 <= c < p^k, from k = 1,
+    reading each with `_cell_signs` once, and skipping the residues mod
+    p^K in `poles`.  A ball on which the model's symbols are constant is
+    yielded as (k, c, signs); every point of it shares the signs, as the
+    kernel is monotone.  Any other ball splits into its p children, down
+    to level `last` (default K), where it is yielded with signs None.
+    With the skipped poles the yielded balls partition the integral
+    parameters; a constant ball holds no pole of a fibre in the model,
+    but may hold one of any other fibre."""
+    last = K if last is None else last
+    level = range(p)
+    for k in range(1, last + 1):
+        split = []
+        for c in level:
+            if k == K and c in poles:
+                continue
+            signs = _cell_signs(model, p, c, k)
+            if signs is None and k < last:
+                split.extend(range(c, p ** (k + 1), p ** k))
+            else:
+                yield k, c, signs
+        level = split
+
+
 def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
                                v: Place,
                                resolution: Optional[int]) -> Optional[Fraction]:
@@ -249,9 +291,7 @@ def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
         return max(data.e) + 1  # every t - e_i > 0, all symbols +1
     p = v.p
     K = resolution if resolution is not None else _default_resolution(p)
-    model = _cell_model(data, p, bits)
-    for c in range(p ** K):
-        signs = _cell_signs(model, p, c, K)
+    for _, c, signs in _balls(_cell_model(data, p, bits), p, K):
         if signs is not None and signs.bit_count() % 2 == 0:
             return Fraction(c)
     return None
@@ -356,42 +396,83 @@ class ScanCell:
     values: Tuple[int, ...]
 
 
+class _Columns(NamedTuple):
+    """The cells at a finite place as parallel columns: cell i is
+    t = residues[i] mod p^levels[i], with generator values values[i]."""
+
+    place: Place
+    levels: Tuple[int, ...]
+    residues: Tuple[int, ...]
+    values: Tuple[Tuple[int, ...], ...]
+
+    def cells(self) -> Tuple[ScanCell, ...]:
+        place, p = self.place, self.place.p
+        return tuple(ScanCell(place, "%d mod %d^%d" % (c, p, k), Fraction(c),
+                              vals)
+                     for k, c, vals in zip(self.levels, self.residues,
+                                           self.values))
+
+    def json_rows(self) -> list:
+        place, p = str(self.place), self.place.p
+        return [{"place": place, "cell": "%d mod %d^%d" % (c, p, k),
+                 "representative": "%d/1" % c, "values": list(vals)}
+                for k, c, vals in zip(self.levels, self.residues,
+                                      self.values)]
+
+
+def _mask(values: Tuple[int, ...]) -> int:
+    m = 0
+    for g, val in enumerate(values):
+        m |= val << g
+    return m
+
+
 @dataclass(frozen=True)
 class ScanTable:
     """Cell partition per supported place and the generator invariants.
 
     A combination picks one cell per place; it is allowed when the
     F_2 sums over the picked cells vanish for every generator, i.e. when
-    a point with those local residues clears the obstruction."""
+    a point with those local residues clears the obstruction.  The real
+    place keeps its few interval cells; each finite place keeps its cells
+    as `_Columns`, in `places` order."""
 
     generators: Tuple[Tuple[int, ...], ...]
     places: Tuple[Place, ...]
     resolution: Tuple[Tuple[Place, Optional[int]], ...]
-    cells: Tuple[ScanCell, ...]
+    real_cells: Tuple[ScanCell, ...]
+    finite: Tuple[_Columns, ...]
+
+    @cached_property
+    def cells(self) -> Tuple[ScanCell, ...]:
+        out = self.real_cells
+        for col in self.finite:
+            out += col.cells()
+        return out
 
     def cells_at(self, v: Place) -> Tuple[ScanCell, ...]:
-        return tuple(c for c in self.cells if c.place == v)
+        if v.is_real:
+            return self.real_cells
+        for col in self.finite:
+            if col.place == v:
+                return col.cells()
+        return ()
 
-    def _masks(self):
-        per_place = []
-        for v in self.places:
-            masks = []
-            for cell in self.cells_at(v):
-                m = 0
-                for g, val in enumerate(cell.values):
-                    m |= val << g
-                masks.append(m)
-            per_place.append(masks)
-        return per_place
+    def _value_columns(self):
+        # the generator values of every cell, one sequence per place
+        head = [[c.values for c in self.real_cells]] \
+            if REAL_PLACE in self.places else []
+        return head + [col.values for col in self.finite]
 
     def allowed_count(self) -> int:
+        # convolve the per-place histograms of invariant masks over F_2^g
         counts = {0: 1}
-        for masks in self._masks():
+        for values in self._value_columns():
             nxt: Dict[int, int] = {}
-            for m in masks:
+            for vals, mult in Counter(values).items():
+                m = _mask(vals)
                 for vec, cnt in counts.items():
-                    key = vec ^ m
-                    nxt[key] = nxt.get(key, 0) + cnt
+                    nxt[vec ^ m] = nxt.get(vec ^ m, 0) + cnt * mult
             counts = nxt
         return counts.get(0, 0)
 
@@ -399,8 +480,8 @@ class ScanTable:
         """Tuples of cell labels, one per place, pairing to 0 with every
         generator; at most `limit` of them in tabulation order."""
         out = []
-        groups = [self.cells_at(v) for v in self.places]
-        masks = self._masks()
+        groups = [[(cell.label, _mask(cell.values)) for cell in
+                   self.cells_at(v)] for v in self.places]
 
         def walk(idx, acc, labels):
             if limit is not None and len(out) >= limit:
@@ -409,25 +490,26 @@ class ScanTable:
                 if acc == 0:
                     out.append(tuple(labels))
                 return
-            for cell, m in zip(groups[idx], masks[idx]):
-                walk(idx + 1, acc ^ m, labels + [cell.label])
+            for label, m in groups[idx]:
+                walk(idx + 1, acc ^ m, labels + [label])
 
         walk(0, 0, [])
         return tuple(out)
 
     def as_json_dict(self) -> dict:
+        cells = [{"place": str(c.place), "cell": c.label,
+                  "representative": "%d/%d" % (c.representative.numerator,
+                                               c.representative.denominator),
+                  "values": list(c.values)}
+                 for c in self.real_cells]
+        for col in self.finite:
+            cells += col.json_rows()
         return {
             "generators": [list(g) for g in self.generators],
             "places": [str(v) for v in self.places],
             "resolution": {str(v): k for v, k in self.resolution
                            if k is not None},
-            "cells": [
-                {"place": str(c.place), "cell": c.label,
-                 "representative": "%d/%d" % (c.representative.numerator,
-                                              c.representative.denominator),
-                 "values": list(c.values)}
-                for c in self.cells
-            ],
+            "cells": cells,
             "allowed_count": self.allowed_count(),
         }
 
@@ -435,14 +517,14 @@ class ScanTable:
 _MAX_EXTRA_LEVELS = 4  # a 2-adic symbol never needs more than 3 digits
 
 
-def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
-    # start from the residues mod p^K; a cell on which some symbol is not
-    # yet forced (at p = 2 the unit part of t - e_i may need pinning mod 4
-    # or 8) splits into its p children, at any starting resolution such
-    # cells exist whenever val_2(c - e_i) reaches K - 1, so refinement is
-    # part of the partition rather than an error
-    queue = [(c, K) for c in range(p ** K)]
-    # every fibre some generator selects, read once per cell
+def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
+    # a constant ball above level K gives its values to every residue mod
+    # p^K it holds; a residue mod p^K on which some symbol is not yet
+    # forced (at p = 2 the unit part of t - e_i may need pinning mod 4 or
+    # 8) splits into its p children, at any starting resolution such cells
+    # exist whenever val_2(c - e_i) reaches K - 1, so refinement is part
+    # of the partition rather than an error
+    # every fibre some generator selects, read once per ball
     model = _cell_model(data, p, map(any, zip(*(g.n for g in gens))))
     masks = [sum(b << i for i, b in enumerate(g.n)) for g in gens]
     values = {}  # the generator values per sign mask
@@ -450,29 +532,30 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int):
     # valuation(c - e_i) < 0 and never hug an integral cell
     poles = {e.numerator * pow(e.denominator, -1, p ** K) % p ** K
              for e in data.e if e.denominator % p}
-    found = []
-    idx = 0
-    while idx < len(queue):
-        c, k = queue[idx]
-        idx += 1
-        m = p ** k
-        if k == K and c in poles:
-            continue  # the cell hugs a pole; not part of the partition
-        signs = _cell_signs(model, p, c, k)
+    at_K = [None] * p ** K  # the values of each residue mod p^K
+    deeper = []
+    for k, c, signs in _balls(model, p, K, poles, K + _MAX_EXTRA_LEVELS):
         if signs is None:
-            if k - K >= _MAX_EXTRA_LEVELS:
-                raise BrauerManinError(
-                    "the cell %d mod %d^%d resisted %d refinements"
-                    % (c, p, k, _MAX_EXTRA_LEVELS))
-            queue.extend((c + j * m, k + 1) for j in range(p))
-            continue
+            raise BrauerManinError(
+                "the cell %d mod %d^%d resisted %d refinements"
+                % (c, p, k, _MAX_EXTRA_LEVELS))
         if signs not in values:
             values[signs] = tuple((g & signs).bit_count() % 2 for g in masks)
-        found.append((k, c, values[signs]))
-    found.sort(key=lambda item: (item[0], item[1]))
-    place = Place(p)
-    return [ScanCell(place, "%d mod %d^%d" % (c, p, k), Fraction(c), vals)
-            for k, c, vals in found]
+        if k > K:
+            deeper.append((k, c, values[signs]))
+        else:
+            at_K[c::p ** k] = (values[signs],) * p ** (K - k)
+    # a ball constant for the selected fibres can hold the pole of a fibre
+    # no generator selects; that residue hugs the pole and is dropped
+    for c in poles:
+        at_K[c] = None
+    deeper.sort(key=lambda item: (item[0], item[1]))
+    kept = [c for c, vals in enumerate(at_K) if vals is not None]
+    return _Columns(Place(p),
+                    (K,) * len(kept) + tuple(k for k, _, _ in deeper),
+                    tuple(kept) + tuple(c for _, c, _ in deeper),
+                    tuple(at_K[c] for c in kept)
+                    + tuple(vals for _, _, vals in deeper))
 
 
 def _real_cells(data: ConicBundleData, gens):
@@ -508,16 +591,18 @@ def obstruction_scan(data: ConicBundleData, support: Iterable[Place],
         if resolution < 1:
             raise BrauerManinError("resolution must be >= 1")
     gens = quotient_generators(data)
-    cells = []
+    real_cells = ()
+    finite = []
     res = []
     for v in places:
         if v.is_real:
-            cells.extend(_real_cells(data, gens))
+            real_cells = tuple(_real_cells(data, gens))
             res.append((v, None))
         else:
             K = resolution if resolution is not None \
                 else _default_resolution(v.p)
-            cells.extend(_finite_cells(data, gens, v.p, K))
+            finite.append(_finite_cells(data, gens, v.p, K))
             res.append((v, K))
     return ScanTable(generators=tuple(g.n for g in gens), places=places,
-                     resolution=tuple(res), cells=tuple(cells))
+                     resolution=tuple(res), real_cells=real_cells,
+                     finite=tuple(finite))

@@ -87,6 +87,12 @@ DEFAULT_ENUMERATION_CAP = 10**7
 _WORKING_BITS = 80
 _CHUNK_CELLS = 1 << 22
 _SUM_GUARD = 1 << 62
+# entry cells below which enumerate_N sums on one thread: on a 2-core host
+# two threads lost at 2.8e5 cells (s = 3, 1.2x the one-thread time) and
+# won from 3.9e5 (0.8x; 0.5x from 5.3e5), while s = 2 jobs broke even
+# from 3e5 to 6e5; starting the pool and splitting the boxes cost more
+# than the share of the sum they save on smaller jobs
+_THREAD_MIN_CELLS = 350_000
 
 
 @dataclass(frozen=True)
@@ -375,7 +381,9 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     d = 0.  When no form admits such a w (r > s), every cell is its own
     segment.  With threads > 1 the entry points are partitioned among
     worker threads; partial sums are exact integers, so the result does
-    not depend on the partition."""
+    not depend on the partition; fewer than _THREAD_MIN_CELLS entry
+    points are summed on one thread, as the pool would cost more than it
+    saves."""
     B = as_integer(B, CountingError)
     axes = [_axis_values(job, B, j) for j in range(job.system.s)]
     if any(ax is None for ax in axes):
@@ -408,11 +416,11 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
             tables[j] = _stride_prefix(tables[j], d)
         line = (j, lengths, d)
     parts = max(1, int(threads))
-    if parts == 1:
+    sizes = [math.prod(b - a for a, b in box) for box in boxes]
+    if parts == 1 or sum(sizes) < _THREAD_MIN_CELLS:
         return _grid_sum(boxes, index_axes, consts, tables, line)
     shares = [[] for _ in range(parts)]
-    for box in boxes:
-        cells = math.prod(b - a for a, b in box)
+    for box, cells in zip(boxes, sizes):
         for q, piece in enumerate(_pieces(box, -(-cells // parts))):
             shares[q % parts].append(piece)
     shares = [share for share in shares if share]

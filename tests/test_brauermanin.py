@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -480,3 +481,109 @@ def test_scan_json_shape():
     row = d["cells"][0]
     assert set(row) == {"place", "cell", "representative", "values"}
     assert row["place"] == "5"
+
+
+def _two_generator_scans():
+    # seeded scans with at least two generators over at least two places
+    rng = random.Random(61)
+    scans = [obstruction_scan(FLAG, [Place(5), REAL_PLACE]),
+             obstruction_scan(FLAG, [REAL_PLACE, Place(2), Place(3)],
+                              resolution=2)]
+    while len(scans) < 8:
+        (data,) = _scan_bundles(rng, 2)[1:]
+        if len(quotient_generators(data)) < 2:
+            continue
+        support = [REAL_PLACE] + rng.sample([Place(2), Place(3), Place(5)], 2)
+        scans.append(obstruction_scan(data, support,
+                                      resolution=rng.choice((1, 2))))
+    return scans
+
+
+def test_scan_allowed_count_against_product():
+    # the mask-histogram count against a walk over every combination of
+    # one cell per place
+    counts = []
+    for tab in _two_generator_scans():
+        assert len(tab.generators) >= 2 and len(tab.places) >= 2
+        allowed = 0
+        for pick in itertools.product(*(tab.cells_at(v) for v in tab.places)):
+            allowed += not any(sum(cell.values[g] for cell in pick) % 2
+                               for g in range(len(tab.generators)))
+        assert tab.allowed_count() == allowed, tab.places
+        counts.append(allowed)
+    assert sum(n > 0 for n in counts) >= 4, counts
+
+
+def test_scan_cells_order_and_json_rows():
+    # finite cells come by (level, residue) within each place, `cells` is
+    # the concatenation of `cells_at` in place order, and the JSON rows
+    # match the rows built from `cells` in the published field layout
+    for tab in _two_generator_scans():
+        assert tab.cells == sum((tab.cells_at(v) for v in tab.places), ())
+        for v in tab.places:
+            if v.is_real:
+                continue
+            keys = []
+            for cell in tab.cells_at(v):
+                c, k = cell.label.split(" mod %d^" % v.p)
+                keys.append((int(k), int(c)))
+            assert keys == sorted(keys)
+        assert tab.as_json_dict()["cells"] == [
+            {"place": str(c.place), "cell": c.label,
+             "representative": "%d/%d" % (c.representative.numerator,
+                                          c.representative.denominator),
+             "values": list(c.values)}
+            for c in tab.cells]
+
+
+def test_scan_drops_unselected_pole_inside_constant_ball():
+    # the canonical generators never select fibre 0, whose pole e_1 = 10
+    # lies in the ball 0 mod 5; t - 1, t - 2 and t - 3 are 5-adic units
+    # there, so the ball is constant for the selected fibres and the scan
+    # fills its residues mod 5^K at once.  10 mod 5^K hugs a pole and must
+    # still be left out
+    data = ConicBundleData(e=(10, 1, 2, 3), a=(5, 5, 5, 5))
+    gens = [g.n for g in quotient_generators(data)]
+    assert gens and not any(g[0] for g in gens)
+    model = brauermanin._cell_model(data, 5, (0, 1, 1, 1))
+    assert brauermanin._cell_signs(model, 5, 0, 1) is not None
+    for K in (2, 3):
+        tab = obstruction_scan(data, [Place(5)], resolution=K)
+        labels = {cell.label for cell in tab.cells}
+        assert "10 mod 5^%d" % K not in labels
+        assert {"0 mod 5^%d" % K, "5 mod 5^%d" % K} <= labels
+        assert all(cell.label.endswith("^%d" % K) for cell in tab.cells)
+        assert sum(Fraction(1, 5 ** K) for _ in tab.cells) == \
+            1 - Fraction(4, 5 ** K)
+
+
+def test_default_trivial_parameter_by_balls():
+    # None exactly when no residue mod p^K has constant symbols of even
+    # parity, as a walk over every residue finds; otherwise the answer's
+    # ball holds points of invariant 0 by the brute-force symbols
+    rng = random.Random(71)
+    nones = found = 0
+    for data in _scan_bundles(rng, 6):
+        for bits in map(brauermanin._canonical,
+                        brauer_group(data).kernel_basis):
+            if not any(bits):
+                continue
+            fibres = [i for i, b in enumerate(bits) if b]
+            for p in (2, 3, 5):
+                model = brauermanin._cell_model(data, p, bits)
+                for K in (1, 2, 3):
+                    t = brauermanin._default_trivial_parameter(
+                        data, bits, Place(p), K)
+                    flat = [brauermanin._cell_signs(model, p, c, K)
+                            for c in range(p ** K)]
+                    assert (t is None) == all(
+                        s is None or s.bit_count() % 2 for s in flat)
+                    if t is None:
+                        nones += 1
+                        continue
+                    found += 1
+                    lifts = [t + j * p ** K for j in range(1, 8)]
+                    for u in [u for u in lifts if u not in data.e][:3]:
+                        sym = _oracle_symbols(data, fibres, u, p)
+                        assert sum(sym[i] == -1 for i in fibres) % 2 == 0
+    assert nones and found > 20, (nones, found)

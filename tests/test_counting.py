@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conicbundles import counting
 from conicbundles.counting import (
     CountJob,
     CountingError,
@@ -206,6 +207,37 @@ def test_enumerate_threads_bit_identical():
         base = enumerate_N(job, B, threads=1)
         for threads in (2, 4, 7):
             assert enumerate_N(job, B, threads=threads) == base
+
+
+def test_enumerate_threads_cutoff(monkeypatch):
+    # below _THREAD_MIN_CELLS entry points the sum stays on one thread;
+    # above it a pool splits the boxes; the count agrees either way
+    pools = []
+    pool = counting.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", spy)
+    sysm = NormFormSystem(r=2, s=3, a=(-1, 2),
+                          forms=((1, 1, 0), (1, -1, 1)))
+    job = CountJob(system=sysm, uInf=(1, Fraction(1, 3), 1))
+    # 194,481 and 923,521 entry points, on either side of the cut-off
+    for B, threaded in ((21**2, False), (31**2, True)):
+        base = enumerate_N(job, B, threads=1)
+        assert base > 0 and not pools
+        for threads in (2, 3):
+            assert enumerate_N(job, B, threads=threads) == base, (B, threads)
+        assert pools == ([2, 3] if threaded else []), B
+        pools.clear()
+    # the small job where the pool used to cost more than it saved
+    small = CountJob(system=NormFormSystem(r=2, s=2, a=(-1, 2),
+                                           forms=((1, 1), (1, -1))),
+                     uInf=(1, Fraction(1, 3)))
+    assert enumerate_N(small, 14641, threads=2) == \
+        enumerate_N(small, 14641) > 0
+    assert not pools
 
 
 def test_enumerate_monotone_in_epsilon():
