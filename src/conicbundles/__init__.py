@@ -31,7 +31,15 @@ from .delpezzo import (BundleReport, DP1ConditionReport, DP1Data,
                        bundle_from_fgh, dp1_condition, dp1_minimality,
                        dp2_minimality, dp2_ramification_quartic,
                        quartic_discriminant)
-from .cli import main, run_selftest
+
+
+def __getattr__(name):
+    # the batch front end, and argparse with it, loads on first use
+    if name in ("main", "run_selftest"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "AdelicFiberPoint", "BinaryForm", "BrauerElement",

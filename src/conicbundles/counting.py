@@ -16,7 +16,21 @@ log(eta)/sqrt(a) for the fundamental unit eta; when all units have norm
 +1 (a = 3, 6, 7, ...) the orbit density is half the naive log(eta)/sqrt(a),
 and direct counts confirm the halved value, so that is what beta_infinity
 uses.  beta_inf = (2 eps B / M)^s times the product of these factors,
-evaluated with mpmath at 80 working bits.
+evaluated with the standard library's decimal module at 30 significant
+digits.  Each decimal operation (divide, multiply, add, sqrt, ln) is
+correctly rounded, so it contributes a relative error of at most
+h = 5e-30, half a unit in the 30th digit; the 49-digit literal for pi is
+off by less than 1e-48.  The box measure costs one rounding.  A factor
+with a < 0 costs four: sqrt(-a), its product with w, the product with pi
+and the quotient.  A factor with a > 0 costs at most 7.28h: sqrt(a), its
+product with the Pell u and the sum with t leave eps1 within 3h, which
+log turns into an absolute, so relative, error below
+3h / log(2 + sqrt 3) < 2.28h, the smallest eps1 being 2 + sqrt 3; then
+come the roundings of log, of the product, of 2 sqrt(a) (2h with the
+sqrt) and of the quotient.  For r <= 8 beta_inf is therefore within
+1h + 8 * 7.28h < 60h = 3e-28 < 2^-91 of its value, and each reported
+float (at most three more roundings) is the correctly rounded double
+unless the exact value lies within that distance of a tie.
 
 Finite densities.  G(p^k) counts (x, y, t) mod p^k solving the system at
 g_i(t) = f_i(u^(M) + M t); beta_p is the limit of p^(-(s+r)k) G(p^k).  For
@@ -51,13 +65,12 @@ constant is not estimated here.
 
 from __future__ import annotations
 
+import decimal
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import mpmath
 import numpy
 
 from .exactnum import (
@@ -84,7 +97,10 @@ class CountingError(ExactNumError):
 
 DEFAULT_PRIME_CUTOFF = 100
 DEFAULT_ENUMERATION_CAP = 10**7
-_WORKING_BITS = 80
+# beta_inf arithmetic, passed to every operation so that the thread's
+# global decimal context never applies
+_CTX = decimal.Context(prec=30)
+_PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375")
 _CHUNK_CELLS = 1 << 22
 _SUM_GUARD = 1 << 62
 # entry cells below which enumerate_N sums on one thread: on a 2-core host
@@ -385,6 +401,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     points are summed on one thread, as the pool would cost more than it
     saves."""
     B = as_integer(B, CountingError)
+    parts = _int_at_least(threads, 1, "threads")
     axes = [_axis_values(job, B, j) for j in range(job.system.s)]
     if any(ax is None for ax in axes):
         return 0
@@ -415,7 +432,6 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         if d:
             tables[j] = _stride_prefix(tables[j], d)
         line = (j, lengths, d)
-    parts = max(1, int(threads))
     sizes = [math.prod(b - a for a, b in box) for box in boxes]
     if parts == 1 or sum(sizes) < _THREAD_MIN_CELLS:
         return _grid_sum(boxes, index_axes, consts, tables, line)
@@ -424,6 +440,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         for q, piece in enumerate(_pieces(box, -(-cells // parts))):
             shares[q % parts].append(piece)
     shares = [share for share in shares if share]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         sums = pool.map(
             lambda bs: _grid_sum(bs, index_axes, consts, tables, line),
@@ -431,23 +448,27 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         return sum(sums)
 
 
-def beta_infinity(job: CountJob, B: int):
+def beta_infinity(job: CountJob, B: int) -> decimal.Decimal:
     """Archimedean density: measure of the box times the mean orbit count
-    of each form, as an mpmath float at 80 working bits.
+    of each form, as a Decimal of 30 significant digits.
 
-    Each factor is exact up to directed rounding, so the relative error is
-    below 2**-74 for r <= 8."""
+    Every operation is correctly rounded, so the relative error is below
+    3e-28 (< 2**-91) for r <= 8; the module docstring counts the
+    roundings."""
+    ctx = _CTX
     meas = region_measure(job, B)
-    with mpmath.workprec(_WORKING_BITS):
-        val = mpmath.mpf(meas.numerator) / meas.denominator
-        for a in job.system.a:
-            if a < 0:
-                val *= mpmath.pi / (w(4 * a) * mpmath.sqrt(-a))
-            else:
-                pell = pell_fundamental(a)
-                eps1 = pell.t + pell.u * mpmath.sqrt(a)
-                val *= mpmath.log(eps1) / (2 * mpmath.sqrt(a))
-        return +val
+    val = ctx.divide(meas.numerator, meas.denominator)
+    for a in job.system.a:
+        if a < 0:
+            val = ctx.divide(ctx.multiply(val, _PI),
+                             ctx.multiply(w(4 * a), ctx.sqrt(-a)))
+        else:
+            pell = pell_fundamental(a)
+            root = ctx.sqrt(a)
+            eps1 = ctx.add(pell.t, ctx.multiply(pell.u, root))
+            val = ctx.divide(ctx.multiply(val, ctx.ln(eps1)),
+                             ctx.multiply(2, root))
+    return val
 
 
 def _g_rows(job: CountJob):
@@ -565,7 +586,9 @@ class DensityReport:
     """Prediction vs. exact count at one B.
 
     beta_p values are exact; beta_inf_per_Bs, predicted, and ratio are
-    floats computed from 80-bit intermediates and rounded to 53 bits.
+    floats rounded to 53 bits from 30-digit decimal intermediates, whose
+    relative error is below 3.2e-28 for r <= 8 (beta_inf's bound plus at
+    most three more correctly rounded operations).
     The Euler product is truncated at prime_cutoff; the tail is 1 + O(p^-2)
     per factor and is not estimated."""
 
@@ -597,6 +620,13 @@ def _primes_upto(n: int):
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
+def _int_at_least(x, least: int, name: str) -> int:
+    x = as_integer(x, CountingError)
+    if x < least:
+        raise CountingError("%s must be >= %d, got %d" % (name, least, x))
+    return x
+
+
 def predict_and_compare(job: CountJob,
                         prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
                         threads: int = 1) -> Tuple[DensityReport, ...]:
@@ -605,6 +635,8 @@ def predict_and_compare(job: CountJob,
     If some beta_p vanishes the job is locally obstructed: the reports
     carry predicted = 0 and name the place, and the exact count is still
     taken (it must be 0)."""
+    prime_cutoff = _int_at_least(prime_cutoff, 2, "prime_cutoff")
+    threads = _int_at_least(threads, 1, "threads")
     if not job.B_schedule:
         raise CountingError("empty B schedule")
     betas = {}
@@ -619,10 +651,12 @@ def predict_and_compare(job: CountJob,
     reports = []
     for B in job.B_schedule:
         empirical = enumerate_N(job, B, threads=threads)
+        binf = beta_infinity(job, B)
+        per_Bs = float(_CTX.divide(binf, B**job.system.s))
         if zero_at:
             reports.append(DensityReport(
                 B=B,
-                beta_inf_per_Bs=float(beta_infinity(job, B) / B**job.system.s),
+                beta_inf_per_Bs=per_Bs,
                 beta_p=dict(betas),
                 prime_cutoff=prime_cutoff,
                 predicted=0.0,
@@ -631,18 +665,16 @@ def predict_and_compare(job: CountJob,
                 note="no prediction: beta_p = 0 at p = %s"
                      % ", ".join(str(p) for p in zero_at)))
             continue
-        with mpmath.workprec(_WORKING_BITS):
-            binf = beta_infinity(job, B)
-            pred = binf * mpmath.mpf(finite.numerator) / finite.denominator
-            ratio = mpmath.mpf(empirical) / pred
+        pred = _CTX.divide(_CTX.multiply(binf, finite.numerator),
+                           finite.denominator)
         reports.append(DensityReport(
             B=B,
-            beta_inf_per_Bs=float(binf / B**job.system.s),
+            beta_inf_per_Bs=per_Bs,
             beta_p=dict(betas),
             prime_cutoff=prime_cutoff,
             predicted=float(pred),
             empirical=empirical,
-            ratio=float(ratio),
+            ratio=float(_CTX.divide(empirical, pred)),
             note="Euler product truncated at %d; tail factors 1 + O(p^-2) "
                  "not estimated" % prime_cutoff))
     return tuple(reports)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import random
@@ -21,6 +22,7 @@ from conicbundles.counting import (
 from conicbundles.pencil import NormFormSystem
 from conicbundles.quadform import (
     BinaryForm,
+    pell_fundamental,
     primary_representatives,
     representation_count,
     rho,
@@ -213,13 +215,13 @@ def test_enumerate_threads_cutoff(monkeypatch):
     # below _THREAD_MIN_CELLS entry points the sum stays on one thread;
     # above it a pool splits the boxes; the count agrees either way
     pools = []
-    pool = counting.ThreadPoolExecutor
+    pool = concurrent.futures.ThreadPoolExecutor
 
     def spy(*args, **kwargs):
         pools.append(kwargs["max_workers"])
         return pool(*args, **kwargs)
 
-    monkeypatch.setattr(counting, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
     sysm = NormFormSystem(r=2, s=3, a=(-1, 2),
                           forms=((1, 1, 0), (1, -1, 1)))
     job = CountJob(system=sysm, uInf=(1, Fraction(1, 3), 1))
@@ -299,7 +301,7 @@ def test_scaling_map_sends_solutions_to_solutions():
 
 def test_beta_infinity_definite():
     with mpmath.workprec(90):
-        val = beta_infinity(job1(), 10)
+        val = mpmath.mpf(str(beta_infinity(job1(), 10)))
         assert abs(val / 100 - mpmath.pi / 4) < mpmath.mpf(2) ** -70
 
 
@@ -310,7 +312,7 @@ def test_beta_infinity_indefinite_norm_minus_one():
     sysm = NormFormSystem(r=1, s=2, a=(2,), forms=((1, 0),))
     j = CountJob(system=sysm, uInf=(Fraction(1), Fraction(0)))
     with mpmath.workprec(90):
-        val = beta_infinity(j, 10)
+        val = mpmath.mpf(str(beta_infinity(j, 10)))
         expect = 100 * mpmath.log(1 + mpmath.sqrt(2)) / mpmath.sqrt(2)
         assert abs(val - expect) < mpmath.mpf(2) ** -60
 
@@ -321,9 +323,64 @@ def test_beta_infinity_indefinite_norm_plus_one():
     sysm = NormFormSystem(r=1, s=2, a=(3,), forms=((1, 0),))
     j = CountJob(system=sysm, uInf=(Fraction(1), Fraction(0)))
     with mpmath.workprec(90):
-        val = beta_infinity(j, 10)
+        val = mpmath.mpf(str(beta_infinity(j, 10)))
         expect = 100 * mpmath.log(2 + mpmath.sqrt(3)) / (2 * mpmath.sqrt(3))
         assert abs(val - expect) < mpmath.mpf(2) ** -60
+
+
+def _mpmath_beta_infinity(job, B):
+    # the same density from mpmath at the working precision in force
+    val = (2 * job.epsilon * B / job.M) ** job.system.s
+    val = mpmath.mpf(val.numerator) / val.denominator
+    for a in job.system.a:
+        if a < 0:
+            val *= mpmath.pi / ((4 if a == -1 else 2) * mpmath.sqrt(-a))
+        else:
+            pell = pell_fundamental(a)
+            assert pell.t**2 - a * pell.u**2 == 1
+            val *= mpmath.log(pell.t + pell.u * mpmath.sqrt(a)) \
+                / (2 * mpmath.sqrt(a))
+    return val
+
+
+def test_beta_infinity_against_mpmath():
+    # 30-digit decimal arithmetic keeps beta_inf within 3e-28 < 2^-91 for
+    # r <= 8 (counting's docstring); checked against mpmath at 120 bits
+    # with a margin, on mixed signs of a, |a| up to 10^6 and r up to 8
+    with mpmath.workprec(200):
+        assert abs(mpmath.mpf(str(counting._PI)) - mpmath.pi) < \
+            mpmath.mpf(10) ** -48
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 500:
+        r, s = rng.randint(1, 8), rng.randint(1, 4)
+        a = []
+        while len(a) < r:
+            x = rng.choice((rng.randint(-400, 400), rng.randint(-9, 9),
+                            rng.randint(-10**6, 10**6)))
+            if x < 0 or (x > 1 and math.isqrt(x) ** 2 != x):
+                a.append(x)
+        uInf = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                     for _ in range(s))
+        # nonnegative rows keep the definite forms positive at uInf; a
+        # zero row or two proportional rows fail validation: skip the draw
+        forms = tuple(tuple(rng.randint(0, 5) for _ in range(s))
+                      for _ in range(r))
+        try:
+            job = CountJob(system=NormFormSystem(r=r, s=s, a=tuple(a),
+                                                 forms=forms),
+                           uInf=uInf,
+                           epsilon=Fraction(rng.randint(1, 50),
+                                            rng.randint(1, 50)))
+        except ValueError:
+            continue
+        B = rng.choice((1, rng.randint(2, 10**4), rng.randint(1, 10**30)))
+        val = beta_infinity(job, B)
+        with mpmath.workprec(120):
+            expect = _mpmath_beta_infinity(job, B)
+            assert abs(mpmath.mpf(str(val)) / expect - 1) < \
+                mpmath.mpf(2) ** -85, (job, B, val)
+        checked += 1
 
 
 def test_beta_infinity_matches_direct_count():

@@ -9,7 +9,8 @@ import pytest
 from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
                                       global_point, local_invariant)
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
-                                   box_measure, enumerate_N)
+                                   box_measure, enumerate_N,
+                                   predict_and_compare)
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
                                    SplitPolynomial)
 from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE, hilbert,
@@ -57,6 +58,12 @@ FLOAT_ENTRY_PATHS = {
     "job epsilon": (CountingError, lambda: job(epsilon=0.5)),
     "job B": (CountingError, lambda: job(B_schedule=(100.7,))),
     "enumerate B": (CountingError, lambda: enumerate_N(job(), 100.0)),
+    "enumerate threads": (CountingError,
+                          lambda: enumerate_N(job(), 100, threads=2.7)),
+    "predict prime_cutoff": (CountingError, lambda: predict_and_compare(
+        job(), prime_cutoff=10.0)),
+    "predict threads": (CountingError,
+                        lambda: predict_and_compare(job(), threads=2.7)),
     "G p": (CountingError, lambda: G(job(), 5.0, 1)),
     "G k": (CountingError, lambda: G(job(), 5, 1.5)),
     "beta p": (CountingError, lambda: beta_p(job(), 5.0)),
@@ -117,3 +124,27 @@ def test_integer_inputs_are_python_ints():
     assert data.e[0] * 4 == 2**64
     # 2^62 + 1 = 1 mod 8 is a 2-adic square, whatever the second argument
     assert hilbert(np.int64(2**62 + 1), np.int64(-1), Place(2)) == 1
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: predict_and_compare(job(), prime_cutoff=1), "prime_cutoff"),
+    (lambda: predict_and_compare(job(), prime_cutoff=-5), "prime_cutoff"),
+    (lambda: predict_and_compare(job(), threads=0), "threads"),
+    (lambda: predict_and_compare(job(), threads=-3), "threads"),
+    (lambda: enumerate_N(job(), 100, threads=0), "threads"),
+    (lambda: enumerate_N(job(), 100, threads=-3), "threads"),
+], ids=["cutoff 1", "cutoff -5", "predict threads 0", "predict threads -3",
+        "enumerate threads 0", "enumerate threads -3"])
+def test_counts_below_their_minimum_are_refused(call, match):
+    # an Euler product over no prime is no prediction, and no thread count
+    # below one is meaningful: the minimums the CLI enforces
+    with pytest.raises(CountingError, match=match):
+        call()
+
+
+def test_integral_cutoff_and_threads_are_accepted():
+    base = predict_and_compare(job())
+    assert predict_and_compare(job(), prime_cutoff=Fraction(100),
+                               threads=np.int64(2)) == base
+    assert predict_and_compare(job(), prime_cutoff=2)[0].beta_p.keys() == {2}
+    assert enumerate_N(job(), 100, threads=Fraction(2)) == base[0].empirical

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,3 +109,45 @@ def test_no_dead_names():
                            - refs)
             for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+_LOCAL_AND_BRAUER = """
+import sys
+import conicbundles as cb
+system = cb.NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
+assert cb.everywhere_locally_soluble(system).soluble
+data = cb.ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
+cb.brauer_group(data)
+cb.obstruction_scan(data, [cb.Place(5), cb.REAL_PLACE])
+print(sorted(set(sys.argv[1:]) & set(sys.modules)))
+"""
+
+_STAR = """
+from conicbundles import *
+import conicbundles
+assert main is conicbundles.cli.main
+assert run_selftest is conicbundles.cli.run_selftest
+from conicbundles import main as again
+assert again is main
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_local_and_brauer_load_only_what_they_run():
+    # beta_inf runs on the decimal module, the thread pool starts only in
+    # a threaded enumerate_N and the CLI loads on first use, so the local
+    # and Brauer-Manin side never imports them
+    lazy = ["mpmath", "argparse", "concurrent.futures", "conicbundles.cli"]
+    proc = _python("-c", _LOCAL_AND_BRAUER, *lazy)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[]"
+    # the front end is still served from the package, and runs as a module
+    proc = _python("-c", _STAR)
+    assert proc.returncode == 0, proc.stderr
+    proc = _python("-m", "conicbundles", "--help")
+    assert proc.returncode == 0 and "selftest" in proc.stdout, proc.stderr
