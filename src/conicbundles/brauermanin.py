@@ -234,6 +234,14 @@ def _interval_invariant(data: ConicBundleData, bits: Tuple[int, ...],
     return total
 
 
+def _checked_resolution(resolution) -> Optional[int]:
+    if resolution is not None:
+        resolution = as_integer(resolution, BrauerManinError)
+        if resolution < 1:
+            raise BrauerManinError("resolution must be >= 1")
+    return resolution
+
+
 def _default_resolution(p: int) -> int:
     return DEFAULT_RESOLUTION_TWO if p == 2 else DEFAULT_RESOLUTION_ODD
 
@@ -338,6 +346,7 @@ def pairing(data: ConicBundleData, point: AdelicFiberPoint, n,
     the finitely many places where that is not automatic, a vanishing
     residue cell is searched for, and its absence is an error asking for
     an explicit component there."""
+    resolution = _checked_resolution(resolution)
     raw = _bits(data, n)
     if not delta(data, raw).is_trivial:
         raise BrauerManinError(
@@ -413,10 +422,13 @@ class _Columns(NamedTuple):
                                            self.values))
 
     def json_rows(self) -> list:
+        # one suffix per level, one fresh values list per distinct vector
         place, p = str(self.place), self.place.p
-        return [{"place": place, "cell": "%d mod %d^%d" % (c, p, k),
-                 "representative": "%d/1" % c, "values": list(vals)}
-                for k, c, vals in zip(self.levels, self.residues,
+        suffix = {k: " mod %d^%d" % (p, k) for k in set(self.levels)}
+        lists = {vals: list(vals) for vals in set(self.values)}
+        return [{"cell": c + suffix[k], "place": place,
+                 "representative": c + "/1", "values": lists[vals]}
+                for k, c, vals in zip(self.levels, map(str, self.residues),
                                       self.values)]
 
 
@@ -586,10 +598,7 @@ def obstruction_scan(data: ConicBundleData, support: Iterable[Place],
     Finite cells start as residues mod p^resolution away from the poles
     and refine as needed; real cells are the pole-cut open intervals."""
     places = tuple(sorted(set(support), key=_place_key))
-    if resolution is not None:
-        resolution = as_integer(resolution, BrauerManinError)
-        if resolution < 1:
-            raise BrauerManinError("resolution must be >= 1")
+    resolution = _checked_resolution(resolution)
     gens = quotient_generators(data)
     real_cells = ()
     finite = []

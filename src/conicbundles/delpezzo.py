@@ -28,8 +28,10 @@ constant, and "no member has a repeated factor of degree >= 2" holds
 when D is coprime to the first principal subresultant coefficient S1 of
 (P, dP/dt).  The coefficients of P are linear in r, so D(r, 1) has
 degree <= 6 and S1 degree <= 5 in r; both are interpolated exactly from
-their scalar values on the members r = 0..6, so one discriminant
-formula and one determinant serve the scalar and the pencil cases.
+their scalar values on the members r = 0..6, in Z: for the common
+denominator L of p and q the members L (r p + q) are integral, S1 is a
+fraction-free determinant (Bareiss, Math. Comp. 22, 1968), and both gcd
+clauses are primitive pseudo-remainder sequences.
 
 S1 is the formal determinant for a quartic, so it vanishes on the member
 whose t^4 coefficient does: if D vanishes there too, the clause fails
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .exactnum import (
@@ -63,7 +66,7 @@ class DelPezzoError(ExactNumError):
     pass
 
 
-# -- dense polynomials over Fraction, ascending coefficients -----------------
+# -- dense polynomials, ascending coefficients --------------------------------
 
 def _trim(c):
     c = list(c)
@@ -72,87 +75,70 @@ def _trim(c):
     return c
 
 
-def _pscale(a, s):
-    return _trim([x * s for x in a])
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
+def _times_linear(a, root):
+    # a * (t - root)
+    return [x - root * y for x, y in zip([0] + a, a + [0])]
 
 
 def _pderiv(a):
     return _trim([i * a[i] for i in range(1, len(a))])
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise DelPezzoError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while a and len(a) >= len(b):
-        s = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = s
-        for i, x in enumerate(b):
-            a[d + i] -= s * x
-        a.pop()  # the top coefficient cancels exactly
-        a = _trim(a)
-    return _trim(q), _trim(a)
-
-
-def _pgcd(a, b):
+def _coprime(a, b) -> bool:
+    """Whether gcd(a, b) is a nonzero constant, for integer polynomials:
+    the primitive pseudo-remainder sequence, which stays in Z."""
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = _pscale(a, 1 / a[-1])
-    return a
+        g = gcd(*b)
+        b = [x // g for x in b]
+        while len(a) >= len(b):
+            # b_top a - a_top t^d b cancels the top coefficient of a
+            top, d = a[-1], len(a) - len(b)
+            a = [b[-1] * x for x in a]
+            for i, x in enumerate(b):
+                a[d + i] -= top * x
+            a = _trim(a[:-1])
+        a, b = b, a
+    return len(a) == 1
 
 
-def _det_fractions(m):
-    # Gaussian elimination with exact pivots
+def _det(m):
+    """Determinant by Bareiss's fraction-free elimination: each entry left
+    after step k is a (k+1)-minor, so dividing by the previous pivot is
+    exact; integers stay in Z, other input runs on Fractions and `/`."""
     n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    if all(type(x) is int for row in m for x in row):
+        m, div = [list(row) for row in m], int.__floordiv__
+    else:
+        m, div = [list(map(Fraction, row)) for row in m], Fraction.__truediv__
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            s = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= s * m[col][c]
-    return det
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = div(pivot * row[j] - lead * top[j], prev)
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def _interpolate(values):
-    # the polynomial of degree < len(values) taking values[k] at r = k:
-    # Newton divided differences on the nodes 0, 1, ..., where x_i - x_{i-k}
-    # is k, expanded by Horner's rule
+    # the integer polynomial taking values[k] at r = k: Newton divided
+    # differences on the nodes 0, 1, ..., integral as the falling factorials
+    # r (r - 1) ... (r - k + 1) are a basis of Z[r], expanded by Horner
     c = list(values)
     for k in range(1, len(c)):
         for i in range(len(c) - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / k
+            c[i] = (c[i] - c[i - 1]) // k
     poly = []
     for k in reversed(range(len(c))):
-        # poly <- poly * (r - k) + c[k]
-        poly = [a - k * b for a, b in zip([Fraction(0)] + poly,
-                                          poly + [Fraction(0)])]
+        poly = _times_linear(poly, k)
         poly[0] += c[k]
     return _trim(poly)
 
@@ -181,7 +167,7 @@ class SplitPolynomial:
     def coefficients(self) -> Tuple[Fraction, ...]:
         poly = [self.leading]
         for e in self.roots:
-            poly = _pmul(poly, [-e, Fraction(1)])
+            poly = _times_linear(poly, e)
         return tuple(poly)
 
     def evaluate(self, t) -> Fraction:
@@ -263,8 +249,7 @@ class DP2Data:
         return self.f.roots + self.g.roots + self.h.roots
 
     def coefficient_determinant(self) -> Fraction:
-        rows = [list(p.coefficients()) for p in (self.f, self.g, self.h)]
-        return _det_fractions(rows)
+        return _det([p.coefficients() for p in (self.f, self.g, self.h)])
 
 
 @dataclass(frozen=True)
@@ -290,7 +275,7 @@ def _quartic_surface_smooth(A, B, C, D, E, F):
         if val == 0:
             reasons.append("the %s-vertex lies on the quartic" % name)
     gram = [[2 * A, D, E], [D, 2 * B, F], [E, F, 2 * C]]
-    if _det_fractions(gram) == 0:
+    if _det(gram) == 0:
         reasons.append("the conic in the squared coordinates is singular")
     for disc, name in ((D * D - 4 * A * B, "z"),
                        (E * E - 4 * A * C, "y"),
@@ -359,18 +344,26 @@ class Quartic:
         object.__setattr__(self, "coefficients", coeffs)
 
 
+def _integer_scale(coeffs):
+    # (L, L * coeffs) for the least L making every coefficient integral
+    scale = lcm(*(x.denominator for x in coeffs))
+    return scale, [x.numerator * (scale // x.denominator) for x in coeffs]
+
+
 def _disc_from_invariants(p0, p1, p2, p3, p4):
+    # integer coefficients: 27 divides J^2 - 4 I^3 as a polynomial
     i_inv = 12 * p4 * p0 - 3 * p3 * p1 + p2 * p2
     j_inv = (72 * p4 * p2 * p0 + 9 * p3 * p2 * p1 - 27 * p4 * p1 * p1
              - 27 * p0 * p3 * p3 - 2 * p2 ** 3)
-    return (j_inv * j_inv - 4 * i_inv ** 3) / 27
+    return (j_inv * j_inv - 4 * i_inv ** 3) // 27
 
 
 def quartic_discriminant(q: Quartic) -> Fraction:
     """Degree-6 discriminant form of the homogenized quartic, normalized
     by t^4 + a -> -256 a^3; zero exactly at repeated roots, a double
     root at infinity (degree drop by two) included."""
-    return _disc_from_invariants(*q.coefficients)
+    scale, coeffs = _integer_scale(q.coefficients)
+    return Fraction(_disc_from_invariants(*coeffs), scale ** 6)
 
 
 # -- degree 1 -----------------------------------------------------------------
@@ -419,14 +412,13 @@ def _first_subresultant(p):
     # first principal subresultant coefficient of (P, dP/dt) for the
     # formal quartic P = p0 + p1 t + ... + p4 t^4: the 5x5 determinant
     # whose rows are t*P, P, t^2*P', t*P', P' read off degrees 5 down to 1
-    b = [i * c for i, c in enumerate(p)][1:]  # dP/dt
+    b = _pderiv(p)
 
     def row(poly, shift):
-        return [poly[d - shift] if 0 <= d - shift < len(poly) else Fraction(0)
+        return [poly[d - shift] if 0 <= d - shift < len(poly) else 0
                 for d in range(5, 0, -1)]
 
-    return _det_fractions([row(p, 1), row(p, 0),
-                           row(b, 2), row(b, 1), row(b, 0)])
+    return _det([row(p, 1), row(p, 0), row(b, 2), row(b, 1), row(b, 0)])
 
 
 def dp1_condition(data: DP1Data) -> DP1ConditionReport:
@@ -443,18 +435,17 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
 
     The t-coefficients of P = r p + q are linear in r, so D(r, 1), a
     sextic in them, has degree <= 6 in r and S1, a 5x5 determinant of
-    them, degree <= 5.  Both are therefore interpolated exactly from
-    their values on the members r = 0..6 (r = 0..5 for S1).  D(q) and
-    D(p) are the constant and r^6 coefficients, the two charts.
+    them, degree <= 5.  Both are interpolated exactly from their values
+    on the integer members L P, r = 0..6 (r = 0..5 for S1); D(q) L^6 and
+    D(p) L^6 are the constant and r^6 coefficients, the two charts.
     """
-    p = data.p_coefficients()
-    q = data.q_coefficients()
-    members = [[r * x + y for x, y in zip(p, q)] for r in range(7)]
+    scale, pq = _integer_scale(data.p_coefficients() + data.q_coefficients())
+    members = [[r * x + y for x, y in zip(pq[:5], pq[5:])] for r in range(7)]
     disc = _interpolate([_disc_from_invariants(*m) for m in members])
     s1 = _interpolate([_first_subresultant(m) for m in members[:6]])
     full_degree = len(disc) == 7 and disc[0] != 0
-    squarefree = bool(disc) and len(_pgcd(disc, _pderiv(disc))) == 1
-    simple = bool(disc) and bool(s1) and len(_pgcd(disc, s1)) == 1
+    squarefree = _coprime(disc, _pderiv(disc))
+    simple = bool(disc) and bool(s1) and _coprime(disc, s1)
     failed = tuple(name for name, ok in (
         ("full degree", full_degree),
         ("discriminant squarefree", squarefree),
@@ -465,7 +456,7 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
         discriminant_squarefree=squarefree,
         double_roots_simple=simple,
         failed=failed,
-        discriminant=tuple(disc),
+        discriminant=tuple(Fraction(c, scale ** 6) for c in disc),
     )
 
 

@@ -239,6 +239,18 @@ def test_pairing_low_resolution_demands_support():
     assert pairing(FLAG, obs, (1, 1, 0, 0)) == 1
 
 
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_pairing_refuses_resolution_below_one(resolution):
+    # the support omits the places 3 and 5, so the pairing searches a
+    # default parameter there at the given resolution
+    point = AdelicFiberPoint.from_pairs({REAL_PLACE: Fraction(1, 2),
+                                         Place(2): Fraction(1, 2)})
+    gens = quotient_generators(FLAG)
+    assert [pairing(FLAG, point, g.n) for g in gens] == [0, 0]
+    with pytest.raises(BrauerManinError, match="resolution must be >= 1"):
+        pairing(FLAG, point, gens[0].n, resolution=resolution)
+
+
 def test_precision_tags():
     exact = AdelicFiberPoint((LocalParameter(Place(5), 12),
                               LocalParameter(REAL_PLACE, 100)))
@@ -534,6 +546,18 @@ def test_scan_cells_order_and_json_rows():
                                           c.representative.denominator),
              "values": list(c.values)}
             for c in tab.cells]
+
+
+def test_scan_json_calls_share_no_values_list():
+    # rows of one call may share a values list; rows of two calls never do
+    tab = obstruction_scan(FLAG, [REAL_PLACE, Place(2), Place(5)])
+    first, second = tab.as_json_dict()["cells"], tab.as_json_dict()["cells"]
+    assert first == second
+    assert not ({id(row["values"]) for row in first}
+                & {id(row["values"]) for row in second})
+    for row in first:
+        row["values"].append(7)
+    assert tab.as_json_dict()["cells"] == second
 
 
 def test_scan_drops_unselected_pole_inside_constant_ball():

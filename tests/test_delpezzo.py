@@ -17,7 +17,8 @@ from conicbundles.delpezzo import (
     dp2_ramification_quartic,
     quartic_discriminant,
 )
-from conicbundles.delpezzo import _first_subresultant, _quartic_surface_smooth
+from conicbundles.delpezzo import (_coprime, _det, _first_subresultant,
+                                   _quartic_surface_smooth)
 from conicbundles.pencil import validate
 
 F = Fraction
@@ -87,6 +88,15 @@ def det(m):
                 for k in range(c, n):
                     m[r][k] -= s * m[c][k]
     return sign * out
+
+
+def cofactor_det(m):
+    # Laplace expansion along the first row
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j]
+               * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
 
 
 def sylvester_resultant(a, b):
@@ -460,3 +470,84 @@ def test_first_subresultant_detects_gcd_degree():
     assert res == 0 and s1 != 0
     res, s1 = psc01((1, 2, 3, 4))
     assert res != 0
+
+
+# sum_{i<=4} e_i = sum_{j>=5} e_j = -23/2 (ROADMAP item 7)
+DP1_ROOT_AT_INFINITY = DP1Data((-1, F(-1, 2), -6, -4, -9, F(-5, 2), 3, -3),
+                               1, F(2, 3))
+
+
+def test_dp1_root_at_infinity_member():
+    # the member r = -q4/p4 loses its t^4 and t^3 terms and is U^2 times a
+    # quadratic with distinct roots, a single double root at t = infinity;
+    # D is squarefree
+    data = DP1_ROOT_AT_INFINITY
+    p, q = data.p_coefficients(), data.q_coefficients()
+    r = -q[4] / p[4]
+    member = [r * x + y for x, y in zip(p, q)]
+    assert r == F(-20, 3) and member[4] == member[3] == 0
+    assert member[2] != 0 and member[1] ** 2 != 4 * member[0] * member[2]
+    rep = dp1_condition(data)
+    assert rep.full_degree and rep.discriminant_squarefree
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the formal S1 has the factor r p4 + q4, so the member with a single "
+    "double root at t = infinity reads as not simple (ROADMAP item 7)"))
+def test_dp1_condition_double_root_at_infinity():
+    assert dp1_condition(DP1_ROOT_AT_INFINITY).holds
+
+
+# -- integer kernels -----------------------------------------------------------
+
+def test_bareiss_det_against_cofactor_expansion():
+    rng = random.Random(31)
+    singular = swapped = fractions = 0
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0 and n > 1:
+            # a row that is a combination of two others
+            i, j, k = (rng.sample(range(n), 3) if n > 2
+                       else (1, 0, 0))
+            m[i] = [2 * x - 3 * y for x, y in zip(m[j], m[k])]
+        if trial % 4 == 1:
+            m[0][0] = 0  # the first pivot needs a row swap
+        if trial % 2:
+            m = [[F(x, rng.choice((1, 2, 3, 7))) if rng.random() < 0.7
+                  else x for x in row] for row in m]
+            fractions += 1
+        copy = [row[:] for row in m]
+        want = cofactor_det(m)
+        got = _det(m)
+        assert got == want, m
+        assert m == copy  # the input is left alone
+        if all(type(x) is int for row in m for x in row):
+            assert type(got) is int  # integers stay in Z
+        singular += want == 0
+        swapped += want != 0 and m[0][0] == 0
+    assert singular >= 80 and swapped >= 40 and fractions == 200
+
+
+def _ints(poly):
+    return [int(x) for x in poly]
+
+
+def test_coprime_against_fraction_euclid():
+    # planted common factors: a rational root u/v as the factor v t - u,
+    # under contents that share a prime and do not change the gcd over Q
+    rng = random.Random(32)
+    verdicts = []
+    for trial in range(300):
+        a = [F(rng.randint(-6, 6)) for _ in range(rng.randint(1, 5))]
+        b = [F(rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))]
+        if trial % 2:
+            u, v = rng.randint(-5, 5), rng.randint(1, 4)
+            a, b = pmul(a, [F(-u), F(v)]), pmul(b, [F(-u), F(v)])
+        ca, cb = rng.choice((1, 2, 6, 12)), rng.choice((1, 3, 4))
+        a, b = [ca * x for x in a], [cb * x for x in b]
+        want = len(pgcd(ptrim(a), ptrim(b))) == 1
+        assert _coprime(_ints(a), _ints(b)) == want, (a, b)
+        assert _coprime(_ints(b), _ints(a)) == want, (a, b)
+        verdicts.append(want)
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 140

@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
-                                      global_point, local_invariant)
+from conicbundles.brauermanin import (AdelicFiberPoint, BrauerManinError,
+                                      LocalParameter, global_point,
+                                      local_invariant, obstruction_scan,
+                                      pairing)
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
                                    box_measure, enumerate_N,
                                    predict_and_compare)
@@ -77,6 +79,11 @@ FLOAT_ENTRY_PATHS = {
     "local parameter precision": (BrauerManinError,
                                   lambda: LocalParameter(Place(5), 1, 2.0)),
     "global point": (BrauerManinError, lambda: global_point(FLAG, F64)),
+    "pairing resolution": (BrauerManinError, lambda: pairing(
+        FLAG, AdelicFiberPoint.from_pairs({REAL_PLACE: 100, Place(5): 12}),
+        (1, 1, 0, 0), resolution=2.5)),
+    "scan resolution": (BrauerManinError, lambda: obstruction_scan(
+        FLAG, [Place(5)], resolution=3.0)),
     "split roots": (DelPezzoError, lambda: SplitPolynomial(1, (0.5,))),
     "split leading": (DelPezzoError, lambda: SplitPolynomial(0.5, (1,))),
     "quartic": (DelPezzoError, lambda: Quartic((0.5, 0, 0, 0, 1))),
