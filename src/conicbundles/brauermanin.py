@@ -23,10 +23,18 @@ mod p^resolution for a vanishing one and reports an error naming the
 place when none is found, since the declared support then omits a place
 that can carry the invariant.
 
-Constancy on cells is decided analytically, not by sampling.  With
+Symbols are read in two places.  `local_invariant` reads them with
+`exactnum.hilbert` at an exact parameter; the real place uses it at one
+point of each interval between consecutive poles, as every symbol at
+infinity is constant there.  `_cell_signs` reads them with
+`exactnum._residue_symbol` on a p-adic ball: scan cells, default
+searches, and a component tagged with precision m, read as the ball
+t + p^m Z_p.
+
+Constancy on balls is decided analytically, not by sampling.  With
 e = n/d and v = v_p(d), (a, t - e)_p = (a, (d t - n) d)_p as d^2 is a
-square, and the ball t = c mod p^k maps onto the integer ball
-(d c - n) d mod p^(k + 2v).  The residue kernel
+square, and the ball c + p^k Z_p maps onto the ball
+(d c - n) d + p^(k + 2v) Z_p, integral when c is.  The residue kernel
 `exactnum._residue_symbol` reads each symbol on that ball once and
 returns it only when every point of the ball shares it, so balls too
 close to a pole are rejected rather than mis-evaluated.  The kernel's
@@ -72,7 +80,7 @@ from .exactnum import (
     _residue_symbol,
     _valuation_unit,
     as_bits,
-    as_integer,
+    as_integer_at_least,
     as_rational,
     f2_insert,
     factorize,
@@ -91,6 +99,12 @@ class BrauerManinError(ExactNumError):
 
 def _place_key(v: Place):
     return (0, 0) if v.is_real else (1, v.p)
+
+
+def _checked_place(v) -> Place:
+    if not isinstance(v, Place):
+        raise BrauerManinError("not a Place: %r" % (v,))
+    return v
 
 
 def _bits(data: ConicBundleData, n) -> Tuple[int, ...]:
@@ -116,6 +130,7 @@ def local_invariant(data: ConicBundleData, n, t, v: Place) -> int:
     all-ones class, canonicalizes before calling this."""
     bits = _bits(data, n)
     t = as_rational(t, BrauerManinError)
+    _checked_place(v)
     _check_pole(data, t)
     total = 0
     for b, a, e in zip(bits, data.a, data.e):
@@ -137,15 +152,14 @@ class LocalParameter:
     precision: Optional[int] = None
 
     def __post_init__(self):
+        _checked_place(self.place)
         object.__setattr__(self, "t", as_rational(self.t, BrauerManinError))
         if self.precision is not None:
             if self.place.is_real:
                 raise BrauerManinError(
                     "precision tags apply to finite places only")
-            precision = as_integer(self.precision, BrauerManinError)
-            if precision < 1:
-                raise BrauerManinError("precision must be >= 1")
-            object.__setattr__(self, "precision", precision)
+            object.__setattr__(self, "precision", as_integer_at_least(
+                self.precision, 1, "precision", BrauerManinError))
 
 
 @dataclass(frozen=True)
@@ -203,10 +217,10 @@ def _cell_model(data: ConicBundleData, p: int, fibres):
                  if b)
 
 
-def _cell_signs(model, p: int, c: int, k: int) -> Optional[int]:
+def _cell_signs(model, p: int, c, k: int) -> Optional[int]:
     """The sum of 2^i over the fibres i of the model with
-    (a_i, t - e_i)_p = -1 on the cell t = c mod p^k, reading each symbol
-    once, or None when one of them is not constant on the cell."""
+    (a_i, t - e_i)_p = -1 on the cell t + p^k Z_p, c an int or Fraction,
+    reading each symbol once, or None when one is not constant there."""
     signs = 0
     for bit, a, n, d, shift in model:
         sym = _residue_symbol(a, (d * c - n) * d, p, k + shift)
@@ -215,31 +229,6 @@ def _cell_signs(model, p: int, c: int, k: int) -> Optional[int]:
         if sym == -1:
             signs |= bit
     return signs
-
-
-def _interval_invariant(data: ConicBundleData, bits: Tuple[int, ...],
-                        lo: Optional[Fraction],
-                        hi: Optional[Fraction]) -> int:
-    # (a, t - e) at the real place is -1 exactly when a < 0 and t < e; the
-    # interval must lie on one side of every pole it reads
-    total = 0
-    for b, a, e in zip(bits, data.a, data.e):
-        if not b or a.representative() > 0:
-            continue
-        if hi is not None and hi <= e:
-            total ^= 1  # t < e throughout
-        elif lo is None or lo < e:
-            raise BrauerManinError(
-                "interval (%s, %s) straddles the pole at %s" % (lo, hi, e))
-    return total
-
-
-def _checked_resolution(resolution) -> Optional[int]:
-    if resolution is not None:
-        resolution = as_integer(resolution, BrauerManinError)
-        if resolution < 1:
-            raise BrauerManinError("resolution must be >= 1")
-    return resolution
 
 
 def _default_resolution(p: int) -> int:
@@ -305,35 +294,25 @@ def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
     return None
 
 
-def _tagged_invariant(data: ConicBundleData, bits: Tuple[int, ...],
-                      comp: LocalParameter) -> int:
-    # the kernel call that proves a symbol constant mod p^precision gives it
-    _check_pole(data, comp.t)
-    total = 0
-    for i, b in enumerate(bits):
-        if not b:
-            continue
-        sym = _residue_symbol(data.a[i].representative(), comp.t - data.e[i],
-                              comp.place.p, comp.precision)
-        if sym is None:
-            raise BrauerManinError(
-                "precision %d at place %s does not determine the symbol "
-                "(a_%d, t - e_%d)" % (comp.precision, comp.place,
-                                      i + 1, i + 1))
-        if sym == -1:
-            total ^= 1
-    return total
-
-
 def invariant_vector(data: ConicBundleData, point: AdelicFiberPoint,
                      n) -> InvariantVector:
-    """Per-place invariants of the canonical representative on the support."""
+    """Per-place invariants of the canonical representative on the support;
+    a component with precision m at p is read on the ball t + p^m Z_p."""
     bits = _canonical(_bits(data, n))
-    entries = tuple((comp.place, _tagged_invariant(data, bits, comp)
-                     if comp.precision else
-                     local_invariant(data, bits, comp.t, comp.place))
-                    for comp in point.components)
-    return InvariantVector(entries)
+    entries = []
+    for comp in point.components:
+        v, t, m = comp.place, comp.t, comp.precision
+        if m is None:
+            entries.append((v, local_invariant(data, bits, t, v)))
+            continue
+        _check_pole(data, t)
+        signs = _cell_signs(_cell_model(data, v.p, bits), v.p, t, m)
+        if signs is None:
+            raise BrauerManinError(
+                "precision %d at place %s does not determine every symbol "
+                "the class reads" % (m, v))
+        entries.append((v, signs.bit_count() % 2))
+    return InvariantVector(tuple(entries))
 
 
 def pairing(data: ConicBundleData, point: AdelicFiberPoint, n,
@@ -346,7 +325,9 @@ def pairing(data: ConicBundleData, point: AdelicFiberPoint, n,
     the finitely many places where that is not automatic, a vanishing
     residue cell is searched for, and its absence is an error asking for
     an explicit component there."""
-    resolution = _checked_resolution(resolution)
+    if resolution is not None:
+        resolution = as_integer_at_least(resolution, 1, "resolution",
+                                         BrauerManinError)
     raw = _bits(data, n)
     if not delta(data, raw).is_trivial:
         raise BrauerManinError(
@@ -572,18 +553,12 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
 
 def _real_cells(data: ConicBundleData, gens):
     es = sorted(data.e)
-    bounds = [(None, es[0])]
-    bounds += [(es[i], es[i + 1]) for i in range(len(es) - 1)]
-    bounds.append((es[-1], None))
     cells = []
-    for lo, hi in bounds:
-        if lo is None:
-            rep = hi - 1
-        elif hi is None:
-            rep = lo + 1
-        else:
-            rep = (lo + hi) / 2
-        values = tuple(_interval_invariant(data, g.n, lo, hi) for g in gens)
+    for lo, hi in zip([None] + es, es + [None]):
+        rep = hi - 1 if lo is None else lo + 1 if hi is None else (lo + hi) / 2
+        # symbols at the real place are constant between consecutive poles
+        values = tuple(local_invariant(data, g.n, rep, REAL_PLACE)
+                       for g in gens)
         label = "(%s, %s)" % ("-oo" if lo is None else lo,
                               "+oo" if hi is None else hi)
         cells.append(ScanCell(REAL_PLACE, label, rep, values))
@@ -597,8 +572,10 @@ def obstruction_scan(data: ConicBundleData, support: Iterable[Place],
 
     Finite cells start as residues mod p^resolution away from the poles
     and refine as needed; real cells are the pole-cut open intervals."""
-    places = tuple(sorted(set(support), key=_place_key))
-    resolution = _checked_resolution(resolution)
+    places = tuple(sorted(set(map(_checked_place, support)), key=_place_key))
+    if resolution is not None:
+        resolution = as_integer_at_least(resolution, 1, "resolution",
+                                         BrauerManinError)
     gens = quotient_generators(data)
     real_cells = ()
     finite = []

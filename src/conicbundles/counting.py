@@ -76,6 +76,7 @@ import numpy
 from .exactnum import (
     ExactNumError,
     as_integer,
+    as_integer_at_least,
     as_rational,
     factorize,
     is_prime,
@@ -401,7 +402,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     points are summed on one thread, as the pool would cost more than it
     saves."""
     B = as_integer(B, CountingError)
-    parts = _int_at_least(threads, 1, "threads")
+    parts = as_integer_at_least(threads, 1, "threads", CountingError)
     axes = [_axis_values(job, B, j) for j in range(job.system.s)]
     if any(ax is None for ax in axes):
         return 0
@@ -620,13 +621,6 @@ def _primes_upto(n: int):
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
-def _int_at_least(x, least: int, name: str) -> int:
-    x = as_integer(x, CountingError)
-    if x < least:
-        raise CountingError("%s must be >= %d, got %d" % (name, least, x))
-    return x
-
-
 def predict_and_compare(job: CountJob,
                         prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
                         threads: int = 1) -> Tuple[DensityReport, ...]:
@@ -635,8 +629,9 @@ def predict_and_compare(job: CountJob,
     If some beta_p vanishes the job is locally obstructed: the reports
     carry predicted = 0 and name the place, and the exact count is still
     taken (it must be 0)."""
-    prime_cutoff = _int_at_least(prime_cutoff, 2, "prime_cutoff")
-    threads = _int_at_least(threads, 1, "threads")
+    prime_cutoff = as_integer_at_least(prime_cutoff, 2, "prime_cutoff",
+                                       CountingError)
+    threads = as_integer_at_least(threads, 1, "threads", CountingError)
     if not job.B_schedule:
         raise CountingError("empty B schedule")
     betas = {}

@@ -81,6 +81,16 @@ def as_integer(x, error=ExactNumError) -> int:
     return q.numerator
 
 
+def as_integer_at_least(x, least: int, name: str,
+                        error=ExactNumError) -> int:
+    """x as a Python int no smaller than `least`; anything else raises
+    `error`, naming the parameter."""
+    x = as_integer(x, error)
+    if x < least:
+        raise error("%s must be >= %d, got %d" % (name, least, x))
+    return x
+
+
 def as_bits(n, error=ExactNumError, r: Optional[int] = None) -> tuple:
     """n as a tuple of 0/1 Python ints, of length r when r is given;
     anything else raises `error`."""
@@ -402,31 +412,22 @@ def f2_independent(classes: Sequence[SquareClass]):
 
     Returns (True, None) or (False, certificate) where the certificate is a
     nonempty tuple of indices whose classes multiply to the trivial class,
-    of minimal support, ties broken by lowest index order.
+    of minimal support, ties broken by lowest index order.  Elimination
+    decides dependence; the certificate is then found by enumerating the
+    index subsets by size, so the search is exponential in the size of
+    the certificate.
     """
-    classes = list(classes)
-    masks = class_masks(classes)
+    masks = class_masks(list(classes))
     rows: list = []
-    dep_combo = None
-    for idx, m in enumerate(masks):
-        cur, combo = f2_insert(rows, m, 1 << idx)
-        if cur == 0:
-            dep_combo = combo
-            break
-    if dep_combo is None:
+    if all(f2_insert(rows, m)[0] for m in masks):
         return True, None
     # minimal-support certificate: smallest subset, then lexicographically
-    # first index tuple, found by direct enumeration at desk scale
-    n = len(classes)
-    if n <= 22:
-        search = list(range(n))
-    else:
-        search = sorted(i for i in range(n) if (dep_combo >> i) & 1)
-    for size in range(1, len(search) + 1):
-        for subset in itertools.combinations(search, size):
+    # first index tuple
+    for size in range(1, len(masks) + 1):
+        for subset in itertools.combinations(range(len(masks)), size):
             acc = 0
             for i in subset:
                 acc ^= masks[i]
             if acc == 0:
-                return False, tuple(subset)
+                return False, subset
     raise AssertionError("elimination found a dependency but enumeration did not")

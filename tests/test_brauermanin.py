@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -269,6 +271,64 @@ def test_precision_tags():
         LocalParameter(Place(5), 12, precision=0)
 
 
+def test_precision_tags_against_brute_hilbert():
+    # a component with precision m stands for the ball t + p^m Z_p: an
+    # invariant it returns must be the brute-force parity at every lift
+    # t + j p^m (j < 8 at p = 2, j < p otherwise) and at two deeper random
+    # lifts; a refusal needs a selected fibre with v_p(t - e_i) >= m, or a
+    # selected symbol taking both values on those lifts
+    rng = random.Random(71)
+    seen = Counter()
+    for data in _scan_bundles(rng, 6):
+        r = data.r
+        for p in (2, 3, 5):
+            for _ in range(30):
+                bits = tuple(rng.randrange(2) for _ in range(r))
+                if len(set(bits)) == 1:
+                    continue
+                # the fibres of the canonical representative, leading 0
+                fibres = [i for i, b in enumerate(bits) if b != bits[0]]
+                if rng.randrange(2):
+                    t = Fraction(rng.randint(-60, 60), rng.choice((1, 1, 7)))
+                else:  # p-adically close to a pole, maybe not p-integral
+                    t = rng.choice(data.e) + Fraction(
+                        rng.randint(1, 30), rng.choice((1, 7))) \
+                        * Fraction(p) ** rng.randint(-1, 3)
+                if t in data.e:
+                    continue
+                m = rng.randint(1, 4)
+                point = AdelicFiberPoint(
+                    (LocalParameter(Place(p), t, precision=m),))
+                seen["p in a denominator"] += any(
+                    data.e[i].denominator % p == 0 for i in fibres)
+                seen["integral t" if t.denominator == 1 else
+                     "non-integral t"] += 1
+                seen["t not p-integral"] += t.denominator % p == 0
+                try:
+                    (_, got), = invariant_vector(data, point, bits).entries
+                except BrauerManinError as exc:
+                    assert "does not determine" in str(exc)
+                    if any(valuation(t - data.e[i], p) >= m for i in fibres):
+                        seen["refused at a pole"] += 1
+                        continue
+                    seen["refused on unit digits"] += 1
+                    got = None
+                lifts = [t + j * p ** m for j in range(8 if p == 2 else p)]
+                lifts += [t + p ** m * rng.randrange(1, p ** 4),
+                          t + p ** m * Fraction(rng.randrange(p ** 4),
+                                                p * rng.randrange(1, 9) + 1)]
+                syms = [_oracle_symbols(data, fibres, x, p) for x in lifts]
+                if got is None:
+                    assert any(len({s[i] for s in syms}) == 2
+                               for i in fibres), (data, bits, p, t, m)
+                    continue
+                seen["determined"] += 1
+                for x, sym in zip(lifts, syms):
+                    assert sum(sym[i] == -1 for i in fibres) % 2 == got, \
+                        (data, bits, p, t, m, x)
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
 def test_adelic_point_validation():
     with pytest.raises(BrauerManinError, match="one component per place"):
         AdelicFiberPoint((LocalParameter(Place(5), 1),
@@ -279,6 +339,19 @@ def test_adelic_point_validation():
     assert pt.component(Place(7)) is None
     with pytest.raises(BrauerManinError, match="pole"):
         pairing(FLAG, AdelicFiberPoint.from_pairs({Place(5): 2}), (1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("call, entry", [
+    (lambda: obstruction_scan(FLAG, [5]), 5),
+    (lambda: obstruction_scan(FLAG, [REAL_PLACE, "oo"]), "oo"),
+    (lambda: LocalParameter(5, 1), 5),
+    (lambda: AdelicFiberPoint.from_pairs({None: 12}), None),
+    (lambda: local_invariant(FLAG, (1, 1, 0, 0), 12, 5), 5),
+], ids=["scan int", "scan str", "local parameter", "from pairs",
+        "local invariant"])
+def test_places_must_be_place_objects(call, entry):
+    with pytest.raises(BrauerManinError, match=re.escape(repr(entry))):
+        call()
 
 
 def test_global_point_support_collects_symbol_places():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -245,6 +246,16 @@ def test_f2_certificate_is_minimal_and_lowest():
     ok, cert = f2_independent(classes)
     assert not ok
     assert cert == (0, 3)  # size-2 beats the size-3 dependency {0,1,2}
+
+
+def test_f2_certificate_is_minimal_beyond_22_classes():
+    # 21 primes, their product, then 2 again: elimination meets the
+    # 22-class dependency first, but the minimal certificate is (0, 22)
+    primes = [q for q in range(2, 74) if is_prime(q)]
+    assert len(primes) == 21
+    classes = [squarefree_class(q) for q in primes]
+    classes += [squarefree_class(math.prod(primes)), squarefree_class(2)]
+    assert f2_independent(classes) == (False, (0, 22))
 
 
 def test_square_class_multiplication():
