@@ -40,17 +40,18 @@ returns it only when every point of the ball shares it, so balls too
 close to a pole are rejected rather than mis-evaluated.  The kernel's
 answer is monotone: a sub-ball has the same v_p and more known unit
 digits, so it returns the same symbol there.  Scans therefore descend by
-balls, t = c mod p^k from k = 1 (`_balls`): a ball on which every
-selected symbol is constant gives its values to all its residues mod
-p^resolution at once, and only the balls that are not constant split
-into their p children.  The invariant depends only on which ball around
-the e_i t lies in (Serre, *A Course in Arithmetic*, ch. III), so the
-kernel runs about r p times per level rather than once per residue.  A
-residue still undetermined at the stated resolution splits further, so
-scans may list cells finer than that resolution.  That soundness is
-tested, not re-checked at run time: against brute-force symbols on
-balls in `tests/test_exactnum.py` and on every scan cell in
-`tests/test_brauermanin.py`.
+balls t = c mod p^k, depth first from k = 0, through the package's one
+ball walker `exactnum._balls` with `_cell_signs` as its reader: a ball
+on which every selected symbol is constant gives its values to all its
+residues mod p^resolution at once, and only the balls that are not
+constant split into their p children.  The invariant depends only on
+which ball around the e_i t lies in (Serre, *A Course in Arithmetic*,
+ch. III), so the kernel runs about r p times per level rather than once
+per residue.  A residue still undetermined at the stated resolution
+splits further, so scans may list cells finer than that resolution.
+That soundness is tested, not re-checked at run time: against
+brute-force symbols on balls in `tests/test_exactnum.py` and on every
+scan cell in `tests/test_brauermanin.py`.
 
 A scan keeps the cells of each finite place as integer columns (level,
 residue, generator values) and builds `ScanCell` objects and labels only
@@ -77,6 +78,7 @@ from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    _balls,
     _residue_symbol,
     _valuation_unit,
     as_bits,
@@ -169,6 +171,9 @@ class AdelicFiberPoint:
     components: Tuple[LocalParameter, ...]
 
     def __post_init__(self):
+        for c in self.components:
+            if not isinstance(c, LocalParameter):
+                raise BrauerManinError("not a LocalParameter: %r" % (c,))
         comps = tuple(sorted(self.components,
                              key=lambda c: _place_key(c.place)))
         object.__setattr__(self, "components", comps)
@@ -178,7 +183,11 @@ class AdelicFiberPoint:
 
     @classmethod
     def from_pairs(cls, pairs) -> "AdelicFiberPoint":
-        items = pairs.items() if hasattr(pairs, "items") else pairs
+        items = tuple(pairs.items() if hasattr(pairs, "items") else pairs)
+        for item in items:
+            if not isinstance(item, (tuple, list)) or len(item) != 2:
+                raise BrauerManinError(
+                    "not a (place, parameter) pair: %r" % (item,))
         return cls(tuple(LocalParameter(v, t) for v, t in items))
 
     @property
@@ -255,31 +264,6 @@ def _support_places(data: ConicBundleData, bits: Tuple[int, ...],
     return (REAL_PLACE, Place(2)) + tuple(Place(q) for q in sorted(odd))
 
 
-def _balls(model, p: int, K: int, poles=frozenset(), last=None):
-    """Descend through the balls t = c mod p^k, 0 <= c < p^k, from k = 1,
-    reading each with `_cell_signs` once, and skipping the residues mod
-    p^K in `poles`.  A ball on which the model's symbols are constant is
-    yielded as (k, c, signs); every point of it shares the signs, as the
-    kernel is monotone.  Any other ball splits into its p children, down
-    to level `last` (default K), where it is yielded with signs None.
-    With the skipped poles the yielded balls partition the integral
-    parameters; a constant ball holds no pole of a fibre in the model,
-    but may hold one of any other fibre."""
-    last = K if last is None else last
-    level = range(p)
-    for k in range(1, last + 1):
-        split = []
-        for c in level:
-            if k == K and c in poles:
-                continue
-            signs = _cell_signs(model, p, c, k)
-            if signs is None and k < last:
-                split.extend(range(c, p ** (k + 1), p ** k))
-            else:
-                yield k, c, signs
-        level = split
-
-
 def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
                                v: Place,
                                resolution: Optional[int]) -> Optional[Fraction]:
@@ -288,7 +272,9 @@ def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
         return max(data.e) + 1  # every t - e_i > 0, all symbols +1
     p = v.p
     K = resolution if resolution is not None else _default_resolution(p)
-    for _, c, signs in _balls(_cell_model(data, p, bits), p, K):
+    model = _cell_model(data, p, bits)
+    for _, (c,), signs in _balls(
+            p, 1, K, lambda u, k: _cell_signs(model, p, u[0], k)):
         if signs is not None and signs.bit_count() % 2 == 0:
             return Fraction(c)
     return None
@@ -527,7 +513,14 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
              for e in data.e if e.denominator % p}
     at_K = [None] * p ** K  # the values of each residue mod p^K
     deeper = []
-    for k, c, signs in _balls(model, p, K, poles, K + _MAX_EXTRA_LEVELS):
+
+    def read(u, k):
+        # a pole residue mod p^K stops the descent; it is cleared below
+        if k == K and u[0] in poles:
+            return 0
+        return _cell_signs(model, p, u[0], k)
+
+    for k, (c,), signs in _balls(p, 1, K + _MAX_EXTRA_LEVELS, read):
         if signs is None:
             raise BrauerManinError(
                 "the cell %d mod %d^%d resisted %d refinements"
@@ -538,8 +531,9 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
             deeper.append((k, c, values[signs]))
         else:
             at_K[c::p ** k] = (values[signs],) * p ** (K - k)
-    # a ball constant for the selected fibres can hold the pole of a fibre
-    # no generator selects; that residue hugs the pole and is dropped
+    # a pole residue hugs its pole, and so does a residue in a ball
+    # constant for the selected fibres that holds the pole of a fibre no
+    # generator selects: both are dropped
     for c in poles:
         at_K[c] = None
     deeper.sort(key=lambda item: (item[0], item[1]))

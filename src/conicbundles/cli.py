@@ -105,9 +105,6 @@ class CLIInputError(ExactNumError):
 
 # ---------------------------------------------------------------- parsing
 
-_KINDS = ("pencil", "system", "count-job", "dp2", "dp1",
-          "quadric-intersection")
-
 _OPTION_KEYS = frozenset(
     ("prime_cutoff", "L", "depth", "resolution", "threads", "seed"))
 
@@ -171,10 +168,10 @@ def parse_problem(text: str) -> ProblemFile:
     if "kind" not in fields:
         raise CLIInputError("the file never sets `kind`")
     kind = fields.pop("kind")
-    if kind not in _KINDS:
+    if kind not in _PAYLOAD_KEYS:
         raise CLIInputError(
             "line %d: unknown kind %r; expected one of %s"
-            % (lines["kind"], kind, ", ".join(_KINDS)))
+            % (lines["kind"], kind, ", ".join(_PAYLOAD_KEYS)))
     allowed = _PAYLOAD_KEYS[kind] | _OPTION_KEYS
     for key in fields:
         if key not in allowed:
@@ -274,13 +271,13 @@ def _place_list(problem: ProblemFile, key: str) -> Tuple[Place, ...]:
 # ---------------------------------------------------------------- options
 
 _OPTION_SPECS = {
-    # key: (parse, minimum, default)
-    "prime_cutoff": (int, 2, DEFAULT_PRIME_CUTOFF),
-    "L": (int, 2, 100),
-    "depth": (int, 1, None),
-    "resolution": (int, 1, None),
-    "threads": (int, 1, 1),
-    "seed": (int, 0, 0),
+    # key: (minimum, default)
+    "prime_cutoff": (2, DEFAULT_PRIME_CUTOFF),
+    "L": (2, 100),
+    "depth": (1, None),
+    "resolution": (1, None),
+    "threads": (1, 1),
+    "seed": (0, 0),
 }
 
 
@@ -288,14 +285,14 @@ def effective_options(problem: Optional[ProblemFile],
                       args: argparse.Namespace) -> Dict[str, object]:
     """File options overridden by flags, with defaults filled in."""
     out: Dict[str, object] = {}
-    for key, (parse, minimum, default) in _OPTION_SPECS.items():
+    for key, (minimum, default) in _OPTION_SPECS.items():
         value = default
         if problem is not None and problem.raw(key) is not None:
             where = "%s (%s)" % (problem.where(key), key)
-            value = parse(_int_token(problem.raw(key), where))
+            value = _int_token(problem.raw(key), where)
         flag = getattr(args, key, None)
         if flag is not None:
-            value = parse(flag)
+            value = flag
         if value is not None and value < minimum:
             raise CLIInputError("option %s must be >= %d, got %r"
                                 % (key, minimum, value))

@@ -34,9 +34,10 @@ unless the exact value lies within that distance of a tie.
 
 Finite densities.  G(p^k) counts (x, y, t) mod p^k solving the system at
 g_i(t) = f_i(u^(M) + M t); beta_p is the limit of p^(-(s+r)k) G(p^k).  For
-p not dividing M the limit is detected by finding G(p^(k+1)) exactly equal
-to p^(s+r) G(p^k) at the first admissible k (persistence beyond the
-detected step is the theory's statement, not re-verified numerically).
+p not dividing M it is 1 when the forms have rank r mod p; otherwise it
+is detected by finding G(p^(k+1)) exactly equal to p^(s+r) G(p^k) at the
+first admissible k (persistence beyond the detected step is the theory's
+statement, not re-verified numerically).
 For p | M with m = val_p(M), beta_p = p^(-(s+r)m) G(p^m) exactly; when the
 mod-M data x^2 - a_i y^2 = f_i(u^(M)) is solvable mod p^m this is at least
 p^(-rm) > 0, and a violation of that bound is reported as an error since
@@ -533,22 +534,19 @@ def G(job: CountJob, p: int, k: int,
 def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
     """Exact local density at p.
 
-    Odd p with p dividing neither M nor any a_i, and the form matrix of
-    full rank r mod p: beta_p = 1 exactly, since t -> (g_i(t)) mod p^k is
-    then uniform onto (Z/p^k)^r and each form has sum_A rho(p^k; A) = p^2k.
     p | M: p^(-(s+r)m) G(p^m) with m = val_p(M); if the mod-M data is
     solvable mod p^m the value is checked against the lower bound p^(-rm).
-    Otherwise: detect G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k
-    and return p^(-(s+r)k) G(p^k)."""
+    Else, once k_max is checked against the first admissible k: 1 when
+    the form matrix has rank r mod p, at every p and for all a_i, since
+    t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r and sum_A rho(p^k; A)
+    = p^2k for each form; otherwise detect G(p^(k+1)) = p^(s+r) G(p^k) at
+    the first admissible k and return p^(-(s+r)k) G(p^k)."""
     p = as_integer(p, CountingError)
     if k_max is not None:
         k_max = as_integer(k_max, CountingError)
     if not is_prime(p):
         raise CountingError("%r is not prime" % (p,))
     s, r = job.system.s, job.system.r
-    if (p % 2 and job.M % p and all(a % p for a in job.system.a)
-            and len(_echelon(job.system.forms, s, p)[1]) == r):
-        return Fraction(1)
     if job.M % p == 0:
         m = valuation(job.M, p)
         val = Fraction(G(job, p, m), p ** ((s + r) * m))
@@ -568,6 +566,8 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
     if k_max < k0:
         raise CountingError("k_max = %d is below the first admissible k = %d"
                             % (k_max, k0))
+    if len(_echelon(job.system.forms, s, p)[1]) == r:
+        return Fraction(1)
     step = p ** (s + r)
     prev = G(job, p, k0)
     history = [(k0, prev)]

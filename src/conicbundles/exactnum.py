@@ -28,8 +28,9 @@ inputs at desk scale are small.
 The formulas live once, in `_serre_symbol`, which `hilbert` shares with
 the residue kernel `_residue_symbol(a, x, p, K)`: the symbol (a, y)_p
 common to every y = x mod p^K, or None when that ball does not pin
-v_p(y) and the unit bits the formulas read.  `localsolve` reads it on
-search nodes and `brauermanin` on scan cells.
+v_p(y) and the unit bits the formulas read.  Beside it sits the one
+ball walker, `_balls`, which `localsolve` walks for witnesses and
+`brauermanin` for scan cells, both reading the balls with that kernel.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence, Union
 
 IntLike = Union[int, Fraction]
@@ -360,6 +362,31 @@ def _residue_symbol(a: IntLike, x: IntLike, p: int, K: int) -> Optional[int]:
     if p == 2 and K - beta < (3 if alpha % 2 else 2 if u % 4 == 3 else 1):
         return None
     return _serre_symbol(p, alpha, u, beta, w)
+
+
+@lru_cache(maxsize=None)
+def _digit_offsets(p: int, s: int, k: int) -> tuple:
+    # the vectors p^k d, d in {0, ..., p - 1}^s, lexicographically
+    return tuple(tuple(d * p**k for d in ds)
+                 for ds in itertools.product(range(p), repeat=s))
+
+
+def _balls(p: int, s: int, last: int, read):
+    """Walk the balls u + p^k Z_p^s (u a tuple of s integers in [0, p^k))
+    depth first in digit order from the root, k = 0.  `read(u, k)` runs
+    once per ball; while it returns None and k < last, the ball splits
+    into its p^s children u + p^k d, d in {0, ..., p - 1}^s taken
+    lexicographically.  Every other ball is yielded as (k, u, value), so
+    the yielded balls partition Z_p^s."""
+    def walk(u, k):
+        value = read(u, k)
+        if value is None and k < last:
+            for off in _digit_offsets(p, s, k):
+                yield from walk(tuple(map(add, u, off)), k + 1)
+        else:
+            yield k, u, value
+
+    return walk((0,) * s, 0)
 
 
 def hilbert_support(a: IntLike, b: IntLike) -> list:

@@ -8,17 +8,18 @@ feasibility of a homogeneous system of strict linear inequalities and is
 decided exactly by Fourier-Motzkin elimination.  Over Q_p the predicate
 is finite by design: a residue u mod p^depth determines val_p(f_i(u)) and
 the unit part of each value as far as its digits reach.  padic_soluble
-searches residues digit by digit, but reads each form on the whole value
-ball a node spans: with c_i the p-content of f_i (least valuation of a
+walks the balls u + p^L Z_p^s depth first with `exactnum._balls`, the
+ball walker the Brauer-Manin scans share, and reads each form on the
+whole value ball: with c_i the p-content of f_i (least valuation of a
 coefficient), the ball u + p^L Z_p^s maps into f_i(u) + p^(L + c_i) Z_p.
-A branch is pruned when the residue kernel `exactnum._residue_symbol`
+A ball is pruned when the residue kernel `exactnum._residue_symbol`
 reads some (a_i, f_i(u))_p as -1 on that value ball, or when every value
 in it is 0 mod p^(depth - need + 1) and so keeps no witness margin; no
-lift of a pruned node is a witness.  It accepts only with the margin a
+point of a pruned ball is a witness.  It accepts only with the margin a
 LocalWitness keeps: every value nonzero with `need` unit digits known
 (one at odd p, three bits at p = 2) and every symbol +1, so a returned
 witness survives every lift.  A form of large content thus costs a few
-nodes instead of a tree of digits its values do not yet read.
+balls instead of a tree of digits its values do not yet read.
 
 diagonal_quadric_soluble decides c_1 x_1^2 + ... + c_4 x_4^2 = 0 by the
 classical rank-4 criterion: isotropic at v unless the determinant class
@@ -28,13 +29,13 @@ differs from (-1, -1)_v.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    _balls,
     _residue_symbol,
     _valuation_unit,
     as_integer,
@@ -173,14 +174,15 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     f_i(u) != 0 mod p^depth with all symbols (a_i, f_i(u))_p determined
     by the residue and equal to +1; such a u survives arbitrary lifting.
 
-    The search extends u mod p^L one digit vector at a time, in a fixed
-    order, and returns the first residue that is a witness.  On the ball
-    u + p^L Z_p^s the form f_i, of p-content c_i, takes values only in
-    x_i + p^(L + c_i) Z_p with x_i = f_i(u), so a node is cut when the
-    symbol read on that value ball is -1, or when L + c_i > depth - need
-    and x_i = 0 mod p^(depth - need + 1), since then every value of every
-    lift is too divisible to keep the witness margin.  Both cuts drop only
-    nodes with no witness below them, so the surviving nodes keep their
+    The search walks the balls u + p^L Z_p^s depth first in digit order,
+    through the package's one ball walker `exactnum._balls`, and returns
+    the first residue that is a witness.  On such a ball the form f_i, of
+    p-content c_i, takes values only in x_i + p^(L + c_i) Z_p with
+    x_i = f_i(u), so a ball is cut when the symbol read on that value
+    ball is -1, or when L + c_i > depth - need and
+    x_i = 0 mod p^(depth - need + 1), since then every value of every lift
+    is too divisible to keep the witness margin.  Both cuts drop only
+    balls with no witness in them, so the surviving balls keep their
     order and the first witness is the one a plain digit search finds.
     Acceptance needs v_p(x_i) <= L - need, which already fixes the symbol
     on x_i + p^L Z_p, equal to the one read on the smaller value ball; so
@@ -206,56 +208,31 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
         return True, fast
     forms = system.forms
     a = system.a
-    s = system.s
     need = 3 if p == 2 else 1  # unit digits a LocalWitness keeps
     # c_i, the p-content of f_i: its least coefficient valuation
     content = [min(valuation(c, p) for c in f if c) for f in forms]
     dead = p ** (depth - need + 1)  # values 0 mod dead keep no margin
 
-    def viable(u, level):
-        # None when no lift of u mod p^level is a witness: on the value
+    def read(u, level):
+        # False when no lift of u mod p^level is a witness: on the value
         # ball of some f_i the symbol is -1, or every value is 0 mod dead;
-        # otherwise whether u is a witness: every symbol +1 with `need`
-        # unit digits of every value known
+        # True when u is a witness: every symbol +1 with `need` unit digits
+        # of every value known; None when a lift may still be one
         accept = level >= need
         for ai, f, c in zip(a, forms, content):
             x = _evaluate(f, u)
             sym = _residue_symbol(ai, x, p, level + c)
             if sym == -1 or (level + c > depth - need and x % dead == 0):
-                return None
+                return False
             accept = accept and sym == 1 and \
                 x % p ** (level - need + 1) != 0
-        return accept
+        return True if accept else None
 
-    def dfs(u, level, accept):
-        if accept:
-            return tuple(x % p**depth for x in u)
-        if level == depth:
-            return None
-        m = p**level
-        for digits in _digit_vectors(p, s):
-            cand = tuple(x + d * m for x, d in zip(u, digits))
-            cand_accept = viable(cand, level + 1)
-            if cand_accept is not None:
-                hit = dfs(cand, level + 1, cand_accept)
-                if hit is not None:
-                    return hit
-        return None
-
-    root = (0,) * s
-    accept = viable(root, 0)
-    found = None if accept is None else dfs(root, 0, accept)
+    found = next((u for _, u, ok in _balls(p, system.s, depth, read) if ok),
+                 None)
     if found is None:
         return False, None
     return True, LocalWitness(place=Place(p), u=found, precision=depth)
-
-
-@lru_cache(maxsize=None)
-def _digit_vectors(p: int, s: int):
-    out = [()]
-    for _ in range(s):
-        out = [v + (d,) for v in out for d in range(p)]
-    return tuple(out)
 
 
 def _good_prime_witness(system: NormFormSystem, p: int, depth: int):

@@ -347,8 +347,11 @@ def test_adelic_point_validation():
     (lambda: LocalParameter(5, 1), 5),
     (lambda: AdelicFiberPoint.from_pairs({None: 12}), None),
     (lambda: local_invariant(FLAG, (1, 1, 0, 0), 12, 5), 5),
+    (lambda: AdelicFiberPoint((Place(5),)), Place(5)),
+    (lambda: AdelicFiberPoint.from_pairs([(Place(5), 1, 2)]),
+     (Place(5), 1, 2)),
 ], ids=["scan int", "scan str", "local parameter", "from pairs",
-        "local invariant"])
+        "local invariant", "bare place component", "triple pair"])
 def test_places_must_be_place_objects(call, entry):
     with pytest.raises(BrauerManinError, match=re.escape(repr(entry))):
         call()

@@ -461,6 +461,19 @@ def test_beta_p_one_for_good_primes():
     for p in (3, 5, 7):
         assert G(j, p, 2) == p**3 * G(j, p, 1)
         assert Fraction(G(j, p, 1), p**3) == 1
+    # p = 2 and p | a_i take the shortcut too when p does not divide M
+    # and the form matrix has rank r mod p; each value is checked against
+    # the count stabilized at the first admissible k0 = 1 + max v_p(4 a_i)
+    j3 = CountJob(system=NormFormSystem(r=2, s=2, a=(-3, 5),
+                                        forms=((1, 1), (1, 2))),
+                  uInf=(Fraction(1), Fraction(1)))
+    for j, p in ((job2(), 2), (job2(), 3), (j3, 2), (j3, 3), (j3, 5)):
+        s, r = j.system.s, j.system.r
+        k0 = 1 + max(max(e for e in range(8) if (4 * a) % p**e == 0)
+                     for a in j.system.a)
+        assert G(j, p, k0 + 1) == p ** (s + r) * G(j, p, k0)
+        assert Fraction(G(j, p, k0), p ** ((s + r) * k0)) == 1
+        assert beta_p(j, p) == 1
 
 
 def test_beta_p_dividing_M():

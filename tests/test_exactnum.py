@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from conicbundles.exactnum import (
     REAL_PLACE,
     SquareClass,
     TRIVIAL_CLASS,
+    _balls,
     _residue_symbol,
     f2_independent,
     factorize,
@@ -195,6 +197,56 @@ def test_residue_symbol_against_brute_on_balls():
                     elif valuation(x, p) < K:
                         assert p == 2 and seen == {1, -1}, (a, x, p, K)
     assert min(checked.values()) > 100, checked
+
+
+def _digit_key(u, k, p):
+    # the digit vectors of u at levels 0, ..., k - 1: depth-first digit
+    # order is the lexicographic order of these keys
+    return tuple(tuple(x // p**j % p for x in u) for j in range(k))
+
+
+def test_ball_walker_on_random_readers():
+    rng = random.Random(29)
+    deep = 0  # walks that yield a ball below level 1
+    for p, s in itertools.product((2, 3, 5), (1, 2)):
+        for _ in range(15):
+            last = rng.choice([k for k in range(5) if p ** (s * k) <= 729])
+            reads = []
+
+            def read(u, k):
+                value = rng.choice((None, None, None, 0, 1))
+                reads.append((u, k, value))
+                return value
+
+            out = list(_balls(p, s, last, read))
+            deep += max(k for k, _, _ in out) >= 2
+            # read runs once per visited ball, and a ball is visited
+            # exactly when it is the root or a child of a ball read as
+            # None below `last`
+            visited = [(u, k) for u, k, _ in reads]
+            assert len(set(visited)) == len(visited)
+            want = {((0,) * s, 0)}
+            for u, k, value in reads:
+                if value is None and k < last:
+                    want.update(
+                        (tuple(x + d * p**k for x, d in zip(u, ds)), k + 1)
+                        for ds in itertools.product(range(p), repeat=s))
+            assert set(visited) == want
+            # every other ball is yielded with its value, in the order read
+            assert out == [(k, u, value) for u, k, value in reads
+                           if value is not None or k == last]
+            # reads, so yields, come in depth-first digit order
+            keys = [_digit_key(u, k, p) for u, k in visited]
+            assert keys == sorted(keys)
+            # the yielded balls partition (Z/p^last)^s
+            cover = dict.fromkeys(
+                itertools.product(range(p**last), repeat=s), 0)
+            for k, u, _ in out:
+                assert all(0 <= x < p**k for x in u)
+                for v in itertools.product(range(p ** (last - k)), repeat=s):
+                    cover[tuple(x + p**k * y for x, y in zip(u, v))] += 1
+            assert set(cover.values()) == {1}, (p, s, last)
+    assert deep >= 25, deep
 
 
 def test_hilbert_bilinearity_and_symmetry():
