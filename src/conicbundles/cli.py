@@ -17,7 +17,9 @@ PROBLEM FILES (the compatibility contract)
         a = -1, 2                 nonzero nonsquare integers, one per row
         forms = 1 0; 0 1          integer linear forms, one row per a_i
         clearing = 1, 1           optional denominator-clearing constants
-    kind = count-job              the `system` keys, plus
+    kind = count-job              the `system` keys, plus (a key left out
+                                  takes CountJob's default, but uInf's is
+                                  1, ..., 1)
         M = 1                     congruence modulus for u = uM mod M
         uM = 0, 0                 residue vector mod M
         uInf = 1, 1               real direction spanning the search cone
@@ -36,8 +38,10 @@ PROBLEM FILES (the compatibility contract)
         a = 5, 5                  n square classes
         c = 1, 1                  n nonzero constants
 
-    Option keys, all optional and overridden by the same-named flags:
-    `prime_cutoff`, `L`, `depth`, `resolution`, `threads`, `seed`.
+    Every key a kind takes is read and checked whatever the command, so
+    every pencil command rejects a malformed `support` as `bm` does.  Option keys,
+    all optional and overridden by the same-named flags: `prime_cutoff`,
+    `L`, `depth`, `resolution`, `threads`, `seed`.
 
 COMMANDS
     validate   build the kind's objects, report the structural checks
@@ -105,43 +109,142 @@ class CLIInputError(ExactNumError):
 
 # ---------------------------------------------------------------- parsing
 
-_OPTION_KEYS = frozenset(
-    ("prime_cutoff", "L", "depth", "resolution", "threads", "seed"))
+def _tokens(value: str):
+    return [t for t in value.replace(",", " ").split() if t]
 
-_PAYLOAD_KEYS = {
-    "pencil": frozenset(("e", "a", "lam", "support")),
-    "system": frozenset(("a", "forms", "clearing")),
-    "count-job": frozenset(("a", "forms", "clearing", "M", "uM", "uInf",
-                            "epsilon", "B_schedule")),
-    "dp2": frozenset(("f", "g", "h")),
-    "dp1": frozenset(("e", "c1", "c2")),
-    "quadric-intersection": frozenset(("e", "a", "c")),
-}
 
-_REQUIRED_KEYS = {
-    "pencil": ("e", "a"),
-    "system": ("a", "forms"),
-    "count-job": ("a", "forms", "B_schedule"),
-    "dp2": ("f", "g", "h"),
-    "dp1": ("e", "c1", "c2"),
-    "quadric-intersection": ("e", "a", "c"),
+# A reader turns one raw value into what the kind's constructor takes; its
+# errors name the value's location, `line N (key)`.
+
+def _fraction_token(tok: str, where: str) -> Fraction:
+    num, slash, den = tok.partition("/")
+    try:
+        if slash:
+            return Fraction(int(num), int(den))
+        return Fraction(int(num))
+    except (ValueError, ZeroDivisionError):
+        raise CLIInputError("%s: %r is not a rational num/den" % (where, tok))
+
+
+def _int_token(tok: str, where: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise CLIInputError("%s: %r is not an integer" % (where, tok))
+
+
+def _place_token(tok: str, where: str) -> Place:
+    if tok == "oo":
+        return REAL_PLACE
+    p = _int_token(tok, where)
+    if not is_prime(p):
+        raise CLIInputError("%s: %r is not a prime or `oo`" % (where, tok))
+    return Place(p)
+
+
+def _each(read_token):
+    """The reader of a list whose entries `read_token` reads."""
+    return lambda value, where: tuple(read_token(t, where)
+                                      for t in _tokens(value))
+
+
+_fractions = _each(_fraction_token)
+_ints = _each(_int_token)
+
+
+def _int_rows(value: str, where: str) -> Tuple[Tuple[int, ...], ...]:
+    rows = []
+    for chunk in value.split(";"):
+        row = _ints(chunk, where)
+        if not row:
+            raise CLIInputError("%s: empty row" % where)
+        rows.append(row)
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise CLIInputError("%s: rows must share a length" % where)
+    return tuple(rows)
+
+
+def _split_poly(value: str, where: str) -> SplitPolynomial:
+    head, colon, tail = value.partition(":")
+    if not colon:
+        raise CLIInputError(
+            "%s: expected `leading : roots`, got %r" % (where, value))
+    lead = _fraction_token(head.strip(), where)
+    roots = _fractions(tail, where)
+    try:
+        return SplitPolynomial(lead, roots)
+    except ExactNumError as exc:
+        raise CLIInputError("%s: %s" % (where, exc))
+
+
+def _system(forms, **keys) -> NormFormSystem:
+    return NormFormSystem(r=len(forms), s=len(forms[0]), forms=forms, **keys)
+
+
+def _job(a, forms, clearing=(), uInf=None, **keys) -> CountJob:
+    system = _system(forms, a=a, clearing=clearing)
+    if uInf is None:
+        uInf = (1,) * system.s
+    return CountJob(system=system, uInf=uInf, **keys)
+
+
+# kind: (constructor, {key: (reader, use)}).  The "required" and "optional"
+# keys are the constructor's keyword arguments; the pencil's `support`
+# ("bm") is read and checked all the same, and kept for the `bm` command.
+_SYSTEM_KEYS = {"a": (_ints, "required"), "forms": (_int_rows, "required"),
+                "clearing": (_ints, "optional")}
+_KINDS = {
+    "pencil": (ConicBundleData, {
+        "e": (_fractions, "required"), "a": (_ints, "required"),
+        "lam": (_fractions, "optional"),
+        "support": (_each(_place_token), "bm")}),
+    "system": (_system, _SYSTEM_KEYS),
+    "count-job": (_job, dict(
+        _SYSTEM_KEYS, M=(_int_token, "optional"), uM=(_ints, "optional"),
+        uInf=(_fractions, "optional"), epsilon=(_fraction_token, "optional"),
+        B_schedule=(_ints, "required"))),
+    "dp2": (DP2Data, {key: (_split_poly, "required") for key in "fgh"}),
+    "dp1": (DP1Data, {"e": (_fractions, "required"),
+                      "c1": (_fraction_token, "required"),
+                      "c2": (_fraction_token, "required")}),
+    "quadric-intersection": (quadric_intersection_system, {
+        "e": (_fractions, "required"), "a": (_ints, "required"),
+        "c": (_fractions, "required")}),
 }
 
 
 class ProblemFile:
-    """Parsed `key = value` lines: the kind, the raw values, the lines."""
+    """Parsed `key = value` lines: the kind, the raw values, the lines.
+
+    `build` reads every value once, through its key's reader, keeps the
+    results in `values` and constructs the kind's object."""
 
     def __init__(self, kind: str, fields: Dict[str, str],
                  lines: Dict[str, int]):
         self.kind = kind
         self.fields = fields
         self.lines = lines
+        self.values: Dict[str, object] = {}
 
     def raw(self, key: str) -> Optional[str]:
         return self.fields.get(key)
 
     def where(self, key: str) -> str:
         return "line %d" % self.lines[key]
+
+    def build(self):
+        """The kind's object; payload errors are the caller's to fix."""
+        constructor, keys = _KINDS[self.kind]
+        self.values = {
+            key: reader(self.fields[key], "%s (%s)" % (self.where(key), key))
+            for key, (reader, _) in keys.items() if key in self.fields}
+        try:
+            return constructor(**{key: value
+                                  for key, value in self.values.items()
+                                  if keys[key][1] != "bm"})
+        except ExactNumError as exc:
+            raise CLIInputError(str(exc))
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -168,18 +271,18 @@ def parse_problem(text: str) -> ProblemFile:
     if "kind" not in fields:
         raise CLIInputError("the file never sets `kind`")
     kind = fields.pop("kind")
-    if kind not in _PAYLOAD_KEYS:
+    if kind not in _KINDS:
         raise CLIInputError(
             "line %d: unknown kind %r; expected one of %s"
-            % (lines["kind"], kind, ", ".join(_PAYLOAD_KEYS)))
-    allowed = _PAYLOAD_KEYS[kind] | _OPTION_KEYS
+            % (lines["kind"], kind, ", ".join(_KINDS)))
+    keys = _KINDS[kind][1]
     for key in fields:
-        if key not in allowed:
+        if key not in keys and key not in _OPTION_SPECS:
             raise CLIInputError(
                 "line %d: key %r is not used by kind %r"
                 % (lines[key], key, kind))
-    for key in _REQUIRED_KEYS[kind]:
-        if key not in fields:
+    for key, (_, use) in keys.items():
+        if use == "required" and key not in fields:
             raise CLIInputError("kind %r requires the key %r" % (kind, key))
     return ProblemFile(kind, fields, lines)
 
@@ -191,81 +294,6 @@ def load_problem(path: str) -> ProblemFile:
     except OSError as exc:
         raise CLIInputError("cannot read %s: %s" % (path, exc))
     return parse_problem(text)
-
-
-def _tokens(value: str):
-    return [t for t in value.replace(",", " ").split() if t]
-
-
-def _fraction_token(tok: str, where: str) -> Fraction:
-    num, slash, den = tok.partition("/")
-    try:
-        if slash:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
-    except (ValueError, ZeroDivisionError):
-        raise CLIInputError("%s: %r is not a rational num/den" % (where, tok))
-
-
-def _int_token(tok: str, where: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise CLIInputError("%s: %r is not an integer" % (where, tok))
-
-
-def _fraction_list(problem: ProblemFile, key: str) -> Tuple[Fraction, ...]:
-    where = "%s (%s)" % (problem.where(key), key)
-    return tuple(_fraction_token(t, where) for t in _tokens(problem.raw(key)))
-
-
-def _int_list(problem: ProblemFile, key: str) -> Tuple[int, ...]:
-    where = "%s (%s)" % (problem.where(key), key)
-    return tuple(_int_token(t, where) for t in _tokens(problem.raw(key)))
-
-
-def _int_rows(problem: ProblemFile, key: str) -> Tuple[Tuple[int, ...], ...]:
-    where = "%s (%s)" % (problem.where(key), key)
-    rows = []
-    for chunk in problem.raw(key).split(";"):
-        row = tuple(_int_token(t, where) for t in _tokens(chunk))
-        if not row:
-            raise CLIInputError("%s: empty row" % where)
-        rows.append(row)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise CLIInputError("%s: rows must share a length" % where)
-    return tuple(rows)
-
-
-def _split_poly(problem: ProblemFile, key: str) -> SplitPolynomial:
-    where = "%s (%s)" % (problem.where(key), key)
-    value = problem.raw(key)
-    head, colon, tail = value.partition(":")
-    if not colon:
-        raise CLIInputError(
-            "%s: expected `leading : roots`, got %r" % (where, value))
-    lead = _fraction_token(head.strip(), where)
-    roots = tuple(_fraction_token(t, where) for t in _tokens(tail))
-    try:
-        return SplitPolynomial(lead, roots)
-    except ExactNumError as exc:
-        raise CLIInputError("%s: %s" % (where, exc))
-
-
-def _place_list(problem: ProblemFile, key: str) -> Tuple[Place, ...]:
-    where = "%s (%s)" % (problem.where(key), key)
-    places = []
-    for tok in _tokens(problem.raw(key)):
-        if tok == "oo":
-            places.append(REAL_PLACE)
-        else:
-            p = _int_token(tok, where)
-            if not is_prime(p):
-                raise CLIInputError("%s: %r is not a prime or `oo`"
-                                    % (where, tok))
-            places.append(Place(p))
-    return tuple(places)
 
 
 # ---------------------------------------------------------------- options
@@ -297,72 +325,7 @@ def effective_options(problem: Optional[ProblemFile],
             raise CLIInputError("option %s must be >= %d, got %r"
                                 % (key, minimum, value))
         out[key] = value
-    if getattr(args, "quick", False):
-        out["quick"] = True
     return out
-
-
-# ------------------------------------------------------------- builders
-
-def _built(fn, *args, **kwargs):
-    """Payload construction errors are the caller's to fix: exit code 2."""
-    try:
-        return fn(*args, **kwargs)
-    except CLIInputError:
-        raise
-    except ExactNumError as exc:
-        raise CLIInputError(str(exc))
-
-
-def _build_pencil(problem: ProblemFile) -> ConicBundleData:
-    lam = _fraction_list(problem, "lam") if problem.raw("lam") else None
-    return _built(ConicBundleData, e=_fraction_list(problem, "e"),
-                  a=_int_list(problem, "a"), lam=lam)
-
-
-def _build_system(problem: ProblemFile) -> NormFormSystem:
-    forms = _int_rows(problem, "forms")
-    clearing = _int_list(problem, "clearing") \
-        if problem.raw("clearing") else ()
-    return _built(NormFormSystem, r=len(forms), s=len(forms[0]),
-                  a=_int_list(problem, "a"), forms=forms,
-                  clearing=clearing)
-
-
-def _build_job(problem: ProblemFile) -> CountJob:
-    system = _build_system(problem)
-    where = problem.where
-    M = 1
-    if problem.raw("M"):
-        M = _int_token(problem.raw("M"), "%s (M)" % where("M"))
-    uM = _int_list(problem, "uM") if problem.raw("uM") else ()
-    uInf = _fraction_list(problem, "uInf") if problem.raw("uInf") \
-        else (Fraction(1),) * system.s
-    epsilon = Fraction(1, 2)
-    if problem.raw("epsilon"):
-        epsilon = _fraction_token(problem.raw("epsilon"),
-                                  "%s (epsilon)" % where("epsilon"))
-    return _built(CountJob, system=system, M=M, uM=uM, uInf=uInf,
-                  epsilon=epsilon,
-                  B_schedule=_int_list(problem, "B_schedule"))
-
-
-def _build_dp2(problem: ProblemFile) -> DP2Data:
-    return _built(DP2Data, f=_split_poly(problem, "f"),
-                  g=_split_poly(problem, "g"), h=_split_poly(problem, "h"))
-
-
-def _build_dp1(problem: ProblemFile) -> DP1Data:
-    c1 = _fraction_token(problem.raw("c1"), "%s (c1)" % problem.where("c1"))
-    c2 = _fraction_token(problem.raw("c2"), "%s (c2)" % problem.where("c2"))
-    return _built(DP1Data, e=_fraction_list(problem, "e"), c1=c1, c2=c2)
-
-
-def _build_quadric_intersection(problem: ProblemFile):
-    return _built(quadric_intersection_system,
-                  e=_fraction_list(problem, "e"),
-                  a=_int_list(problem, "a"),
-                  c=_fraction_list(problem, "c"))
 
 
 # ------------------------------------------------------------ serializing
@@ -424,11 +387,10 @@ def _local_report_dict(report) -> dict:
 
 # -------------------------------------------------------------- commands
 
-def _cmd_validate(problem: ProblemFile, options: dict) -> dict:
+def _cmd_validate(problem: ProblemFile, data, options: dict) -> dict:
     kind = problem.kind
     out: dict = {"kind": kind, "valid": True}
     if kind == "pencil":
-        data = _build_pencil(problem)
         report = validate(data)
         out["pencil"] = _bundle_dict(data)
         out["e_distinct"] = report.e_distinct
@@ -437,18 +399,15 @@ def _cmd_validate(problem: ProblemFile, options: dict) -> dict:
         out["faddeev_class"] = str(report.faddeev_class)
         out["warnings"] = list(report.warnings)
     elif kind == "system":
-        out["system"] = _system_dict(_build_system(problem))
+        out["system"] = _system_dict(data)
     elif kind == "count-job":
-        out["job"] = _job_dict(_build_job(problem))
+        out["job"] = _job_dict(data)
     elif kind == "dp2":
-        data = _build_dp2(problem)
         out["coefficient_determinant"] = _frac(data.coefficient_determinant())
     elif kind == "dp1":
-        data = _build_dp1(problem)
         out["p"] = _frac_list(data.p_coefficients())
         out["q"] = _frac_list(data.q_coefficients())
     else:
-        data = _build_quadric_intersection(problem)
         report = validate(data.combined)
         out["n"] = data.n
         out["combined"] = _bundle_dict(data.combined)
@@ -459,16 +418,8 @@ def _cmd_validate(problem: ProblemFile, options: dict) -> dict:
     return out
 
 
-def _want_kind(problem: ProblemFile, command: str, kinds) -> None:
-    if problem.kind not in kinds:
-        raise CLIInputError(
-            "command %r needs kind %s, got %r"
-            % (command, " or ".join(repr(k) for k in kinds), problem.kind))
-
-
-def _cmd_brauer(problem: ProblemFile, options: dict) -> dict:
-    _want_kind(problem, "brauer", ("pencil",))
-    data = _build_pencil(problem)
+def _cmd_brauer(problem: ProblemFile, data: ConicBundleData,
+                options: dict) -> dict:
     description = brauer_group(data)
     generators = quotient_generators(data)
     return {"pencil": _bundle_dict(data),
@@ -480,9 +431,7 @@ def _cmd_brauer(problem: ProblemFile, options: dict) -> dict:
             "generators": [list(g.n) for g in generators]}
 
 
-def _cmd_local(problem: ProblemFile, options: dict) -> dict:
-    _want_kind(problem, "local",
-               ("system", "count-job", "pencil", "quadric-intersection"))
+def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
 
     def local(system, pencil=None) -> dict:
         out = {} if pencil is None else {"pencil": _bundle_dict(pencil)}
@@ -492,21 +441,17 @@ def _cmd_local(problem: ProblemFile, options: dict) -> dict:
         return out
 
     if problem.kind == "system":
-        return local(_build_system(problem))
+        return local(data)
     if problem.kind == "count-job":
-        return local(_build_job(problem).system)
+        return local(data.system)
     if problem.kind == "pencil":
-        data = _build_pencil(problem)
         return local(torsor_system(data), data)
-    data = _build_quadric_intersection(problem)
     factors = [local(torsor_system(bundle), bundle) for bundle in data.factors]
     return {"n": data.n, "factors": factors,
             "soluble_factors": all(f["report"]["soluble"] for f in factors)}
 
 
-def _cmd_count(problem: ProblemFile, options: dict) -> dict:
-    _want_kind(problem, "count", ("count-job",))
-    job = _build_job(problem)
+def _cmd_count(problem: ProblemFile, job: CountJob, options: dict) -> dict:
     rows = []
     for B in job.B_schedule:
         N = enumerate_N(job, B, threads=options["threads"])
@@ -518,9 +463,7 @@ def _cmd_count(problem: ProblemFile, options: dict) -> dict:
     return {"job": _job_dict(job), "per_B": rows}
 
 
-def _cmd_predict(problem: ProblemFile, options: dict) -> dict:
-    _want_kind(problem, "predict", ("count-job",))
-    job = _build_job(problem)
+def _cmd_predict(problem: ProblemFile, job: CountJob, options: dict) -> dict:
     reports = predict_and_compare(job, prime_cutoff=options["prime_cutoff"],
                                   threads=options["threads"])
     return {"job": _job_dict(job),
@@ -528,21 +471,18 @@ def _cmd_predict(problem: ProblemFile, options: dict) -> dict:
             "per_B": [r.as_json_dict() for r in reports]}
 
 
-def _cmd_bm(problem: ProblemFile, options: dict) -> dict:
-    _want_kind(problem, "bm", ("pencil",))
-    data = _build_pencil(problem)
-    if problem.raw("support") is None:
+def _cmd_bm(problem: ProblemFile, data: ConicBundleData,
+            options: dict) -> dict:
+    if "support" not in problem.values:
         raise CLIInputError(
             "the `bm` command needs a `support` key listing places, "
             "e.g. `support = oo, 2, 5`")
-    support = _place_list(problem, "support")
-    table = obstruction_scan(data, support, resolution=options["resolution"])
+    table = obstruction_scan(data, problem.values["support"],
+                             resolution=options["resolution"])
     return {"pencil": _bundle_dict(data), "scan": table.as_json_dict()}
 
 
-def _cmd_dp2(problem: ProblemFile, options: dict) -> dict:
-    _want_kind(problem, "dp2", ("dp2",))
-    data = _build_dp2(problem)
+def _cmd_dp2(problem: ProblemFile, data: DP2Data, options: dict) -> dict:
     bundle = bundle_from_fgh(data.f, data.g, data.h)
     quartic = dp2_ramification_quartic(data)
     minimality = dp2_minimality(data)
@@ -565,9 +505,7 @@ def _cmd_dp2(problem: ProblemFile, options: dict) -> dict:
     }
 
 
-def _cmd_dp1(problem: ProblemFile, options: dict) -> dict:
-    _want_kind(problem, "dp1", ("dp1",))
-    data = _build_dp1(problem)
+def _cmd_dp1(problem: ProblemFile, data: DP1Data, options: dict) -> dict:
     condition = dp1_condition(data)
     minimality = dp1_minimality(data)
     contracted = minimality.contracted_bundle
@@ -589,18 +527,6 @@ def _cmd_dp1(problem: ProblemFile, options: dict) -> dict:
             else _bundle_dict(contracted),
         ),
     }
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "brauer": _cmd_brauer,
-    "local": _cmd_local,
-    "count": _cmd_count,
-    "predict": _cmd_predict,
-    "bm": _cmd_bm,
-    "dp2": _cmd_dp2,
-    "dp1": _cmd_dp1,
-}
 
 
 # -------------------------------------------------------------- selftest
@@ -784,15 +710,38 @@ def run_selftest(quick: bool = False, seed: int = 0) -> dict:
 
 # ------------------------------------------------------------------ main
 
+_COMMANDS = {
+    # name: (function, kinds it accepts, flags, help); no kinds, no file
+    "validate": (_cmd_validate, tuple(_KINDS), (),
+                 "build the objects and report the structural checks"),
+    "brauer": (_cmd_brauer, ("pencil",), (),
+               "vertical Brauer classes of a pencil"),
+    "local": (_cmd_local,
+              ("system", "count-job", "pencil", "quadric-intersection"),
+              ("L", "depth"), "real and p-adic solubility with witnesses"),
+    "count": (_cmd_count, ("count-job",), ("threads",),
+              "exact point counts over the B schedule"),
+    "predict": (_cmd_predict, ("count-job",), ("threads", "prime_cutoff"),
+                "compare counts with the product of local densities"),
+    "bm": (_cmd_bm, ("pencil",), ("resolution",),
+           "adelic obstruction scan over the declared support"),
+    "dp2": (_cmd_dp2, ("dp2",), (),
+            "ramification quartic and minimality of a dp2 instance"),
+    "dp1": (_cmd_dp1, ("dp1",), (),
+            "pencil condition and minimality of a dp1 instance"),
+    "selftest": (run_selftest, (), ("quick", "seed"),
+                 "run the built-in oracle suite"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conicbundles",
         description="Exact arithmetic of conic bundles, batch interface.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, file=True, flags=()):
+    for name, (_, kinds, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if file:
+        if kinds:
             p.add_argument("file", help="problem file (key = value lines)")
         p.add_argument("--out", help="write the JSON report to this path")
         for flag in flags:
@@ -802,22 +751,6 @@ def _build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument("--" + flag.replace("_", "-"), type=int,
                                dest=flag)
-        return p
-
-    add("validate", "build the objects and report the structural checks")
-    add("brauer", "vertical Brauer classes of a pencil")
-    add("local", "real and p-adic solubility with witnesses",
-        flags=("L", "depth"))
-    add("count", "exact point counts over the B schedule",
-        flags=("threads",))
-    add("predict", "compare counts with the product of local densities",
-        flags=("threads", "prime_cutoff"))
-    add("bm", "adelic obstruction scan over the declared support",
-        flags=("resolution",))
-    add("dp2", "ramification quartic and minimality of a dp2 instance")
-    add("dp1", "pencil condition and minimality of a dp1 instance")
-    add("selftest", "run the built-in oracle suite", file=False,
-        flags=("quick", "seed"))
     return parser
 
 
@@ -852,22 +785,27 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     started = time.perf_counter()
+    command, kinds, _, _ = _COMMANDS[args.command]
     try:
-        if args.command == "selftest":
+        if not kinds:
             options = effective_options(None, args)
-            results = run_selftest(quick=bool(options.get("quick")),
-                                   seed=options["seed"])
-            inputs = {"options": {"quick": bool(options.get("quick")),
+            inputs = {"options": {"quick": args.quick,
                                   "seed": options["seed"]}}
-            _emit(_report("selftest", inputs, results, started), args.out)
+            results = command(**inputs["options"])
+            _emit(_report(args.command, inputs, results, started), args.out)
             return 0 if results["passed"] else 1
         problem = load_problem(args.file)
         options = effective_options(problem, args)
+        if problem.kind not in kinds:
+            raise CLIInputError(
+                "command %r needs kind %s, got %r"
+                % (args.command, " or ".join(repr(k) for k in kinds),
+                   problem.kind))
         inputs = {"file": dict(sorted(problem.fields.items())),
                   "kind": problem.kind,
                   "options": {k: v for k, v in sorted(options.items())
                               if v is not None}}
-        results = _COMMANDS[args.command](problem, options)
+        results = command(problem, problem.build(), options)
         _emit(_report(args.command, inputs, results, started), args.out)
         return 0
     except CLIInputError as exc:

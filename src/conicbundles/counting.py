@@ -415,7 +415,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     for i, form in enumerate(forms):
         lo, hi = _form_window(form, axes)
         tables.append(representation_table(BinaryForm(job.system.a[i]), lo,
-                                           hi, as_array=True))
+                                           hi))
         consts.append(-lo)
         index_axes.append([c * ax if c else None for c, ax in zip(form, axes)])
     choice = _line_direction(forms, extents)
@@ -643,33 +643,29 @@ def predict_and_compare(job: CountJob,
     finite = Fraction(1)
     for v in betas.values():
         finite *= v
+    if zero_at:
+        note = "no prediction: beta_p = 0 at p = %s" % ", ".join(
+            str(p) for p in zero_at)
+    else:
+        note = ("Euler product truncated at %d; tail factors 1 + O(p^-2) "
+                "not estimated" % prime_cutoff)
     reports = []
     for B in job.B_schedule:
         empirical = enumerate_N(job, B, threads=threads)
         binf = beta_infinity(job, B)
-        per_Bs = float(_CTX.divide(binf, B**job.system.s))
-        if zero_at:
-            reports.append(DensityReport(
-                B=B,
-                beta_inf_per_Bs=per_Bs,
-                beta_p=dict(betas),
-                prime_cutoff=prime_cutoff,
-                predicted=0.0,
-                empirical=empirical,
-                ratio=float("nan"),
-                note="no prediction: beta_p = 0 at p = %s"
-                     % ", ".join(str(p) for p in zero_at)))
-            continue
-        pred = _CTX.divide(_CTX.multiply(binf, finite.numerator),
-                           finite.denominator)
+        predicted, ratio = 0.0, float("nan")
+        if not zero_at:
+            pred = _CTX.divide(_CTX.multiply(binf, finite.numerator),
+                               finite.denominator)
+            predicted = float(pred)
+            ratio = float(_CTX.divide(empirical, pred))
         reports.append(DensityReport(
             B=B,
-            beta_inf_per_Bs=per_Bs,
+            beta_inf_per_Bs=float(_CTX.divide(binf, B**job.system.s)),
             beta_p=dict(betas),
             prime_cutoff=prime_cutoff,
-            predicted=float(pred),
+            predicted=predicted,
             empirical=empirical,
-            ratio=float(_CTX.divide(empirical, pred)),
-            note="Euler product truncated at %d; tail factors 1 + O(p^-2) "
-                 "not estimated" % prime_cutoff))
+            ratio=ratio,
+            note=note))
     return tuple(reports)

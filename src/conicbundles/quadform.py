@@ -330,10 +330,8 @@ def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int):
                     yield first, last, -ay2 - lo
 
 
-def representation_table(form: BinaryForm, lo: int, hi: int, *,
-                         as_array: bool = False):
-    """R(n) for lo <= n <= hi, as a list indexed by n - lo (an int64
-    numpy array with as_array=True).
+def representation_table(form: BinaryForm, lo: int, hi: int):
+    """R(n) for lo <= n <= hi, as an int64 numpy array indexed by n - lo.
 
     Counts the same orbits as primary_representatives, one solution each
     from the balanced domain of the module docstring, by rows instead of
@@ -354,8 +352,7 @@ def representation_table(form: BinaryForm, lo: int, hi: int, *,
     else:
         pell = pell_fundamental(a)
         rows = _indefinite_rows(a, pell.t, pell.u, lo, hi)
-    out = _gather_rows(rows, hi - lo + 1)
-    return out if as_array else out.tolist()
+    return _gather_rows(rows, hi - lo + 1)
 
 
 # ---------------------------------------------------------------------------

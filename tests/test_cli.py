@@ -105,6 +105,65 @@ def test_wrong_kind_for_command_exit_2(tmp_path, capsys):
     assert "needs kind 'pencil'" in capsys.readouterr().err
 
 
+BAD_SUPPORT = ("kind = pencil\ne = 0, 1, 2, 3\na = 5, 5, 5, 5\n"
+               "support = oo, 4, x\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "brauer", "local", "bm"])
+def test_malformed_support_exit_2_whatever_the_command(tmp_path, capsys,
+                                                       command):
+    # every key of the kind is read, also by the commands that ignore it
+    path = write_problem(tmp_path, BAD_SUPPORT)
+    code, report = run_cli([command, path], tmp_path)
+    assert code == 2 and report is None
+    assert "'4' is not a prime or `oo`" in capsys.readouterr().err
+
+
+OPTION_FLAGS = ("--L", "--depth", "--threads", "--prime-cutoff",
+                "--resolution", "--quick", "--seed")
+COMMAND_FLAGS = {
+    "validate": (), "brauer": (), "local": ("--L", "--depth"),
+    "count": ("--threads",), "predict": ("--threads", "--prime-cutoff"),
+    "bm": ("--resolution",), "dp2": (), "dp1": (),
+    "selftest": ("--quick", "--seed"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_exactly_its_flags(tmp_path, capsys, command):
+    head = [command] if command == "selftest" else [
+        command, str(tmp_path / "never-read.txt")]
+    for flag in OPTION_FLAGS:
+        args = head + ([flag] if flag == "--quick" else [flag, "3"])
+        if flag in COMMAND_FLAGS[command]:
+            parsed = cli._build_parser().parse_args(args)
+            value = getattr(parsed, flag[2:].replace("-", "_"))
+            assert value == (True if flag == "--quick" else 3)
+        else:
+            assert main(args) == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_local_depth_flag_echoed(tmp_path):
+    path = write_problem(tmp_path,
+                         "kind = pencil\ne = 0, 1\na = -1, -1\nL = 30\n")
+    code, report = run_cli(["local", path, "--depth", "6"], tmp_path)
+    assert code == 0
+    assert report["inputs"]["options"]["depth"] == 6
+    assert report["results"]["report"]["soluble"] is True
+
+
+def test_count_threads_flag(tmp_path):
+    path = write_problem(tmp_path, REF_JOB)
+    _, one = run_cli(["count", path], tmp_path, "one.json")
+    code, two = run_cli(["count", path, "--threads", "2"], tmp_path,
+                        "two.json")
+    assert code == 0
+    assert one["inputs"]["options"]["threads"] == 1
+    assert two["inputs"]["options"]["threads"] == 2
+    assert two["results"] == one["results"]
+
+
 # ---------------------------------------------------------------- reports
 
 def test_report_skeleton_and_echo(tmp_path):

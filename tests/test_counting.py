@@ -668,6 +668,6 @@ def test_enumerate_separable_at_ten_billion_cells():
     assert (hi - lo + 1) ** 2 >= 10**10
     expect = 1
     for a in sysm.a:
-        expect *= sum(representation_table(BinaryForm(a), lo, hi))
+        expect *= int(representation_table(BinaryForm(a), lo, hi).sum())
     assert enumerate_N(job, B) == expect
     assert enumerate_N(job, B, threads=2) == expect
