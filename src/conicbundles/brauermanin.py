@@ -26,32 +26,32 @@ that can carry the invariant.
 Symbols are read in two places.  `local_invariant` reads them with
 `exactnum.hilbert` at an exact parameter; the real place uses it at one
 point of each interval between consecutive poles, as every symbol at
-infinity is constant there.  `_cell_signs` reads them with
-`exactnum._residue_symbol` on a p-adic ball: scan cells, default
-searches, and a component tagged with precision m, read as the ball
-t + p^m Z_p.
+infinity is constant there.  `_cell_signs` reads them on a p-adic ball
+with the readers `exactnum._symbol_reader(a_i, p)`, built once per place
+by `_cell_model`: scan cells, default searches, and a component tagged
+with precision m, read as the ball t + p^m Z_p.
 
 Constancy on balls is decided analytically, not by sampling.  With
 e = n/d and v = v_p(d), (a, t - e)_p = (a, (d t - n) d)_p as d^2 is a
 square, and the ball c + p^k Z_p maps onto the ball
-(d c - n) d + p^(k + 2v) Z_p, integral when c is.  The residue kernel
-`exactnum._residue_symbol` reads each symbol on that ball once and
-returns it only when every point of the ball shares it, so balls too
-close to a pole are rejected rather than mis-evaluated.  The kernel's
-answer is monotone: a sub-ball has the same v_p and more known unit
-digits, so it returns the same symbol there.  Scans therefore descend by
-balls t = c mod p^k, depth first from k = 0, through the package's one
-ball walker `exactnum._balls` with `_cell_signs` as its reader: a ball
-on which every selected symbol is constant gives its values to all its
-residues mod p^resolution at once, and only the balls that are not
-constant split into their p children.  The invariant depends only on
-which ball around the e_i t lies in (Serre, *A Course in Arithmetic*,
-ch. III), so the kernel runs about r p times per level rather than once
-per residue.  A residue still undetermined at the stated resolution
-splits further, so scans may list cells finer than that resolution.
-That soundness is tested, not re-checked at run time: against
-brute-force symbols on balls in `tests/test_exactnum.py` and on every
-scan cell in `tests/test_brauermanin.py`.
+(d c - n) d + p^(k + 2v) Z_p, integral when c is.  The reader reads
+each symbol on that ball once and returns it only when every point of
+the ball shares it, so balls too close to a pole are rejected rather
+than mis-evaluated.  The reader's answer is monotone: a sub-ball has
+the same v_p and more known unit digits, so it returns the same symbol
+there.  Scans therefore descend by balls t = c mod p^k, depth first
+from k = 0, through the package's one ball walker `exactnum._balls`
+with `_cell_signs` as its reader: a ball on which every selected symbol
+is constant gives its values to all its residues mod p^resolution at
+once, and only the balls that are not constant split into their p
+children.  The invariant depends only on which ball around the e_i t
+lies in (Serre, *A Course in Arithmetic*, ch. III), so the readers run
+about r p times per level rather than once per residue.  A residue
+still undetermined at the stated resolution splits further, so scans
+may list cells finer than that resolution.  That soundness is tested,
+not re-checked at run time: against brute-force symbols on balls in
+`tests/test_exactnum.py` and on every scan cell in
+`tests/test_brauermanin.py`.
 
 A scan keeps the cells of each finite place as integer columns (level,
 residue, generator values) and builds `ScanCell` objects and labels only
@@ -79,7 +79,7 @@ from .exactnum import (
     Place,
     REAL_PLACE,
     _balls,
-    _residue_symbol,
+    _symbol_reader,
     _valuation_unit,
     as_bits,
     as_integer_at_least,
@@ -218,24 +218,26 @@ class InvariantVector:
 
 
 def _cell_model(data: ConicBundleData, p: int, fibres):
-    """(2^i, a_i, n_i, d_i, 2 v_p(d_i)), e_i = n_i / d_i, for the fibres i
-    with fibres[i] = 1: what `_cell_signs` reads the cells at p from."""
-    return tuple((1 << i, a.representative(), e.numerator, e.denominator,
+    """(2^i, the reader of (a_i, .)_p, n_i, d_i, 2 v_p(d_i)),
+    e_i = n_i / d_i, for the fibres i with fibres[i] = 1: what
+    `_cell_signs` reads the cells at p from."""
+    return tuple((1 << i, _symbol_reader(a.representative(), p),
+                  e.numerator, e.denominator,
                   2 * _valuation_unit(e.denominator, p)[0])
                  for i, (b, a, e) in enumerate(zip(fibres, data.a, data.e))
                  if b)
 
 
-def _cell_signs(model, p: int, c, k: int) -> Optional[int]:
+def _cell_signs(model, c, k: int) -> Optional[int]:
     """The sum of 2^i over the fibres i of the model with
     (a_i, t - e_i)_p = -1 on the cell t + p^k Z_p, c an int or Fraction,
     reading each symbol once, or None when one is not constant there."""
     signs = 0
-    for bit, a, n, d, shift in model:
-        sym = _residue_symbol(a, (d * c - n) * d, p, k + shift)
-        if sym is None:
+    for bit, sym, n, d, shift in model:
+        value = sym((d * c - n) * d, k + shift)
+        if value is None:
             return None
-        if sym == -1:
+        if value == -1:
             signs |= bit
     return signs
 
@@ -274,7 +276,7 @@ def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
     K = resolution if resolution is not None else _default_resolution(p)
     model = _cell_model(data, p, bits)
     for _, (c,), signs in _balls(
-            p, 1, K, lambda u, k: _cell_signs(model, p, u[0], k)):
+            p, 1, K, lambda u, k: _cell_signs(model, u[0], k)):
         if signs is not None and signs.bit_count() % 2 == 0:
             return Fraction(c)
     return None
@@ -292,7 +294,7 @@ def invariant_vector(data: ConicBundleData, point: AdelicFiberPoint,
             entries.append((v, local_invariant(data, bits, t, v)))
             continue
         _check_pole(data, t)
-        signs = _cell_signs(_cell_model(data, v.p, bits), v.p, t, m)
+        signs = _cell_signs(_cell_model(data, v.p, bits), t, m)
         if signs is None:
             raise BrauerManinError(
                 "precision %d at place %s does not determine every symbol "
@@ -518,7 +520,7 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
         # a pole residue mod p^K stops the descent; it is cleared below
         if k == K and u[0] in poles:
             return 0
-        return _cell_signs(model, p, u[0], k)
+        return _cell_signs(model, u[0], k)
 
     for k, (c,), signs in _balls(p, 1, K + _MAX_EXTRA_LEVELS, read):
         if signs is None:

@@ -25,12 +25,15 @@ of bad primes.  Factorization is trial division up to the fixed
 TRIAL_DIVISION_BOUND plus a deterministic Miller-Rabin primality check;
 inputs at desk scale are small.
 
-The formulas live once, in `_serre_symbol`, which `hilbert` shares with
-the residue kernel `_residue_symbol(a, x, p, K)`: the symbol (a, y)_p
-common to every y = x mod p^K, or None when that ball does not pin
-v_p(y) and the unit bits the formulas read.  Beside it sits the one
-ball walker, `_balls`, which `localsolve` walks for witnesses and
-`brauermanin` for scan cells, both reading the balls with that kernel.
+The formulas live once, in the one symbol reader `_symbol_reader(a, p)`.
+It splits a once and returns sym(x, K): the symbol (a, y)_p common to
+every y = x mod p^K, or None when that ball does not pin v_p(y) and the
+unit bits the formulas read.  `hilbert` reads through it at a ball small
+enough to be exact; callers that read many balls build one reader per
+(a, p) and keep it.  Beside it sits the one ball walker, `_balls`, a
+flat loop over a stack of lazy child iterators with no depth limit,
+which `localsolve` walks for witnesses and `brauermanin` for scan cells,
+both reading the balls with such readers.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Optional, Sequence, Union
 
 IntLike = Union[int, Fraction]
@@ -183,8 +185,8 @@ def is_square(n: int) -> bool:
 
 
 def _exact(x) -> IntLike:
-    # plain ints skip the Fraction round trip: the symbol kernels below
-    # sit on every hot path, and ints are their commonest input
+    # plain ints skip the Fraction round trip: the symbols below sit on
+    # every hot path, and ints are their commonest input
     return x if type(x) is int else as_rational(x)
 
 
@@ -308,25 +310,65 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def _serre_symbol(p: int, alpha: int, u: int, beta: int, w: int) -> int:
-    """(p^alpha u, p^beta w)_p for integers u, w prime to p: the Serre
-    formulas of the module docstring, reading u, w mod p (mod 8 at p = 2)."""
+def _symbol_reader(a: IntLike, p: int):
+    """sym(x, K): the symbol (a, y)_p shared by every y = x mod p^K, or
+    None when it is not constant on that ball.
+
+    a is a nonzero int or Fraction and p a prime; x is an int or
+    Fraction.  a is split into p^alpha u once, here, and the Serre
+    formulas of the module docstring are specialised to that split, so a
+    read splits only x = p^beta w, with integer operations when x is an
+    int.  The ball pins v_p(y) = beta when beta < K, and the unit part
+    mod p^(K - beta).  At odd p the formulas read one unit digit; at
+    p = 2 they read 3 bits when alpha is odd, 2 when u = 3 mod 4 and 1
+    otherwise, so None is returned exactly when two points of the ball
+    can disagree."""
+    alpha, u = _valuation_unit(a, p)
+    alpha &= 1
     if p == 2:
-        u, w = u % 8, w % 8
-        eps_u = (u - 1) // 2 % 2
-        eps_w = (w - 1) // 2 % 2
-        om_u = (u * u - 1) // 8 % 2
-        om_w = (w * w - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * om_w + beta * om_u
-        return -1 if e % 2 else 1
-    s = 1
-    if alpha * beta % 2 and p % 4 == 3:
-        s = -s
-    if beta % 2:
-        s *= legendre(u, p)
-    if alpha % 2:
-        s *= legendre(w, p)
-    return s
+        # (a, y)_2 = (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u))
+        eps_u = u >> 1 & 1
+        omega_u = (u * u - 1) >> 3 & 1
+        need = 3 if alpha else 2 if eps_u else 1
+
+        def sym(x, K):
+            if not x:
+                return None
+            if type(x) is int:
+                beta = (x & -x).bit_length() - 1
+                w = x >> beta & 7
+            else:
+                beta, w = _valuation_unit(x, 2)
+                w &= 7
+            if K - beta < need:
+                return None
+            e = eps_u & w >> 1 ^ alpha & (w * w - 1) >> 3 ^ beta & omega_u
+            return -1 if e & 1 else 1
+        return sym
+
+    # (a, y)_p = (-1)^(alpha beta (p - 1)/2) (u|p)^beta (w|p)^alpha
+    half = (p - 1) >> 1
+    odd_beta = 1 if pow(u, half, p) == 1 else -1
+    if alpha and half & 1:
+        odd_beta = -odd_beta
+
+    def sym(x, K):
+        if not x:
+            return None
+        if type(x) is int:
+            beta = 0
+            while beta < K and not x % p:
+                x //= p
+                beta += 1
+        else:
+            beta, x = _valuation_unit(x, p)
+        if beta >= K:
+            return None
+        s = odd_beta if beta & 1 else 1
+        if alpha and pow(x, half, p) != 1:
+            return -s
+        return s
+    return sym
 
 
 def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
@@ -339,36 +381,9 @@ def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
         raise ExactNumError("hilbert symbol needs nonzero arguments")
     if place.is_real:
         return -1 if (a < 0 and b < 0) else 1
-    p = place.p
-    return _serre_symbol(p, *_valuation_unit(a, p), *_valuation_unit(b, p))
-
-
-def _residue_symbol(a: IntLike, x: IntLike, p: int, K: int) -> Optional[int]:
-    """The symbol (a, y)_p shared by every y = x mod p^K, or None when it
-    is not constant on that ball.
-
-    a is a nonzero int or Fraction, x an int or Fraction, p a prime.  The
-    ball pins v_p(y) = v_p(x) when v_p(x) < K, and the unit part mod
-    p^(K - v_p(x)).  At odd p the formulas read one unit digit; at p = 2
-    they read 3 bits when v_2(a) is odd, 2 when the unit part of a is
-    3 mod 4 and 1 otherwise, so None is returned exactly when two points
-    of the ball can disagree."""
-    if x == 0:
-        return None
-    beta, w = _valuation_unit(x, p)
-    if beta >= K:
-        return None
-    alpha, u = _valuation_unit(a, p)
-    if p == 2 and K - beta < (3 if alpha % 2 else 2 if u % 4 == 3 else 1):
-        return None
-    return _serre_symbol(p, alpha, u, beta, w)
-
-
-@lru_cache(maxsize=None)
-def _digit_offsets(p: int, s: int, k: int) -> tuple:
-    # the vectors p^k d, d in {0, ..., p - 1}^s, lexicographically
-    return tuple(tuple(d * p**k for d in ds)
-                 for ds in itertools.product(range(p), repeat=s))
+    # v_p(b) is below the bit length of its numerator, so this ball pins
+    # v_p(b) and the three unit digits the formulas can read: b itself
+    return _symbol_reader(a, place.p)(b, b.numerator.bit_length() + 3)
 
 
 def _balls(p: int, s: int, last: int, read):
@@ -377,16 +392,28 @@ def _balls(p: int, s: int, last: int, read):
     once per ball; while it returns None and k < last, the ball splits
     into its p^s children u + p^k d, d in {0, ..., p - 1}^s taken
     lexicographically.  Every other ball is yielded as (k, u, value), so
-    the yielded balls partition Z_p^s."""
-    def walk(u, k):
+    the yielded balls partition Z_p^s.
+
+    One loop over a stack of lazy child iterators, one per open ball, so
+    the walk keeps no generator chain and has no depth limit."""
+    stack = []  # stack[j]: the unread children, at level j + 1, of a ball
+    u, k = (0,) * s, 0
+    while True:
         value = read(u, k)
         if value is None and k < last:
-            for off in _digit_offsets(p, s, k):
-                yield from walk(tuple(map(add, u, off)), k + 1)
+            step = p ** k
+            stack.append(itertools.product(
+                *[range(x, x + p * step, step) for x in u]))
         else:
             yield k, u, value
-
-    return walk((0,) * s, 0)
+        while stack:
+            u = next(stack[-1], None)
+            if u is not None:
+                break
+            stack.pop()
+        else:
+            return
+        k = len(stack)
 
 
 def hilbert_support(a: IntLike, b: IntLike) -> list:

@@ -12,14 +12,15 @@ walks the balls u + p^L Z_p^s depth first with `exactnum._balls`, the
 ball walker the Brauer-Manin scans share, and reads each form on the
 whole value ball: with c_i the p-content of f_i (least valuation of a
 coefficient), the ball u + p^L Z_p^s maps into f_i(u) + p^(L + c_i) Z_p.
-A ball is pruned when the residue kernel `exactnum._residue_symbol`
-reads some (a_i, f_i(u))_p as -1 on that value ball, or when every value
-in it is 0 mod p^(depth - need + 1) and so keeps no witness margin; no
-point of a pruned ball is a witness.  It accepts only with the margin a
-LocalWitness keeps: every value nonzero with `need` unit digits known
-(one at odd p, three bits at p = 2) and every symbol +1, so a returned
-witness survives every lift.  A form of large content thus costs a few
-balls instead of a tree of digits its values do not yet read.
+A ball is pruned when the symbol reader `exactnum._symbol_reader` of a_i,
+built once per call, reads (a_i, f_i(u))_p as -1 on that value ball, or
+when every value in it is 0 mod p^(depth - need + 1) and so keeps no
+witness margin; no point of a pruned ball is a witness.  It accepts only
+with the margin a LocalWitness keeps: every value nonzero with `need`
+unit digits known (one at odd p, three bits at p = 2) and every symbol
++1, so a returned witness survives every lift.  A form of large content
+thus costs a few balls instead of a tree of digits its values do not yet
+read.
 
 diagonal_quadric_soluble decides c_1 x_1^2 + ... + c_4 x_4^2 = 0 by the
 classical rank-4 criterion: isotropic at v unless the determinant class
@@ -27,8 +28,11 @@ is a local square and the product of the symbols (c_i, c_j)_v over i < j
 differs from (-1, -1)_v.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .exactnum import (
@@ -36,7 +40,7 @@ from .exactnum import (
     Place,
     REAL_PLACE,
     _balls,
-    _residue_symbol,
+    _symbol_reader,
     _valuation_unit,
     as_integer,
     as_rational,
@@ -44,7 +48,6 @@ from .exactnum import (
     hilbert,
     is_prime,
     legendre,
-    valuation,
 )
 from .pencil import NormFormSystem, technical_bound
 
@@ -69,7 +72,7 @@ class LocalWitness:
 
 
 def _evaluate(form: Sequence, u: Sequence):
-    return sum(c * x for c, x in zip(form, u))
+    return sum(map(mul, form, u))
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +151,27 @@ def real_soluble(system: NormFormSystem):
     if base is None:
         return False, None
     # nudge off the remaining hyperplanes while keeping the strict rows
-    if all(_evaluate(f, base) != 0 for f in system.forms):
+    if _real_witness(system, base):
         return True, LocalWitness(place=REAL_PLACE, u=base)
     for t in range(system.r * s + 1):
         direction = tuple(Fraction(t)**j for j in range(s))
         eps = Fraction(1)
         for _ in range(64):
             cand = tuple(b + eps * d for b, d in zip(base, direction))
-            if all(_evaluate(system.forms[i], cand) > 0
-                   for i in system.i_minus) and \
-               all(_evaluate(f, cand) != 0 for f in system.forms):
+            if _real_witness(system, cand):
                 return True, LocalWitness(place=REAL_PLACE, u=cand)
             eps /= 2
     raise LocalSolveError("could not perturb the witness off a hyperplane")
+
+
+def _real_witness(system: NormFormSystem, u) -> bool:
+    """Whether the rational point u has f_i(u) > 0 for the i with a_i < 0
+    and f_i(u) != 0 for every i, read in integers on the positive
+    multiple of u that clears its denominators."""
+    scale = math.lcm(*(x.denominator for x in u))
+    v = [x.numerator * (scale // x.denominator) for x in u]
+    values = (_evaluate(f, v) for f in system.forms)
+    return all(x > 0 if a < 0 else x != 0 for a, x in zip(system.a, values))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +197,7 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     order and the first witness is the one a plain digit search finds.
     Acceptance needs v_p(x_i) <= L - need, which already fixes the symbol
     on x_i + p^L Z_p, equal to the one read on the smaller value ball; so
-    one kernel call per form serves both the cut and the acceptance.
+    one symbol read per form serves both the cut and the acceptance.
     """
     p = as_integer(p, LocalSolveError)
     if depth is not None:
@@ -206,12 +217,14 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     fast = _good_prime_witness(system, p, depth)
     if fast is not None:
         return True, fast
-    forms = system.forms
-    a = system.a
     need = 3 if p == 2 else 1  # unit digits a LocalWitness keeps
-    # c_i, the p-content of f_i: its least coefficient valuation
-    content = [min(valuation(c, p) for c in f if c) for f in forms]
-    dead = p ** (depth - need + 1)  # values 0 mod dead keep no margin
+    power = list(accumulate(repeat(p, depth), mul, initial=1))
+    # (f_i, its symbol reader, c_i the p-content of f_i: the valuation
+    # of the gcd of its coefficients)
+    rows = [(f, _symbol_reader(ai, p), _valuation_unit(math.gcd(*f), p)[0])
+            for ai, f in zip(system.a, system.forms)]
+    late = depth - need  # value balls finer than p^late can be dead
+    dead = power[late + 1]  # values 0 mod dead keep no margin
 
     def read(u, level):
         # False when no lift of u mod p^level is a witness: on the value
@@ -219,20 +232,20 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
         # True when u is a witness: every symbol +1 with `need` unit digits
         # of every value known; None when a lift may still be one
         accept = level >= need
-        for ai, f, c in zip(a, forms, content):
+        margin = power[level - need + 1] if accept else 0
+        for f, sym, c in rows:
             x = _evaluate(f, u)
-            sym = _residue_symbol(ai, x, p, level + c)
-            if sym == -1 or (level + c > depth - need and x % dead == 0):
+            K = level + c
+            value = sym(x, K)
+            if value == -1 or (K > late and x % dead == 0):
                 return False
-            accept = accept and sym == 1 and \
-                x % p ** (level - need + 1) != 0
+            accept = accept and value == 1 and x % margin != 0
         return True if accept else None
 
-    found = next((u for _, u, ok in _balls(p, system.s, depth, read) if ok),
-                 None)
-    if found is None:
-        return False, None
-    return True, LocalWitness(place=Place(p), u=found, precision=depth)
+    for _, u, ok in _balls(p, system.s, depth, read):
+        if ok:
+            return True, LocalWitness(place=Place(p), u=u, precision=depth)
+    return False, None
 
 
 def _good_prime_witness(system: NormFormSystem, p: int, depth: int):
@@ -244,13 +257,12 @@ def _good_prime_witness(system: NormFormSystem, p: int, depth: int):
     times.
     """
     r, s = system.r, system.s
-    if p == 2 or p <= r * (s - 1) or \
-            any(valuation(a, p) != 0 for a in system.a):
+    if p == 2 or p <= r * (s - 1) or not all(a % p for a in system.a):
         return None
     for t in range(r * (s - 1) + 1):
         u = tuple(pow(t, j, p**depth) if t else (1 if j == 0 else 0)
                   for j in range(s))
-        if all(_evaluate(f, u) % p != 0 for f in system.forms):
+        if all(_evaluate(f, u) % p for f in system.forms):
             return LocalWitness(place=Place(p), u=u, precision=depth)
     return None
 

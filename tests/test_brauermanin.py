@@ -646,7 +646,7 @@ def test_scan_drops_unselected_pole_inside_constant_ball():
     gens = [g.n for g in quotient_generators(data)]
     assert gens and not any(g[0] for g in gens)
     model = brauermanin._cell_model(data, 5, (0, 1, 1, 1))
-    assert brauermanin._cell_signs(model, 5, 0, 1) is not None
+    assert brauermanin._cell_signs(model, 0, 1) is not None
     for K in (2, 3):
         tab = obstruction_scan(data, [Place(5)], resolution=K)
         labels = {cell.label for cell in tab.cells}
@@ -674,7 +674,7 @@ def test_default_trivial_parameter_by_balls():
                 for K in (1, 2, 3):
                     t = brauermanin._default_trivial_parameter(
                         data, bits, Place(p), K)
-                    flat = [brauermanin._cell_signs(model, p, c, K)
+                    flat = [brauermanin._cell_signs(model, c, K)
                             for c in range(p ** K)]
                     assert (t is None) == all(
                         s is None or s.bit_count() % 2 for s in flat)

@@ -278,16 +278,20 @@ def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
     # forms with large p-content: values lie in small balls that the
     # search reads whole, instead of branching digit by digit
     calls = []
-    kernel = localsolve._residue_symbol
+    reader = localsolve._symbol_reader
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted_reader(a, p):
+        sym = reader(a, p)
+
+        def counted(x, K):
+            calls.append((a, x, p, K))
+            return sym(x, K)
+        return counted
 
     item1 = NormFormSystem(r=2, s=2, a=(-1, -3), forms=((0, 25), (125, 0)))
     null = NormFormSystem(r=2, s=3, a=(7, 11),
                           forms=((7, 1, 0), (-125, -125, 0)))
-    monkeypatch.setattr(localsolve, "_residue_symbol", counted)
+    monkeypatch.setattr(localsolve, "_symbol_reader", counted_reader)
     # still insoluble at the default depth, whose heuristic floor of 4 is
     # too shallow for this system's witnesses
     assert padic_soluble(item1, 5) == (False, None)
@@ -298,6 +302,15 @@ def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
     ok, wit = padic_soluble(item1, 5, depth=9)
     assert ok and wit.u == (3125, 15625) and wit.precision == 9
     check_padic_witness(item1, 5, wit)
+
+
+def test_padic_deep_search_keeps_no_stack():
+    # the walk descends 1100 levels along the zero ball; a recursive walker
+    # passed Python's recursion limit here
+    system = NormFormSystem(r=2, s=2, a=(-1, -3), forms=((0, 25), (125, 0)))
+    ok, wit = padic_soluble(system, 5, depth=1100)
+    assert ok and wit.precision == 1100
+    check_padic_witness(system, 5, wit)
 
 
 def test_padic_witness_lifts():
