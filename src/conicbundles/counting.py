@@ -34,10 +34,14 @@ unless the exact value lies within that distance of a tie.
 
 Finite densities.  G(p^k) counts (x, y, t) mod p^k solving the system at
 g_i(t) = f_i(u^(M) + M t); beta_p is the limit of p^(-(s+r)k) G(p^k).  For
-p not dividing M it is 1 when the forms have rank r mod p; otherwise it
-is detected by finding G(p^(k+1)) exactly equal to p^(s+r) G(p^k) at the
-first admissible k (persistence beyond the detected step is the theory's
-statement, not re-verified numerically).
+p not dividing M it is 1 when the forms have rank r mod p, that is when p
+does not divide the gcd of the r x r minors of the form matrix (0 when
+r > s); otherwise it is detected by finding G(p^(k+1)) exactly equal to
+p^(s+r) G(p^k) at the first admissible k (persistence beyond the detected
+step is the theory's statement, not re-verified numerically).  So for
+r <= s the Euler product is finite: it runs over the bad set of primes
+dividing M or the minors gcd, which predict_and_compare computes once per
+job and always includes, writing 1 at every other prime up to the cutoff.
 For p | M with m = val_p(M), beta_p = p^(-(s+r)m) G(p^m) exactly; when the
 mod-M data x^2 - a_i y^2 = f_i(u^(M)) is solvable mod p^m this is at least
 p^(-rm) > 0, and a violation of that bound is reported as an error since
@@ -57,16 +61,20 @@ g C_g[x mod g] with g = gcd(d, p^k) and C_g the residue-class sums of the
 rho_j table.  When no form admits such a w (r > s), every cell is its own
 line.
 
-All lattice counts and beta_p values are exact (Python integers and
-Fractions); only beta_inf and the final ratios are floating point.  The
-Euler product is truncated at a configurable cutoff and the truncation is
-recorded on every report; the tail factors are 1 + O(p^-2) but the
-constant is not estimated here.
+Lattice counts, line directions (a fraction-free elimination), box ends
+(integer floor division over one common denominator) and the rank test
+run on Python integers; the only Fractions are the job's uInf and eps,
+the box measure and the beta_p values, each an integer count over a
+power of p.  Only beta_inf and the final ratios are floating point.
+Beyond the bad set the Euler product is truncated at a configurable
+cutoff, recorded on every report; for r > s the tail factors are
+1 + O(p^-2) but the constant is not estimated here.
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,6 +84,7 @@ import numpy
 
 from .exactnum import (
     ExactNumError,
+    _det,
     as_integer,
     as_integer_at_least,
     as_rational,
@@ -193,13 +202,16 @@ def region_measure(job: CountJob, B: int) -> Fraction:
 
 
 def _axis_values(job: CountJob, B: int, j: int):
-    # integers u_j = uM_j mod M with |u_j - B uInf_j| < eps B, ascending
-    lo = B * job.uInf[j] - job.epsilon * B
-    hi = B * job.uInf[j] + job.epsilon * B
-    tlo = (lo - job.uM[j]) / job.M
-    thi = (hi - job.uM[j]) / job.M
-    t0 = math.floor(tlo) + 1
-    t1 = math.ceil(thi) - 1
+    # integers u_j = uM_j + M t with |u_j - B uInf_j| < eps B, ascending:
+    # over a common denominator D, with x = D uInf_j and e = D eps, the
+    # t are those with B (x - e) < D (uM_j + M t) < B (x + e)
+    c, eps = job.uInf[j], job.epsilon
+    D = math.lcm(c.denominator, eps.denominator)
+    x = c.numerator * (D // c.denominator)
+    e = eps.numerator * (D // eps.denominator)
+    step, base = job.M * D, job.uM[j] * D
+    t0 = (B * (x - e) - base) // step + 1
+    t1 = -((base - B * (x + e)) // step) - 1
     if t0 > t1:
         return None
     return job.uM[j] + job.M * numpy.arange(t0, t1 + 1, dtype=numpy.int64)
@@ -218,15 +230,19 @@ def _dot(row, w):
     return sum(c * x for c, x in zip(row, w))
 
 
-def _echelon(rows, s: int, p: Optional[int] = None):
-    # reduced row echelon form of integer rows of length s, over Q or,
-    # when p is given, over F_p; returns the nonzero rows and their pivots
-    if p is None:
-        mat = [[Fraction(c) for c in row] for row in rows]
-        norm = lambda v: v
-    else:
-        mat = [[c % p for c in row] for row in rows]
-        norm = lambda v: v % p
+def _primitive(row):
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else list(row)
+
+
+def _nullspace(rows, s: int):
+    # a basis of {w in Z^s : row . w = 0 for every row}, one primitive
+    # vector per free column of the reduced echelon form E.  Gauss-Jordan
+    # elimination on integer rows, each kept primitive, leaves pivot row i
+    # equal to lead_i times row i of E, so the free column f gives the
+    # vector with w_f = L and w_(pivot i) = -row_i[f] L / lead_i, L the lcm
+    # of the leads: a positive multiple of the vector read off E
+    mat = [_primitive(row) for row in rows]
     pivots = []
     for col in range(s):
         rank = len(pivots)
@@ -234,34 +250,34 @@ def _echelon(rows, s: int, p: Optional[int] = None):
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        inv = 1 / lead if p is None else pow(lead, -1, p)
-        mat[rank] = [norm(v * inv) for v in mat[rank]]
-        for i in range(len(mat)):
-            f = mat[i][col]
+        top = mat[rank]
+        lead = top[col]
+        for i, row in enumerate(mat):
+            f = row[col]
             if i != rank and f:
-                mat[i] = [norm(v - f * q) for v, q in zip(mat[i], mat[rank])]
+                mat[i] = _primitive([lead * v - f * q
+                                     for v, q in zip(row, top)])
         pivots.append(col)
-    return mat[:len(pivots)], pivots
-
-
-def _nullspace(rows, s: int):
-    # a basis of {w in Z^s : row . w = 0 for every row}, one primitive
-    # vector per free column of the echelon form
-    mat, pivots = _echelon(rows, s)
+    leads = [row[col] for row, col in zip(mat, pivots)]
+    L = math.lcm(*leads)
     basis = []
     for free in range(s):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * s
-        vec[free] = Fraction(1)
-        for row, col in zip(mat, pivots):
-            vec[col] = -row[free]
-        scale = math.lcm(*(v.denominator for v in vec))
-        ints = [int(v * scale) for v in vec]
-        g = math.gcd(*ints)
-        basis.append(tuple(v // g for v in ints))
+        vec = [0] * s
+        vec[free] = L
+        for row, col, lead in zip(mat, pivots, leads):
+            vec[col] = -row[free] * (L // lead)
+        basis.append(tuple(_primitive(vec)))
     return basis
+
+
+def _minors_gcd(forms, s: int) -> int:
+    # gcd of the r x r minors of the form matrix, 0 when r > s: the forms
+    # have rank r mod p exactly when p divides none of the minors
+    r = len(forms)
+    return math.gcd(*(_det([[f[c] for c in cols] for f in forms])
+                      for cols in itertools.combinations(range(s), r)))
 
 
 def _line_direction(forms, extents):
@@ -537,10 +553,12 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
     p | M: p^(-(s+r)m) G(p^m) with m = val_p(M); if the mod-M data is
     solvable mod p^m the value is checked against the lower bound p^(-rm).
     Else, once k_max is checked against the first admissible k: 1 when
-    the form matrix has rank r mod p, at every p and for all a_i, since
-    t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r and sum_A rho(p^k; A)
-    = p^2k for each form; otherwise detect G(p^(k+1)) = p^(s+r) G(p^k) at
-    the first admissible k and return p^(-(s+r)k) G(p^k)."""
+    the form matrix has rank r mod p, that is when p does not divide the
+    gcd of its r x r minors (0 when r > s), at every p and for all a_i,
+    since t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r and
+    sum_A rho(p^k; A) = p^2k for each form; otherwise detect
+    G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k and return
+    p^(-(s+r)k) G(p^k)."""
     p = as_integer(p, CountingError)
     if k_max is not None:
         k_max = as_integer(k_max, CountingError)
@@ -566,7 +584,7 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
     if k_max < k0:
         raise CountingError("k_max = %d is below the first admissible k = %d"
                             % (k_max, k0))
-    if len(_echelon(job.system.forms, s, p)[1]) == r:
+    if _minors_gcd(job.system.forms, s) % p:
         return Fraction(1)
     step = p ** (s + r)
     prev = G(job, p, k0)
@@ -590,8 +608,12 @@ class DensityReport:
     floats rounded to 53 bits from 30-digit decimal intermediates, whose
     relative error is below 3.2e-28 for r <= 8 (beta_inf's bound plus at
     most three more correctly rounded operations).
-    The Euler product is truncated at prime_cutoff; the tail is 1 + O(p^-2)
-    per factor and is not estimated."""
+    beta_p holds every prime up to prime_cutoff and every bad prime above
+    it: those dividing M and, when r <= s, those dividing the gcd of the
+    r x r minors of the form matrix.  For r <= s every other factor is
+    exactly 1, so the product is complete; for r > s the factors beyond
+    the cutoff are 1 + O(p^-2) and are not estimated.  The note keeps its
+    "tail factors ... not estimated" wording in both cases."""
 
     B: int
     beta_inf_per_Bs: float
@@ -626,23 +648,33 @@ def predict_and_compare(job: CountJob,
                         threads: int = 1) -> Tuple[DensityReport, ...]:
     """One DensityReport per scheduled B.
 
-    If some beta_p vanishes the job is locally obstructed: the reports
-    carry predicted = 0 and name the place, and the exact count is still
-    taken (it must be 0)."""
+    beta_p runs at the bad primes, those dividing M or the gcd of the
+    r x r minors of the form matrix: at each one up to prime_cutoff, and
+    above it at those dividing M, or the gcd when it is nonzero (r <= s).
+    Every other prime up to the cutoff gets 1, the value beta_p returns
+    there.  If some beta_p vanishes the job is locally obstructed: the
+    reports carry predicted = 0 and name the place, and the exact count is
+    still taken (it must be 0)."""
     prime_cutoff = as_integer_at_least(prime_cutoff, 2, "prime_cutoff",
                                        CountingError)
     threads = as_integer_at_least(threads, 1, "threads", CountingError)
     if not job.B_schedule:
         raise CountingError("empty B schedule")
-    betas = {}
-    zero_at = []
-    for p in _primes_upto(prime_cutoff):
-        betas[p] = beta_p(job, p)
-        if betas[p] == 0:
-            zero_at.append(p)
+    # the gcd is 0, making every prime bad, exactly when r > s or the forms
+    # are dependent; then only the primes of M are kept beyond the cutoff
+    minors = _minors_gcd(job.system.forms, job.system.s)
+    primes = set(_primes_upto(prime_cutoff))
+    for n in (job.M, minors) if minors else (job.M,):
+        primes.update(p for p, _ in factorize(n))
     finite = Fraction(1)
-    for v in betas.values():
-        finite *= v
+    betas = dict.fromkeys(sorted(primes), finite)
+    zero_at = []
+    for p in betas:
+        if job.M % p == 0 or minors % p == 0:
+            betas[p] = val = beta_p(job, p)
+            finite *= val
+            if val == 0:
+                zero_at.append(p)
     if zero_at:
         note = "no prediction: beta_p = 0 at p = %s" % ", ".join(
             str(p) for p in zero_at)

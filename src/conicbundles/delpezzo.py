@@ -55,6 +55,7 @@ from typing import Optional, Tuple
 from .exactnum import (
     ExactNumError,
     SquareClass,
+    _det,
     as_rational,
     f2_independent,
     squarefree_class,
@@ -100,32 +101,6 @@ def _coprime(a, b) -> bool:
             a = _trim(a[:-1])
         a, b = b, a
     return len(a) == 1
-
-
-def _det(m):
-    """Determinant by Bareiss's fraction-free elimination: each entry left
-    after step k is a (k+1)-minor, so dividing by the previous pivot is
-    exact; integers stay in Z, other input runs on Fractions and `/`."""
-    n = len(m)
-    if all(type(x) is int for row in m for x in row):
-        m, div = [list(row) for row in m], int.__floordiv__
-    else:
-        m, div = [list(map(Fraction, row)) for row in m], Fraction.__truediv__
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = div(pivot * row[j] - lead * top[j], prev)
-        prev = pivot
-    return sign * m[-1][-1]
 
 
 def _interpolate(values):

@@ -34,6 +34,10 @@ enough to be exact; callers that read many balls build one reader per
 flat loop over a stack of lazy child iterators with no depth limit,
 which `localsolve` walks for witnesses and `brauermanin` for scan cells,
 both reading the balls with such readers.
+
+The package's one determinant is `_det`, Bareiss's fraction-free
+elimination; `counting` reads the rank of a form matrix from it and
+`delpezzo` its eliminants.
 """
 
 from __future__ import annotations
@@ -384,6 +388,32 @@ def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     # v_p(b) is below the bit length of its numerator, so this ball pins
     # v_p(b) and the three unit digits the formulas can read: b itself
     return _symbol_reader(a, place.p)(b, b.numerator.bit_length() + 3)
+
+
+def _det(m):
+    """Determinant by Bareiss's fraction-free elimination: each entry left
+    after step k is a (k+1)-minor, so dividing by the previous pivot is
+    exact; integers stay in Z, other input runs on Fractions and `/`."""
+    n = len(m)
+    if all(type(x) is int for row in m for x in row):
+        m, div = [list(row) for row in m], int.__floordiv__
+    else:
+        m, div = [list(map(Fraction, row)) for row in m], Fraction.__truediv__
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = div(pivot * row[j] - lead * top[j], prev)
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def _balls(p: int, s: int, last: int, read):

@@ -19,7 +19,7 @@ from conicbundles.counting import (
     predict_and_compare,
     region_measure,
 )
-from conicbundles.pencil import NormFormSystem
+from conicbundles.pencil import NormFormSystem, PencilError
 from conicbundles.quadform import (
     BinaryForm,
     pell_fundamental,
@@ -671,3 +671,186 @@ def test_enumerate_separable_at_ten_billion_cells():
         expect *= int(representation_table(BinaryForm(a), lo, hi).sum())
     assert enumerate_N(job, B) == expect
     assert enumerate_N(job, B, threads=2) == expect
+
+
+def _fraction_nullspace(rows, s):
+    # reference: reduced row echelon form over Q in Fractions, then one
+    # primitive integer vector per free column, w_free > 0
+    mat = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(s):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        mat[rank] = [v / mat[rank][col] for v in mat[rank]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != rank and f:
+                mat[i] = [v - f * q for v, q in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    basis = []
+    for free in range(s):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * s
+        vec[free] = Fraction(1)
+        for row, col in zip(mat, pivots):
+            vec[col] = -row[free]
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        g = math.gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return basis
+
+
+def _reference_line_direction(forms, extents):
+    # the fewest entry points over every form j and every reference
+    # null vector w of the other forms, oriented so f_j . w >= 0; the
+    # first minimum wins
+    cells = math.prod(extents)
+    best = None
+    for j in range(len(forms)):
+        for w in _fraction_nullspace(forms[:j] + forms[j + 1:], len(extents)):
+            if sum(c * x for c, x in zip(forms[j], w)) < 0:
+                w = tuple(-c for c in w)
+            entries = cells - math.prod(
+                max(0, n - abs(c)) for n, c in zip(extents, w))
+            if best is None or entries < best[0]:
+                best = (entries, j, w)
+    return None if best is None else best[1:]
+
+
+def test_nullspace_and_line_direction_against_fraction_reference():
+    from conicbundles.counting import _line_direction, _nullspace
+    rng = random.Random(71)
+    ranks = set()
+    for _ in range(3000):
+        s, r = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [tuple(rng.choice((0, 0, 1, -1, 2, -3, 6, -12,
+                                  rng.randint(-30, 30)))
+                      for _ in range(s)) for _ in range(r)]
+        basis = _nullspace(rows, s)
+        assert basis == _fraction_nullspace(rows, s), rows
+        for w in basis:
+            assert all(type(c) is int for c in w)
+            assert math.gcd(*w) == 1
+            assert all(sum(c * x for c, x in zip(row, w)) == 0
+                       for row in rows)
+        ranks.add(s - len(basis))
+        extents = tuple(rng.randint(1, 15) for _ in range(s))
+        assert (_line_direction(rows, extents)
+                == _reference_line_direction(rows, extents)), (rows, extents)
+    assert ranks == {0, 1, 2, 3, 4, 5}
+
+
+def test_minors_gcd_rank_test_against_brute_rank():
+    # the forms have rank r mod p exactly when t -> (f_i . t) mod p is onto
+    # F_p^r, counted here over every t in F_p^s
+    from conicbundles.counting import _minors_gcd
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(600):
+        p = rng.choice((2, 3, 5, 7))
+        s = rng.randint(1, 3 if p < 7 else 2)
+        r = rng.randint(1, 4)
+        forms = [tuple(rng.choice((0, 0, 1, -1, 2, -3, p, -p, 2 * p, p * p))
+                       for _ in range(s)) for _ in range(r)]
+        image = {tuple(sum(c * x for c, x in zip(f, t)) % p for f in forms)
+                 for t in itertools.product(range(p), repeat=s)}
+        onto = len(image) == p**r
+        assert (_minors_gcd(forms, s) % p != 0) == onto, (forms, p)
+        seen.add((onto, r > s))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_predict_beta_p_is_beta_p_at_every_prime():
+    # predict_and_compare calls beta_p only at primes dividing M or the
+    # minors gcd and writes 1 at the others; on seeded jobs every value up
+    # to the cutoff must be what beta_p itself returns.  r > s jobs take
+    # M = 36 and cutoff 3, so that every prime up to the cutoff divides M
+    from conicbundles.counting import _minors_gcd
+    rng = random.Random(79)
+    seen = set()
+    jobs = 0
+    while jobs < 60:
+        r, s = rng.choice(((3, 2), (1, 2), (2, 2), (2, 2), (2, 3), (1, 1)))
+        M = 36 if r > s else rng.choice((1, 1, 4, 9, 25))
+        c = 3 if r > s else rng.choice((2, 3, 5, 7))
+        a = tuple(rng.choice((-1, -3, 3, 5, -5, 7)) for _ in range(r))
+        forms = tuple(tuple(rng.choice((0, 1, -1, 2, -2, 3, 5))
+                            for _ in range(s)) for _ in range(r))
+        uM = tuple(rng.randrange(M) for _ in range(s))
+        uInf = tuple(Fraction(rng.randint(0, 2)) for _ in range(s))
+        try:
+            job = CountJob(system=NormFormSystem(r=r, s=s, a=a, forms=forms),
+                           M=M, uM=uM, uInf=uInf, B_schedule=(1,))
+        except (PencilError, CountingError):
+            continue
+        (rep,) = predict_and_compare(job, prime_cutoff=c)
+        jobs += 1
+        minors = _minors_gcd(forms, s)
+        for p in (2, 3, 5, 7):
+            if p > c:
+                continue
+            assert rep.beta_p[p] == beta_p(job, p), (job, p)
+            if r > s:
+                seen.add("r > s")
+            elif M % p == 0:
+                seen.add("p | M")
+            elif minors % p == 0:
+                seen.add("p = 2 | minors" if p == 2 else "p | minors")
+            else:
+                seen.add("good")
+    assert seen == {"r > s", "p | M", "p = 2 | minors", "p | minors",
+                    "good"}
+
+
+def test_bad_primes_above_the_cutoff_enter_the_euler_product():
+    # forms u and u + 7v: the minors gcd is 7, so beta_7 is kept at cutoff
+    # 6; its value is the stabilized brute-force count G(7) / 7^4
+    sysm = NormFormSystem(r=2, s=2, a=(-1, -2), forms=((1, 0), (1, 7)))
+    job = CountJob(system=sysm, uInf=(Fraction(1), Fraction(0)),
+                   B_schedule=(1,))
+    assert brute_G(job, 7, 2) == 7**4 * brute_G(job, 7, 1)
+    assert Fraction(brute_G(job, 7, 1), 7**4) == Fraction(55, 49)
+    assert beta_p(job, 7) == Fraction(55, 49)
+    (rep,) = predict_and_compare(job, prime_cutoff=6)
+    assert rep.beta_p == {2: 1, 3: 1, 5: 1, 7: Fraction(55, 49)}
+    assert rep.note == ("Euler product truncated at 6; tail factors "
+                        "1 + O(p^-2) not estimated")
+    # a prime of M above the cutoff is kept too, also when r > s makes
+    # every prime bad: M = 100 at cutoff 2 keeps 5 and leaves 3 out
+    wide = NormFormSystem(r=3, s=2, a=(-1, 3, 5),
+                          forms=((1, 0), (0, 1), (1, 1)))
+    job = CountJob(system=wide, M=100, uM=(1, 1),
+                   uInf=(Fraction(1), Fraction(1)), B_schedule=(1,))
+    (rep,) = predict_and_compare(job, prime_cutoff=2)
+    assert sorted(rep.beta_p) == [2, 5]
+    assert rep.beta_p[5] == Fraction(brute_G(job, 5, 2), 5 ** (5 * 2))
+    assert rep.beta_p[2] == Fraction(brute_G(job, 2, 2), 2 ** (5 * 2))
+
+
+def test_axis_values_against_direct_window():
+    # the integers u = uM mod M with |u - B uInf_j| < eps B, found by
+    # testing every integer of a slightly wider window in Fractions
+    from conicbundles.counting import _axis_values
+    rng = random.Random(97)
+    sysm = NormFormSystem(r=1, s=2, a=(3,), forms=((1, 1),))
+    for _ in range(400):
+        M = rng.choice((1, 4, 9, 25))
+        uInf = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                     for _ in range(2))
+        eps = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        # f(uM) = uM_1 must not vanish mod M
+        job = CountJob(system=sysm, M=M, uM=(rng.randrange(1, max(2, M)), 0),
+                       uInf=uInf, epsilon=eps)
+        B = rng.choice((1, 4, 9, 25, 49, 121, 169, 361))
+        for j in range(2):
+            centre, half = B * uInf[j], eps * B
+            want = [u for u in range(math.floor(centre - half) - 1,
+                                     math.ceil(centre + half) + 2)
+                    if (u - job.uM[j]) % M == 0 and abs(u - centre) < half]
+            got = _axis_values(job, B, j)
+            assert (got.tolist() if got is not None else []) == want, (job, B)
