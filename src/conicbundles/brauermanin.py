@@ -79,15 +79,15 @@ from .exactnum import (
     Place,
     REAL_PLACE,
     _balls,
+    _primes_dividing,
+    _primes_upto,
     _symbol_reader,
     _valuation_unit,
     as_bits,
     as_integer_at_least,
     as_rational,
     f2_insert,
-    factorize,
     hilbert,
-    is_prime,
 )
 from .pencil import BrauerElement, ConicBundleData, brauer_group, delta
 
@@ -253,16 +253,11 @@ def _support_places(data: ConicBundleData, bits: Tuple[int, ...],
     # denominators of the e_i of the selected fibres, and small primes
     # whose residues the e_i might exhaust; plus the odd primes in the
     # numerators and denominators of the nonzero rationals `values`
-    odd = set()
-    for b, a, e in zip(bits, data.a, data.e):
-        if not b:
-            continue
-        odd.update(q for q in a.primes if q != 2)
-        odd.update(q for q, _ in factorize(e.denominator) if q != 2)
-    for x in values:
-        for part in (abs(x.numerator), x.denominator):
-            odd.update(q for q, _ in factorize(part) if q != 2)
-    odd.update(q for q in range(3, data.r + 1) if is_prime(q))
+    picked = [(a, e) for b, a, e in zip(bits, data.a, data.e) if b]
+    odd = _primes_dividing([e.denominator for _, e in picked] + list(values))
+    odd.update(q for a, _ in picked for q in a.primes)
+    odd.update(_primes_upto(data.r))
+    odd.discard(2)
     return (REAL_PLACE, Place(2)) + tuple(Place(q) for q in sorted(odd))
 
 
@@ -507,7 +502,7 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
     # of the partition rather than an error
     # every fibre some generator selects, read once per ball
     model = _cell_model(data, p, map(any, zip(*(g.n for g in gens))))
-    masks = [sum(b << i for i, b in enumerate(g.n)) for g in gens]
+    masks = [_mask(g.n) for g in gens]
     values = {}  # the generator values per sign mask
     # the residues mod p^K of the p-integral e_i; other e_i have
     # valuation(c - e_i) < 0 and never hug an integral cell

@@ -84,7 +84,12 @@ import numpy
 
 from .exactnum import (
     ExactNumError,
+    _clear_denominators,
     _det,
+    _dot,
+    _primes_dividing,
+    _primes_upto,
+    _primitive,
     as_integer,
     as_integer_at_least,
     as_rational,
@@ -158,7 +163,7 @@ class CountJob:
                 raise CountingError(
                     "f_%d(uInf) must be positive for definite index %d"
                     % (i + 1, i + 1))
-        for p, m in factorize(self.M) if self.M > 1 else ():
+        for p, m in factorize(self.M):
             bound = technical_bound(self.system, p)
             if m < bound:
                 raise CountingError(
@@ -178,7 +183,7 @@ class CountJob:
                     "B = %d is not C^2 with C = 1 mod %d" % (B, self.M))
 
     def _f(self, i: int, u):
-        return sum(c * x for c, x in zip(self.system.forms[i], u))
+        return _dot(self.system.forms[i], u)
 
 
 def box_measure(s: int, epsilon: Fraction, M: int, B: int) -> Fraction:
@@ -205,10 +210,7 @@ def _axis_values(job: CountJob, B: int, j: int):
     # integers u_j = uM_j + M t with |u_j - B uInf_j| < eps B, ascending:
     # over a common denominator D, with x = D uInf_j and e = D eps, the
     # t are those with B (x - e) < D (uM_j + M t) < B (x + e)
-    c, eps = job.uInf[j], job.epsilon
-    D = math.lcm(c.denominator, eps.denominator)
-    x = c.numerator * (D // c.denominator)
-    e = eps.numerator * (D // eps.denominator)
+    D, (x, e) = _clear_denominators((job.uInf[j], job.epsilon))
     step, base = job.M * D, job.uM[j] * D
     t0 = (B * (x - e) - base) // step + 1
     t1 = -((base - B * (x + e)) // step) - 1
@@ -224,15 +226,6 @@ def _form_window(coeffs, axes):
         lo += min(vals)
         hi += max(vals)
     return lo, hi
-
-
-def _dot(row, w):
-    return sum(c * x for c, x in zip(row, w))
-
-
-def _primitive(row):
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else list(row)
 
 
 def _nullspace(rows, s: int):
@@ -510,7 +503,8 @@ def G(job: CountJob, p: int, k: int,
     d = M (f_j . w), so with g = gcd(d, p^k) it visits each residue
     x mod g exactly g times and contributes g * C_g[x mod g], C_g holding
     the residue-class sums of rho_j.  When no form admits such a w
-    (r > s), every cell is its own line."""
+    (r > s), every cell is its own line.  `cap` bounds the cells summed,
+    m^(s-1) with a line direction and m^s without, before any table."""
     p, k = as_integer(p, CountingError), as_integer(k, CountingError)
     if not is_prime(p):
         raise CountingError("%r is not prime" % (p,))
@@ -518,10 +512,13 @@ def G(job: CountJob, p: int, k: int,
         raise CountingError("k must be >= 1")
     s = job.system.s
     m = p**k
-    if m**s > cap:
+    forms = job.system.forms
+    choice = _line_direction(forms, (m,) * s)
+    cells = m ** (s if choice is None else s - 1)
+    if cells > cap:
         raise CountingError(
-            "G(%d^%d) needs %d residue vectors, beyond the cap %d; raise the "
-            "cap or use beta_p's stabilization shortcut" % (p, k, m**s, cap))
+            "G(%d^%d) sums %d cells, beyond the cap %d; raise the cap or use "
+            "beta_p's stabilization shortcut" % (p, k, cells, cap))
     # index axes are reduced mod m and the tables repeated s + 1 times, so
     # const + sum of s axis values (each below m) indexes them unreduced
     t = numpy.arange(m, dtype=numpy.int64)
@@ -533,8 +530,6 @@ def G(job: CountJob, p: int, k: int,
         tables.append(numpy.tile(tab, s + 1))
         consts.append(const % m)
         index_axes.append([c % m * t % m if c % m else None for c in coeffs])
-    forms = job.system.forms
-    choice = _line_direction(forms, (m,) * s)
     if choice is None:
         boxes = [((0, m),) * s]
     else:
@@ -639,10 +634,6 @@ class DensityReport:
         }
 
 
-def _primes_upto(n: int):
-    return [p for p in range(2, n + 1) if is_prime(p)]
-
-
 def predict_and_compare(job: CountJob,
                         prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
                         threads: int = 1) -> Tuple[DensityReport, ...]:
@@ -664,8 +655,7 @@ def predict_and_compare(job: CountJob,
     # are dependent; then only the primes of M are kept beyond the cutoff
     minors = _minors_gcd(job.system.forms, job.system.s)
     primes = set(_primes_upto(prime_cutoff))
-    for n in (job.M, minors) if minors else (job.M,):
-        primes.update(p for p, _ in factorize(n))
+    primes |= _primes_dividing((job.M, minors))
     finite = Fraction(1)
     betas = dict.fromkeys(sorted(primes), finite)
     zero_at = []

@@ -49,12 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Tuple
 
 from .exactnum import (
     ExactNumError,
     SquareClass,
+    _clear_denominators,
     _det,
     as_rational,
     f2_independent,
@@ -319,12 +320,6 @@ class Quartic:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _integer_scale(coeffs):
-    # (L, L * coeffs) for the least L making every coefficient integral
-    scale = lcm(*(x.denominator for x in coeffs))
-    return scale, [x.numerator * (scale // x.denominator) for x in coeffs]
-
-
 def _disc_from_invariants(p0, p1, p2, p3, p4):
     # integer coefficients: 27 divides J^2 - 4 I^3 as a polynomial
     i_inv = 12 * p4 * p0 - 3 * p3 * p1 + p2 * p2
@@ -337,7 +332,7 @@ def quartic_discriminant(q: Quartic) -> Fraction:
     """Degree-6 discriminant form of the homogenized quartic, normalized
     by t^4 + a -> -256 a^3; zero exactly at repeated roots, a double
     root at infinity (degree drop by two) included."""
-    scale, coeffs = _integer_scale(q.coefficients)
+    scale, coeffs = _clear_denominators(q.coefficients)
     return Fraction(_disc_from_invariants(*coeffs), scale ** 6)
 
 
@@ -414,7 +409,8 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
     on the integer members L P, r = 0..6 (r = 0..5 for S1); D(q) L^6 and
     D(p) L^6 are the constant and r^6 coefficients, the two charts.
     """
-    scale, pq = _integer_scale(data.p_coefficients() + data.q_coefficients())
+    scale, pq = _clear_denominators(data.p_coefficients()
+                                    + data.q_coefficients())
     members = [[r * x + y for x, y in zip(pq[:5], pq[5:])] for r in range(7)]
     disc = _interpolate([_disc_from_invariants(*m) for m in members])
     s1 = _interpolate([_first_subresultant(m) for m in members[:6]])

@@ -35,9 +35,12 @@ flat loop over a stack of lazy child iterators with no depth limit,
 which `localsolve` walks for witnesses and `brauermanin` for scan cells,
 both reading the balls with such readers.
 
-The package's one determinant is `_det`, Bareiss's fraction-free
-elimination; `counting` reads the rank of a form matrix from it and
-`delpezzo` its eliminants.
+The integer primitives live here once, beside the walker: `_dot`, a
+form's value f(u) (`localsolve`, `counting`); `_primitive`, a row over
+the gcd of its entries (`localsolve`, `counting`); `_clear_denominators`
+(`localsolve`, `counting`, `pencil`, `delpezzo`); `_primes_upto` and
+`_primes_dividing` (`localsolve`, `counting`, `brauermanin`); and `_det`,
+Bareiss's fraction-free determinant (`counting`, `delpezzo`).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence, Union
 
 IntLike = Union[int, Fraction]
@@ -115,8 +119,10 @@ def as_bits(n, error=ExactNumError, r: Optional[int] = None) -> tuple:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
+    # typed: a float key never meets the cached verdict of an int
+    n = as_integer(n)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -140,13 +146,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple:
     """Prime factorization of n >= 1 as a tuple of (p, exponent) pairs.
 
     Trial division up to TRIAL_DIVISION_BOUND; a surviving cofactor must be
     prime or a prime square, otherwise FactorizationError.
     """
+    n = as_integer(n)
     if n < 1:
         raise ExactNumError("factorize expects a positive integer, got %r" % (n,))
     out = []
@@ -211,6 +218,7 @@ def _valuation_unit(x: IntLike, p: int):
 
 def valuation(x: IntLike, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
+    p = as_integer(p)
     if not is_prime(p):
         raise ExactNumError("valuation needs a prime, got %r" % (p,))
     x = _exact(x)
@@ -305,6 +313,7 @@ def squarefree_part(x: IntLike) -> int:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for odd prime p, via Euler's criterion."""
+    a, p = as_integer(a), as_integer(p)
     if p == 2 or not is_prime(p):
         raise ExactNumError("legendre needs an odd prime, got %r" % (p,))
     a = a % p
@@ -414,6 +423,38 @@ def _det(m):
                 row[j] = div(pivot * row[j] - lead * top[j], prev)
         prev = pivot
     return sign * m[-1][-1]
+
+
+def _dot(form, u):
+    """f(u) = sum_j f_j u_j for a linear form f."""
+    return sum(map(mul, form, u))
+
+
+def _primitive(row) -> list:
+    """The integer row over the gcd of its entries; a zero row stays."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else list(row)
+
+
+def _clear_denominators(xs):
+    """(L, [L x]) for the least L > 0 making every int or Fraction x in xs
+    integral."""
+    L = math.lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
+
+
+def _primes_upto(n: int) -> list:
+    return [p for p in range(2, n + 1) if is_prime(p)]
+
+
+def _primes_dividing(xs) -> set:
+    """The primes of the numerators and denominators of the nonzero xs."""
+    out = set()
+    for x in xs:
+        if x:
+            for part in (abs(x.numerator), x.denominator):
+                out.update(p for p, _ in factorize(part))
+    return out
 
 
 def _balls(p: int, s: int, last: int, read):

@@ -31,7 +31,7 @@ differs from (-1, -1)_v.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
@@ -40,11 +40,15 @@ from .exactnum import (
     Place,
     REAL_PLACE,
     _balls,
+    _clear_denominators,
+    _dot,
+    _primes_dividing,
+    _primes_upto,
+    _primitive,
     _symbol_reader,
     _valuation_unit,
     as_integer,
     as_rational,
-    factorize,
     hilbert,
     is_prime,
     legendre,
@@ -71,33 +75,23 @@ class LocalWitness:
     precision: Optional[int] = None
 
 
-def _evaluate(form: Sequence, u: Sequence):
-    return sum(map(mul, form, u))
-
-
 # ---------------------------------------------------------------------------
 # the real place
 
 
-def _normalize_row(row):
-    for c in row:
-        if c != 0:
-            return tuple(x / abs(c) for x in row)
-    return None
-
-
 def _fm_witness(rows, s: int):
-    """A rational point with row . u > 0 for every row, or None.
+    """A rational point with row . u > 0 for every integer row, or None.
 
     Homogeneous strict system; eliminates the last variable, recursing on
     the combined system, then back-substitutes into the open interval the
-    eliminated variable must occupy.
+    eliminated variable must occupy.  Rows are kept primitive, a positive
+    rescaling that keeps every inequality and back-substituted bound.
     """
     clean = []
     for row in rows:
-        nr = _normalize_row(row)
-        if nr is None:
+        if not any(row):
             return None  # 0 > 0 is infeasible
+        nr = _primitive(row)
         if nr not in clean:
             clean.append(nr)
     if s == 1:
@@ -125,8 +119,8 @@ def _fm_witness(rows, s: int):
     rest = _fm_witness(combined, s - 1)
     if rest is None:
         return None
-    lo_vals = [-_evaluate(row[:-1], rest) / row[-1] for row in lower]
-    up_vals = [-_evaluate(row[:-1], rest) / row[-1] for row in upper]
+    lo_vals = [-_dot(row[:-1], rest) / row[-1] for row in lower]
+    up_vals = [-_dot(row[:-1], rest) / row[-1] for row in upper]
     if lo_vals and up_vals:
         last = (max(lo_vals) + min(up_vals)) / 2
     elif lo_vals:
@@ -145,9 +139,7 @@ def real_soluble(system: NormFormSystem):
     hyperplanes f_i = 0 of the indefinite indices.
     """
     s = system.s
-    strict = [tuple(Fraction(c) for c in system.forms[i])
-              for i in system.i_minus]
-    base = _fm_witness(strict, s)
+    base = _fm_witness([system.forms[i] for i in system.i_minus], s)
     if base is None:
         return False, None
     # nudge off the remaining hyperplanes while keeping the strict rows
@@ -168,9 +160,8 @@ def _real_witness(system: NormFormSystem, u) -> bool:
     """Whether the rational point u has f_i(u) > 0 for the i with a_i < 0
     and f_i(u) != 0 for every i, read in integers on the positive
     multiple of u that clears its denominators."""
-    scale = math.lcm(*(x.denominator for x in u))
-    v = [x.numerator * (scale // x.denominator) for x in u]
-    values = (_evaluate(f, v) for f in system.forms)
+    _, v = _clear_denominators(u)
+    values = (_dot(f, v) for f in system.forms)
     return all(x > 0 if a < 0 else x != 0 for a, x in zip(system.a, values))
 
 
@@ -234,7 +225,7 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
         accept = level >= need
         margin = power[level - need + 1] if accept else 0
         for f, sym, c in rows:
-            x = _evaluate(f, u)
+            x = _dot(f, u)
             K = level + c
             value = sym(x, K)
             if value == -1 or (K > late and x % dead == 0):
@@ -262,7 +253,7 @@ def _good_prime_witness(system: NormFormSystem, p: int, depth: int):
     for t in range(r * (s - 1) + 1):
         u = tuple(pow(t, j, p**depth) if t else (1 if j == 0 else 0)
                   for j in range(s))
-        if all(_evaluate(f, u) % p for f in system.forms):
+        if all(_dot(f, u) % p for f in system.forms):
             return LocalWitness(place=Place(p), u=u, precision=depth)
     return None
 
@@ -286,14 +277,8 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     soluble deeper (see `padic_soluble`); soluble places carry witnesses.
     """
     L = as_integer(L, LocalSolveError)
-    primes = {2}
-    for x in system.a:
-        primes.update(q for q, _ in _factor_abs(x))
-    for f in system.forms:
-        for c in f:
-            if c:
-                primes.update(q for q, _ in _factor_abs(c))
-    primes.update(q for q in range(3, L + 1) if is_prime(q))
+    primes = {2, *_primes_upto(L)}
+    primes |= _primes_dividing(chain(system.a, *system.forms))
     places = [REAL_PLACE] + [Place(q) for q in sorted(primes)]
     bad = []
     witnesses = []
@@ -312,12 +297,6 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
         witnesses=tuple(witnesses),
         checked=tuple(places),
     )
-
-
-def _factor_abs(x: int):
-    if x in (0, 1, -1):
-        return ()
-    return factorize(abs(x))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ coefficients, and quadric_intersection_system assembles the pencil data
 of a fibred product of two-fibre bundles (u - e v)(u - e' v) = c N(x, y).
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -28,6 +27,7 @@ from .exactnum import (
     ExactNumError,
     SquareClass,
     TRIVIAL_CLASS,
+    _clear_denominators,
     as_bits,
     as_integer,
     as_rational,
@@ -293,10 +293,8 @@ def torsor_system(data: ConicBundleData) -> NormFormSystem:
     clearing = []
     for i in range(data.r):
         mu = 1 / lam[i]
-        cu, cv = mu, -mu * data.e[i]
-        d = cu.denominator
-        d *= cv.denominator // math.gcd(d, cv.denominator)
-        forms.append((int(cu * d), int(cv * d)))
+        d, form = _clear_denominators((mu, -mu * data.e[i]))
+        forms.append(tuple(form))
         clearing.append(d)
         a.append(data.a[i].representative())
     return NormFormSystem(r=data.r, s=2, a=tuple(a), forms=tuple(forms),

@@ -122,13 +122,20 @@ class AutomorphGroup:
 
 def w(d: int) -> int:
     """Order of the automorph group for negative discriminant d."""
+    d = as_integer(d, QuadFormError)
     if d >= 0:
         raise QuadFormError("w(d) needs d < 0, got %r" % (d,))
     return 4 if d == -4 else 2
 
 
-def _sqrt_cf_fundamental(a: int):
-    # continued fraction of sqrt(a); first convergent with h^2 - a k^2 = +-1
+def fundamental_unit(a: int):
+    """Smallest unit x + y*sqrt(a) > 1 of Z[sqrt(a)], a > 0 nonsquare.
+    Returns (x, y, norm) with x^2 - a y^2 = norm in {+1, -1}: the first
+    convergent h/k of the continued fraction of sqrt(a) with
+    h^2 - a k^2 = +-1."""
+    a = as_integer(a, QuadFormError)
+    if a <= 0 or is_square(a):
+        raise QuadFormError("fundamental_unit needs a positive nonsquare")
     a0 = math.isqrt(a)
     m, d, A = 0, 1, a0
     h1, h0 = 1, a0
@@ -144,17 +151,10 @@ def _sqrt_cf_fundamental(a: int):
         k1, k0 = k0, A * k0 + k1
 
 
-def fundamental_unit(a: int):
-    """Smallest unit x + y*sqrt(a) > 1 of Z[sqrt(a)], a > 0 nonsquare.
-    Returns (x, y, norm) with x^2 - a y^2 = norm in {+1, -1}."""
-    if a <= 0 or is_square(a):
-        raise QuadFormError("fundamental_unit needs a positive nonsquare")
-    return _sqrt_cf_fundamental(a)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pell_fundamental(a: int) -> PellSolution:
     """Smallest (t, u), t, u > 0, with t^2 - a u^2 = 1."""
+    a = as_integer(a, QuadFormError)
     x, y, n = fundamental_unit(a)
     if n == -1:
         x, y = x * x + a * y * y, 2 * x * y
@@ -200,6 +200,7 @@ def _in_fundamental_domain(form: BinaryForm, x: int, y: int, n: int) -> bool:
 
 def primary_representatives(form: BinaryForm, n: int):
     """One solution of x^2 - a y^2 = n per automorph orbit."""
+    n = as_integer(n, QuadFormError)
     a = form.a
     if n == 0:
         return []
@@ -412,20 +413,16 @@ def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
     return k >= v4a
 
 
-_table_cache = {}
-
-
+@lru_cache(maxsize=None, typed=True)
 def rho_table(form: BinaryForm, p: int, k: int):
     """The full vector (rho(p^k; A))_{A mod p^k}, computed exactly.
 
     One `_local_count` per orbit (v_p(A), unit square class of A / p^v)
-    fills every A of that orbit."""
+    fills every A of that orbit.  Cached, so callers share the list and
+    must not change it."""
+    p, k = as_integer(p, QuadFormError), as_integer(k, QuadFormError)
     a = form.a
     m = p**k
-    key = (a, p, k)
-    hit = _table_cache.get(key)
-    if hit is not None:
-        return hit
     tab = [_local_count(a, p, k, 0)] * m
     for v in range(k):
         # A = p^v w with w prime to p; up to unit squares w is its
@@ -442,7 +439,6 @@ def rho_table(form: BinaryForm, p: int, k: int):
             if cls not in by_class:
                 by_class[cls] = _local_count(a, p, k, start)
             tab[start::step] = [by_class[cls]] * len(range(start, m, step))
-    _table_cache[key] = tab
     return tab
 
 

@@ -29,7 +29,7 @@ from conicbundles.exactnum import (
 from conicbundles.localsolve import padic_soluble
 from conicbundles.pencil import ConicBundleData, brauer_group, torsor_system
 from test_exactnum import brute_hilbert
-from test_pencil import brute_kernel, random_classes, span
+from test_pencil import brute_kernel, random_classes, span, trial_primes
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 
@@ -362,6 +362,33 @@ def test_global_point_support_collects_symbol_places():
     sup = set(pt.support)
     # the real place and 2 always, 5 from the classes, 3 from t - 2 = -3/2
     assert {REAL_PLACE, Place(2), Place(5), Place(3)} <= sup
+
+
+def test_global_point_support_against_trial_division():
+    # (oo, 2), then the odd primes of the a_i, of the e_i denominators, of
+    # the numerators and denominators of t - e_i, and those up to r
+    rng = random.Random(61)
+    for _ in range(300):
+        r = rng.randint(1, 6)
+        e = {Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12, 49)))
+             for _ in range(r)}
+        r = len(e)
+        a = [rng.choice((-1, 2, 3, -5, 6, 7, -21, 10, 15, 33)) for _ in e]
+        data = ConicBundleData(e=tuple(e), a=a)
+        t = Fraction(rng.randint(-99, 99), rng.choice((1, 4, 7, 15, 26)))
+        if t in e:
+            continue
+        odd = {q for q in range(3, r + 1) if trial_primes(q) == {q}}
+        for x in a:
+            odd |= trial_primes(x)
+        for x in e:
+            odd |= trial_primes(x.denominator)
+            odd |= trial_primes((t - x).numerator)
+            odd |= trial_primes((t - x).denominator)
+        odd.discard(2)
+        expected = (REAL_PLACE, Place(2)) + tuple(Place(q)
+                                                  for q in sorted(odd))
+        assert global_point(data, t).support == expected
 
 
 def test_obstruction_scan_flagship():

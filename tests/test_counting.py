@@ -450,7 +450,7 @@ def test_G_errors():
     with pytest.raises(CountingError, match="k must be"):
         G(job1(), 3, 0)
     with pytest.raises(CountingError, match="cap"):
-        G(job1(), 2, 12, cap=10**4)
+        G(job1(), 2, 14, cap=10**4)
 
 
 def test_beta_p_one_for_good_primes():
@@ -830,6 +830,32 @@ def test_bad_primes_above_the_cutoff_enter_the_euler_product():
     assert sorted(rep.beta_p) == [2, 5]
     assert rep.beta_p[5] == Fraction(brute_G(job, 5, 2), 5 ** (5 * 2))
     assert rep.beta_p[2] == Fraction(brute_G(job, 2, 2), 2 ** (5 * 2))
+
+
+def test_G_cap_counts_the_lines_summed():
+    # forms u and u + 59v: with a line direction G(59^2) sums 59^2 lines,
+    # within the cap, though its 59^4 residue vectors are beyond it; so
+    # beta_59 enters the report, equal to beta_p and to the brute count
+    p = 59
+    sysm = NormFormSystem(r=2, s=2, a=(-1, -2), forms=((1, 0), (1, p)))
+    job = CountJob(system=sysm, uInf=(Fraction(1), Fraction(0)),
+                   B_schedule=(1,))
+    # #{(x, y) mod p : x^2 - a y^2 = A} for each form, by enumeration
+    counts = []
+    for a in sysm.a:
+        tab = [0] * p
+        for x in range(p):
+            for y in range(p):
+                tab[(x * x - a * y * y) % p] += 1
+        counts.append(tab)
+    brute = sum(counts[0][u % p] * counts[1][(u + p * v) % p]
+                for u in range(p) for v in range(p))
+    assert G(job, p, 1) == brute
+    (rep,) = predict_and_compare(job)
+    assert rep.beta_p[p] == beta_p(job, p) == Fraction(brute, p**4)
+    assert rep.beta_p[p] == Fraction(3423, 3481)
+    with pytest.raises(CountingError, match="sums 3481 cells"):
+        G(job, p, 2, cap=p**2 - 1)
 
 
 def test_axis_values_against_direct_window():

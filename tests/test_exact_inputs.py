@@ -15,7 +15,8 @@ from conicbundles.counting import (CountJob, CountingError, G, beta_p,
                                    predict_and_compare)
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
                                    SplitPolynomial)
-from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE, hilbert,
+from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE,
+                                   factorize, hilbert, is_prime, legendre,
                                    squarefree_class, valuation)
 from conicbundles.localsolve import (LocalSolveError, diagonal_quadric_soluble,
                                      everywhere_locally_soluble,
@@ -23,7 +24,9 @@ from conicbundles.localsolve import (LocalSolveError, diagonal_quadric_soluble,
 from conicbundles.pencil import (BrauerElement, ConicBundleData,
                                  NormFormSystem, PencilError,
                                  quadric_intersection_system)
-from conicbundles.quadform import BinaryForm, QuadFormError, rho
+from conicbundles.quadform import (BinaryForm, QuadFormError,
+                                   pell_fundamental, primary_representatives,
+                                   representation_count, rho, rho_table, w)
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 SYSTEM = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
@@ -98,6 +101,19 @@ FLOAT_ENTRY_PATHS = {
     "rho q": (QuadFormError, lambda: rho(BinaryForm(-1), 25.0, 1)),
     "rho A": (QuadFormError, lambda: rho(BinaryForm(-1), 25, 1.5)),
     "valuation": (ExactNumError, lambda: valuation(0.5, 2)),
+    "valuation p": (ExactNumError, lambda: valuation(8, 2.0)),
+    "is prime": (ExactNumError, lambda: is_prime(7.0)),
+    "factorize": (ExactNumError, lambda: factorize(12.0)),
+    "legendre": (ExactNumError, lambda: legendre(3, 7.0)),
+    "w": (QuadFormError, lambda: w(-4.0)),
+    "pell": (QuadFormError, lambda: pell_fundamental(2.0)),
+    "representation count": (QuadFormError, lambda: representation_count(
+        BinaryForm(-1), 5.0)),
+    "primary representatives": (QuadFormError,
+                                lambda: primary_representatives(
+                                    BinaryForm(2), 7.0)),
+    "rho table k": (QuadFormError,
+                    lambda: rho_table(BinaryForm(-1), 3, 2.0)),
     "hilbert": (ExactNumError, lambda: hilbert(-1.0, -1, REAL_PLACE)),
     "diagonal quadric": (LocalSolveError, lambda: diagonal_quadric_soluble(
         (1.0, 1, 1, -1), Place(2))),
@@ -131,6 +147,19 @@ def test_integer_inputs_are_python_ints():
     assert data.e[0] * 4 == 2**64
     # 2^62 + 1 = 1 mod 8 is a 2-adic square, whatever the second argument
     assert hilbert(np.int64(2**62 + 1), np.int64(-1), Place(2)) == 1
+
+
+def test_cached_entry_points_refuse_a_float_after_the_int():
+    # a cache keyed on the value alone would hand 7.0 the verdict of 7, and
+    # (3.0, 2) the table of (3, 2)
+    assert is_prime(7)
+    with pytest.raises(ExactNumError, match="float"):
+        is_prime(7.0)
+    table = rho_table(BinaryForm(-1), 3, 2)
+    with pytest.raises(QuadFormError, match="float"):
+        rho_table(BinaryForm(-1), 3.0, 2)
+    # a numpy prime is read as the Python int, not refused
+    assert rho_table(BinaryForm(-1), np.int64(3), 2) == table
 
 
 @pytest.mark.parametrize("call, match", [

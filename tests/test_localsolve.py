@@ -24,6 +24,7 @@ from conicbundles.localsolve import (
     real_soluble,
 )
 from conicbundles.pencil import NormFormSystem, PencilError, technical_bound
+from test_pencil import trial_primes
 
 
 def evaluate(form, u):
@@ -114,8 +115,7 @@ def test_real_soluble_examples():
 
     # the core decides u > 0 and -u > 0 infeasible; the packaged system
     # version needs non-proportional forms, so route the sum through r = 3
-    assert _fm_witness([(Fraction(1), Fraction(0)),
-                        (Fraction(-1), Fraction(0))], 2) is None
+    assert _fm_witness([(1, 0), (-1, 0)], 2) is None
     sys2 = NormFormSystem(r=3, s=2, a=(-1, -1, -2),
                           forms=((1, 0), (0, 1), (-1, -1)))
     ok, wit = real_soluble(sys2)
@@ -125,6 +125,33 @@ def test_real_soluble_examples():
     ok, wit = real_soluble(sys3)
     assert ok
     check_real_witness(sys3, wit)
+
+
+def test_checked_places_are_two_small_and_bad_primes():
+    # oo, then {2}, the primes <= L and the primes of every nonzero a_i
+    # and coefficient, sorted; primes found by trial division
+    rng = random.Random(44)
+    coeffs = (0, 0, 1, -1, 4, -8, 9, 25, -27, 6, -10, 15, 21, -35)
+    made = 0
+    while made < 60:
+        s = 2 + made % 2
+        r = rng.randint(1, 3)
+        a = tuple(rng.choice((-1, 2, -3, 5, -6, 10, -14, 22, 27, -49, 8))
+                  for _ in range(r))
+        forms = tuple(tuple(rng.choice(coeffs) for _ in range(s))
+                      for _ in range(r))
+        try:
+            system = NormFormSystem(r=r, s=s, a=a, forms=forms)
+        except PencilError:
+            continue
+        made += 1
+        L = rng.choice((0, 2, 5, 12))
+        primes = {2} | {q for q in range(2, L + 1) if trial_primes(q) == {q}}
+        for x in a + sum(forms, ()):
+            if x:
+                primes |= trial_primes(x)
+        expected = (REAL_PLACE,) + tuple(Place(q) for q in sorted(primes))
+        assert everywhere_locally_soluble(system, L).checked == expected
 
 
 def test_real_soluble_against_sampling():

@@ -199,6 +199,41 @@ def test_torsor_system_examples():
     assert sys4.clearing == (2, 1)
 
 
+def trial_primes(n):
+    # the primes dividing the nonzero integer n, by trial division
+    n, out, q = abs(n), set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1
+    return out | {n} if n > 1 else out
+
+
+def test_torsor_system_clears_by_the_least_multiple():
+    # clearing[i] is the least d > 0 making d / lam_i and d e_i / lam_i
+    # integral, found by counting up; forms[i] is (d / lam_i, -d e_i / lam_i)
+    rng = random.Random(83)
+    dens = (1, 1, 2, 3, 4, 6, 9, 10)
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        e = rng.sample([Fraction(n, d) for n in range(-12, 13) for d in dens],
+                       r)
+        if len(set(e)) < r:
+            continue
+        lam = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                        rng.choice(dens)) for _ in range(r)]
+        a = [rng.choice((-1, 2, 3, -5, 6)) for _ in range(r)]
+        system = torsor_system(ConicBundleData(e=e, a=a, lam=lam))
+        for i in range(r):
+            cu, cv = 1 / lam[i], -e[i] / lam[i]
+            d = 1
+            while (cu * d).denominator != 1 or (cv * d).denominator != 1:
+                d += 1
+            assert system.clearing[i] == d
+            assert system.forms[i] == (cu * d, cv * d)
+
+
 def test_norm_form_system_invariants():
     with pytest.raises(PencilError):
         NormFormSystem(r=1, s=1, a=(2,), forms=((1,),))
