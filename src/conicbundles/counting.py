@@ -50,16 +50,21 @@ honestly 0 and prediction is refused place by place.
 
 Lattice lines.  enumerate_N and G sum prod_i R_i(f_i(u)) (resp. the
 rho_i) along lattice lines rather than cell by cell, in one grid-sum
-kernel.  For one form f_j and a primitive direction w with f_i . w = 0
-for every i != j, each R_i with i != j is constant along a line parallel
-to w and f_j steps by d = M (f_j . w).  In the box a line is a segment of
-L points from its entry point, contributing the other factors times the
-prefix difference P_d[x + (L - 1) d] - P_d[x - d] of the stride-d prefix
-sum P_d of R_j's table (L R_j(x) when d = 0).  On the torus (Z/p^k)^s a
-line is a full cycle of p^k points, contributing the other factors times
-g C_g[x mod g] with g = gcd(d, p^k) and C_g the residue-class sums of the
-rho_j table.  When no form admits such a w (r > s), every cell is its own
-line.
+kernel.  Both work in t-coordinates, u = u^(M) + M t, where
+f_i(u) = f_i(u^(M)) + M f_i(t).  So enumerate_N reads R_i only on the
+class of f_i(u^(M)) mod M: its table is representation_table with
+step M, M times smaller than the window of f_i(u), indexed by f_i(t)
+minus its least value on the box.  For one form f_j and a primitive
+direction w with f_i . w = 0 for every i != j, each R_i with i != j is
+constant along a line parallel to w and f_j(t) steps by d = f_j . w (so
+f_j(u) by M d).  In the box a line is a segment of L points from its
+entry point, contributing the other factors times the prefix difference
+P_d[x + (L - 1) d] - P_d[x - d] of the stride-d prefix sum P_d of R_j's
+class table (L R_j(x) when d = 0).  On the torus (Z/p^k)^s a line is a
+full cycle of p^k points, where g_j steps by M d, contributing the other
+factors times g C_g[x mod g] with g = gcd(M d, p^k) and C_g the
+residue-class sums of the rho_j table.  When no form admits such a w
+(r > s), every cell is its own line.
 
 Lattice counts, line directions (a fraction-free elimination), box ends
 (integer floor division over one common denominator) and the rank test
@@ -206,25 +211,32 @@ def region_measure(job: CountJob, B: int) -> Fraction:
     return box_measure(job.system.s, job.epsilon, job.M, B)
 
 
-def _axis_values(job: CountJob, B: int, j: int):
-    # integers u_j = uM_j + M t with |u_j - B uInf_j| < eps B, ascending:
-    # over a common denominator D, with x = D uInf_j and e = D eps, the
-    # t are those with B (x - e) < D (uM_j + M t) < B (x + e)
+def _axis_range(job: CountJob, B: int, j: int):
+    # the t with |uM_j + M t - B uInf_j| < eps B, as (t0, t1), or None: over
+    # a common denominator D, with x = D uInf_j and e = D eps, they are the
+    # t with B (x - e) < D (uM_j + M t) < B (x + e)
     D, (x, e) = _clear_denominators((job.uInf[j], job.epsilon))
     step, base = job.M * D, job.uM[j] * D
     t0 = (B * (x - e) - base) // step + 1
     t1 = -((base - B * (x + e)) // step) - 1
-    if t0 > t1:
+    return None if t0 > t1 else (t0, t1)
+
+
+def _axis_values(job: CountJob, B: int, j: int):
+    # integers u_j = uM_j + M t with |u_j - B uInf_j| < eps B, ascending
+    span = _axis_range(job, B, j)
+    if span is None:
         return None
+    t0, t1 = span
     return job.uM[j] + job.M * numpy.arange(t0, t1 + 1, dtype=numpy.int64)
 
 
-def _form_window(coeffs, axes):
+def _form_window(coeffs, spans):
+    # least and greatest value of the form on the box of the given spans
     lo = hi = 0
-    for c, ax in zip(coeffs, axes):
-        vals = (c * int(ax[0]), c * int(ax[-1]))
-        lo += min(vals)
-        hi += max(vals)
+    for c, (t0, t1) in zip(coeffs, spans):
+        lo += min(c * t0, c * t1)
+        hi += max(c * t0, c * t1)
     return lo, hi
 
 
@@ -401,30 +413,37 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     per entry point t (t - w outside the box); the entry points fill the
     |w_h|-thick slabs at the faces with w_h != 0, so there are
     O(|w|_1 B^(s-1)) of them instead of B^s cells, and (j, w) is chosen to
-    make them fewest.  Along a segment every R_i with i != j is constant
-    and f_j steps by d = M (f_j . w), so the segment contributes
-    prod_{i != j} R_i(f_i(t)) * (P_d[x + (L - 1) d] - P_d[x - d]) with
-    x = f_j(t) and P_d the stride-d prefix sum of R_j, or L R_j(x) when
-    d = 0.  When no form admits such a w (r > s), every cell is its own
-    segment.  With threads > 1 the entry points are partitioned among
-    worker threads; partial sums are exact integers, so the result does
-    not depend on the partition; fewer than _THREAD_MIN_CELLS entry
-    points are summed on one thread, as the pool would cost more than it
-    saves."""
+    make them fewest.  Each R_i is tabulated on the class of f_i(uM)
+    mod M only, indexed by f_i(t) (module docstring).  Along a segment
+    every R_i with i != j is constant and f_j(t) steps by d = f_j . w, so
+    the segment contributes
+    prod_{i != j} R_i(f_i(u)) * (P_d[x + (L - 1) d] - P_d[x - d]) with
+    x the index of f_j(t) and P_d the stride-d prefix sum of R_j's class
+    table, or L R_j(x) when d = 0.  When no form admits such a w (r > s),
+    every cell is its own segment.  With threads > 1 the entry points are
+    partitioned among worker threads; partial sums are exact integers, so
+    the result does not depend on the partition; fewer than
+    _THREAD_MIN_CELLS entry points are summed on one thread, as the pool
+    would cost more than it saves."""
     B = as_integer(B, CountingError)
     parts = as_integer_at_least(threads, 1, "threads", CountingError)
-    axes = [_axis_values(job, B, j) for j in range(job.system.s)]
-    if any(ax is None for ax in axes):
+    spans = [_axis_range(job, B, j) for j in range(job.system.s)]
+    if any(span is None for span in spans):
         return 0
+    axes = [numpy.arange(t0, t1 + 1, dtype=numpy.int64) for t0, t1 in spans]
     forms = job.system.forms
     extents = [ax.size for ax in axes]
     index_axes = []
     consts = []
     tables = []
     for i, form in enumerate(forms):
-        lo, hi = _form_window(form, axes)
-        tables.append(representation_table(BinaryForm(job.system.a[i]), lo,
-                                           hi))
+        # f_i(u) = f_i(uM) + M f_i(t): the table of R_i on that class mod M,
+        # indexed by f_i(t) - lo
+        lo, hi = _form_window(form, spans)
+        base = job._f(i, job.uM)
+        tables.append(representation_table(
+            BinaryForm(job.system.a[i]), base + job.M * lo,
+            base + job.M * hi, job.M))
         consts.append(-lo)
         index_axes.append([c * ax if c else None for c, ax in zip(form, axes)])
     choice = _line_direction(forms, extents)
@@ -433,7 +452,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         line = None
     else:
         j, w = choice
-        d = job.M * _dot(forms[j], w)
+        d = _dot(forms[j], w)
         boxes = _entry_boxes(extents, w)
         lengths = []
         for n, c in zip(extents, w):

@@ -22,7 +22,8 @@ Symbols and local squares read only v_p and the unit part mod p (mod 8 at
 p = 2), so they need no factorization and accept arguments of any size.
 Only global data factors: square classes, `hilbert_support` and the lists
 of bad primes.  Factorization is trial division up to the fixed
-TRIAL_DIVISION_BOUND plus a deterministic Miller-Rabin primality check;
+TRIAL_DIVISION_BOUND, a deterministic Miller-Rabin primality check and
+Pollard-Brent rho for the composite cofactors, with a fixed step budget;
 inputs at desk scale are small.
 
 The formulas live once, in the one symbol reader `_symbol_reader(a, p)`.
@@ -146,45 +147,88 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _pollard_brent(n: int, budget: int) -> Optional[int]:
+    """A proper factor of the composite n, or None once `budget` steps of
+    x -> x^2 + c mod n are spent.
+
+    Pollard's rho with Brent's cycle detection (Brent, BIT 20, 1980;
+    Cohen, A Course in Computational Algebraic Number Theory, 8.5): y runs
+    ahead of the saved x in rounds of doubling length, the differences
+    x - y are multiplied mod n in blocks of 128 with one gcd per block,
+    and a block whose gcd is all of n is replayed step by step.  A prime
+    factor p is met after about sqrt(p) steps.  The start x = 2 and the
+    constants c = 1, 2, ... make every run deterministic."""
+    steps = 0
+    c = 0
+    while steps < budget:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            steps += r + min(k, r)
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 @lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple:
     """Prime factorization of n >= 1 as a tuple of (p, exponent) pairs.
 
-    Trial division up to TRIAL_DIVISION_BOUND; a surviving cofactor must be
-    prime or a prime square, otherwise FactorizationError.
+    Trial division up to TRIAL_DIVISION_BOUND, then the cofactor is split
+    into primes: a perfect square into its two roots, any other composite
+    by Pollard-Brent rho (_pollard_brent) within TRIAL_DIVISION_BOUND
+    steps per split, which finds prime factors up to about the square of
+    that bound.  A composite that survives its budget raises
+    FactorizationError.
     """
     n = as_integer(n)
     if n < 1:
         raise ExactNumError("factorize expects a positive integer, got %r" % (n,))
-    out = []
+    out = {}
     for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
     q = 5
     while q * q <= n and q <= TRIAL_DIVISION_BOUND:
         for p in (q, q + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
+            while n % p == 0:
+                n //= p
+                out[p] = out.get(p, 0) + 1
         q += 6
-    if n > 1:
-        if is_prime(n):
-            out.append((n, 1))
-        elif is_square(n) and is_prime(math.isqrt(n)):
-            out.append((math.isqrt(n), 2))
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        elif is_square(m):
+            rest += [math.isqrt(m)] * 2
         else:
-            raise FactorizationError(
-                "cofactor %d has no prime factor below %d"
-                % (n, TRIAL_DIVISION_BOUND))
-    out.sort()
-    return tuple(out)
+            d = _pollard_brent(m, TRIAL_DIVISION_BOUND)
+            if d is None:
+                raise FactorizationError(
+                    "cofactor %d has no prime factor below %d, and %d "
+                    "Pollard-Brent steps found none"
+                    % (m, TRIAL_DIVISION_BOUND, TRIAL_DIVISION_BOUND))
+            rest += [d, m // d]
+    return tuple(sorted(out.items()))
 
 
 def is_square(n: int) -> bool:

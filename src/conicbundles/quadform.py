@@ -78,8 +78,9 @@ from typing import Optional
 
 import numpy
 
-from .exactnum import (ExactNumError, as_integer, factorize, is_square,
-                       legendre, valuation)
+from .exactnum import (ExactNumError, _valuation_unit, as_integer,
+                       as_integer_at_least, factorize, is_square, legendre,
+                       valuation)
 
 
 class QuadFormError(ExactNumError):
@@ -257,28 +258,39 @@ def _ceil_isqrt(m: int) -> int:
     return 0 if m <= 0 else math.isqrt(m - 1) + 1
 
 
-def _gather_rows(rows, width: int):
-    # rows (x0, x1, c) with x0 <= x1: one count at x^2 + c for each
-    # x0 <= x <= x1, every such index in [0, width).  Index x0 + k is
-    # base + (2 x0 + k) k with the Python-int base = x0^2 + c.  The base is
-    # an index and (2 x0 + k) k a difference of two; 2 x0 enters only rows
-    # of two or more points, where 2 x0 + 1 is such a difference too.  So
-    # no int64 value exceeds the window length or the number of points,
-    # and none can overflow: no guard and no Python-int path are needed
-    bases, steps, lengths = [], [], []
+def _gather_rows(rows, width: int, step: int):
+    # rows (x0, x1, c) with 0 <= x0 <= x1: one count at (x^2 + c) / step
+    # for each x0 <= x <= x1 with step | x^2 + c, every such index in
+    # [0, width).  Those x form one progression x = first + step m per
+    # square root of -c mod step, from one root list built per call; point
+    # m sits at index base + (2 first + step m) m with the Python-int
+    # base = (first^2 + c) / step.  The base is an index and
+    # (2 first + step m) m a difference of two; 2 first enters only
+    # progressions of two or more points, where 2 first + step is such a
+    # difference too, and step m <= (2 first + step m) m.  So no int64
+    # value exceeds the table length or the number of points, and none
+    # can overflow: no guard and no Python-int path are needed
+    roots = {}
+    for x in range(step):
+        roots.setdefault(x * x % step, []).append(x)
+    bases, firsts, lengths = [], [], []
     for x0, x1, c in rows:
-        bases.append(x0 * x0 + c)
-        steps.append(2 * x0 if x1 > x0 else 0)
-        lengths.append(x1 - x0 + 1)
+        for root in roots.get(-c % step, ()):
+            first = x0 + (root - x0) % step
+            if first <= x1:
+                count = (x1 - first) // step + 1
+                bases.append((first * first + c) // step)
+                firsts.append(2 * first if count > 1 else 0)
+                lengths.append(count)
     if not lengths:
         return numpy.zeros(width, dtype=numpy.int64)
     lengths = numpy.array(lengths, dtype=numpy.int64)
     starts = numpy.cumsum(lengths) - lengths
-    k = numpy.arange(int(lengths.sum()), dtype=numpy.int64)
-    k -= numpy.repeat(starts, lengths)
-    idx = numpy.repeat(numpy.array(steps, dtype=numpy.int64), lengths)
-    idx += k
-    idx *= k
+    m = numpy.arange(int(lengths.sum()), dtype=numpy.int64)
+    m -= numpy.repeat(starts, lengths)
+    idx = numpy.repeat(numpy.array(firsts, dtype=numpy.int64), lengths)
+    idx += step * m
+    idx *= m
     idx += numpy.repeat(numpy.array(bases, dtype=numpy.int64), lengths)
     return numpy.bincount(idx, minlength=width)
 
@@ -331,8 +343,9 @@ def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int):
                     yield first, last, -ay2 - lo
 
 
-def representation_table(form: BinaryForm, lo: int, hi: int):
-    """R(n) for lo <= n <= hi, as an int64 numpy array indexed by n - lo.
+def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
+    """R(lo + step k) for 0 <= k <= (hi - lo) // step, as an int64 numpy
+    array indexed by k: the class of lo mod step in the window [lo, hi].
 
     Counts the same orbits as primary_representatives, one solution each
     from the balanced domain of the module docstring, by rows instead of
@@ -342,18 +355,28 @@ def representation_table(form: BinaryForm, lo: int, hi: int):
     the window bounds shifted by a y^2, so no quadratic irrational is
     compared; only rows with 2 s y^2 <= hi u^2 (n > 0) and
     2 a y^2 <= |lo| s (n < 0) can meet the window.  For a < 0 the rows
-    are those of x^2 + |a| y^2 over the orbit representatives.  One
-    numpy.bincount gathers every row; its int64 indices never exceed the
-    window length (_gather_rows)."""
+    are those of x^2 + |a| y^2 over the orbit representatives.  Row y
+    hits the class only at the x whose square is lo + a y^2 mod step:
+    one progression with difference step per square root, read off a root
+    list of O(step) entries, and step is at most hi - lo whenever the
+    table has two entries.  One numpy.bincount gathers every progression;
+    its int64 indices never exceed the table length (_gather_rows)."""
+    lo = as_integer(lo, QuadFormError)
+    hi = as_integer(hi, QuadFormError)
+    step = as_integer_at_least(step, 1, "step", QuadFormError)
     if lo > hi:
         raise QuadFormError("empty representation window")
+    width = (hi - lo) // step + 1
+    hi = lo + (width - 1) * step
+    if width == 1:
+        step = 1
     a = form.a
     if a < 0:
         rows = _definite_rows(-a, lo, hi)
     else:
         pell = pell_fundamental(a)
         rows = _indefinite_rows(a, pell.t, pell.u, lo, hi)
-    return _gather_rows(rows, hi - lo + 1)
+    return _gather_rows(rows, width, step)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +392,7 @@ def _local_count(a: int, p: int, k: int, A: int) -> int:
     total, mult, drops = 0, 1, 0
     while True:
         A %= p**k
-        g = min(valuation(c1, p), valuation(c2, p))
+        g = min(_valuation_unit(c1, p)[0], _valuation_unit(c2, p)[0])
         pg = p**g
         if k <= g or A % pg:
             break

@@ -55,14 +55,17 @@ def job_m12(**kw):
 
 
 def brute_N(system, M, uM, uInf, eps, B):
-    # direct double loop with exact rational box tests; independent of the
+    # direct loop over the u = uM mod M of each axis window, with exact
+    # rational box tests and pointwise counts; independent of the
     # table-and-grid path in enumerate_N
     eps = Fraction(eps)
     windows = []
     for j in range(system.s):
         center = B * Fraction(uInf[j])
-        windows.append(range(math.floor(center - eps * B),
-                             math.ceil(center + eps * B) + 1))
+        start = math.floor(center - eps * B)
+        start += (uM[j] - start) % M
+        windows.append(range(start, math.ceil(center + eps * B) + 1, M))
+    counts = {}
     total = 0
     for u in itertools.product(*windows):
         if any((u[j] - uM[j]) % M for j in range(system.s)):
@@ -73,7 +76,10 @@ def brute_N(system, M, uM, uInf, eps, B):
         prod = 1
         for i in range(system.r):
             n = sum(c * x for c, x in zip(system.forms[i], u))
-            prod *= representation_count(BinaryForm(system.a[i]), n)
+            if (i, n) not in counts:
+                counts[i, n] = representation_count(BinaryForm(system.a[i]),
+                                                    n)
+            prod *= counts[i, n]
             if not prod:
                 break
         total += prod
@@ -554,8 +560,11 @@ def test_predict_and_compare_empty_schedule():
 
 def geometry_job(rng, r, s, M, eps):
     # a valid job whose forms have no zero coefficient and whose direction
-    # has a negative entry; M = 4 needs odd a_i, M = 3 needs 9 not | a_i
-    pool = {1: (-1, -2, 2, 3, -5), 3: (-1, -2, 2, -5, 5), 4: (-1, 3, -5, 5)}
+    # has a negative entry; M = 4 needs odd a_i, M = 8 no 4 | a_i, M = 3
+    # and 9 no 9 | a_i, M = 27 no 27 | a_i, M = 25 no 25 | a_i
+    pool = {1: (-1, -2, 2, 3, -5), 3: (-1, -2, 2, -5, 5), 4: (-1, 3, -5, 5),
+            8: (-1, -2, 2, 3, -5, 6), 9: (-1, -2, 2, 3, -5, 5),
+            25: (-1, -2, 2, 3, -5, 5), 27: (-1, -2, 2, 3, -5, 6)}
     for _ in range(2000):
         a = tuple(rng.choice(pool[M]) for _ in range(r))
         forms = tuple(tuple(rng.choice((-2, -1, 1, 2, 3)) for _ in range(s))
@@ -611,6 +620,54 @@ def test_enumerate_line_geometry_against_brute():
                         job, B, threads)
                 seen.add(expect > 0)
     assert seen == {"cells", "oblique", True, False}
+
+
+def test_enumerate_on_prime_power_classes_against_brute():
+    # class tables with step M = 8, 9, 25, 27 at B = (M + 1)^2 and, for
+    # s = 2, (2 M + 1)^2: r = 1, 2 and s = 2, 3, one and two threads; a
+    # narrower box keeps the s = 3 brute counts below about 2,500 points
+    rng = random.Random(71)
+    seen = set()
+    for M in (8, 9, 25, 27):
+        for r, s in ((1, 2), (2, 2), (1, 3), (2, 3)):
+            eps = Fraction(1, 2) if s == 2 else Fraction(1, 4)
+            job = geometry_job(rng, r, s, M, eps)
+            Bs = [(M + 1) ** 2] + ([(2 * M + 1) ** 2] if s == 2 else [])
+            for B in Bs:
+                expect = brute_N(job.system, job.M, job.uM, job.uInf,
+                                 job.epsilon, B)
+                for threads in (1, 2):
+                    assert enumerate_N(job, B, threads=threads) == expect, (
+                        job, B, threads)
+                seen.add((M, expect > 0))
+    assert {M for M, positive in seen if positive} == {8, 9, 25, 27}
+
+
+def test_enumerate_tables_hold_only_the_class(monkeypatch):
+    # every table enumerate_N asks for is the class of f(uM) mod M: one
+    # entry per value lo + 125 k of its window, not hi - lo + 1 of them
+    calls = []
+    table = counting.representation_table
+
+    def spy(form, lo, hi, step=1):
+        arr = table(form, lo, hi, step)
+        calls.append((lo, hi, step, arr.size))
+        return arr
+
+    monkeypatch.setattr(counting, "representation_table", spy)
+    sysm = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 2),))
+    job = CountJob(system=sysm, M=125, uM=(1, 0), uInf=(1, 1))
+    B = 251**2
+    got = enumerate_N(job, B)
+    assert calls and all(step == 125 and size == (hi - lo) // 125 + 1
+                         for lo, hi, step, size in calls), calls
+    # the same sum over the box from one full-window table, indexed by u
+    from conicbundles.counting import _axis_values
+    u1, u2 = (_axis_values(job, B, j) for j in range(2))
+    values = u1[:, None] + 2 * u2[None, :]
+    lo = int(values.min())
+    full = table(BinaryForm(-1), lo, int(values.max()))
+    assert got == int(full[values - lo].sum()) > 0
 
 
 def test_G_line_geometry_against_brute():

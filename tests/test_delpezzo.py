@@ -472,7 +472,7 @@ def test_first_subresultant_detects_gcd_degree():
     assert res != 0
 
 
-# sum_{i<=4} e_i = sum_{j>=5} e_j = -23/2 (ROADMAP item 7)
+# sum_{i<=4} e_i = sum_{j>=5} e_j = -23/2 (ROADMAP item 10)
 DP1_ROOT_AT_INFINITY = DP1Data((-1, F(-1, 2), -6, -4, -9, F(-5, 2), 3, -3),
                                1, F(2, 3))
 
@@ -493,7 +493,7 @@ def test_dp1_root_at_infinity_member():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the formal S1 has the factor r p4 + q4, so the member with a single "
-    "double root at t = infinity reads as not simple (ROADMAP item 7)"))
+    "double root at t = infinity reads as not simple (ROADMAP item 10)"))
 def test_dp1_condition_double_root_at_infinity():
     assert dp1_condition(DP1_ROOT_AT_INFINITY).holds
 

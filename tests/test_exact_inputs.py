@@ -26,7 +26,8 @@ from conicbundles.pencil import (BrauerElement, ConicBundleData,
                                  quadric_intersection_system)
 from conicbundles.quadform import (BinaryForm, QuadFormError,
                                    pell_fundamental, primary_representatives,
-                                   representation_count, rho, rho_table, w)
+                                   representation_count, representation_table,
+                                   rho, rho_table, w)
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 SYSTEM = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
@@ -109,6 +110,13 @@ FLOAT_ENTRY_PATHS = {
     "pell": (QuadFormError, lambda: pell_fundamental(2.0)),
     "representation count": (QuadFormError, lambda: representation_count(
         BinaryForm(-1), 5.0)),
+    "representation table lo": (QuadFormError, lambda: representation_table(
+        BinaryForm(-1), 1.0, 9)),
+    "representation table hi": (QuadFormError, lambda: representation_table(
+        BinaryForm(2), -9, 9.0)),
+    "representation table step": (QuadFormError,
+                                  lambda: representation_table(
+                                      BinaryForm(-1), 1, 9, 2.0)),
     "primary representatives": (QuadFormError,
                                 lambda: primary_representatives(
                                     BinaryForm(2), 7.0)),
@@ -145,6 +153,10 @@ def test_integer_inputs_are_python_ints():
     # numpy integers become Python integers, so later products cannot wrap
     data = ConicBundleData(e=(np.int64(2**62), 1), a=(5, 5))
     assert data.e[0] * 4 == 2**64
+    # a numpy window is read as Python ints, so each row constant is one
+    table = representation_table(BinaryForm(2), -40, 60, 3).tolist()
+    assert representation_table(BinaryForm(2), np.int64(-40), np.int64(60),
+                                np.int64(3)).tolist() == table
     # 2^62 + 1 = 1 mod 8 is a 2-adic square, whatever the second argument
     assert hilbert(np.int64(2**62 + 1), np.int64(-1), Place(2)) == 1
 

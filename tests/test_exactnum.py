@@ -66,10 +66,45 @@ def test_factorize():
     assert factorize(97 * 97) == ((97, 2),)
     with pytest.raises(ExactNumError):
         factorize(0)
-    # a product of two distinct primes beyond TRIAL_DIVISION_BOUND must
-    # fail loudly
-    with pytest.raises(FactorizationError):
-        factorize((10**9 + 7) * (10**9 + 9))
+    # Pollard-Brent rho splits a product of two primes beyond
+    # TRIAL_DIVISION_BOUND; one whose factors its step budget cannot reach
+    # must still fail loudly
+    assert factorize((10**9 + 7) * (10**9 + 9)) == ((10**9 + 7, 1),
+                                                     (10**9 + 9, 1))
+    with pytest.raises(FactorizationError, match="Pollard-Brent"):
+        factorize((10**15 + 37) * (10**15 + 91))
+
+
+def _primes_above(rng, lo, hi, count):
+    primes = set()
+    while len(primes) < count:
+        n = rng.randrange(lo, hi) | 1
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            primes.add(n)
+    return sorted(primes)
+
+
+def test_factorize_beyond_trial_division():
+    # seeded primes between 10^6 and 10^7, primality checked by odd trial
+    # division in the test: semiprimes, prime squares, cubes and three
+    # distinct factors all come back whole, each factor a prime
+    rng = random.Random(2024)
+    big = _primes_above(rng, 10**6, 10**7, 12)
+    cases = [(p, q) for p, q in zip(big[::2], big[1::2])]
+    cases += [(p, p) for p in big[:3]] + [(big[3],) * 3, tuple(big[4:7])]
+    cases += [(2, 2, 3, 97) + tuple(big[7:9]), (1000003, 1000033)]
+    for factors in cases:
+        n = math.prod(factors)
+        want = tuple(sorted((p, factors.count(p)) for p in set(factors)))
+        assert factorize(n) == want, factors
+    N = 1000003 * 1000033
+    assert squarefree_class(N) == SquareClass(0, frozenset({1000003,
+                                                            1000033}))
+    assert squarefree_class(Fraction(-7, N * N * 1000003)) == SquareClass(
+        1, frozenset({7, 1000003}))
+    from conicbundles.pencil import ConicBundleData, brauer_group
+    desc = brauer_group(ConicBundleData(e=(0, 1, 2, 3), a=(N, N, 5, 5)))
+    assert desc.kernel_basis == ((1, 1, 0, 0), (0, 0, 1, 1))
 
 
 def test_valuation():

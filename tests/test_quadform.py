@@ -222,6 +222,32 @@ def test_representation_table_matches_pointwise():
         representation_table(BinaryForm(-1), 5, 3)
 
 
+def test_representation_table_on_a_class_matches_pointwise():
+    # the class lo mod step of each window: windows straddling 0, all
+    # negative, one value, and lo prime to step; the last entry is the
+    # largest lo + step k <= hi, so hi need not be in the class
+    windows = [(-300, 300), (-257, 146), (-400, -1), (-1000, -601),
+               (17, 17), (-9, -9), (-45, 13), (3, 700), (0, 500)]
+    steps = (1, 2, 3, 4, 8, 9, 25, 27, 125)
+    for a in (-1, -2, -3, -5, -6, -7, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15):
+        f = BinaryForm(a)
+        counts = {}
+        for lo, hi in windows:
+            for step in steps:
+                arr = representation_table(f, lo, hi, step)
+                assert arr.dtype == np.int64
+                assert arr.size == (hi - lo) // step + 1, (a, lo, hi, step)
+                for k, got in enumerate(arr.tolist()):
+                    n = lo + step * k
+                    if n not in counts:
+                        counts[n] = representation_count(f, n)
+                    assert got == counts[n], (a, lo, hi, step, n)
+    with pytest.raises(QuadFormError, match="step must be >= 1"):
+        representation_table(BinaryForm(-1), 3, 5, 0)
+    with pytest.raises(QuadFormError, match="empty"):
+        representation_table(BinaryForm(2), 5, 3, 2)
+
+
 def test_representation_table_needs_no_domain_test(monkeypatch):
     # the rows of the cone replace the per-point test: with the oracle
     # refused and pell_fundamental counted, the tables are unchanged and
