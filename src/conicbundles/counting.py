@@ -66,6 +66,16 @@ factors times g C_g[x mod g] with g = gcd(M d, p^k) and C_g the
 residue-class sums of the rho_j table.  When no form admits such a w
 (r > s), every cell is its own line.
 
+Memory.  Tables are O(window): the class tables of the R_i, the stride
+prefix that replaces R_j's, and the tiled rho_i tables of G, all read at
+random.  Every other array is O(piece): the grid sum takes the cells in
+pieces of at most _CHUNK_CELLS and builds each piece's indices and line
+lengths from numpy.arange over the piece's own ranges, an index axis
+being just a coefficient (and G's modulus), and representation_table
+adds its progressions into the table in batches of
+quadform._GATHER_POINTS points.  So a count needs its tables and a
+fixed number of piece-sized temporaries beside them.
+
 Lattice counts, line directions (a fraction-free elimination), box ends
 (integer floor division over one common denominator) and the rank test
 run on Python integers; the only Fractions are the job's uInf and eps,
@@ -122,7 +132,9 @@ DEFAULT_ENUMERATION_CAP = 10**7
 # global decimal context never applies
 _CTX = decimal.Context(prec=30)
 _PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375")
-_CHUNK_CELLS = 1 << 22
+# cells per grid-sum piece: each of a piece's index, length and product
+# arrays is 128 KB, a cache-sized temporary beside the tables
+_CHUNK_CELLS = 1 << 14
 _SUM_GUARD = 1 << 62
 # entry cells below which enumerate_N sums on one thread: on a 2-core host
 # two threads lost at 2.8e5 cells (s = 3, 1.2x the one-thread time) and
@@ -220,15 +232,6 @@ def _axis_range(job: CountJob, B: int, j: int):
     t0 = (B * (x - e) - base) // step + 1
     t1 = -((base - B * (x + e)) // step) - 1
     return None if t0 > t1 else (t0, t1)
-
-
-def _axis_values(job: CountJob, B: int, j: int):
-    # integers u_j = uM_j + M t with |u_j - B uInf_j| < eps B, ascending
-    span = _axis_range(job, B, j)
-    if span is None:
-        return None
-    t0, t1 = span
-    return job.uM[j] + job.M * numpy.arange(t0, t1 + 1, dtype=numpy.int64)
 
 
 def _form_window(coeffs, spans):
@@ -329,7 +332,9 @@ def _stride_prefix(tab, d: int):
     rows = -(-n // d)
     buf = numpy.zeros(rows * d, dtype=numpy.int64)
     buf[d:n] = tab
-    return buf.reshape(rows, d).cumsum(axis=0).ravel()[:n]
+    grid = buf.reshape(rows, d)
+    numpy.cumsum(grid, axis=0, out=grid)
+    return buf[:n]
 
 
 def _pieces(box, limit: int):
@@ -348,59 +353,63 @@ def _pieces(box, limit: int):
                            limit)
 
 
-def _along(ax, piece, h):
-    # ax restricted to the piece's range on axis h, shaped to broadcast
-    a, b = piece[h]
-    shape = [1] * len(piece)
-    shape[h] = b - a
-    return ax[a:b].reshape(shape)
-
-
-def _grid_sum(boxes, index_axes, consts, tables, line=None):
+def _grid_sum(boxes, coeffs, consts, tables, modulus=None, line=None):
     # sum over every cell t of the boxes (tuples of index ranges, one per
-    # axis) of prod_i tables[i][consts[i] + sum_h index_axes[i][h][t_h]],
-    # axes with a None entry contributing nothing to that index; exact.
-    # With line = (j, lengths, d) factor j is instead the sum of tables[j]
-    # over the L(t) = min_h lengths[h][t_h] points x, x + d, ... of the
-    # line through t: Q[x + L d] - Q[x] for the stride prefix Q that
-    # tables[j] then holds, or L tables[j][x] when d = 0.  Cells are taken
-    # in pieces of at most `limit`: no array exceeds _CHUNK_CELLS, and a
-    # piece's int64 sum stays below limit * cap <= _SUM_GUARD, cap being
-    # the product of the factors' maxima
+    # axis) of prod_i tables[i][consts[i] + sum_h v_ih(t_h)], exact, with
+    # v_ih(t) = coeffs[i][h] t, reduced mod `modulus` unless it is None.
+    # With line = (j, w, extents, d) factor j is instead the sum of
+    # tables[j] over the L(t) points x, x + d, ... of the line through t
+    # in direction w, L(t) the fewest steps of w from t to the far face of
+    # the index box of the given extents: Q[x + L d] - Q[x] for the stride
+    # prefix Q that tables[j] then holds, or L tables[j][x] when d = 0.
+    # Axes that neither an index nor L reads give every one of their
+    # values the same sum, so each box keeps one of them and multiplies.
+    # Cells are taken in pieces of at most `limit`, each building its index
+    # and length arrays from the piece's own ranges: no array but the
+    # tables exceeds _CHUNK_CELLS, and a piece's int64 sum stays below
+    # limit * cap <= _SUM_GUARD, cap being the product of the factors'
+    # maxima
     maxima = [int(tab.max()) for tab in tables]
+    read = [any(col) for col in zip(*coeffs)]
     if line is not None:
-        j, lengths, d = line
+        j, w, extents, d = line
+        read = [r or c != 0 for r, c in zip(read, w)]
         if not d:
-            maxima[j] *= max(int(ax.max()) for ax in lengths if ax is not None)
+            maxima[j] *= max((n - 1) // abs(c) + 1
+                             for n, c in zip(extents, w) if c)
     cap = max(1, math.prod(maxima))
     limit = max(1, min(_CHUNK_CELLS, _SUM_GUARD // cap))
     total = 0
     for box in boxes:
+        mult = math.prod(b - a for (a, b), r in zip(box, read) if not r)
+        box = tuple(span if r else (span[0], span[0] + 1)
+                    for span, r in zip(box, read))
         for piece in _pieces(box, limit):
-            prod = None
-            for i, (row, const, tab) in enumerate(zip(index_axes, consts,
+            ts = []
+            for h, (a, b) in enumerate(piece):
+                shape = [1] * len(piece)
+                shape[h] = b - a
+                ts.append(numpy.arange(a, b, dtype=numpy.int64).reshape(shape)
+                          if read[h] else None)
+            prod = 1
+            for i, (row, const, tab) in enumerate(zip(coeffs, consts,
                                                       tables)):
-                idx = numpy.full((1,) * len(piece), const, dtype=numpy.int64)
-                for h, ax in enumerate(row):
-                    if ax is not None:
-                        idx = idx + _along(ax, piece, h)
+                idx = const
+                for c, t in zip(row, ts):
+                    if c:
+                        v = c * t
+                        idx = idx + (v if modulus is None else v % modulus)
                 if line is not None and i == j:
                     L = None
-                    for h, ax in enumerate(lengths):
-                        if ax is not None:
-                            v = _along(ax, piece, h)
+                    for n, c, t in zip(extents, w, ts):
+                        if c:
+                            v = (n - 1 - t) // c + 1 if c > 0 else t // -c + 1
                             L = v if L is None else numpy.minimum(L, v)
                     looked = tab[idx + L * d] - tab[idx] if d else L * tab[idx]
                 else:
                     looked = tab[idx]
-                prod = looked if prod is None else prod * looked
-            # axes no factor reads stay broadcast length 1; each such axis
-            # multiplies the piece's sum uniformly
-            mult = 1
-            for h, (a, b) in enumerate(piece):
-                if prod.shape[h] == 1:
-                    mult *= b - a
-            total += int(prod.sum()) * mult
+                prod = prod * looked
+            total += int(numpy.sum(prod)) * mult
     return total
 
 
@@ -430,22 +439,21 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     spans = [_axis_range(job, B, j) for j in range(job.system.s)]
     if any(span is None for span in spans):
         return 0
-    axes = [numpy.arange(t0, t1 + 1, dtype=numpy.int64) for t0, t1 in spans]
     forms = job.system.forms
-    extents = [ax.size for ax in axes]
-    index_axes = []
+    extents = [t1 - t0 + 1 for t0, t1 in spans]
+    corner = [t0 for t0, _ in spans]
     consts = []
     tables = []
     for i, form in enumerate(forms):
         # f_i(u) = f_i(uM) + M f_i(t): the table of R_i on that class mod M,
-        # indexed by f_i(t) - lo
+        # indexed by f_i(t) - lo, which is f_i(corner) - lo plus f_i of the
+        # cell's offset from the box's least corner
         lo, hi = _form_window(form, spans)
         base = job._f(i, job.uM)
         tables.append(representation_table(
             BinaryForm(job.system.a[i]), base + job.M * lo,
             base + job.M * hi, job.M))
-        consts.append(-lo)
-        index_axes.append([c * ax if c else None for c, ax in zip(form, axes)])
+        consts.append(_dot(form, corner) - lo)
     choice = _line_direction(forms, extents)
     if choice is None:
         boxes = [tuple((0, n) for n in extents)]
@@ -454,17 +462,12 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         j, w = choice
         d = _dot(forms[j], w)
         boxes = _entry_boxes(extents, w)
-        lengths = []
-        for n, c in zip(extents, w):
-            t = numpy.arange(n, dtype=numpy.int64)
-            lengths.append(None if c == 0 else
-                           (n - 1 - t) // c + 1 if c > 0 else t // -c + 1)
         if d:
             tables[j] = _stride_prefix(tables[j], d)
-        line = (j, lengths, d)
+        line = (j, w, extents, d)
     sizes = [math.prod(b - a for a, b in box) for box in boxes]
     if parts == 1 or sum(sizes) < _THREAD_MIN_CELLS:
-        return _grid_sum(boxes, index_axes, consts, tables, line)
+        return _grid_sum(boxes, forms, consts, tables, line=line)
     shares = [[] for _ in range(parts)]
     for box, cells in zip(boxes, sizes):
         for q, piece in enumerate(_pieces(box, -(-cells // parts))):
@@ -473,7 +476,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         sums = pool.map(
-            lambda bs: _grid_sum(bs, index_axes, consts, tables, line),
+            lambda bs: _grid_sum(bs, forms, consts, tables, line=line),
             shares)
         return sum(sums)
 
@@ -538,17 +541,16 @@ def G(job: CountJob, p: int, k: int,
         raise CountingError(
             "G(%d^%d) sums %d cells, beyond the cap %d; raise the cap or use "
             "beta_p's stabilization shortcut" % (p, k, cells, cap))
-    # index axes are reduced mod m and the tables repeated s + 1 times, so
-    # const + sum of s axis values (each below m) indexes them unreduced
-    t = numpy.arange(m, dtype=numpy.int64)
-    index_axes = []
+    # each axis term c t is reduced mod m and the tables repeated s + 1
+    # times, so const + the s terms (each below m) indexes them unreduced
+    coeffs = []
     consts = []
     tables = []
-    for (const, coeffs), a in zip(_g_rows(job), job.system.a):
+    for (const, row), a in zip(_g_rows(job), job.system.a):
         tab = numpy.array(rho_table(BinaryForm(a), p, k), dtype=numpy.int64)
         tables.append(numpy.tile(tab, s + 1))
         consts.append(const % m)
-        index_axes.append([c % m * t % m if c % m else None for c in coeffs])
+        coeffs.append(tuple(c % m for c in row))
     if choice is None:
         boxes = [((0, m),) * s]
     else:
@@ -558,7 +560,7 @@ def G(job: CountJob, p: int, k: int,
         tables[j] = numpy.tile(g * class_sums, (s + 1) * m // g)
         h0 = next(h for h, c in enumerate(w) if c % p)
         boxes = [tuple((0, 1) if h == h0 else (0, m) for h in range(s))]
-    return _grid_sum(boxes, index_axes, consts, tables)
+    return _grid_sum(boxes, coeffs, consts, tables, modulus=m)
 
 
 def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:

@@ -187,7 +187,6 @@ def _pollard_brent(n: int, budget: int) -> Optional[int]:
     return None
 
 
-@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple:
     """Prime factorization of n >= 1 as a tuple of (p, exponent) pairs.
 
@@ -196,11 +195,22 @@ def factorize(n: int) -> tuple:
     by Pollard-Brent rho (_pollard_brent) within TRIAL_DIVISION_BOUND
     steps per split, which finds prime factors up to about the square of
     that bound.  A composite that survives its budget raises
-    FactorizationError.
+    FactorizationError.  Results and failures are both cached, so asking
+    again for an n beyond the budget raises without searching again.
     """
     n = as_integer(n)
     if n < 1:
         raise ExactNumError("factorize expects a positive integer, got %r" % (n,))
+    out = _factor(n)
+    if isinstance(out, str):
+        raise FactorizationError(out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _factor(n: int):
+    # factorize on a positive int: its (p, exponent) pairs, or the message
+    # of the FactorizationError it raises
     out = {}
     for p in (2, 3):
         while n % p == 0:
@@ -223,10 +233,9 @@ def factorize(n: int) -> tuple:
         else:
             d = _pollard_brent(m, TRIAL_DIVISION_BOUND)
             if d is None:
-                raise FactorizationError(
-                    "cofactor %d has no prime factor below %d, and %d "
-                    "Pollard-Brent steps found none"
-                    % (m, TRIAL_DIVISION_BOUND, TRIAL_DIVISION_BOUND))
+                return ("cofactor %d has no prime factor below %d, and %d "
+                        "Pollard-Brent steps found none"
+                        % (m, TRIAL_DIVISION_BOUND, TRIAL_DIVISION_BOUND))
             rest += [d, m // d]
     return tuple(sorted(out.items()))
 

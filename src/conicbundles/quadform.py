@@ -87,6 +87,10 @@ class QuadFormError(ExactNumError):
     pass
 
 
+# points representation_table adds to its table per batch
+_GATHER_POINTS = 1 << 14
+
+
 @dataclass(frozen=True)
 class BinaryForm:
     """x^2 - a y^2 for a nonzero integer a, not a perfect square."""
@@ -258,52 +262,80 @@ def _ceil_isqrt(m: int) -> int:
     return 0 if m <= 0 else math.isqrt(m - 1) + 1
 
 
-def _gather_rows(rows, width: int, step: int):
-    # rows (x0, x1, c) with 0 <= x0 <= x1: one count at (x^2 + c) / step
-    # for each x0 <= x <= x1 with step | x^2 + c, every such index in
-    # [0, width).  Those x form one progression x = first + step m per
-    # square root of -c mod step, from one root list built per call; point
-    # m sits at index base + (2 first + step m) m with the Python-int
-    # base = (first^2 + c) / step.  The base is an index and
-    # (2 first + step m) m a difference of two; 2 first enters only
-    # progressions of two or more points, where 2 first + step is such a
-    # difference too, and step m <= (2 first + step m) m.  So no int64
-    # value exceeds the table length or the number of points, and none
-    # can overflow: no guard and no Python-int path are needed
+def _square_roots(step: int) -> dict:
+    # residue mod step -> the x mod step whose square it is
     roots = {}
     for x in range(step):
         roots.setdefault(x * x % step, []).append(x)
+    return roots
+
+
+def _class_range(start: int, stop: int, step: int, classes):
+    # the y in range(start, stop) whose residue mod step is in classes
+    for c in classes:
+        yield from range(start + (c - start) % step, stop, step)
+
+
+def _gather_rows(rows, width: int, step: int, roots: dict):
+    # rows (x0, x1, c) with 0 <= x0 <= x1 and -c a square mod step: one
+    # count at (x^2 + c) / step for each x0 <= x <= x1 with step | x^2 + c,
+    # every such index in [0, width).  Those x form one progression
+    # x = first + step m per square root of -c mod step (roots, from
+    # _square_roots); point m sits at index base + (2 first + step m) m
+    # with the Python-int base = (first^2 + c) / step.  The points are
+    # numbered progression by progression and added to the table in
+    # batches of _GATHER_POINTS, each finding the progressions it spans by
+    # a binary search over the progression ends, so no array but the
+    # table outgrows a batch.  The base is an index and (2 first + step m) m
+    # a difference of two; 2 first enters only progressions of two or
+    # more points, where 2 first + step is such a difference too, and
+    # step m <= (2 first + step m) m.  So no int64 value in a batch
+    # exceeds the table length or the number of points, and none can
+    # overflow: no guard and no Python-int path are needed
     bases, firsts, lengths = [], [], []
     for x0, x1, c in rows:
-        for root in roots.get(-c % step, ()):
+        for root in roots[-c % step]:
             first = x0 + (root - x0) % step
             if first <= x1:
                 count = (x1 - first) // step + 1
                 bases.append((first * first + c) // step)
                 firsts.append(2 * first if count > 1 else 0)
                 lengths.append(count)
+    table = numpy.zeros(width, dtype=numpy.int64)
     if not lengths:
-        return numpy.zeros(width, dtype=numpy.int64)
+        return table
+    bases = numpy.array(bases, dtype=numpy.int64)
+    firsts = numpy.array(firsts, dtype=numpy.int64)
     lengths = numpy.array(lengths, dtype=numpy.int64)
-    starts = numpy.cumsum(lengths) - lengths
-    m = numpy.arange(int(lengths.sum()), dtype=numpy.int64)
-    m -= numpy.repeat(starts, lengths)
-    idx = numpy.repeat(numpy.array(firsts, dtype=numpy.int64), lengths)
-    idx += step * m
-    idx *= m
-    idx += numpy.repeat(numpy.array(bases, dtype=numpy.int64), lengths)
-    return numpy.bincount(idx, minlength=width)
+    ends = numpy.cumsum(lengths)
+    starts = ends - lengths
+    points = int(ends[-1])
+    for p0 in range(0, points, _GATHER_POINTS):
+        p1 = min(p0 + _GATHER_POINTS, points)
+        # the progressions r0..r1 hold points p0..p1 - 1
+        r0, r1 = numpy.searchsorted(ends, (p0, p1 - 1), side="right")
+        part = slice(r0, r1 + 1)
+        counts = (numpy.minimum(ends[part], p1)
+                  - numpy.maximum(starts[part], p0))
+        m = numpy.arange(p0, p1, dtype=numpy.int64)
+        m -= numpy.repeat(starts[part], counts)
+        idx = numpy.repeat(firsts[part], counts)
+        idx += step * m
+        idx *= m
+        idx += numpy.repeat(bases[part], counts)
+        numpy.add.at(table, idx, 1)
+    return table
 
 
-def _definite_rows(b: int, lo: int, hi: int):
+def _definite_rows(b: int, lo: int, hi: int, step: int, classes):
     # a = -b < 0: orbit representatives x > 0, y >= 0 for b = 1 (the four
     # rotations), else x > 0, or x = 0 and y > 0 (the pair +-1); the rows
-    # for n = x^2 + b y^2 in [max(lo, 1), hi]
+    # for n = x^2 + b y^2 in [max(lo, 1), hi] with y mod step in classes
     nlo = max(lo, 1)
     if hi < nlo:
         return
     ymax = math.isqrt(hi // b)
-    for y in range(0 if b == 1 else -ymax, ymax + 1):
+    for y in _class_range(0 if b == 1 else -ymax, ymax + 1, step, classes):
         by2 = b * y * y
         x0 = max(0 if b > 1 and y > 0 else 1, _ceil_isqrt(nlo - by2))
         x1 = math.isqrt(hi - by2)
@@ -311,15 +343,18 @@ def _definite_rows(b: int, lo: int, hi: int):
             yield x0, x1, by2 - lo
 
 
-def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int):
+def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int, step: int,
+                     classes):
     # a > 0 with Pell solution (t, u): the rows of the balanced domain
-    # (module docstring) for n = x^2 - a y^2 in [lo, hi], n != 0; rows y
-    # and -y, and the two signs of x for n < 0, share their values of n
+    # (module docstring) for n = x^2 - a y^2 in [lo, hi], n != 0, with
+    # y mod step in classes; rows y and -y, and the two signs of x for
+    # n < 0, share their values of n (and -y is in a class with y)
     s = t + 1
     if hi >= 1:
         nlo = max(lo, 1)
         # n > 0: x > s y / u for y >= 0, x >= s |y| / u for y < 0
-        for y in range(math.isqrt(hi * u * u // (2 * s)) + 1):
+        for y in _class_range(0, math.isqrt(hi * u * u // (2 * s)) + 1,
+                              step, classes):
             ay2 = a * y * y
             x0 = _ceil_isqrt(nlo + ay2)
             x1 = math.isqrt(hi + ay2)
@@ -330,7 +365,8 @@ def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int):
     if lo <= -1:
         nhi = min(hi, -1)
         # n < 0: y >= 1, 0 <= s x < a u y or 0 < -s x <= a u y
-        for y in range(1, math.isqrt(-lo * s // (2 * a)) + 1):
+        for y in _class_range(1, math.isqrt(-lo * s // (2 * a)) + 1,
+                              step, classes):
             ay2 = a * y * y
             if nhi + ay2 < 0:
                 continue
@@ -359,8 +395,11 @@ def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
     hits the class only at the x whose square is lo + a y^2 mod step:
     one progression with difference step per square root, read off a root
     list of O(step) entries, and step is at most hi - lo whenever the
-    table has two entries.  One numpy.bincount gathers every progression;
-    its int64 indices never exceed the table length (_gather_rows)."""
+    table has two entries.  Only the rows whose y mod step makes
+    lo + a y^2 a square mod step are generated.  The progressions are
+    added into the table in batches of _GATHER_POINTS points, so memory
+    beyond the table stays O(rows + batch); every int64 index is below
+    the table length (_gather_rows)."""
     lo = as_integer(lo, QuadFormError)
     hi = as_integer(hi, QuadFormError)
     step = as_integer_at_least(step, 1, "step", QuadFormError)
@@ -371,12 +410,14 @@ def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
     if width == 1:
         step = 1
     a = form.a
+    roots = _square_roots(step)
+    classes = [y for y in range(step) if (lo + a * y * y) % step in roots]
     if a < 0:
-        rows = _definite_rows(-a, lo, hi)
+        rows = _definite_rows(-a, lo, hi, step, classes)
     else:
         pell = pell_fundamental(a)
-        rows = _indefinite_rows(a, pell.t, pell.u, lo, hi)
-    return _gather_rows(rows, width, step)
+        rows = _indefinite_rows(a, pell.t, pell.u, lo, hi, step, classes)
+    return _gather_rows(rows, width, step, roots)
 
 
 # ---------------------------------------------------------------------------

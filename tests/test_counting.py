@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 
-from conicbundles import counting
+from conicbundles import counting, quadform
 from conicbundles.counting import (
     CountJob,
     CountingError,
@@ -662,12 +663,83 @@ def test_enumerate_tables_hold_only_the_class(monkeypatch):
     assert calls and all(step == 125 and size == (hi - lo) // 125 + 1
                          for lo, hi, step, size in calls), calls
     # the same sum over the box from one full-window table, indexed by u
-    from conicbundles.counting import _axis_values
-    u1, u2 = (_axis_values(job, B, j) for j in range(2))
+    from conicbundles.counting import _axis_range
+    spans = [_axis_range(job, B, j) for j in range(2)]
+    u1, u2 = (job.uM[j] + job.M * numpy.arange(t0, t1 + 1)
+              for j, (t0, t1) in enumerate(spans))
     values = u1[:, None] + 2 * u2[None, :]
     lo = int(values.min())
     full = table(BinaryForm(-1), lo, int(values.max()))
     assert got == int(full[values - lo].sum()) > 0
+
+
+def test_enumerate_memory_is_tables_and_pieces(monkeypatch):
+    # the traced peak of a count is its tables, the stride prefix built
+    # from one of them, and a fixed number of piece- or batch-sized
+    # temporaries: no index axis, line length array or gather list grows
+    # with the box beside them
+    import tracemalloc
+    sizes = []
+    table = counting.representation_table
+
+    def spy(*args):
+        arr = table(*args)
+        sizes.append(arr.nbytes)
+        return arr
+
+    monkeypatch.setattr(counting, "representation_table", spy)
+    sysm = NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 1), (1, -1)))
+    job = CountJob(system=sysm, uInf=(Fraction(1), Fraction(1, 3)))
+    tracemalloc.start()
+    try:
+        got = enumerate_N(job, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 4894735284
+    piece = 8 * max(counting._CHUNK_CELLS, quadform._GATHER_POINTS)
+    assert peak <= sum(sizes) + max(sizes) + 16 * piece, (peak, sizes)
+
+
+def test_tiny_budgets_change_no_count(monkeypatch):
+    # pieces of 7 cells and batches of 5 points cut lines across pieces
+    # and progressions across batches; with the thread threshold at 0 the
+    # two-thread runs split every box.  Counts, G and tables must equal
+    # their values at the default budgets.  The last job has an axis that
+    # neither form nor line reads, summed once per box and multiplied
+    rng = random.Random(23)
+    jobs = [(geometry_job(rng, r, s, M, eps), B)
+            for r, s, M, eps, B in ((1, 2, 1, Fraction(1, 2), 121),
+                                    (2, 2, 9, Fraction(1, 2), 361),
+                                    (3, 2, 1, Fraction(1, 2), 49),
+                                    (2, 3, 1, Fraction(1, 4), 49),
+                                    (1, 3, 25, Fraction(1, 4), 676))]
+    flat = NormFormSystem(r=2, s=3, a=(-1, 2), forms=((1, 0, 0), (0, 1, 0)))
+    flat_job = CountJob(system=flat, uInf=(Fraction(1), Fraction(1, 2),
+                                           Fraction(-1, 2)))
+    jobs.append((flat_job, 49))
+    assert enumerate_N(flat_job, 25) == brute_N(
+        flat, 1, (0, 0, 0), flat_job.uInf, flat_job.epsilon, 25) == 7560
+    windows = [(a, lo, hi, step) for a in (-1, -3, 2, 7)
+               for lo, hi in ((-500, 3000), (10**4, 3 * 10**4))
+               for step in (1, 9, 125)]
+
+    def everything():
+        counts = [enumerate_N(job, B, threads=t)
+                  for job, B in jobs for t in (1, 2)]
+        gs = [G(job, p, k) for job, _ in jobs
+              for p, k in ((2, 3), (3, 2), (5, 1))]
+        tables = [quadform.representation_table(BinaryForm(a), lo, hi,
+                                                step).tolist()
+                  for a, lo, hi, step in windows]
+        return counts, gs, tables
+
+    want = everything()
+    assert any(want[0]) and any(want[1])
+    monkeypatch.setattr(counting, "_CHUNK_CELLS", 7)
+    monkeypatch.setattr(counting, "_THREAD_MIN_CELLS", 0)
+    monkeypatch.setattr(quadform, "_GATHER_POINTS", 5)
+    assert everything() == want
 
 
 def test_G_line_geometry_against_brute():
@@ -918,7 +990,7 @@ def test_G_cap_counts_the_lines_summed():
 def test_axis_values_against_direct_window():
     # the integers u = uM mod M with |u - B uInf_j| < eps B, found by
     # testing every integer of a slightly wider window in Fractions
-    from conicbundles.counting import _axis_values
+    from conicbundles.counting import _axis_range
     rng = random.Random(97)
     sysm = NormFormSystem(r=1, s=2, a=(3,), forms=((1, 1),))
     for _ in range(400):
@@ -935,5 +1007,7 @@ def test_axis_values_against_direct_window():
             want = [u for u in range(math.floor(centre - half) - 1,
                                      math.ceil(centre + half) + 2)
                     if (u - job.uM[j]) % M == 0 and abs(u - centre) < half]
-            got = _axis_values(job, B, j)
-            assert (got.tolist() if got is not None else []) == want, (job, B)
+            span = _axis_range(job, B, j)
+            got = [] if span is None else [
+                job.uM[j] + job.M * t for t in range(span[0], span[1] + 1)]
+            assert got == want, (job, B)

@@ -75,6 +75,31 @@ def test_factorize():
         factorize((10**15 + 37) * (10**15 + 91))
 
 
+def test_factorize_caches_its_failures(monkeypatch):
+    # a second call on an integer beyond the budget raises the same error
+    # without searching again; the cache is fresh, so the first call must
+    # search whatever ran before
+    from conicbundles import exactnum
+    monkeypatch.setattr(exactnum, "_factor",
+                        lru_cache(maxsize=None)(exactnum._factor.__wrapped__))
+    calls = []
+    search = exactnum._pollard_brent
+
+    def counted(n, budget):
+        calls.append(n)
+        return search(n, budget)
+
+    monkeypatch.setattr(exactnum, "_pollard_brent", counted)
+    n = (10**15 + 37) * (10**15 + 91)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FactorizationError, match="Pollard-Brent") as err:
+            factorize(n)
+        messages.append((str(err.value), len(calls)))
+    assert messages[0][1] > 0
+    assert messages[1] == messages[0]
+
+
 def _primes_above(rng, lo, hi, count):
     primes = set()
     while len(primes) < count:

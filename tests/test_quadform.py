@@ -273,6 +273,41 @@ def test_representation_table_needs_no_domain_test(monkeypatch):
         assert len(calls) <= 1, (case, calls)
 
 
+def test_representation_table_rows_have_roots_in_their_class(monkeypatch):
+    # with step > 1 the row generators yield only the rows y whose
+    # lo + a y^2 is a square mod step: exactly the rows the unrestricted
+    # generators (step 1) give that have a root, and the tables equal
+    # every step-th entry of the step-1 table.  The first case is the
+    # a = -1, M = 125 table of test_enumerate_tables_hold_only_the_class,
+    # where 132 of the 533 rows have a root
+    made = []
+    for name in ("_definite_rows", "_indefinite_rows"):
+        gen = getattr(quadform, name)
+
+        def spy(*args, gen=gen):
+            rows = list(gen(*args))
+            made.append((gen, args, rows))
+            return rows
+
+        monkeypatch.setattr(quadform, name, spy)
+    cases = [(-1, 94751, 283501, 125)]
+    cases += [(a, lo, hi, step) for a in (-1, -3, 2, 7)
+              for lo, hi in ((-400, 700), (5, 2000), (-2000, -3))
+              for step in (8, 9, 25, 125)]
+    for a, lo, hi, step in cases:
+        del made[:]
+        tab = representation_table(BinaryForm(a), lo, hi, step)
+        assert tab.tolist() == representation_table(
+            BinaryForm(a), lo, hi)[::step].tolist(), (a, lo, hi, step)
+        squares = {x * x % step for x in range(step)}
+        gen, args, rows = made[0]
+        everyone = list(gen(*args[:-2], 1, [0]))
+        rooted = [row for row in everyone if -row[2] % step in squares]
+        assert sorted(rows) == sorted(rooted), (a, lo, hi, step)
+        if (a, lo, step) == (-1, 94751, 125):
+            assert (len(everyone), len(rows)) == (533, 132)
+
+
 def brute_rho(a, m, A):
     c = 0
     for x in range(m):
