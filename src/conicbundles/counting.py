@@ -58,23 +58,27 @@ minus its least value on the box.  For one form f_j and a primitive
 direction w with f_i . w = 0 for every i != j, each R_i with i != j is
 constant along a line parallel to w and f_j(t) steps by d = f_j . w (so
 f_j(u) by M d).  In the box a line is a segment of L points from its
-entry point, contributing the other factors times the prefix difference
-P_d[x + (L - 1) d] - P_d[x - d] of the stride-d prefix sum P_d of R_j's
-class table (L R_j(x) when d = 0).  On the torus (Z/p^k)^s a line is a
-full cycle of p^k points, where g_j steps by M d, contributing the other
-factors times g C_g[x mod g] with g = gcd(M d, p^k) and C_g the
-residue-class sums of the rho_j table.  When no form admits such a w
-(r > s), every cell is its own line.
+entry point, where f_j(t) has index x, contributing the other factors
+times the prefix difference P_d[x + (L - 1) d] - P_d[x - d] of the
+stride-d prefix sum P_d of R_j's class table (L R_j(x) when d = 0).
+That table starts d values before the window, so P_d[x - d] exists, and
+holds a whole number of rows of d, so P_d is its column sums, built in
+place.  On the torus (Z/p^k)^s a line is a full cycle of p^k points,
+where g_j steps by M d, contributing the other factors times
+g C_g[x mod g] with g = gcd(M d, p^k) and C_g the residue-class sums of
+the rho_j table, read from a table of p^k entries repeating g C_g.  When
+no form admits such a w (r > s), every cell is its own line.
 
-Memory.  Tables are O(window): the class tables of the R_i, the stride
-prefix that replaces R_j's, and the tiled rho_i tables of G, all read at
-random.  Every other array is O(piece): the grid sum takes the cells in
-pieces of at most _CHUNK_CELLS and builds each piece's indices and line
-lengths from numpy.arange over the piece's own ranges, an index axis
-being just a coefficient (and G's modulus), and representation_table
-adds its progressions into the table in batches of
-quadform._GATHER_POINTS points.  So a count needs its tables and a
-fixed number of piece-sized temporaries beside them.
+Memory.  Tables are O(window): the class tables of the R_i, R_j's
+holding its own stride prefix, and the rho_i tables of G, one entry per
+residue mod p^k, all read at random.  Every other array is O(piece): the
+grid sum takes the cells in pieces of at most _CHUNK_CELLS and builds
+each piece's indices and line lengths from numpy.arange over the piece's
+own ranges, an index axis being just a coefficient (G reduces each
+form's index mod p^k once), and representation_table adds its
+progressions into the table in batches of quadform._GATHER_POINTS
+points.  So a count needs its tables and a fixed number of piece-sized
+temporaries beside them.
 
 Lattice counts, line directions (a fraction-free elimination), box ends
 (integer floor division over one common denominator) and the rank test
@@ -91,6 +95,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -107,9 +112,9 @@ from .exactnum import (
     _primitive,
     as_integer,
     as_integer_at_least,
+    as_prime,
     as_rational,
     factorize,
-    is_prime,
     valuation,
 )
 from .pencil import NormFormSystem, technical_bound
@@ -324,19 +329,6 @@ def _entry_boxes(extents, w):
     return boxes
 
 
-def _stride_prefix(tab, d: int):
-    # Q[y] = tab[y - d] + tab[y - 2d] + ... (indices >= 0), so the sum of
-    # tab[x], tab[x + d], ..., tab[x + (L - 1) d] is Q[x + L d] - Q[x];
-    # Q is P_d shifted by d, the padding that makes P_d[x - d] exist
-    n = tab.size + d
-    rows = -(-n // d)
-    buf = numpy.zeros(rows * d, dtype=numpy.int64)
-    buf[d:n] = tab
-    grid = buf.reshape(rows, d)
-    numpy.cumsum(grid, axis=0, out=grid)
-    return buf[:n]
-
-
 def _pieces(box, limit: int):
     # sub-boxes of at most `limit` cells, cut across the longest axis (and
     # recursively when a single slice across it is still too large)
@@ -355,13 +347,14 @@ def _pieces(box, limit: int):
 
 def _grid_sum(boxes, coeffs, consts, tables, modulus=None, line=None):
     # sum over every cell t of the boxes (tuples of index ranges, one per
-    # axis) of prod_i tables[i][consts[i] + sum_h v_ih(t_h)], exact, with
-    # v_ih(t) = coeffs[i][h] t, reduced mod `modulus` unless it is None.
-    # With line = (j, w, extents, d) factor j is instead the sum of
-    # tables[j] over the L(t) points x, x + d, ... of the line through t
-    # in direction w, L(t) the fewest steps of w from t to the far face of
-    # the index box of the given extents: Q[x + L d] - Q[x] for the stride
-    # prefix Q that tables[j] then holds, or L tables[j][x] when d = 0.
+    # axis) of prod_i tables[i][x_i], exact, with the index
+    # x_i = consts[i] + sum_h coeffs[i][h] t_h reduced once mod `modulus`
+    # unless it is None.  With line = (j, w, extents, d) factor j is
+    # instead the sum of R over the L(t) points x, x + d, ... of the line
+    # through t in direction w, L(t) the fewest steps of w from t to the
+    # far face of the index box of the given extents: Q[x + L d] - Q[x]
+    # for the stride prefix Q[y] = R(y - d) + R(y - 2d) + ... that
+    # tables[j] then holds, or L tables[j][x] when d = 0.
     # Axes that neither an index nor L reads give every one of their
     # values the same sum, so each box keeps one of them and multiplies.
     # Cells are taken in pieces of at most `limit`, each building its index
@@ -397,8 +390,9 @@ def _grid_sum(boxes, coeffs, consts, tables, modulus=None, line=None):
                 idx = const
                 for c, t in zip(row, ts):
                     if c:
-                        v = c * t
-                        idx = idx + (v if modulus is None else v % modulus)
+                        idx = idx + c * t
+                if modulus is not None:
+                    idx = idx % modulus
                 if line is not None and i == j:
                     L = None
                     for n, c, t in zip(extents, w, ts):
@@ -428,20 +422,31 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     the segment contributes
     prod_{i != j} R_i(f_i(u)) * (P_d[x + (L - 1) d] - P_d[x - d]) with
     x the index of f_j(t) and P_d the stride-d prefix sum of R_j's class
-    table, or L R_j(x) when d = 0.  When no form admits such a w (r > s),
-    every cell is its own segment.  With threads > 1 the entry points are
-    partitioned among worker threads; partial sums are exact integers, so
+    table, which P_d overwrites in place, or L R_j(x) when d = 0.  When
+    no form admits such a w (r > s), every cell is its own segment.  With
+    threads > 1 the entry points are partitioned among at most
+    os.cpu_count() worker threads; partial sums are exact integers, so
     the result does not depend on the partition; fewer than
     _THREAD_MIN_CELLS entry points are summed on one thread, as the pool
     would cost more than it saves."""
     B = as_integer(B, CountingError)
-    parts = as_integer_at_least(threads, 1, "threads", CountingError)
+    parts = min(as_integer_at_least(threads, 1, "threads", CountingError),
+                os.cpu_count() or 1)
     spans = [_axis_range(job, B, j) for j in range(job.system.s)]
     if any(span is None for span in spans):
         return 0
     forms = job.system.forms
     extents = [t1 - t0 + 1 for t0, t1 in spans]
     corner = [t0 for t0, _ in spans]
+    choice = _line_direction(forms, extents)
+    if choice is None:
+        boxes = [tuple((0, n) for n in extents)]
+        j = d = line = None
+    else:
+        j, w = choice
+        d = _dot(forms[j], w)
+        boxes = _entry_boxes(extents, w)
+        line = (j, w, extents, d)
     consts = []
     tables = []
     for i, form in enumerate(forms):
@@ -449,22 +454,24 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
         # indexed by f_i(t) - lo, which is f_i(corner) - lo plus f_i of the
         # cell's offset from the box's least corner
         lo, hi = _form_window(form, spans)
-        base = job._f(i, job.uM)
-        tables.append(representation_table(
-            BinaryForm(job.system.a[i]), base + job.M * lo,
-            base + job.M * hi, job.M))
         consts.append(_dot(form, corner) - lo)
-    choice = _line_direction(forms, extents)
-    if choice is None:
-        boxes = [tuple((0, n) for n in extents)]
-        line = None
-    else:
-        j, w = choice
-        d = _dot(forms[j], w)
-        boxes = _entry_boxes(extents, w)
-        if d:
-            tables[j] = _stride_prefix(tables[j], d)
-        line = (j, w, extents, d)
+        prefix = d and i == j
+        if prefix:
+            # R_j from d values before lo, in whole rows of d, so that its
+            # column sums are P_d; the index f_j(t) - lo then sits d
+            # entries before f_j(t)'s own and reads P_d[x - d]
+            lo -= d
+            hi = lo + d * -(-(hi - lo + 1) // d) - 1
+        base = job._f(i, job.uM)
+        tab = representation_table(BinaryForm(job.system.a[i]),
+                                   base + job.M * lo, base + job.M * hi,
+                                   job.M)
+        if prefix:
+            # in place: representation_table returns a fresh array that no
+            # cache holds, so nothing else reads R_j's values
+            grid = tab.reshape(-1, d)
+            numpy.cumsum(grid, axis=0, out=grid)
+        tables.append(tab)
     sizes = [math.prod(b - a for a, b in box) for box in boxes]
     if parts == 1 or sum(sizes) < _THREAD_MIN_CELLS:
         return _grid_sum(boxes, forms, consts, tables, line=line)
@@ -504,15 +511,6 @@ def beta_infinity(job: CountJob, B: int) -> decimal.Decimal:
     return val
 
 
-def _g_rows(job: CountJob):
-    # g_i(t) = f_i(uM + M t): constant term and t coefficients
-    rows = []
-    for i, form in enumerate(job.system.forms):
-        const = job._f(i, job.uM)
-        rows.append((const, tuple(job.M * c for c in form)))
-    return rows
-
-
 def G(job: CountJob, p: int, k: int,
       cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """#{(x, y, t) mod p^k : x_i^2 - a_i y_i^2 = g_i(t) for all i}, exact.
@@ -527,9 +525,7 @@ def G(job: CountJob, p: int, k: int,
     the residue-class sums of rho_j.  When no form admits such a w
     (r > s), every cell is its own line.  `cap` bounds the cells summed,
     m^(s-1) with a line direction and m^s without, before any table."""
-    p, k = as_integer(p, CountingError), as_integer(k, CountingError)
-    if not is_prime(p):
-        raise CountingError("%r is not prime" % (p,))
+    p, k = as_prime(p, CountingError), as_integer(k, CountingError)
     if k < 1:
         raise CountingError("k must be >= 1")
     s = job.system.s
@@ -541,23 +537,23 @@ def G(job: CountJob, p: int, k: int,
         raise CountingError(
             "G(%d^%d) sums %d cells, beyond the cap %d; raise the cap or use "
             "beta_p's stabilization shortcut" % (p, k, cells, cap))
-    # each axis term c t is reduced mod m and the tables repeated s + 1
-    # times, so const + the s terms (each below m) indexes them unreduced
+    # g_i(t) = f_i(uM) + M f_i(t) with every coefficient reduced mod m:
+    # _grid_sum reduces each index once, below (s + 1) m^2 unreduced
     coeffs = []
     consts = []
     tables = []
-    for (const, row), a in zip(_g_rows(job), job.system.a):
-        tab = numpy.array(rho_table(BinaryForm(a), p, k), dtype=numpy.int64)
-        tables.append(numpy.tile(tab, s + 1))
-        consts.append(const % m)
-        coeffs.append(tuple(c % m for c in row))
+    for i, (form, a) in enumerate(zip(forms, job.system.a)):
+        consts.append(job._f(i, job.uM) % m)
+        coeffs.append(tuple(job.M * c % m for c in form))
+        tables.append(numpy.array(rho_table(BinaryForm(a), p, k),
+                                  dtype=numpy.int64))
     if choice is None:
         boxes = [((0, m),) * s]
     else:
         j, w = choice
         g = math.gcd(job.M * _dot(forms[j], w), m)
-        class_sums = tables[j][:m].reshape(m // g, g).sum(axis=0)
-        tables[j] = numpy.tile(g * class_sums, (s + 1) * m // g)
+        class_sums = tables[j].reshape(m // g, g).sum(axis=0)
+        tables[j] = numpy.tile(g * class_sums, m // g)
         h0 = next(h for h, c in enumerate(w) if c % p)
         boxes = [tuple((0, 1) if h == h0 else (0, m) for h in range(s))]
     return _grid_sum(boxes, coeffs, consts, tables, modulus=m)
@@ -575,11 +571,9 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
     sum_A rho(p^k; A) = p^2k for each form; otherwise detect
     G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k and return
     p^(-(s+r)k) G(p^k)."""
-    p = as_integer(p, CountingError)
+    p = as_prime(p, CountingError)
     if k_max is not None:
         k_max = as_integer(k_max, CountingError)
-    if not is_prime(p):
-        raise CountingError("%r is not prime" % (p,))
     s, r = job.system.s, job.system.r
     if job.M % p == 0:
         m = valuation(job.M, p)

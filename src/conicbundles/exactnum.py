@@ -104,6 +104,14 @@ def as_integer_at_least(x, least: int, name: str,
     return x
 
 
+def as_prime(p, error=ExactNumError) -> int:
+    """p as a Python int that is prime; anything else raises `error`."""
+    p = as_integer(p, error)
+    if not is_prime(p):
+        raise error("%r is not prime" % (p,))
+    return p
+
+
 def as_bits(n, error=ExactNumError, r: Optional[int] = None) -> tuple:
     """n as a tuple of 0/1 Python ints, of length r when r is given;
     anything else raises `error`."""
@@ -271,9 +279,7 @@ def _valuation_unit(x: IntLike, p: int):
 
 def valuation(x: IntLike, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    p = as_integer(p)
-    if not is_prime(p):
-        raise ExactNumError("valuation needs a prime, got %r" % (p,))
+    p = as_prime(p)
     x = _exact(x)
     if x == 0:
         raise ExactNumError("valuation of 0 is undefined")
@@ -288,10 +294,7 @@ class Place:
 
     def __post_init__(self):
         if self.p is not None:
-            object.__setattr__(self, "p", as_integer(self.p))
-            if not is_prime(self.p):
-                raise ExactNumError(
-                    "finite place needs a prime, got %r" % (self.p,))
+            object.__setattr__(self, "p", as_prime(self.p))
 
     @property
     def is_real(self) -> bool:
@@ -366,9 +369,9 @@ def squarefree_part(x: IntLike) -> int:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for odd prime p, via Euler's criterion."""
-    a, p = as_integer(a), as_integer(p)
-    if p == 2 or not is_prime(p):
-        raise ExactNumError("legendre needs an odd prime, got %r" % (p,))
+    a, p = as_integer(a), as_prime(p)
+    if p == 2:
+        raise ExactNumError("legendre needs an odd prime, got 2")
     a = a % p
     if a == 0:
         return 0

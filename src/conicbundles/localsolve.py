@@ -48,9 +48,9 @@ from .exactnum import (
     _symbol_reader,
     _valuation_unit,
     as_integer,
+    as_prime,
     as_rational,
     hilbert,
-    is_prime,
     legendre,
 )
 from .pencil import NormFormSystem, technical_bound
@@ -190,11 +190,9 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     on x_i + p^L Z_p, equal to the one read on the smaller value ball; so
     one symbol read per form serves both the cut and the acceptance.
     """
-    p = as_integer(p, LocalSolveError)
+    p = as_prime(p, LocalSolveError)
     if depth is not None:
         depth = as_integer(depth, LocalSolveError)
-    if not is_prime(p):
-        raise LocalSolveError("%d is not prime" % p)
     bound = technical_bound(system, p)
     if depth is None:
         # floor of 4, a heuristic: degenerate form matrices force extra

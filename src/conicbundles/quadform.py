@@ -79,8 +79,8 @@ from typing import Optional
 import numpy
 
 from .exactnum import (ExactNumError, _valuation_unit, as_integer,
-                       as_integer_at_least, factorize, is_square, legendre,
-                       valuation)
+                       as_integer_at_least, as_prime, factorize, is_square,
+                       legendre, valuation)
 
 
 class QuadFormError(ExactNumError):
@@ -468,6 +468,7 @@ def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
     k >= v_2(4a) + v_2(A); below it the identity can fail pointwise even
     though it still holds on average over l.
     """
+    p = as_prime(p, QuadFormError)
     A %= p**k
     if A == 0:
         return False
@@ -484,7 +485,8 @@ def rho_table(form: BinaryForm, p: int, k: int):
     One `_local_count` per orbit (v_p(A), unit square class of A / p^v)
     fills every A of that orbit.  Cached, so callers share the list and
     must not change it."""
-    p, k = as_integer(p, QuadFormError), as_integer(k, QuadFormError)
+    p = as_prime(p, QuadFormError)
+    k = as_integer_at_least(k, 0, "k", QuadFormError)
     a = form.a
     m = p**k
     tab = [_local_count(a, p, k, 0)] * m

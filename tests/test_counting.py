@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -220,7 +221,9 @@ def test_enumerate_threads_bit_identical():
 
 def test_enumerate_threads_cutoff(monkeypatch):
     # below _THREAD_MIN_CELLS entry points the sum stays on one thread;
-    # above it a pool splits the boxes; the count agrees either way
+    # above it a pool splits the boxes; the count agrees either way.  Four
+    # cores, so that no request here meets the clamp to the core count
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pools = []
     pool = concurrent.futures.ThreadPoolExecutor
 
@@ -247,6 +250,39 @@ def test_enumerate_threads_cutoff(monkeypatch):
     assert enumerate_N(small, 14641, threads=2) == \
         enumerate_N(small, 14641) > 0
     assert not pools
+
+
+def test_enumerate_threads_at_most_the_cores(monkeypatch):
+    # a request for 100,000 threads on a job past _THREAD_MIN_CELLS gets a
+    # pool of os.cpu_count() workers, not one per share of 4-cell pieces;
+    # the executor is faked and runs its shares in turn, so no thread starts
+    pools = []
+
+    class Serial:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sysm = NormFormSystem(r=2, s=3, a=(-1, 2),
+                          forms=((1, 1, 0), (1, -1, 1)))
+    job = CountJob(system=sysm, uInf=(1, Fraction(1, 3), 1))
+    base = enumerate_N(job, 31**2)
+    assert enumerate_N(job, 31**2, threads=100_000) == base > 0
+    assert pools == [3]
+    # an unknown core count is one core: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert enumerate_N(job, 31**2, threads=8) == base
+    assert pools == [3]
 
 
 def test_enumerate_monotone_in_epsilon():
@@ -449,6 +485,27 @@ def test_G_stabilization_identity():
                 continue
             k = max(valuation(4 * a, p) for a in job.system.a) + 1
             assert G(job, p, k + 1) == p ** (s + r) * G(job, p, k), (job, p)
+
+
+def test_G_tables_hold_one_period(monkeypatch):
+    # every table G sums holds at most p^k entries: each form's index is
+    # reduced mod p^k once, so no table is repeated to absorb the s terms
+    seen = []
+    grid_sum = counting._grid_sum
+
+    def spy(boxes, coeffs, consts, tables, modulus=None, line=None):
+        seen.append((modulus, [tab.size for tab in tables]))
+        return grid_sum(boxes, coeffs, consts, tables, modulus, line)
+
+    monkeypatch.setattr(counting, "_grid_sum", spy)
+    three = NormFormSystem(r=3, s=2, a=(-1, 2, -3),
+                           forms=((1, 1), (1, -2), (2, 1)))
+    cases = [(job1(), 3, 2), (job2(), 2, 3), (job_m12(), 2, 2),
+             (CountJob(system=three, uInf=(Fraction(2), Fraction(1))), 2, 2)]
+    for job, p, k in cases:
+        seen.clear()
+        assert G(job, p, k) == brute_G(job, p, k), (job, p, k)
+        assert seen == [(p**k, [p**k] * job.system.r)], (job, p, k, seen)
 
 
 def test_G_errors():
@@ -674,10 +731,9 @@ def test_enumerate_tables_hold_only_the_class(monkeypatch):
 
 
 def test_enumerate_memory_is_tables_and_pieces(monkeypatch):
-    # the traced peak of a count is its tables, the stride prefix built
-    # from one of them, and a fixed number of piece- or batch-sized
-    # temporaries: no index axis, line length array or gather list grows
-    # with the box beside them
+    # the traced peak of a count is its tables and a fixed number of
+    # piece- or batch-sized temporaries: no index axis, line length array,
+    # gather list or copy of a table grows with the box beside them
     import tracemalloc
     sizes = []
     table = counting.representation_table
@@ -690,21 +746,23 @@ def test_enumerate_memory_is_tables_and_pieces(monkeypatch):
     monkeypatch.setattr(counting, "representation_table", spy)
     sysm = NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 1), (1, -1)))
     job = CountJob(system=sysm, uInf=(Fraction(1), Fraction(1, 3)))
-    tracemalloc.start()
-    try:
-        got = enumerate_N(job, 10**5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == 4894735284
     piece = 8 * max(counting._CHUNK_CELLS, quadform._GATHER_POINTS)
-    assert peak <= sum(sizes) + max(sizes) + 16 * piece, (peak, sizes)
+    for B, count in ((10**5, 4894735284), (10**6, 489479441711)):
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            got = enumerate_N(job, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == count
+        assert peak <= sum(sizes) + 16 * piece, (B, peak, sizes)
 
 
 def test_tiny_budgets_change_no_count(monkeypatch):
     # pieces of 7 cells and batches of 5 points cut lines across pieces
-    # and progressions across batches; with the thread threshold at 0 the
-    # two-thread runs split every box.  Counts, G and tables must equal
+    # and progressions across batches; with the thread threshold at 0 and
+    # two cores the two-thread runs split every box.  Counts, G and tables must equal
     # their values at the default budgets.  The last job has an axis that
     # neither form nor line reads, summed once per box and multiplied
     rng = random.Random(23)
@@ -720,6 +778,24 @@ def test_tiny_budgets_change_no_count(monkeypatch):
     jobs.append((flat_job, 49))
     assert enumerate_N(flat_job, 25) == brute_N(
         flat, 1, (0, 0, 0), flat_job.uInf, flat_job.epsilon, 25) == 7560
+    # lines with d = 3 through a window of 481 values, not a multiple of 3:
+    # R's table starts 3 values before the window, at n < 0, where R is 0
+    # for a = -1 and not for a = 2
+    from conicbundles.counting import (_axis_range, _dot, _form_window,
+                                       _line_direction)
+    for a, front in ((-1, False), (2, True)):
+        steep = NormFormSystem(r=1, s=2, a=(a,), forms=((3, 1),))
+        steep_job = CountJob(system=steep, uInf=(Fraction(0), Fraction(1)))
+        spans = [_axis_range(steep_job, 121, h) for h in range(2)]
+        j, w = _line_direction(steep.forms,
+                               [t1 - t0 + 1 for t0, t1 in spans])
+        lo, hi = _form_window(steep.forms[j], spans)
+        assert _dot(steep.forms[j], w) == 3 and hi - lo + 1 == 481
+        assert quadform.representation_table(
+            BinaryForm(a), lo - 3, lo - 1).any() == front
+        assert enumerate_N(steep_job, 121) == brute_N(
+            steep, 1, (0, 0), steep_job.uInf, steep_job.epsilon, 121) > 0
+        jobs.append((steep_job, 121))
     windows = [(a, lo, hi, step) for a in (-1, -3, 2, 7)
                for lo, hi in ((-500, 3000), (10**4, 3 * 10**4))
                for step in (1, 9, 125)]
@@ -738,6 +814,7 @@ def test_tiny_budgets_change_no_count(monkeypatch):
     assert any(want[0]) and any(want[1])
     monkeypatch.setattr(counting, "_CHUNK_CELLS", 7)
     monkeypatch.setattr(counting, "_THREAD_MIN_CELLS", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(quadform, "_GATHER_POINTS", 5)
     assert everything() == want
 

@@ -27,7 +27,7 @@ from conicbundles.pencil import (BrauerElement, ConicBundleData,
 from conicbundles.quadform import (BinaryForm, QuadFormError,
                                    pell_fundamental, primary_representatives,
                                    representation_count, representation_table,
-                                   rho, rho_table, w)
+                                   rho, rho_table, scaling_valid, w)
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 SYSTEM = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
@@ -140,6 +140,45 @@ FLOAT_ENTRY_PATHS = {
                          ids=list(FLOAT_ENTRY_PATHS))
 def test_exact_inputs_reject_floats(error, call):
     with pytest.raises(error, match="float"):
+        call()
+
+
+FORM = BinaryForm(-1)
+
+# test id -> (expected error, message, call with a modulus that is no prime
+# or an exponent below 0); rho_table once looped forever at p = 1 and
+# divided by zero at p = 0, and scaling_valid answered at p = 1
+NON_PRIME_MODULI = {
+    "rho table p 0": (QuadFormError, "not prime",
+                      lambda: rho_table(FORM, 0, 2)),
+    "rho table p 1": (QuadFormError, "not prime",
+                      lambda: rho_table(FORM, 1, 2)),
+    "rho table p 4": (QuadFormError, "not prime",
+                      lambda: rho_table(FORM, 4, 2)),
+    "rho table p -3": (QuadFormError, "not prime",
+                       lambda: rho_table(FORM, -3, 2)),
+    "rho table k -1": (QuadFormError, "k must be >= 0",
+                       lambda: rho_table(FORM, 3, -1)),
+    "scaling p 0": (QuadFormError, "not prime",
+                    lambda: scaling_valid(FORM, 0, 2, 5)),
+    "scaling p 1": (QuadFormError, "not prime",
+                    lambda: scaling_valid(FORM, 1, 2, 5)),
+    "valuation p 4": (ExactNumError, "not prime", lambda: valuation(8, 4)),
+    "place 1": (ExactNumError, "not prime", lambda: Place(1)),
+    "legendre p 9": (ExactNumError, "not prime", lambda: legendre(2, 9)),
+    "legendre p 2": (ExactNumError, "odd prime", lambda: legendre(3, 2)),
+    "G p -3": (CountingError, "not prime", lambda: G(job(), -3, 1)),
+    "beta p 0": (CountingError, "not prime", lambda: beta_p(job(), 0)),
+    "padic p 1": (LocalSolveError, "not prime",
+                  lambda: padic_soluble(SYSTEM, 1)),
+}
+
+
+@pytest.mark.parametrize("error, match, call",
+                         list(NON_PRIME_MODULI.values()),
+                         ids=list(NON_PRIME_MODULI))
+def test_moduli_must_be_primes(error, match, call):
+    with pytest.raises(error, match=match):
         call()
 
 
