@@ -542,8 +542,8 @@ def G(job: CountJob, p: int, k: int,
     coeffs = []
     consts = []
     tables = []
-    for i, (form, a) in enumerate(zip(forms, job.system.a)):
-        consts.append(job._f(i, job.uM) % m)
+    for form, a in zip(forms, job.system.a):
+        consts.append(_dot(form, job.uM) % m)
         coeffs.append(tuple(job.M * c % m for c in form))
         tables.append(numpy.array(rho_table(BinaryForm(a), p, k),
                                   dtype=numpy.int64))
