@@ -30,11 +30,11 @@ The formulas live once, in the one symbol reader `_symbol_reader(a, p)`.
 It splits a once and returns sym(x, K): the symbol (a, y)_p common to
 every y = x mod p^K, or None when that ball does not pin v_p(y) and the
 unit bits the formulas read.  `hilbert` reads through it at a ball small
-enough to be exact; callers that read many balls build one reader per
-(a, p) and keep it.  Beside it sits the one ball walker, `_balls`, a
-flat loop over a stack of lazy child iterators with no depth limit,
-which `localsolve` walks for witnesses and `brauermanin` for scan cells,
-both reading the balls with such readers.
+enough to be exact; readers are cached per (a, p), so all callers share
+them.  Beside it sits the one ball walker, `_balls`, a flat loop over a
+stack of lazy child iterators with no depth limit, which `localsolve`
+walks for witnesses and `brauermanin` for scan cells, both reading the
+balls with such readers.
 
 The integer primitives live here once, beside the walker: `_dot`, a
 form's value f(u) (`localsolve`, `counting`); `_primitive`, a row over
@@ -379,6 +379,7 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
+@lru_cache(maxsize=1024, typed=True)
 def _symbol_reader(a: IntLike, p: int):
     """sym(x, K): the symbol (a, y)_p shared by every y = x mod p^K, or
     None when it is not constant on that ball.
@@ -391,7 +392,8 @@ def _symbol_reader(a: IntLike, p: int):
     mod p^(K - beta).  At odd p the formulas read one unit digit; at
     p = 2 they read 3 bits when alpha is odd, 2 when u = 3 mod 4 and 1
     otherwise, so None is returned exactly when two points of the ball
-    can disagree."""
+    can disagree.  Readers are cached (typed): each is a pure closure over
+    the split (alpha, u) of a, so all callers can share one safely."""
     alpha, u = _valuation_unit(a, p)
     alpha &= 1
     if p == 2:
@@ -509,7 +511,8 @@ def _primes_dividing(xs) -> set:
     for x in xs:
         if x:
             for part in (abs(x.numerator), x.denominator):
-                out.update(p for p, _ in factorize(part))
+                if part > 1:
+                    out.update(p for p, _ in factorize(part))
     return out
 
 

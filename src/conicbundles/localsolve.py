@@ -8,19 +8,9 @@ feasibility of a homogeneous system of strict linear inequalities and is
 decided exactly by Fourier-Motzkin elimination.  Over Q_p the predicate
 is finite by design: a residue u mod p^depth determines val_p(f_i(u)) and
 the unit part of each value as far as its digits reach.  padic_soluble
-walks the balls u + p^L Z_p^s depth first with `exactnum._balls`, the
-ball walker the Brauer-Manin scans share, and reads each form on the
-whole value ball: with c_i the p-content of f_i (least valuation of a
-coefficient), the ball u + p^L Z_p^s maps into f_i(u) + p^(L + c_i) Z_p.
-A ball is pruned when the symbol reader `exactnum._symbol_reader` of a_i,
-built once per call, reads (a_i, f_i(u))_p as -1 on that value ball, or
-when every value in it is 0 mod p^(depth - need + 1) and so keeps no
-witness margin; no point of a pruned ball is a witness.  It accepts only
-with the margin a LocalWitness keeps: every value nonzero with `need`
-unit digits known (one at odd p, three bits at p = 2) and every symbol
-+1, so a returned witness survives every lift.  A form of large content
-thus costs a few balls instead of a tree of digits its values do not yet
-read.
+takes a good place's witness from the moment curve, else walks the balls
+u + p^L Z_p^s with `exactnum._balls` reading each form on its whole value
+ball; its docstring states the cuts and the margin every witness keeps.
 
 diagonal_quadric_soluble decides c_1 x_1^2 + ... + c_4 x_4^2 = 0 by the
 classical rank-4 criterion: isotropic at v unless the determinant class
@@ -31,6 +21,7 @@ differs from (-1, -1)_v.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Optional, Sequence, Tuple
@@ -53,7 +44,7 @@ from .exactnum import (
     hilbert,
     legendre,
 )
-from .pencil import NormFormSystem, technical_bound
+from .pencil import NormFormSystem
 
 
 class LocalSolveError(ExactNumError):
@@ -94,23 +85,11 @@ def _fm_witness(rows, s: int):
         nr = _primitive(row)
         if nr not in clean:
             clean.append(nr)
-    if s == 1:
-        signs = {c > 0 for (c,) in clean}
-        if len(signs) == 2:
-            return None
-        if not clean:
-            return (Fraction(1),)
-        return (Fraction(1) if signs == {True} else Fraction(-1),)
-    lower, upper, passed = [], [], []
-    for row in clean:
-        c = row[-1]
-        if c > 0:
-            lower.append(row)
-        elif c < 0:
-            upper.append(row)
-        else:
-            passed.append(row[:-1])
-    combined = list(passed)
+    if s == 0:
+        return ()  # no rows: an empty one (0 > 0) returned None above
+    lower = [row for row in clean if row[-1] > 0]
+    upper = [row for row in clean if row[-1] < 0]
+    combined = [row[:-1] for row in clean if not row[-1]]
     for lo in lower:
         for up in upper:
             # lo_s (up . u) - up_s (lo . u) > 0 eliminates the last variable
@@ -119,8 +98,10 @@ def _fm_witness(rows, s: int):
     rest = _fm_witness(combined, s - 1)
     if rest is None:
         return None
-    lo_vals = [-_dot(row[:-1], rest) / row[-1] for row in lower]
-    up_vals = [-_dot(row[:-1], rest) / row[-1] for row in upper]
+    # each bound -(row' . rest) / row_s over rest's common denominator D
+    D, n = _clear_denominators(rest)
+    lo_vals = [Fraction(-_dot(row[:-1], n), D * row[-1]) for row in lower]
+    up_vals = [Fraction(-_dot(row[:-1], n), D * row[-1]) for row in upper]
     if lo_vals and up_vals:
         last = (max(lo_vals) + min(up_vals)) / 2
     elif lo_vals:
@@ -142,27 +123,24 @@ def real_soluble(system: NormFormSystem):
     base = _fm_witness([system.forms[i] for i in system.i_minus], s)
     if base is None:
         return False, None
-    # nudge off the remaining hyperplanes while keeping the strict rows
-    if _real_witness(system, base):
+    # nudge base off the hyperplanes through it, along no direction in them
+    _, v = _clear_denominators(base)
+    through = [f for f in system.forms if not _dot(f, v)]
+    if not through:
         return True, LocalWitness(place=REAL_PLACE, u=base)
     for t in range(system.r * s + 1):
         direction = tuple(Fraction(t)**j for j in range(s))
+        if any(not _dot(f, direction) for f in through):
+            continue
         eps = Fraction(1)
         for _ in range(64):
             cand = tuple(b + eps * d for b, d in zip(base, direction))
-            if _real_witness(system, cand):
+            _, v = _clear_denominators(cand)  # read in integers
+            if all(x > 0 if a < 0 else x for a, x in
+                   zip(system.a, [_dot(f, v) for f in system.forms])):
                 return True, LocalWitness(place=REAL_PLACE, u=cand)
             eps /= 2
     raise LocalSolveError("could not perturb the witness off a hyperplane")
-
-
-def _real_witness(system: NormFormSystem, u) -> bool:
-    """Whether the rational point u has f_i(u) > 0 for the i with a_i < 0
-    and f_i(u) != 0 for every i, read in integers on the positive
-    multiple of u that clears its denominators."""
-    _, v = _clear_denominators(u)
-    values = (_dot(f, v) for f in system.forms)
-    return all(x > 0 if a < 0 else x != 0 for a, x in zip(system.a, values))
 
 
 # ---------------------------------------------------------------------------
@@ -176,84 +154,103 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     f_i(u) != 0 mod p^depth with all symbols (a_i, f_i(u))_p determined
     by the residue and equal to +1; such a u survives arbitrary lifting.
 
-    The search walks the balls u + p^L Z_p^s depth first in digit order,
-    through the package's one ball walker `exactnum._balls`, and returns
-    the first residue that is a witness.  On such a ball the form f_i, of
-    p-content c_i, takes values only in x_i + p^(L + c_i) Z_p with
-    x_i = f_i(u), so a ball is cut when the symbol read on that value
-    ball is -1, or when L + c_i > depth - need and
-    x_i = 0 mod p^(depth - need + 1), since then every value of every lift
-    is too divisible to keep the witness margin.  Both cuts drop only
-    balls with no witness in them, so the surviving balls keep their
-    order and the first witness is the one a plain digit search finds.
+    At a good place, an odd p > r(s - 1) dividing no a_i, the witness is
+    the first u_t = (1, t, ..., t^(s - 1)), t = 0, ..., r(s - 1), with
+    every f_i(u_t) a unit, so every symbol is +1; each form vanishes at
+    s - 1 of them at most unless p divides it, when the search runs.
+
+    Otherwise the search walks the balls u + p^L Z_p^s depth first in
+    digit order, through the package's one ball walker `exactnum._balls`,
+    and returns the first residue that is a witness.  On such a ball the
+    form f_i, of p-content c_i, takes values only in x_i + p^(L + c_i) Z_p
+    with x_i = f_i(u), so a ball is cut when the symbol read on that value
+    ball is -1, or when the value ball lies in p^floor_i Z_p: no value of
+    valuation above late = depth - need keeps the witness margin, so
+    floor_i = late + 1, or late when the symbol is -1 on every unit times
+    p^late.  Both cuts drop only balls with no witness in them, so the
+    surviving balls keep their order and the first witness is the one a
+    plain digit search finds.
     Acceptance needs v_p(x_i) <= L - need, which already fixes the symbol
     on x_i + p^L Z_p, equal to the one read on the smaller value ball; so
     one symbol read per form serves both the cut and the acceptance.
     """
-    p = as_prime(p, LocalSolveError)
-    if depth is not None:
-        depth = as_integer(depth, LocalSolveError)
-    bound = technical_bound(system, p)
-    if depth is None:
-        # floor of 4, a heuristic: degenerate form matrices force extra
-        # valuation on the values, and p^4 covers common cases but not
-        # all: at p = 5, a = (-1, -3), forms ((0, 25), (125, 0)) it reports
-        # insoluble, while depth 9 finds the witness u = (3125, 15625)
-        depth = max(bound + 2, 4)
-    if depth < bound + 1:
-        raise LocalSolveError(
-            "depth %d is below the technical bound %d" % (depth, bound + 1))
-    fast = _good_prime_witness(system, p, depth)
-    if fast is not None:
-        return True, fast
-    need = 3 if p == 2 else 1  # unit digits a LocalWitness keeps
-    power = list(accumulate(repeat(p, depth), mul, initial=1))
-    # (f_i, its symbol reader, c_i the p-content of f_i: the valuation
-    # of the gcd of its coefficients)
-    rows = [(f, _symbol_reader(ai, p), _valuation_unit(math.gcd(*f), p)[0])
-            for ai, f in zip(system.a, system.forms)]
-    late = depth - need  # value balls finer than p^late can be dead
-    dead = power[late + 1]  # values 0 mod dead keep no margin
-
-    def read(u, level):
-        # False when no lift of u mod p^level is a witness: on the value
-        # ball of some f_i the symbol is -1, or every value is 0 mod dead;
-        # True when u is a witness: every symbol +1 with `need` unit digits
-        # of every value known; None when a lift may still be one
-        accept = level >= need
-        margin = power[level - need + 1] if accept else 0
-        for f, sym, c in rows:
-            x = _dot(f, u)
-            K = level + c
-            value = sym(x, K)
-            if value == -1 or (K > late and x % dead == 0):
-                return False
-            accept = accept and value == 1 and x % margin != 0
-        return True if accept else None
-
-    for _, u, ok in _balls(p, system.s, depth, read):
-        if ok:
-            return True, LocalWitness(place=Place(p), u=u, precision=depth)
-    return False, None
+    place = Place(as_prime(p, LocalSolveError))
+    depth = None if depth is None else as_integer(depth, LocalSolveError)
+    return _place_solver(system)(place, depth)
 
 
-def _good_prime_witness(system: NormFormSystem, p: int, depth: int):
-    """Immediate witness at odd p where every a_i is a p-adic unit.
+def _place_solver(system: NormFormSystem):
+    """solve(place, depth): `padic_soluble` with p and depth coerced.  What
+    no prime changes is read here once; an odd p divides quad_product
+    exactly when the technical bound max v_p(4 a_i) is positive."""
+    s, forms = system.s, system.forms
+    quads = [4 * a for a in system.a]
+    quad_product = math.prod(quads)
+    gcds = [math.gcd(*f) for f in forms]
+    top = system.r * (s - 1)
+    moment = [(u, math.prod([sum(map(mul, f, u)) for f in forms])) for u in
+              (tuple(t**j for j in range(s)) for t in range(top + 1))]
 
-    If some u mod p keeps every f_i(u) a unit, all symbols are symbols of
-    two units at an odd place and equal +1.  Candidates run through the
-    moment curve, which meets each hyperplane f_i = 0 at most s - 1
-    times.
-    """
-    r, s = system.r, system.s
-    if p == 2 or p <= r * (s - 1) or not all(a % p for a in system.a):
-        return None
-    for t in range(r * (s - 1) + 1):
-        u = tuple(pow(t, j, p**depth) if t else (1 if j == 0 else 0)
-                  for j in range(s))
-        if all(_dot(f, u) % p for f in system.forms):
-            return LocalWitness(place=Place(p), u=u, precision=depth)
-    return None
+    def solve(place, depth):
+        p = place.p
+        bound = 0 if quad_product % p else max(
+            _valuation_unit(x, p)[0] for x in quads)
+        if depth is None:
+            # floor of 4, a heuristic: degenerate form matrices force extra
+            # valuation on the values, and p^4 covers common cases but not
+            # all: at p = 5, a = (-1, -3), forms ((0, 25), (125, 0)) it
+            # reports insoluble, while depth 9 finds u = (3125, 15625)
+            depth = max(bound + 2, 4)
+        if depth < bound + 1:
+            raise LocalSolveError("depth %d is below the technical bound %d"
+                                  % (depth, bound + 1))
+        if bound == 0 and p > top:
+            for u, product in moment:
+                if product % p:
+                    return True, LocalWitness(
+                        place=place, u=tuple([x % p**depth for x in u]),
+                        precision=depth)
+        need = 3 if p == 2 else 1  # unit digits a LocalWitness keeps
+        power = list(accumulate(repeat(p, depth), mul, initial=1))
+        late = depth - need  # the largest valuation a witness's value has
+        rows = []  # (f_i, its reader, c_i, floor_i - c_i, p^floor_i)
+        for a, f, g in zip(system.a, forms, gcds):
+            sym = _symbol_reader(a, p)
+            c = _valuation_unit(g, p)[0] if g % p == 0 else 0
+            floor = late if _shell_minus(a, p, late) else late + 1
+            rows.append((f, sym, c, floor - c, power[floor]))
+
+        def read(u, level):
+            # False when no lift of u mod p^level is a witness (a value ball
+            # lies in p^floor_i Z_p or reads -1), True when u is one: every
+            # symbol +1 with `need` unit digits known; else None
+            accept = level >= need
+            margin = power[level - need + 1] if accept else 0
+            for f, sym, c, floor_level, floor_power in rows:
+                x = sum(map(mul, f, u))
+                if level >= floor_level and not x % floor_power:
+                    return False
+                value = sym(x, level + c)
+                if value == -1:
+                    return False
+                accept = accept and value == 1 and x % margin != 0
+            return True if accept else None
+
+        for _, u, ok in _balls(p, s, depth, read):
+            if ok:
+                return True, LocalWitness(place=place, u=u, precision=depth)
+        return False, None
+    return solve
+
+
+@lru_cache(maxsize=1024)
+def _shell_minus(a: int, p: int, v: int) -> bool:
+    """Whether (a, p^v y)_p = -1 for every unit y, read at one unit per
+    square class: 1, 3, 5, 7 at p = 2, else 1 and the least non-residue.
+    Cached: every digit search at p asks it once per form."""
+    units = (3, 5, 7) if p == 2 else (
+        next(y for y in range(2, p) if legendre(y, p) == -1),)
+    return all(_symbol_reader(a, p)(p**v * y, v + 3) < 0 for y in (1, *units))
 
 
 @dataclass(frozen=True)
@@ -273,26 +270,25 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     The per-prime depth defaults to the technical bound + 2, floored at
     4 by a heuristic, so a place insoluble at the default depth may be
     soluble deeper (see `padic_soluble`); soluble places carry witnesses.
+
+    Each system is prepared once for all places: L, depth and the Places
+    are coerced once, and prod 4 a_i, the form gcds and prod_i f_i(u_t) at
+    the moment-curve points are read once, so a good place's witness, the
+    first u_t whose product is prime to p, costs a remainder per point.
     """
     L = as_integer(L, LocalSolveError)
+    depth = None if depth is None else as_integer(depth, LocalSolveError)
     primes = {2, *_primes_upto(L)}
     primes |= _primes_dividing(chain(system.a, *system.forms))
     places = [REAL_PLACE] + [Place(q) for q in sorted(primes)]
-    bad = []
-    witnesses = []
-    for place in places:
-        if place.is_real:
-            ok, wit = real_soluble(system)
-        else:
-            ok, wit = padic_soluble(system, place.p, depth)
-        if ok:
-            witnesses.append((place, wit))
-        else:
-            bad.append(place)
+    solve = _place_solver(system)
+    found = [(v, real_soluble(system) if v.is_real else solve(v, depth))
+             for v in places]
+    bad = tuple(v for v, (ok, _) in found if not ok)
     return LocalReport(
         soluble=not bad,
-        bad_places=tuple(bad),
-        witnesses=tuple(witnesses),
+        bad_places=bad,
+        witnesses=tuple((v, wit) for v, (ok, wit) in found if ok),
         checked=tuple(places),
     )
 

@@ -469,7 +469,8 @@ def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
     though it still holds on average over l.
     """
     p = as_prime(p, QuadFormError)
-    A %= p**k
+    k = as_integer_at_least(k, 0, "k", QuadFormError)
+    A = as_integer(A, QuadFormError) % p**k
     if A == 0:
         return False
     v4a = valuation(4 * form.a, p)

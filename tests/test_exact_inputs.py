@@ -122,6 +122,10 @@ FLOAT_ENTRY_PATHS = {
                                     BinaryForm(2), 7.0)),
     "rho table k": (QuadFormError,
                     lambda: rho_table(BinaryForm(-1), 3, 2.0)),
+    "scaling k": (QuadFormError,
+                  lambda: scaling_valid(BinaryForm(-1), 3, 2.0, 5)),
+    "scaling A": (QuadFormError,
+                  lambda: scaling_valid(BinaryForm(-1), 3, 2, 5.5)),
     "hilbert": (ExactNumError, lambda: hilbert(-1.0, -1, REAL_PLACE)),
     "diagonal quadric": (LocalSolveError, lambda: diagonal_quadric_soluble(
         (1.0, 1, 1, -1), Place(2))),
@@ -147,7 +151,7 @@ FORM = BinaryForm(-1)
 
 # test id -> (expected error, message, call with a modulus that is no prime
 # or an exponent below 0); rho_table once looped forever at p = 1 and
-# divided by zero at p = 0, and scaling_valid answered at p = 1
+# divided by zero at p = 0, and scaling_valid answered at p = 1 and k = -1
 NON_PRIME_MODULI = {
     "rho table p 0": (QuadFormError, "not prime",
                       lambda: rho_table(FORM, 0, 2)),
@@ -163,6 +167,8 @@ NON_PRIME_MODULI = {
                     lambda: scaling_valid(FORM, 0, 2, 5)),
     "scaling p 1": (QuadFormError, "not prime",
                     lambda: scaling_valid(FORM, 1, 2, 5)),
+    "scaling k -1": (QuadFormError, "k must be >= 0",
+                     lambda: scaling_valid(FORM, 3, -1, 5)),
     "valuation p 4": (ExactNumError, "not prime", lambda: valuation(8, 4)),
     "place 1": (ExactNumError, "not prime", lambda: Place(1)),
     "legendre p 9": (ExactNumError, "not prime", lambda: legendre(2, 9)),

@@ -17,7 +17,6 @@ from conicbundles.exactnum import (
 from conicbundles.localsolve import (
     LocalSolveError,
     _fm_witness,
-    _good_prime_witness,
     diagonal_quadric_soluble,
     everywhere_locally_soluble,
     padic_soluble,
@@ -169,6 +168,26 @@ def test_real_soluble_against_sampling():
                        for i in system.i_minus), (system, u)
 
 
+def test_real_nudge_skips_directions_inside_a_hyperplane(monkeypatch):
+    # the Fourier-Motzkin point lies on a hyperplane that contains the
+    # first direction (1, 0), so no step along it can leave; its 64
+    # candidates are skipped and the witness is still the first one off
+    # every hyperplane, (2, 1)
+    cleared = []
+    clear = localsolve._clear_denominators
+    monkeypatch.setattr(localsolve, "_clear_denominators",
+                        lambda xs: cleared.append(xs) or clear(xs))
+    for a, forms in (((2, -1), ((0, 2), (32, 32))),
+                     ((-6, 6), ((1, -1), (0, 2))),
+                     ((-10, 5, 5), ((1, -1), (1, 0), (0, 4)))):
+        system = NormFormSystem(r=len(a), s=2, a=a, forms=forms)
+        cleared.clear()
+        ok, wit = real_soluble(system)
+        assert ok and wit.u == (2, 1)
+        check_real_witness(system, wit)
+        assert len(cleared) < 10
+
+
 def test_padic_examples():
     sys1 = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
     for p in (5, 3):
@@ -205,6 +224,22 @@ class ReferenceBudget(Exception):
     pass
 
 
+def moment_witness(system, p, depth):
+    """The documented good-place witness, found here without the library:
+    at an odd p > r(s - 1) dividing no a_i, the first moment-curve point
+    (1, t, ..., t^(s - 1)), t = 0, ..., r(s - 1), at which no form is 0
+    mod p, reduced mod p^depth.  None at any other p, or when no point
+    qualifies."""
+    r, s = system.r, system.s
+    if p == 2 or p <= r * (s - 1) or any(a % p == 0 for a in system.a):
+        return None
+    for t in range(r * (s - 1) + 1):
+        u = tuple(t**j % p**depth for j in range(s))
+        if all(evaluate(f, u) % p for f in system.forms):
+            return u
+    return None
+
+
 def digit_dfs(system, p, depth, budget):
     """padic_soluble's search without its value-ball prunes.
 
@@ -212,12 +247,14 @@ def digit_dfs(system, p, depth, budget):
     node is cut only when some value already keeps the witness margin
     (valuation at most level - need) and its symbol is -1, which no lift
     changes.  Every cut here and in the library is sound, so both return
-    the first witness of the same preorder.  The good-prime shortcut runs
-    first, as in the library.  Raises ReferenceBudget past `budget` nodes.
+    the first witness of the same preorder.  At a good place the test's
+    own moment-curve rule, `moment_witness`, answers first, as the
+    library's documented rule does.  Raises ReferenceBudget past `budget`
+    nodes.
     """
-    fast = _good_prime_witness(system, p, depth)
+    fast = moment_witness(system, p, depth)
     if fast is not None:
-        return True, fast.u
+        return True, fast
     need = 3 if p == 2 else 1
     nodes = [0]
 
@@ -331,6 +368,28 @@ def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
     check_padic_witness(item1, 5, wit)
 
 
+def test_padic_cuts_value_balls_whose_last_valuation_reads_minus_one(
+        monkeypatch):
+    # p = 7, default depth 4: a witness's values have valuation 3 at most,
+    # and 10 is a non-residue mod 7, so (10, 7^3 y)_7 = -1 for every unit
+    # y.  The ball u = 0 mod 7^3, where 32 u_2 lies in 7^3 Z_7, is cut
+    # whole instead of read through its 49 children; the witness is still
+    # the digit search's
+    calls = []
+    reader = localsolve._symbol_reader
+
+    def counted_reader(a, p):
+        sym = reader(a, p)
+        return lambda x, K: calls.append(x) or sym(x, K)
+
+    monkeypatch.setattr(localsolve, "_symbol_reader", counted_reader)
+    system = NormFormSystem(r=2, s=2, a=(10, 14), forms=((0, 32), (2, 2)))
+    ok, wit = padic_soluble(system, 7)
+    assert (ok, wit.u) == digit_dfs(system, 7, 4, budget=10**4) == \
+        (True, (0, 49))
+    assert len(calls) < 20
+
+
 def test_padic_deep_search_keeps_no_stack():
     # the walk descends 1100 levels along the zero ball; a recursive walker
     # passed Python's recursion limit here
@@ -391,6 +450,77 @@ def test_everywhere_locally_soluble():
     report = everywhere_locally_soluble(bad, L=10)
     assert not report.soluble
     assert REAL_PLACE in report.bad_places
+
+
+def local_pool_system(rng, p):
+    # the local workload's draw, widened to r <= 4 and s in {2, 3}: a_i a
+    # unit times p^0 or p^1, coefficients with p-power contents
+    pool = (0, 1, -1, 2, p, p**2, p**3, p**5, -p**4)
+    units = [u for u in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7) if u % p]
+    while True:
+        r, s = rng.randint(1, 4), rng.choice((2, 3))
+        a = tuple(rng.choice(units) * p**rng.choice((0, 1)) for _ in range(r))
+        forms = tuple(tuple(rng.choice(pool) for _ in range(s))
+                      for _ in range(r))
+        try:
+            return NormFormSystem(r=r, s=s, a=a, forms=forms)
+        except PencilError:
+            continue
+
+
+def test_everywhere_witnesses_agree_with_each_place():
+    # the report prepares each system once for all its places; every
+    # verdict and witness must be the one the place's own entry point
+    # gives, a good place's the test's first moment-curve point, and every
+    # witness must pass the test-side checkers
+    rng = random.Random(2025)
+    good = searched = bad = 0
+    for _ in range(80):
+        p = rng.choice((2, 3, 5, 7))
+        system = local_pool_system(rng, p)
+        report = everywhere_locally_soluble(system, L=rng.choice((30, 50)))
+        found = dict(report.witnesses)
+        for place in report.checked:
+            wit = found.get(place)
+            if place.is_real:
+                assert real_soluble(system) == (wit is not None, wit)
+                if wit is not None:
+                    check_real_witness(system, wit)
+                continue
+            q = place.p
+            assert padic_soluble(system, q) == (wit is not None, wit), \
+                (system, q)
+            if wit is None:
+                bad += 1
+                continue
+            check_padic_witness(system, q, wit)
+            fast = moment_witness(system, q, wit.precision)
+            if fast is None:
+                searched += 1
+            else:
+                good += 1
+                assert wit.u == fast, (system, q)
+        assert set(found) | set(report.bad_places) == set(report.checked)
+    # enough of each kind of place was compared
+    assert good >= 600 and searched >= 180 and bad >= 20, (good, searched,
+                                                           bad)
+
+
+def test_good_place_rule_needs_p_above_r_s_minus_1():
+    # r(s - 1) = 3: at p = 3 the moment curve has only three points mod p,
+    # so the digit search answers, with a witness deep in the zero ball;
+    # at 7 and 11 the first moment-curve point with unit values does
+    system = NormFormSystem(r=3, s=2, a=(-1, 2, 5),
+                            forms=((1, 0), (0, 1), (1, 1)))
+    report = dict(everywhere_locally_soluble(system, L=11).witnesses)
+    ok, wit = padic_soluble(system, 3)
+    assert (ok, wit.u) == digit_dfs(system, 3, 4, budget=10**4) == \
+        (True, (9, 9))
+    assert report[Place(3)] == wit
+    for p, u in ((7, (1, 1)), (11, (1, 1))):
+        assert moment_witness(system, p, 4) == u
+        assert padic_soluble(system, p) == (True, report[Place(p)])
+        assert report[Place(p)].u == u
 
 
 def test_diagonal_quadric_examples():
