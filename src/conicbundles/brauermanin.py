@@ -79,6 +79,7 @@ from .exactnum import (
     Place,
     REAL_PLACE,
     _balls,
+    _checked_place,
     _primes_dividing,
     _primes_upto,
     _symbol_reader,
@@ -88,6 +89,7 @@ from .exactnum import (
     as_rational,
     f2_insert,
     hilbert,
+    json_value,
 )
 from .pencil import BrauerElement, ConicBundleData, brauer_group, delta
 
@@ -101,12 +103,6 @@ class BrauerManinError(ExactNumError):
 
 def _place_key(v: Place):
     return (0, 0) if v.is_real else (1, v.p)
-
-
-def _checked_place(v) -> Place:
-    if not isinstance(v, Place):
-        raise BrauerManinError("not a Place: %r" % (v,))
-    return v
 
 
 def _bits(data: ConicBundleData, n) -> Tuple[int, ...]:
@@ -132,7 +128,7 @@ def local_invariant(data: ConicBundleData, n, t, v: Place) -> int:
     all-ones class, canonicalizes before calling this."""
     bits = _bits(data, n)
     t = as_rational(t, BrauerManinError)
-    _checked_place(v)
+    _checked_place(v, BrauerManinError)
     _check_pole(data, t)
     total = 0
     for b, a, e in zip(bits, data.a, data.e):
@@ -154,7 +150,7 @@ class LocalParameter:
     precision: Optional[int] = None
 
     def __post_init__(self):
-        _checked_place(self.place)
+        _checked_place(self.place, BrauerManinError)
         object.__setattr__(self, "t", as_rational(self.t, BrauerManinError))
         if self.precision is not None:
             if self.place.is_real:
@@ -386,7 +382,10 @@ class _Columns(NamedTuple):
                                            self.values))
 
     def json_rows(self) -> list:
-        # one suffix per level, one fresh values list per distinct vector
+        # one suffix per level, one fresh values list per distinct vector;
+        # the integer representative is written as json_value writes
+        # Fraction(c), "c/1", but inline: every finite cell of every scan
+        # passes through this loop
         place, p = str(self.place), self.place.p
         suffix = {k: " mod %d^%d" % (p, k) for k in set(self.levels)}
         lists = {vals: list(vals) for vals in set(self.values)}
@@ -473,21 +472,18 @@ class ScanTable:
         return tuple(out)
 
     def as_json_dict(self) -> dict:
-        cells = [{"place": str(c.place), "cell": c.label,
-                  "representative": "%d/%d" % (c.representative.numerator,
-                                               c.representative.denominator),
-                  "values": list(c.values)}
-                 for c in self.real_cells]
+        out = json_value({
+            "generators": self.generators,
+            "places": self.places,
+            "resolution": {v: k for v, k in self.resolution if k is not None},
+            "cells": [{"place": c.place, "cell": c.label,
+                       "representative": c.representative,
+                       "values": c.values} for c in self.real_cells],
+        })
         for col in self.finite:
-            cells += col.json_rows()
-        return {
-            "generators": [list(g) for g in self.generators],
-            "places": [str(v) for v in self.places],
-            "resolution": {str(v): k for v, k in self.resolution
-                           if k is not None},
-            "cells": cells,
-            "allowed_count": self.allowed_count(),
-        }
+            out["cells"] += col.json_rows()
+        out["allowed_count"] = self.allowed_count()
+        return out
 
 
 _MAX_EXTRA_LEVELS = 4  # a 2-adic symbol never needs more than 3 digits
@@ -563,7 +559,8 @@ def obstruction_scan(data: ConicBundleData, support: Iterable[Place],
 
     Finite cells start as residues mod p^resolution away from the poles
     and refine as needed; real cells are the pole-cut open intervals."""
-    places = tuple(sorted(set(map(_checked_place, support)), key=_place_key))
+    places = tuple(sorted({_checked_place(v, BrauerManinError)
+                           for v in support}, key=_place_key))
     if resolution is not None:
         resolution = as_integer_at_least(resolution, 1, "resolution",
                                          BrauerManinError)

@@ -57,11 +57,14 @@ COMMANDS
     selftest   no file: the built-in oracle suite
 
 REPORTS
-    JSON with sorted keys on stdout, or at --out PATH.  Exact numbers are
-    serialized as integers or `num/den` strings, never floats; the only
-    floats are `{"value": v, "precision_bits": b}` pairs and the
-    segregated `timings` field.  Reports are byte-identical across runs
-    with the same inputs, options, and version, except for `timings`.
+    JSON with sorted keys on stdout, or at --out PATH.  Results are
+    written by `exactnum.json_value` alone: integers, booleans and
+    strings as they are, rationals as `num/den` strings (denominator 1
+    included), places and square classes as their strings.  A float
+    appears only as an object holding its `value` and `precision_bits`
+    (53), or in the segregated `timings` field.  Reports are
+    byte-identical across runs with the same inputs, options, and
+    version, except for `timings`.
 
         {"schema": 1, "version": ..., "command": ...,
          "inputs": {"file": {...}, "options": {...}},
@@ -86,7 +89,7 @@ from typing import Dict, Optional, Tuple
 
 from . import __version__
 from .exactnum import (ExactNumError, Place, REAL_PLACE, hilbert,
-                       hilbert_support, is_prime)
+                       hilbert_support, json_value)
 from .pencil import (ConicBundleData, NormFormSystem, brauer_group,
                      quadric_intersection_system, technical_bound,
                      torsor_system, validate)
@@ -137,9 +140,10 @@ def _place_token(tok: str, where: str) -> Place:
     if tok == "oo":
         return REAL_PLACE
     p = _int_token(tok, where)
-    if not is_prime(p):
+    try:
+        return Place(p)
+    except ExactNumError:
         raise CLIInputError("%s: %r is not a prime or `oo`" % (where, tok))
-    return Place(p)
 
 
 def _each(read_token):
@@ -328,117 +332,60 @@ def effective_options(problem: Optional[ProblemFile],
     return out
 
 
-# ------------------------------------------------------------ serializing
+# -------------------------------------------------------------- commands
 
-def _frac(x) -> str:
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
-def _frac_list(xs):
-    return [_frac(x) for x in xs]
-
-
-def _tagged(x) -> dict:
-    return {"value": float(x), "precision_bits": 53}
-
-
-def _bundle_dict(data: ConicBundleData) -> dict:
-    out = {"e": _frac_list(data.e), "a": [str(c) for c in data.a]}
-    if data.lam is not None:
-        out["lam"] = _frac_list(data.lam)
-    return out
-
-
-def _system_dict(system: NormFormSystem) -> dict:
-    return {"r": system.r, "s": system.s, "a": list(system.a),
-            "forms": [list(f) for f in system.forms],
-            "clearing": list(system.clearing)}
-
-
-def _job_dict(job: CountJob) -> dict:
-    return {"system": _system_dict(job.system), "M": job.M,
-            "uM": list(job.uM), "uInf": _frac_list(job.uInf),
-            "epsilon": _frac(job.epsilon),
-            "B_schedule": list(job.B_schedule)}
-
+# A command writes its results through `json_value` once; the `bm` scan
+# comes written by `ScanTable.as_json_dict`.  The dicts below name what
+# that rule does not: labelled classes are a dict, a null certificate is
+# kept, a local report lists its witnesses, and a quadric intersection
+# writes only some of its fields.
 
 def _independence_dict(report) -> dict:
-    return {"independent": report.independent,
-            "classes": {label: str(cls) for label, cls in report.classes},
-            "certificate": None if report.certificate is None
-            else list(report.certificate)}
+    return dict(vars(report), classes=dict(report.classes))
 
-
-def _local_report_dict(report) -> dict:
-    witnesses = []
-    for place, wit in report.witnesses:
-        entry = {"place": str(place),
-                 "u": [x if isinstance(x, int) else _frac(x)
-                       for x in wit.u]}
-        if wit.precision is not None:
-            entry["precision"] = wit.precision
-        witnesses.append(entry)
-    return {"soluble": report.soluble,
-            "bad_places": [str(v) for v in report.bad_places],
-            "checked": [str(v) for v in report.checked],
-            "witnesses": witnesses}
-
-
-# -------------------------------------------------------------- commands
 
 def _cmd_validate(problem: ProblemFile, data, options: dict) -> dict:
     kind = problem.kind
     out: dict = {"kind": kind, "valid": True}
     if kind == "pencil":
-        report = validate(data)
-        out["pencil"] = _bundle_dict(data)
-        out["e_distinct"] = report.e_distinct
-        out["a_nontrivial"] = report.a_nontrivial
-        out["faddeev_holds"] = report.faddeev_holds
-        out["faddeev_class"] = str(report.faddeev_class)
-        out["warnings"] = list(report.warnings)
+        out.update(vars(validate(data)), pencil=data)
     elif kind == "system":
-        out["system"] = _system_dict(data)
+        out["system"] = data
     elif kind == "count-job":
-        out["job"] = _job_dict(data)
+        out["job"] = data
     elif kind == "dp2":
-        out["coefficient_determinant"] = _frac(data.coefficient_determinant())
+        out["coefficient_determinant"] = data.coefficient_determinant()
     elif kind == "dp1":
-        out["p"] = _frac_list(data.p_coefficients())
-        out["q"] = _frac_list(data.q_coefficients())
+        out.update(p=data.p_coefficients(), q=data.q_coefficients())
     else:
         report = validate(data.combined)
-        out["n"] = data.n
-        out["combined"] = _bundle_dict(data.combined)
-        out["factors"] = [_bundle_dict(f) for f in data.factors]
-        out["shared_points"] = _frac_list(data.shared_points)
-        out["faddeev_holds"] = report.faddeev_holds
-        out["warnings"] = list(report.warnings)
-    return out
+        out.update(n=data.n, combined=data.combined, factors=data.factors,
+                   shared_points=data.shared_points,
+                   faddeev_holds=report.faddeev_holds,
+                   warnings=report.warnings)
+    return json_value(out)
 
 
 def _cmd_brauer(problem: ProblemFile, data: ConicBundleData,
                 options: dict) -> dict:
     description = brauer_group(data)
-    generators = quotient_generators(data)
-    return {"pencil": _bundle_dict(data),
-            "faddeev_class": str(data.faddeev_class()),
-            "kernel_dim": description.kernel_dim(),
-            "kernel_basis": [list(n) for n in description.kernel_basis],
-            "quotient_rank": description.quotient_rank,
-            "weak_approximation": description.weak_approximation,
-            "generators": [list(g.n) for g in generators]}
+    return json_value(dict(
+        vars(description), pencil=data, faddeev_class=data.faddeev_class(),
+        kernel_dim=description.kernel_dim(),
+        weak_approximation=description.weak_approximation,
+        generators=[g.n for g in quotient_generators(data)]))
 
 
 def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
 
     def local(system, pencil=None) -> dict:
-        out = {} if pencil is None else {"pencil": _bundle_dict(pencil)}
-        out["system"] = _system_dict(system)
-        out["report"] = _local_report_dict(everywhere_locally_soluble(
-            system, L=options["L"], depth=options["depth"]))
-        return out
+        report = everywhere_locally_soluble(system, L=options["L"],
+                                            depth=options["depth"])
+        out = {"system": system, "report": dict(
+            vars(report), witnesses=[wit for _, wit in report.witnesses])}
+        if pencil is not None:
+            out["pencil"] = pencil
+        return json_value(out)
 
     if problem.kind == "system":
         return local(data)
@@ -456,19 +403,18 @@ def _cmd_count(problem: ProblemFile, job: CountJob, options: dict) -> dict:
     for B in job.B_schedule:
         N = enumerate_N(job, B, threads=options["threads"])
         measure = region_measure(job, B)
-        row = {"B": B, "N": N, "box_measure": _frac(measure)}
+        row = {"B": B, "N": N, "box_measure": measure}
         if measure:
-            row["N_per_measure"] = _tagged(Fraction(N) / measure)
+            row["N_per_measure"] = float(N / measure)
         rows.append(row)
-    return {"job": _job_dict(job), "per_B": rows}
+    return json_value({"job": job, "per_B": rows})
 
 
 def _cmd_predict(problem: ProblemFile, job: CountJob, options: dict) -> dict:
-    reports = predict_and_compare(job, prime_cutoff=options["prime_cutoff"],
-                                  threads=options["threads"])
-    return {"job": _job_dict(job),
-            "prime_cutoff": options["prime_cutoff"],
-            "per_B": [r.as_json_dict() for r in reports]}
+    return json_value({"job": job, "prime_cutoff": options["prime_cutoff"],
+                       "per_B": predict_and_compare(
+                           job, prime_cutoff=options["prime_cutoff"],
+                           threads=options["threads"])})
 
 
 def _cmd_bm(problem: ProblemFile, data: ConicBundleData,
@@ -479,54 +425,22 @@ def _cmd_bm(problem: ProblemFile, data: ConicBundleData,
             "e.g. `support = oo, 2, 5`")
     table = obstruction_scan(data, problem.values["support"],
                              resolution=options["resolution"])
-    return {"pencil": _bundle_dict(data), "scan": table.as_json_dict()}
+    return {"pencil": json_value(data), "scan": table.as_json_dict()}
 
 
 def _cmd_dp2(problem: ProblemFile, data: DP2Data, options: dict) -> dict:
-    bundle = bundle_from_fgh(data.f, data.g, data.h)
-    quartic = dp2_ramification_quartic(data)
-    minimality = dp2_minimality(data)
-    return {
-        "bundle": {
-            "data": _bundle_dict(bundle.data),
-            "degrees": list(bundle.degrees),
-            "parity": bundle.parity,
-            "infinity_form": _frac_list(bundle.infinity_form),
-            "smooth_at_infinity": bundle.smooth_at_infinity,
-        },
-        "ramification_quartic": {
-            "x4": _frac(quartic.x4), "y4": _frac(quartic.y4),
-            "z4": _frac(quartic.z4), "x2y2": _frac(quartic.x2y2),
-            "x2z2": _frac(quartic.x2z2), "y2z2": _frac(quartic.y2z2),
-            "smooth": quartic.smooth,
-            "singular_reasons": list(quartic.singular_reasons),
-        },
-        "minimality": _independence_dict(minimality),
-    }
+    return json_value({
+        "bundle": bundle_from_fgh(data.f, data.g, data.h),
+        "ramification_quartic": dp2_ramification_quartic(data),
+        "minimality": _independence_dict(dp2_minimality(data))})
 
 
 def _cmd_dp1(problem: ProblemFile, data: DP1Data, options: dict) -> dict:
-    condition = dp1_condition(data)
-    minimality = dp1_minimality(data)
-    contracted = minimality.contracted_bundle
-    return {
-        "pencil_members": {"p": _frac_list(data.p_coefficients()),
-                           "q": _frac_list(data.q_coefficients())},
-        "condition": {
-            "holds": condition.holds,
-            "full_degree": condition.full_degree,
-            "discriminant_squarefree": condition.discriminant_squarefree,
-            "double_roots_simple": condition.double_roots_simple,
-            "failed": list(condition.failed),
-            "discriminant": _frac_list(condition.discriminant),
-        },
-        "minimality": dict(
-            _independence_dict(minimality),
-            fibre_classes=[str(cls) for cls in minimality.fibre_classes],
-            contracted_bundle=None if contracted is None
-            else _bundle_dict(contracted),
-        ),
-    }
+    return json_value({
+        "pencil_members": {"p": data.p_coefficients(),
+                           "q": data.q_coefficients()},
+        "condition": dp1_condition(data),
+        "minimality": _independence_dict(dp1_minimality(data))})
 
 
 # -------------------------------------------------------------- selftest

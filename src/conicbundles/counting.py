@@ -115,6 +115,7 @@ from .exactnum import (
     as_prime,
     as_rational,
     factorize,
+    json_value,
     valuation,
 )
 from .pencil import NormFormSystem, technical_bound
@@ -635,18 +636,7 @@ class DensityReport:
     note: str = ""
 
     def as_json_dict(self) -> dict:
-        return {
-            "B": self.B,
-            "beta_inf_per_Bs": {"value": self.beta_inf_per_Bs,
-                                "precision_bits": 53},
-            "beta_p": {str(p): "%d/%d" % (v.numerator, v.denominator)
-                       for p, v in sorted(self.beta_p.items())},
-            "prime_cutoff": self.prime_cutoff,
-            "predicted": {"value": self.predicted, "precision_bits": 53},
-            "empirical": self.empirical,
-            "ratio": {"value": self.ratio, "precision_bits": 53},
-            "note": self.note,
-        }
+        return json_value(self)
 
 
 def predict_and_compare(job: CountJob,

@@ -41,14 +41,17 @@ form's value f(u) (`localsolve`, `counting`); `_primitive`, a row over
 the gcd of its entries (`localsolve`, `counting`); `_clear_denominators`
 (`localsolve`, `counting`, `pencil`, `delpezzo`); `_primes_upto` and
 `_primes_dividing` (`localsolve`, `counting`, `brauermanin`); and `_det`,
-Bareiss's fraction-free determinant (`counting`, `delpezzo`).
+Bareiss's fraction-free determinant (`counting`, `delpezzo`).  Beside
+them sit `_checked_place`, the one check that a place argument is a
+`Place` (`hilbert`, `localsolve`, `brauermanin`), and `json_value`, the
+one writer of the report encoding (`cli`, `counting`, `brauermanin`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -311,6 +314,13 @@ class Place:
 REAL_PLACE = Place(None)
 
 
+def _checked_place(v, error=ExactNumError) -> Place:
+    """v itself when it is a Place; anything else raises `error`."""
+    if not isinstance(v, Place):
+        raise error("not a Place: %r" % (v,))
+    return v
+
+
 @dataclass(frozen=True)
 class SquareClass:
     """An element of Q*/Q*^2: sign bit and the primes with odd exponent."""
@@ -450,7 +460,7 @@ def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     b = _exact(b)
     if a == 0 or b == 0:
         raise ExactNumError("hilbert symbol needs nonzero arguments")
-    if place.is_real:
+    if _checked_place(place).is_real:
         return -1 if (a < 0 and b < 0) else 1
     # v_p(b) is below the bit length of its numerator, so this ball pins
     # v_p(b) and the three unit digits the formulas can read: b itself
@@ -615,3 +625,27 @@ def f2_independent(classes: Sequence[SquareClass]):
             if acc == 0:
                 return False, subset
     raise AssertionError("elimination found a dependency but enumeration did not")
+
+
+def json_value(x):
+    """x in the report encoding, the one place that encoding is written.
+
+    Ints, bools, strings and None stay as they are; a Fraction becomes
+    "num/den" (denominator 1 included) and a float {"value": x,
+    "precision_bits": 53}; a Place or SquareClass becomes its string; dict
+    keys become strings; a dataclass becomes the dict of its fields that
+    are not None, and any other sequence a list."""
+    if x is None or isinstance(x, (int, str)):
+        return x
+    if isinstance(x, Fraction):
+        return "%d/%d" % (x.numerator, x.denominator)
+    if isinstance(x, float):
+        return {"value": x, "precision_bits": 53}
+    if isinstance(x, (Place, SquareClass)):
+        return str(x)
+    if isinstance(x, dict):
+        return {str(k): json_value(v) for k, v in x.items()}
+    if is_dataclass(x):
+        return {f.name: json_value(v) for f in fields(x)
+                if (v := getattr(x, f.name)) is not None}
+    return [json_value(v) for v in x]

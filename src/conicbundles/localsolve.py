@@ -31,6 +31,7 @@ from .exactnum import (
     Place,
     REAL_PLACE,
     _balls,
+    _checked_place,
     _clear_denominators,
     _dot,
     _primes_dividing,
@@ -317,6 +318,7 @@ def diagonal_quadric_soluble(coeffs: Sequence, place: Place) -> bool:
     square and the product of the symbols (c_i, c_j) over i < j is the
     negative of (-1, -1).
     """
+    _checked_place(place, LocalSolveError)
     c = [as_rational(x, LocalSolveError) for x in coeffs]
     if len(c) != 4 or any(x == 0 for x in c):
         raise LocalSolveError("four nonzero coefficients are required")

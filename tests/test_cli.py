@@ -1,5 +1,6 @@
 """Batch front end: problem files, reports, exit codes, selftest."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -409,6 +410,66 @@ def test_validate_count_job_echoes_job(tmp_path):
     assert job["epsilon"] == "1/2"
     assert job["B_schedule"] == [4, 9]
     assert job["uInf"] == ["1/1", "1/1"]
+
+
+PINNED_QI = "kind = quadric-intersection\ne = 0, 1/2, 1/2, 3\na = 5, 5\nc = 1, 2\n"
+PINNED_JOB = ("kind = count-job\na = -1, 2\nforms = 1 1; 1 -1\nuInf = 1, 1/3\n"
+              "epsilon = 1/3\nB_schedule = 4, 9, 100\n")
+# report -> (command, file, sha256 of the report's JSON without `timings`);
+# the benchmark's CLI references never draw these pairs
+PINNED_REPORTS = {
+    "validate system": ("validate", "kind = system\na = -1, 2\n"
+                        "forms = 1 0; 1 1\nclearing = 1, 2\n",
+                        "86e16144af38c4deaeece2b5e4cfbd86"
+                        "7f4651010e2df5bcd2b4ad4741abba2c"),
+    "validate dp2": ("validate", "kind = dp2\nf = 1/2 : 0, 1\n"
+                     "g = -1 : 2, 3/2\nh = 3 : 4, 5\n",
+                     "3e0ea6f82edac9fe905bc370931d5595"
+                     "bffaa55333e7eb571b529825fcac4ee4"),
+    "validate quadric-intersection": ("validate", PINNED_QI,
+                                      "cb6718cbdd1818cf3cb863727dec5033"
+                                      "ef77e3dde8b6093b2bc7d82d68444af6"),
+    "validate pencil with lam": ("validate", "kind = pencil\n"
+                                 "e = 0, 1/2, 2, 3\na = 5, 5, 5, 5\n"
+                                 "lam = 1, 2, 1/3, 1\n",
+                                 "f59166be5c39196b214b95014ea9f560"
+                                 "24d2e225a39fdde657d65faa31b85f6e"),
+    "local system": ("local", "kind = system\na = -1, 2\n"
+                     "forms = 1 0; 1 1\nL = 20\n",
+                     "07ed8dcc89552acad17728ed6d022c26"
+                     "a72250e755ccaf618f44ffdf12db99de"),
+    "local count-job": ("local", PINNED_JOB + "L = 20\n",
+                        "7f5b6ca4bf2785f333515840f65f6af5"
+                        "f040eba4082fb828b2a7a1912d87b2a4"),
+    "local quadric-intersection": ("local", PINNED_QI + "L = 20\n",
+                                   "e1d4037d85f21ce7a1ca9369e9fc5bfd"
+                                   "d8619ad2c71dc50b36d79e0e51423ac3"),
+    "dp1 without contracted bundle": ("dp1", "kind = dp1\n"
+                                      "e = -3, 7/2, -5, 4, 7, -2, 6, 0\n"
+                                      "c1 = 1\nc2 = 5\n",
+                                      "f2f348753715a3561fcac4c689394781"
+                                      "049fecd9dc9adffcbce08bd368d8e27a"),
+    "dp1 with contracted bundle": ("dp1", "kind = dp1\n"
+                                   "e = 0, 1, 2, 3, 4, 5, 6, 7\n"
+                                   "c1 = 1/3\nc2 = 1\n",
+                                   "a7db8be322c76c06905e9a8475534618"
+                                   "9cbcfd0a74559f4006bcbecc0b0765cc"),
+    "count fractional uInf": ("count", PINNED_JOB,
+                              "a1464e5e24bf895a5d1959ea1d0911f1"
+                              "83599556e92a9c5e44b68f1bc0c49d24"),
+}
+
+
+def test_reports_match_their_pinned_digests(tmp_path):
+    got = {}
+    for name, (command, text, _) in PINNED_REPORTS.items():
+        code, report = run_cli([command, write_problem(tmp_path, text)],
+                               tmp_path)
+        assert code == 0, name
+        report.pop("timings")
+        body = json.dumps(report, indent=2, sort_keys=True)
+        got[name] = hashlib.sha256(body.encode()).hexdigest()
+    assert got == {name: pin for name, (_, _, pin) in PINNED_REPORTS.items()}
 
 
 # --------------------------------------------------------------- selftest

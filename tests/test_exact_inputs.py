@@ -149,9 +149,11 @@ def test_exact_inputs_reject_floats(error, call):
 
 FORM = BinaryForm(-1)
 
-# test id -> (expected error, message, call with a modulus that is no prime
-# or an exponent below 0); rho_table once looped forever at p = 1 and
-# divided by zero at p = 0, and scaling_valid answered at p = 1 and k = -1
+# test id -> (expected error, message, call with a modulus that is no prime,
+# an exponent below 0 or a bare int for a Place); rho_table once looped
+# forever at p = 1 and divided by zero at p = 0, scaling_valid answered at
+# p = 1 and k = -1, and hilbert and diagonal_quadric_soluble raised an
+# AttributeError at the int 5
 NON_PRIME_MODULI = {
     "rho table p 0": (QuadFormError, "not prime",
                       lambda: rho_table(FORM, 0, 2)),
@@ -177,6 +179,11 @@ NON_PRIME_MODULI = {
     "beta p 0": (CountingError, "not prime", lambda: beta_p(job(), 0)),
     "padic p 1": (LocalSolveError, "not prime",
                   lambda: padic_soluble(SYSTEM, 1)),
+    "hilbert place 5": (ExactNumError, "not a Place",
+                        lambda: hilbert(2, 3, 5)),
+    "diagonal quadric place 5": (LocalSolveError, "not a Place",
+                                 lambda: diagonal_quadric_soluble(
+                                     (1, 1, 1, 1), 5)),
 }
 
 

@@ -1,8 +1,11 @@
 import itertools
+import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from conicbundles.exactnum import (
     hilbert,
     hilbert_support,
     is_prime,
+    json_value,
     legendre,
     squarefree_class,
     squarefree_part,
@@ -378,3 +382,27 @@ def test_square_class_multiplication():
     assert (c6 * c6).is_trivial
     assert (squarefree_class(-2) * squarefree_class(-3)).representative() == 6
     assert TRIVIAL_CLASS * c6 == c6
+
+
+@dataclass(frozen=True)
+class _Row:
+    q: Fraction
+    note: Optional[str] = None
+
+
+@pytest.mark.parametrize("x, encoded", [
+    (Fraction(3), "3/1"),
+    (True, True),
+    (7, 7),
+    (float("nan"), {"value": math.nan, "precision_bits": 53}),
+    (REAL_PLACE, "oo"),
+    (squarefree_class(-5), "-5"),
+    ({2: Fraction(1, 2)}, {"2": "1/2"}),
+    (_Row(Fraction(-1, 2)), {"q": "-1/2"}),
+    (((1, Fraction(2)), (Place(3),)), [[1, "2/1"], ["3"]]),
+], ids=["fraction", "bool", "int", "nan", "place", "square class",
+        "dict keys", "dataclass", "nested tuples"])
+def test_json_value_rules(x, encoded):
+    # compared as JSON text, where NaN matches NaN and true is not 1
+    assert json.dumps(json_value(x), sort_keys=True) \
+        == json.dumps(encoded, sort_keys=True)
