@@ -23,13 +23,12 @@ mod p^resolution for a vanishing one and reports an error naming the
 place when none is found, since the declared support then omits a place
 that can carry the invariant.
 
-Symbols are read in two places.  `local_invariant` reads them with
-`exactnum.hilbert` at an exact parameter; the real place uses it at one
-point of each interval between consecutive poles, as every symbol at
-infinity is constant there.  `_cell_signs` reads them on a p-adic ball
-with the readers `exactnum._symbol_reader(a_i, p)`, built once per place
-by `_cell_model`: scan cells, default searches, and a component tagged
-with precision m, read as the ball t + p^m Z_p.
+Every symbol is read through one reader per place, `_reader(data, v,
+fibres)`: the mask of the selected fibres with (a_i, t - e_i)_v = -1,
+at t itself or on a ball t + p^m Z_p.  At infinity a symbol is -1
+exactly when a_i < 0 and t < e_i, so it is constant between consecutive
+poles and a scan reads one point per interval.  At p the reader reads
+through `exactnum._symbol_reader(a_i, p)`.
 
 Constancy on balls is decided analytically, not by sampling.  With
 e = n/d and v = v_p(d), (a, t - e)_p = (a, (d t - n) d)_p as d^2 is a
@@ -41,12 +40,12 @@ than mis-evaluated.  The reader's answer is monotone: a sub-ball has
 the same v_p and more known unit digits, so it returns the same symbol
 there.  Scans therefore descend by balls t = c mod p^k, depth first
 from k = 0, through the package's one ball walker `exactnum._balls`
-with `_cell_signs` as its reader: a ball on which every selected symbol
-is constant gives its values to all its residues mod p^resolution at
-once, and only the balls that are not constant split into their p
-children.  The invariant depends only on which ball around the e_i t
-lies in (Serre, *A Course in Arithmetic*, ch. III), so the readers run
-about r p times per level rather than once per residue.  A residue
+with that reader: a ball on which every selected symbol is constant
+gives its values to all its residues mod p^resolution at once, and only
+the balls that are not constant split into their p children.  The
+invariant depends only on which ball around the e_i t lies in (Serre,
+*A Course in Arithmetic*, ch. III), so the readers run about r p times
+per level rather than once per residue.  A residue
 still undetermined at the stated resolution splits further, so scans
 may list cells finer than that resolution.  That soundness is tested,
 not re-checked at run time: against brute-force symbols on balls in
@@ -88,7 +87,6 @@ from .exactnum import (
     as_integer_at_least,
     as_rational,
     f2_insert,
-    hilbert,
     json_value,
 )
 from .pencil import BrauerElement, ConicBundleData, brauer_group, delta
@@ -130,11 +128,7 @@ def local_invariant(data: ConicBundleData, n, t, v: Place) -> int:
     t = as_rational(t, BrauerManinError)
     _checked_place(v, BrauerManinError)
     _check_pole(data, t)
-    total = 0
-    for b, a, e in zip(bits, data.a, data.e):
-        if b and hilbert(a.representative(), t - e, v) == -1:
-            total ^= 1
-    return total
+    return _reader(data, v, bits)(t).bit_count() % 2
 
 
 @dataclass(frozen=True)
@@ -213,28 +207,31 @@ class InvariantVector:
         return tuple(v for v, val in self.entries if val)
 
 
-def _cell_model(data: ConicBundleData, p: int, fibres):
-    """(2^i, the reader of (a_i, .)_p, n_i, d_i, 2 v_p(d_i)),
-    e_i = n_i / d_i, for the fibres i with fibres[i] = 1: what
-    `_cell_signs` reads the cells at p from."""
-    return tuple((1 << i, _symbol_reader(a.representative(), p),
-                  e.numerator, e.denominator,
-                  2 * _valuation_unit(e.denominator, p)[0])
-                 for i, (b, a, e) in enumerate(zip(fibres, data.a, data.e))
-                 if b)
+def _reader(data: ConicBundleData, v: Place, fibres):
+    """signs(t, m=None): the sum of 2^i over the fibres i with
+    fibres[i] = 1 and (a_i, t - e_i)_v = -1, read on the ball t + p^m Z_p,
+    None when a symbol is not constant there, or with m None at t itself,
+    on the exact ball `hilbert` reads."""
+    picked = [(1 << i, a.representative(), e)
+              for i, (b, a, e) in enumerate(zip(fibres, data.a, data.e)) if b]
+    if v.is_real:
+        negative = [(bit, e) for bit, a, e in picked if a < 0]
+        return lambda t, m=None: sum(bit for bit, e in negative if t < e)
+    model = [(bit, _symbol_reader(a, v.p), e.numerator, e.denominator,
+              2 * _valuation_unit(e.denominator, v.p)[0])
+             for bit, a, e in picked]
 
-
-def _cell_signs(model, c, k: int) -> Optional[int]:
-    """The sum of 2^i over the fibres i of the model with
-    (a_i, t - e_i)_p = -1 on the cell t + p^k Z_p, c an int or Fraction,
-    reading each symbol once, or None when one is not constant there."""
-    signs = 0
-    for bit, sym, n, d, shift in model:
-        value = sym((d * c - n) * d, k + shift)
-        if value is None:
-            return None
-        if value == -1:
-            signs |= bit
+    def signs(t, m=None):
+        out = 0
+        for bit, sym, n, d, shift in model:
+            x = (d * t - n) * d
+            value = sym(x, x.numerator.bit_length() + 3 if m is None
+                        else m + shift)
+            if value is None:
+                return None
+            if value == -1:
+                out |= bit
+        return out
     return signs
 
 
@@ -265,9 +262,8 @@ def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
         return max(data.e) + 1  # every t - e_i > 0, all symbols +1
     p = v.p
     K = resolution if resolution is not None else _default_resolution(p)
-    model = _cell_model(data, p, bits)
-    for _, (c,), signs in _balls(
-            p, 1, K, lambda u, k: _cell_signs(model, u[0], k)):
+    signs_at = _reader(data, v, bits)
+    for _, (c,), signs in _balls(p, 1, K, lambda u, k: signs_at(u[0], k)):
         if signs is not None and signs.bit_count() % 2 == 0:
             return Fraction(c)
     return None
@@ -281,11 +277,8 @@ def invariant_vector(data: ConicBundleData, point: AdelicFiberPoint,
     entries = []
     for comp in point.components:
         v, t, m = comp.place, comp.t, comp.precision
-        if m is None:
-            entries.append((v, local_invariant(data, bits, t, v)))
-            continue
         _check_pole(data, t)
-        signs = _cell_signs(_cell_model(data, v.p, bits), t, m)
+        signs = _reader(data, v, bits)(t, m)
         if signs is None:
             raise BrauerManinError(
                 "precision %d at place %s does not determine every symbol "
@@ -497,7 +490,7 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
     # exist whenever val_2(c - e_i) reaches K - 1, so refinement is part
     # of the partition rather than an error
     # every fibre some generator selects, read once per ball
-    model = _cell_model(data, p, map(any, zip(*(g.n for g in gens))))
+    signs_at = _reader(data, Place(p), map(any, zip(*(g.n for g in gens))))
     masks = [_mask(g.n) for g in gens]
     values = {}  # the generator values per sign mask
     # the residues mod p^K of the p-integral e_i; other e_i have
@@ -511,7 +504,7 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
         # a pole residue mod p^K stops the descent; it is cleared below
         if k == K and u[0] in poles:
             return 0
-        return _cell_signs(model, u[0], k)
+        return signs_at(u[0], k)
 
     for k, (c,), signs in _balls(p, 1, K + _MAX_EXTRA_LEVELS, read):
         if signs is None:
@@ -539,13 +532,15 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
 
 
 def _real_cells(data: ConicBundleData, gens):
+    # symbols at the real place are constant between consecutive poles
+    signs_at = _reader(data, REAL_PLACE, map(any, zip(*(g.n for g in gens))))
+    masks = [_mask(g.n) for g in gens]
     es = sorted(data.e)
     cells = []
     for lo, hi in zip([None] + es, es + [None]):
         rep = hi - 1 if lo is None else lo + 1 if hi is None else (lo + hi) / 2
-        # symbols at the real place are constant between consecutive poles
-        values = tuple(local_invariant(data, g.n, rep, REAL_PLACE)
-                       for g in gens)
+        signs = signs_at(rep)
+        values = tuple((g & signs).bit_count() % 2 for g in masks)
         label = "(%s, %s)" % ("-oo" if lo is None else lo,
                               "+oo" if hi is None else hi)
         cells.append(ScanCell(REAL_PLACE, label, rep, values))

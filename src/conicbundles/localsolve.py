@@ -118,30 +118,31 @@ def real_soluble(system: NormFormSystem):
     """Whether f_i(u) > 0 for all i with a_i < 0 is feasible over R.
 
     Returns (verdict, witness); the witness additionally avoids the
-    hyperplanes f_i = 0 of the indefinite indices.
+    hyperplanes f_i = 0 of the indefinite indices: it is base + eps d, d
+    the first (1, t, ..., t^(s - 1)), t = 0, ..., r s, off every
+    hyperplane through base (a nonzero form vanishes at s - 1 of these at
+    most), so those forms take eps f(d) != 0, and eps = 1, 1/2, ... halves
+    until the other forms keep their signs at base, as all do for small eps.
     """
     s = system.s
     base = _fm_witness([system.forms[i] for i in system.i_minus], s)
     if base is None:
         return False, None
-    # nudge base off the hyperplanes through it, along no direction in them
     _, v = _clear_denominators(base)
     through = [f for f in system.forms if not _dot(f, v)]
     if not through:
         return True, LocalWitness(place=REAL_PLACE, u=base)
-    for t in range(system.r * s + 1):
-        direction = tuple(Fraction(t)**j for j in range(s))
-        if any(not _dot(f, direction) for f in through):
-            continue
-        eps = Fraction(1)
-        for _ in range(64):
-            cand = tuple(b + eps * d for b, d in zip(base, direction))
-            _, v = _clear_denominators(cand)  # read in integers
-            if all(x > 0 if a < 0 else x for a, x in
-                   zip(system.a, [_dot(f, v) for f in system.forms])):
-                return True, LocalWitness(place=REAL_PLACE, u=cand)
-            eps /= 2
-    raise LocalSolveError("could not perturb the witness off a hyperplane")
+    direction = next(d for d in (tuple(Fraction(t)**j for j in range(s))
+                                 for t in range(system.r * s + 1))
+                     if all(_dot(f, d) for f in through))
+    eps = Fraction(1)
+    while True:
+        cand = tuple(b + eps * d for b, d in zip(base, direction))
+        _, v = _clear_denominators(cand)  # read in integers
+        if all(x > 0 if a < 0 else x for a, x in
+               zip(system.a, [_dot(f, v) for f in system.forms])):
+            return True, LocalWitness(place=REAL_PLACE, u=cand)
+        eps /= 2
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,33 @@ def test_local_invariant_against_brute_hilbert():
         if brute_hilbert_odd(5, (N - e) % 125, 5) == -1:
             expect ^= 1
     assert local_invariant(pair, (1, 1), N, Place(5)) == expect == 1
+    # seeded bundles with 2, 3, 5 and 7 in the denominators of the e_i,
+    # read at exact t, many with p in the denominator or p-adically close
+    # to a pole, against the brute-force symbol of every selected fibre
+    rng = random.Random(29)
+    seen = Counter()
+    for data in _scan_bundles(rng, 5):
+        for p in (2, 3, 5, 7):
+            for _ in range(40):
+                bits = tuple(rng.randrange(2) for _ in range(data.r))
+                if rng.randrange(2):
+                    t = Fraction(rng.randint(-99, 99),
+                                 rng.choice((1, 2, 3, 7, p, p * p)))
+                else:
+                    t = rng.choice(data.e) + Fraction(
+                        rng.randint(1, 30), rng.choice((1, 7))) \
+                        * Fraction(p) ** rng.randint(-2, 3)
+                if t in data.e:
+                    continue
+                sym = _oracle_symbols(data, range(data.r), t, p)
+                expect = sum(sym[i] == -1 for i in range(data.r)
+                             if bits[i]) % 2
+                assert local_invariant(data, bits, t, Place(p)) == expect, \
+                    (data, bits, t, p)
+                seen[p] += 1
+                seen["p in the denominator of t"] += t.denominator % p == 0
+                seen["invariant 1"] += expect
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen
 
 
 def test_symbols_need_no_factorization(monkeypatch):
@@ -672,8 +699,8 @@ def test_scan_drops_unselected_pole_inside_constant_ball():
     data = ConicBundleData(e=(10, 1, 2, 3), a=(5, 5, 5, 5))
     gens = [g.n for g in quotient_generators(data)]
     assert gens and not any(g[0] for g in gens)
-    model = brauermanin._cell_model(data, 5, (0, 1, 1, 1))
-    assert brauermanin._cell_signs(model, 0, 1) is not None
+    read = brauermanin._reader(data, Place(5), (0, 1, 1, 1))
+    assert read(0, 1) is not None
     for K in (2, 3):
         tab = obstruction_scan(data, [Place(5)], resolution=K)
         labels = {cell.label for cell in tab.cells}
@@ -697,12 +724,11 @@ def test_default_trivial_parameter_by_balls():
                 continue
             fibres = [i for i, b in enumerate(bits) if b]
             for p in (2, 3, 5):
-                model = brauermanin._cell_model(data, p, bits)
+                read = brauermanin._reader(data, Place(p), bits)
                 for K in (1, 2, 3):
                     t = brauermanin._default_trivial_parameter(
                         data, bits, Place(p), K)
-                    flat = [brauermanin._cell_signs(model, c, K)
-                            for c in range(p ** K)]
+                    flat = [read(c, K) for c in range(p ** K)]
                     assert (t is None) == all(
                         s is None or s.bit_count() % 2 for s in flat)
                     if t is None:

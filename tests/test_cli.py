@@ -60,11 +60,28 @@ def test_parse_problem_errors(text, needle):
     assert needle in str(err.value)
 
 
-def test_bad_tokens_exit_2(tmp_path, capsys):
-    path = write_problem(tmp_path, "kind = pencil\ne = 0, x\na = 5, 5\n")
-    code, report = run_cli(["validate", path], tmp_path)
+SYSTEM_HEAD = "kind = system\na = -1, 2\n"
+
+
+@pytest.mark.parametrize("command, text, needle", [
+    ("validate", "kind = pencil\ne = 0, x\na = 5, 5\n", "not a rational"),
+    ("validate", "kind = system\na = 5, x\nforms = 1 0; 0 1\n",
+     "is not an integer"),
+    ("validate", SYSTEM_HEAD + "forms = 1 0; ; 0 1\n", "empty row"),
+    ("validate", SYSTEM_HEAD + "forms = 1 0; 1\n",
+     "rows must share a length"),
+    ("validate", REF_DP2.replace("f = 1 : 0, 1", "f = 1 0 1"),
+     "expected `leading : roots`"),
+    ("validate", REF_DP2.replace("f = 1 : 0, 1", "f = 0 : 0, 1"),
+     "leading coefficient must be nonzero"),
+    ("local", SYSTEM_HEAD + "forms = 1 0; 0 1\nL = 1\n",
+     "option L must be >= 2"),
+], ids=["rational token", "int token", "empty row", "ragged rows",
+        "no colon", "zero leading", "option L"])
+def test_bad_tokens_exit_2(tmp_path, capsys, command, text, needle):
+    code, report = run_cli([command, write_problem(tmp_path, text)], tmp_path)
     assert code == 2 and report is None
-    assert "not a rational" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 def test_payload_error_exit_2(tmp_path, capsys):

@@ -104,6 +104,15 @@ def test_factorize_caches_its_failures(monkeypatch):
     assert messages[1] == messages[0]
 
 
+def test_pollard_brent_replays_a_block_whose_gcd_is_n():
+    # at these n one block of products x - y reaches 0 mod n, so its gcd
+    # is n itself and the block is replayed one step at a time
+    from conicbundles import exactnum
+    for n in (35, 55):
+        g = exactnum._pollard_brent(n, 10**4)
+        assert 1 < g < n and n % g == 0, (n, g)
+
+
 def _primes_above(rng, lo, hi, count):
     primes = set()
     while len(primes) < count:

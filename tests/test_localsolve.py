@@ -188,6 +188,24 @@ def test_real_nudge_skips_directions_inside_a_hyperplane(monkeypatch):
         assert len(cleared) < 10
 
 
+@pytest.mark.parametrize("a, forms", [
+    ((5, -3), ((10**20 + 1, 1), (-10**20, -1))),
+    ((-1, -1, 5), ((-1, -1), (10**20 + 1, 10**20 - 1),
+                   (10**20, 10**20 - 1))),
+    ((-1, 5, 2), ((-10**20, 1), (10**20 + 1, -1),
+                  (10**20 + 1, 10**20 + 1))),
+], ids=["r2", "r3 definite pair", "r3 one definite"])
+def test_real_nudge_halves_past_large_coefficients(a, forms):
+    # the Fourier-Motzkin point lies on a hyperplane f_i = 0 and leaves it
+    # only for eps < 10^-20, more than 64 halvings from eps = 1, so a nudge
+    # with a fixed cap of 64 halvings fails these real-soluble systems
+    system = NormFormSystem(r=len(a), s=2, a=a, forms=forms)
+    ok, wit = real_soluble(system)
+    assert ok
+    check_real_witness(system, wit)
+    assert max(x.denominator for x in wit.u) > 2**64
+
+
 def test_padic_examples():
     sys1 = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
     for p in (5, 3):

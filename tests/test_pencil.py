@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -270,3 +271,38 @@ def test_quadric_intersection_examples():
         quadric_intersection_system(e=(0, 0, 1, 2), a=(5, 13), c=(1, 1))
     with pytest.raises(PencilError):
         quadric_intersection_system(e=(0, 1), a=(5,), c=(0,))
+
+
+# test id -> (message, call that breaks one input check of the pencil
+# constructors)
+PENCIL_INPUT_CHECKS = {
+    "no fibre": ("at least one degenerate fibre",
+                 lambda: ConicBundleData(e=(), a=())),
+    "lambda length": ("lambda must have one entry per fibre",
+                      lambda: ConicBundleData(e=(0, 1), a=(5, 5), lam=(1,))),
+    "empty vector": ("empty coefficient vector", lambda: BrauerElement(())),
+    "r zero": ("r must be positive",
+               lambda: NormFormSystem(r=0, s=2, a=(), forms=())),
+    "a length": ("a, forms and clearing must have length r",
+                 lambda: NormFormSystem(r=1, s=2, a=(-1, 2),
+                                        forms=((1, 0),))),
+    "clearing length": ("a, forms and clearing must have length r",
+                        lambda: NormFormSystem(r=1, s=2, a=(-1,),
+                                               forms=((1, 0),),
+                                               clearing=(1, 1))),
+    "form length": ("each form needs 2 coefficients",
+                    lambda: NormFormSystem(r=1, s=2, a=(-1,),
+                                           forms=((1, 0, 0),))),
+    "no factor": ("at least one factor is required",
+                  lambda: quadric_intersection_system((), (), ())),
+    "point count": ("expected 2 points, got 3",
+                    lambda: quadric_intersection_system((0, 1, 2), (5,),
+                                                        (1,))),
+}
+
+
+@pytest.mark.parametrize("message, call", list(PENCIL_INPUT_CHECKS.values()),
+                         ids=list(PENCIL_INPUT_CHECKS))
+def test_pencil_input_checks(message, call):
+    with pytest.raises(PencilError, match=re.escape(message)):
+        call()
