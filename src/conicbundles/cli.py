@@ -464,50 +464,33 @@ def _pins(kind: str):
 
 
 def _suite_reciprocity(rng: random.Random, quick: bool):
-    cases = failures = 0
-    detail = []
     for (a, b, v), expect in _pins("hilbert"):
-        cases += 1
         place = REAL_PLACE if v == "oo" else Place(int(v))
         got = hilbert(a, b, place)
-        if got != expect:
-            failures += 1
-            detail.append("hilbert(%d, %d, %s) = %d, pinned %d"
-                          % (a, b, v, got, expect))
-    trials = 60 if quick else 300
-    for _ in range(trials):
-        cases += 1
+        yield None if got == expect else (
+            "hilbert(%d, %d, %s) = %d, pinned %d" % (a, b, v, got, expect))
+    for _ in range(60 if quick else 300):
         a = b = 0
         while a == 0:
             a = rng.randint(-1000, 1000)
         while b == 0:
             b = rng.randint(-1000, 1000)
-        product = 1
-        for place in hilbert_support(a, b):
-            product *= hilbert(a, b, place)
-        if product != 1:
-            failures += 1
-            detail.append("reciprocity product %d for (%d, %d)"
-                          % (product, a, b))
-    return cases, failures, detail
+        product = math.prod(hilbert(a, b, place)
+                            for place in hilbert_support(a, b))
+        yield None if product == 1 else (
+            "reciprocity product %d for (%d, %d)" % (product, a, b))
 
 
 def _suite_crt(rng: random.Random, quick: bool):
-    cases = failures = 0
-    detail = []
     for (a, q), expect in _pins("rho_sum"):
-        cases += 1
         form = BinaryForm(a)
         total = sum(rho(form, q, A) for A in range(q))
-        if total != expect:
-            failures += 1
-            detail.append("sum of rho(x^2 - %d y^2; A mod %d) = %d, "
-                          "pinned %d" % (a, q, total, expect))
-    trials = 15 if quick else 60
+        yield None if total == expect else (
+            "sum of rho(x^2 - %d y^2; A mod %d) = %d, pinned %d"
+            % (a, q, total, expect))
     nonsquares = (-1, -2, -5, 2, 3, 5)
     prime_powers = (2, 4, 8, 3, 9, 5, 25, 7, 11, 13)
-    for _ in range(trials):
-        cases += 1
+    for _ in range(15 if quick else 60):
         form = BinaryForm(rng.choice(nonsquares))
         q1 = rng.choice(prime_powers)
         q2 = rng.choice(prime_powers)
@@ -516,11 +499,9 @@ def _suite_crt(rng: random.Random, quick: bool):
         A = rng.randrange(q1 * q2)
         left = rho(form, q1 * q2, A)
         right = rho(form, q1, A % q1) * rho(form, q2, A % q2)
-        if left != right:
-            failures += 1
-            detail.append("rho(a=%d; %d, %d) = %d but the coprime parts "
-                          "give %d" % (form.a, q1 * q2, A, left, right))
-    return cases, failures, detail
+        yield None if left == right else (
+            "rho(a=%d; %d, %d) = %d but the coprime parts give %d"
+            % (form.a, q1 * q2, A, left, right))
 
 
 _SELFTEST_JOBS = (
@@ -534,55 +515,36 @@ _SELFTEST_JOBS = (
 
 
 def _suite_stabilization(rng: random.Random, quick: bool):
-    cases = failures = 0
-    detail = []
-    primes = (2, 3) if quick else (2, 3, 5)
     for name, job in _SELFTEST_JOBS:
         s, r = job.system.s, job.system.r
-        for p in primes:
-            cases += 1
-            bound = technical_bound(job.system, p)
-            k0 = max(1, bound + 1)
+        for p in (2, 3) if quick else (2, 3, 5):
+            k0 = max(1, technical_bound(job.system, p) + 1)
             lower = G(job, p, k0)
             upper = G(job, p, k0 + 1)
             if upper != p ** (s + r) * lower:
-                failures += 1
-                detail.append("%s at p = %d: G(%d^%d) = %d is not %d^%d "
-                              "times G(%d^%d) = %d"
-                              % (name, p, p, k0 + 1, upper, p, s + r,
-                                 p, k0, lower))
+                yield ("%s at p = %d: G(%d^%d) = %d is not %d^%d times "
+                       "G(%d^%d) = %d" % (name, p, p, k0 + 1, upper, p,
+                                          s + r, p, k0, lower))
                 continue
             expected = Fraction(lower, p ** ((s + r) * k0))
             got = beta_p(job, p)
-            if got != expected:
-                failures += 1
-                detail.append("%s at p = %d: beta_p = %s but the scaled "
-                              "count is %s" % (name, p, got, expected))
-    for p in (3, 5, 7, 11) if not quick else (3, 5):
-        cases += 1
+            yield None if got == expected else (
+                "%s at p = %d: beta_p = %s but the scaled count is %s"
+                % (name, p, got, expected))
+    for p in (3, 5) if quick else (3, 5, 7, 11):
         got = beta_p(_SELFTEST_JOBS[0][1], p)
-        if got != 1:
-            failures += 1
-            detail.append("good odd p = %d should give beta_p = 1, got %s"
-                          % (p, got))
-    return cases, failures, detail
+        yield None if got == 1 else (
+            "good odd p = %d should give beta_p = 1, got %s" % (p, got))
 
 
 def _suite_discriminant(rng: random.Random, quick: bool):
-    cases = failures = 0
-    detail = []
     for (a,), expect in _pins("disc"):
-        cases += 1
         got = quartic_discriminant(Quartic((a, 0, 0, 0, 1)))
-        if got != expect:
-            failures += 1
-            detail.append("disc(t^4 + %d) = %s, pinned %d"
-                          % (a, got, expect))
+        yield None if got == expect else (
+            "disc(t^4 + %d) = %s, pinned %d" % (a, got, expect))
     # split quartics against the closed form -c^6 prod_{i<j} (r_i - r_j)^2,
     # the sign fixed by t^4 + a -> -256 a^3; roots may repeat
-    trials = 40 if quick else 200
-    for _ in range(trials):
-        cases += 1
+    for _ in range(40 if quick else 200):
         lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
         roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                  for _ in range(4)]
@@ -590,13 +552,14 @@ def _suite_discriminant(rng: random.Random, quick: bool):
                                         for i in range(4) for j in range(i))
         got = quartic_discriminant(
             Quartic(SplitPolynomial(lead, roots).coefficients()))
-        if got != expect:
-            failures += 1
-            detail.append("disc(%s prod (t - r), r in %s) = %s, closed form %s"
-                          % (lead, ", ".join(map(str, roots)), got, expect))
-    return cases, failures, detail
+        yield None if got == expect else (
+            "disc(%s prod (t - r), r in %s) = %s, closed form %s"
+            % (lead, ", ".join(map(str, roots)), got, expect))
 
 
+# Each suite is a generator over its cases, called with its own seeded
+# rng and the quick flag: it yields None for a case that passes and the
+# failure text for one that fails; run_selftest alone counts them.
 _SELFTEST_SUITES = (
     ("reciprocity", _suite_reciprocity),
     ("crt", _suite_crt),
@@ -607,18 +570,18 @@ _SELFTEST_SUITES = (
 
 def run_selftest(quick: bool = False, seed: int = 0) -> dict:
     suites = []
-    total_cases = total_failures = 0
     for name, suite in _SELFTEST_SUITES:
-        rng = random.Random("%d:%s" % (seed, name))
-        cases, failures, detail = suite(rng, quick)
-        total_cases += cases
-        total_failures += failures
-        entry = {"name": name, "cases": cases, "failures": failures}
+        outcomes = list(suite(random.Random("%d:%s" % (seed, name)), quick))
+        detail = [text for text in outcomes if text is not None]
+        entry = {"name": name, "cases": len(outcomes),
+                 "failures": len(detail)}
         if detail:
             entry["detail"] = detail[:5]
         suites.append(entry)
+    total_failures = sum(entry["failures"] for entry in suites)
     return {"quick": quick, "seed": seed, "suites": suites,
-            "total_cases": total_cases, "total_failures": total_failures,
+            "total_cases": sum(entry["cases"] for entry in suites),
+            "total_failures": total_failures,
             "passed": total_failures == 0}
 
 

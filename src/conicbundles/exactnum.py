@@ -526,6 +526,11 @@ def _primes_dividing(xs) -> set:
     return out
 
 
+def _extend(heads, digits):
+    # every head followed by every digit, lexicographically and lazily
+    return (head + (d,) for head in heads for d in digits)
+
+
 def _balls(p: int, s: int, last: int, read):
     """Walk the balls u + p^k Z_p^s (u a tuple of s integers in [0, p^k))
     depth first in digit order from the root, k = 0.  `read(u, k)` runs
@@ -535,15 +540,19 @@ def _balls(p: int, s: int, last: int, read):
     the yielded balls partition Z_p^s.
 
     One loop over a stack of lazy child iterators, one per open ball, so
-    the walk keeps no generator chain and has no depth limit."""
+    the walk keeps no generator chain across levels and has no depth
+    limit.  A ball's children are made one at a time, never listed, so the
+    walk's memory does not grow with p."""
     stack = []  # stack[j]: the unread children, at level j + 1, of a ball
     u, k = (0,) * s, 0
     while True:
         value = read(u, k)
         if value is None and k < last:
             step = p ** k
-            stack.append(itertools.product(
-                *[range(x, x + p * step, step) for x in u]))
+            children = ((),)
+            for x in u:
+                children = _extend(children, range(x, x + p * step, step))
+            stack.append(children)
         else:
             yield k, u, value
         while stack:

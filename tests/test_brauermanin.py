@@ -280,6 +280,29 @@ def test_pairing_refuses_resolution_below_one(resolution):
         pairing(FLAG, point, gens[0].n, resolution=resolution)
 
 
+def test_pairing_defaults_the_real_place_above_every_fibre():
+    # with no real component, the real place reads its default parameter
+    # max(e) + 1, where every t - e_i > 0; declaring it changes nothing
+    for data in (FLAG, ConicBundleData(e=(0, 1, 2, 3), a=(-1, -1, -1, -1))):
+        for pairs in ({Place(5): 12}, {Place(2): Fraction(1, 2), Place(5): 12}):
+            bare = AdelicFiberPoint.from_pairs(pairs)
+            real = AdelicFiberPoint.from_pairs(
+                {**pairs, REAL_PLACE: max(data.e) + 1})
+            for g in quotient_generators(data):
+                assert pairing(data, bare, g.n) == pairing(data, real, g.n)
+
+
+def test_pairing_default_search_at_a_large_prime():
+    # q = 10^12 + 39 carries the selected fibres, so the pairing searches a
+    # default parameter at q; a walker that listed the q children of the
+    # root ball before taking the first raised MemoryError here
+    q = 1000000000039
+    data = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, q, q))
+    point = AdelicFiberPoint.from_pairs(
+        [(REAL_PLACE, 7), (Place(2), 7), (Place(3), 7), (Place(5), 7)])
+    assert pairing(data, point, (0, 0, 1, 1)) == 0
+
+
 def test_precision_tags():
     exact = AdelicFiberPoint((LocalParameter(Place(5), 12),
                               LocalParameter(REAL_PLACE, 100)))
@@ -432,6 +455,11 @@ def test_obstruction_scan_flagship():
     assert tab.allowed_count() == len(combos) == 60
     assert 0 < len(combos) < len(cells5) * len(cellsr)  # some are excluded
     assert tab.allowed_combinations(limit=7) == combos[:7]
+
+
+def test_obstruction_scan_cells_at_a_place_outside_the_scan():
+    tab = obstruction_scan(FLAG, [Place(5), REAL_PLACE])
+    assert tab.cells_at(Place(3)) == ()
 
 
 def test_obstruction_scan_cells_match_pairing():

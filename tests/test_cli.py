@@ -11,7 +11,7 @@ import conicbundles.cli as cli
 from conicbundles.cli import CLIInputError, main, parse_problem
 from conicbundles.brauermanin import obstruction_scan
 from conicbundles.counting import CountJob, enumerate_N, region_measure
-from conicbundles.exactnum import Place, REAL_PLACE
+from conicbundles.exactnum import Place, REAL_PLACE, factorize
 from conicbundles.pencil import ConicBundleData, NormFormSystem
 
 
@@ -577,3 +577,98 @@ def test_selftest_corrupted_discriminant_fails(tmp_path, monkeypatch):
     assert suite["cases"] == 43
     assert 0 < suite["failures"] < suite["cases"]
     assert "closed form" in suite["detail"][0]
+
+
+def _selftest_suite(report, name):
+    return next(s for s in report["results"]["suites"] if s["name"] == name)
+
+
+def _corrupt_pin(kind, args):
+    return tuple((k, a, expect + 1 if (k, a) == (kind, args) else expect)
+                 for k, a, expect in cli._SELFTEST_PINS)
+
+
+@pytest.mark.parametrize("kind, args, name, cases, needle", [
+    ("rho_sum", (-1, 9), "crt", 16,
+     "sum of rho(x^2 - -1 y^2; A mod 9) = 81, pinned 82"),
+    ("disc", (2,), "discriminant", 43, "disc(t^4 + 2) = -2048, pinned -2047"),
+], ids=["rho_sum", "disc"])
+def test_selftest_corrupted_pin_fails_its_suite(tmp_path, monkeypatch, kind,
+                                               args, name, cases, needle):
+    monkeypatch.setattr(cli, "_SELFTEST_PINS", _corrupt_pin(kind, args))
+    code, report = run_cli(["selftest", "--quick"], tmp_path)
+    assert code == 1
+    assert report["results"]["total_failures"] == 1
+    suite = _selftest_suite(report, name)
+    assert (suite["cases"], suite["failures"]) == (cases, 1)
+    assert suite["detail"] == [needle]
+
+
+def test_selftest_lying_rho_fails_the_coprime_check(tmp_path, monkeypatch):
+    # the lie touches only moduli with two prime factors, so the rho_sum
+    # pin at 9 still holds and every random coprime pair fails
+    honest = cli.rho
+
+    def lying(form, q, A):
+        return honest(form, q, A) + (len(factorize(q)) > 1)
+
+    monkeypatch.setattr(cli, "rho", lying)
+    code, report = run_cli(["selftest", "--quick"], tmp_path)
+    assert code == 1
+    suite = _selftest_suite(report, "crt")
+    assert (suite["cases"], suite["failures"]) == (16, 15)
+    assert len(suite["detail"]) == 5
+    assert all("but the coprime parts give" in d for d in suite["detail"])
+
+
+def test_selftest_lying_G_skips_the_scaled_check(tmp_path, monkeypatch):
+    # G(p^(k+1)) = p^(s+r) G(p^k) fails at every (job, p); each such case
+    # is one failure, with no beta_p comparison after it
+    honest = cli.G
+    monkeypatch.setattr(cli, "G", lambda job, p, k: honest(job, p, k) + 1)
+    code, report = run_cli(["selftest", "--quick"], tmp_path)
+    assert code == 1
+    suite = _selftest_suite(report, "stabilization")
+    assert (suite["cases"], suite["failures"]) == (6, 4)
+    assert suite["detail"][0].startswith("one norm form at p = 2: G(2^")
+    assert all("times G(" in d for d in suite["detail"])
+
+
+@pytest.mark.parametrize("liar, failures, needle", [
+    (2, 2, "two norm forms at p = 2: beta_p = 2 but the scaled count is 1"),
+    (5, 1, "good odd p = 5 should give beta_p = 1, got 2"),
+], ids=["scaled", "good odd p"])
+def test_selftest_lying_beta_p_fails(tmp_path, monkeypatch, liar, failures,
+                                     needle):
+    # quick mode scales at p in {2, 3} and checks good odd p in {3, 5}, so
+    # a lie at 2 reaches only the scaled check and a lie at 5 only the other
+    honest = cli.beta_p
+    monkeypatch.setattr(cli, "beta_p",
+                        lambda job, p: honest(job, p) + (p == liar))
+    code, report = run_cli(["selftest", "--quick"], tmp_path)
+    assert code == 1
+    suite = _selftest_suite(report, "stabilization")
+    assert (suite["cases"], suite["failures"]) == (6, failures)
+    assert suite["detail"][-1] == needle
+
+
+# selftest arguments -> sha256 of the report's JSON without `timings`
+PINNED_SELFTESTS = {
+    ("--seed", "0"): "e14bc97d02311a7fc0f00dcaa607b216"
+                     "09c094a04622a4d8ae538c0c540d266a",
+    ("--seed", "1"): "43cec30d11723d7a8ed3c09b99dfc32d"
+                     "81f56218869a2af89fe444d7f83204cc",
+    ("--quick", "--seed", "7"): "136e8d7c1c52ee58cc5889445e64ab8e"
+                                "b4ccf46d5854fb0b9b4e35bd11ebdb98",
+}
+
+
+def test_selftest_reports_match_their_pinned_digests(tmp_path):
+    got = {}
+    for args in PINNED_SELFTESTS:
+        code, report = run_cli(["selftest", *args], tmp_path)
+        assert code == 0, args
+        report.pop("timings")
+        body = json.dumps(report, indent=2, sort_keys=True)
+        got[args] = hashlib.sha256(body.encode()).hexdigest()
+    assert got == PINNED_SELFTESTS

@@ -16,7 +16,8 @@ from conicbundles.counting import (CountJob, CountingError, G, beta_p,
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
                                    SplitPolynomial)
 from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE,
-                                   factorize, hilbert, is_prime, legendre,
+                                   SquareClass, as_rational, factorize,
+                                   hilbert, is_prime, legendre,
                                    squarefree_class, valuation)
 from conicbundles.localsolve import (LocalSolveError, diagonal_quadric_soluble,
                                      everywhere_locally_soluble,
@@ -150,10 +151,10 @@ def test_exact_inputs_reject_floats(error, call):
 FORM = BinaryForm(-1)
 
 # test id -> (expected error, message, call with a modulus that is no prime,
-# an exponent below 0 or a bare int for a Place); rho_table once looped
-# forever at p = 1 and divided by zero at p = 0, scaling_valid answered at
-# p = 1 and k = -1, and hilbert and diagonal_quadric_soluble raised an
-# AttributeError at the int 5
+# an exponent below 0, a bare int for a Place or another argument outside
+# its domain); rho_table once looped forever at p = 1 and divided by zero
+# at p = 0, scaling_valid answered at p = 1 and k = -1, and hilbert and
+# diagonal_quadric_soluble raised an AttributeError at the int 5
 NON_PRIME_MODULI = {
     "rho table p 0": (QuadFormError, "not prime",
                       lambda: rho_table(FORM, 0, 2)),
@@ -184,6 +185,20 @@ NON_PRIME_MODULI = {
     "diagonal quadric place 5": (LocalSolveError, "not a Place",
                                  lambda: diagonal_quadric_soluble(
                                      (1, 1, 1, 1), 5)),
+    "hilbert 0": (ExactNumError, "needs nonzero arguments",
+                  lambda: hilbert(0, 3, Place(5))),
+    "square class 0": (ExactNumError, "0 has no square class",
+                       lambda: squarefree_class(0)),
+    "square class sign 2": (ExactNumError, "sign bit must be 0 or 1",
+                            lambda: SquareClass(sign=2)),
+    "square class prime 4": (ExactNumError, "support must be prime, got 4",
+                             lambda: SquareClass(0, frozenset({4}))),
+    "rational 'x'": (ExactNumError, "not a rational number",
+                     lambda: as_rational("x")),
+    "rho q 0": (QuadFormError, "modulus must be positive",
+                lambda: rho(FORM, 0, 1)),
+    "box epsilon 0": (CountingError, "epsilon must be positive",
+                      lambda: box_measure(2, 0, 1, 4)),
 }
 
 

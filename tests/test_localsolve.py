@@ -170,8 +170,8 @@ def test_real_soluble_against_sampling():
 
 def test_real_nudge_skips_directions_inside_a_hyperplane(monkeypatch):
     # the Fourier-Motzkin point lies on a hyperplane that contains the
-    # first direction (1, 0), so no step along it can leave; its 64
-    # candidates are skipped and the witness is still the first one off
+    # first direction (1, 0), so no step along it can leave; that
+    # direction is never tried, and the witness is still the first one off
     # every hyperplane, (2, 1)
     cleared = []
     clear = localsolve._clear_denominators
@@ -415,6 +415,22 @@ def test_padic_deep_search_keeps_no_stack():
     ok, wit = padic_soluble(system, 5, depth=1100)
     assert ok and wit.precision == 1100
     check_padic_witness(system, 5, wit)
+
+
+def test_padic_search_at_a_large_prime_lists_no_children():
+    # p = 5964848081 divides 10^20 + 1, so it is a bad prime of this
+    # real-soluble system; a walker that listed the p^2 children of a ball
+    # before taking the first raised MemoryError here
+    system = NormFormSystem(r=3, s=2, a=(-1, 5, 2),
+                            forms=((-10**20, 1), (10**20 + 1, -1),
+                                   (10**20 + 1, 10**20 + 1)))
+    p = 5964848081
+    ok, wit = padic_soluble(system, p)
+    assert ok and (wit.u, wit.precision) == ((0, p**2), 4)
+    check_padic_witness(system, p, wit)
+    report = everywhere_locally_soluble(system)
+    assert report.soluble and Place(p) in report.checked
+    assert dict(report.witnesses)[Place(p)] == wit
 
 
 def test_padic_witness_lifts():
