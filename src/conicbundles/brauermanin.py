@@ -52,11 +52,13 @@ not re-checked at run time: against brute-force symbols on balls in
 `tests/test_exactnum.py` and on every scan cell in
 `tests/test_brauermanin.py`.
 
-A scan keeps the cells of each finite place as integer columns (level,
-residue, generator values) and builds `ScanCell` objects and labels only
-when asked; it counts the allowed combinations by convolving one
-histogram of invariant masks per place over F_2^g, in
-O(places * masks^2) steps rather than one step per cell.
+A scan keeps one record per place, the real place included: parallel
+columns of cell labels, representatives written "num/den" and generator
+values, built once by the scan in the form the JSON report prints them.
+`ScanCell` objects are built from the records only when asked.  The scan
+counts the allowed combinations by convolving one histogram of invariant
+masks per place over F_2^g, in O(places * masks^2) steps rather than one
+step per cell.
 
 Evaluation at t = e_i and t = infinity is excluded throughout: the
 chosen representatives have their polar locus there and no alternative
@@ -358,34 +360,21 @@ class ScanCell:
     values: Tuple[int, ...]
 
 
-class _Columns(NamedTuple):
-    """The cells at a finite place as parallel columns: cell i is
-    t = residues[i] mod p^levels[i], with generator values values[i]."""
+class _PlaceCells(NamedTuple):
+    """The cells at one place as parallel columns: cell i has the label
+    labels[i], the representative representatives[i] written "num/den",
+    and the generator values values[i].  resolution is None at infinity."""
 
     place: Place
-    levels: Tuple[int, ...]
-    residues: Tuple[int, ...]
+    resolution: Optional[int]
+    labels: Tuple[str, ...]
+    representatives: Tuple[str, ...]
     values: Tuple[Tuple[int, ...], ...]
 
     def cells(self) -> Tuple[ScanCell, ...]:
-        place, p = self.place, self.place.p
-        return tuple(ScanCell(place, "%d mod %d^%d" % (c, p, k), Fraction(c),
-                              vals)
-                     for k, c, vals in zip(self.levels, self.residues,
-                                           self.values))
-
-    def json_rows(self) -> list:
-        # one suffix per level, one fresh values list per distinct vector;
-        # the integer representative is written as json_value writes
-        # Fraction(c), "c/1", but inline: every finite cell of every scan
-        # passes through this loop
-        place, p = str(self.place), self.place.p
-        suffix = {k: " mod %d^%d" % (p, k) for k in set(self.levels)}
-        lists = {vals: list(vals) for vals in set(self.values)}
-        return [{"cell": c + suffix[k], "place": place,
-                 "representative": c + "/1", "values": lists[vals]}
-                for k, c, vals in zip(self.levels, map(str, self.residues),
-                                      self.values)]
+        return tuple(ScanCell(self.place, label, Fraction(rep), vals)
+                     for label, rep, vals in zip(
+                         self.labels, self.representatives, self.values))
 
 
 def _mask(values: Tuple[int, ...]) -> int:
@@ -401,43 +390,37 @@ class ScanTable:
 
     A combination picks one cell per place; it is allowed when the
     F_2 sums over the picked cells vanish for every generator, i.e. when
-    a point with those local residues clears the obstruction.  The real
-    place keeps its few interval cells; each finite place keeps its cells
-    as `_Columns`, in `places` order."""
+    a point with those local residues clears the obstruction.  Every
+    place, the real one included, keeps its cells as one `_PlaceCells`
+    record, in `places` order; `ScanCell` objects are built when asked."""
 
     generators: Tuple[Tuple[int, ...], ...]
-    places: Tuple[Place, ...]
-    resolution: Tuple[Tuple[Place, Optional[int]], ...]
-    real_cells: Tuple[ScanCell, ...]
-    finite: Tuple[_Columns, ...]
+    place_cells: Tuple[_PlaceCells, ...]
+
+    @property
+    def places(self) -> Tuple[Place, ...]:
+        return tuple(rec.place for rec in self.place_cells)
+
+    @property
+    def resolution(self) -> Tuple[Tuple[Place, Optional[int]], ...]:
+        return tuple((rec.place, rec.resolution) for rec in self.place_cells)
 
     @cached_property
     def cells(self) -> Tuple[ScanCell, ...]:
-        out = self.real_cells
-        for col in self.finite:
-            out += col.cells()
-        return out
+        return tuple(cell for rec in self.place_cells for cell in rec.cells())
 
     def cells_at(self, v: Place) -> Tuple[ScanCell, ...]:
-        if v.is_real:
-            return self.real_cells
-        for col in self.finite:
-            if col.place == v:
-                return col.cells()
+        for rec in self.place_cells:
+            if rec.place == v:
+                return rec.cells()
         return ()
-
-    def _value_columns(self):
-        # the generator values of every cell, one sequence per place
-        head = [[c.values for c in self.real_cells]] \
-            if REAL_PLACE in self.places else []
-        return head + [col.values for col in self.finite]
 
     def allowed_count(self) -> int:
         # convolve the per-place histograms of invariant masks over F_2^g
         counts = {0: 1}
-        for values in self._value_columns():
+        for rec in self.place_cells:
             nxt: Dict[int, int] = {}
-            for vals, mult in Counter(values).items():
+            for vals, mult in Counter(rec.values).items():
                 m = _mask(vals)
                 for vec, cnt in counts.items():
                     nxt[vec ^ m] = nxt.get(vec ^ m, 0) + cnt * mult
@@ -448,8 +431,8 @@ class ScanTable:
         """Tuples of cell labels, one per place, pairing to 0 with every
         generator; at most `limit` of them in tabulation order."""
         out = []
-        groups = [[(cell.label, _mask(cell.values)) for cell in
-                   self.cells_at(v)] for v in self.places]
+        groups = [list(zip(rec.labels, map(_mask, rec.values)))
+                  for rec in self.place_cells]
 
         def walk(idx, acc, labels):
             if limit is not None and len(out) >= limit:
@@ -465,16 +448,22 @@ class ScanTable:
         return tuple(out)
 
     def as_json_dict(self) -> dict:
+        # labels and representatives are written already; each call makes
+        # one fresh values list per distinct vector and place
         out = json_value({
             "generators": self.generators,
             "places": self.places,
-            "resolution": {v: k for v, k in self.resolution if k is not None},
-            "cells": [{"place": c.place, "cell": c.label,
-                       "representative": c.representative,
-                       "values": c.values} for c in self.real_cells],
+            "resolution": {rec.place: rec.resolution for rec in
+                           self.place_cells if rec.resolution is not None},
         })
-        for col in self.finite:
-            out["cells"] += col.json_rows()
+        out["cells"] = []
+        for rec in self.place_cells:
+            place = str(rec.place)
+            lists = {vals: list(vals) for vals in set(rec.values)}
+            out["cells"] += [{"cell": label, "place": place,
+                              "representative": rep, "values": lists[vals]}
+                             for label, rep, vals in zip(
+                                 rec.labels, rec.representatives, rec.values)]
         out["allowed_count"] = self.allowed_count()
         return out
 
@@ -482,7 +471,7 @@ class ScanTable:
 _MAX_EXTRA_LEVELS = 4  # a 2-adic symbol never needs more than 3 digits
 
 
-def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
+def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _PlaceCells:
     # a constant ball above level K gives its values to every residue mod
     # p^K it holds; a residue mod p^K on which some symbol is not yet
     # forced (at p = 2 the unit part of t - e_i may need pinning mod 4 or
@@ -522,29 +511,36 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _Columns:
     # generator selects: both are dropped
     for c in poles:
         at_K[c] = None
-    deeper.sort(key=lambda item: (item[0], item[1]))
     kept = [c for c, vals in enumerate(at_K) if vals is not None]
-    return _Columns(Place(p),
-                    (K,) * len(kept) + tuple(k for k, _, _ in deeper),
-                    tuple(kept) + tuple(c for _, c, _ in deeper),
-                    tuple(at_K[c] for c in kept)
-                    + tuple(vals for _, _, vals in deeper))
+    deeper.sort()
+    levels = [K] * len(kept) + [k for k, _, _ in deeper]
+    text = list(map(str, kept + [c for _, c, _ in deeper]))
+    # one suffix per level; the integer representative is written as
+    # json_value writes Fraction(c), "c/1", but inline: every finite cell
+    # of every scan passes through here
+    suffix = {k: " mod %d^%d" % (p, k) for k in set(levels)}
+    return _PlaceCells(Place(p), K,
+                       tuple([c + suffix[k] for k, c in zip(levels, text)]),
+                       tuple([c + "/1" for c in text]),
+                       tuple([at_K[c] for c in kept]
+                             + [vals for _, _, vals in deeper]))
 
 
-def _real_cells(data: ConicBundleData, gens):
+def _real_cells(data: ConicBundleData, gens) -> _PlaceCells:
     # symbols at the real place are constant between consecutive poles
     signs_at = _reader(data, REAL_PLACE, map(any, zip(*(g.n for g in gens))))
     masks = [_mask(g.n) for g in gens]
     es = sorted(data.e)
-    cells = []
-    for lo, hi in zip([None] + es, es + [None]):
-        rep = hi - 1 if lo is None else lo + 1 if hi is None else (lo + hi) / 2
-        signs = signs_at(rep)
-        values = tuple((g & signs).bit_count() % 2 for g in masks)
-        label = "(%s, %s)" % ("-oo" if lo is None else lo,
-                              "+oo" if hi is None else hi)
-        cells.append(ScanCell(REAL_PLACE, label, rep, values))
-    return cells
+    bounds = list(zip([None] + es, es + [None]))
+    reps = [hi - 1 if lo is None else lo + 1 if hi is None else (lo + hi) / 2
+            for lo, hi in bounds]
+    return _PlaceCells(
+        REAL_PLACE, None,
+        tuple("(%s, %s)" % ("-oo" if lo is None else lo,
+                            "+oo" if hi is None else hi) for lo, hi in bounds),
+        tuple(map(json_value, reps)),
+        tuple(tuple((g & signs_at(rep)).bit_count() % 2 for g in masks)
+              for rep in reps))
 
 
 def obstruction_scan(data: ConicBundleData, support: Iterable[Place],
@@ -560,18 +556,7 @@ def obstruction_scan(data: ConicBundleData, support: Iterable[Place],
         resolution = as_integer_at_least(resolution, 1, "resolution",
                                          BrauerManinError)
     gens = quotient_generators(data)
-    real_cells = ()
-    finite = []
-    res = []
-    for v in places:
-        if v.is_real:
-            real_cells = tuple(_real_cells(data, gens))
-            res.append((v, None))
-        else:
-            K = resolution if resolution is not None \
-                else _default_resolution(v.p)
-            finite.append(_finite_cells(data, gens, v.p, K))
-            res.append((v, K))
-    return ScanTable(generators=tuple(g.n for g in gens), places=places,
-                     resolution=tuple(res), real_cells=real_cells,
-                     finite=tuple(finite))
+    return ScanTable(tuple(g.n for g in gens), tuple(
+        _real_cells(data, gens) if v.is_real else
+        _finite_cells(data, gens, v.p, resolution or _default_resolution(v.p))
+        for v in places))

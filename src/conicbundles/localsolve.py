@@ -175,6 +175,8 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     Acceptance needs v_p(x_i) <= L - need, which already fixes the symbol
     on x_i + p^L Z_p, equal to the one read on the smaller value ball; so
     one symbol read per form serves both the cut and the acceptance.
+    The walk runs over the coordinates some form reads and writes 0 in the
+    others, where the digit search's first witness has 0 as well.
     """
     place = Place(as_prime(p, LocalSolveError))
     depth = None if depth is None else as_integer(depth, LocalSolveError)
@@ -192,6 +194,12 @@ def _place_solver(system: NormFormSystem):
     top = system.r * (s - 1)
     moment = [(u, math.prod([sum(map(mul, f, u)) for f in forms])) for u in
               (tuple(t**j for j in range(s)) for t in range(top + 1))]
+    # the digit walk runs over the coordinates some form reads and leaves
+    # the others 0: a ball with digit d != 0 there has a twin with digit 0
+    # that comes first in digit order and reads the same symbols
+    columns = list(zip(*forms))
+    read_at = [j for j, col in enumerate(columns) if any(col)]
+    read_forms = list(zip(*[col for col in columns if any(col)]))
 
     def solve(place, depth):
         p = place.p
@@ -216,7 +224,7 @@ def _place_solver(system: NormFormSystem):
         power = list(accumulate(repeat(p, depth), mul, initial=1))
         late = depth - need  # the largest valuation a witness's value has
         rows = []  # (f_i, its reader, c_i, floor_i - c_i, p^floor_i)
-        for a, f, g in zip(system.a, forms, gcds):
+        for a, f, g in zip(system.a, read_forms, gcds):
             sym = _symbol_reader(a, p)
             c = _valuation_unit(g, p)[0] if g % p == 0 else 0
             floor = late if _shell_minus(a, p, late) else late + 1
@@ -238,9 +246,13 @@ def _place_solver(system: NormFormSystem):
                 accept = accept and value == 1 and x % margin != 0
             return True if accept else None
 
-        for _, u, ok in _balls(p, s, depth, read):
+        for _, u, ok in _balls(p, len(read_at), depth, read):
             if ok:
-                return True, LocalWitness(place=place, u=u, precision=depth)
+                witness = [0] * s
+                for j, x in zip(read_at, u):
+                    witness[j] = x
+                return True, LocalWitness(place=place, u=tuple(witness),
+                                          precision=depth)
         return False, None
     return solve
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -716,6 +718,127 @@ def test_scan_json_calls_share_no_values_list():
     for row in first:
         row["values"].append(7)
     assert tab.as_json_dict()["cells"] == second
+
+
+# each scan pinned by the sha256 of its sorted JSON, the sha256 of its
+# cells as (place, label, representative, values) and its first eight
+# allowed combinations; the bundles cover e_i denominators 2, 3 and 9,
+# 2-adic cells refined past the resolution (to 2^3 from resolution 2, to
+# 2^5 from the default 4), the real place alone, finite places alone and
+# an empty support
+NINTHS = ConicBundleData(e=(0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 9)),
+                         a=(-6, -6, -6, -6))
+REFINED = ConicBundleData(e=(0, 1, 2, 5), a=(5, 5, -1, -1))
+PINNED_SCANS = {
+    "flag oo 2 5": (
+        (FLAG, (REAL_PLACE, Place(2), Place(5)), None),
+        "97fde42bc72f8f7b660f104b17377cbb"
+        "e8344880dc8da2ccd5a6968612874280",
+        "c07b7e92753005c75d65b958b75aed81"
+        "263c3583454c70cfb8d1d3e76ec0fc3e",
+        (
+            ("(-oo, 0)", "4 mod 2^4", "11 mod 5^3"),
+            ("(-oo, 0)", "4 mod 2^4", "12 mod 5^3"),
+            ("(-oo, 0)", "4 mod 2^4", "13 mod 5^3"),
+            ("(-oo, 0)", "4 mod 2^4", "16 mod 5^3"),
+            ("(-oo, 0)", "4 mod 2^4", "17 mod 5^3"),
+            ("(-oo, 0)", "4 mod 2^4", "18 mod 5^3"),
+            ("(-oo, 0)", "4 mod 2^4", "36 mod 5^3"),
+            ("(-oo, 0)", "4 mod 2^4", "37 mod 5^3"),
+        )),
+    "ninths oo 2 3": (
+        (NINTHS, (REAL_PLACE, Place(2), Place(3)), None),
+        "43c25c67e23aef1e1503f56a96af4636"
+        "95f7080f9580538d585a871d4002dadf",
+        "9cd5975e6bfe3cc0a68227fca7c36592"
+        "b12643d3247ae284b61ee3e7d02c9555",
+        (
+            ("(-oo, 0)", "1 mod 2^4", "1 mod 3^3"),
+            ("(-oo, 0)", "1 mod 2^4", "4 mod 3^3"),
+            ("(-oo, 0)", "1 mod 2^4", "5 mod 3^3"),
+            ("(-oo, 0)", "1 mod 2^4", "7 mod 3^3"),
+            ("(-oo, 0)", "1 mod 2^4", "8 mod 3^3"),
+            ("(-oo, 0)", "1 mod 2^4", "10 mod 3^3"),
+            ("(-oo, 0)", "1 mod 2^4", "13 mod 3^3"),
+            ("(-oo, 0)", "1 mod 2^4", "16 mod 3^3"),
+        )),
+    "refined 2 at 2": (
+        (REFINED, (Place(2),), 2),
+        "d8fdcb17bcc933a473578fb9f7344756"
+        "468e423ffc03ba8568025f35bdb28634",
+        "52b4db90bfded9ddc23c13432ba02791"
+        "cdf66b2b9eff43e7cbda7bc0986fa859",
+        (
+            ("7 mod 2^3",),
+        )),
+    "refined 2 to 2^5": (
+        (REFINED, (Place(2),), None),
+        "d8afc7ac6cfa33a76e17afa88d68d282"
+        "ea96a022d2ead8b31646123cd2482e98",
+        "214d9bd85e3d56d49066093cf259bef9"
+        "a4fcd7d3255b821851c053d9cbbf0759",
+        (
+            ("6 mod 2^4",),
+            ("7 mod 2^4",),
+            ("8 mod 2^4",),
+            ("15 mod 2^4",),
+            ("10 mod 2^5",),
+            ("29 mod 2^5",),
+        )),
+    "ninths oo": (
+        (NINTHS, (REAL_PLACE,), None),
+        "e893d8234f17502301da44fd82eae764"
+        "1b707d02b6ea04088ab7df4cb29298ba",
+        "201a025368a5ceac468891db2bcef3fb"
+        "b5e9c903d1e5a5e6480a24cd0d6cfe78",
+        (
+            ("(-oo, 0)",),
+            ("(0, 2/9)",),
+            ("(1/2, +oo)",),
+        )),
+    "flag 3 5": (
+        (FLAG, (Place(3), Place(5)), 2),
+        "2404662a3579ac08e3a212af85332f67"
+        "e4d67fa930fa8b0c9b5299de295c3831",
+        "c737dc84994446f7ba6e78bdf24eeaa5"
+        "f4ff4096c97e28a8d25d4fc9a11fd6e6",
+        (
+            ("4 mod 3^2", "5 mod 5^2"),
+            ("4 mod 3^2", "8 mod 5^2"),
+            ("4 mod 3^2", "10 mod 5^2"),
+            ("4 mod 3^2", "15 mod 5^2"),
+            ("4 mod 3^2", "20 mod 5^2"),
+            ("4 mod 3^2", "23 mod 5^2"),
+            ("5 mod 3^2", "11 mod 5^2"),
+            ("5 mod 3^2", "12 mod 5^2"),
+        )),
+    "flag empty": (
+        (FLAG, (), None),
+        "d8576a41edb5bc6428b6194436fbe44f"
+        "86a2befb1d0cbf838374750de075db3e",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+        "ed12ab4d8e11ba873c2f11161202b945",
+        ((),)),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_scans_match_their_pinned_digests():
+    got = {}
+    for name, ((data, support, res), *_) in PINNED_SCANS.items():
+        tab = obstruction_scan(data, support, resolution=res)
+        if REAL_PLACE not in support:
+            assert tab.cells_at(REAL_PLACE) == ()
+        got[name] = (
+            _sha(json.dumps(tab.as_json_dict(), sort_keys=True)),
+            _sha(repr([(str(c.place), c.label, str(c.representative),
+                        c.values) for c in tab.cells])),
+            tab.allowed_combinations(limit=8))
+    assert got == {name: tuple(pins)
+                   for name, (_, *pins) in PINNED_SCANS.items()}
 
 
 def test_scan_drops_unselected_pole_inside_constant_ball():

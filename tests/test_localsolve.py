@@ -408,6 +408,57 @@ def test_padic_cuts_value_balls_whose_last_valuation_reads_minus_one(
     assert len(calls) < 20
 
 
+def test_padic_search_skips_coordinates_no_form_reads(monkeypatch):
+    # a seeded system and its copy with zero columns inserted: where both
+    # reach the digit walk, the copy reads no more symbols than the
+    # original, and its witness is the original's with 0 in every added
+    # coordinate; a walk that also split balls on the zero columns read
+    # several times as much
+    calls = []
+    reader = localsolve._symbol_reader
+
+    def counted_reader(a, p):
+        sym = reader(a, p)
+        return lambda x, K: calls.append(x) or sym(x, K)
+
+    def reads(system, p):
+        localsolve._shell_minus.cache_clear()
+        calls.clear()
+        return padic_soluble(system, p), len(calls)
+
+    monkeypatch.setattr(localsolve, "_symbol_reader", counted_reader)
+    rng = random.Random(3030)
+    compared = found = 0
+    for _ in range(150):
+        p = rng.choice((2, 3, 5))
+        system = local_pool_system(rng, p)
+        zeros = sorted(rng.sample(range(system.s + 2), rng.choice((1, 2))))
+        wide = []
+        for f in system.forms:
+            f = list(f)
+            for j in zeros:
+                f.insert(j, 0)
+            wide.append(tuple(f))
+        padded = NormFormSystem(r=system.r, s=len(wide[0]), a=system.a,
+                                forms=tuple(wide))
+        (ok, wit), narrow_reads = reads(system, p)
+        (wide_ok, wide_wit), wide_reads = reads(padded, p)
+        if not narrow_reads or not wide_reads:
+            continue  # a good place's moment-curve witness answered
+        compared += 1
+        assert wide_reads <= narrow_reads, (system, zeros, p)
+        assert wide_ok == ok, (system, zeros, p)
+        if ok:
+            found += 1
+            u = list(wit.u)
+            for j in zeros:
+                u.insert(j, 0)
+            assert (wide_wit.u, wide_wit.precision) == \
+                (tuple(u), wit.precision), (system, zeros, p)
+            check_padic_witness(padded, p, wide_wit)
+    assert compared >= 120 and found >= 80, (compared, found)
+
+
 def test_padic_deep_search_keeps_no_stack():
     # the walk descends 1100 levels along the zero ball; a recursive walker
     # passed Python's recursion limit here
