@@ -80,11 +80,12 @@ progressions into the table in batches of quadform._GATHER_POINTS
 points.  So a count needs its tables and a fixed number of piece-sized
 temporaries beside them.
 
-Lattice counts, line directions (a fraction-free elimination), box ends
-(integer floor division over one common denominator) and the rank test
-run on Python integers; the only Fractions are the job's uInf and eps,
-the box measure and the beta_p values, each an integer count over a
-power of p.  Only beta_inf and the final ratios are floating point.
+Lattice counts, line directions (null vectors back-substituted on
+`exactnum._echelon`'s fraction-free elimination), box ends (integer
+floor division over one common denominator) and the rank test run on
+Python integers; the only Fractions are the job's uInf and eps, the box
+measure and the beta_p values, each an integer count over a power of
+p.  Only beta_inf and the final ratios are floating point.
 Beyond the bad set the Euler product is truncated at a configurable
 cutoff, recorded on every report; for r > s the tail factors are
 1 + O(p^-2) but the constant is not estimated here.
@@ -98,7 +99,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy
 
@@ -107,6 +108,7 @@ from .exactnum import (
     _clear_denominators,
     _det,
     _dot,
+    _echelon,
     _primes_dividing,
     _primes_upto,
     _primitive,
@@ -251,38 +253,24 @@ def _form_window(coeffs, spans):
 
 def _nullspace(rows, s: int):
     # a basis of {w in Z^s : row . w = 0 for every row}, one primitive
-    # vector per free column of the reduced echelon form E.  Gauss-Jordan
-    # elimination on integer rows, each kept primitive, leaves pivot row i
-    # equal to lead_i times row i of E, so the free column f gives the
-    # vector with w_f = L and w_(pivot i) = -row_i[f] L / lead_i, L the lcm
-    # of the leads: a positive multiple of the vector read off E
-    mat = [_primitive(row) for row in rows]
-    pivots = []
-    for col in range(s):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        lead = top[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if i != rank and f:
-                mat[i] = _primitive([lead * v - f * q
-                                     for v, q in zip(row, top)])
-        pivots.append(col)
-    leads = [row[col] for row, col in zip(mat, pivots)]
-    L = math.lcm(*leads)
+    # vector per free column f of `_echelon(rows)`: the solution with
+    # w_f > 0 and 0 at the other free columns, the vector read off the
+    # reduced echelon form.  Its pivot entries are back-substituted from
+    # the last pivot row up, the vector scaled by a positive integer where
+    # a pivot does not divide, so it stays integral
+    mat, pivots, _ = _echelon(rows)
     basis = []
     for free in range(s):
         if free in pivots:
             continue
-        vec = [0] * s
-        vec[free] = L
-        for row, col, lead in zip(mat, pivots, leads):
-            vec[col] = -row[free] * (L // lead)
-        basis.append(tuple(_primitive(vec)))
+        w = [0] * s
+        w[free] = 1
+        for row, col in reversed(list(zip(mat, pivots))):
+            lead, t = row[col], _dot(row, w)
+            scale = abs(lead) // math.gcd(t, lead)
+            w = [x * scale for x in w]
+            w[col] = -t * scale // lead
+        basis.append(tuple(_primitive(w)))
     return basis
 
 
@@ -512,8 +500,7 @@ def beta_infinity(job: CountJob, B: int) -> decimal.Decimal:
     return val
 
 
-def G(job: CountJob, p: int, k: int,
-      cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def G(job: CountJob, p: int, k: int) -> int:
     """#{(x, y, t) mod p^k : x_i^2 - a_i y_i^2 = g_i(t) for all i}, exact.
 
     The sum over t of prod_i rho_i(g_i(t)) runs along lattice lines of the
@@ -524,8 +511,9 @@ def G(job: CountJob, p: int, k: int,
     d = M (f_j . w), so with g = gcd(d, p^k) it visits each residue
     x mod g exactly g times and contributes g * C_g[x mod g], C_g holding
     the residue-class sums of rho_j.  When no form admits such a w
-    (r > s), every cell is its own line.  `cap` bounds the cells summed,
-    m^(s-1) with a line direction and m^s without, before any table."""
+    (r > s), every cell is its own line.  DEFAULT_ENUMERATION_CAP bounds
+    the cells summed, m^(s-1) with a line direction and m^s without,
+    before any table."""
     p, k = as_prime(p, CountingError), as_integer(k, CountingError)
     if k < 1:
         raise CountingError("k must be >= 1")
@@ -534,10 +522,10 @@ def G(job: CountJob, p: int, k: int,
     forms = job.system.forms
     choice = _line_direction(forms, (m,) * s)
     cells = m ** (s if choice is None else s - 1)
-    if cells > cap:
+    if cells > DEFAULT_ENUMERATION_CAP:
         raise CountingError(
-            "G(%d^%d) sums %d cells, beyond the cap %d; raise the cap or use "
-            "beta_p's stabilization shortcut" % (p, k, cells, cap))
+            "G(%d^%d) sums %d cells, beyond the cap %d; use beta_p's "
+            "stabilization shortcut" % (p, k, cells, DEFAULT_ENUMERATION_CAP))
     # g_i(t) = f_i(uM) + M f_i(t) with every coefficient reduced mod m:
     # _grid_sum reduces each index once, below (s + 1) m^2 unreduced
     coeffs = []
@@ -560,21 +548,19 @@ def G(job: CountJob, p: int, k: int,
     return _grid_sum(boxes, coeffs, consts, tables, modulus=m)
 
 
-def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
+def beta_p(job: CountJob, p: int) -> Fraction:
     """Exact local density at p.
 
     p | M: p^(-(s+r)m) G(p^m) with m = val_p(M); if the mod-M data is
     solvable mod p^m the value is checked against the lower bound p^(-rm).
-    Else, once k_max is checked against the first admissible k: 1 when
-    the form matrix has rank r mod p, that is when p does not divide the
-    gcd of its r x r minors (0 when r > s), at every p and for all a_i,
-    since t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r and
+    Else 1 when the form matrix has rank r mod p, that is when p does not
+    divide the gcd of its r x r minors (0 when r > s), at every p and for
+    all a_i, since t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r and
     sum_A rho(p^k; A) = p^2k for each form; otherwise detect
-    G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k and return
-    p^(-(s+r)k) G(p^k)."""
+    G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k, from
+    k0 = max(1, bound + 1) up to bound + 4 with bound the technical bound,
+    and return p^(-(s+r)k) G(p^k)."""
     p = as_prime(p, CountingError)
-    if k_max is not None:
-        k_max = as_integer(k_max, CountingError)
     s, r = job.system.s, job.system.r
     if job.M % p == 0:
         m = valuation(job.M, p)
@@ -589,12 +575,7 @@ def beta_p(job: CountJob, p: int, k_max: Optional[int] = None) -> Fraction:
                 % (p, m, p, s * m))
         return val
     bound = technical_bound(job.system, p)
-    k0 = max(1, bound + 1)
-    if k_max is None:
-        k_max = bound + 4
-    if k_max < k0:
-        raise CountingError("k_max = %d is below the first admissible k = %d"
-                            % (k_max, k0))
+    k0, k_max = max(1, bound + 1), bound + 4
     if _minors_gcd(job.system.forms, s) % p:
         return Fraction(1)
     step = p ** (s + r)

@@ -40,11 +40,13 @@ The integer primitives live here once, beside the walker: `_dot`, a
 form's value f(u) (`localsolve`, `counting`); `_primitive`, a row over
 the gcd of its entries (`localsolve`, `counting`); `_clear_denominators`
 (`localsolve`, `counting`, `pencil`, `delpezzo`); `_primes_upto` and
-`_primes_dividing` (`localsolve`, `counting`, `brauermanin`); and `_det`,
-Bareiss's fraction-free determinant (`counting`, `delpezzo`).  Beside
-them sit `_checked_place`, the one check that a place argument is a
-`Place` (`hilbert`, `localsolve`, `brauermanin`), and `json_value`, the
-one writer of the report encoding (`cli`, `counting`, `brauermanin`).
+`_primes_dividing` (`localsolve`, `counting`, `brauermanin`); and
+`_echelon`, the one elimination loop (Bareiss's fraction-free echelon
+form), read by `_det` (`counting`, `delpezzo`, `localsolve`),
+`counting._nullspace`, `pencil` and `localsolve`.  Beside them sit
+`_checked_place`, the one check that a place argument is a `Place`
+(`hilbert`, `localsolve`, `brauermanin`), and `json_value`, the one
+writer of the report encoding (`cli`, `counting`, `brauermanin`).
 """
 
 from __future__ import annotations
@@ -467,30 +469,42 @@ def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     return _symbol_reader(a, place.p)(b, b.numerator.bit_length() + 3)
 
 
-def _det(m):
-    """Determinant by Bareiss's fraction-free elimination: each entry left
-    after step k is a (k+1)-minor, so dividing by the previous pivot is
-    exact; integers stay in Z, other input runs on Fractions and `/`."""
-    n = len(m)
+def _echelon(m):
+    """Bareiss's fraction-free row echelon form of the matrix m, as
+    (rows, pivots, sign): the eliminated rows, each leading row's pivot
+    column and the sign of the row swaps.  A column with no nonzero entry
+    below the rows already pivoted is skipped.  After the k-th pivot each
+    entry below it is a (k+1)-minor of m, so dividing by the previous
+    pivot is exact; integers stay in Z, other input runs on Fractions."""
     if all(type(x) is int for row in m for x in row):
         m, div = [list(row) for row in m], int.__floordiv__
     else:
         m, div = [list(map(Fraction, row)) for row in m], Fraction.__truediv__
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+    width = len(m[0]) if m else 0
+    pivots, sign, prev = [], 1, 1
+    for col in range(width):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(m)) if m[r][col]), None)
         if piv is None:
-            return 0
+            continue
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pivot, top = m[k][k], m[k]
+        pivot, top = m[k][col], m[k]
         for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
+            lead, row[col] = row[col], 0
+            for j in range(col + 1, width):
                 row[j] = div(pivot * row[j] - lead * top[j], prev)
         prev = pivot
-    return sign * m[-1][-1]
+        pivots.append(col)
+    return m, pivots, sign
+
+
+def _det(m):
+    """Determinant of the square matrix m: the signed last pivot of
+    `_echelon` when every column pivots, else 0."""
+    rows, pivots, sign = _echelon(m)
+    return sign * rows[-1][-1] if len(pivots) == len(m) else 0
 
 
 def _dot(form, u):

@@ -11,6 +11,8 @@ the unit part of each value as far as its digits reach.  padic_soluble
 takes a good place's witness from the moment curve, else walks the balls
 u + p^L Z_p^s with `exactnum._balls` reading each form on its whole value
 ball; its docstring states the cuts and the margin every witness keeps.
+When that walk ends empty and the forms have rank r <= s, a nonsingular
+minor of the form matrix gives u with every f_i(u) a square.
 
 diagonal_quadric_soluble decides c_1 x_1^2 + ... + c_4 x_4^2 = 0 by the
 classical rank-4 criterion: isotropic at v unless the determinant class
@@ -33,7 +35,9 @@ from .exactnum import (
     _balls,
     _checked_place,
     _clear_denominators,
+    _det,
     _dot,
+    _echelon,
     _primes_dividing,
     _primes_upto,
     _primitive,
@@ -153,8 +157,10 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     """Search u mod p^depth certifying solubility at p.
 
     Returns (verdict, witness).  True means some residue u has every
-    f_i(u) != 0 mod p^depth with all symbols (a_i, f_i(u))_p determined
-    by the residue and equal to +1; such a u survives arbitrary lifting.
+    f_i(u) != 0 mod p^precision with all symbols (a_i, f_i(u))_p
+    determined by the residue and equal to +1; such a u survives
+    arbitrary lifting.  The precision is depth, or more for the rank
+    witness below.
 
     At a good place, an odd p > r(s - 1) dividing no a_i, the witness is
     the first u_t = (1, t, ..., t^(s - 1)), t = 0, ..., r(s - 1), with
@@ -177,6 +183,17 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     one symbol read per form serves both the cut and the acceptance.
     The walk runs over the coordinates some form reads and writes 0 in the
     others, where the digit search's first witness has 0 as well.
+
+    A walk that ends empty is not yet a verdict when the r forms have rank
+    r <= s.  Then, with S the pivot columns of `exactnum._echelon` on the
+    form matrix and d = det F_S != 0, Cramer's rule gives y with
+    F_S y = d (1, ..., 1), and u = d y on S, 0 off S, has every
+    f_i(u) = d^2, so every symbol is +1.  That rank witness is returned
+    reduced mod p^precision, precision = max(v_p(d^2) + need, bound + 1),
+    which exceeds depth: there the walk found nothing.  It is built once
+    per system, on the first empty walk.  So (False, None) comes only from
+    forms with r > s or of rank below r, and means no witness mod p^depth,
+    not insolubility: a deeper search may still find one.
     """
     place = Place(as_prime(p, LocalSolveError))
     depth = None if depth is None else as_integer(depth, LocalSolveError)
@@ -200,6 +217,7 @@ def _place_solver(system: NormFormSystem):
     columns = list(zip(*forms))
     read_at = [j for j, col in enumerate(columns) if any(col)]
     read_forms = list(zip(*[col for col in columns if any(col)]))
+    rank = []  # the rank witness, built on the first walk that ends empty
 
     def solve(place, depth):
         p = place.p
@@ -208,8 +226,10 @@ def _place_solver(system: NormFormSystem):
         if depth is None:
             # floor of 4, a heuristic: degenerate form matrices force extra
             # valuation on the values, and p^4 covers common cases but not
-            # all: at p = 5, a = (-1, -3), forms ((0, 25), (125, 0)) it
-            # reports insoluble, while depth 9 finds u = (3125, 15625)
+            # all.  At p = 5, a = (-1, -3), forms ((0, 25), (125, 0)) the
+            # walk finds nothing, where depth 9 finds u = (3125, 15625);
+            # forms of rank r <= s fall back on the rank witness below,
+            # here u = (78125, 390625) at precision 11
             depth = max(bound + 2, 4)
         if depth < bound + 1:
             raise LocalSolveError("depth %d is below the technical bound %d"
@@ -253,8 +273,35 @@ def _place_solver(system: NormFormSystem):
                     witness[j] = x
                 return True, LocalWitness(place=place, u=tuple(witness),
                                           precision=depth)
-        return False, None
+        if not rank:
+            rank.append(_rank_witness(forms))
+        if rank[0] is None:
+            return False, None
+        # every f_i(u) = d^2: kept to v_p(d^2) + need digits, each value
+        # keeps its unit square class, so every symbol is +1
+        d, u = rank[0]
+        precision = max(2 * _valuation_unit(d, p)[0] + need, bound + 1)
+        return True, LocalWitness(
+            place=place, u=tuple([x % p**precision for x in u]),
+            precision=precision)
     return solve
+
+
+def _rank_witness(forms):
+    """(d, u) with f_i(u) = d^2 != 0 for every form, or None when the r
+    forms do not have rank r.  S is the pivot columns of `_echelon(forms)`
+    and d = det F_S; by Cramer, y_k = det(F_S with column k replaced by
+    (1, ..., 1)) solves F_S y = d (1, ..., 1), so u = d y on S and 0 off S
+    has F u = d^2 (1, ..., 1)."""
+    pivots = _echelon(forms)[1]
+    if len(pivots) < len(forms):
+        return None
+    square = [[f[j] for j in pivots] for f in forms]
+    d = _det(square)
+    u = [0] * len(forms[0])
+    for k, j in enumerate(pivots):
+        u[j] = d * _det([row[:k] + [1] + row[k + 1:] for row in square])
+    return d, u
 
 
 @lru_cache(maxsize=1024)
@@ -282,8 +329,10 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     Bad primes are those dividing some a_i or some coefficient of some
     f_i; beyond them and L, solubility is automatic for odd good primes.
     The per-prime depth defaults to the technical bound + 2, floored at
-    4 by a heuristic, so a place insoluble at the default depth may be
-    soluble deeper (see `padic_soluble`); soluble places carry witnesses.
+    4 by a heuristic.  Forms of rank r <= s are soluble at every prime,
+    by the rank witness where the walk finds nothing; otherwise a place
+    insoluble at the default depth may be soluble deeper (see
+    `padic_soluble`).  Soluble places carry witnesses.
 
     Each system is prepared once for all places: L, depth and the Places
     are coerced once, and prod 4 a_i, the form gcds and prod_i f_i(u_t) at

@@ -28,6 +28,7 @@ from .exactnum import (
     SquareClass,
     TRIVIAL_CLASS,
     _clear_denominators,
+    _echelon,
     as_bits,
     as_integer,
     as_rational,
@@ -253,7 +254,7 @@ class NormFormSystem:
                 raise PencilError("forms must be nonzero")
         for i in range(self.r):
             for j in range(i + 1, self.r):
-                if not _independent_pair(forms[i], forms[j]):
+                if len(_echelon((forms[i], forms[j]))[1]) < 2:
                     raise PencilError(
                         "forms %d and %d are proportional" % (i + 1, j + 1))
 
@@ -270,14 +271,6 @@ def technical_bound(system: NormFormSystem, p: int) -> int:
     """max_i v_p(4 a_i), the technical bound at the prime p: local search
     depths must exceed it and the p-part of a congruence modulus reach it."""
     return max(valuation(4 * a, p) for a in system.a)
-
-
-def _independent_pair(f, g) -> bool:
-    for i in range(len(f)):
-        for j in range(i + 1, len(f)):
-            if f[i] * g[j] - f[j] * g[i] != 0:
-                return True
-    return False
 
 
 def torsor_system(data: ConicBundleData) -> NormFormSystem:

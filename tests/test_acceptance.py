@@ -682,9 +682,19 @@ def test_criterion_9_local_solubility_against_search():
             report = everywhere_locally_soluble(system, L=20)
             module_bad = {place.p for place in report.bad_places
                           if place.is_finite}
+            found = dict(report.witnesses)
             for p in PRIMES_20:
+                # oracle soluble implies module soluble, that is, module
+                # insoluble implies oracle insoluble; a module verdict of
+                # soluble is checked below by lifting its witness.  Where
+                # the oracle finds nothing mod p^4 that witness lies
+                # deeper, as one kept to p^4 or less would lift to a
+                # residue the oracle accepts (r = 1, a = (5,), form (-4, 4)
+                # at p = 2 takes f = 16 at precision 7)
                 verdict = _oracle_soluble(system, p)
-                assert verdict == (p not in module_bad), (index, system, p)
+                assert not verdict or p not in module_bad, (index, system, p)
+                if not verdict and p not in module_bad:
+                    assert found[Place(p)].precision > 4, (index, system, p)
                 if p <= 5:
                     assert verdict == _oracle_soluble_meshgrid(system, p)
             for place, witness in report.witnesses:

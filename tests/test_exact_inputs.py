@@ -74,7 +74,6 @@ FLOAT_ENTRY_PATHS = {
     "G p": (CountingError, lambda: G(job(), 5.0, 1)),
     "G k": (CountingError, lambda: G(job(), 5, 1.5)),
     "beta p": (CountingError, lambda: beta_p(job(), 5.0)),
-    "beta k_max": (CountingError, lambda: beta_p(job(), 3, 4.5)),
     "box epsilon": (CountingError, lambda: box_measure(2, 0.5, 1, 4)),
     "box B": (CountingError, lambda: box_measure(2, 1, 1, 4.0)),
     "local invariant": (BrauerManinError, lambda: local_invariant(

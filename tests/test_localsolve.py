@@ -23,6 +23,7 @@ from conicbundles.localsolve import (
     real_soluble,
 )
 from conicbundles.pencil import NormFormSystem, PencilError, technical_bound
+from test_delpezzo import cofactor_det
 from test_pencil import trial_primes
 
 
@@ -47,6 +48,14 @@ def check_padic_witness(system, p, wit, depth=None):
         v = valuation(c, p)
         assert depth - v >= (3 if p == 2 else 1)
         assert hilbert(system.a[i], c, Place(p)) == 1
+
+
+def full_rank(forms):
+    # whether some r x r minor of the form matrix is nonzero, by Laplace
+    # expansion: the r forms have rank r, and r <= s
+    return any(cofactor_det([[f[j] for j in cols] for f in forms])
+               for cols in itertools.combinations(range(len(forms[0])),
+                                                  len(forms)))
 
 
 def brute_padic(system, p, depth):
@@ -328,10 +337,12 @@ def content_system(rng, p):
 
 def test_padic_value_ball_prunes_keep_the_search():
     # verdict, witness and precision equal those of the digit search on a
-    # seeded family; systems whose reference search passes its node budget
-    # are skipped, and enough are compared
+    # seeded family, but where that search finds nothing and the test's
+    # own determinants show r <= s forms of rank r, a deeper witness the
+    # checker accepts is required; systems whose reference search passes
+    # its node budget are skipped, and enough are compared
     rng = random.Random(909)
-    compared = brute = 0
+    compared = brute = rescued = 0
     verdicts = set()
     for _ in range(150):
         p = rng.choice([2, 3, 5])
@@ -346,14 +357,22 @@ def test_padic_value_ball_prunes_keep_the_search():
             continue
         compared += 1
         verdicts.add(ok)
-        assert (ok, wit and wit.u, wit and wit.precision) == \
-            (want[0], want[1], used if want[0] else None), (system, p, depth)
+        if want[0] or not full_rank(system.forms):
+            assert (ok, wit and wit.u, wit and wit.precision) == \
+                (want[0], want[1], used if want[0] else None), \
+                (system, p, depth)
+        else:
+            # the walk ends empty, and forms of rank r <= s fall back on
+            # the rank witness, deeper than the walk
+            rescued += 1
+            assert ok and wit.precision > used, (system, p, depth)
         if ok:
             check_padic_witness(system, p, wit)
         if p**(used * system.s) <= 2**12:
             brute += 1
-            assert ok == brute_padic(system, p, used), (system, p, used)
+            assert want[0] == brute_padic(system, p, used), (system, p, used)
     assert compared >= 120 and brute >= 30 and verdicts == {True, False}
+    assert rescued >= 2, rescued
 
 
 def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
@@ -374,9 +393,13 @@ def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
     null = NormFormSystem(r=2, s=3, a=(7, 11),
                           forms=((7, 1, 0), (-125, -125, 0)))
     monkeypatch.setattr(localsolve, "_symbol_reader", counted_reader)
-    # still insoluble at the default depth, whose heuristic floor of 4 is
-    # too shallow for this system's witnesses
-    assert padic_soluble(item1, 5) == (False, None)
+    # the walk at the default depth, whose heuristic floor of 4 is too
+    # shallow for this system's walk witnesses, ends empty; the forms have
+    # rank 2, so the rank witness u = -3125 (-25, -125) answers, with both
+    # values 3125^2 = 5^10, kept to precision 11
+    ok, wit = padic_soluble(item1, 5)
+    assert ok and (wit.u, wit.precision) == ((78125, 390625), 11)
+    check_padic_witness(item1, 5, wit)
     assert len(calls) < 1000
     calls.clear()
     ok, wit = padic_soluble(null, 5)
@@ -457,6 +480,31 @@ def test_padic_search_skips_coordinates_no_form_reads(monkeypatch):
                 (tuple(u), wit.precision), (system, zeros, p)
             check_padic_witness(padded, p, wide_wit)
     assert compared >= 120 and found >= 80, (compared, found)
+
+
+def test_full_rank_systems_are_soluble_at_every_prime():
+    # r <= s forms of rank r: some u has every f_i(u) = d^2, d a nonzero
+    # r x r minor, so every default-depth verdict is soluble, with a
+    # witness the checker accepts, also where the digit walk finds none
+    rng = random.Random(3131)
+    deeper = checked = 0
+    while checked < 150:
+        p = rng.choice((2, 3, 5))
+        s = rng.choice((2, 3))
+        r = rng.randint(1, s)
+        a = tuple(rng.choice((-1, 2, -2, 3, -3, 5, -5, 6, 7, -10))
+                  for _ in range(r))
+        forms = tuple(tuple(p**rng.randint(0, 3) * rng.choice((0, 1, -1, 2))
+                            for _ in range(s)) for _ in range(r))
+        if not full_rank(forms):
+            continue
+        checked += 1
+        system = NormFormSystem(r=r, s=s, a=a, forms=forms)
+        ok, wit = padic_soluble(system, p)
+        assert ok, (system, p)
+        check_padic_witness(system, p, wit)
+        deeper += wit.precision > max(technical_bound(system, p) + 2, 4)
+    assert deeper >= 20, deeper
 
 
 def test_padic_deep_search_keeps_no_stack():
@@ -557,12 +605,16 @@ def test_everywhere_witnesses_agree_with_each_place():
     # the report prepares each system once for all its places; every
     # verdict and witness must be the one the place's own entry point
     # gives, a good place's the test's first moment-curve point, and every
-    # witness must pass the test-side checkers
+    # witness must pass the test-side checkers.  r <= s forms of rank r are
+    # soluble at every prime, so past the first 80 draws only r > s systems
+    # are kept, for the insoluble places
     rng = random.Random(2025)
     good = searched = bad = 0
-    for _ in range(80):
+    for index in range(200):
         p = rng.choice((2, 3, 5, 7))
         system = local_pool_system(rng, p)
+        if index >= 80 and system.r <= system.s:
+            continue
         report = everywhere_locally_soluble(system, L=rng.choice((30, 50)))
         found = dict(report.witnesses)
         for place in report.checked:

@@ -249,6 +249,51 @@ def test_norm_form_system_invariants():
     assert sysm.i_minus == (0, 2) and sysm.i_plus == (1,)
 
 
+def test_norm_form_system_rejects_exactly_the_proportional_pairs():
+    # seeded forms with zero entries, negative multiples of earlier forms
+    # and sums of two earlier forms: a system is accepted exactly when
+    # every pair has a nonzero 2 x 2 minor, so a dependent triple of
+    # pairwise independent forms is accepted
+    rng = random.Random(77)
+    seen = {"rejected": 0, "accepted": 0, "dependent triple": 0}
+    for _ in range(600):
+        s, r = rng.choice((2, 3, 4)), rng.randint(2, 4)
+        forms = []
+        while len(forms) < r:
+            kind = rng.random()
+            if forms and kind < 0.25:
+                f = rng.choice(forms)
+                forms.append(tuple(rng.choice((-3, -1, 2)) * c for c in f))
+            elif len(forms) > 1 and kind < 0.5:
+                f, g = rng.sample(forms, 2)
+                forms.append(tuple(x + y for x, y in zip(f, g)))
+            else:
+                forms.append(tuple(rng.choice((0, 0, 1, -1, 2, -3, 5))
+                                   for _ in range(s)))
+        if not all(any(f) for f in forms):
+            continue
+        independent = all(
+            any(f[i] * g[j] != f[j] * g[i]
+                for i, j in itertools.combinations(range(s), 2))
+            for f, g in itertools.combinations(forms, 2))
+        try:
+            NormFormSystem(r=r, s=s, a=(2, 3, 5, 6)[:r], forms=tuple(forms))
+        except PencilError as exc:
+            assert not independent and "proportional" in str(exc), forms
+            seen["rejected"] += 1
+            continue
+        assert independent, forms
+        seen["accepted"] += 1
+        # three forms in s >= 3 coordinates with every 3 x 3 minor 0
+        seen["dependent triple"] += s > 2 and any(
+            not any(f[i] * (g[j] * h[k] - g[k] * h[j])
+                    - f[j] * (g[i] * h[k] - g[k] * h[i])
+                    + f[k] * (g[i] * h[j] - g[j] * h[i])
+                    for i, j, k in itertools.combinations(range(s), 3))
+            for f, g, h in itertools.combinations(forms, 3))
+    assert min(seen.values()) >= 30, seen
+
+
 def test_quadric_intersection_examples():
     one = quadric_intersection_system(e=(0, 1), a=(5,), c=(1,))
     assert one.n == 1 and one.combined.r == 2
