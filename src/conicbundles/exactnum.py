@@ -21,9 +21,10 @@ odd p, mod 2^6 at p = 2), not trusted as transcriptions.
 Symbols and local squares read only v_p and the unit part mod p (mod 8 at
 p = 2), so they need no factorization and accept arguments of any size.
 Only global data factors: square classes, `hilbert_support` and the lists
-of bad primes.  Factorization is trial division up to the fixed
-TRIAL_DIVISION_BOUND, a deterministic Miller-Rabin primality check and
-Pollard-Brent rho for the composite cofactors, with a fixed step budget;
+of bad primes.  Factorization divides out the primes up to 41, then
+splits the cofactor with Pollard-Brent rho within the fixed step budget
+POLLARD_BRENT_BUDGET.  Primality is strong Miller-Rabin to the thirteen
+prime bases 2..41, deterministic below 3,317,044,064,679,887,385,961,981;
 inputs at desk scale are small.
 
 The formulas live once, in the one symbol reader `_symbol_reader(a, p)`.
@@ -61,7 +62,7 @@ from typing import Optional, Sequence, Union
 
 IntLike = Union[int, Fraction]
 
-TRIAL_DIVISION_BOUND = 1_000_000
+POLLARD_BRENT_BUDGET = 1_000_000
 
 
 class ExactNumError(ValueError):
@@ -129,17 +130,25 @@ def as_bits(n, error=ExactNumError, r: Optional[int] = None) -> tuple:
     return bits
 
 
-# Deterministic for n < 3,317,044,064,679,887,385,961,981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes: the strong Miller-Rabin bases (Sorenson and
+# Webster, Math. Comp. 86, 2017: the twelve up to 37 pass the composite
+# psi_12 = 318,665,857,834,031,151,167,461), and the small primes that
+# is_prime screens by and factorize divides out before splitting.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
+    """Whether the integer n is prime.
+
+    A strong Miller-Rabin test to the bases _MR_BASES, deterministic for
+    n < psi_13 = 3,317,044,064,679,887,385,961,981.  Above psi_13 True
+    means n is a strong probable prime to those thirteen bases."""
     # typed: a float key never meets the cached verdict of an int
     n = as_integer(n)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -203,13 +212,14 @@ def _pollard_brent(n: int, budget: int) -> Optional[int]:
 def factorize(n: int) -> tuple:
     """Prime factorization of n >= 1 as a tuple of (p, exponent) pairs.
 
-    Trial division up to TRIAL_DIVISION_BOUND, then the cofactor is split
-    into primes: a perfect square into its two roots, any other composite
-    by Pollard-Brent rho (_pollard_brent) within TRIAL_DIVISION_BOUND
-    steps per split, which finds prime factors up to about the square of
-    that bound.  A composite that survives its budget raises
-    FactorizationError.  Results and failures are both cached, so asking
-    again for an n beyond the budget raises without searching again.
+    The primes in _MR_BASES are divided out, then the cofactor is split
+    into primes: a prime is kept, a perfect square splits into its two
+    roots, and any other composite is split by Pollard-Brent rho
+    (_pollard_brent) within POLLARD_BRENT_BUDGET steps, which finds prime
+    factors up to about the square of that budget.  A composite that
+    survives its budget raises FactorizationError.  Results and failures
+    are both cached, so asking again for an n beyond the budget raises
+    without searching again.
     """
     n = as_integer(n)
     if n < 1:
@@ -225,17 +235,10 @@ def _factor(n: int):
     # factorize on a positive int: its (p, exponent) pairs, or the message
     # of the FactorizationError it raises
     out = {}
-    for p in (2, 3):
+    for p in _MR_BASES:
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
-    q = 5
-    while q * q <= n and q <= TRIAL_DIVISION_BOUND:
-        for p in (q, q + 2):
-            while n % p == 0:
-                n //= p
-                out[p] = out.get(p, 0) + 1
-        q += 6
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
@@ -244,11 +247,10 @@ def _factor(n: int):
         elif is_square(m):
             rest += [math.isqrt(m)] * 2
         else:
-            d = _pollard_brent(m, TRIAL_DIVISION_BOUND)
+            d = _pollard_brent(m, POLLARD_BRENT_BUDGET)
             if d is None:
-                return ("cofactor %d has no prime factor below %d, and %d "
-                        "Pollard-Brent steps found none"
-                        % (m, TRIAL_DIVISION_BOUND, TRIAL_DIVISION_BOUND))
+                return ("cofactor %d resisted %d Pollard-Brent steps"
+                        % (m, POLLARD_BRENT_BUDGET))
             rest += [d, m // d]
     return tuple(sorted(out.items()))
 

@@ -62,6 +62,14 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+    # against a sieve of Eratosthenes below 10^5
+    bound = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    assert [n for n in range(bound) if is_prime(n)] == \
+        [n for n in range(bound) if sieve[n]]
 
 
 def test_factorize():
@@ -70,9 +78,8 @@ def test_factorize():
     assert factorize(97 * 97) == ((97, 2),)
     with pytest.raises(ExactNumError):
         factorize(0)
-    # Pollard-Brent rho splits a product of two primes beyond
-    # TRIAL_DIVISION_BOUND; one whose factors its step budget cannot reach
-    # must still fail loudly
+    # Pollard-Brent rho splits a product of two primes near 10^9; one
+    # whose factors its step budget cannot reach must still fail loudly
     assert factorize((10**9 + 7) * (10**9 + 9)) == ((10**9 + 7, 1),
                                                      (10**9 + 9, 1))
     with pytest.raises(FactorizationError, match="Pollard-Brent"):
@@ -143,6 +150,50 @@ def test_factorize_beyond_trial_division():
     from conicbundles.pencil import ConicBundleData, brauer_group
     desc = brauer_group(ConicBundleData(e=(0, 1, 2, 3), a=(N, N, 5, 5)))
     assert desc.kernel_basis == ((1, 1, 0, 0), (0, 0, 1, 1))
+
+
+def test_factorize_against_an_oracle_across_the_ranges():
+    # products of 1-4 primes with exponents 1-3, drawn from the primes
+    # that is_prime screens by (2..41), from 43..10^6 and from fixed primes
+    # near 10^9 and 10^12; at most one prime near 10^12 per product, at
+    # most squared (a square cofactor splits into its roots), since two of
+    # them, or a cube, lie beyond the Pollard-Brent step budget.  Every
+    # drawn prime passes the test's own trial division and the product is
+    # n, so by unique factorization factorize must return exactly them
+    rng = random.Random(32)
+    screen = [p for p in range(2, 42) if all(p % d for d in range(2, p))]
+    middle = _primes_above(rng, 43, 10**6, 60)
+    near_1e9 = [10**9 + 7, 10**9 + 9, 10**9 + 21]
+    near_1e12 = [10**12 + 39, 10**12 + 61]
+    assert all(n % d for n in near_1e9 + near_1e12
+               for d in range(3, math.isqrt(n) + 1, 2))
+    for _ in range(150):
+        factors = {}
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(4)
+            if kind < 3:
+                pool = (screen, middle, near_1e9)[kind]
+                factors[rng.choice(pool)] = rng.randint(1, 3)
+            elif not factors.keys() & set(near_1e12):
+                factors[rng.choice(near_1e12)] = rng.randint(1, 2)
+        n = math.prod(p**e for p, e in factors.items())
+        assert factorize(n) == tuple(sorted(factors.items())), factors
+
+
+def test_psi_12_is_composite():
+    # psi_12, the least strong pseudoprime to the twelve prime bases up to
+    # 37, is composite; base 41 exposes it
+    from conicbundles.pencil import ConicBundleData, brauer_group
+    p, q = 399165290221, 798330580441
+    psi_12 = 318665857834031151167461
+    assert p * q == psi_12
+    assert not is_prime(psi_12)
+    assert factorize(psi_12) == ((p, 1), (q, 1))
+    with pytest.raises(ExactNumError):
+        Place(psi_12)
+    data = ConicBundleData(e=(0, 1, 2), a=(psi_12, p, q))
+    assert data.faddeev_holds
+    assert brauer_group(data).quotient_rank == 0
 
 
 def test_valuation():
