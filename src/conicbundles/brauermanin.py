@@ -76,6 +76,7 @@ from functools import cached_property
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .exactnum import (
+    DEFAULT_ENUMERATION_CAP,
     ExactNumError,
     Place,
     REAL_PLACE,
@@ -124,8 +125,9 @@ def _check_pole(data: ConicBundleData, t: Fraction):
 def local_invariant(data: ConicBundleData, n, t, v: Place) -> int:
     """sum_i n_i iota((a_i, t - e_i)_v) in F_2, for t distinct from all e_i.
 
-    Evaluates the vector as given; the pairing, which works modulo the
-    all-ones class, canonicalizes before calling this."""
+    Evaluates the vector as given.  The pairing, which works modulo the
+    all-ones class, does not call this: it reads through
+    `invariant_vector`, which canonicalizes the class first."""
     bits = _bits(data, n)
     t = as_rational(t, BrauerManinError)
     _checked_place(v, BrauerManinError)
@@ -477,7 +479,12 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _PlaceCells:
     # forced (at p = 2 the unit part of t - e_i may need pinning mod 4 or
     # 8) splits into its p children, at any starting resolution such cells
     # exist whenever val_2(c - e_i) reaches K - 1, so refinement is part
-    # of the partition rather than an error
+    # of the partition rather than an error.  The residues mod p^K get one
+    # slot each, so they are counted against the cap before any is made
+    if p**K > DEFAULT_ENUMERATION_CAP:
+        raise BrauerManinError(
+            "the scan at %d has %d^%d residues, beyond the cap %d"
+            % (p, p, K, DEFAULT_ENUMERATION_CAP))
     # every fibre some generator selects, read once per ball
     signs_at = _reader(data, Place(p), map(any, zip(*(g.n for g in gens))))
     masks = [_mask(g.n) for g in gens]

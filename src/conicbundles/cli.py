@@ -88,8 +88,9 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import __version__
-from .exactnum import (ExactNumError, Place, REAL_PLACE, hilbert,
-                       hilbert_support, json_value)
+from .exactnum import (ExactNumError, Place, REAL_PLACE,
+                       as_integer_at_least, hilbert, hilbert_support,
+                       json_value)
 from .pencil import (ConicBundleData, NormFormSystem, brauer_group,
                      quadric_intersection_system, technical_bound,
                      torsor_system, validate)
@@ -325,10 +326,8 @@ def effective_options(problem: Optional[ProblemFile],
         flag = getattr(args, key, None)
         if flag is not None:
             value = flag
-        if value is not None and value < minimum:
-            raise CLIInputError("option %s must be >= %d, got %r"
-                                % (key, minimum, value))
-        out[key] = value
+        out[key] = value if value is None else as_integer_at_least(
+            value, minimum, "option " + key, CLIInputError)
     return out
 
 

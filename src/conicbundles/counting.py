@@ -71,14 +71,14 @@ no form admits such a w (r > s), every cell is its own line.
 
 Memory.  Tables are O(window): the class tables of the R_i, R_j's
 holding its own stride prefix, and the rho_i tables of G, one entry per
-residue mod p^k, all read at random.  Every other array is O(piece): the
-grid sum takes the cells in pieces of at most _CHUNK_CELLS and builds
-each piece's indices and line lengths from numpy.arange over the piece's
-own ranges, an index axis being just a coefficient (G reduces each
-form's index mod p^k once), and representation_table adds its
-progressions into the table in batches of quadform._GATHER_POINTS
-points.  So a count needs its tables and a fixed number of piece-sized
-temporaries beside them.
+residue mod p^k, all read at random.  Every other array is O(piece),
+under the one budget quadform._CHUNK_CELLS: the grid sum takes the
+cells in pieces of at most that many and builds each piece's indices
+and line lengths from numpy.arange over the piece's own ranges, an
+index axis being just a coefficient (G reduces each form's index mod
+p^k once), and representation_table adds its progressions into the
+table in batches of as many points.  So a count needs its tables and a
+fixed number of piece-sized temporaries beside them.
 
 Lattice counts, line directions (null vectors back-substituted on
 `exactnum._echelon`'s fraction-free elimination), box ends (integer
@@ -104,6 +104,7 @@ from typing import Tuple
 import numpy
 
 from .exactnum import (
+    DEFAULT_ENUMERATION_CAP,
     ExactNumError,
     _clear_denominators,
     _det,
@@ -123,6 +124,7 @@ from .exactnum import (
 from .pencil import NormFormSystem, technical_bound
 from .quadform import (
     BinaryForm,
+    _CHUNK_CELLS,
     pell_fundamental,
     representation_table,
     rho_table,
@@ -135,14 +137,10 @@ class CountingError(ExactNumError):
 
 
 DEFAULT_PRIME_CUTOFF = 100
-DEFAULT_ENUMERATION_CAP = 10**7
 # beta_inf arithmetic, passed to every operation so that the thread's
 # global decimal context never applies
 _CTX = decimal.Context(prec=30)
 _PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375")
-# cells per grid-sum piece: each of a piece's index, length and product
-# arrays is 128 KB, a cache-sized temporary beside the tables
-_CHUNK_CELLS = 1 << 14
 _SUM_GUARD = 1 << 62
 # entry cells below which enumerate_N sums on one thread: on a 2-core host
 # two threads lost at 2.8e5 cells (s = 3, 1.2x the one-thread time) and
@@ -413,8 +411,8 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     x the index of f_j(t) and P_d the stride-d prefix sum of R_j's class
     table, which P_d overwrites in place, or L R_j(x) when d = 0.  When
     no form admits such a w (r > s), every cell is its own segment.  With
-    threads > 1 the entry points are partitioned among at most
-    os.cpu_count() worker threads; partial sums are exact integers, so
+    threads > 1 the entry boxes are cut into pieces that a pool of at
+    most os.cpu_count() threads sums; partial sums are exact integers, so
     the result does not depend on the partition; fewer than
     _THREAD_MIN_CELLS entry points are summed on one thread, as the pool
     would cost more than it saves."""
@@ -464,17 +462,13 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     sizes = [math.prod(b - a for a, b in box) for box in boxes]
     if parts == 1 or sum(sizes) < _THREAD_MIN_CELLS:
         return _grid_sum(boxes, forms, consts, tables, line=line)
-    shares = [[] for _ in range(parts)]
-    for box, cells in zip(boxes, sizes):
-        for q, piece in enumerate(_pieces(box, -(-cells // parts))):
-            shares[q % parts].append(piece)
-    shares = [share for share in shares if share]
+    pieces = [piece for box, cells in zip(boxes, sizes)
+              for piece in _pieces(box, -(-cells // parts))]
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-        sums = pool.map(
-            lambda bs: _grid_sum(bs, forms, consts, tables, line=line),
-            shares)
-        return sum(sums)
+    with ThreadPoolExecutor(max_workers=min(parts, len(pieces))) as pool:
+        return sum(pool.map(
+            lambda piece: _grid_sum([piece], forms, consts, tables, line=line),
+            pieces))
 
 
 def beta_infinity(job: CountJob, B: int) -> decimal.Decimal:

@@ -24,8 +24,9 @@ Only global data factors: square classes, `hilbert_support` and the lists
 of bad primes.  Factorization divides out the primes up to 41, then
 splits the cofactor with Pollard-Brent rho within the fixed step budget
 POLLARD_BRENT_BUDGET.  Primality is strong Miller-Rabin to the thirteen
-prime bases 2..41, deterministic below 3,317,044,064,679,887,385,961,981;
-inputs at desk scale are small.
+prime bases 2..41, deterministic below 3,317,044,064,679,887,385,961,981,
+and from there on a strong Lucas test joins it (Baillie-PSW); inputs at
+desk scale are small.
 
 The formulas live once, in the one symbol reader `_symbol_reader(a, p)`.
 It splits a once and returns sym(x, K): the symbol (a, y)_p common to
@@ -63,6 +64,9 @@ from typing import Optional, Sequence, Union
 IntLike = Union[int, Fraction]
 
 POLLARD_BRENT_BUDGET = 1_000_000
+# the most cells an exhaustive sum or scan allocates: counting's G and
+# brauermanin's finite scan cells refuse larger jobs
+DEFAULT_ENUMERATION_CAP = 10**7
 
 
 class ExactNumError(ValueError):
@@ -132,18 +136,22 @@ def as_bits(n, error=ExactNumError, r: Optional[int] = None) -> tuple:
 
 # The first thirteen primes: the strong Miller-Rabin bases (Sorenson and
 # Webster, Math. Comp. 86, 2017: the twelve up to 37 pass the composite
-# psi_12 = 318,665,857,834,031,151,167,461), and the small primes that
-# is_prime screens by and factorize divides out before splitting.
+# psi_12 = 318,665,857,834,031,151,167,461, and all thirteen pass psi_13
+# below), and the small primes that is_prime screens by and factorize
+# divides out before splitting.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
     """Whether the integer n is prime.
 
-    A strong Miller-Rabin test to the bases _MR_BASES, deterministic for
-    n < psi_13 = 3,317,044,064,679,887,385,961,981.  Above psi_13 True
-    means n is a strong probable prime to those thirteen bases."""
+    A strong Miller-Rabin test to the bases _MR_BASES, a proof for
+    n < psi_13 = 3,317,044,064,679,887,385,961,981 = 1,287,836,182,261 *
+    2,575,672,364,521.  From psi_13 on a strong Lucas test with Selfridge's
+    parameters joins it (_strong_lucas), so the test contains Baillie-PSW:
+    no composite is known to pass, though none is proved not to."""
     # typed: a float key never meets the cached verdict of an int
     n = as_integer(n)
     if n < 2:
@@ -166,7 +174,63 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) for an odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Whether the odd n > 41 with no prime factor up to 41 is a strong
+    Lucas probable prime (Baillie and Wagstaff, Math. Comp. 35, 1980).
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
+    (D|n) = -1, P = 1 and Q = (1 - D) / 4.  With n + 1 = d 2^s, d odd,
+    n passes when U_d = 0 or V_(d 2^r) = 0 mod n for some r < s.  A
+    square n has no such D, so it is rejected before the search."""
+    if is_square(n):
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n from k = 1, read down the bits of d:
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, and for k + 1, with P = 1,
+    # U_(k+1) = (U_k + V_k) / 2, V_(k+1) = (D U_k + V_k) / 2, halved by
+    # (n + 1) / 2, the inverse of 2 mod the odd n
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int, budget: int) -> Optional[int]:

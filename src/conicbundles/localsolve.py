@@ -49,7 +49,7 @@ from .exactnum import (
     hilbert,
     legendre,
 )
-from .pencil import NormFormSystem
+from .pencil import NormFormSystem, technical_bound
 
 
 class LocalSolveError(ExactNumError):
@@ -202,11 +202,10 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
 
 def _place_solver(system: NormFormSystem):
     """solve(place, depth): `padic_soluble` with p and depth coerced.  What
-    no prime changes is read here once; an odd p divides quad_product
-    exactly when the technical bound max v_p(4 a_i) is positive."""
+    no prime changes is read here once; p divides quad_product exactly
+    when the technical bound max v_p(4 a_i) is positive."""
     s, forms = system.s, system.forms
-    quads = [4 * a for a in system.a]
-    quad_product = math.prod(quads)
+    quad_product = math.prod([4 * a for a in system.a])
     gcds = [math.gcd(*f) for f in forms]
     top = system.r * (s - 1)
     moment = [(u, math.prod([sum(map(mul, f, u)) for f in forms])) for u in
@@ -221,8 +220,7 @@ def _place_solver(system: NormFormSystem):
 
     def solve(place, depth):
         p = place.p
-        bound = 0 if quad_product % p else max(
-            _valuation_unit(x, p)[0] for x in quads)
+        bound = 0 if quad_product % p else technical_bound(system, p)
         if depth is None:
             # floor of 4, a heuristic: degenerate form matrices force extra
             # valuation on the values, and p^4 covers common cases but not

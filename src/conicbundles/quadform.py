@@ -87,8 +87,10 @@ class QuadFormError(ExactNumError):
     pass
 
 
-# points representation_table adds to its table per batch
-_GATHER_POINTS = 1 << 14
+# int64 entries per numpy temporary, a cache-sized 128 KB beside the
+# tables: the points representation_table adds to its table per batch,
+# and the cells of each of counting's grid-sum pieces
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,7 @@ def _gather_rows(rows, width: int, step: int, roots: dict):
     # _square_roots); point m sits at index base + (2 first + step m) m
     # with the Python-int base = (first^2 + c) / step.  The points are
     # numbered progression by progression and added to the table in
-    # batches of _GATHER_POINTS, each finding the progressions it spans by
+    # batches of _CHUNK_CELLS, each finding the progressions it spans by
     # a binary search over the progression ends, so no array but the
     # table outgrows a batch.  The base is an index and (2 first + step m) m
     # a difference of two; 2 first enters only progressions of two or
@@ -310,8 +312,8 @@ def _gather_rows(rows, width: int, step: int, roots: dict):
     ends = numpy.cumsum(lengths)
     starts = ends - lengths
     points = int(ends[-1])
-    for p0 in range(0, points, _GATHER_POINTS):
-        p1 = min(p0 + _GATHER_POINTS, points)
+    for p0 in range(0, points, _CHUNK_CELLS):
+        p1 = min(p0 + _CHUNK_CELLS, points)
         # the progressions r0..r1 hold points p0..p1 - 1
         r0, r1 = numpy.searchsorted(ends, (p0, p1 - 1), side="right")
         part = slice(r0, r1 + 1)
@@ -397,7 +399,7 @@ def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
     list of O(step) entries, and step is at most hi - lo whenever the
     table has two entries.  Only the rows whose y mod step makes
     lo + a y^2 a square mod step are generated.  The progressions are
-    added into the table in batches of _GATHER_POINTS points, so memory
+    added into the table in batches of _CHUNK_CELLS points, so memory
     beyond the table stays O(rows + batch); every int64 index is below
     the table length (_gather_rows)."""
     lo = as_integer(lo, QuadFormError)

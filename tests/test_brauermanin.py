@@ -491,6 +491,16 @@ def test_obstruction_scan_rank_zero_allows_everything():
     assert tab.allowed_count() == total > 0
 
 
+def test_obstruction_scan_refuses_more_residues_than_the_cap():
+    # p^K residues get one slot each: past DEFAULT_ENUMERATION_CAP the scan
+    # raises before allocating them, at a large prime or a deep resolution
+    data = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
+    with pytest.raises(BrauerManinError, match="1000003\\^3 residues"):
+        obstruction_scan(data, (REAL_PLACE, Place(2), Place(1000003)))
+    with pytest.raises(BrauerManinError, match="beyond the cap 10000000"):
+        obstruction_scan(data, (REAL_PLACE, Place(5)), resolution=12)
+
+
 def test_obstruction_scan_empty_support():
     tab = obstruction_scan(FLAG, [])
     assert tab.places == ()

@@ -366,6 +366,25 @@ def test_bm_needs_support(tmp_path, capsys):
     assert "support" in capsys.readouterr().err
 
 
+def test_bm_psi_13_place_exit_2(tmp_path, capsys):
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to the
+    # bases 2..41; a support place must still be a prime
+    path = write_problem(tmp_path, FLAG_PENCIL.replace(
+        "support = oo, 5", "support = oo, 2, 3317044064679887385961981"))
+    code, report = run_cli(["bm", path], tmp_path)
+    assert code == 2 and report is None
+    assert "is not a prime" in capsys.readouterr().err
+
+
+def test_bm_scan_past_the_cap_exit_1(tmp_path, capsys):
+    path = write_problem(tmp_path, FLAG_PENCIL.replace(
+        "support = oo, 5", "support = oo, 2, 1000003"))
+    code, report = run_cli(["bm", path], tmp_path)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert "computational failure" in err and "beyond the cap" in err
+
+
 def test_dp2_report(tmp_path):
     path = write_problem(tmp_path, REF_DP2)
     code, report = run_cli(["dp2", path], tmp_path)

@@ -745,7 +745,7 @@ def test_enumerate_memory_is_tables_and_pieces(monkeypatch):
     monkeypatch.setattr(counting, "representation_table", spy)
     sysm = NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 1), (1, -1)))
     job = CountJob(system=sysm, uInf=(Fraction(1), Fraction(1, 3)))
-    piece = 8 * max(counting._CHUNK_CELLS, quadform._GATHER_POINTS)
+    piece = 8 * max(counting._CHUNK_CELLS, quadform._CHUNK_CELLS)
     for B, count in ((10**5, 4894735284), (10**6, 489479441711)):
         sizes.clear()
         tracemalloc.start()
@@ -814,7 +814,7 @@ def test_tiny_budgets_change_no_count(monkeypatch):
     monkeypatch.setattr(counting, "_CHUNK_CELLS", 7)
     monkeypatch.setattr(counting, "_THREAD_MIN_CELLS", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(quadform, "_GATHER_POINTS", 5)
+    monkeypatch.setattr(quadform, "_CHUNK_CELLS", 5)
     assert everything() == want
 
 

@@ -196,6 +196,45 @@ def test_psi_12_is_composite():
     assert brauer_group(data).quotient_rank == 0
 
 
+def test_psi_13_is_composite():
+    # psi_13, the least strong pseudoprime to the thirteen prime bases up
+    # to 41, is composite; the strong Lucas test exposes it.  Its factors
+    # lie beyond the Pollard-Brent budget, so factorize fails loudly
+    p, q = 1287836182261, 2575672364521
+    psi_13 = 3317044064679887385961981
+    assert p * q == psi_13
+    assert not is_prime(psi_13)
+    with pytest.raises(ExactNumError):
+        Place(psi_13)
+    with pytest.raises(FactorizationError,
+                       match="resisted 1000000 Pollard-Brent steps"):
+        factorize(psi_13)
+    # primes above psi_13 pass both tests
+    for prime in (2**89 - 1, 2**127 - 1, 2**521 - 1):
+        assert prime > psi_13 and is_prime(prime)
+    assert is_prime(p) and is_prime(q) and is_prime(10**12 + 39)
+
+
+def test_strong_lucas_against_a_sieve():
+    # the strong Lucas test with Selfridge's parameters on every odd n
+    # below 10^5 free of the primes up to 41: it accepts every prime and
+    # exactly the composites of the published list of strong Lucas
+    # pseudoprimes (Baillie and Wagstaff 1980; OEIS A217255) in range
+    from conicbundles.exactnum import _strong_lucas
+    bound = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                    40309, 58519, 75077, 97439]
+    odd = [n for n in range(43, bound, 2)
+           if all(n % p for p in range(3, 42, 2) if sieve[p])]
+    assert [n for n in odd if _strong_lucas(n) and not sieve[n]] == \
+        pseudoprimes
+    assert all(_strong_lucas(n) for n in odd if sieve[n])
+
+
 def test_valuation():
     assert valuation(Fraction(9, 4), 3) == 2
     assert valuation(Fraction(9, 4), 2) == -2
