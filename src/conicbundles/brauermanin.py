@@ -82,6 +82,7 @@ from .exactnum import (
     REAL_PLACE,
     _balls,
     _checked_place,
+    _places,
     _primes_dividing,
     _primes_upto,
     _symbol_reader,
@@ -251,11 +252,10 @@ def _support_places(data: ConicBundleData, bits: Tuple[int, ...],
     # whose residues the e_i might exhaust; plus the odd primes in the
     # numerators and denominators of the nonzero rationals `values`
     picked = [(a, e) for b, a, e in zip(bits, data.a, data.e) if b]
-    odd = _primes_dividing([e.denominator for _, e in picked] + list(values))
-    odd.update(q for a, _ in picked for q in a.primes)
-    odd.update(_primes_upto(data.r))
-    odd.discard(2)
-    return (REAL_PLACE, Place(2)) + tuple(Place(q) for q in sorted(odd))
+    primes = _primes_dividing([e.denominator for _, e in picked] + [*values])
+    primes.update(q for a, _ in picked for q in a.primes)
+    primes.update(_primes_upto(data.r))
+    return _places(primes)
 
 
 def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],

@@ -26,7 +26,8 @@ splits the cofactor with Pollard-Brent rho within the fixed step budget
 POLLARD_BRENT_BUDGET.  Primality is strong Miller-Rabin to the thirteen
 prime bases 2..41, deterministic below 3,317,044,064,679,887,385,961,981,
 and from there on a strong Lucas test joins it (Baillie-PSW); inputs at
-desk scale are small.
+desk scale are small.  The Lucas test's Jacobi symbol `_jacobi`, a
+quadratic reciprocity loop, is also the one Legendre symbol.
 
 The formulas live once, in the one symbol reader `_symbol_reader(a, p)`.
 It splits a once and returns sym(x, K): the symbol (a, y)_p common to
@@ -42,13 +43,15 @@ The integer primitives live here once, beside the walker: `_dot`, a
 form's value f(u) (`localsolve`, `counting`); `_primitive`, a row over
 the gcd of its entries (`localsolve`, `counting`); `_clear_denominators`
 (`localsolve`, `counting`, `pencil`, `delpezzo`); `_primes_upto` and
-`_primes_dividing` (`localsolve`, `counting`, `brauermanin`); and
-`_echelon`, the one elimination loop (Bareiss's fraction-free echelon
-form), read by `_det` (`counting`, `delpezzo`, `localsolve`),
-`counting._nullspace`, `pencil` and `localsolve`.  Beside them sit
-`_checked_place`, the one check that a place argument is a `Place`
-(`hilbert`, `localsolve`, `brauermanin`), and `json_value`, the one
-writer of the report encoding (`cli`, `counting`, `brauermanin`).
+`_primes_dividing` (`localsolve`, `counting`, `brauermanin`); `_places`,
+the real place followed by 2 and given primes in increasing order
+(`hilbert_support`, `localsolve`, `brauermanin`); and `_echelon`, the
+one elimination loop (Bareiss's fraction-free echelon form), read by
+`_det` (`counting`, `delpezzo`, `localsolve`), `counting._nullspace`,
+`pencil` and `localsolve`.  Beside them sit `_checked_place`, the one
+check that a place argument is a `Place` (`hilbert`, `localsolve`,
+`brauermanin`), and `json_value`, the one writer of the report encoding
+(`cli`, `counting`, `brauermanin`).
 """
 
 from __future__ import annotations
@@ -382,6 +385,11 @@ class Place:
 REAL_PLACE = Place(None)
 
 
+def _places(primes) -> tuple:
+    """The real place, then 2 and the primes, once each, increasing."""
+    return (REAL_PLACE,) + tuple(Place(q) for q in sorted({2, *primes}))
+
+
 def _checked_place(v, error=ExactNumError) -> Place:
     """v itself when it is a Place; anything else raises `error`."""
     if not isinstance(v, Place):
@@ -446,15 +454,12 @@ def squarefree_part(x: IntLike) -> int:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p, via Euler's criterion."""
+    """Legendre symbol (a|p) for odd prime p: the Jacobi symbol `_jacobi`,
+    by quadratic reciprocity."""
     a, p = as_integer(a), as_prime(p)
     if p == 2:
         raise ExactNumError("legendre needs an odd prime, got 2")
-    a = a % p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+    return _jacobi(a, p)
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -497,7 +502,7 @@ def _symbol_reader(a: IntLike, p: int):
 
     # (a, y)_p = (-1)^(alpha beta (p - 1)/2) (u|p)^beta (w|p)^alpha
     half = (p - 1) >> 1
-    odd_beta = 1 if pow(u, half, p) == 1 else -1
+    odd_beta = _jacobi(u, p)
     if alpha and half & 1:
         odd_beta = -odd_beta
 
@@ -514,6 +519,8 @@ def _symbol_reader(a: IntLike, p: int):
         if beta >= K:
             return None
         s = odd_beta if beta & 1 else 1
+        # (w|p) by Euler's criterion: the package's hottest line, where the
+        # builtin pow beats the reciprocity loop of _jacobi at small p
         if alpha and pow(x, half, p) != 1:
             return -s
         return s
@@ -646,16 +653,9 @@ def _balls(p: int, s: int, last: int, read):
 
 
 def hilbert_support(a: IntLike, b: IntLike) -> list:
-    """Places where (a, b)_v can be nontrivial: the real place, 2, and odd
-    primes dividing the squarefree parts."""
-    out = [REAL_PLACE, Place(2)]
-    for x in (a, b):
-        for q in squarefree_class(x).primes:
-            if q != 2:
-                pl = Place(q)
-                if pl not in out:
-                    out.append(pl)
-    return out
+    """Places where (a, b)_v can be nontrivial: the real place, 2, and the
+    odd primes dividing the squarefree parts, in increasing order."""
+    return list(_places(q for x in (a, b) for q in squarefree_class(x).primes))
 
 
 def class_masks(classes: Sequence[SquareClass]) -> list:

@@ -38,6 +38,7 @@ from .exactnum import (
     _det,
     _dot,
     _echelon,
+    _places,
     _primes_dividing,
     _primes_upto,
     _primitive,
@@ -339,9 +340,8 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     """
     L = as_integer(L, LocalSolveError)
     depth = None if depth is None else as_integer(depth, LocalSolveError)
-    primes = {2, *_primes_upto(L)}
-    primes |= _primes_dividing(chain(system.a, *system.forms))
-    places = [REAL_PLACE] + [Place(q) for q in sorted(primes)]
+    places = _places(chain(_primes_upto(L),
+                           _primes_dividing(chain(system.a, *system.forms))))
     solve = _place_solver(system)
     found = [(v, real_soluble(system) if v.is_real else solve(v, depth))
              for v in places]
@@ -350,7 +350,7 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
         soluble=not bad,
         bad_places=bad,
         witnesses=tuple((v, wit) for v, (ok, wit) in found if ok),
-        checked=tuple(places),
+        checked=places,
     )
 
 

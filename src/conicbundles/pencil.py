@@ -85,10 +85,7 @@ class ConicBundleData:
         return len(self.e)
 
     def faddeev_class(self) -> SquareClass:
-        cls = TRIVIAL_CLASS
-        for x in self.a:
-            cls = cls * x
-        return cls
+        return delta(self, (1,) * self.r)
 
     @property
     def faddeev_holds(self) -> bool:

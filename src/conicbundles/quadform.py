@@ -37,7 +37,14 @@ y >= 0 and u x > t y (n > 0), x >= 0 and t x < a u y (n < 0), whose rows
 reach y^2 < n u^2 and a y^2 < |n| t^2: about sqrt(t / 2) times as many
 row intervals, nearly all of them empty when t is large.
 The per-point test _in_fundamental_domain and the per-n search
-primary_representatives stay as the independent oracle.
+primary_representatives stay as the independent oracle.  The search
+bounds its rows in integers from its own domain: 0 <= y <= isqrt(u^2 n)
+for n > 0 and isqrt(|n| // a) <= y <= isqrt(t^2 |n| // a) for n < 0.
+Every row search, the oracle's and representation_table's, counts its
+rows before the first and raises QuadFormError when they number more
+than DEFAULT_ENUMERATION_CAP (rows grow like u sqrt|n|, so a large Pell
+solution meets the cap at once); a table numpy cannot allocate raises
+QuadFormError too.
 
 rho(q, A) counts solutions of x^2 - a y^2 = A over Z/q, multiplicatively
 in q.  _local_count finds N_k(Q; A) = #{(x, y) mod p^k : c1 x^2 + c2 y^2 =
@@ -74,13 +81,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy
 
-from .exactnum import (ExactNumError, _valuation_unit, as_integer,
-                       as_integer_at_least, as_prime, factorize, is_square,
-                       legendre, valuation)
+from .exactnum import (DEFAULT_ENUMERATION_CAP, ExactNumError,
+                       _valuation_unit, as_integer, as_integer_at_least,
+                       as_prime, factorize, is_square, legendre, valuation)
 
 
 class QuadFormError(ExactNumError):
@@ -216,8 +224,9 @@ def primary_representatives(form: BinaryForm, n: int):
         if n < 0:
             return []
         b = -a
-        y = 0
-        while b * y * y <= n:
+        ys = range(math.isqrt(n // b) + 1)
+        _check_rows(a, [ys])
+        for y in ys:
             r = n - b * y * y
             x = math.isqrt(r)
             if x * x == r:
@@ -231,18 +240,19 @@ def primary_representatives(form: BinaryForm, n: int):
                             reps.append((x, -y))
                     elif y > 0:
                         reps.append((0, y))
-            y += 1
         return sorted(reps)
     pell = pell_fundamental(a)
     t, u = pell.t, pell.u
-    eps = t + u * math.sqrt(a)
-    sq = math.sqrt(abs(n))
-    ra = math.sqrt(a)
+    # z = x + y sqrt(a) runs over [sqrt|n|, eps sqrt|n|), where
+    # y = (z - n / z) / (2 sqrt(a)) rises with z, and eps -+ 1 / eps is
+    # 2 u sqrt(a), resp. 2 t: so 0 <= y < u sqrt(n) for n > 0 and
+    # sqrt(|n| / a) <= y < t sqrt(|n| / a) for n < 0, rounded outwards
     if n > 0:
-        ylo, yhi = 0, (eps - 1.0 / eps) * sq / (2 * ra)
+        ys = range(math.isqrt(u * u * n) + 1)
     else:
-        ylo, yhi = (1 + 1.0 / eps) * sq / (2 * ra), (eps + 1) * sq / (2 * ra)
-    for y in range(int(ylo) - 2, int(yhi) + 3):
+        ys = range(math.isqrt(-n // a), math.isqrt(-t * t * n // a) + 1)
+    _check_rows(a, [ys])
+    for y in ys:
         r = n + a * y * y
         if not is_square(r):
             continue
@@ -272,10 +282,21 @@ def _square_roots(step: int) -> dict:
     return roots
 
 
-def _class_range(start: int, stop: int, step: int, classes):
-    # the y in range(start, stop) whose residue mod step is in classes
-    for c in classes:
-        yield from range(start + (c - start) % step, stop, step)
+def _class_ranges(start: int, stop: int, step: int, classes) -> list:
+    # the y in range(start, stop) whose residue mod step is in classes,
+    # one range per class
+    return [range(start + (c - start) % step, stop, step) for c in classes]
+
+
+def _check_rows(a: int, ranges) -> None:
+    # a row search for x^2 - a y^2 over the ranges of y is refused before
+    # its first row when it has more than DEFAULT_ENUMERATION_CAP rows;
+    # len() of a range stops at sys.maxsize, so they are counted here
+    rows = sum(max(0, -((r.start - r.stop) // r.step)) for r in ranges)
+    if rows > DEFAULT_ENUMERATION_CAP:
+        raise QuadFormError("the row search of x^2 - a y^2, a = %d, has %d "
+                            "rows, beyond the cap %d"
+                            % (a, rows, DEFAULT_ENUMERATION_CAP))
 
 
 def _gather_rows(rows, width: int, step: int, roots: dict):
@@ -303,7 +324,11 @@ def _gather_rows(rows, width: int, step: int, roots: dict):
                 bases.append((first * first + c) // step)
                 firsts.append(2 * first if count > 1 else 0)
                 lengths.append(count)
-    table = numpy.zeros(width, dtype=numpy.int64)
+    try:
+        table = numpy.zeros(width, dtype=numpy.int64)
+    except MemoryError:
+        raise QuadFormError("a table of %d entries does not fit in memory"
+                            % width) from None
     if not lengths:
         return table
     bases = numpy.array(bases, dtype=numpy.int64)
@@ -337,7 +362,9 @@ def _definite_rows(b: int, lo: int, hi: int, step: int, classes):
     if hi < nlo:
         return
     ymax = math.isqrt(hi // b)
-    for y in _class_range(0 if b == 1 else -ymax, ymax + 1, step, classes):
+    ys = _class_ranges(0 if b == 1 else -ymax, ymax + 1, step, classes)
+    _check_rows(-b, ys)
+    for y in chain.from_iterable(ys):
         by2 = b * y * y
         x0 = max(0 if b > 1 and y > 0 else 1, _ceil_isqrt(nlo - by2))
         x1 = math.isqrt(hi - by2)
@@ -352,33 +379,36 @@ def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int, step: int,
     # y mod step in classes; rows y and -y, and the two signs of x for
     # n < 0, share their values of n (and -y is in a class with y)
     s = t + 1
+    above = below = []
     if hi >= 1:
-        nlo = max(lo, 1)
-        # n > 0: x > s y / u for y >= 0, x >= s |y| / u for y < 0
-        for y in _class_range(0, math.isqrt(hi * u * u // (2 * s)) + 1,
-                              step, classes):
-            ay2 = a * y * y
-            x0 = _ceil_isqrt(nlo + ay2)
-            x1 = math.isqrt(hi + ay2)
-            for end in (s * y // u + 1, -(-s * y // u)) if y else (1,):
-                first = max(x0, end)
-                if first <= x1:
-                    yield first, x1, -ay2 - lo
+        above = _class_ranges(0, math.isqrt(hi * u * u // (2 * s)) + 1,
+                              step, classes)
     if lo <= -1:
-        nhi = min(hi, -1)
-        # n < 0: y >= 1, 0 <= s x < a u y or 0 < -s x <= a u y
-        for y in _class_range(1, math.isqrt(-lo * s // (2 * a)) + 1,
-                              step, classes):
-            ay2 = a * y * y
-            if nhi + ay2 < 0:
-                continue
-            x0 = _ceil_isqrt(lo + ay2)
-            x1 = math.isqrt(nhi + ay2)
-            for first, end in ((x0, (a * u * y - 1) // s),
-                               (max(x0, 1), a * u * y // s)):
-                last = min(x1, end)
-                if first <= last:
-                    yield first, last, -ay2 - lo
+        below = _class_ranges(1, math.isqrt(-lo * s // (2 * a)) + 1,
+                              step, classes)
+    _check_rows(a, above + below)
+    nlo, nhi = max(lo, 1), min(hi, -1)
+    # n > 0: x > s y / u for y >= 0, x >= s |y| / u for y < 0
+    for y in chain.from_iterable(above):
+        ay2 = a * y * y
+        x0 = _ceil_isqrt(nlo + ay2)
+        x1 = math.isqrt(hi + ay2)
+        for end in (s * y // u + 1, -(-s * y // u)) if y else (1,):
+            first = max(x0, end)
+            if first <= x1:
+                yield first, x1, -ay2 - lo
+    # n < 0: y >= 1, 0 <= s x < a u y or 0 < -s x <= a u y
+    for y in chain.from_iterable(below):
+        ay2 = a * y * y
+        if nhi + ay2 < 0:
+            continue
+        x0 = _ceil_isqrt(lo + ay2)
+        x1 = math.isqrt(nhi + ay2)
+        for first, end in ((x0, (a * u * y - 1) // s),
+                           (max(x0, 1), a * u * y // s)):
+            last = min(x1, end)
+            if first <= last:
+                yield first, last, -ay2 - lo
 
 
 def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
@@ -401,7 +431,9 @@ def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
     lo + a y^2 a square mod step are generated.  The progressions are
     added into the table in batches of _CHUNK_CELLS points, so memory
     beyond the table stays O(rows + batch); every int64 index is below
-    the table length (_gather_rows)."""
+    the table length (_gather_rows).  QuadFormError is raised past
+    DEFAULT_ENUMERATION_CAP rows, and for a table that does not fit in
+    memory."""
     lo = as_integer(lo, QuadFormError)
     hi = as_integer(hi, QuadFormError)
     step = as_integer_at_least(step, 1, "step", QuadFormError)

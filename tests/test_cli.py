@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,9 @@ from conicbundles.brauermanin import obstruction_scan
 from conicbundles.counting import CountJob, enumerate_N, region_measure
 from conicbundles.exactnum import Place, REAL_PLACE, factorize
 from conicbundles.pencil import ConicBundleData, NormFormSystem
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_problem(tmp_path, text, name="problem.txt"):
@@ -383,6 +390,36 @@ def test_bm_scan_past_the_cap_exit_1(tmp_path, capsys):
     assert code == 1 and report is None
     err = capsys.readouterr().err
     assert "computational failure" in err and "beyond the cap" in err
+
+
+def test_count_past_the_row_cap_exit_1(tmp_path, capsys):
+    # the Pell solution of 30781 has 361 digits, so the table's rows are
+    # past the cap: refused before the first row, without a traceback
+    path = write_problem(tmp_path, REF_JOB.replace("a = -1", "a = 30781")
+                         .replace("4, 9", "4"))
+    code, report = run_cli(["count", path], tmp_path)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert "computational failure" in err and "beyond the cap" in err
+
+
+def test_count_past_memory_exit_1(tmp_path):
+    # a table of 10^10 int64 entries (74.5 GiB) cannot be allocated under
+    # a 3 GB address-space limit, set in the child alone
+    resource = pytest.importorskip("resource")
+    path = write_problem(tmp_path, REF_JOB.replace("4, 9", "10000000000"))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conicbundles", "count", path], env=env,
+        capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 1, proc.stderr
+    assert "computational failure" in proc.stderr
+    assert "does not fit in memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_dp2_report(tmp_path):

@@ -440,6 +440,13 @@ def test_hilbert_reciprocity():
         assert prod == 1, (a, b)
 
 
+def test_hilbert_support_lists_its_primes_in_increasing_order():
+    assert hilbert_support(7, 3) == [REAL_PLACE, Place(2), Place(3),
+                                     Place(7)]
+    assert hilbert_support(-70, Fraction(33, 10)) == [
+        REAL_PLACE, Place(2), Place(3), Place(5), Place(7), Place(11)]
+
+
 def test_f2_independent_examples():
     cl = lambda n: squarefree_class(n)
     assert f2_independent([cl(-1), cl(2), cl(3)]) == (True, None)

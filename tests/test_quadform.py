@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -306,6 +307,47 @@ def test_representation_table_rows_have_roots_in_their_class(monkeypatch):
         assert sorted(rows) == sorted(rooted), (a, lo, hi, step)
         if (a, lo, step) == (-1, 94751, 125):
             assert (len(everyone), len(rows)) == (533, 132)
+
+
+def test_row_searches_refuse_more_rows_than_the_cap():
+    # the Pell solution of 30781 has 361 digits, so no row search can
+    # finish: each counts its rows before the first and refuses at once;
+    # for a < 0 the cap is met near |n| = 10^14
+    big = BinaryForm(30781)
+    searches = [
+        (30781, lambda: primary_representatives(big, 1)),
+        (30781, lambda: primary_representatives(big, -1)),
+        (30781, lambda: representation_table(big, 1, 1)),
+        (30781, lambda: representation_table(big, -1, -1)),
+        (-1, lambda: primary_representatives(BinaryForm(-1), 10**15)),
+        (-1, lambda: representation_table(BinaryForm(-1), 10**15, 10**15)),
+    ]
+    for a, search in searches:
+        with pytest.raises(QuadFormError, match=r"a = %d, has \d+ rows, "
+                           r"beyond the cap 10000000" % a):
+            search()
+
+
+# sha256 of repr((a, n, primary_representatives(BinaryForm(a), n))) over
+# 1000 draws of random.Random(0): a among -60..-1 and the nonsquares in
+# 2..199 whose Pell u is below 5000, n in -3000..3000.  Recorded when the
+# search bounded its rows with floats, so it checks the integer bounds
+PRIMARY_REPRESENTATIVES_DIGEST = (
+    "5292b8f8e4a883a63d7c6c71c8bac9695e5ac530a8bde67ca3d7754f6f492364")
+
+
+def test_primary_representatives_match_their_pinned_digest():
+    forms = list(range(-60, 0))
+    forms += [a for a in range(2, 200) if math.isqrt(a) ** 2 != a
+              and pell_fundamental(a).u < 5000]
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        a = rng.choice(forms)
+        n = rng.randint(-3000, 3000)
+        reps = primary_representatives(BinaryForm(a), n)
+        digest.update(repr((a, n, reps)).encode())
+    assert digest.hexdigest() == PRIMARY_REPRESENTATIVES_DIGEST
 
 
 def brute_rho(a, m, A):
