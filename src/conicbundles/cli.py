@@ -495,12 +495,23 @@ def _suite_crt(rng: random.Random, quick: bool):
         q2 = rng.choice(prime_powers)
         while math.gcd(q1, q2) != 1:
             q2 = rng.choice(prime_powers)
-        A = rng.randrange(q1 * q2)
-        left = rho(form, q1 * q2, A)
+        q = q1 * q2
+        A = rng.randrange(q)
+        left = rho(form, q, A)
         right = rho(form, q1, A % q1) * rho(form, q2, A % q2)
-        yield None if left == right else (
-            "rho(a=%d; %d, %d) = %d but the coprime parts give %d"
-            % (form.a, q1 * q2, A, left, right))
+        if left != right:
+            yield ("rho(a=%d; %d, %d) = %d but the coprime parts give %d"
+                   % (form.a, q, A, left, right))
+            continue
+        # both sides above are products of the same prime-power counts,
+        # so only a count that never factors q can catch a wrong one
+        squares = [0] * q
+        for x in range(q):
+            squares[x * x % q] += 1
+        direct = sum(squares[(A + form.a * y * y) % q] for y in range(q))
+        yield None if left == direct else (
+            "rho(a=%d; %d, %d) = %d but a direct count gives %d"
+            % (form.a, q, A, left, direct))
 
 
 _SELFTEST_JOBS = (

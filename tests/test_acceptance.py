@@ -13,14 +13,12 @@ from fractions import Fraction
 
 import numpy
 
-from conicbundles.exactnum import (Place, REAL_PLACE, factorize, hilbert,
+from conicbundles.exactnum import (Place, factorize, hilbert,
                                    hilbert_support, is_prime, valuation)
-from conicbundles.quadform import (BinaryForm, pell_fundamental,
-                                   primary_representatives,
+from conicbundles.quadform import (BinaryForm, primary_representatives,
                                    representation_count, rho, rho_table,
-                                   scaling_valid, w, _in_fundamental_domain,
-                                   _sign_plus_root)
-from conicbundles.counting import CountJob, G, beta_p, predict_and_compare
+                                   scaling_valid, w, _in_fundamental_domain)
+from conicbundles.counting import G, beta_p, predict_and_compare
 from conicbundles.pencil import (ConicBundleData, NormFormSystem, PencilError,
                                  brauer_group)
 from conicbundles.brauermanin import global_point, pairing, \
@@ -29,6 +27,10 @@ from conicbundles.localsolve import everywhere_locally_soluble
 from conicbundles.delpezzo import (DP1Data, DP2Data, Quartic, SplitPolynomial,
                                    dp1_condition, dp2_minimality,
                                    quartic_discriminant)
+from jobs import job1, job2
+from oracle import check_local_witness, local_symbol
+from reference import (brute_solutions, form_has_repeated_root, pderiv,
+                       pdiv, pgcd, pmul, ptrim, reduce_to_domain)
 
 
 @contextmanager
@@ -70,55 +72,6 @@ def test_criterion_1_hilbert_reciprocity():
 
 # 2 ---------------------------------------------------------------------
 
-def _brute_solutions_definite(a, n):
-    out = []
-    for y in range(-math.isqrt(n // -a) - 1, math.isqrt(n // -a) + 2):
-        x2 = n + a * y * y
-        if x2 < 0:
-            continue
-        x = math.isqrt(x2)
-        if x * x == x2:
-            out.append((x, y))
-            if x:
-                out.append((-x, y))
-    return out
-
-
-def _brute_solutions_indefinite(a, n, ybound):
-    y = numpy.arange(-ybound, ybound + 1, dtype=numpy.int64)
-    x2 = n + a * y * y
-    keep = x2 >= 0
-    x2k, yk = x2[keep], y[keep]
-    x = numpy.sqrt(x2k.astype(numpy.float64)).round().astype(numpy.int64)
-    exact = x * x == x2k
-    out = []
-    for xx, yy in zip(x[exact], yk[exact]):
-        out.append((int(xx), int(yy)))
-        if xx:
-            out.append((int(-xx), int(yy)))
-    return out
-
-
-def _reduce_to_domain(form, x, y, n):
-    a = form.a
-    pell = pell_fundamental(a)
-    t, u = pell.t, pell.u
-    if _sign_plus_root(x, y, a) < 0:
-        x, y = -x, -y
-    m = abs(n)
-    for _ in range(10_000):
-        if _sign_plus_root(x * x + a * y * y - m, 2 * x * y, a) < 0:
-            x, y = t * x + a * u * y, u * x + t * y
-            continue
-        la = x * x + a * y * y - m * (t * t + a * u * u)
-        lb = 2 * x * y - 2 * m * t * u
-        if _sign_plus_root(la, lb, a) >= 0:
-            x, y = t * x - a * u * y, t * y - u * x
-            continue
-        return x, y
-    raise AssertionError("reduction did not terminate")
-
-
 def test_criterion_2_representation_oracle():
     with criterion(2, "representation counts against brute force",
                    budget=30):
@@ -126,7 +79,7 @@ def test_criterion_2_representation_oracle():
             form = BinaryForm(a)
             order = w(4 * a)
             for n in range(1, 501):
-                raw = len(_brute_solutions_definite(a, n))
+                raw = len(brute_solutions(a, n, math.isqrt(n // -a) + 1))
                 assert order * representation_count(form, n) == raw, (a, n)
         for a in (2, 3):
             form = BinaryForm(a)
@@ -139,8 +92,8 @@ def test_criterion_2_representation_oracle():
                     assert form.value(x, y) == n
                     assert _in_fundamental_domain(form, x, y, n)
                 seen = set()
-                for x, y in _brute_solutions_indefinite(a, n, 10_000):
-                    reduced = _reduce_to_domain(form, x, y, n)
+                for x, y in brute_solutions(a, n, 10_000):
+                    reduced = reduce_to_domain(a, x, y, n)
                     assert reduced in reps, (a, n, (x, y))
                     seen.add(reduced)
                 assert seen == set(reps), (a, n)
@@ -221,22 +174,10 @@ def test_criterion_3_local_density_identities():
 
 # 4 ---------------------------------------------------------------------
 
-def _job1(**kw):
-    kw.setdefault("uInf", (Fraction(1), Fraction(0)))
-    return CountJob(system=NormFormSystem(r=1, s=2, a=(-1,),
-                                          forms=((1, 0),)), **kw)
-
-
-def _job2(**kw):
-    kw.setdefault("uInf", (Fraction(1), Fraction(1)))
-    return CountJob(system=NormFormSystem(r=2, s=2, a=(-1, 2),
-                                          forms=((1, 0), (0, 1))), **kw)
-
-
 def test_criterion_4_stabilization():
     with criterion(4, "G stabilizes at the first admissible k, p <= 50",
                    budget=60):
-        for job in (_job1(), _job2()):
+        for job in (job1(), job2()):
             s, r = job.system.s, job.system.r
             for p in PRIMES_50:
                 bound = max(valuation(4 * a, p) for a in job.system.a)
@@ -244,7 +185,7 @@ def test_criterion_4_stabilization():
                 low = G(job, p, k0)
                 assert G(job, p, k0 + 1) == p ** (s + r) * low, (r, p)
         for p in PRIMES_50:
-            assert beta_p(_job1(), p) == 1, p
+            assert beta_p(job1(), p) == 1, p
 
 
 # 5 ---------------------------------------------------------------------
@@ -253,7 +194,7 @@ def test_criterion_5_counting_asymptotic():
     with criterion(5, "empirical over predicted counts approach 1",
                    budget=300):
         schedule = (4, 9, 100, 961)
-        for job in (_job1(B_schedule=schedule), _job2(B_schedule=schedule)):
+        for job in (job1(B_schedule=schedule), job2(B_schedule=schedule)):
             reports = predict_and_compare(job)
             ratios = [rep.ratio for rep in reports]
             assert 0.85 <= ratios[2] <= 1.15, ratios
@@ -293,7 +234,7 @@ def test_criterion_6_brauer_suite():
 
 def test_criterion_7_congruence_density_lower_bound():
     with criterion(7, "beta_p >= p^(-r val_p(M)) for the mod-12 job"):
-        job = _job1(M=12, uM=(1, 0))
+        job = job1(M=12, uM=(1, 0))
         r = job.system.r
         b2, b3 = beta_p(job, 2), beta_p(job, 3)
         assert b2 == 2 and b3 == Fraction(4, 3)
@@ -302,47 +243,6 @@ def test_criterion_7_congruence_density_lower_bound():
 
 
 # 8 ---------------------------------------------------------------------
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _ptrim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pdiv(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        a = _ptrim([x - c * y for x, y in
-                    zip(a, [Fraction(0)] * d + list(b))] )
-    return q, a
-
-
-def _pgcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdiv(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _pderiv(a):
-    return [i * c for i, c in enumerate(a)][1:]
-
 
 def _peval(a, t):
     acc = Fraction(0)
@@ -353,7 +253,7 @@ def _peval(a, t):
 
 def _euclid_resultant(a, b):
     # classic recursion res(a, b) = lc(b)^(da - dr) (-1)^(da db) res(b, r)
-    a, b = _ptrim(a), _ptrim(b)
+    a, b = ptrim(a), ptrim(b)
     if not a or not b:
         return Fraction(0)
     if len(b) == 1:
@@ -361,7 +261,7 @@ def _euclid_resultant(a, b):
     if len(a) < len(b):
         sign = -1 if ((len(a) - 1) * (len(b) - 1)) % 2 else 1
         return sign * _euclid_resultant(b, a)
-    r = _pdiv(a, b)[1]
+    r = pdiv(a, b)[1]
     if not r:
         return Fraction(0)
     da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
@@ -374,13 +274,13 @@ def _subresultant_prs(a, b):
 
     Returns the chain [a, b, ...] down to a constant; the entries are
     the subresultant polynomials up to sign when the chain is regular."""
-    chain = [_ptrim(a), _ptrim(b)]
+    chain = [ptrim(a), ptrim(b)]
     g, h = Fraction(1), Fraction(1)
     while len(chain[-1]) > 1:
         A, B = chain[-2], chain[-1]
         d = len(A) - len(B)
         lead = B[-1] ** (d + 1)
-        rem = _pdiv([lead * c for c in A], B)[1]
+        rem = pdiv([lead * c for c in A], B)[1]
         if not rem:
             break
         divisor = g * h ** d
@@ -399,13 +299,13 @@ def _interpolate(points):
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
-            num = _pmul(num, [-xj, Fraction(1)])
+            num = pmul(num, [-xj, Fraction(1)])
             den *= xi - xj
         term = [yi * c / den for c in num]
         out = [x + y for x, y in
                zip(out + [Fraction(0)] * (len(term) - len(out)),
                    term + [Fraction(0)] * (len(out) - len(term)))]
-    return _ptrim(out)
+    return ptrim(out)
 
 
 def _dp1_second_route(data):
@@ -422,7 +322,7 @@ def _dp1_second_route(data):
         member = [Fraction(r0) * x + y for x, y in zip(p, q)]
         if member[4] == 0:
             continue
-        deriv = _pderiv(member)
+        deriv = pderiv(member)
         disc_val = -_euclid_resultant(member, deriv) / member[4]
         if len(disc_points) < 8:
             disc_points.append((Fraction(r0), disc_val))
@@ -435,23 +335,12 @@ def _dp1_second_route(data):
     s1 = _interpolate(s1_points[:6])
     extra_x, extra_y = s1_points[6]
     assert _peval(s1, extra_x) == extra_y
-    full_degree = len(_ptrim(p)) == 5 and len(_ptrim(q)) == 5 \
+    full_degree = len(ptrim(p)) == 5 and len(ptrim(q)) == 5 \
         and len(disc) == 7
-    squarefree = len(_pgcd(disc, _pderiv(disc))) == 1
-    simple = bool(s1) and len(_pgcd(disc, s1)) == 1
+    squarefree = len(pgcd(disc, pderiv(disc))) == 1
+    simple = bool(s1) and len(pgcd(disc, s1)) == 1
     return full_degree and squarefree and simple, \
         (full_degree, squarefree, simple), disc
-
-
-def _form_has_repeated_root(coeffs):
-    # chart-aware gcd oracle: affine double root or a double root at
-    # infinity (degree drop of two or more)
-    affine = _ptrim(list(coeffs))
-    if len(affine) <= len(coeffs) - 2:
-        return True
-    reverse = _ptrim(list(reversed(list(coeffs))))
-    return len(_pgcd(affine, _pderiv(affine))) > 1 or \
-        len(_pgcd(reverse, _pderiv(reverse))) > 1
 
 
 def test_criterion_8_del_pezzo_suite():
@@ -464,9 +353,9 @@ def test_criterion_8_del_pezzo_suite():
                 coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(5)]
             elif kind == 1:
                 alpha = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                square = _pmul([-alpha, Fraction(1)], [-alpha, Fraction(1)])
+                square = pmul([-alpha, Fraction(1)], [-alpha, Fraction(1)])
                 rest = [Fraction(rng.randint(-6, 6)) for _ in range(3)]
-                coeffs = _pmul(square, rest)
+                coeffs = pmul(square, rest)
                 coeffs += [Fraction(0)] * (5 - len(coeffs))
             else:
                 degree = rng.randint(0, 2)
@@ -476,7 +365,7 @@ def test_criterion_8_del_pezzo_suite():
             if not any(coeffs):
                 continue
             disc = quartic_discriminant(Quartic(tuple(coeffs)))
-            assert (disc == 0) == _form_has_repeated_root(coeffs), coeffs
+            assert (disc == 0) == form_has_repeated_root(coeffs), coeffs
         reference = DP1Data(e=(0, 1, 2, 3, 4, 5, 6, 7), c1=1, c2=1)
         report = dp1_condition(reference)
         holds, clauses, disc = _dp1_second_route(reference)
@@ -484,7 +373,7 @@ def test_criterion_8_del_pezzo_suite():
         assert clauses == (report.full_degree,
                            report.discriminant_squarefree,
                            report.double_roots_simple)
-        assert _ptrim(list(report.discriminant)) == disc
+        assert ptrim(list(report.discriminant)) == disc
         degenerate = DP1Data(
             e=(1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 4, -4),
             c1=1, c2=1)
@@ -494,7 +383,7 @@ def test_criterion_8_del_pezzo_suite():
         assert clauses == (report.full_degree,
                            report.discriminant_squarefree,
                            report.double_roots_simple)
-        assert _ptrim(list(report.discriminant)) == disc
+        assert ptrim(list(report.discriminant)) == disc
         pencil_rng = random.Random(802)
         scalars = (1, 2, Fraction(1, 2), -3, Fraction(2, 3))
         for trial in range(40):
@@ -519,7 +408,7 @@ def test_criterion_8_del_pezzo_suite():
             assert clauses == (report.full_degree,
                                report.discriminant_squarefree,
                                report.double_roots_simple), data
-            assert _ptrim(list(report.discriminant)) == disc, data
+            assert ptrim(list(report.discriminant)) == disc, data
         for _ in range(10):
             lead = rng.choice((1, 4, 9, 25))
             roots = []
@@ -586,7 +475,7 @@ def _admissible(a, p):
                 continue
             if p == 2 and u % 2 == 0:
                 continue
-            symbols[(parity, u)] = hilbert(a, p ** parity * u, Place(p))
+            symbols[(parity, u)] = local_symbol(a, p ** parity * u, p)
     sym = numpy.zeros(m, dtype=numpy.int64)
     for (parity, u), value in symbols.items():
         sym[(vals % 2 == parity) & (units == u)] = value
@@ -700,26 +589,13 @@ def test_criterion_9_local_solubility_against_search():
             for place, witness in report.witnesses:
                 if place.is_real:
                     continue
+                # some lift of the witness one digit deeper is again a
+                # witness
                 p, k = place.p, witness.precision
-                need = 3 if p == 2 else 1
-                lifted = False
-                for delta1 in range(p):
-                    for delta2 in range(p):
-                        u = (witness.u[0] + delta1 * p ** k,
-                             witness.u[1] + delta2 * p ** k)
-                        good = True
-                        for i, form in enumerate(system.forms):
-                            value = sum(c * x for c, x in zip(form, u)) \
-                                % p ** (k + 1)
-                            if value == 0 or \
-                                    k + 1 - valuation(value, p) < need or \
-                                    hilbert(system.a[i], value,
-                                            Place(p)) != 1:
-                                good = False
-                                break
-                        if good:
-                            lifted = True
-                            break
-                    if lifted:
-                        break
+                lifted = any(
+                    check_local_witness(
+                        system.a, system.forms, p,
+                        (witness.u[0] + delta1 * p ** k,
+                         witness.u[1] + delta2 * p ** k), k + 1) is None
+                    for delta1 in range(p) for delta2 in range(p))
                 assert lifted, (index, system, place)

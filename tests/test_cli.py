@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import conicbundles.cli as cli
+from conicbundles import quadform
 from conicbundles.cli import CLIInputError, main, parse_problem
 from conicbundles.brauermanin import obstruction_scan
 from conicbundles.counting import CountJob, enumerate_N, region_measure
@@ -675,6 +676,28 @@ def test_selftest_lying_rho_fails_the_coprime_check(tmp_path, monkeypatch):
     assert (suite["cases"], suite["failures"]) == (16, 15)
     assert len(suite["detail"]) == 5
     assert all("but the coprime parts give" in d for d in suite["detail"])
+
+
+def test_selftest_wrong_local_count_fails_the_direct_count(tmp_path,
+                                                           monkeypatch):
+    # a prime-power count that is off by one at p = 5, A = 1 mod 5 enters
+    # rho(q1 q2) and its coprime parts alike, so only the direct count of
+    # (x, y) mod q1 q2 sees it; seed 5 draws three such cases
+    honest = quadform._local_count
+    monkeypatch.setattr(
+        quadform, "_local_count",
+        lambda a, p, k, A: honest(a, p, k, A) + (p == 5 and A % 5 == 1))
+    try:
+        code, report = run_cli(["selftest", "--quick", "--seed", "5"],
+                               tmp_path)
+    finally:
+        # rho_table keeps the counts it read, so the lie must not outlive
+        # this test
+        quadform.rho_table.cache_clear()
+    assert code == 1
+    suite = _selftest_suite(report, "crt")
+    assert (suite["cases"], suite["failures"]) == (16, 3)
+    assert all("but a direct count gives" in d for d in suite["detail"])
 
 
 def test_selftest_lying_G_skips_the_scaled_check(tmp_path, monkeypatch):

@@ -29,24 +29,7 @@ from conicbundles.quadform import (
     representation_count,
     rho,
 )
-
-
-def system1():
-    return NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
-
-
-def system2():
-    return NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 0), (0, 1)))
-
-
-def job1(**kw):
-    kw.setdefault("uInf", (Fraction(1), Fraction(0)))
-    return CountJob(system=system1(), **kw)
-
-
-def job2(**kw):
-    kw.setdefault("uInf", (Fraction(1), Fraction(1)))
-    return CountJob(system=system2(), **kw)
+from jobs import job1, job2, system1
 
 
 def job_m12(**kw):

@@ -20,53 +20,19 @@ from conicbundles.delpezzo import (
 from conicbundles.delpezzo import (_coprime, _det, _first_subresultant,
                                    _quartic_surface_smooth)
 from conicbundles.pencil import validate
+from reference import (cofactor_det, form_has_repeated_root, pderiv, pgcd,
+                       pmul, ptrim)
 
 F = Fraction
 
 
 # -- local exact-polynomial oracle helpers (ascending coefficients) ----------
 
-def pmul(a, b):
-    out = [F(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def pfromroots(lead, roots):
     out = [F(lead)]
     for r in roots:
         out = pmul(out, [F(-r), F(1)])
     return out
-
-
-def pderiv(a):
-    return [i * a[i] for i in range(1, len(a))]
-
-
-def ptrim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def pgcd(a, b):
-    a, b = ptrim(a), ptrim(b)
-    while b:
-        while len(a) >= len(b):
-            s = a[-1] / b[-1]
-            d = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[d + i] -= s * x
-            a = ptrim(a)
-            if not a:
-                break
-        a, b = b, a
-    return [x / a[-1] for x in a] if a else []
 
 
 def det(m):
@@ -88,15 +54,6 @@ def det(m):
                 for k in range(c, n):
                     m[r][k] -= s * m[c][k]
     return sign * out
-
-
-def cofactor_det(m):
-    # Laplace expansion along the first row
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j]
-               * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)))
 
 
 def sylvester_resultant(a, b):
@@ -323,17 +280,6 @@ def random_quartic(rng):
     else:
         coeffs = [F(rng.randint(-9, 9)) for _ in range(3)] + [F(0), F(0)]
     return coeffs
-
-
-def form_has_repeated_root(coeffs):
-    # chart-aware: a finite repeated root shows in gcd(q, q'); a repeated
-    # root at infinity shows after reversing the homogenized coefficients
-    affine = ptrim(coeffs)
-    rev = ptrim(list(reversed(list(coeffs))))
-    for poly in (affine, rev):
-        if len(pgcd(poly, pderiv(poly))) > 1:
-            return True
-    return False
 
 
 def test_quartic_discriminant_gcd_oracle():

@@ -7,7 +7,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
 import pytest
 
 from conicbundles.exactnum import (
@@ -30,31 +29,8 @@ from conicbundles.exactnum import (
     squarefree_part,
     valuation,
 )
-
-
-def brute_hilbert(a, b, p):
-    """Brute-force (a, b)_p by searching for a primitive solution of
-    z^2 = a x^2 + b y^2 mod p^3 (odd p) or mod 2^6.
-
-    A primitive solution at that depth lifts by Hensel's lemma once the
-    coefficients are squarefree, so this decides the symbol with no use of
-    the formula under test.
-    """
-    a = squarefree_part(a)
-    b = squarefree_part(b)
-    m = 64 if p == 2 else p**3
-    x = np.arange(m, dtype=np.int64)
-    squares = np.zeros(m, dtype=bool)
-    unit_squares = np.zeros(m, dtype=bool)
-    squares[(x * x) % m] = True
-    unit_squares[(x[x % p != 0] ** 2) % m] = True
-    ax2 = (a * x * x) % m
-    by2 = (b * x * x) % m
-    t = (ax2[:, None] + by2[None, :]) % m
-    xu = (x % p != 0)
-    prim_xy = xu[:, None] | xu[None, :]
-    ok = (squares[t] & prim_xy) | unit_squares[t]
-    return 1 if ok.any() else -1
+from oracle import local_symbol
+from reference import brute_hilbert
 
 
 def test_is_prime_small():
@@ -297,19 +273,22 @@ def test_hilbert_known_values():
 
 
 def test_hilbert_against_brute_oracle():
+    # the integer cases also pin oracle.local_symbol, the symbol that the
+    # tests' local-solubility oracles read
     cases_odd = [
         (1, 1), (1, 3), (3, 3), (-1, 3), (2, 3), (5, 7), (-5, 7),
         (6, 10), (15, 21), (-6, -10), (7, 11), (-7, 11), (30, 42),
     ]
-    for p in (3, 5, 7, 11, 13):
-        for a, b in cases_odd:
-            assert hilbert(a, b, Place(p)) == brute_hilbert(a, b, p), (a, b, p)
-        # p-divisible arguments
-        for a, b in [(p, 1), (p, 2), (p, p), (-p, p), (2 * p, 3), (p, -1)]:
-            assert hilbert(a, b, Place(p)) == brute_hilbert(a, b, p), (a, b, p)
-    for a in (-2, -1, 1, 2, 3, 5, 6, 7, 10, -10, 14, 15):
-        for b in (-2, -1, 1, 2, 3, 5, 6, 7, 10, -10, 14, 15):
-            assert hilbert(a, b, Place(2)) == brute_hilbert(a, b, 2), (a, b)
+    # with p-divisible arguments
+    cases = [(a, b, p) for p in (3, 5, 7, 11, 13)
+             for a, b in cases_odd + [(p, 1), (p, 2), (p, p), (-p, p),
+                                      (2 * p, 3), (p, -1)]]
+    small = (-2, -1, 1, 2, 3, 5, 6, 7, 10, -10, 14, 15)
+    cases += [(a, b, 2) for a in small for b in small]
+    for a, b, p in cases:
+        want = brute_hilbert(a, b, p)
+        assert hilbert(a, b, Place(p)) == want, (a, b, p)
+        assert local_symbol(a, b, p) == want, (a, b, p)
     # arguments beyond trial division: the symbol reads only v_p and the
     # unit part, so the oracle runs on small integers of the same local
     # square classes, built from residues of N (a unit and its residue
@@ -325,11 +304,6 @@ def test_hilbert_against_brute_oracle():
     ]
     for a, b, p, small in cases:
         assert hilbert(a, b, Place(p)) == brute_hilbert(*small, p), (a, b, p)
-
-
-@lru_cache(maxsize=None)
-def _brute_cached(a, b, p):
-    return brute_hilbert(a, b, p)
 
 
 def test_residue_symbol_against_brute_on_balls():
@@ -353,10 +327,10 @@ def test_residue_symbol_against_brute_on_balls():
                     if x == 0:
                         assert sym is None
                         continue
-                    seen = {_brute_cached(a, x + t * p ** K, p)
+                    seen = {brute_hilbert(a, x + t * p ** K, p)
                             for t in lifts if x + t * p ** K != 0}
                     if sym is not None:
-                        assert sym == _brute_cached(a, x, p), (a, x, p, K)
+                        assert sym == brute_hilbert(a, x, p), (a, x, p, K)
                         assert seen == {sym}, (a, x, p, K)
                     elif valuation(x, p) < K:
                         assert p == 2 and seen == {1, -1}, (a, x, p, K)

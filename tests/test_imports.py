@@ -64,6 +64,30 @@ def _counted_references(tree, path):
     return refs
 
 
+def _imported_modules(tree):
+    """The modules a module imports, at any depth of its tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.append(node.module)
+    return out
+
+
+def test_tests_share_helpers_through_reference_only():
+    # a helper that two test modules need lives in tests/reference.py,
+    # and an oracle there must not read the library it judges
+    tests = ROOT / "tests"
+    crossed = {p.name: [m for m in _imported_modules(ast.parse(p.read_text()))
+                        if m.split(".")[0].startswith("test_")]
+               for p in sorted(tests.glob("test_*.py"))}
+    assert {name: mods for name, mods in crossed.items() if mods} == {}
+    reference = _imported_modules(
+        ast.parse((tests / "reference.py").read_text()))
+    assert [m for m in reference if m.split(".")[0] == "conicbundles"] == []
+
+
 def test_unused_import_detector():
     tree = ast.parse("import os.path\nfrom typing import Dict, List\n"
                      "x: List = os.sep\n")

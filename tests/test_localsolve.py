@@ -10,7 +10,6 @@ from conicbundles.exactnum import (
     Place,
     REAL_PLACE,
     factorize,
-    hilbert,
     is_prime,
     valuation,
 )
@@ -23,8 +22,8 @@ from conicbundles.localsolve import (
     real_soluble,
 )
 from conicbundles.pencil import NormFormSystem, PencilError, technical_bound
-from test_delpezzo import cofactor_det
-from test_pencil import trial_primes
+from oracle import check_local_witness, local_symbol
+from reference import cofactor_det, trial_primes
 
 
 def evaluate(form, u):
@@ -39,15 +38,9 @@ def check_real_witness(system, wit):
         assert evaluate(f, wit.u) != 0
 
 
-def check_padic_witness(system, p, wit, depth=None):
-    depth = wit.precision if depth is None else depth
-    m = p**depth
-    for i, f in enumerate(system.forms):
-        c = evaluate(f, wit.u) % m
-        assert c != 0
-        v = valuation(c, p)
-        assert depth - v >= (3 if p == 2 else 1)
-        assert hilbert(system.a[i], c, Place(p)) == 1
+def check_padic_witness(system, p, wit):
+    why = check_local_witness(system.a, system.forms, p, wit.u, wit.precision)
+    assert why is None, why
 
 
 def full_rank(forms):
@@ -60,19 +53,9 @@ def full_rank(forms):
 
 def brute_padic(system, p, depth):
     # exhaustive residue search implementing the documented predicate
-    m = p**depth
-    need = 3 if p == 2 else 1
-    for u in itertools.product(range(m), repeat=system.s):
-        ok = True
-        for i, f in enumerate(system.forms):
-            c = evaluate(f, u) % m
-            if c == 0 or depth - valuation(c, p) < need or \
-                    hilbert(system.a[i], c, Place(p)) != 1:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(
+        check_local_witness(system.a, system.forms, p, u, depth) is None
+        for u in itertools.product(range(p**depth), repeat=system.s))
 
 
 def brute_quadric(coeffs, place):
@@ -291,7 +274,7 @@ def digit_dfs(system, p, depth, budget):
         for a, f in zip(system.a, system.forms):
             x = evaluate(f, u)
             kept = x % p**level != 0 and valuation(x, p) <= level - need
-            if kept and hilbert(a, x, Place(p)) == -1:
+            if kept and local_symbol(a, x, p) == -1:
                 return None
             witness = witness and kept
         return witness
@@ -547,7 +530,7 @@ def test_padic_witness_lifts():
             for i, f in enumerate(system.forms):
                 c = evaluate(f, lift) % (m * p)
                 assert c != 0
-                assert hilbert(system.a[i], c, Place(p)) == 1
+                assert local_symbol(system.a[i], c, p) == 1
 
 
 def test_padic_good_primes_are_soluble():

@@ -12,7 +12,6 @@ from conicbundles.quadform import (
     PellSolution,
     QuadFormError,
     _in_fundamental_domain,
-    _sign_plus_root,
     automorph_group,
     fundamental_unit,
     pell_fundamental,
@@ -24,24 +23,7 @@ from conicbundles.quadform import (
     scaling_valid,
     w,
 )
-
-
-def brute_pell(a, chunk=1 << 20):
-    # every u = 1, 2, ... in order, a chunk at a time in int64: the float
-    # square root only proposes t, and (t - 1)^2, t^2, (t + 1)^2 are
-    # compared with 1 + a u^2 exactly, which brackets the true root
-    start = 1
-    while True:
-        assert a * (start + chunk) ** 2 + 1 < 2**62, "int64 chunk would wrap"
-        u = np.arange(start, start + chunk, dtype=np.int64)
-        t2 = a * u * u + 1
-        t = np.sqrt(t2.astype(np.float64)).astype(np.int64)
-        hit = ((t - 1) * (t - 1) == t2) | (t * t == t2) | \
-            ((t + 1) * (t + 1) == t2)
-        if hit.any():
-            u = int(u[np.argmax(hit)])
-            return math.isqrt(1 + a * u * u), u
-        start += chunk
+from reference import brute_pell, brute_solutions, reduce_to_domain
 
 
 def brute_fundamental_unit(a):
@@ -58,40 +40,6 @@ def brute_fundamental_unit(a):
         if best:
             return best
         y += 1
-
-
-def brute_solutions(a, n, ybound):
-    out = []
-    for y in range(-ybound, ybound + 1):
-        x2 = n + a * y * y
-        if x2 < 0:
-            continue
-        x = math.isqrt(x2)
-        if x * x == x2:
-            out.append((x, y))
-            if x:
-                out.append((-x, y))
-    return out
-
-
-def reduce_to_domain(form, x, y, n):
-    a = form.a
-    p = pell_fundamental(a)
-    t, u = p.t, p.u
-    if _sign_plus_root(x, y, a) < 0:
-        x, y = -x, -y
-    m = abs(n)
-    for _ in range(10_000):
-        if _sign_plus_root(x * x + a * y * y - m, 2 * x * y, a) < 0:
-            x, y = t * x + a * u * y, u * x + t * y
-            continue
-        la = x * x + a * y * y - m * (t * t + a * u * u)
-        lb = 2 * x * y - 2 * m * t * u
-        if _sign_plus_root(la, lb, a) >= 0:
-            x, y = t * x - a * u * y, t * y - u * x
-            continue
-        return x, y
-    raise AssertionError("reduction did not terminate")
 
 
 def test_form_validation():
@@ -199,7 +147,7 @@ def test_indefinite_domain_is_exact_transversal():
                 assert _in_fundamental_domain(f, x, y, n)
             seen = set()
             for x, y in brute_solutions(a, n, 10_000 if abs(n) < 30 else 300):
-                r = reduce_to_domain(f, x, y, n)
+                r = reduce_to_domain(a, x, y, n)
                 assert r in reps, (a, n, (x, y))
                 seen.add(r)
             assert seen == set(reps), (a, n)
