@@ -72,7 +72,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import islice, product
+from operator import xor
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .exactnum import (
@@ -431,23 +433,16 @@ class ScanTable:
 
     def allowed_combinations(self, limit: Optional[int] = None):
         """Tuples of cell labels, one per place, pairing to 0 with every
-        generator; at most `limit` of them in tabulation order."""
-        out = []
-        groups = [list(zip(rec.labels, map(_mask, rec.values)))
+        generator; at most `limit` of them in tabulation order, the last
+        place varying fastest."""
+        if limit is not None:
+            limit = as_integer_at_least(limit, 0, "limit", BrauerManinError)
+        groups = [tuple(zip(rec.labels, map(_mask, rec.values)))
                   for rec in self.place_cells]
-
-        def walk(idx, acc, labels):
-            if limit is not None and len(out) >= limit:
-                return
-            if idx == len(groups):
-                if acc == 0:
-                    out.append(tuple(labels))
-                return
-            for label, m in groups[idx]:
-                walk(idx + 1, acc ^ m, labels + [label])
-
-        walk(0, 0, [])
-        return tuple(out)
+        allowed = (tuple(label for label, _ in combo)
+                   for combo in product(*groups)
+                   if reduce(xor, (m for _, m in combo), 0) == 0)
+        return tuple(islice(allowed, limit))
 
     def as_json_dict(self) -> dict:
         # labels and representatives are written already; each call makes

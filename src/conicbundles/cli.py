@@ -579,6 +579,7 @@ _SELFTEST_SUITES = (
 
 
 def run_selftest(quick: bool = False, seed: int = 0) -> dict:
+    seed = as_integer_at_least(seed, 0, "seed", CLIInputError)
     suites = []
     for name, suite in _SELFTEST_SUITES:
         outcomes = list(suite(random.Random("%d:%s" % (seed, name)), quick))

@@ -278,6 +278,8 @@ def dp2_ramification_quartic(data: DP2Data) -> RamificationQuartic:
 
 @dataclass(frozen=True)
 class IndependenceReport:
+    """Whether labelled classes are independent in Q*/Q*^2; when they are
+    not, `certificate` names a dependent subset of minimal support."""
     independent: bool
     classes: Tuple[Tuple[str, SquareClass], ...]
     certificate: Optional[Tuple[str, ...]]
@@ -432,10 +434,9 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
 
 
 @dataclass(frozen=True)
-class DP1MinimalityReport:
-    independent: bool
-    classes: Tuple[Tuple[str, SquareClass], ...]
-    certificate: Optional[Tuple[str, ...]]
+class DP1MinimalityReport(IndependenceReport):
+    """`dp2_minimality`'s report, for the sixteen cross differences, with
+    the fibre classes of the contracted bundle and that bundle after it."""
     fibre_classes: Tuple[SquareClass, ...]
     contracted_bundle: Optional[ConicBundleData]
 
@@ -466,10 +467,5 @@ def dp1_minimality(data: DP1Data) -> DP1MinimalityReport:
     bundle = None
     if all(not cls.is_trivial for cls in fibre):
         bundle = ConicBundleData(e=e[:7], a=tuple(fibre))
-    return DP1MinimalityReport(
-        independent=rep.independent,
-        classes=rep.classes,
-        certificate=rep.certificate,
-        fibre_classes=tuple(fibre),
-        contracted_bundle=bundle,
-    )
+    return DP1MinimalityReport(**vars(rep), fibre_classes=tuple(fibre),
+                               contracted_bundle=bundle)

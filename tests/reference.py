@@ -6,9 +6,9 @@ passes whatever that code gets wrong.  Local-solubility oracles take their
 symbols from the benchmark's `oracle.local_symbol` and judge witnesses
 with `oracle.check_local_witness` (`bench/oracle.py`), so no oracle reads
 `exactnum.hilbert` or the symbol reader behind it.  A helper that more
-than one test module needs lives here, apart from the standard count jobs,
-which are library objects and live in `jobs.py`; test modules import no
-other test module.
+than one test module needs lives here, apart from the standard count jobs
+and the seeded local systems, which are library objects and live in
+`jobs.py`; test modules import no other test module.
 """
 
 import itertools
@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from oracle import local_symbol
 
 
 # -- integers and square classes ----------------------------------------------
@@ -118,6 +119,45 @@ def cofactor_det(m):
     return sum((-1) ** j * m[0][j]
                * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)))
+
+
+# -- x_i^2 - a_i y_i^2 = f_i(u, v) --------------------------------------------
+
+def rational_point_search(a, forms, height, c_bound):
+    """The first (c, (u0, v0)) that makes every c f_i(u0, v0) a norm from
+    Q(sqrt a_i), or None: a refutation oracle for "insoluble" verdicts on
+    systems x_i^2 - a_i y_i^2 = f_i(u, v) with s = 2.
+
+    (u0, v0) runs over the primitive pairs with first nonzero entry
+    positive, by max(|u0|, |v0|) up to `height` and then in lexicographic
+    order; for each, c runs over the squarefree integers 1, -1, 2, -2, 3,
+    ... with |c| <= c_bound.  Every f_i(u0, v0) must be nonzero, and
+    (a_i, c f_i(u0, v0))_v must be +1 at infinity and at every prime of
+    2 a_i c f_i(u0, v0); at the other primes both entries are units at an
+    odd prime, so the symbol is +1 there.  By Hasse's norm theorem each
+    c f_i(u0, v0) is then a norm x_i^2 - a_i y_i^2 with rational x_i, y_i,
+    and as the forms are linear, (u, v) = c (u0, v0) is a rational point
+    of the system.
+    """
+    cs = [(c, trial_primes(c)) for n in range(1, c_bound + 1)
+          if squarefree(n) == n for c in (n, -n)]
+    primes = [trial_primes(2 * ai) for ai in a]
+    box = range(-height, height + 1)
+    pairs = sorted(((u, v) for u in box for v in box
+                    if (u, v) > (0, 0) and math.gcd(u, v) == 1),
+                   key=lambda uv: max(map(abs, uv)))
+    for u0, v0 in pairs:
+        values = [f[0] * u0 + f[1] * v0 for f in forms]
+        if 0 in values:
+            continue
+        support = [ps | trial_primes(n) for ps, n in zip(primes, values)]
+        for c, c_primes in cs:
+            if all(ai > 0 or c * n > 0 for ai, n in zip(a, values)) and \
+                    all(local_symbol(ai, c * n, p) == 1
+                        for ai, n, ps in zip(a, values, support)
+                        for p in ps | c_primes):
+                return c, (u0, v0)
+    return None
 
 
 # -- x^2 - a y^2 = n ----------------------------------------------------------

@@ -490,6 +490,20 @@ def test_obstruction_scan_empty_support():
     assert tab.allowed_combinations() == ((),)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 18: a residue mod p^K that holds a pole is dropped "
+    "whole, so at K = 1 the places 2 and 3, and at K = 2 the place 2, "
+    "get no cell"))
+def test_obstruction_scan_gives_every_place_a_cell():
+    # Z_p minus the poles is not empty, so each place has a cell at every
+    # resolution; at resolution 3 this bundle allows 27,830 combinations
+    data = ConicBundleData(e=(0, 1, 2, 3), a=(3, 3, 5, 5))
+    support = (REAL_PLACE, Place(2), Place(3), Place(5))
+    for resolution in (1, 2):
+        tab = obstruction_scan(data, support, resolution=resolution)
+        assert all(tab.cells_at(v) for v in support), resolution
+
+
 def test_obstruction_scan_adaptive_refinement():
     data = ConicBundleData(e=(0, 1, 2, 5), a=(5, 5, -1, -1))
     assert [g.n for g in quotient_generators(data)] == [(0, 0, 1, 1)]

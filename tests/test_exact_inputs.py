@@ -10,6 +10,7 @@ from conicbundles.brauermanin import (AdelicFiberPoint, BrauerManinError,
                                       LocalParameter, global_point,
                                       local_invariant, obstruction_scan,
                                       pairing)
+from conicbundles.cli import CLIInputError, run_selftest
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
                                    box_measure, enumerate_N,
                                    predict_and_compare)
@@ -88,6 +89,8 @@ FLOAT_ENTRY_PATHS = {
         (1, 1, 0, 0), resolution=2.5)),
     "scan resolution": (BrauerManinError, lambda: obstruction_scan(
         FLAG, [Place(5)], resolution=3.0)),
+    "scan combinations limit": (BrauerManinError, lambda: obstruction_scan(
+        FLAG, [Place(5), REAL_PLACE]).allowed_combinations(limit=2.5)),
     "split roots": (DelPezzoError, lambda: SplitPolynomial(1, (0.5,))),
     "split leading": (DelPezzoError, lambda: SplitPolynomial(0.5, (1,))),
     "quartic": (DelPezzoError, lambda: Quartic((0.5, 0, 0, 0, 1))),
@@ -137,6 +140,8 @@ FLOAT_ENTRY_PATHS = {
     "everywhere depth": (LocalSolveError, lambda: everywhere_locally_soluble(
         SYSTEM, depth=5.5)),
     "brauer element": (PencilError, lambda: BrauerElement((1.0, 0.0, 1, 0))),
+    "selftest seed": (CLIInputError,
+                      lambda: run_selftest(quick=True, seed=2.5)),
 }
 
 
@@ -198,6 +203,12 @@ NON_PRIME_MODULI = {
                 lambda: rho(FORM, 0, 1)),
     "box epsilon 0": (CountingError, "epsilon must be positive",
                       lambda: box_measure(2, 0, 1, 4)),
+    "scan combinations limit -1": (
+        BrauerManinError, "limit must be >= 0",
+        lambda: obstruction_scan(FLAG, [Place(5), REAL_PLACE])
+        .allowed_combinations(limit=-1)),
+    "selftest seed -1": (CLIInputError, "seed must be >= 0",
+                         lambda: run_selftest(quick=True, seed=-1)),
 }
 
 

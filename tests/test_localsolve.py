@@ -22,6 +22,7 @@ from conicbundles.localsolve import (
     real_soluble,
 )
 from conicbundles.pencil import NormFormSystem, PencilError, technical_bound
+from jobs import local_pool_system
 from oracle import check_local_witness, local_symbol
 from reference import cofactor_det, trial_primes
 
@@ -358,24 +359,26 @@ def test_padic_value_ball_prunes_keep_the_search():
     assert rescued >= 2, rescued
 
 
-def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
-    # forms with large p-content: values lie in small balls that the
-    # search reads whole, instead of branching digit by digit
-    calls = []
+def counting_reader(calls):
+    """A stand-in for `localsolve._symbol_reader` that reads through the
+    reader in place when it is made and appends the argument x of every
+    read to `calls`."""
     reader = localsolve._symbol_reader
 
     def counted_reader(a, p):
         sym = reader(a, p)
+        return lambda x, K: calls.append(x) or sym(x, K)
+    return counted_reader
 
-        def counted(x, K):
-            calls.append((a, x, p, K))
-            return sym(x, K)
-        return counted
 
+def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
+    # forms with large p-content: values lie in small balls that the
+    # search reads whole, instead of branching digit by digit
+    calls = []
     item1 = NormFormSystem(r=2, s=2, a=(-1, -3), forms=((0, 25), (125, 0)))
     null = NormFormSystem(r=2, s=3, a=(7, 11),
                           forms=((7, 1, 0), (-125, -125, 0)))
-    monkeypatch.setattr(localsolve, "_symbol_reader", counted_reader)
+    monkeypatch.setattr(localsolve, "_symbol_reader", counting_reader(calls))
     # the walk at the default depth, whose heuristic floor of 4 is too
     # shallow for this system's walk witnesses, ends empty; the forms have
     # rank 2, so the rank witness u = -3125 (-25, -125) answers, with both
@@ -400,13 +403,7 @@ def test_padic_cuts_value_balls_whose_last_valuation_reads_minus_one(
     # whole instead of read through its 49 children; the witness is still
     # the digit search's
     calls = []
-    reader = localsolve._symbol_reader
-
-    def counted_reader(a, p):
-        sym = reader(a, p)
-        return lambda x, K: calls.append(x) or sym(x, K)
-
-    monkeypatch.setattr(localsolve, "_symbol_reader", counted_reader)
+    monkeypatch.setattr(localsolve, "_symbol_reader", counting_reader(calls))
     system = NormFormSystem(r=2, s=2, a=(10, 14), forms=((0, 32), (2, 2)))
     ok, wit = padic_soluble(system, 7)
     assert (ok, wit.u) == digit_dfs(system, 7, 4, budget=10**4) == \
@@ -421,18 +418,13 @@ def test_padic_search_skips_coordinates_no_form_reads(monkeypatch):
     # coordinate; a walk that also split balls on the zero columns read
     # several times as much
     calls = []
-    reader = localsolve._symbol_reader
-
-    def counted_reader(a, p):
-        sym = reader(a, p)
-        return lambda x, K: calls.append(x) or sym(x, K)
 
     def reads(system, p):
         localsolve._shell_minus.cache_clear()
         calls.clear()
         return padic_soluble(system, p), len(calls)
 
-    monkeypatch.setattr(localsolve, "_symbol_reader", counted_reader)
+    monkeypatch.setattr(localsolve, "_symbol_reader", counting_reader(calls))
     rng = random.Random(3030)
     compared = found = 0
     for _ in range(150):
@@ -566,22 +558,6 @@ def test_everywhere_locally_soluble():
     report = everywhere_locally_soluble(bad, L=10)
     assert not report.soluble
     assert REAL_PLACE in report.bad_places
-
-
-def local_pool_system(rng, p):
-    # the local workload's draw, widened to r <= 4 and s in {2, 3}: a_i a
-    # unit times p^0 or p^1, coefficients with p-power contents
-    pool = (0, 1, -1, 2, p, p**2, p**3, p**5, -p**4)
-    units = [u for u in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7) if u % p]
-    while True:
-        r, s = rng.randint(1, 4), rng.choice((2, 3))
-        a = tuple(rng.choice(units) * p**rng.choice((0, 1)) for _ in range(r))
-        forms = tuple(tuple(rng.choice(pool) for _ in range(s))
-                      for _ in range(r))
-        try:
-            return NormFormSystem(r=r, s=s, a=a, forms=forms)
-        except PencilError:
-            continue
 
 
 def test_everywhere_witnesses_agree_with_each_place():
