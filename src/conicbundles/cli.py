@@ -18,8 +18,7 @@ PROBLEM FILES (the compatibility contract)
         forms = 1 0; 0 1          integer linear forms, one row per a_i
         clearing = 1, 1           optional denominator-clearing constants
     kind = count-job              the `system` keys, plus (a key left out
-                                  takes CountJob's default, but uInf's is
-                                  1, ..., 1)
+                                  takes CountJob's default)
         M = 1                     congruence modulus for u = uM mod M
         uM = 0, 0                 residue vector mod M
         uInf = 1, 1               real direction spanning the search cone
@@ -187,11 +186,8 @@ def _system(forms, **keys) -> NormFormSystem:
     return NormFormSystem(r=len(forms), s=len(forms[0]), forms=forms, **keys)
 
 
-def _job(a, forms, clearing=(), uInf=None, **keys) -> CountJob:
-    system = _system(forms, a=a, clearing=clearing)
-    if uInf is None:
-        uInf = (1,) * system.s
-    return CountJob(system=system, uInf=uInf, **keys)
+def _job(a, forms, clearing=(), **keys) -> CountJob:
+    return CountJob(system=_system(forms, a=a, clearing=clearing), **keys)
 
 
 # kind: (constructor, {key: (reader, use)}).  The "required" and "optional"
@@ -516,11 +512,9 @@ def _suite_crt(rng: random.Random, quick: bool):
 
 _SELFTEST_JOBS = (
     ("one norm form", CountJob(
-        system=NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),)),
-        uInf=(1, 1), B_schedule=())),
+        system=NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),)))),
     ("two norm forms", CountJob(
-        system=NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 0), (0, 1))),
-        uInf=(1, 1), B_schedule=())),
+        system=NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 0), (0, 1))))),
 )
 
 
@@ -579,6 +573,8 @@ _SELFTEST_SUITES = (
 
 
 def run_selftest(quick: bool = False, seed: int = 0) -> dict:
+    if not isinstance(quick, bool):
+        raise CLIInputError("quick must be True or False, got %r" % (quick,))
     seed = as_integer_at_least(seed, 0, "seed", CLIInputError)
     suites = []
     for name, suite in _SELFTEST_SUITES:

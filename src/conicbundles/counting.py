@@ -118,7 +118,6 @@ from .exactnum import (
     as_prime,
     as_rational,
     factorize,
-    json_value,
     valuation,
 )
 from .pencil import NormFormSystem, technical_bound
@@ -155,7 +154,8 @@ class CountJob:
     """A congruence-and-box counting problem for one norm-form system.
 
     B values in the schedule must be C^2 with C = 1 mod M, so that the
-    dilation (x, y, u) -> (Cx, Cy, C^2 u) respects the congruence."""
+    dilation (x, y, u) -> (Cx, Cy, C^2 u) respects the congruence.  An
+    empty uM reads as (0, ..., 0) and an empty uInf as (1, ..., 1)."""
 
     system: NormFormSystem
     M: int = 1
@@ -170,7 +170,7 @@ class CountJob:
         object.__setattr__(self, "uM", tuple(
             as_integer(x, CountingError) for x in (self.uM or (0,) * s)))
         object.__setattr__(self, "uInf", tuple(
-            as_rational(x, CountingError) for x in self.uInf))
+            as_rational(x, CountingError) for x in (self.uInf or (1,) * s)))
         object.__setattr__(self, "epsilon",
                            as_rational(self.epsilon, CountingError))
         object.__setattr__(self, "B_schedule", tuple(
@@ -609,9 +609,6 @@ class DensityReport:
     empirical: int
     ratio: float
     note: str = ""
-
-    def as_json_dict(self) -> dict:
-        return json_value(self)
 
 
 def predict_and_compare(job: CountJob,

@@ -399,17 +399,30 @@ def _checked_place(v, error=ExactNumError) -> Place:
 
 @dataclass(frozen=True)
 class SquareClass:
-    """An element of Q*/Q*^2: sign bit and the primes with odd exponent."""
+    """An element of Q*/Q*^2: sign bit and the primes with odd exponent.
+
+    The sign is stored as a Python int and the primes as a frozenset of
+    Python ints, whatever integers or iterable they arrive as; a prime
+    listed twice is refused, since its exponent would be even."""
 
     sign: int = 0
     primes: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.sign not in (0, 1):
+        sign = as_integer(self.sign)
+        if sign not in (0, 1):
             raise ExactNumError("sign bit must be 0 or 1")
-        for q in self.primes:
+        primes = [as_integer(q) for q in self.primes]
+        for q in primes:
             if not is_prime(q):
-                raise ExactNumError("square class support must be prime, got %r" % (q,))
+                raise ExactNumError(
+                    "square class support must be prime, got %r" % (q,))
+        support = frozenset(primes)
+        if len(support) != len(primes):
+            raise ExactNumError("square class support lists a prime twice: %r"
+                                % (sorted(primes),))
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "primes", support)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if not isinstance(other, SquareClass):

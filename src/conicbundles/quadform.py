@@ -82,7 +82,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Optional
 
 import numpy
 
@@ -126,15 +125,6 @@ class PellSolution:
     u: int
 
 
-@dataclass(frozen=True)
-class AutomorphGroup:
-    """order is None for the infinite (indefinite) case; generator is the
-    rotation (t, u) acting by (x, y) -> (t x + a u y, u x + t y)."""
-
-    order: Optional[int]
-    generator: tuple
-
-
 def w(d: int) -> int:
     """Order of the automorph group for negative discriminant d."""
     d = as_integer(d, QuadFormError)
@@ -174,16 +164,6 @@ def pell_fundamental(a: int) -> PellSolution:
     if n == -1:
         x, y = x * x + a * y * y, 2 * x * y
     return PellSolution(x, y)
-
-
-def automorph_group(form: BinaryForm) -> AutomorphGroup:
-    a = form.a
-    if a == -1:
-        return AutomorphGroup(4, (0, 1))
-    if a < 0:
-        return AutomorphGroup(2, (-1, 0))
-    p = pell_fundamental(a)
-    return AutomorphGroup(None, (p.t, p.u))
 
 
 def _sign_plus_root(A: int, B: int, a: int) -> int:

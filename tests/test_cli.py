@@ -486,6 +486,20 @@ def test_validate_count_job_echoes_job(tmp_path):
     assert job["uInf"] == ["1/1", "1/1"]
 
 
+@pytest.mark.parametrize("command", ["count", "predict"])
+def test_count_job_without_uinf_reads_ones(tmp_path, command):
+    without = REF_JOB.replace("uInf = 1, 1\n", "")
+    assert "uInf" not in without
+    results = []
+    for name, text in (("without", without), ("with", REF_JOB)):
+        code, report = run_cli([command, write_problem(tmp_path, text, name)],
+                               tmp_path, name + ".json")
+        assert code == 0
+        results.append(report["results"])
+    assert results[0]["job"]["uInf"] == ["1/1", "1/1"]
+    assert results[0] == results[1]
+
+
 PINNED_QI = "kind = quadric-intersection\ne = 0, 1/2, 1/2, 3\na = 5, 5\nc = 1, 2\n"
 PINNED_JOB = ("kind = count-job\na = -1, 2\nforms = 1 1; 1 -1\nuInf = 1, 1/3\n"
               "epsilon = 1/3\nB_schedule = 4, 9, 100\n")

@@ -21,6 +21,7 @@ from conicbundles.counting import (
     predict_and_compare,
     region_measure,
 )
+from conicbundles.exactnum import json_value
 from conicbundles.pencil import NormFormSystem, PencilError
 from conicbundles.quadform import (
     BinaryForm,
@@ -564,7 +565,7 @@ def test_predict_and_compare_fields():
         assert set(rep.beta_p) == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
         assert all(v == 1 for v in rep.beta_p.values())
         assert "truncated at 30" in rep.note
-        d = rep.as_json_dict()
+        d = json_value(rep)
         assert d["beta_p"]["2"] == "1/1"
         assert d["predicted"]["precision_bits"] == 53
         assert d["empirical"] == rep.empirical
@@ -590,12 +591,39 @@ def test_predict_and_compare_obstructed():
     assert rep.empirical == 0
     assert math.isnan(rep.ratio)
     assert rep.note == "no prediction: beta_p = 0 at p = 2"
-    assert rep.as_json_dict()["beta_p"]["2"] == "0/1"
+    assert json_value(rep)["beta_p"]["2"] == "0/1"
 
 
 def test_predict_and_compare_empty_schedule():
     with pytest.raises(CountingError, match="schedule"):
         predict_and_compare(job1())
+
+
+# a = (-1, -2) makes both forms definite, and the box about B (1, 0) of
+# half-width B / 2 has u + 2v < 0 on 1/16 of its area, where no point lies;
+# counting that 1/16 out of beta_inf gives a ratio of 1.0002
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: beta_infinity integrates over the whole box, also "
+    "where a definite form is negative"))
+def test_predict_ratio_with_a_definite_form():
+    system = NormFormSystem(r=2, s=2, a=(-1, -2), forms=((1, 0), (1, 2)))
+    job = CountJob(system=system, uInf=(1, 0), B_schedule=(10**4,))
+    (rep,) = predict_and_compare(job)
+    assert abs(rep.ratio - 1) < 0.01
+
+
+@pytest.mark.xfail(strict=True, raises=CountingError, reason=(
+    "ROADMAP item 4: for r > s, or dependent forms, G(p^(k+1)) never "
+    "reaches p^(s+r) G(p^k), so beta_p reports no stabilization"))
+@pytest.mark.parametrize("a, forms, uInf", [
+    ((-1, -2, 5), ((1, 0), (0, 1), (1, 1)), (1, 1)),
+    ((3, 2, 6), ((1, 1, 0), (1, 5, -2), (0, 2, -1)), (1, 1, 1)),
+], ids=["r > s", "dependent forms"])
+def test_predict_in_the_papers_regime(a, forms, uInf):
+    system = NormFormSystem(r=len(a), s=len(uInf), a=a, forms=forms)
+    job = CountJob(system=system, uInf=uInf, B_schedule=(4,))
+    reports = predict_and_compare(job)
+    assert [rep.B for rep in reports] == [4]
 
 
 def geometry_job(rng, r, s, M, eps):

@@ -100,6 +100,7 @@ FLOAT_ENTRY_PATHS = {
     "square class": (ExactNumError, lambda: squarefree_class(0.1)),
     "square class float64": (ExactNumError,
                              lambda: squarefree_class(np.float64(2.0))),
+    "square class sign": (ExactNumError, lambda: SquareClass(sign=1.0)),
     "place": (ExactNumError, lambda: Place(5.0)),
     "binary form": (QuadFormError, lambda: BinaryForm(-1.0)),
     "rho q": (QuadFormError, lambda: rho(BinaryForm(-1), 25.0, 1)),
@@ -197,6 +198,8 @@ NON_PRIME_MODULI = {
                             lambda: SquareClass(sign=2)),
     "square class prime 4": (ExactNumError, "support must be prime, got 4",
                              lambda: SquareClass(0, frozenset({4}))),
+    "square class prime 5 twice": (ExactNumError, "lists a prime twice",
+                                   lambda: SquareClass(0, (5, 5))),
     "rational 'x'": (ExactNumError, "not a rational number",
                      lambda: as_rational("x")),
     "rho q 0": (QuadFormError, "modulus must be positive",
@@ -209,6 +212,8 @@ NON_PRIME_MODULI = {
         .allowed_combinations(limit=-1)),
     "selftest seed -1": (CLIInputError, "seed must be >= 0",
                          lambda: run_selftest(quick=True, seed=-1)),
+    "selftest quick 0.5": (CLIInputError, "quick must be True or False",
+                           lambda: run_selftest(quick=0.5)),
 }
 
 
@@ -236,6 +241,31 @@ def test_integer_inputs_are_python_ints():
                                 np.int64(3)).tolist() == table
     # 2^62 + 1 = 1 mod 8 is a 2-adic square, whatever the second argument
     assert hilbert(np.int64(2**62 + 1), np.int64(-1), Place(2)) == 1
+
+
+# test id -> (square class built from integers of another type or another
+# container, its representative); a numpy prime product once wrapped to
+# 2852214296931983, and a list or set of primes could not be hashed
+LOOSE_SQUARE_CLASSES = {
+    "numpy primes": (lambda: SquareClass(0, frozenset(
+        np.int64(q) for q in (1000003, 1000033, 999983, 999979))),
+        999997999088009090035343),
+    "prime list": (lambda: SquareClass(0, [5]), 5),
+    "prime set": (lambda: SquareClass(1, {5}), -5),
+    "numpy sign": (lambda: SquareClass(np.int64(1), frozenset({2})), -2),
+}
+
+
+@pytest.mark.parametrize("call, representative",
+                         list(LOOSE_SQUARE_CLASSES.values()),
+                         ids=list(LOOSE_SQUARE_CLASSES))
+def test_square_class_fields_are_python_ints(call, representative):
+    cls = call()
+    assert type(cls.sign) is int and type(cls.primes) is frozenset
+    assert all(type(q) is int for q in cls.primes)
+    assert cls.representative() == representative
+    assert cls == squarefree_class(representative)
+    assert hash(cls) == hash(squarefree_class(representative))
 
 
 def test_cached_entry_points_refuse_a_float_after_the_int():

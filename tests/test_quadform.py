@@ -7,12 +7,10 @@ import pytest
 
 from conicbundles import quadform
 from conicbundles.quadform import (
-    AutomorphGroup,
     BinaryForm,
     PellSolution,
     QuadFormError,
     _in_fundamental_domain,
-    automorph_group,
     fundamental_unit,
     pell_fundamental,
     primary_representatives,
@@ -87,19 +85,6 @@ def test_fundamental_unit_against_brute():
         x, y, n = fundamental_unit(a)
         assert x * x - a * y * y == n
         assert (x, y, n) == brute_fundamental_unit(a)
-
-
-def test_automorph_group():
-    assert automorph_group(BinaryForm(-1)) == AutomorphGroup(4, (0, 1))
-    assert automorph_group(BinaryForm(-6)) == AutomorphGroup(2, (-1, 0))
-    g = automorph_group(BinaryForm(2))
-    assert g.order is None and g.generator == (3, 2)
-    # the generator really is an automorph: q(t x + a u y, u x + t y) = q(x, y)
-    for a in (-1, -6, 2, 10):
-        form = BinaryForm(a)
-        t, u = automorph_group(form).generator
-        for x, y in [(3, 1), (-2, 5), (0, 7)]:
-            assert form.value(t * x + a * u * y, u * x + t * y) == form.value(x, y)
 
 
 def test_definite_counts_examples():
