@@ -405,10 +405,6 @@ class ScanTable:
     def places(self) -> Tuple[Place, ...]:
         return tuple(rec.place for rec in self.place_cells)
 
-    @property
-    def resolution(self) -> Tuple[Tuple[Place, Optional[int]], ...]:
-        return tuple((rec.place, rec.resolution) for rec in self.place_cells)
-
     @cached_property
     def cells(self) -> Tuple[ScanCell, ...]:
         return tuple(cell for rec in self.place_cells for cell in rec.cells())

@@ -35,7 +35,9 @@ PROBLEM FILES (the compatibility contract)
     kind = quadric-intersection   fibre product of two-fibre bundles
         e = 0, 1, 2, 3            2n pairwise distinct rationals
         a = 5, 5                  n square classes
-        c = 1, 1                  n nonzero constants
+        c = 1, 1                  n nonzero constants, checked and echoed
+                                  but read by no command: each factor's
+                                  torsor is taken with lam = 1, 1
 
     Every key a kind takes is read and checked whatever the command, so
     every pencil command rejects a malformed `support` as `bm` does.  Option keys,
@@ -61,9 +63,10 @@ REPORTS
     strings as they are, rationals as `num/den` strings (denominator 1
     included), places and square classes as their strings.  A float
     appears only as an object holding its `value` and `precision_bits`
-    (53), or in the segregated `timings` field.  Reports are
-    byte-identical across runs with the same inputs, options, and
-    version, except for `timings`.
+    (53), or in the segregated `timings` field; a float that is not
+    finite (a NaN ratio where some beta_p is 0) is written `null`.
+    Reports are byte-identical across runs with the same inputs,
+    options, and version, except for `timings`.
 
         {"schema": 1, "version": ..., "command": ...,
          "inputs": {"file": {...}, "options": {...}},
@@ -71,8 +74,9 @@ REPORTS
 
 EXIT CODES
     0 success, 1 computational failure (including a failed selftest),
-    2 input error (bad flags, unparsable file, invalid payload,
-    unwritable --out path).
+    2 input error (bad flags, unparsable file, invalid payload, a
+    `local` depth at or below a place's technical bound, unwritable
+    --out path).
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ from .exactnum import (ExactNumError, Place, REAL_PLACE,
 from .pencil import (ConicBundleData, NormFormSystem, brauer_group,
                      quadric_intersection_system, technical_bound,
                      torsor_system, validate)
-from .localsolve import everywhere_locally_soluble
+from .localsolve import LocalSolveError, everywhere_locally_soluble
 from .quadform import BinaryForm, rho
 from .counting import (CountJob, DEFAULT_PRIME_CUTOFF, G, beta_p,
                        enumerate_N, predict_and_compare, region_measure)
@@ -374,8 +378,14 @@ def _cmd_brauer(problem: ProblemFile, data: ConicBundleData,
 def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
 
     def local(system, pencil=None) -> dict:
-        report = everywhere_locally_soluble(system, L=options["L"],
-                                            depth=options["depth"])
+        try:
+            report = everywhere_locally_soluble(system, L=options["L"],
+                                                depth=options["depth"])
+        except LocalSolveError as exc:
+            # a set depth at or below a place's technical bound
+            if options["depth"] is None:
+                raise
+            raise CLIInputError(str(exc))
         out = {"system": system, "report": dict(
             vars(report), witnesses=[wit for _, wit in report.witnesses])}
         if pencil is not None:

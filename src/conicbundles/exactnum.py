@@ -733,8 +733,9 @@ def json_value(x):
     """x in the report encoding, the one place that encoding is written.
 
     Ints, bools, strings and None stay as they are; a Fraction becomes
-    "num/den" (denominator 1 included) and a float {"value": x,
-    "precision_bits": 53}; a Place or SquareClass becomes its string; dict
+    "num/den" (denominator 1 included), a finite float {"value": x,
+    "precision_bits": 53} and any other float None, as JSON has no NaN or
+    infinity; a Place or SquareClass becomes its string; dict
     keys become strings; a dataclass becomes the dict of its fields that
     are not None, and any other sequence a list."""
     if x is None or isinstance(x, (int, str)):
@@ -742,7 +743,7 @@ def json_value(x):
     if isinstance(x, Fraction):
         return "%d/%d" % (x.numerator, x.denominator)
     if isinstance(x, float):
-        return {"value": x, "precision_bits": 53}
+        return {"value": x, "precision_bits": 53} if math.isfinite(x) else None
     if isinstance(x, (Place, SquareClass)):
         return str(x)
     if isinstance(x, dict):

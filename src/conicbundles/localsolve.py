@@ -231,8 +231,9 @@ def _place_solver(system: NormFormSystem):
             # here u = (78125, 390625) at precision 11
             depth = max(bound + 2, 4)
         if depth < bound + 1:
-            raise LocalSolveError("depth %d is below the technical bound %d"
-                                  % (depth, bound + 1))
+            raise LocalSolveError(
+                "depth %d at p = %d does not exceed the technical bound %d"
+                % (depth, p, bound))
         if bound == 0 and p > top:
             for u, product in moment:
                 if product % p:

@@ -179,6 +179,19 @@ def test_local_depth_flag_echoed(tmp_path):
     assert report["results"]["report"]["soluble"] is True
 
 
+def test_local_depth_at_the_technical_bound_exit_2(tmp_path, capsys):
+    # v_2(4 * 8) = 5, so a depth the caller sets must exceed 5 at p = 2
+    path = write_problem(tmp_path, "kind = system\na = -1, 8\n"
+                                   "forms = 1 0; 0 1\n")
+    code, report = run_cli(["local", path, "--depth", "2"], tmp_path)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert "depth 2 at p = 2 does not exceed the technical bound 5" in err
+    code, report = run_cli(["local", path, "--depth", "6"], tmp_path)
+    assert code == 0 and report["results"]["report"]["soluble"] is True
+
+
 def test_count_threads_flag(tmp_path):
     path = write_problem(tmp_path, REF_JOB)
     _, one = run_cli(["count", path], tmp_path, "one.json")
@@ -290,6 +303,21 @@ def test_predict_reference_job(tmp_path):
         assert row["empirical"] > 0
         assert abs(row["ratio"]["value"]
                    - row["empirical"] / row["predicted"]["value"]) < 1e-9
+
+
+def test_predict_writes_a_nan_ratio_as_null(tmp_path, capsys):
+    # f(uM) = 3 mod 4 is a norm of Z[i] at no lift, so beta_2 = 0, the
+    # prediction is 0 and the ratio 0/0; JSON has no NaN
+    path = write_problem(tmp_path, "kind = count-job\na = -1\nforms = 1 0\n"
+                                   "M = 4\nuM = 3, 0\nB_schedule = 25\n")
+    assert main(["predict", path]) == 0
+
+    def refuse(name):
+        raise ValueError("%s is not JSON" % name)
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    row, = report["results"]["per_B"]
+    assert row["beta_p"]["2"] == "0/1" and row["ratio"] is None
 
 
 def test_count_matches_module(tmp_path):

@@ -219,18 +219,23 @@ def test_enumerate_threads_cutoff(monkeypatch):
     sysm = NormFormSystem(r=2, s=3, a=(-1, 2),
                           forms=((1, 1, 0), (1, -1, 1)))
     job = CountJob(system=sysm, uInf=(1, Fraction(1, 3), 1))
-    # 194,481 and 923,521 entry points, on either side of the cut-off
-    for B, threaded in ((21**2, False), (31**2, True)):
-        base = enumerate_N(job, B, threads=1)
-        assert base > 0 and not pools
-        for threads in (2, 3):
-            assert enumerate_N(job, B, threads=threads) == base, (B, threads)
-        assert pools == ([2, 3] if threaded else []), B
-        pools.clear()
-    # the small job where the pool used to cost more than it saved
     small = CountJob(system=NormFormSystem(r=2, s=2, a=(-1, 2),
                                            forms=((1, 1), (1, -1))),
                      uInf=(1, Fraction(1, 3)))
+    # 194,481 and 923,521 entry points, on either side of the cut-off, and
+    # the small job's 1,999,998 at B = 10^6, with its count pinned
+    for counted, B, threaded, want in ((job, 21**2, False, None),
+                                       (job, 31**2, True, None),
+                                       (small, 10**6, True, 489479441711)):
+        base = enumerate_N(counted, B, threads=1)
+        assert base > 0 and not pools
+        assert want is None or base == want
+        for threads in (2, 3):
+            assert enumerate_N(counted, B, threads=threads) == base, \
+                (B, threads)
+        assert pools == ([2, 3] if threaded else []), B
+        pools.clear()
+    # the small job where the pool used to cost more than it saved
     assert enumerate_N(small, 14641, threads=2) == \
         enumerate_N(small, 14641) > 0
     assert not pools

@@ -474,15 +474,18 @@ class _Row:
     (Fraction(3), "3/1"),
     (True, True),
     (7, 7),
-    (float("nan"), {"value": math.nan, "precision_bits": 53}),
+    (0.5, {"value": 0.5, "precision_bits": 53}),
+    (float("nan"), None),
+    (-math.inf, None),
     (REAL_PLACE, "oo"),
     (squarefree_class(-5), "-5"),
     ({2: Fraction(1, 2)}, {"2": "1/2"}),
     (_Row(Fraction(-1, 2)), {"q": "-1/2"}),
     (((1, Fraction(2)), (Place(3),)), [[1, "2/1"], ["3"]]),
-], ids=["fraction", "bool", "int", "nan", "place", "square class",
-        "dict keys", "dataclass", "nested tuples"])
+], ids=["fraction", "bool", "int", "float", "nan", "infinity", "place",
+        "square class", "dict keys", "dataclass", "nested tuples"])
 def test_json_value_rules(x, encoded):
-    # compared as JSON text, where NaN matches NaN and true is not 1
+    # compared as JSON text, where true is not 1; JSON has no NaN or
+    # infinity, so a float that is not finite is written null
     assert json.dumps(json_value(x), sort_keys=True) \
         == json.dumps(encoded, sort_keys=True)

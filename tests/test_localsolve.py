@@ -559,6 +559,22 @@ def test_everywhere_locally_soluble():
     assert not report.soluble
     assert REAL_PLACE in report.bad_places
 
+    # no form reads the third coordinate
+    zero_column = NormFormSystem(r=3, s=3, a=(-1, 2, 3),
+                                 forms=((1, 1, 0), (1, -1, 0), (2, 1, 0)))
+    # the digit walk at 5^4 finds nothing here; the forms have rank 2, so
+    # the rank witness answers at 5
+    rank_witness = NormFormSystem(r=2, s=2, a=(-1, -3),
+                                  forms=((0, 25), (125, 0)))
+    for system in (zero_column, rank_witness):
+        report = everywhere_locally_soluble(system)
+        assert report.soluble and not report.bad_places, system
+        for place, wit in report.witnesses:
+            if place.is_real:
+                check_real_witness(system, wit)
+            else:
+                check_padic_witness(system, place.p, wit)
+
 
 def test_everywhere_witnesses_agree_with_each_place():
     # the report prepares each system once for all its places; every
