@@ -8,9 +8,8 @@ from .exactnum import (Place, REAL_PLACE, SquareClass, f2_independent,
                        factorize, hilbert, hilbert_support, is_prime,
                        legendre, squarefree_class, squarefree_part,
                        valuation)
-from .quadform import (BinaryForm, pell_fundamental,
-                       primary_representatives, representation_count, rho,
-                       rho_table, scaling_valid, w)
+from .quadform import (BinaryForm, pell_fundamental, representation_count,
+                       rho, rho_table, scaling_valid, w)
 from .pencil import (BrauerElement, BrauerGroupDescription, ConicBundleData,
                      NormFormSystem, QuadricIntersectionData, ValidationReport,
                      brauer_element, brauer_group, delta,
@@ -57,8 +56,8 @@ __all__ = [
     "global_point", "hilbert", "hilbert_support", "invariant_vector",
     "is_prime", "legendre", "local_invariant", "main", "obstruction_scan",
     "padic_soluble", "pairing", "pell_fundamental", "predict_and_compare",
-    "primary_representatives", "quadric_intersection_system",
-    "quartic_discriminant", "quotient_generators", "region_measure",
+    "quadric_intersection_system", "quartic_discriminant",
+    "quotient_generators", "real_soluble", "region_measure",
     "representation_count", "rho", "rho_table", "run_selftest",
     "scaling_valid", "squarefree_class", "squarefree_part", "torsor_system",
     "validate", "valuation", "w",

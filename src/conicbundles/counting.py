@@ -416,7 +416,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     the result does not depend on the partition; fewer than
     _THREAD_MIN_CELLS entry points are summed on one thread, as the pool
     would cost more than it saves."""
-    B = as_integer(B, CountingError)
+    B = as_integer_at_least(B, 1, "B", CountingError)
     parts = min(as_integer_at_least(threads, 1, "threads", CountingError),
                 os.cpu_count() or 1)
     spans = [_axis_range(job, B, j) for j in range(job.system.s)]

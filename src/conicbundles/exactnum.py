@@ -67,8 +67,9 @@ from typing import Optional, Sequence, Union
 IntLike = Union[int, Fraction]
 
 POLLARD_BRENT_BUDGET = 1_000_000
-# the most cells an exhaustive sum or scan allocates: counting's G and
-# brauermanin's finite scan cells refuse larger jobs
+# the most cells an exhaustive sum or scan allocates: counting's G,
+# brauermanin's finite scan cells, quadform's row searches and rho_table
+# refuse larger jobs
 DEFAULT_ENUMERATION_CAP = 10**7
 
 

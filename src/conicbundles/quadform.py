@@ -5,14 +5,7 @@ For a < 0 the (proper) automorph group is finite of order w(4a): the four
 rotations when a = -1, else {+-1}.  For a > 0 nonsquare it is {+-1} times
 the infinite cyclic group generated by the smallest Pell solution
 eps = t + u*sqrt(a), t^2 - a u^2 = 1.  Representation counts R(n) are orbit
-counts; for a > 0 one solution per orbit is selected by the fundamental
-domain
-
-    x + y*sqrt(a) > 0,   1 <= (x + y*sqrt(a)) / sqrt|n| < t + u*sqrt(a),
-
-and membership is decided with exact integer arithmetic (comparisons of
-A + B*sqrt(a) against 0 via squaring).  By convention R(0) = 0, and
-R(n) = 0 for n < 0 when a < 0.
+counts.  By convention R(0) = 0, and R(n) = 0 for n < 0 when a < 0.
 
 An orbit count does not depend on which fundamental domain picks the
 orbits, and representation_table uses a balanced one.  Write z = x + y*sqrt(a)
@@ -32,19 +25,16 @@ the domain is exactly two integer half-planes,
 which already force z > 0 (x > 0, resp. y > 0).  They bound the rows:
 u x >= s |y| gives n >= (s^2 - a u^2) y^2 / u^2 = 2 s y^2 / u^2, and
 s |x| <= a u y gives |n| >= a y^2 (s^2 - a u^2) / s^2 = 2 a y^2 / s.  The
-same computation for the interval [1, eps^2) turns the domain above into
-y >= 0 and u x > t y (n > 0), x >= 0 and t x < a u y (n < 0), whose rows
-reach y^2 < n u^2 and a y^2 < |n| t^2: about sqrt(t / 2) times as many
-row intervals, nearly all of them empty when t is large.
-The per-point test _in_fundamental_domain and the per-n search
-primary_representatives stay as the independent oracle.  The search
-bounds its rows in integers from its own domain: 0 <= y <= isqrt(u^2 n)
-for n > 0 and isqrt(|n| // a) <= y <= isqrt(t^2 |n| // a) for n < 0.
-Every row search, the oracle's and representation_table's, counts its
-rows before the first and raises QuadFormError when they number more
-than DEFAULT_ENUMERATION_CAP (rows grow like u sqrt|n|, so a large Pell
-solution meets the cap at once); a table numpy cannot allocate raises
-QuadFormError too.
+classical domain 1 <= z / sqrt|n| < eps, that is 1 <= |z / z'| < eps^2,
+turns by the same computation into y >= 0 and u x > t y (n > 0), x >= 0
+and t x < a u y (n < 0), whose rows reach y^2 < n u^2 and
+a y^2 < |n| t^2: about sqrt(t / 2) times as many row intervals, nearly
+all of them empty when t is large.  representation_table counts its rows
+before the first and raises QuadFormError when they number more than
+DEFAULT_ENUMERATION_CAP (the rows grow like sqrt(t |n| / a), so a large
+Pell solution meets the cap at once); a table numpy cannot allocate
+raises QuadFormError too.  representation_count(form, n) reads the table
+of the one-value window [n, n], so R(n) has one implementation.
 
 rho(q, A) counts solutions of x^2 - a y^2 = A over Z/q, multiplicatively
 in q.  _local_count finds N_k(Q; A) = #{(x, y) mod p^k : c1 x^2 + c2 y^2 =
@@ -166,87 +156,10 @@ def pell_fundamental(a: int) -> PellSolution:
     return PellSolution(x, y)
 
 
-def _sign_plus_root(A: int, B: int, a: int) -> int:
-    """Sign of A + B*sqrt(a) for a > 0 nonsquare (never zero)."""
-    if A >= 0 and B >= 0:
-        return 1 if (A or B) else 0
-    if A <= 0 and B <= 0:
-        return -1 if (A or B) else 0
-    if A > 0:  # B < 0
-        return 1 if A * A > a * B * B else -1
-    return 1 if a * B * B > A * A else -1
-
-
-def _in_fundamental_domain(form: BinaryForm, x: int, y: int, n: int) -> bool:
-    a = form.a
-    pell = pell_fundamental(a)
-    t, u = pell.t, pell.u
-    if _sign_plus_root(x, y, a) <= 0:
-        return False
-    m = abs(n)
-    # (x + y sqrt a)^2 >= |n|
-    if _sign_plus_root(x * x + a * y * y - m, 2 * x * y, a) < 0:
-        return False
-    # (x + y sqrt a)^2 < |n| (t + u sqrt a)^2
-    lhs_a = x * x + a * y * y - m * (t * t + a * u * u)
-    lhs_b = 2 * x * y - 2 * m * t * u
-    return _sign_plus_root(lhs_a, lhs_b, a) < 0
-
-
-def primary_representatives(form: BinaryForm, n: int):
-    """One solution of x^2 - a y^2 = n per automorph orbit."""
-    n = as_integer(n, QuadFormError)
-    a = form.a
-    if n == 0:
-        return []
-    reps = []
-    if a < 0:
-        if n < 0:
-            return []
-        b = -a
-        ys = range(math.isqrt(n // b) + 1)
-        _check_rows(a, [ys])
-        for y in ys:
-            r = n - b * y * y
-            x = math.isqrt(r)
-            if x * x == r:
-                if a == -1:
-                    if x > 0:
-                        reps.append((x, y))
-                else:
-                    if x > 0:
-                        reps.append((x, y))
-                        if y > 0:
-                            reps.append((x, -y))
-                    elif y > 0:
-                        reps.append((0, y))
-        return sorted(reps)
-    pell = pell_fundamental(a)
-    t, u = pell.t, pell.u
-    # z = x + y sqrt(a) runs over [sqrt|n|, eps sqrt|n|), where
-    # y = (z - n / z) / (2 sqrt(a)) rises with z, and eps -+ 1 / eps is
-    # 2 u sqrt(a), resp. 2 t: so 0 <= y < u sqrt(n) for n > 0 and
-    # sqrt(|n| / a) <= y < t sqrt(|n| / a) for n < 0, rounded outwards
-    if n > 0:
-        ys = range(math.isqrt(u * u * n) + 1)
-    else:
-        ys = range(math.isqrt(-n // a), math.isqrt(-t * t * n // a) + 1)
-    _check_rows(a, [ys])
-    for y in ys:
-        r = n + a * y * y
-        if not is_square(r):
-            continue
-        x0 = math.isqrt(r)
-        for x in {x0, -x0}:
-            if _in_fundamental_domain(form, x, y, n):
-                reps.append((x, y))
-    return sorted(reps)
-
-
 def representation_count(form: BinaryForm, n: int) -> int:
     """R(n): number of automorph orbits of solutions of x^2 - a y^2 = n.
     R(0) = 0 by convention."""
-    return len(primary_representatives(form, n))
+    return int(representation_table(form, n, n)[0])
 
 
 def _ceil_isqrt(m: int) -> int:
@@ -395,13 +308,12 @@ def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
     """R(lo + step k) for 0 <= k <= (hi - lo) // step, as an int64 numpy
     array indexed by k: the class of lo mod step in the window [lo, hi].
 
-    Counts the same orbits as primary_representatives, one solution each
-    from the balanced domain of the module docstring, by rows instead of
-    a search per n.  For a > 0 row y meets the domain in x-intervals
-    whose ends are s y // u + 1 or -(-s y // u) (n > 0) and
-    (a u y - 1) // s or a u y // s (n < 0), s = t + 1, cut by the isqrt of
-    the window bounds shifted by a y^2, so no quadratic irrational is
-    compared; only rows with 2 s y^2 <= hi u^2 (n > 0) and
+    Counts the automorph orbits, one solution each from the balanced
+    domain of the module docstring, by rows.  For a > 0 row y meets the
+    domain in x-intervals whose ends are s y // u + 1 or -(-s y // u)
+    (n > 0) and (a u y - 1) // s or a u y // s (n < 0), s = t + 1, cut
+    by the isqrt of the window bounds shifted by a y^2, so no quadratic
+    irrational is compared; only rows with 2 s y^2 <= hi u^2 (n > 0) and
     2 a y^2 <= |lo| s (n < 0) can meet the window.  For a < 0 the rows
     are those of x^2 + |a| y^2 over the orbit representatives.  Row y
     hits the class only at the x whose square is lo + a y^2 mod step:
@@ -499,11 +411,15 @@ def rho_table(form: BinaryForm, p: int, k: int):
 
     One `_local_count` per orbit (v_p(A), unit square class of A / p^v)
     fills every A of that orbit.  Cached, so callers share the list and
-    must not change it."""
+    must not change it.  A table of more than DEFAULT_ENUMERATION_CAP
+    entries is refused with QuadFormError before it is built."""
     p = as_prime(p, QuadFormError)
     k = as_integer_at_least(k, 0, "k", QuadFormError)
     a = form.a
     m = p**k
+    if m > DEFAULT_ENUMERATION_CAP:
+        raise QuadFormError("rho_table(%d^%d) has %d entries, beyond the cap "
+                            "%d" % (p, k, m, DEFAULT_ENUMERATION_CAP))
     tab = [_local_count(a, p, k, 0)] * m
     for v in range(k):
         # A = p^v w with w prime to p; up to unit squares w is its

@@ -227,6 +227,35 @@ def reduce_to_domain(a, x, y, n):
     raise AssertionError("reduction did not terminate")
 
 
+def brute_orbits(a, n):
+    """One solution of x^2 - a y^2 = n per automorph orbit, sorted: for
+    a = -1 those with x > 0 and y >= 0, one per four rotations; for other
+    a < 0 those with x > 0, or x = 0 < y, one per pair +-(x, y); for a > 0
+    the distinct reduce_to_domain images of the solutions with
+    |y| <= isqrt(u^2 n) + 1 (n > 0) or isqrt(t^2 |n| // a) + 1 (n < 0),
+    a range that holds the domain's y (y rises with x + y sqrt a there)."""
+    if n == 0 or a < 0 and n < 0:
+        return []
+    if a < 0:
+        sols = brute_solutions(a, n, math.isqrt(n // -a) + 1)
+        order = 4 if a == -1 else 2
+        reps = [(x, y) for x, y in sols
+                if (x > 0 and y >= 0 if a == -1 else x > 0 or x == 0 < y)]
+        assert len(sols) == order * len(reps), (a, n)
+        return sorted(reps)
+    t, u = brute_pell(a)
+    ybound = math.isqrt(u * u * n if n > 0 else t * t * -n // a) + 1
+    return sorted({reduce_to_domain(a, x, y, n)
+                   for x, y in brute_solutions(a, n, ybound)})
+
+
+def brute_orbit_count(a, n):
+    """R(n), the number of automorph orbits of solutions of
+    x^2 - a y^2 = n: the solutions over the group's order w for a < 0, the
+    reduced solutions for a > 0 (brute_orbits)."""
+    return len(brute_orbits(a, n))
+
+
 # -- exact polynomials, ascending coefficients --------------------------------
 
 def ptrim(a):

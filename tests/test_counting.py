@@ -26,11 +26,11 @@ from conicbundles.pencil import NormFormSystem, PencilError
 from conicbundles.quadform import (
     BinaryForm,
     pell_fundamental,
-    primary_representatives,
     representation_count,
     rho,
 )
 from jobs import job1, job2, system1
+from reference import brute_orbit_count, brute_orbits
 
 
 def job_m12(**kw):
@@ -42,7 +42,7 @@ def job_m12(**kw):
 
 def brute_N(system, M, uM, uInf, eps, B):
     # direct loop over the u = uM mod M of each axis window, with exact
-    # rational box tests and pointwise counts; independent of the
+    # rational box tests and brute-force orbit counts; independent of the
     # table-and-grid path in enumerate_N
     eps = Fraction(eps)
     windows = []
@@ -63,8 +63,7 @@ def brute_N(system, M, uM, uInf, eps, B):
         for i in range(system.r):
             n = sum(c * x for c, x in zip(system.forms[i], u))
             if (i, n) not in counts:
-                counts[i, n] = representation_count(BinaryForm(system.a[i]),
-                                                    n)
+                counts[i, n] = brute_orbit_count(system.a[i], n)
             prod *= counts[i, n]
             if not prod:
                 break
@@ -318,10 +317,10 @@ def test_scaling_map_sends_solutions_to_solutions():
             for i, a in enumerate(job.system.a):
                 form = BinaryForm(a)
                 n = sum(c * x for c, x in zip(job.system.forms[i], u))
-                reps = primary_representatives(form, n)
+                reps = brute_orbits(a, n)
                 prod *= len(reps)
                 n2 = sum(c * x2 for c, x2 in zip(job.system.forms[i], u2))
-                reps2 = primary_representatives(form, n2)
+                reps2 = brute_orbits(a, n2)
                 for x, y in reps:
                     assert form.value(C * x, C * y) == n2
                     # the dilated pair is itself a counted representative

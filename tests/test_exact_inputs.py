@@ -27,9 +27,9 @@ from conicbundles.pencil import (BrauerElement, ConicBundleData,
                                  NormFormSystem, PencilError,
                                  quadric_intersection_system)
 from conicbundles.quadform import (BinaryForm, QuadFormError,
-                                   pell_fundamental, primary_representatives,
-                                   representation_count, representation_table,
-                                   rho, rho_table, scaling_valid, w)
+                                   pell_fundamental, representation_count,
+                                   representation_table, rho, rho_table,
+                                   scaling_valid, w)
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 SYSTEM = NormFormSystem(r=1, s=2, a=(-1,), forms=((1, 0),))
@@ -121,9 +121,6 @@ FLOAT_ENTRY_PATHS = {
     "representation table step": (QuadFormError,
                                   lambda: representation_table(
                                       BinaryForm(-1), 1, 9, 2.0)),
-    "primary representatives": (QuadFormError,
-                                lambda: primary_representatives(
-                                    BinaryForm(2), 7.0)),
     "rho table k": (QuadFormError,
                     lambda: rho_table(BinaryForm(-1), 3, 2.0)),
     "scaling k": (QuadFormError,
@@ -288,11 +285,15 @@ def test_cached_entry_points_refuse_a_float_after_the_int():
     (lambda: predict_and_compare(job(), threads=-3), "threads"),
     (lambda: enumerate_N(job(), 100, threads=0), "threads"),
     (lambda: enumerate_N(job(), 100, threads=-3), "threads"),
+    (lambda: enumerate_N(job(), 0), "B must be >= 1"),
+    (lambda: enumerate_N(job(), -4), "B must be >= 1"),
 ], ids=["cutoff 1", "cutoff -5", "predict threads 0", "predict threads -3",
-        "enumerate threads 0", "enumerate threads -3"])
+        "enumerate threads 0", "enumerate threads -3", "enumerate B 0",
+        "enumerate B -4"])
 def test_counts_below_their_minimum_are_refused(call, match):
-    # an Euler product over no prime is no prediction, and no thread count
-    # below one is meaningful: the minimums the CLI enforces
+    # an Euler product over no prime is no prediction, no thread count
+    # below one is meaningful, and a box of height B <= 0 holds no point
+    # to count: the minimums the CLI enforces
     with pytest.raises(CountingError, match=match):
         call()
 

@@ -135,6 +135,22 @@ def test_no_dead_names():
     assert {name: names for name, names in dead.items() if names} == {}
 
 
+def test_all_lists_exactly_the_reexported_names():
+    # `from conicbundles import *` gives every name __init__ imports at top
+    # level and nothing it does not, except the front end that __getattr__
+    # serves lazily
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module != "__future__" for alias in node.names}
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["__all__"])
+    assert len(set(listed)) == len(listed)
+    assert sorted(imported - set(listed)) == []
+    assert sorted(set(listed) - imported) == ["main", "run_selftest"]
+
+
 _LOCAL_AND_BRAUER = """
 import sys
 import conicbundles as cb

@@ -10,10 +10,8 @@ from conicbundles.quadform import (
     BinaryForm,
     PellSolution,
     QuadFormError,
-    _in_fundamental_domain,
     fundamental_unit,
     pell_fundamental,
-    primary_representatives,
     representation_count,
     representation_table,
     rho,
@@ -21,7 +19,7 @@ from conicbundles.quadform import (
     scaling_valid,
     w,
 )
-from reference import brute_pell, brute_solutions, reduce_to_domain
+from reference import brute_orbit_count, brute_pell
 
 
 def brute_fundamental_unit(a):
@@ -90,7 +88,6 @@ def test_fundamental_unit_against_brute():
 def test_definite_counts_examples():
     f = BinaryForm(-1)
     assert representation_count(f, 25) == 3
-    assert primary_representatives(f, 25) == [(3, 4), (4, 3), (5, 0)]
     assert representation_count(f, 3) == 0
     assert representation_count(f, 0) == 0
     assert representation_count(f, -5) == 0
@@ -98,44 +95,15 @@ def test_definite_counts_examples():
     assert representation_count(f, 2) == 1
 
 
-def test_definite_orbit_identity():
-    # w * R(n) equals the raw solution count
-    for a in (-1, -2, -5):
-        f = BinaryForm(a)
-        order = w(4 * a)
-        for n in range(1, 500):
-            raw = len(brute_solutions(a, n, math.isqrt(n // -a) + 1))
-            assert order * representation_count(f, n) == raw, (a, n)
-
-
 def test_indefinite_examples():
     f = BinaryForm(2)
     assert representation_count(f, -1) == 1
-    assert primary_representatives(f, -1) == [(1, 1)]
     assert representation_count(f, 7) == 2
     assert representation_count(f, 0) == 0
     f3 = BinaryForm(3)
     assert representation_count(f3, 1) == 1
     assert representation_count(f3, -1) == 0
     assert representation_count(f3, 13) == 2
-
-
-def test_indefinite_domain_is_exact_transversal():
-    # every brute-force solution reduces to exactly one listed representative
-    for a in (2, 3):
-        f = BinaryForm(a)
-        for n in [n for n in range(-200, 201) if n != 0]:
-            reps = primary_representatives(f, n)
-            assert len(set(reps)) == len(reps)
-            for x, y in reps:
-                assert f.value(x, y) == n
-                assert _in_fundamental_domain(f, x, y, n)
-            seen = set()
-            for x, y in brute_solutions(a, n, 10_000 if abs(n) < 30 else 300):
-                r = reduce_to_domain(a, x, y, n)
-                assert r in reps, (a, n, (x, y))
-                seen.add(r)
-            assert seen == set(reps), (a, n)
 
 
 def test_representation_table_matches_pointwise():
@@ -151,7 +119,7 @@ def test_representation_table_matches_pointwise():
             tab = arr.tolist()
             assert len(tab) == hi - lo + 1
             for n in range(lo, hi + 1):
-                assert tab[n - lo] == representation_count(f, n), (a, n)
+                assert tab[n - lo] == brute_orbit_count(a, n), (a, n)
     with pytest.raises(QuadFormError):
         representation_table(BinaryForm(-1), 5, 3)
 
@@ -174,7 +142,7 @@ def test_representation_table_on_a_class_matches_pointwise():
                 for k, got in enumerate(arr.tolist()):
                     n = lo + step * k
                     if n not in counts:
-                        counts[n] = representation_count(f, n)
+                        counts[n] = brute_orbit_count(a, n)
                     assert got == counts[n], (a, lo, hi, step, n)
     with pytest.raises(QuadFormError, match="step must be >= 1"):
         representation_table(BinaryForm(-1), 3, 5, 0)
@@ -183,15 +151,12 @@ def test_representation_table_on_a_class_matches_pointwise():
 
 
 def test_representation_table_needs_no_domain_test(monkeypatch):
-    # the rows of the cone replace the per-point test: with the oracle
-    # refused and pell_fundamental counted, the tables are unchanged and
-    # each reads the Pell solution at most once
+    # the rows of the cone need no per-point domain test: with
+    # pell_fundamental counted, the tables are unchanged and each reads
+    # the Pell solution at most once
     windows = [(-50, 50), (3, 400), (-400, -3), (-1, 1), (-9, -9)]
     cases = [(BinaryForm(a), lo, hi) for a in (2, 3, 6) for lo, hi in windows]
     expected = [representation_table(*case).tolist() for case in cases]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("_in_fundamental_domain called")
 
     calls = []
 
@@ -199,12 +164,30 @@ def test_representation_table_needs_no_domain_test(monkeypatch):
         calls.append(a)
         return pell_fundamental(a)
 
-    monkeypatch.setattr(quadform, "_in_fundamental_domain", refuse)
     monkeypatch.setattr(quadform, "pell_fundamental", counted)
     for case, tab in zip(cases, expected):
         del calls[:]
         assert representation_table(*case).tolist() == tab
         assert len(calls) <= 1, (case, calls)
+
+
+def test_table_oracle_reads_no_pell_solution_of_the_library(monkeypatch):
+    # with pell_fundamental answering eps^2 for eps, every orbit of
+    # x^2 - 2 y^2 = n splits in two and the table doubles; the oracle
+    # finds its own Pell solution, so it must see the fault
+    f = BinaryForm(2)
+    oracle = [brute_orbit_count(2, n) for n in range(-30, 31)]
+    assert representation_table(f, -30, 30).tolist() == oracle
+    original = quadform.pell_fundamental
+
+    def squared(a):
+        eps = original(a)
+        return PellSolution(eps.t ** 2 + a * eps.u ** 2, 2 * eps.t * eps.u)
+
+    monkeypatch.setattr(quadform, "pell_fundamental", squared)
+    faulted = representation_table(f, -30, 30).tolist()
+    assert faulted != oracle
+    assert faulted == [2 * r for r in oracle]
 
 
 def test_representation_table_rows_have_roots_in_their_class(monkeypatch):
@@ -248,11 +231,11 @@ def test_row_searches_refuse_more_rows_than_the_cap():
     # for a < 0 the cap is met near |n| = 10^14
     big = BinaryForm(30781)
     searches = [
-        (30781, lambda: primary_representatives(big, 1)),
-        (30781, lambda: primary_representatives(big, -1)),
+        (30781, lambda: representation_count(big, 1)),
+        (30781, lambda: representation_count(big, -1)),
         (30781, lambda: representation_table(big, 1, 1)),
         (30781, lambda: representation_table(big, -1, -1)),
-        (-1, lambda: primary_representatives(BinaryForm(-1), 10**15)),
+        (-1, lambda: representation_count(BinaryForm(-1), 10**15)),
         (-1, lambda: representation_table(BinaryForm(-1), 10**15, 10**15)),
     ]
     for a, search in searches:
@@ -261,15 +244,15 @@ def test_row_searches_refuse_more_rows_than_the_cap():
             search()
 
 
-# sha256 of repr((a, n, primary_representatives(BinaryForm(a), n))) over
-# 1000 draws of random.Random(0): a among -60..-1 and the nonsquares in
-# 2..199 whose Pell u is below 5000, n in -3000..3000.  Recorded when the
-# search bounded its rows with floats, so it checks the integer bounds
-PRIMARY_REPRESENTATIVES_DIGEST = (
-    "5292b8f8e4a883a63d7c6c71c8bac9695e5ac530a8bde67ca3d7754f6f492364")
+# sha256 of repr((a, n, R(n))) over 1000 draws of random.Random(0): a
+# among -60..-1 and the nonsquares in 2..199 whose Pell u is below 5000,
+# n in -3000..3000.  Recorded from the per-n search of a fixed fundamental
+# domain that representation_count read before it became the table's
+REPRESENTATION_COUNTS_DIGEST = (
+    "a751cd2b28c8e472fde34aa2a26d973ba1855edbc01e1c3e61bbc7e685b07b93")
 
 
-def test_primary_representatives_match_their_pinned_digest():
+def test_representation_counts_match_their_pinned_digest():
     forms = list(range(-60, 0))
     forms += [a for a in range(2, 200) if math.isqrt(a) ** 2 != a
               and pell_fundamental(a).u < 5000]
@@ -278,9 +261,9 @@ def test_primary_representatives_match_their_pinned_digest():
     for _ in range(1000):
         a = rng.choice(forms)
         n = rng.randint(-3000, 3000)
-        reps = primary_representatives(BinaryForm(a), n)
-        digest.update(repr((a, n, reps)).encode())
-    assert digest.hexdigest() == PRIMARY_REPRESENTATIVES_DIGEST
+        count = representation_count(BinaryForm(a), n)
+        digest.update(repr((a, n, count)).encode())
+    assert digest.hexdigest() == REPRESENTATION_COUNTS_DIGEST
 
 
 def brute_rho(a, m, A):
@@ -392,6 +375,18 @@ def test_rho_cap_behaviour():
     assert rho(f, big, 0) == 16015625
     assert rho(f, 2**30, 2**28) == 4**14 * rho(f, 4, 1)
     assert rho(f, 2**30, 0) == 4**14 * rho(f, 4, 0) == 2**30
+
+
+def test_rho_table_refuses_more_entries_than_the_cap():
+    # 2^24 entries are past DEFAULT_ENUMERATION_CAP: the table is refused
+    # before a list of 16,777,216 counts is built and cached, while rho
+    # still answers pointwise at that modulus (the scaling identity from
+    # 2^3, where it holds for odd A)
+    f = BinaryForm(-1)
+    with pytest.raises(QuadFormError, match=r"rho_table\(2\^24\) has "
+                       r"16777216 entries, beyond the cap 10000000"):
+        rho_table(f, 2, 24)
+    assert rho(f, 2**24, 5) == 2**21 * rho(f, 8, 5)
 
 
 def closed_form_rho(chi, p, k, v):
