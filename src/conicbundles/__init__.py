@@ -4,9 +4,9 @@ associated norm-form systems, and del Pezzo double-cover constructions."""
 
 __version__ = "0.1.0"
 
-from .exactnum import (Place, REAL_PLACE, SquareClass, f2_independent,
-                       factorize, hilbert, hilbert_support, is_prime,
-                       legendre, squarefree_class, squarefree_part,
+from .exactnum import (Place, REAL_PLACE, SquareClass, Verdict,
+                       f2_independent, factorize, hilbert, hilbert_support,
+                       is_prime, legendre, squarefree_class, squarefree_part,
                        valuation)
 from .quadform import (BinaryForm, pell_fundamental, representation_count,
                        rho, rho_table, scaling_valid, w)
@@ -48,7 +48,7 @@ __all__ = [
     "LocalParameter", "LocalReport", "LocalWitness", "NormFormSystem",
     "Place", "QuadricIntersectionData", "Quartic", "REAL_PLACE",
     "RamificationQuartic", "ScanTable", "SplitPolynomial", "SquareClass",
-    "ValidationReport", "beta_infinity", "beta_p", "box_measure",
+    "ValidationReport", "Verdict", "beta_infinity", "beta_p", "box_measure",
     "brauer_element", "brauer_group", "bundle_from_fgh", "delta",
     "diagonal_quadric_soluble", "dp1_condition", "dp1_minimality",
     "dp2_minimality", "dp2_ramification_quartic", "enumerate_N",

@@ -72,7 +72,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import islice, product
 from operator import xor
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
@@ -198,8 +198,7 @@ class AdelicFiberPoint:
         return None
 
 
-@dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(NamedTuple):
     """Local invariants of one class at one point, place by place."""
 
     entries: Tuple[Tuple[Place, int], ...]
@@ -353,8 +352,7 @@ def quotient_generators(data: ConicBundleData) -> Tuple[BrauerElement, ...]:
                  for _, row, _ in rows)
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     """One cell of the parameter space at one place, with the invariant of
     every generator on it."""
 
@@ -388,8 +386,7 @@ def _mask(values: Tuple[int, ...]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ScanTable:
+class ScanTable(NamedTuple):
     """Cell partition per supported place and the generator invariants.
 
     A combination picks one cell per place; it is allowed when the
@@ -405,7 +402,7 @@ class ScanTable:
     def places(self) -> Tuple[Place, ...]:
         return tuple(rec.place for rec in self.place_cells)
 
-    @cached_property
+    @property
     def cells(self) -> Tuple[ScanCell, ...]:
         return tuple(cell for rec in self.place_cells for cell in rec.cells())
 

@@ -10,7 +10,9 @@ PROBLEM FILES (the compatibility contract)
     kind = pencil                 degenerate-fibre data of a conic bundle
         e = 0, 1, 2, 3            pairwise distinct rationals
         a = 5, 5, 5, 5            fibre square classes (integers)
-        lam = 1, 1, 1, 1          optional torsor scalings (nonzero)
+        lam = 1, 1, 1, 1          optional torsor scalings (nonzero); they
+                                  reach `clearing` but not yet the forms
+                                  (item 5 of ROADMAP.md)
         support = oo, 2, 5        places for the `bm` command (`oo` real)
     kind = system                 simultaneous norm equations
                                   x_i^2 - a_i y_i^2 = f_i(u)
@@ -340,14 +342,14 @@ def effective_options(problem: Optional[ProblemFile],
 # writes only some of its fields.
 
 def _independence_dict(report) -> dict:
-    return dict(vars(report), classes=dict(report.classes))
+    return dict(report._asdict(), classes=dict(report.classes))
 
 
 def _cmd_validate(problem: ProblemFile, data, options: dict) -> dict:
     kind = problem.kind
     out: dict = {"kind": kind, "valid": True}
     if kind == "pencil":
-        out.update(vars(validate(data)), pencil=data)
+        out.update(validate(data)._asdict(), pencil=data)
     elif kind == "system":
         out["system"] = data
     elif kind == "count-job":
@@ -369,7 +371,7 @@ def _cmd_brauer(problem: ProblemFile, data: ConicBundleData,
                 options: dict) -> dict:
     description = brauer_group(data)
     return json_value(dict(
-        vars(description), pencil=data, faddeev_class=data.faddeev_class(),
+        description._asdict(), pencil=data, faddeev_class=data.faddeev_class(),
         kernel_dim=description.kernel_dim(),
         weak_approximation=description.weak_approximation,
         generators=[g.n for g in quotient_generators(data)]))
@@ -387,7 +389,7 @@ def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
                 raise
             raise CLIInputError(str(exc))
         out = {"system": system, "report": dict(
-            vars(report), witnesses=[wit for _, wit in report.witnesses])}
+            report._asdict(), witnesses=[wit for _, wit in report.witnesses])}
         if pencil is not None:
             out["pencil"] = pencil
         return json_value(out)

@@ -99,7 +99,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy
 
@@ -586,8 +586,7 @@ def beta_p(job: CountJob, p: int) -> Fraction:
         "history %r" % (p, p, p, k_max, history))
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Prediction vs. exact count at one B.
 
     beta_p values are exact; beta_inf_per_Bs, predicted, and ratio are

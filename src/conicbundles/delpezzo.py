@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .exactnum import (
     ExactNumError,
@@ -154,8 +154,7 @@ class SplitPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class BundleReport:
+class BundleReport(NamedTuple):
     data: ConicBundleData
     degrees: Tuple[int, int, int]
     parity: int
@@ -228,8 +227,7 @@ class DP2Data:
         return _det([p.coefficients() for p in (self.f, self.g, self.h)])
 
 
-@dataclass(frozen=True)
-class RamificationQuartic:
+class RamificationQuartic(NamedTuple):
     """A x^4 + B y^4 + C z^4 + D x^2 y^2 + E x^2 z^2 + F y^2 z^2."""
 
     x4: Fraction
@@ -276,8 +274,7 @@ def dp2_ramification_quartic(data: DP2Data) -> RamificationQuartic:
     return RamificationQuartic(A, B, C, D, E, F, smooth, reasons)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     """Whether labelled classes are independent in Q*/Q*^2; when they are
     not, `certificate` names a dependent subset of minimal support."""
     independent: bool
@@ -286,9 +283,10 @@ class IndependenceReport:
 
 
 def _independence(labeled) -> IndependenceReport:
-    ok, cert = f2_independent([cls for _, cls in labeled])
-    names = None if cert is None else tuple(labeled[i][0] for i in cert)
-    return IndependenceReport(ok, tuple(labeled), names)
+    verdict = f2_independent([cls for _, cls in labeled])
+    names = None if verdict.evidence is None else tuple(
+        labeled[i][0] for i in verdict.evidence)
+    return IndependenceReport(verdict.holds, tuple(labeled), names)
 
 
 def dp2_minimality(data: DP2Data) -> IndependenceReport:
@@ -370,8 +368,7 @@ class DP1Data:
         return SplitPolynomial(self.c2 ** 2, self.e[4:]).coefficients()
 
 
-@dataclass(frozen=True)
-class DP1ConditionReport:
+class DP1ConditionReport(NamedTuple):
     holds: bool
     full_degree: bool
     discriminant_squarefree: bool
@@ -433,10 +430,13 @@ def dp1_condition(data: DP1Data) -> DP1ConditionReport:
     )
 
 
-@dataclass(frozen=True)
-class DP1MinimalityReport(IndependenceReport):
+class DP1MinimalityReport(NamedTuple):
     """`dp2_minimality`'s report, for the sixteen cross differences, with
-    the fibre classes of the contracted bundle and that bundle after it."""
+    the fibre classes of the contracted bundle and that bundle after it:
+    an IndependenceReport's three fields, then two more."""
+    independent: bool
+    classes: Tuple[Tuple[str, SquareClass], ...]
+    certificate: Optional[Tuple[str, ...]]
     fibre_classes: Tuple[SquareClass, ...]
     contracted_bundle: Optional[ConicBundleData]
 
@@ -467,5 +467,4 @@ def dp1_minimality(data: DP1Data) -> DP1MinimalityReport:
     bundle = None
     if all(not cls.is_trivial for cls in fibre):
         bundle = ConicBundleData(e=e[:7], a=tuple(fibre))
-    return DP1MinimalityReport(**vars(rep), fibre_classes=tuple(fibre),
-                               contracted_bundle=bundle)
+    return DP1MinimalityReport(*rep, tuple(fibre), bundle)

@@ -50,8 +50,9 @@ one elimination loop (Bareiss's fraction-free echelon form), read by
 `_det` (`counting`, `delpezzo`, `localsolve`), `counting._nullspace`,
 `pencil` and `localsolve`.  Beside them sit `_checked_place`, the one
 check that a place argument is a `Place` (`hilbert`, `localsolve`,
-`brauermanin`), and `json_value`, the one writer of the report encoding
-(`cli`, `counting`, `brauermanin`).
+`brauermanin`), `json_value`, the one writer of the report encoding
+(`cli`, `counting`, `brauermanin`), and `Verdict`, the one shape of a
+yes/no answer with its evidence (`localsolve`, `delpezzo`).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 IntLike = Union[int, Fraction]
 
@@ -613,7 +614,12 @@ def _clear_denominators(xs):
 
 
 def _primes_upto(n: int) -> list:
-    return [p for p in range(2, n + 1) if is_prime(p)]
+    """The primes up to n, sieved: `is_prime`'s cache stays as it was."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def _primes_dividing(xs) -> set:
@@ -704,20 +710,29 @@ def f2_insert(rows: list, vec: int, tag: int = 0):
     return vec, tag
 
 
-def f2_independent(classes: Sequence[SquareClass]):
+class Verdict(NamedTuple):
+    """An engine's yes/no answer: `holds` is True or False (None is kept
+    for undetermined) and `evidence` the witness or certificate, or None.
+    It unpacks, indexes and compares as the pair (holds, evidence)."""
+
+    holds: Optional[bool]
+    evidence: object
+
+
+def f2_independent(classes: Sequence[SquareClass]) -> Verdict:
     """Whether the classes are independent in the F2-vector space Q*/Q*^2.
 
-    Returns (True, None) or (False, certificate) where the certificate is a
-    nonempty tuple of indices whose classes multiply to the trivial class,
-    of minimal support, ties broken by lowest index order.  Elimination
-    decides dependence; the certificate is then found by enumerating the
-    index subsets by size, so the search is exponential in the size of
-    the certificate.
+    Returns Verdict(True, None) or Verdict(False, certificate), where the
+    certificate is a nonempty tuple of indices whose classes multiply to
+    the trivial class, of minimal support, ties broken by lowest index
+    order.  Elimination decides dependence; the certificate is then found
+    by enumerating the index subsets by size, so the search is
+    exponential in the size of the certificate.
     """
     masks = class_masks(list(classes))
     rows: list = []
     if all(f2_insert(rows, m)[0] for m in masks):
-        return True, None
+        return Verdict(True, None)
     # minimal-support certificate: smallest subset, then lexicographically
     # first index tuple
     for size in range(1, len(masks) + 1):
@@ -726,7 +741,7 @@ def f2_independent(classes: Sequence[SquareClass]):
             for i in subset:
                 acc ^= masks[i]
             if acc == 0:
-                return False, subset
+                return Verdict(False, subset)
     raise AssertionError("elimination found a dependency but enumeration did not")
 
 
@@ -737,8 +752,9 @@ def json_value(x):
     "num/den" (denominator 1 included), a finite float {"value": x,
     "precision_bits": 53} and any other float None, as JSON has no NaN or
     infinity; a Place or SquareClass becomes its string; dict
-    keys become strings; a dataclass becomes the dict of its fields that
-    are not None, and any other sequence a list."""
+    keys become strings; a record, a dataclass or a NamedTuple, becomes
+    the dict of its fields that are not None, and any other sequence a
+    list."""
     if x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, Fraction):
@@ -749,6 +765,9 @@ def json_value(x):
         return str(x)
     if isinstance(x, dict):
         return {str(k): json_value(v) for k, v in x.items()}
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        return {name: json_value(v) for name, v in zip(x._fields, x)
+                if v is not None}
     if is_dataclass(x):
         return {f.name: json_value(v) for f in fields(x)
                 if (v := getattr(x, f.name)) is not None}

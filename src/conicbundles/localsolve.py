@@ -21,17 +21,17 @@ differs from (-1, -1)_v.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import (
     ExactNumError,
     Place,
     REAL_PLACE,
+    Verdict,
     _balls,
     _checked_place,
     _clear_denominators,
@@ -57,8 +57,7 @@ class LocalSolveError(ExactNumError):
     pass
 
 
-@dataclass(frozen=True)
-class LocalWitness:
+class LocalWitness(NamedTuple):
     """A certified local point of the parameter space.
 
     Finite place: u is a residue vector mod p^precision with every
@@ -119,24 +118,25 @@ def _fm_witness(rows, s: int):
     return rest + (last,)
 
 
-def real_soluble(system: NormFormSystem):
+def real_soluble(system: NormFormSystem) -> Verdict:
     """Whether f_i(u) > 0 for all i with a_i < 0 is feasible over R.
 
-    Returns (verdict, witness); the witness additionally avoids the
-    hyperplanes f_i = 0 of the indefinite indices: it is base + eps d, d
-    the first (1, t, ..., t^(s - 1)), t = 0, ..., r s, off every
-    hyperplane through base (a nonzero form vanishes at s - 1 of these at
-    most), so those forms take eps f(d) != 0, and eps = 1, 1/2, ... halves
-    until the other forms keep their signs at base, as all do for small eps.
+    Returns a Verdict whose evidence, when it holds, is a witness that
+    also avoids the hyperplanes f_i = 0 of the indefinite indices: it is
+    base + eps d, d the first (1, t, ..., t^(s - 1)), t = 0, ..., r s,
+    off every hyperplane through base (a nonzero form vanishes at s - 1
+    of these at most), so those forms take eps f(d) != 0, and eps = 1,
+    1/2, ... halves until the other forms keep their signs at base, as
+    all do for small eps.
     """
     s = system.s
     base = _fm_witness([system.forms[i] for i in system.i_minus], s)
     if base is None:
-        return False, None
+        return Verdict(False, None)
     _, v = _clear_denominators(base)
     through = [f for f in system.forms if not _dot(f, v)]
     if not through:
-        return True, LocalWitness(place=REAL_PLACE, u=base)
+        return Verdict(True, LocalWitness(place=REAL_PLACE, u=base))
     direction = next(d for d in (tuple(Fraction(t)**j for j in range(s))
                                  for t in range(system.r * s + 1))
                      if all(_dot(f, d) for f in through))
@@ -146,7 +146,7 @@ def real_soluble(system: NormFormSystem):
         _, v = _clear_denominators(cand)  # read in integers
         if all(x > 0 if a < 0 else x for a, x in
                zip(system.a, [_dot(f, v) for f in system.forms])):
-            return True, LocalWitness(place=REAL_PLACE, u=cand)
+            return Verdict(True, LocalWitness(place=REAL_PLACE, u=cand))
         eps /= 2
 
 
@@ -154,14 +154,15 @@ def real_soluble(system: NormFormSystem):
 # finite places
 
 
-def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
+def padic_soluble(system: NormFormSystem, p: int,
+                  depth: Optional[int] = None) -> Verdict:
     """Search u mod p^depth certifying solubility at p.
 
-    Returns (verdict, witness).  True means some residue u has every
-    f_i(u) != 0 mod p^precision with all symbols (a_i, f_i(u))_p
-    determined by the residue and equal to +1; such a u survives
-    arbitrary lifting.  The precision is depth, or more for the rank
-    witness below.
+    Returns a Verdict whose evidence, when it holds, is the witness.  It
+    holds when some residue u has every f_i(u) != 0 mod p^precision with
+    all symbols (a_i, f_i(u))_p determined by the residue and equal to
+    +1; such a u survives arbitrary lifting.  The precision is depth, or
+    more for the rank witness below.
 
     At a good place, an odd p > r(s - 1) dividing no a_i, the witness is
     the first u_t = (1, t, ..., t^(s - 1)), t = 0, ..., r(s - 1), with
@@ -192,9 +193,9 @@ def padic_soluble(system: NormFormSystem, p: int, depth: Optional[int] = None):
     f_i(u) = d^2, so every symbol is +1.  That rank witness is returned
     reduced mod p^precision, precision = max(v_p(d^2) + need, bound + 1),
     which exceeds depth: there the walk found nothing.  It is built once
-    per system, on the first empty walk.  So (False, None) comes only from
-    forms with r > s or of rank below r, and means no witness mod p^depth,
-    not insolubility: a deeper search may still find one.
+    per system, on the first empty walk.  So Verdict(False, None) comes
+    only from forms with r > s or of rank below r, and means no witness
+    mod p^depth, not insolubility: a deeper search may still find one.
     """
     place = Place(as_prime(p, LocalSolveError))
     depth = None if depth is None else as_integer(depth, LocalSolveError)
@@ -237,9 +238,9 @@ def _place_solver(system: NormFormSystem):
         if bound == 0 and p > top:
             for u, product in moment:
                 if product % p:
-                    return True, LocalWitness(
+                    return Verdict(True, LocalWitness(
                         place=place, u=tuple([x % p**depth for x in u]),
-                        precision=depth)
+                        precision=depth))
         need = 3 if p == 2 else 1  # unit digits a LocalWitness keeps
         power = list(accumulate(repeat(p, depth), mul, initial=1))
         late = depth - need  # the largest valuation a witness's value has
@@ -271,19 +272,19 @@ def _place_solver(system: NormFormSystem):
                 witness = [0] * s
                 for j, x in zip(read_at, u):
                     witness[j] = x
-                return True, LocalWitness(place=place, u=tuple(witness),
-                                          precision=depth)
+                return Verdict(True, LocalWitness(
+                    place=place, u=tuple(witness), precision=depth))
         if not rank:
             rank.append(_rank_witness(forms))
         if rank[0] is None:
-            return False, None
+            return Verdict(False, None)
         # every f_i(u) = d^2: kept to v_p(d^2) + need digits, each value
         # keeps its unit square class, so every symbol is +1
         d, u = rank[0]
         precision = max(2 * _valuation_unit(d, p)[0] + need, bound + 1)
-        return True, LocalWitness(
+        return Verdict(True, LocalWitness(
             place=place, u=tuple([x % p**precision for x in u]),
-            precision=precision)
+            precision=precision))
     return solve
 
 
@@ -314,8 +315,7 @@ def _shell_minus(a: int, p: int, v: int) -> bool:
     return all(_symbol_reader(a, p)(p**v * y, v + 3) < 0 for y in (1, *units))
 
 
-@dataclass(frozen=True)
-class LocalReport:
+class LocalReport(NamedTuple):
     soluble: bool
     bad_places: Tuple[Place, ...]
     witnesses: Tuple[Tuple[Place, LocalWitness], ...]
@@ -346,11 +346,12 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     solve = _place_solver(system)
     found = [(v, real_soluble(system) if v.is_real else solve(v, depth))
              for v in places]
-    bad = tuple(v for v, (ok, _) in found if not ok)
+    bad = tuple(v for v, verdict in found if not verdict.holds)
     return LocalReport(
         soluble=not bad,
         bad_places=bad,
-        witnesses=tuple((v, wit) for v, (ok, wit) in found if ok),
+        witnesses=tuple((v, verdict.evidence) for v, verdict in found
+                        if verdict.holds),
         checked=places,
     )
 

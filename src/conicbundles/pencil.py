@@ -21,7 +21,7 @@ of a fibred product of two-fibre bundles (u - e v)(u - e' v) = c N(x, y).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import (
     ExactNumError,
@@ -92,8 +92,7 @@ class ConicBundleData:
         return self.faddeev_class().is_trivial
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     e_distinct: bool
     a_nontrivial: bool
     faddeev_holds: bool
@@ -170,8 +169,7 @@ def brauer_element(data: ConicBundleData, n: Sequence[int]) -> BrauerElement:
     return BrauerElement(bits)
 
 
-@dataclass(frozen=True)
-class BrauerGroupDescription:
+class BrauerGroupDescription(NamedTuple):
     """Ker(delta) and its quotient by the all-ones class."""
 
     kernel_basis: Tuple[Tuple[int, ...], ...]
@@ -291,8 +289,7 @@ def torsor_system(data: ConicBundleData) -> NormFormSystem:
                           clearing=tuple(clearing))
 
 
-@dataclass(frozen=True)
-class QuadricIntersectionData:
+class QuadricIntersectionData(NamedTuple):
     """Pencil data of a fibred product of two-fibre conic bundles.
 
     Factor i is (u - e_{2i-1} v)(u - e_{2i} v) = c_i (x_i^2 - a_i y_i^2);

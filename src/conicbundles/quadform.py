@@ -72,6 +72,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy
 
@@ -109,8 +110,7 @@ class BinaryForm:
         return x * x - self.a * y * y
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     t: int
     u: int
 

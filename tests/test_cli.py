@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import conicbundles
 import conicbundles.cli as cli
 from conicbundles import quadform
 from conicbundles.cli import CLIInputError, main, parse_problem
@@ -514,6 +515,26 @@ def test_validate_count_job_echoes_job(tmp_path):
     assert job["uInf"] == ["1/1", "1/1"]
 
 
+def test_entry_points_serve_the_front_end(tmp_path):
+    # `python -m conicbundles` writes the report that cli.main writes, and
+    # the package serves main and run_selftest from cli on first use
+    path = write_problem(tmp_path, FLAG_PENCIL)
+    code, expected = run_cli(["validate", path], tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conicbundles", "validate", path], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert code == 0 and proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    got.pop("timings")
+    expected.pop("timings")
+    assert got == expected
+    assert conicbundles.main is cli.main
+    assert conicbundles.run_selftest is cli.run_selftest
+    with pytest.raises(AttributeError):
+        conicbundles.no_such_name
+
+
 @pytest.mark.parametrize("command", ["count", "predict"])
 def test_count_job_without_uinf_reads_ones(tmp_path, command):
     without = REF_JOB.replace("uInf = 1, 1\n", "")
@@ -545,6 +566,9 @@ PINNED_REPORTS = {
     "validate quadric-intersection": ("validate", PINNED_QI,
                                       "cb6718cbdd1818cf3cb863727dec5033"
                                       "ef77e3dde8b6093b2bc7d82d68444af6"),
+    "validate dp1": ("validate", REF_DP1,
+                     "82624e323887a4cf8a757e89178573dd"
+                     "c43dd11e87abcc3e55b4a3e05ae6f8ee"),
     "validate pencil with lam": ("validate", "kind = pencil\n"
                                  "e = 0, 1/2, 2, 3\na = 5, 5, 5, 5\n"
                                  "lam = 1, 2, 1/3, 1\n",

@@ -5,7 +5,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -16,7 +16,9 @@ from conicbundles.exactnum import (
     REAL_PLACE,
     SquareClass,
     TRIVIAL_CLASS,
+    Verdict,
     _balls,
+    _primes_upto,
     _symbol_reader,
     f2_independent,
     factorize,
@@ -30,7 +32,7 @@ from conicbundles.exactnum import (
     valuation,
 )
 from oracle import local_symbol
-from reference import brute_hilbert
+from reference import brute_hilbert, trial_primes
 
 
 def test_is_prime_small():
@@ -489,3 +491,41 @@ def test_json_value_rules(x, encoded):
     # infinity, so a float that is not finite is written null
     assert json.dumps(json_value(x), sort_keys=True) \
         == json.dumps(encoded, sort_keys=True)
+
+
+class _RowTuple(NamedTuple):
+    q: Fraction
+    note: Optional[str] = None
+
+
+def test_json_value_writes_a_named_tuple_as_a_dataclass():
+    # engine results are NamedTuples and inputs dataclasses: both are the
+    # dict of their fields that are not None, never a list
+    for note in (None, "x"):
+        assert json_value(_RowTuple(Fraction(-1, 2), note)) \
+            == json_value(_Row(Fraction(-1, 2), note))
+    assert json_value(Verdict(True, None)) == {"holds": True}
+    assert json_value([_RowTuple(Fraction(1))]) == [{"q": "1/1"}]
+
+
+def test_verdict_reads_as_the_pair_it_replaced():
+    verdict = f2_independent([squarefree_class(5), squarefree_class(5)])
+    assert type(verdict) is Verdict
+    assert (verdict.holds, verdict.evidence) == (False, (0, 1))
+    holds, evidence = verdict
+    assert verdict == (holds, evidence) and verdict[0] is False
+    assert type(f2_independent([squarefree_class(2)])) is Verdict
+
+
+def test_primes_upto_is_the_trial_division_list():
+    primes = [n for n in range(2, 2001) if trial_primes(n) == {n}]
+    for n in range(-2, 2001):
+        assert _primes_upto(n) == [p for p in primes if p <= n], n
+
+
+def test_primes_upto_leaves_the_primality_cache_alone():
+    # a sieve: listing the primes runs no primality test, so is_prime's
+    # unbounded cache does not grow by one entry per integer up to n
+    before = is_prime.cache_info().currsize
+    assert len(_primes_upto(10**5)) == 9592
+    assert is_prime.cache_info().currsize == before

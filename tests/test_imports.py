@@ -75,6 +75,58 @@ def _imported_modules(tree):
     return out
 
 
+def _name(node):
+    """The last name of a decorator or base: `dataclass` for
+    `@dataclasses.dataclass(frozen=True)`, `NamedTuple` for
+    `typing.NamedTuple`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", None)
+
+
+def _record_rule_breaches(tree):
+    """Classes that break the record rule: a dataclass validates its
+    fields, so it defines __post_init__, and a NamedTuple names no field
+    `count` or `index`, which would shadow the tuple methods."""
+    breaches = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        defined = {item.name for item in node.body
+                   if isinstance(item, ast.FunctionDef)}
+        fields = {item.target.id for item in node.body
+                  if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)}
+        if "dataclass" in map(_name, node.decorator_list) \
+                and "__post_init__" not in defined:
+            breaches.append(node.name)
+        if "NamedTuple" in map(_name, node.bases) \
+                and fields & {"count", "index"}:
+            breaches.append(node.name)
+    return breaches
+
+
+def test_record_rule_detector():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass Checked:\n    a: int\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclasses.dataclass\nclass Plain:\n    a: int\n"
+        "class Fine(NamedTuple):\n    a: int\n"
+        "class Shadows(typing.NamedTuple):\n    count: int\n"
+        "class Indexed(NamedTuple):\n    index: int = 0\n"
+        "class Other:\n    count: int\n")
+    assert _record_rule_breaches(tree) == ["Plain", "Shadows", "Indexed"]
+
+
+def test_records_keep_the_record_rule():
+    # inputs are frozen dataclasses whose constructors check or coerce
+    # their fields; every other record, an engine result, is a NamedTuple
+    breaches = {p.name: _record_rule_breaches(ast.parse(p.read_text()))
+                for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in breaches.items() if found} == {}
+
+
 def test_tests_share_helpers_through_reference_only():
     # a helper that two test modules need lives in tests/reference.py,
     # and an oracle there must not read the library it judges

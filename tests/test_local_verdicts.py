@@ -16,7 +16,8 @@ from conicbundles.pencil import (ConicBundleData, NormFormSystem, PencilError,
                                  torsor_system)
 from jobs import local_pool_system
 from oracle import check_local_witness, valuation
-from reference import random_classes, rational_point_search, trial_primes
+from reference import (brute_hilbert, random_classes, rational_point_search,
+                       trial_primes)
 
 # x_i^2 - a_i y_i^2 = f_i(u, v) with a = (-6, 5, -1) and the forms u + 2v,
 # 8u + 2v and 32u + 32v: (u, v) = (2, 2) with x = (0, 5, 8), y = (1, 1, 8)
@@ -113,3 +114,34 @@ def test_good_places_need_no_check():
             (full.soluble, full.bad_places), system
         bad += not full.soluble
     assert bad >= 8, bad
+
+
+# e = (0, 1, 2, 3), a = 5: the torsor of lam is x_i^2 - 5 y_i^2 =
+# (u - e_i v) / lam_i, and a local point (u, v) of it has every
+# (5, lam_i (u - e_i v))_p = +1
+TORSOR_E, TORSOR_A = (0, 1, 2, 3), (5, 5, 5, 5)
+
+
+def _torsor_symbols_off(lam):
+    """The (p, i) where a finite witness that `everywhere_locally_soluble`
+    certifies for the torsor system of lam has (a_i, lam_i (u - e_i v))_p
+    = -1 by brute force, so that it is no point of the torsor of lam."""
+    system = torsor_system(ConicBundleData(e=TORSOR_E, a=TORSOR_A, lam=lam))
+    report = everywhere_locally_soluble(system, L=7)
+    return [(v.p, i) for v, wit in report.witnesses if v.is_finite
+            for i, (a, e, scale) in enumerate(zip(TORSOR_A, TORSOR_E, lam))
+            if brute_hilbert(a, scale * (wit.u[0] - e * wit.u[1]), v.p) != 1]
+
+
+def test_untwisted_torsor_witnesses_are_torsor_points():
+    assert _torsor_symbols_off((1, 1, 1, 1)) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: torsor_system clears by the least multiple, which "
+    "cancels the numerator of lam, so lam = (2, 1, 1, 1) and (2, 3, 1, 1) "
+    "get the forms of lam = (1, 1, 1, 1), and u = (1, 0) at 2 and "
+    "u = (125, 0) at 5 are certified for a torsor they do not lie on"))
+def test_twisted_torsor_witnesses_are_torsor_points():
+    assert _torsor_symbols_off((2, 1, 1, 1)) == []
+    assert _torsor_symbols_off((2, 3, 1, 1)) == []

@@ -9,6 +9,7 @@ from conicbundles import localsolve
 from conicbundles.exactnum import (
     Place,
     REAL_PLACE,
+    Verdict,
     factorize,
     is_prime,
     valuation,
@@ -696,3 +697,18 @@ def test_diagonal_quadric_square_disc_parity():
     bad = [v for v in quadric_support(odd_case)
            if not diagonal_quadric_soluble(odd_case, v)]
     assert bad == [Place(2)]
+
+
+def test_engine_answers_are_verdicts():
+    # one answer type: both local engines return a Verdict that still
+    # unpacks as the pair (holds, witness)
+    system = NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 0), (1, 1)))
+    for answer in (real_soluble(system), padic_soluble(system, 2),
+                   padic_soluble(system, 7)):
+        assert type(answer) is Verdict
+        holds, witness = answer
+        assert holds is True and witness is answer.evidence
+    # u, v and -u - v are never all positive
+    definite = NormFormSystem(r=3, s=2, a=(-1, -1, -1),
+                              forms=((1, 0), (0, 1), (-1, -1)))
+    assert real_soluble(definite) == Verdict(False, None)
