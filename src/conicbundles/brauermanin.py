@@ -88,6 +88,7 @@ from .exactnum import (
     _primes_dividing,
     _primes_upto,
     _symbol_reader,
+    _unit_digits,
     _valuation_unit,
     as_bits,
     as_integer_at_least,
@@ -231,8 +232,8 @@ def _reader(data: ConicBundleData, v: Place, fibres):
         out = 0
         for bit, sym, n, d, shift in model:
             x = (d * t - n) * d
-            value = sym(x, x.numerator.bit_length() + 3 if m is None
-                        else m + shift)
+            value = sym(x, m + shift if m is not None else
+                        x.numerator.bit_length() + _unit_digits(v.p))
             if value is None:
                 return None
             if value == -1:
@@ -458,17 +459,17 @@ class ScanTable(NamedTuple):
         return out
 
 
-_MAX_EXTRA_LEVELS = 4  # a 2-adic symbol never needs more than 3 digits
-
-
 def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _PlaceCells:
     # a constant ball above level K gives its values to every residue mod
     # p^K it holds; a residue mod p^K on which some symbol is not yet
     # forced (at p = 2 the unit part of t - e_i may need pinning mod 4 or
     # 8) splits into its p children, at any starting resolution such cells
     # exist whenever val_2(c - e_i) reaches K - 1, so refinement is part
-    # of the partition rather than an error.  The residues mod p^K get one
-    # slot each, so they are counted against the cap before any is made
+    # of the partition rather than an error.  Off the poles every value has
+    # valuation below K + shift, so its unit digits are known by level
+    # K + _unit_digits(p) - 1; the walk allows one level more.  The
+    # residues mod p^K get one slot each, so they are counted against the
+    # cap before any is made
     if p**K > DEFAULT_ENUMERATION_CAP:
         raise BrauerManinError(
             "the scan at %d has %d^%d residues, beyond the cap %d"
@@ -490,11 +491,12 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _PlaceCells:
             return 0
         return signs_at(u[0], k)
 
-    for k, (c,), signs in _balls(p, 1, K + _MAX_EXTRA_LEVELS, read):
+    extra = _unit_digits(p) + 1
+    for k, (c,), signs in _balls(p, 1, K + extra, read):
         if signs is None:
             raise BrauerManinError(
                 "the cell %d mod %d^%d resisted %d refinements"
-                % (c, p, k, _MAX_EXTRA_LEVELS))
+                % (c, p, k, extra))
         if signs not in values:
             values[signs] = tuple((g & signs).bit_count() % 2 for g in masks)
         if k > K:

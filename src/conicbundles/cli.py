@@ -385,8 +385,6 @@ def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
                                                 depth=options["depth"])
         except LocalSolveError as exc:
             # a set depth at or below a place's technical bound
-            if options["depth"] is None:
-                raise
             raise CLIInputError(str(exc))
         out = {"system": system, "report": dict(
             report._asdict(), witnesses=[wit for _, wit in report.witnesses])}

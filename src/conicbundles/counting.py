@@ -126,6 +126,7 @@ from .quadform import (
     _CHUNK_CELLS,
     pell_fundamental,
     representation_table,
+    rho,
     rho_table,
     w,
 )
@@ -559,10 +560,8 @@ def beta_p(job: CountJob, p: int) -> Fraction:
     if job.M % p == 0:
         m = valuation(job.M, p)
         val = Fraction(G(job, p, m), p ** ((s + r) * m))
-        pm = p**m
-        liftable = all(
-            rho_table(BinaryForm(a), p, m)[job._f(i, job.uM) % pm] > 0
-            for i, a in enumerate(job.system.a))
+        liftable = all(rho(BinaryForm(a), p**m, job._f(i, job.uM)) > 0
+                       for i, a in enumerate(job.system.a))
         if liftable and val < Fraction(1, p ** (r * m)):
             raise CountingError(
                 "G(%d^%d) < %d^%d despite a solvable congruence witness"

@@ -32,12 +32,18 @@ quadratic reciprocity loop, is also the one Legendre symbol.
 The formulas live once, in the one symbol reader `_symbol_reader(a, p)`.
 It splits a once and returns sym(x, K): the symbol (a, y)_p common to
 every y = x mod p^K, or None when that ball does not pin v_p(y) and the
-unit bits the formulas read.  `hilbert` reads through it at a ball small
-enough to be exact; readers are cached per (a, p), so all callers share
-them.  Beside it sits the one ball walker, `_balls`, a flat loop over a
-stack of lazy child iterators with no depth limit, which `localsolve`
-walks for witnesses and `brauermanin` for scan cells, both reading the
-balls with such readers.
+unit bits the formulas read.  Beside it, `_minus_on_odd_shells(a, p)`
+reads the same split for `localsolve`'s floor cut: (a, p^v y)_p = -1
+for every unit y exactly when v is odd, v_p(a) even and the unit part of
+a a non-residue mod p (5 mod 8 at p = 2).  `_unit_digits(p)`, the digits
+of a unit that fix its square class (1 at odd p, 3 at p = 2), is the one
+precision every symbol read keeps (`hilbert`, `localsolve`,
+`brauermanin`, `quadform`).  `hilbert` reads through the reader at a
+ball small enough to be exact; readers are cached per (a, p), so all
+callers share them.  Beside it sits the one
+ball walker, `_balls`, a flat loop over a stack of lazy child iterators
+with no depth limit, which `localsolve` walks for witnesses and
+`brauermanin` for scan cells, both reading the balls with such readers.
 
 The integer primitives live here once, beside the walker: `_dot`, a
 form's value f(u) (`localsolve`, `counting`); `_primitive`, a row over
@@ -477,6 +483,12 @@ def legendre(a: int, p: int) -> int:
     return _jacobi(a, p)
 
 
+def _unit_digits(p: int) -> int:
+    """The digits of a unit that fix its square class, and so every symbol
+    it enters: 1 at odd p, 3 at p = 2 (Hensel's 2 v_p(2) + 1)."""
+    return 3 if p == 2 else 1
+
+
 @lru_cache(maxsize=1024, typed=True)
 def _symbol_reader(a: IntLike, p: int):
     """sym(x, K): the symbol (a, y)_p shared by every y = x mod p^K, or
@@ -542,6 +554,16 @@ def _symbol_reader(a: IntLike, p: int):
     return sym
 
 
+def _minus_on_odd_shells(a: IntLike, p: int) -> bool:
+    """Whether (a, p^v y)_p = -1 for every unit y and odd v.  With
+    a = p^alpha u, the formulas give (u|p)^v at odd p and (-1)^(eps(u)
+    eps(y) + v omega(u)) at p = 2 when alpha is even, so exactly when
+    (u|p) = -1, resp. u = 5 mod 8; an odd alpha lets the unit y flip the
+    symbol, and at even v the unit y = 1 reads +1."""
+    alpha, u = _valuation_unit(a, p)
+    return not alpha & 1 and (u % 8 == 5 if p == 2 else _jacobi(u, p) < 0)
+
+
 def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     """Hilbert symbol (a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
     Q_v-point.  Depends only on the square classes of a and b, and at a
@@ -553,8 +575,9 @@ def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
     if _checked_place(place).is_real:
         return -1 if (a < 0 and b < 0) else 1
     # v_p(b) is below the bit length of its numerator, so this ball pins
-    # v_p(b) and the three unit digits the formulas can read: b itself
-    return _symbol_reader(a, place.p)(b, b.numerator.bit_length() + 3)
+    # v_p(b) and the unit digits the formulas can read: b itself
+    p = place.p
+    return _symbol_reader(a, p)(b, b.numerator.bit_length() + _unit_digits(p))
 
 
 def _echelon(m):

@@ -22,7 +22,6 @@ differs from (-1, -1)_v.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -38,11 +37,13 @@ from .exactnum import (
     _det,
     _dot,
     _echelon,
+    _minus_on_odd_shells,
     _places,
     _primes_dividing,
     _primes_upto,
     _primitive,
     _symbol_reader,
+    _unit_digits,
     _valuation_unit,
     as_integer,
     as_prime,
@@ -175,11 +176,14 @@ def padic_soluble(system: NormFormSystem, p: int,
     form f_i, of p-content c_i, takes values only in x_i + p^(L + c_i) Z_p
     with x_i = f_i(u), so a ball is cut when the symbol read on that value
     ball is -1, or when the value ball lies in p^floor_i Z_p: no value of
-    valuation above late = depth - need keeps the witness margin, so
-    floor_i = late + 1, or late when the symbol is -1 on every unit times
-    p^late.  Both cuts drop only balls with no witness in them, so the
-    surviving balls keep their order and the first witness is the one a
-    plain digit search finds.
+    valuation above late = depth - need keeps the witness margin
+    (need = `exactnum._unit_digits(p)`), so floor_i = late + 1, or late
+    when the symbol is -1 on every unit times p^late.  The symbol
+    formulas decide that without a read: late is odd, v_p(a_i) even and
+    the unit part of a_i a non-residue mod p (5 mod 8 at p = 2), as
+    `exactnum._minus_on_odd_shells` reads once per a_i.  Both cuts drop
+    only balls with no witness in them, so the surviving balls keep their
+    order and the first witness is the one a plain digit search finds.
     Acceptance needs v_p(x_i) <= L - need, which already fixes the symbol
     on x_i + p^L Z_p, equal to the one read on the smaller value ball; so
     one symbol read per form serves both the cut and the acceptance.
@@ -241,14 +245,15 @@ def _place_solver(system: NormFormSystem):
                     return Verdict(True, LocalWitness(
                         place=place, u=tuple([x % p**depth for x in u]),
                         precision=depth))
-        need = 3 if p == 2 else 1  # unit digits a LocalWitness keeps
+        need = _unit_digits(p)  # the unit digits a LocalWitness keeps
         power = list(accumulate(repeat(p, depth), mul, initial=1))
         late = depth - need  # the largest valuation a witness's value has
         rows = []  # (f_i, its reader, c_i, floor_i - c_i, p^floor_i)
         for a, f, g in zip(system.a, read_forms, gcds):
             sym = _symbol_reader(a, p)
             c = _valuation_unit(g, p)[0] if g % p == 0 else 0
-            floor = late if _shell_minus(a, p, late) else late + 1
+            shell = late & 1 and _minus_on_odd_shells(a, p)
+            floor = late if shell else late + 1
             rows.append((f, sym, c, floor - c, power[floor]))
 
         def read(u, level):
@@ -303,16 +308,6 @@ def _rank_witness(forms):
     for k, j in enumerate(pivots):
         u[j] = d * _det([row[:k] + [1] + row[k + 1:] for row in square])
     return d, u
-
-
-@lru_cache(maxsize=1024)
-def _shell_minus(a: int, p: int, v: int) -> bool:
-    """Whether (a, p^v y)_p = -1 for every unit y, read at one unit per
-    square class: 1, 3, 5, 7 at p = 2, else 1 and the least non-residue.
-    Cached: every digit search at p asks it once per form."""
-    units = (3, 5, 7) if p == 2 else (
-        next(y for y in range(2, p) if legendre(y, p) == -1),)
-    return all(_symbol_reader(a, p)(p**v * y, v + 3) < 0 for y in (1, *units))
 
 
 class LocalReport(NamedTuple):

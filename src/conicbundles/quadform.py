@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 import numpy
 
-from .exactnum import (DEFAULT_ENUMERATION_CAP, ExactNumError,
+from .exactnum import (DEFAULT_ENUMERATION_CAP, ExactNumError, _unit_digits,
                        _valuation_unit, as_integer, as_integer_at_least,
                        as_prime, factorize, is_square, legendre, valuation)
 
@@ -101,10 +101,6 @@ class BinaryForm:
         object.__setattr__(self, "a", as_integer(self.a, QuadFormError))
         if is_square(self.a):
             raise QuadFormError("form coefficient must be nonzero and nonsquare")
-
-    @property
-    def discriminant(self) -> int:
-        return 4 * self.a
 
     def value(self, x: int, y: int) -> int:
         return x * x - self.a * y * y
@@ -369,16 +365,16 @@ def _local_count(a: int, p: int, k: int, A: int) -> int:
             continue
         if c1 % p == 0:
             c1, c2 = c2, c1
+        j = min(k, _unit_digits(p))
         if p == 2:
-            j = min(k, 3)
             good = sum(1 << j - 1 for y in range(1 << j)
                        if c1 * (A - c2 * y * y) % (1 << j) == 1)
         elif c2 % p:
-            j, e = 1, legendre(-c1 * c2, p)
+            e = legendre(-c1 * c2, p)
             good = (p + (p - 1) * e if A % p == 0 else p - e) - 1 \
                 - legendre(c2 * A, p)
         else:
-            j, good = 1, p * (1 + legendre(c1 * A, p)) if A % p else 0
+            good = p * (1 + legendre(c1 * A, p)) if A % p else 0
         total = p * (total + mult * good * p ** (k - j))
         drops += 1
         c1, c2 = c2, p * p * c1
@@ -405,14 +401,22 @@ def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
     return k >= v4a
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
+def _orbit_count(a: int, p: int, k: int, A: int) -> int:
+    # rho(p^k; A) at the least member A of one of rho_table's orbits:
+    # O(k) ints per (a, p, k), where the tables themselves are p^k long
+    return _local_count(a, p, k, A)
+
+
 def rho_table(form: BinaryForm, p: int, k: int):
     """The full vector (rho(p^k; A))_{A mod p^k}, computed exactly.
 
     One `_local_count` per orbit (v_p(A), unit square class of A / p^v)
-    fills every A of that orbit.  Cached, so callers share the list and
-    must not change it.  A table of more than DEFAULT_ENUMERATION_CAP
-    entries is refused with QuadFormError before it is built."""
+    fills every A of that orbit.  Only those O(k) orbit counts are cached
+    (`_orbit_count`), so every call builds a fresh list of its own and a
+    dropped table frees its memory.  A table of more than
+    DEFAULT_ENUMERATION_CAP entries is refused with QuadFormError before
+    it is built."""
     p = as_prime(p, QuadFormError)
     k = as_integer_at_least(k, 0, "k", QuadFormError)
     a = form.a
@@ -420,12 +424,12 @@ def rho_table(form: BinaryForm, p: int, k: int):
     if m > DEFAULT_ENUMERATION_CAP:
         raise QuadFormError("rho_table(%d^%d) has %d entries, beyond the cap "
                             "%d" % (p, k, m, DEFAULT_ENUMERATION_CAP))
-    tab = [_local_count(a, p, k, 0)] * m
+    tab = [_orbit_count(a, p, k, 0)] * m
     for v in range(k):
         # A = p^v w with w prime to p; up to unit squares w is its
         # Legendre symbol at odd p, and w mod 2^min(k - v, 3) at p = 2,
         # where the unit squares are the units = 1 mod 8
-        j = min(k - v, 3) if p == 2 else 1
+        j = min(k - v, _unit_digits(p))
         step = p ** (v + j)
         by_class = {}
         for w in range(1, p ** j):
@@ -434,7 +438,7 @@ def rho_table(form: BinaryForm, p: int, k: int):
             start = w * p**v
             cls = w if p == 2 else legendre(w, p)
             if cls not in by_class:
-                by_class[cls] = _local_count(a, p, k, start)
+                by_class[cls] = _orbit_count(a, p, k, start)
             tab[start::step] = [by_class[cls]] * len(range(start, m, step))
     return tab
 

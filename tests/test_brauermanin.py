@@ -633,6 +633,23 @@ def test_scan_cells_against_brute_hilbert():
     assert refined > 20 and p_in_denominator >= 4, (refined, p_in_denominator)
 
 
+def test_scan_cells_sit_within_the_unit_digits_of_the_resolution():
+    # off the poles a residue mod p^K pins every value's valuation, so at
+    # odd p no cell refines, while at p = 2 a cell refines until the three
+    # unit bits are known, at most _unit_digits(2) - 1 levels past K: the
+    # scan's bound of _unit_digits(p) + 1 levels is a margin, never met
+    rng = random.Random(4242)
+    depth = {p: Counter() for p in (2, 3, 5, 7)}
+    for data in _scan_bundles(rng, 12):
+        for p, levels in depth.items():
+            for K in range(1, 5):
+                for cell in obstruction_scan(data, [Place(p)],
+                                             resolution=K).cells:
+                    levels[int(cell.label.split("^")[1]) - K] += 1
+    assert all(set(depth[p]) == {0} for p in (3, 5, 7)), depth
+    assert set(depth[2]) == set(range(exactnum._unit_digits(2))), depth[2]
+
+
 def test_obstruction_scan_permutation_invariance():
     perm = (2, 0, 3, 1)
     data2 = ConicBundleData(e=tuple(FLAG.e[i] for i in perm),

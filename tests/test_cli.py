@@ -759,7 +759,7 @@ def test_selftest_wrong_local_count_fails_the_direct_count(tmp_path,
     finally:
         # rho_table keeps the counts it read, so the lie must not outlive
         # this test
-        quadform.rho_table.cache_clear()
+        quadform._orbit_count.cache_clear()
     assert code == 1
     suite = _selftest_suite(report, "crt")
     assert (suite["cases"], suite["failures"]) == (16, 3)

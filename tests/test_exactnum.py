@@ -18,8 +18,10 @@ from conicbundles.exactnum import (
     TRIVIAL_CLASS,
     Verdict,
     _balls,
+    _minus_on_odd_shells,
     _primes_upto,
     _symbol_reader,
+    _unit_digits,
     f2_independent,
     factorize,
     hilbert,
@@ -213,6 +215,26 @@ def test_strong_lucas_against_a_sieve():
     assert all(_strong_lucas(n) for n in odd if sieve[n])
 
 
+def test_strong_lucas_exits_on_a_shared_factor():
+    # n = 43 * 1,002,817: (D|n) = 1 for every Selfridge D from 5 to 41,
+    # so the search reaches D = -43, which shares the factor 43 with n, and
+    # the test rejects n there.  The Jacobi symbols are read by Euler's
+    # criterion at both prime factors, apart from the library's
+    from conicbundles.exactnum import _strong_lucas
+    n, q = 43_121_131, 1_002_817
+    assert n == 43 * q and trial_primes(q) == {q}
+
+    def euler(D, p):
+        r = pow(D, (p - 1) // 2, p)
+        return -1 if r == p - 1 else r
+
+    selfridge = [d if d % 4 == 1 else -d for d in range(5, 45, 2)]
+    assert selfridge[0] == 5 and selfridge[-1] == -43
+    jacobi = [euler(D, 43) * euler(D, q) for D in selfridge]
+    assert jacobi == [1] * (len(selfridge) - 1) + [0]
+    assert not _strong_lucas(n)
+
+
 def test_valuation():
     assert valuation(Fraction(9, 4), 3) == 2
     assert valuation(Fraction(9, 4), 2) == -2
@@ -337,6 +359,45 @@ def test_residue_symbol_against_brute_on_balls():
                     elif valuation(x, p) < K:
                         assert p == 2 and seen == {1, -1}, (a, x, p, K)
     assert min(checked.values()) > 100, checked
+
+
+def _unit_class_rep(w, p):
+    """The least unit residue in the local square class of the unit w:
+    w mod 8 at p = 2, else 1 or the least non-square mod p, found among
+    the squares mod p."""
+    if p == 2:
+        return w % 8
+    squares = {x * x % p for x in range(1, p)}
+    return 1 if w % p in squares else min(set(range(1, p)) - squares)
+
+
+def test_odd_shell_formula_against_brute_over_unit_residues():
+    # (a, p^v y)_p = -1 for every unit y exactly when v is odd and
+    # _minus_on_odd_shells(a, p).  The brute runs over every unit residue
+    # y mod p (mod 8 at p = 2) and reads the symbol once per local square
+    # class it meets, on the least members of the classes of a and p^v y,
+    # which carry the same symbols.
+    # brute_hilbert's table has p^6 entries, out of reach at p = 101,
+    # where the benchmark's independent local_symbol reads them instead
+    assert [_unit_digits(p) for p in (2, 3, 5, 101)] == [3, 1, 1, 1]
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        symbol = local_symbol if p == 101 else brute_hilbert
+        classes = {_unit_class_rep(y, p)
+                   for y in range(1, 8 if p == 2 else p) if y % p}
+        for a in range(-400, 401):
+            if not a:
+                continue
+            alpha, u = 0, a
+            while u % p == 0:
+                alpha, u = alpha + 1, u // p
+            rep = p ** (alpha % 2) * _unit_class_rep(u, p)
+            formula = _minus_on_odd_shells(a, p)
+            for v in range(6):
+                seen = {symbol(rep, p ** (v % 2) * y, p) for y in classes}
+                assert (seen == {-1}) == bool(v % 2 and formula), (a, p, v)
+                cases += 1
+    assert cases == 33_600
 
 
 def _digit_key(u, k, p):
@@ -464,6 +525,8 @@ def test_square_class_multiplication():
     assert (c6 * c6).is_trivial
     assert (squarefree_class(-2) * squarefree_class(-3)).representative() == 6
     assert TRIVIAL_CLASS * c6 == c6
+    with pytest.raises(TypeError):
+        SquareClass() * 3
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,63 @@ def test_tests_share_helpers_through_reference_only():
     assert [m for m in reference if m.split(".")[0] == "conicbundles"] == []
 
 
+# every unbounded cache in the package, with why what it keeps stays small
+UNBOUNDED_CACHES = {
+    "exactnum.is_prime": "one bool per integer tested",
+    "exactnum._factor": "a few (p, e) pairs, or one message, per integer "
+                        "factored",
+    "quadform.pell_fundamental": "one (t, u) per form coefficient a",
+    "quadform._orbit_count": "one int per orbit of a table mod p^k: O(k) "
+                             "per (a, p, k), where the table is p^k long",
+}
+
+
+def _unbounded(node):
+    """Whether a decorator or call makes an unbounded cache:
+    `functools.cache`, or `lru_cache` with maxsize None."""
+    name = _name(node)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(node, ast.Call):
+        return False  # a bare lru_cache keeps 128 entries
+    sizes = node.args[:1] + [kw.value for kw in node.keywords
+                             if kw.arg == "maxsize"]
+    return any(isinstance(x, ast.Constant) and x.value is None for x in sizes)
+
+
+def _unbounded_caches(tree):
+    """The functions an unbounded cache decorates; such a cache made by a
+    plain call is listed by its line."""
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorators.update(map(id, node.decorator_list))
+            found += [node.name for d in node.decorator_list if _unbounded(d)]
+    return found + ["line %d" % node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and id(node) not in decorators and _unbounded(node)]
+
+
+def test_unbounded_cache_detector():
+    tree = ast.parse(
+        "@lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@functools.lru_cache(None, typed=True)\ndef b(): pass\n"
+        "@lru_cache(maxsize=1024)\ndef c(): pass\n"
+        "@lru_cache\ndef d(): pass\n"
+        "@functools.cache\ndef e(): pass\n"
+        "f = lru_cache(maxsize=None)(len)\n")
+    assert _unbounded_caches(tree) == ["a", "b", "e", "line 11"]
+
+
+def test_every_unbounded_cache_has_a_reason():
+    # a cache with no size bound keeps all it is given for the life of the
+    # process, so each one names why its values stay small
+    found = ["%s.%s" % (p.stem, name) for p in sorted(PACKAGE.glob("*.py"))
+             for name in _unbounded_caches(ast.parse(p.read_text()))]
+    assert sorted(found) == sorted(UNBOUNDED_CACHES)
+    assert all(UNBOUNDED_CACHES.values())
+
+
 def test_unused_import_detector():
     tree = ast.parse("import os.path\nfrom typing import Dict, List\n"
                      "x: List = os.sep\n")

@@ -421,7 +421,6 @@ def test_padic_search_skips_coordinates_no_form_reads(monkeypatch):
     calls = []
 
     def reads(system, p):
-        localsolve._shell_minus.cache_clear()
         calls.clear()
         return padic_soluble(system, p), len(calls)
 

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +246,18 @@ def test_row_searches_refuse_more_rows_than_the_cap():
             search()
 
 
+def test_representation_table_reports_a_table_past_memory(monkeypatch):
+    # a table numpy cannot allocate is a QuadFormError naming its length,
+    # not a MemoryError
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(quadform.numpy, "zeros", no_memory)
+    with pytest.raises(QuadFormError, match=r"a table of 100 entries does "
+                       r"not fit in memory"):
+        representation_table(BinaryForm(-1), 1, 100)
+
+
 # sha256 of repr((a, n, R(n))) over 1000 draws of random.Random(0): a
 # among -60..-1 and the nonsquares in 2..199 whose Pell u is below 5000,
 # n in -3000..3000.  Recorded from the per-n search of a fixed fundamental
@@ -387,6 +401,31 @@ def test_rho_table_refuses_more_entries_than_the_cap():
                        r"16777216 entries, beyond the cap 10000000"):
         rho_table(f, 2, 24)
     assert rho(f, 2**24, 5) == 2**21 * rho(f, 8, 5)
+
+
+def test_rho_table_frees_what_its_callers_drop():
+    # only the O(k) orbit counts are cached: six tables of 3^13 = 1,594,323
+    # entries, about 12.8 MB each, leave almost nothing behind once dropped
+    tracemalloc.start()
+    try:
+        for a in (-1, 2, -2, 5, -5, 7):
+            table = rho_table(BinaryForm(a), 3, 13)
+            assert len(table) == 3**13
+            del table
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20, kept
+
+
+def test_rho_table_returns_a_list_of_the_callers_own():
+    f = BinaryForm(-5)
+    first = rho_table(f, 2, 6)
+    want = list(first)
+    first[:] = [0] * len(first)
+    assert rho_table(f, 2, 6) == want
+    assert rho_table(f, 2, 6) is not rho_table(f, 2, 6)
 
 
 def closed_form_rho(chi, p, k, v):
