@@ -84,6 +84,7 @@ from .exactnum import (
     REAL_PLACE,
     _balls,
     _checked_place,
+    _exact_level,
     _places,
     _primes_dividing,
     _primes_upto,
@@ -232,8 +233,7 @@ def _reader(data: ConicBundleData, v: Place, fibres):
         out = 0
         for bit, sym, n, d, shift in model:
             x = (d * t - n) * d
-            value = sym(x, m + shift if m is not None else
-                        x.numerator.bit_length() + _unit_digits(v.p))
+            value = sym(x, _exact_level(x, v.p) if m is None else m + shift)
             if value is None:
                 return None
             if value == -1:

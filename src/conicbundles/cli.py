@@ -44,7 +44,10 @@ PROBLEM FILES (the compatibility contract)
     Every key a kind takes is read and checked whatever the command, so
     every pencil command rejects a malformed `support` as `bm` does.  Option keys,
     all optional and overridden by the same-named flags: `prime_cutoff`,
-    `L`, `depth`, `resolution`, `threads`, `seed`.
+    `L`, `depth`, `resolution`, `threads`, `seed`.  `threads` is inert
+    (its effect removed, key and flag kept for compatibility): it is
+    checked and echoed, and passed to no computation, until ROADMAP
+    item 1b drops it from the echo.
 
 COMMANDS
     validate   build the kind's objects, report the structural checks
@@ -77,8 +80,8 @@ REPORTS
 EXIT CODES
     0 success, 1 computational failure (including a failed selftest),
     2 input error (bad flags, unparsable file, invalid payload, a
-    `local` depth at or below a place's technical bound, unwritable
-    --out path).
+    `local` depth at or below a place's technical bound or an `L` past
+    the sieve's cap, DEFAULT_ENUMERATION_CAP, unwritable --out path).
 """
 
 from __future__ import annotations
@@ -311,7 +314,7 @@ _OPTION_SPECS = {
     "L": (2, 100),
     "depth": (1, None),
     "resolution": (1, None),
-    "threads": (1, 1),
+    "threads": (1, 1),  # inert: checked and echoed, passed nowhere
     "seed": (0, 0),
 }
 
@@ -384,7 +387,7 @@ def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
             report = everywhere_locally_soluble(system, L=options["L"],
                                                 depth=options["depth"])
         except LocalSolveError as exc:
-            # a set depth at or below a place's technical bound
+            # a depth at or below a technical bound, or an L past the cap
             raise CLIInputError(str(exc))
         out = {"system": system, "report": dict(
             report._asdict(), witnesses=[wit for _, wit in report.witnesses])}
@@ -406,7 +409,7 @@ def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
 def _cmd_count(problem: ProblemFile, job: CountJob, options: dict) -> dict:
     rows = []
     for B in job.B_schedule:
-        N = enumerate_N(job, B, threads=options["threads"])
+        N = enumerate_N(job, B)
         measure = region_measure(job, B)
         row = {"B": B, "N": N, "box_measure": measure}
         if measure:
@@ -418,8 +421,7 @@ def _cmd_count(problem: ProblemFile, job: CountJob, options: dict) -> dict:
 def _cmd_predict(problem: ProblemFile, job: CountJob, options: dict) -> dict:
     return json_value({"job": job, "prime_cutoff": options["prime_cutoff"],
                        "per_B": predict_and_compare(
-                           job, prime_cutoff=options["prime_cutoff"],
-                           threads=options["threads"])})
+                           job, prime_cutoff=options["prime_cutoff"])})
 
 
 def _cmd_bm(problem: ProblemFile, data: ConicBundleData,
@@ -649,7 +651,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # a witness may pass the interpreter's limit on the digits of an int
+    # made a string (2^14997 at `local --depth 15000`): lifted for this dump
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:

@@ -96,7 +96,6 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Tuple
@@ -142,12 +141,6 @@ DEFAULT_PRIME_CUTOFF = 100
 _CTX = decimal.Context(prec=30)
 _PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375")
 _SUM_GUARD = 1 << 62
-# entry cells below which enumerate_N sums on one thread: on a 2-core host
-# two threads lost at 2.8e5 cells (s = 3, 1.2x the one-thread time) and
-# won from 3.9e5 (0.8x; 0.5x from 5.3e5), while s = 2 jobs broke even
-# from 3e5 to 6e5; starting the pool and splitting the boxes cost more
-# than the share of the sum they save on smaller jobs
-_THREAD_MIN_CELLS = 350_000
 
 
 @dataclass(frozen=True)
@@ -395,7 +388,7 @@ def _grid_sum(boxes, coeffs, consts, tables, modulus=None, line=None):
     return total
 
 
-def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
+def enumerate_N(job: CountJob, B: int) -> int:
     """Exact number of primary solutions in the congruence class and box.
 
     In t-coordinates (u = uM + M t) the box is a product of index ranges.
@@ -411,15 +404,9 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
     prod_{i != j} R_i(f_i(u)) * (P_d[x + (L - 1) d] - P_d[x - d]) with
     x the index of f_j(t) and P_d the stride-d prefix sum of R_j's class
     table, which P_d overwrites in place, or L R_j(x) when d = 0.  When
-    no form admits such a w (r > s), every cell is its own segment.  With
-    threads > 1 the entry boxes are cut into pieces that a pool of at
-    most os.cpu_count() threads sums; partial sums are exact integers, so
-    the result does not depend on the partition; fewer than
-    _THREAD_MIN_CELLS entry points are summed on one thread, as the pool
-    would cost more than it saves."""
+    no form admits such a w (r > s), every cell is its own segment.  It
+    runs on one thread; the CLI's `threads` option is inert."""
     B = as_integer_at_least(B, 1, "B", CountingError)
-    parts = min(as_integer_at_least(threads, 1, "threads", CountingError),
-                os.cpu_count() or 1)
     spans = [_axis_range(job, B, j) for j in range(job.system.s)]
     if any(span is None for span in spans):
         return 0
@@ -460,16 +447,7 @@ def enumerate_N(job: CountJob, B: int, threads: int = 1) -> int:
             grid = tab.reshape(-1, d)
             numpy.cumsum(grid, axis=0, out=grid)
         tables.append(tab)
-    sizes = [math.prod(b - a for a, b in box) for box in boxes]
-    if parts == 1 or sum(sizes) < _THREAD_MIN_CELLS:
-        return _grid_sum(boxes, forms, consts, tables, line=line)
-    pieces = [piece for box, cells in zip(boxes, sizes)
-              for piece in _pieces(box, -(-cells // parts))]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(parts, len(pieces))) as pool:
-        return sum(pool.map(
-            lambda piece: _grid_sum([piece], forms, consts, tables, line=line),
-            pieces))
+    return _grid_sum(boxes, forms, consts, tables, line=line)
 
 
 def beta_infinity(job: CountJob, B: int) -> decimal.Decimal:
@@ -610,8 +588,8 @@ class DensityReport(NamedTuple):
 
 
 def predict_and_compare(job: CountJob,
-                        prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-                        threads: int = 1) -> Tuple[DensityReport, ...]:
+                        prime_cutoff: int = DEFAULT_PRIME_CUTOFF
+                        ) -> Tuple[DensityReport, ...]:
     """One DensityReport per scheduled B.
 
     beta_p runs at the bad primes, those dividing M or the gcd of the
@@ -620,16 +598,17 @@ def predict_and_compare(job: CountJob,
     Every other prime up to the cutoff gets 1, the value beta_p returns
     there.  If some beta_p vanishes the job is locally obstructed: the
     reports carry predicted = 0 and name the place, and the exact count is
-    still taken (it must be 0)."""
+    still taken (it must be 0).  A prime_cutoff past
+    DEFAULT_ENUMERATION_CAP is refused before the sieve.  Counts run on
+    one thread; the CLI's `threads` option is inert."""
     prime_cutoff = as_integer_at_least(prime_cutoff, 2, "prime_cutoff",
                                        CountingError)
-    threads = as_integer_at_least(threads, 1, "threads", CountingError)
     if not job.B_schedule:
         raise CountingError("empty B schedule")
     # the gcd is 0, making every prime bad, exactly when r > s or the forms
     # are dependent; then only the primes of M are kept beyond the cutoff
     minors = _minors_gcd(job.system.forms, job.system.s)
-    primes = set(_primes_upto(prime_cutoff))
+    primes = set(_primes_upto(prime_cutoff, CountingError))
     primes |= _primes_dividing((job.M, minors))
     finite = Fraction(1)
     betas = dict.fromkeys(sorted(primes), finite)
@@ -648,7 +627,7 @@ def predict_and_compare(job: CountJob,
                 "not estimated" % prime_cutoff)
     reports = []
     for B in job.B_schedule:
-        empirical = enumerate_N(job, B, threads=threads)
+        empirical = enumerate_N(job, B)
         binf = beta_infinity(job, B)
         predicted, ratio = 0.0, float("nan")
         if not zero_at:

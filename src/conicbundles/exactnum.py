@@ -38,9 +38,9 @@ for every unit y exactly when v is odd, v_p(a) even and the unit part of
 a a non-residue mod p (5 mod 8 at p = 2).  `_unit_digits(p)`, the digits
 of a unit that fix its square class (1 at odd p, 3 at p = 2), is the one
 precision every symbol read keeps (`hilbert`, `localsolve`,
-`brauermanin`, `quadform`).  `hilbert` reads through the reader at a
-ball small enough to be exact; readers are cached per (a, p), so all
-callers share them.  Beside it sits the one
+`brauermanin`, `quadform`), and `_exact_level(x, p)` the one ball where
+a read is the symbol at x itself (`hilbert`, `brauermanin`); readers
+are cached per (a, p), so all callers share them.  Beside it sits the one
 ball walker, `_balls`, a flat loop over a stack of lazy child iterators
 with no depth limit, which `localsolve` walks for witnesses and
 `brauermanin` for scan cells, both reading the balls with such readers.
@@ -76,7 +76,8 @@ IntLike = Union[int, Fraction]
 POLLARD_BRENT_BUDGET = 1_000_000
 # the most cells an exhaustive sum or scan allocates: counting's G,
 # brauermanin's finite scan cells, quadform's row searches and rho_table
-# refuse larger jobs
+# refuse larger jobs, as `_primes_upto` does for the L of localsolve's
+# everywhere_locally_soluble and the prime_cutoff of predict_and_compare
 DEFAULT_ENUMERATION_CAP = 10**7
 
 
@@ -489,6 +490,12 @@ def _unit_digits(p: int) -> int:
     return 3 if p == 2 else 1
 
 
+def _exact_level(x: IntLike, p: int) -> int:
+    """The K at which a reader's sym(x, K) is the symbol at x: the ball
+    pins v_p(x), below the bit length of x's numerator, and the units."""
+    return x.numerator.bit_length() + _unit_digits(p)
+
+
 @lru_cache(maxsize=1024, typed=True)
 def _symbol_reader(a: IntLike, p: int):
     """sym(x, K): the symbol (a, y)_p shared by every y = x mod p^K, or
@@ -574,10 +581,8 @@ def hilbert(a: IntLike, b: IntLike, place: Place) -> int:
         raise ExactNumError("hilbert symbol needs nonzero arguments")
     if _checked_place(place).is_real:
         return -1 if (a < 0 and b < 0) else 1
-    # v_p(b) is below the bit length of its numerator, so this ball pins
-    # v_p(b) and the unit digits the formulas can read: b itself
     p = place.p
-    return _symbol_reader(a, p)(b, b.numerator.bit_length() + _unit_digits(p))
+    return _symbol_reader(a, p)(b, _exact_level(b, p))
 
 
 def _echelon(m):
@@ -636,8 +641,12 @@ def _clear_denominators(xs):
     return L, [x.numerator * (L // x.denominator) for x in xs]
 
 
-def _primes_upto(n: int) -> list:
-    """The primes up to n, sieved: `is_prime`'s cache stays as it was."""
+def _primes_upto(n: int, error=ExactNumError) -> list:
+    """The primes up to n, sieved: `is_prime`'s cache stays as it was.
+    An n past DEFAULT_ENUMERATION_CAP raises `error` before the sieve."""
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise error("cannot sieve the primes up to %d, beyond the cap %d"
+                    % (n, DEFAULT_ENUMERATION_CAP))
     sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
     for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:

@@ -327,7 +327,8 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     4 by a heuristic.  Forms of rank r <= s are soluble at every prime,
     by the rank witness where the walk finds nothing; otherwise a place
     insoluble at the default depth may be soluble deeper (see
-    `padic_soluble`).  Soluble places carry witnesses.
+    `padic_soluble`).  Soluble places carry witnesses.  An L past
+    DEFAULT_ENUMERATION_CAP raises LocalSolveError before the sieve.
 
     Each system is prepared once for all places: L, depth and the Places
     are coerced once, and prod 4 a_i, the form gcds and prod_i f_i(u_t) at
@@ -336,7 +337,7 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     """
     L = as_integer(L, LocalSolveError)
     depth = None if depth is None else as_integer(depth, LocalSolveError)
-    places = _places(chain(_primes_upto(L),
+    places = _places(chain(_primes_upto(L, LocalSolveError),
                            _primes_dividing(chain(system.a, *system.forms))))
     solve = _place_solver(system)
     found = [(v, real_soluble(system) if v.is_real else solve(v, depth))

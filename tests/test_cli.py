@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,12 +14,13 @@ import pytest
 
 import conicbundles
 import conicbundles.cli as cli
-from conicbundles import quadform
+from conicbundles import exactnum, quadform
 from conicbundles.cli import CLIInputError, main, parse_problem
 from conicbundles.brauermanin import obstruction_scan
 from conicbundles.counting import CountJob, enumerate_N, region_measure
 from conicbundles.exactnum import Place, REAL_PLACE, factorize
 from conicbundles.pencil import ConicBundleData, NormFormSystem
+from oracle import check_local_witness
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,15 +195,71 @@ def test_local_depth_at_the_technical_bound_exit_2(tmp_path, capsys):
     assert code == 0 and report["results"]["report"]["soluble"] is True
 
 
-def test_count_threads_flag(tmp_path):
-    path = write_problem(tmp_path, REF_JOB)
-    _, one = run_cli(["count", path], tmp_path, "one.json")
+def test_count_threads_flag(tmp_path, monkeypatch):
+    # `threads` is inert: an s = 3 job at B = 31^2, 923,521 entry points,
+    # counts on the calling thread whatever the flag, which is echoed
+    path = write_problem(tmp_path, "kind = count-job\na = -1, 2\n"
+                                   "forms = 1 1 0; 1 -1 1\nuInf = 1, 1/3, 1\n"
+                                   "B_schedule = 961\n")
+    _, one = run_cli(["count", path, "--threads", "1"], tmp_path, "one.json")
+
+    def refuse(thread):
+        raise AssertionError("count started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     code, two = run_cli(["count", path, "--threads", "2"], tmp_path,
                         "two.json")
     assert code == 0
     assert one["inputs"]["options"]["threads"] == 1
     assert two["inputs"]["options"]["threads"] == 2
     assert two["results"] == one["results"]
+    assert one["results"]["per_B"][0]["N"] > 0
+
+
+def test_local_witness_past_the_digit_limit(tmp_path):
+    # at depth 15000 the 2-adic witness is near 2^14997, more digits than
+    # the interpreter turns into a string by default: the report is still
+    # written, and the limit is as it was afterwards
+    a, forms = (-1, 3), ((1, 0), (0, 1))
+    path = write_problem(tmp_path, "kind = system\na = -1, 3\n"
+                                   "forms = 1 0; 0 1\n")
+    out = tmp_path / "report.json"
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    assert main(["local", path, "--depth", "15000", "--out", str(out)]) == 0
+    assert get_limit() == limit
+    report = json.loads(out.read_text(), parse_int=str)["results"]["report"]
+    assert report["soluble"] is True and report["checked"][:2] == ["oo", "2"]
+    finite = [w for w in report["witnesses"] if w["place"] != "oo"]
+    assert [w["precision"] for w in finite] == ["15000"] * 25
+    assert max(len(x) for w in finite for x in w["u"]) > 4300
+    # every witness certifies its place, read back past the limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for w in finite:
+            u = [int(x) for x in w["u"]]
+            assert check_local_witness(a, forms, int(w["place"]), u,
+                                       15000) is None, w["place"]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_local_L_past_the_sieve_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # the primes up to L are sieved a byte per integer, so an L past the
+    # cap is refused before the sieve; the cap is made small here so the
+    # refusal is quick to reach
+    monkeypatch.setattr(exactnum, "DEFAULT_ENUMERATION_CAP", 1000)
+    path = write_problem(tmp_path, "kind = system\na = -1, 3\n"
+                                   "forms = 1 0; 0 1\nL = 2000\n")
+    code, report = run_cli(["local", path], tmp_path)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert "primes up to 2000, beyond the cap 1000" in err
+    code, report = run_cli(["local", path, "--L", "1000"], tmp_path)
+    assert code == 0 and report["results"]["report"]["soluble"] is True
 
 
 # ---------------------------------------------------------------- reports

@@ -1,7 +1,5 @@
-import concurrent.futures
 import itertools
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -188,89 +186,6 @@ def test_enumerate_against_brute_random():
         B = rng.choice(B_pool)
         expect = brute_N(job.system, job.M, job.uM, job.uInf, job.epsilon, B)
         assert enumerate_N(job, B) == expect, (job, B)
-
-
-def test_enumerate_threads_bit_identical():
-    rng = random.Random(23)
-    jobs = [job1(), job2(), job_m12()]
-    for _ in range(5):
-        jobs.append(random_job(rng)[0])
-    for job in jobs:
-        B = 4 if job.M == 1 else {3: 16, 4: 25, 12: 169}[job.M]
-        base = enumerate_N(job, B, threads=1)
-        for threads in (2, 4, 7):
-            assert enumerate_N(job, B, threads=threads) == base
-
-
-def test_enumerate_threads_cutoff(monkeypatch):
-    # below _THREAD_MIN_CELLS entry points the sum stays on one thread;
-    # above it a pool splits the boxes; the count agrees either way.  Four
-    # cores, so that no request here meets the clamp to the core count
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    pools = []
-    pool = concurrent.futures.ThreadPoolExecutor
-
-    def spy(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return pool(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
-    sysm = NormFormSystem(r=2, s=3, a=(-1, 2),
-                          forms=((1, 1, 0), (1, -1, 1)))
-    job = CountJob(system=sysm, uInf=(1, Fraction(1, 3), 1))
-    small = CountJob(system=NormFormSystem(r=2, s=2, a=(-1, 2),
-                                           forms=((1, 1), (1, -1))),
-                     uInf=(1, Fraction(1, 3)))
-    # 194,481 and 923,521 entry points, on either side of the cut-off, and
-    # the small job's 1,999,998 at B = 10^6, with its count pinned
-    for counted, B, threaded, want in ((job, 21**2, False, None),
-                                       (job, 31**2, True, None),
-                                       (small, 10**6, True, 489479441711)):
-        base = enumerate_N(counted, B, threads=1)
-        assert base > 0 and not pools
-        assert want is None or base == want
-        for threads in (2, 3):
-            assert enumerate_N(counted, B, threads=threads) == base, \
-                (B, threads)
-        assert pools == ([2, 3] if threaded else []), B
-        pools.clear()
-    # the small job where the pool used to cost more than it saved
-    assert enumerate_N(small, 14641, threads=2) == \
-        enumerate_N(small, 14641) > 0
-    assert not pools
-
-
-def test_enumerate_threads_at_most_the_cores(monkeypatch):
-    # a request for 100,000 threads on a job past _THREAD_MIN_CELLS gets a
-    # pool of os.cpu_count() workers, not one per share of 4-cell pieces;
-    # the executor is faked and runs its shares in turn, so no thread starts
-    pools = []
-
-    class Serial:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    sysm = NormFormSystem(r=2, s=3, a=(-1, 2),
-                          forms=((1, 1, 0), (1, -1, 1)))
-    job = CountJob(system=sysm, uInf=(1, Fraction(1, 3), 1))
-    base = enumerate_N(job, 31**2)
-    assert enumerate_N(job, 31**2, threads=100_000) == base > 0
-    assert pools == [3]
-    # an unknown core count is one core: no pool at all
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert enumerate_N(job, 31**2, threads=8) == base
-    assert pools == [3]
 
 
 def test_enumerate_monotone_in_epsilon():
@@ -687,17 +602,15 @@ def test_enumerate_line_geometry_against_brute():
                     seen.add("oblique")
                 expect = brute_N(job.system, job.M, job.uM, job.uInf,
                                  job.epsilon, B)
-                for threads in (1, 2, 7):
-                    assert enumerate_N(job, B, threads=threads) == expect, (
-                        job, B, threads)
+                assert enumerate_N(job, B) == expect, (job, B)
                 seen.add(expect > 0)
     assert seen == {"cells", "oblique", True, False}
 
 
 def test_enumerate_on_prime_power_classes_against_brute():
     # class tables with step M = 8, 9, 25, 27 at B = (M + 1)^2 and, for
-    # s = 2, (2 M + 1)^2: r = 1, 2 and s = 2, 3, one and two threads; a
-    # narrower box keeps the s = 3 brute counts below about 2,500 points
+    # s = 2, (2 M + 1)^2: r = 1, 2 and s = 2, 3; a narrower box keeps the
+    # s = 3 brute counts below about 2,500 points
     rng = random.Random(71)
     seen = set()
     for M in (8, 9, 25, 27):
@@ -708,9 +621,7 @@ def test_enumerate_on_prime_power_classes_against_brute():
             for B in Bs:
                 expect = brute_N(job.system, job.M, job.uM, job.uInf,
                                  job.epsilon, B)
-                for threads in (1, 2):
-                    assert enumerate_N(job, B, threads=threads) == expect, (
-                        job, B, threads)
+                assert enumerate_N(job, B) == expect, (job, B)
                 seen.add((M, expect > 0))
     assert {M for M, positive in seen if positive} == {8, 9, 25, 27}
 
@@ -775,8 +686,7 @@ def test_enumerate_memory_is_tables_and_pieces(monkeypatch):
 
 def test_tiny_budgets_change_no_count(monkeypatch):
     # pieces of 7 cells and batches of 5 points cut lines across pieces
-    # and progressions across batches; with the thread threshold at 0 and
-    # two cores the two-thread runs split every box.  Counts, G and tables must equal
+    # and progressions across batches.  Counts, G and tables must equal
     # their values at the default budgets.  The last job has an axis that
     # neither form nor line reads, summed once per box and multiplied
     rng = random.Random(23)
@@ -815,8 +725,7 @@ def test_tiny_budgets_change_no_count(monkeypatch):
                for step in (1, 9, 125)]
 
     def everything():
-        counts = [enumerate_N(job, B, threads=t)
-                  for job, B in jobs for t in (1, 2)]
+        counts = [enumerate_N(job, B) for job, B in jobs]
         gs = [G(job, p, k) for job, _ in jobs
               for p, k in ((2, 3), (3, 2), (5, 1))]
         tables = [quadform.representation_table(BinaryForm(a), lo, hi,
@@ -827,8 +736,6 @@ def test_tiny_budgets_change_no_count(monkeypatch):
     want = everything()
     assert any(want[0]) and any(want[1])
     monkeypatch.setattr(counting, "_CHUNK_CELLS", 7)
-    monkeypatch.setattr(counting, "_THREAD_MIN_CELLS", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(quadform, "_CHUNK_CELLS", 5)
     assert everything() == want
 
@@ -890,7 +797,6 @@ def test_enumerate_separable_at_ten_billion_cells():
     for a in sysm.a:
         expect *= int(representation_table(BinaryForm(a), lo, hi).sum())
     assert enumerate_N(job, B) == expect
-    assert enumerate_N(job, B, threads=2) == expect
 
 
 def _fraction_nullspace(rows, s):

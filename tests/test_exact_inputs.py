@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conicbundles import exactnum
 from conicbundles.brauermanin import (AdelicFiberPoint, BrauerManinError,
                                       LocalParameter, global_point,
                                       local_invariant, obstruction_scan,
@@ -17,8 +18,8 @@ from conicbundles.counting import (CountJob, CountingError, G, beta_p,
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
                                    SplitPolynomial)
 from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE,
-                                   SquareClass, as_rational, factorize,
-                                   hilbert, is_prime, legendre,
+                                   SquareClass, _primes_upto, as_rational,
+                                   factorize, hilbert, is_prime, legendre,
                                    squarefree_class, valuation)
 from conicbundles.localsolve import (LocalSolveError, diagonal_quadric_soluble,
                                      everywhere_locally_soluble,
@@ -66,12 +67,8 @@ FLOAT_ENTRY_PATHS = {
     "job epsilon": (CountingError, lambda: job(epsilon=0.5)),
     "job B": (CountingError, lambda: job(B_schedule=(100.7,))),
     "enumerate B": (CountingError, lambda: enumerate_N(job(), 100.0)),
-    "enumerate threads": (CountingError,
-                          lambda: enumerate_N(job(), 100, threads=2.7)),
     "predict prime_cutoff": (CountingError, lambda: predict_and_compare(
         job(), prime_cutoff=10.0)),
-    "predict threads": (CountingError,
-                        lambda: predict_and_compare(job(), threads=2.7)),
     "G p": (CountingError, lambda: G(job(), 5.0, 1)),
     "G k": (CountingError, lambda: G(job(), 5, 1.5)),
     "beta p": (CountingError, lambda: beta_p(job(), 5.0)),
@@ -281,26 +278,35 @@ def test_cached_entry_points_refuse_a_float_after_the_int():
 @pytest.mark.parametrize("call, match", [
     (lambda: predict_and_compare(job(), prime_cutoff=1), "prime_cutoff"),
     (lambda: predict_and_compare(job(), prime_cutoff=-5), "prime_cutoff"),
-    (lambda: predict_and_compare(job(), threads=0), "threads"),
-    (lambda: predict_and_compare(job(), threads=-3), "threads"),
-    (lambda: enumerate_N(job(), 100, threads=0), "threads"),
-    (lambda: enumerate_N(job(), 100, threads=-3), "threads"),
     (lambda: enumerate_N(job(), 0), "B must be >= 1"),
     (lambda: enumerate_N(job(), -4), "B must be >= 1"),
-], ids=["cutoff 1", "cutoff -5", "predict threads 0", "predict threads -3",
-        "enumerate threads 0", "enumerate threads -3", "enumerate B 0",
-        "enumerate B -4"])
+], ids=["cutoff 1", "cutoff -5", "enumerate B 0", "enumerate B -4"])
 def test_counts_below_their_minimum_are_refused(call, match):
-    # an Euler product over no prime is no prediction, no thread count
-    # below one is meaningful, and a box of height B <= 0 holds no point
-    # to count: the minimums the CLI enforces
+    # an Euler product over no prime is no prediction, and a box of height
+    # B <= 0 holds no point to count: the minimums the CLI enforces
     with pytest.raises(CountingError, match=match):
         call()
 
 
-def test_integral_cutoff_and_threads_are_accepted():
+@pytest.mark.parametrize("sieve, error", [
+    (_primes_upto, ExactNumError),
+    (lambda n: everywhere_locally_soluble(SYSTEM, L=n), LocalSolveError),
+    (lambda n: predict_and_compare(job(B_schedule=(4,)), prime_cutoff=n),
+     CountingError),
+], ids=["primes", "everywhere L", "predict cutoff"])
+def test_sieves_past_the_cap_are_refused(monkeypatch, sieve, error):
+    # the primes up to L or the cutoff are sieved a byte per integer, so
+    # past the cap, made small here, each caller refuses before the sieve
+    monkeypatch.setattr(exactnum, "DEFAULT_ENUMERATION_CAP", 1000)
+    with pytest.raises(error, match="up to 2000, beyond the cap 1000"):
+        sieve(2000)
+    assert sieve(1000)
+
+
+def test_integral_cutoff_and_B_are_accepted():
     base = predict_and_compare(job())
-    assert predict_and_compare(job(), prime_cutoff=Fraction(100),
-                               threads=np.int64(2)) == base
-    assert predict_and_compare(job(), prime_cutoff=2)[0].beta_p.keys() == {2}
-    assert enumerate_N(job(), 100, threads=Fraction(2)) == base[0].empirical
+    assert predict_and_compare(job(), prime_cutoff=Fraction(100)) == base
+    assert predict_and_compare(
+        job(), prime_cutoff=np.int64(2))[0].beta_p.keys() == {2}
+    assert enumerate_N(job(), Fraction(100)) == \
+        enumerate_N(job(), np.int64(100)) == base[0].empirical

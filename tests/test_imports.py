@@ -197,6 +197,38 @@ def test_every_unbounded_cache_has_a_reason():
     assert all(UNBOUNDED_CACHES.values())
 
 
+# modules that start threads or processes, with their submodules
+PARALLEL_MODULES = ("concurrent", "threading", "multiprocessing")
+
+
+def _parallel_imports(tree):
+    """The modules a module imports, at any depth of its tree, that start
+    threads or processes."""
+    return sorted(m for m in _imported_modules(tree)
+                  if m.split(".")[0] in PARALLEL_MODULES)
+
+
+def test_parallel_import_detector():
+    tree = ast.parse(
+        "import os, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "def f():\n    import multiprocessing.pool as mp\n"
+        "from concurrent import futures\n"
+        "import concurrency, threadpoolctl\n"
+        "from . import threads\n")
+    assert _parallel_imports(tree) == [
+        "concurrent", "concurrent.futures", "multiprocessing.pool",
+        "threading"]
+
+
+def test_the_package_starts_no_thread_or_process():
+    # every count, scan and search runs on the calling thread; a parallel
+    # path comes back only together with a benchmark workload that runs it
+    found = {p.name: _parallel_imports(ast.parse(p.read_text()))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
 def test_unused_import_detector():
     tree = ast.parse("import os.path\nfrom typing import Dict, List\n"
                      "x: List = os.sep\n")
@@ -288,9 +320,9 @@ def _python(*args):
 
 
 def test_local_and_brauer_load_only_what_they_run():
-    # beta_inf runs on the decimal module, the thread pool starts only in
-    # a threaded enumerate_N and the CLI loads on first use, so the local
-    # and Brauer-Manin side never imports them
+    # beta_inf runs on the decimal module, no module starts a thread and
+    # the CLI loads on first use, so the local and Brauer-Manin side
+    # never imports them
     lazy = ["mpmath", "argparse", "concurrent.futures", "conicbundles.cli"]
     proc = _python("-c", _LOCAL_AND_BRAUER, *lazy)
     assert proc.returncode == 0, proc.stderr
