@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .exactnum import (Place, REAL_PLACE, SquareClass, Verdict,
                        f2_independent, factorize, hilbert, hilbert_support,
-                       is_prime, legendre, squarefree_class, squarefree_part,
-                       valuation)
+                       is_prime, legendre, squarefree_class, valuation)
 from .quadform import (BinaryForm, pell_fundamental, representation_count,
                        rho, rho_table, scaling_valid, w)
 from .pencil import (BrauerElement, BrauerGroupDescription, ConicBundleData,
@@ -22,8 +21,7 @@ from .brauermanin import (AdelicFiberPoint, InvariantVector, LocalParameter,
                           local_invariant, obstruction_scan, pairing,
                           quotient_generators)
 from .counting import (CountJob, DensityReport, G, beta_infinity, beta_p,
-                       box_measure, enumerate_N, predict_and_compare,
-                       region_measure)
+                       enumerate_N, predict_and_compare, region_measure)
 from .delpezzo import (BundleReport, DP1ConditionReport, DP1Data,
                        DP1MinimalityReport, DP2Data, IndependenceReport,
                        Quartic, RamificationQuartic, SplitPolynomial,
@@ -48,7 +46,7 @@ __all__ = [
     "LocalParameter", "LocalReport", "LocalWitness", "NormFormSystem",
     "Place", "QuadricIntersectionData", "Quartic", "REAL_PLACE",
     "RamificationQuartic", "ScanTable", "SplitPolynomial", "SquareClass",
-    "ValidationReport", "Verdict", "beta_infinity", "beta_p", "box_measure",
+    "ValidationReport", "Verdict", "beta_infinity", "beta_p",
     "brauer_element", "brauer_group", "bundle_from_fgh", "delta",
     "diagonal_quadric_soluble", "dp1_condition", "dp1_minimality",
     "dp2_minimality", "dp2_ramification_quartic", "enumerate_N",
@@ -59,6 +57,6 @@ __all__ = [
     "quadric_intersection_system", "quartic_discriminant",
     "quotient_generators", "real_soluble", "region_measure",
     "representation_count", "rho", "rho_table", "run_selftest",
-    "scaling_valid", "squarefree_class", "squarefree_part", "torsor_system",
+    "scaling_valid", "squarefree_class", "torsor_system",
     "validate", "valuation", "w",
 ]

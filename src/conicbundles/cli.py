@@ -80,8 +80,9 @@ REPORTS
 EXIT CODES
     0 success, 1 computational failure (including a failed selftest),
     2 input error (bad flags, unparsable file, invalid payload, a
-    `local` depth at or below a place's technical bound or an `L` past
-    the sieve's cap, DEFAULT_ENUMERATION_CAP, unwritable --out path).
+    `local` depth at or below a place's technical bound, an `L` or a
+    `prime_cutoff` past the sieve's cap, DEFAULT_ENUMERATION_CAP, in the
+    file or as a flag and for every command, unwritable --out path).
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ import time
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from . import __version__
+from . import __version__, exactnum
 from .exactnum import (ExactNumError, Place, REAL_PLACE,
                        as_integer_at_least, hilbert, hilbert_support,
                        json_value)
@@ -308,14 +309,20 @@ def load_problem(path: str) -> ProblemFile:
 
 # ---------------------------------------------------------------- options
 
+def _sieve_cap() -> int:
+    # the primes up to L and up to prime_cutoff are sieved a byte per
+    # integer; read when called, so that a test can shrink the cap
+    return exactnum.DEFAULT_ENUMERATION_CAP
+
+
 _OPTION_SPECS = {
-    # key: (minimum, default)
-    "prime_cutoff": (2, DEFAULT_PRIME_CUTOFF),
-    "L": (2, 100),
-    "depth": (1, None),
-    "resolution": (1, None),
-    "threads": (1, 1),  # inert: checked and echoed, passed nowhere
-    "seed": (0, 0),
+    # key: (minimum, maximum or None, default)
+    "prime_cutoff": (2, _sieve_cap, DEFAULT_PRIME_CUTOFF),
+    "L": (2, _sieve_cap, 100),
+    "depth": (1, None, None),
+    "resolution": (1, None, None),
+    "threads": (1, None, 1),  # inert: checked and echoed, passed nowhere
+    "seed": (0, None, 0),
 }
 
 
@@ -323,7 +330,7 @@ def effective_options(problem: Optional[ProblemFile],
                       args: argparse.Namespace) -> Dict[str, object]:
     """File options overridden by flags, with defaults filled in."""
     out: Dict[str, object] = {}
-    for key, (minimum, default) in _OPTION_SPECS.items():
+    for key, (minimum, maximum, default) in _OPTION_SPECS.items():
         value = default
         if problem is not None and problem.raw(key) is not None:
             where = "%s (%s)" % (problem.where(key), key)
@@ -331,8 +338,13 @@ def effective_options(problem: Optional[ProblemFile],
         flag = getattr(args, key, None)
         if flag is not None:
             value = flag
-        out[key] = value if value is None else as_integer_at_least(
-            value, minimum, "option " + key, CLIInputError)
+        if value is not None:
+            value = as_integer_at_least(value, minimum, "option " + key,
+                                        CLIInputError)
+            if maximum is not None and value > maximum():
+                raise CLIInputError("option %s must be <= %d, got %d"
+                                    % (key, maximum(), value))
+        out[key] = value
     return out
 
 
@@ -387,7 +399,7 @@ def _cmd_local(problem: ProblemFile, data, options: dict) -> dict:
             report = everywhere_locally_soluble(system, L=options["L"],
                                                 depth=options["depth"])
         except LocalSolveError as exc:
-            # a depth at or below a technical bound, or an L past the cap
+            # a depth at or below a technical bound
             raise CLIInputError(str(exc))
         out = {"system": system, "report": dict(
             report._asdict(), witnesses=[wit for _, wit in report.witnesses])}

@@ -42,10 +42,11 @@ step is the theory's statement, not re-verified numerically).  So for
 r <= s the Euler product is finite: it runs over the bad set of primes
 dividing M or the minors gcd, which predict_and_compare computes once per
 job and always includes, writing 1 at every other prime up to the cutoff.
-For p | M with m = val_p(M), beta_p = p^(-(s+r)m) G(p^m) exactly; when the
-mod-M data x^2 - a_i y^2 = f_i(u^(M)) is solvable mod p^m this is at least
-p^(-rm) > 0, and a violation of that bound is reported as an error since
-it contradicts an identity; when the mod-M data admits no lift, beta_p is
+For p | M with m = val_p(M), p^m | M makes every g_i(t) constant mod p^m,
+so G(p^m) = p^(ms) prod_i rho_i(p^m; f_i(u^(M))) and beta_p is the r conic
+counts prod_i rho_i(p^m; f_i(u^(M))) / p^(rm), read without G.  It is at
+least p^(-rm) when the mod-M data x^2 - a_i y^2 = f_i(u^(M)) is solvable
+mod p^m, each count being >= 1; when that data admits no lift, beta_p is
 honestly 0 and prediction is refused place by place.
 
 Lattice lines.  enumerate_N and G sum prod_i R_i(f_i(u)) (resp. the
@@ -78,7 +79,9 @@ and line lengths from numpy.arange over the piece's own ranges, an
 index axis being just a coefficient (G reduces each form's index mod
 p^k once), and representation_table adds its progressions into the
 table in batches of as many points.  So a count needs its tables and a
-fixed number of piece-sized temporaries beside them.
+fixed number of piece-sized temporaries beside them.  The sums are int64:
+a count whose tables' maxima multiply past 2^62 is refused with
+CountingError before it starts, where one cell's product could wrap.
 
 Lattice counts, line directions (null vectors back-substituted on
 `exactnum._echelon`'s fraction-free elimination), box ends (integer
@@ -203,24 +206,10 @@ class CountJob:
         return _dot(self.system.forms[i], u)
 
 
-def box_measure(s: int, epsilon: Fraction, M: int, B: int) -> Fraction:
-    """(2 eps B / M)^s: the raw sup-norm measure formula.
-
-    Kept separate from CountJob so the formula is usable for parameter
-    combinations a valid job cannot carry (eq. M = 2 never clears the
-    technical valuation bound at p = 2)."""
-    s, M, B = (as_integer(x, CountingError) for x in (s, M, B))
-    if B < 1 or M < 1 or s < 1:
-        raise CountingError("B, M, s must be positive")
-    eps = as_rational(epsilon, CountingError)
-    if eps <= 0:
-        raise CountingError("epsilon must be positive")
-    return (2 * eps * B / M) ** s
-
-
 def region_measure(job: CountJob, B: int) -> Fraction:
     """Sup-norm measure (2 eps B / M)^s of the congruence-scaled box."""
-    return box_measure(job.system.s, job.epsilon, job.M, B)
+    B = as_integer_at_least(B, 1, "B", CountingError)
+    return (2 * job.epsilon * B / job.M) ** job.system.s
 
 
 def _axis_range(job: CountJob, B: int, j: int):
@@ -342,7 +331,8 @@ def _grid_sum(boxes, coeffs, consts, tables, modulus=None, line=None):
     # and length arrays from the piece's own ranges: no array but the
     # tables exceeds _CHUNK_CELLS, and a piece's int64 sum stays below
     # limit * cap <= _SUM_GUARD, cap being the product of the factors'
-    # maxima
+    # maxima.  A cap past _SUM_GUARD, where one cell's product could wrap,
+    # is refused before any sum
     maxima = [int(tab.max()) for tab in tables]
     read = [any(col) for col in zip(*coeffs)]
     if line is not None:
@@ -352,7 +342,11 @@ def _grid_sum(boxes, coeffs, consts, tables, modulus=None, line=None):
             maxima[j] *= max((n - 1) // abs(c) + 1
                              for n, c in zip(extents, w) if c)
     cap = max(1, math.prod(maxima))
-    limit = max(1, min(_CHUNK_CELLS, _SUM_GUARD // cap))
+    if cap > _SUM_GUARD:
+        raise CountingError(
+            "the factors' maxima multiply to %d, past the int64 guard %d"
+            % (cap, _SUM_GUARD))
+    limit = min(_CHUNK_CELLS, _SUM_GUARD // cap)
     total = 0
     for box in boxes:
         mult = math.prod(b - a for (a, b), r in zip(box, read) if not r)
@@ -486,7 +480,8 @@ def G(job: CountJob, p: int, k: int) -> int:
     the residue-class sums of rho_j.  When no form admits such a w
     (r > s), every cell is its own line.  DEFAULT_ENUMERATION_CAP bounds
     the cells summed, m^(s-1) with a line direction and m^s without,
-    before any table."""
+    before any table.  Its library callers are beta_p's stabilization
+    search at p not dividing M and the selftest's stabilization suite."""
     p, k = as_prime(p, CountingError), as_integer(k, CountingError)
     if k < 1:
         raise CountingError("k must be >= 1")
@@ -524,27 +519,23 @@ def G(job: CountJob, p: int, k: int) -> int:
 def beta_p(job: CountJob, p: int) -> Fraction:
     """Exact local density at p.
 
-    p | M: p^(-(s+r)m) G(p^m) with m = val_p(M); if the mod-M data is
-    solvable mod p^m the value is checked against the lower bound p^(-rm).
-    Else 1 when the form matrix has rank r mod p, that is when p does not
-    divide the gcd of its r x r minors (0 when r > s), at every p and for
-    all a_i, since t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r and
-    sum_A rho(p^k; A) = p^2k for each form; otherwise detect
+    p | M: with m = val_p(M), every g_i(t) = f_i(uM) + M f_i(t) is constant
+    mod p^m, so G(p^m) = p^(ms) prod_i rho_i(p^m; f_i(uM)) and the value is
+    prod_i rho_i(p^m; f_i(uM)) / p^(rm), at least p^(-rm) when each count is
+    nonzero.  Else 1 when the form matrix has rank r mod p, that is when p
+    does not divide the gcd of its r x r minors (0 when r > s), at every p
+    and for all a_i, since t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r
+    and sum_A rho(p^k; A) = p^2k for each form; otherwise detect
     G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k, from
     k0 = max(1, bound + 1) up to bound + 4 with bound the technical bound,
     and return p^(-(s+r)k) G(p^k)."""
     p = as_prime(p, CountingError)
     s, r = job.system.s, job.system.r
     if job.M % p == 0:
-        m = valuation(job.M, p)
-        val = Fraction(G(job, p, m), p ** ((s + r) * m))
-        liftable = all(rho(BinaryForm(a), p**m, job._f(i, job.uM)) > 0
-                       for i, a in enumerate(job.system.a))
-        if liftable and val < Fraction(1, p ** (r * m)):
-            raise CountingError(
-                "G(%d^%d) < %d^%d despite a solvable congruence witness"
-                % (p, m, p, s * m))
-        return val
+        q = p ** valuation(job.M, p)
+        return Fraction(math.prod(rho(BinaryForm(a), q, job._f(i, job.uM))
+                                  for i, a in enumerate(job.system.a)),
+                        q**r)
     bound = technical_bound(job.system, p)
     k0, k_max = max(1, bound + 1), bound + 4
     if _minors_gcd(job.system.forms, s) % p:

@@ -471,10 +471,6 @@ def squarefree_class(x: IntLike) -> SquareClass:
     return SquareClass(sign, frozenset(primes))
 
 
-def squarefree_part(x: IntLike) -> int:
-    return squarefree_class(x).representative()
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for odd prime p: the Jacobi symbol `_jacobi`,
     by quadratic reciprocity."""

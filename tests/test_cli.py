@@ -257,9 +257,30 @@ def test_local_L_past_the_sieve_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
-    assert "primes up to 2000, beyond the cap 1000" in err
+    assert "option L must be <= 1000, got 2000" in err
     code, report = run_cli(["local", path, "--L", "1000"], tmp_path)
     assert code == 0 and report["results"]["report"]["soluble"] is True
+
+
+def test_predict_cutoff_past_the_sieve_cap_exit_2(tmp_path, capsys,
+                                                  monkeypatch):
+    # the primes up to the cutoff are sieved too: a cutoff past the cap is
+    # an input error, in the file or as a flag, and `validate` refuses it
+    # as it refuses a cutoff below 2
+    monkeypatch.setattr(exactnum, "DEFAULT_ENUMERATION_CAP", 1000)
+    keyed = write_problem(tmp_path, REF_JOB + "prime_cutoff = 2000\n",
+                          "keyed.txt")
+    plain = write_problem(tmp_path, REF_JOB, "plain.txt")
+    for args in (["predict", keyed], ["predict", plain, "--prime-cutoff",
+                                      "2000"], ["validate", keyed]):
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None, args
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+        assert "option prime_cutoff must be <= 1000, got 2000" in err
+    code, report = run_cli(["predict", plain, "--prime-cutoff", "1000"],
+                           tmp_path)
+    assert code == 0 and report["results"]["prime_cutoff"] == 1000
 
 
 # ---------------------------------------------------------------- reports

@@ -14,7 +14,6 @@ from conicbundles.counting import (
     G,
     beta_infinity,
     beta_p,
-    box_measure,
     enumerate_N,
     predict_and_compare,
     region_measure,
@@ -27,7 +26,7 @@ from conicbundles.quadform import (
     representation_count,
     rho,
 )
-from jobs import job1, job2, system1
+from jobs import job1, job2, system1, system2
 from reference import brute_orbit_count, brute_orbits
 
 
@@ -122,14 +121,17 @@ def test_job_validation_f_uM_mod_4():
 
 def test_measure_examples():
     assert region_measure(job1(), 100) == 10000
-    assert box_measure(2, Fraction(1, 4), 2, 16) == 16
-    assert box_measure(3, Fraction(1), 1, 1) == 8
+    cube = NormFormSystem(r=1, s=3, a=(-1,), forms=((1, 0, 0),))
+    assert region_measure(CountJob(system=cube, epsilon=Fraction(1)), 1) == 8
     j = job1(M=4, uM=(1, 0), epsilon=Fraction(1, 4))
+    assert region_measure(j, 16) == 4
     assert region_measure(j, 25) == Fraction(625, 64)
-    with pytest.raises(CountingError):
-        box_measure(2, Fraction(1, 2), 1, 0)
-    with pytest.raises(CountingError):
-        box_measure(2, 0.5, 1, 4)
+    with pytest.raises(CountingError, match="B must be >= 1"):
+        region_measure(job1(), 0)
+    with pytest.raises(CountingError, match="float"):
+        region_measure(job1(), 4.0)
+    with pytest.raises(CountingError, match="float"):
+        job1(epsilon=0.5)
 
 
 def test_enumerate_hand_counted():
@@ -457,6 +459,62 @@ def test_beta_p_dividing_M():
     assert beta_p(j, 2) >= Fraction(1, 2**2)
     assert beta_p(j, 3) >= Fraction(1, 3)
     assert beta_p(j, 5) == 1
+
+
+def test_G_at_p_dividing_M_is_the_conic_counts():
+    # p^m | M makes every g_i(t) = f_i(uM) + M f_i(t) constant mod p^m, so
+    # G(p^m) = p^(ms) prod_i rho_i(p^m; f_i(uM)), with r <= s (a line
+    # direction) and r > s (cell by cell); beta_p reads the counts alone
+    rng = random.Random(45)
+    cases = [(job_m12(), 2), (job_m12(), 3)]
+    for r, s, p, M in ((1, 2, 2, 4), (2, 2, 3, 9), (2, 2, 5, 25),
+                       (2, 3, 2, 8), (3, 2, 3, 27), (3, 2, 2, 4),
+                       (3, 3, 3, 3), (4, 2, 3, 9)):
+        for _ in range(3):
+            cases.append((geometry_job(rng, r, s, M, Fraction(1, 2)), p))
+    assert {j.system.r > j.system.s for j, _ in cases} == {False, True}
+    for job, p in cases:
+        s, r = job.system.s, job.system.r
+        m = max(e for e in range(1, 8) if job.M % p**e == 0)
+        counts = math.prod(rho(BinaryForm(a), p**m, job._f(i, job.uM))
+                           for i, a in enumerate(job.system.a))
+        assert G(job, p, m) == p ** (m * s) * counts, (job, p)
+        assert beta_p(job, p) == Fraction(G(job, p, m),
+                                          p ** ((s + r) * m)), (job, p)
+
+
+def test_beta_p_dividing_a_large_M():
+    # past the reach of G: its cells (3^15 lines, 5^12 cells) and its int64
+    # sums (3^14), while the conic counts are read at once; x^2 + y^2 = 1
+    # has 4/3 3^m solutions mod 3^m, x^2 + 2 y^2 = 2 has 2/3 3^m, and
+    # x^2 + y^2 = 1, 2 have 4/5 5^m mod 5^m
+    pair = NormFormSystem(r=2, s=2, a=(-1, -2), forms=((1, 0), (1, 1)))
+    for m in (14, 15):
+        job = CountJob(system=pair, M=3**m, uM=(1, 1))
+        assert beta_p(job, 3) == Fraction(8, 9), m
+    triple = NormFormSystem(r=3, s=2, a=(-1, -1, -1),
+                            forms=((1, 0), (0, 1), (1, 1)))
+    job = CountJob(system=triple, M=5**6, uM=(1, 1))
+    assert beta_p(job, 5) == Fraction(64, 125)
+
+
+def test_grid_sum_refuses_a_product_past_the_guard(monkeypatch):
+    # one cell's product of the factors' maxima must fit in int64: past
+    # the guard the sum is refused before it starts, never wrapped.  At
+    # k = 21 the unimodular job2, G(2^k) = 2^(4k), sums its line form's
+    # whole table, 2^42, times the other's peak, 2^22: 2^64 once wrapped
+    want = [G(job1(), 3, 2), enumerate_N(job2(), 100)]
+    assert want == [brute_G(job1(), 3, 2),
+                    brute_N(system2(), 1, (0, 0), job2().uInf,
+                            job2().epsilon, 100)]
+    monkeypatch.setattr(counting, "_SUM_GUARD", 10)
+    with pytest.raises(CountingError, match="past the int64 guard 10"):
+        G(job1(), 3, 2)
+    with pytest.raises(CountingError, match="past the int64 guard 10"):
+        enumerate_N(job2(), 100)
+    monkeypatch.undo()
+    with pytest.raises(CountingError, match="past the int64 guard"):
+        G(job2(), 2, 21)
 
 
 def test_beta_p_zero_when_obstructed():

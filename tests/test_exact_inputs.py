@@ -13,8 +13,8 @@ from conicbundles.brauermanin import (AdelicFiberPoint, BrauerManinError,
                                       pairing)
 from conicbundles.cli import CLIInputError, run_selftest
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
-                                   box_measure, enumerate_N,
-                                   predict_and_compare)
+                                   enumerate_N, predict_and_compare,
+                                   region_measure)
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
                                    SplitPolynomial)
 from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE,
@@ -72,8 +72,7 @@ FLOAT_ENTRY_PATHS = {
     "G p": (CountingError, lambda: G(job(), 5.0, 1)),
     "G k": (CountingError, lambda: G(job(), 5, 1.5)),
     "beta p": (CountingError, lambda: beta_p(job(), 5.0)),
-    "box epsilon": (CountingError, lambda: box_measure(2, 0.5, 1, 4)),
-    "box B": (CountingError, lambda: box_measure(2, 1, 1, 4.0)),
+    "region B": (CountingError, lambda: region_measure(job(), 4.0)),
     "local invariant": (BrauerManinError, lambda: local_invariant(
         FLAG, (1, 1, 0, 0), 0.5, Place(5))),
     "local parameter": (BrauerManinError,
@@ -198,8 +197,8 @@ NON_PRIME_MODULI = {
                      lambda: as_rational("x")),
     "rho q 0": (QuadFormError, "modulus must be positive",
                 lambda: rho(FORM, 0, 1)),
-    "box epsilon 0": (CountingError, "epsilon must be positive",
-                      lambda: box_measure(2, 0, 1, 4)),
+    "job epsilon 0": (CountingError, "epsilon must be positive",
+                      lambda: job(epsilon=0)),
     "scan combinations limit -1": (
         BrauerManinError, "limit must be >= 0",
         lambda: obstruction_scan(FLAG, [Place(5), REAL_PLACE])

@@ -30,7 +30,6 @@ from conicbundles.exactnum import (
     json_value,
     legendre,
     squarefree_class,
-    squarefree_part,
     valuation,
 )
 from oracle import local_symbol
@@ -253,10 +252,10 @@ def test_place():
 
 
 def test_squarefree_class_examples():
-    assert squarefree_part(18) == 2
-    assert squarefree_part(-4) == -1
-    assert squarefree_part(Fraction(1, 2)) == 2
-    assert squarefree_part(Fraction(-27, 50)) == -6
+    assert squarefree_class(18).representative() == 2
+    assert squarefree_class(-4).representative() == -1
+    assert squarefree_class(Fraction(1, 2)).representative() == 2
+    assert squarefree_class(Fraction(-27, 50)).representative() == -6
     assert squarefree_class(49).is_trivial
 
 

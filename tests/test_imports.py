@@ -276,6 +276,60 @@ def test_no_dead_names():
     assert {name: names for name, names in dead.items() if names} == {}
 
 
+# every package name that only tests read, with why it stays public; a
+# name the library or the bench starts to read leaves the list
+TEST_ONLY_NAMES = {
+    "brauermanin.local_invariant": "the bare symbol sum at one point, with "
+                                   "no canonical class: the scan's oracle",
+    "localsolve.diagonal_quadric_soluble": "the rank-4 anisotropy test, "
+                                           "ROADMAP item 7's cell oracle",
+    "pencil.brauer_element": "the checked constructor of one element of "
+                             "Ker(delta)",
+    "quadform.representation_count": "R(n) at one n, read off the row table "
+                                     "that enumerate_N sums",
+    "quadform.scaling_valid": "the rho scaling identity's hypotheses, which "
+                              "the density tests state",
+}
+
+
+def _test_only_names(package, readers):
+    """The module-level names of the package modules (path -> tree) that no
+    reader (path -> tree) reads, as `module.name`."""
+    refs = set()
+    for path, tree in readers.items():
+        refs |= _counted_references(tree, path)
+    return sorted("%s.%s" % (path.stem, name)
+                  for path, tree in package.items()
+                  for name in _module_names(tree) if name not in refs)
+
+
+def test_test_only_name_detector():
+    # a name read only by its homonym in bench/ is test-only; __init__ is
+    # no reader, since its re-export reads every name it lists
+    lib = {PACKAGE / "lib.py": ast.parse(
+               "def used(): pass\ndef tested(): pass\n"
+               "def benched(): pass\nused()\n"),
+           PACKAGE / "other.py": ast.parse("from .lib import used\n")}
+    bench = {ROOT / "bench" / "b.py": ast.parse(
+        "from conicbundles.lib import benched\ndef tested(): pass\n")}
+    assert _test_only_names(lib, {**lib, **bench}) == ["lib.tested"]
+    init = ast.parse("from .lib import tested\n__all__ = ['tested']\n")
+    assert "tested" in _counted_references(init, PACKAGE / "__init__.py")
+
+
+def test_every_test_only_name_has_a_reason():
+    # public API that only tests use is listed, so that it cannot grow
+    # unseen: its readers are src/ less __init__'s re-export, and bench/
+    package = {p: ast.parse(p.read_text())
+               for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {p: tree for p, tree in package.items()
+               if p.name != "__init__.py"}
+    readers.update((p, ast.parse(p.read_text()))
+                   for p in sorted((ROOT / "bench").rglob("*.py")))
+    assert _test_only_names(package, readers) == sorted(TEST_ONLY_NAMES)
+    assert all(TEST_ONLY_NAMES.values())
+
+
 def test_all_lists_exactly_the_reexported_names():
     # `from conicbundles import *` gives every name __init__ imports at top
     # level and nothing it does not, except the front end that __getattr__
