@@ -107,6 +107,10 @@ class BrauerManinError(ExactNumError):
     pass
 
 
+class ScanCapError(BrauerManinError):
+    """A place's residues mod p^resolution outnumber the enumeration cap."""
+
+
 def _place_key(v: Place):
     return (0, 0) if v.is_real else (1, v.p)
 
@@ -471,7 +475,7 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _PlaceCells:
     # residues mod p^K get one slot each, so they are counted against the
     # cap before any is made
     if p**K > DEFAULT_ENUMERATION_CAP:
-        raise BrauerManinError(
+        raise ScanCapError(
             "the scan at %d has %d^%d residues, beyond the cap %d"
             % (p, p, K, DEFAULT_ENUMERATION_CAP))
     # every fibre some generator selects, read once per ball

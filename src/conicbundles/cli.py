@@ -82,7 +82,9 @@ EXIT CODES
     2 input error (bad flags, unparsable file, invalid payload, a
     `local` depth at or below a place's technical bound, an `L` or a
     `prime_cutoff` past the sieve's cap, DEFAULT_ENUMERATION_CAP, in the
-    file or as a flag and for every command, unwritable --out path).
+    file or as a flag and for every command, a `bm` resolution set in the
+    file or as a flag that gives some support place more residues than
+    that cap, unwritable --out path).
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ from .localsolve import LocalSolveError, everywhere_locally_soluble
 from .quadform import BinaryForm, rho
 from .counting import (CountJob, DEFAULT_PRIME_CUTOFF, G, beta_p,
                        enumerate_N, predict_and_compare, region_measure)
-from .brauermanin import obstruction_scan, quotient_generators
+from .brauermanin import ScanCapError, obstruction_scan, quotient_generators
 from .delpezzo import (DP1Data, DP2Data, Quartic, SplitPolynomial,
                        bundle_from_fgh, dp1_condition, dp1_minimality,
                        dp2_minimality, dp2_ramification_quartic,
@@ -442,8 +444,15 @@ def _cmd_bm(problem: ProblemFile, data: ConicBundleData,
         raise CLIInputError(
             "the `bm` command needs a `support` key listing places, "
             "e.g. `support = oo, 2, 5`")
-    table = obstruction_scan(data, problem.values["support"],
-                             resolution=options["resolution"])
+    try:
+        table = obstruction_scan(data, problem.values["support"],
+                                 resolution=options["resolution"])
+    except ScanCapError as exc:
+        # a resolution the caller set is theirs to lower; past the cap at
+        # the default resolution the place itself is too large (item 18)
+        if options["resolution"] is None:
+            raise
+        raise CLIInputError(str(exc))
     return {"pencil": json_value(data), "scan": table.as_json_dict()}
 
 

@@ -33,15 +33,25 @@ float (at most three more roundings) is the correctly rounded double
 unless the exact value lies within that distance of a tie.
 
 Finite densities.  G(p^k) counts (x, y, t) mod p^k solving the system at
-g_i(t) = f_i(u^(M) + M t); beta_p is the limit of p^(-(s+r)k) G(p^k).  For
-p not dividing M it is 1 when the forms have rank r mod p, that is when p
-does not divide the gcd of the r x r minors of the form matrix (0 when
-r > s); otherwise it is detected by finding G(p^(k+1)) exactly equal to
-p^(s+r) G(p^k) at the first admissible k (persistence beyond the detected
-step is the theory's statement, not re-verified numerically).  So for
+g_i(t) = f_i(u^(M) + M t); beta_p is the limit of p^(-(s+r)k) G(p^k).
+For p not dividing M, t -> u^(M) + M t permutes (Z/p^k)^s, so G(p^k) is
+the sum over u mod p^k of prod_i rho_i(p^k; b_i) at b = F u, F the r x s
+form matrix.  Let g_j be the gcd of F's j x j minors (g_0 = 1) and
+g = g_r.  When g = 0 (r > s, or forms of rank below r) beta_p refuses p
+with CountingError: exact densities there are ROADMAP item 4.  Otherwise
+F = U diag(p^(d_1), ..., p^(d_r)) V over Z_p, U and V invertible and
+d_1 <= ... <= d_r, with v_p(g_j) = d_1 + ... + d_j, so d_1 + ... + d_r =
+v_p(g) and the largest exponent is D = d_r = v_p(g_r) - v_p(g_(r-1)).
+For k >= D the u mod p^k with F u = b number p^((s-r)k + v_p(g)) when
+(U^-1 b)_i = 0 mod p^(d_i) for every i, and 0 otherwise.  That condition
+reads b, so (x, y) through b_i = x_i^2 - a_i y_i^2, only mod p^D: with C
+the number of (x, y) mod p^D meeting it, G(p^k) = p^((s-r)k + v_p(g))
+p^(2r(k-D)) C.  So G(p^(k+1)) = p^(s+r) G(p^k) for every k >= D, whatever
+the a_i, and beta_p is the one read p^(-(s+r)k) G(p^k) at k = max(1, D).
+When p does not divide g, D = 0, C = 1 and beta_p = 1 without G.  So for
 r <= s the Euler product is finite: it runs over the bad set of primes
-dividing M or the minors gcd, which predict_and_compare computes once per
-job and always includes, writing 1 at every other prime up to the cutoff.
+dividing M or g, which predict_and_compare computes once per job and
+always includes, writing 1 at every other prime up to the cutoff.
 For p | M with m = val_p(M), p^m | M makes every g_i(t) constant mod p^m,
 so G(p^m) = p^(ms) prod_i rho_i(p^m; f_i(u^(M))) and beta_p is the r conic
 counts prod_i rho_i(p^m; f_i(u^(M))) / p^(rm), read without G.  It is at
@@ -257,7 +267,8 @@ def _nullspace(rows, s: int):
 
 def _minors_gcd(forms, s: int) -> int:
     # gcd of the r x r minors of the form matrix, 0 when r > s: the forms
-    # have rank r mod p exactly when p divides none of the minors
+    # have rank r mod p exactly when p divides none of the minors.  No
+    # forms (r = 0) have the one empty minor, 1
     r = len(forms)
     return math.gcd(*(_det([[f[c] for c in cols] for f in forms])
                       for cols in itertools.combinations(range(s), r)))
@@ -480,8 +491,9 @@ def G(job: CountJob, p: int, k: int) -> int:
     the residue-class sums of rho_j.  When no form admits such a w
     (r > s), every cell is its own line.  DEFAULT_ENUMERATION_CAP bounds
     the cells summed, m^(s-1) with a line direction and m^s without,
-    before any table.  Its library callers are beta_p's stabilization
-    search at p not dividing M and the selftest's stabilization suite."""
+    before any table.  Its library callers are beta_p's one read at
+    k = max(1, D) at a prime dividing the minors gcd but not M (module
+    docstring) and the selftest's stabilization suite."""
     p, k = as_prime(p, CountingError), as_integer(k, CountingError)
     if k < 1:
         raise CountingError("k must be >= 1")
@@ -492,8 +504,8 @@ def G(job: CountJob, p: int, k: int) -> int:
     cells = m ** (s if choice is None else s - 1)
     if cells > DEFAULT_ENUMERATION_CAP:
         raise CountingError(
-            "G(%d^%d) sums %d cells, beyond the cap %d; use beta_p's "
-            "stabilization shortcut" % (p, k, cells, DEFAULT_ENUMERATION_CAP))
+            "G(%d^%d) sums %d cells, beyond the cap %d"
+            % (p, k, cells, DEFAULT_ENUMERATION_CAP))
     # g_i(t) = f_i(uM) + M f_i(t) with every coefficient reduced mod m:
     # _grid_sum reduces each index once, below (s + 1) m^2 unreduced
     coeffs = []
@@ -522,13 +534,13 @@ def beta_p(job: CountJob, p: int) -> Fraction:
     p | M: with m = val_p(M), every g_i(t) = f_i(uM) + M f_i(t) is constant
     mod p^m, so G(p^m) = p^(ms) prod_i rho_i(p^m; f_i(uM)) and the value is
     prod_i rho_i(p^m; f_i(uM)) / p^(rm), at least p^(-rm) when each count is
-    nonzero.  Else 1 when the form matrix has rank r mod p, that is when p
-    does not divide the gcd of its r x r minors (0 when r > s), at every p
-    and for all a_i, since t -> (g_i(t)) mod p^k is uniform onto (Z/p^k)^r
-    and sum_A rho(p^k; A) = p^2k for each form; otherwise detect
-    G(p^(k+1)) = p^(s+r) G(p^k) at the first admissible k, from
-    k0 = max(1, bound + 1) up to bound + 4 with bound the technical bound,
-    and return p^(-(s+r)k) G(p^k)."""
+    nonzero.  Else, with g_j the gcd of the form matrix's j x j minors
+    and g = g_r: 1 when p does not divide g, at every p and for all a_i;
+    CountingError when g = 0 (r > s or dependent forms, ROADMAP item 4);
+    otherwise p^(-(s+r)k) G(p^k) at k = max(1, D), where
+    D = v_p(g_r) - v_p(g_(r-1)) is the largest elementary-divisor exponent
+    of the form matrix at p, since G(p^(k+1)) = p^(s+r) G(p^k) for every
+    k >= D (module docstring)."""
     p = as_prime(p, CountingError)
     s, r = job.system.s, job.system.r
     if job.M % p == 0:
@@ -536,22 +548,19 @@ def beta_p(job: CountJob, p: int) -> Fraction:
         return Fraction(math.prod(rho(BinaryForm(a), q, job._f(i, job.uM))
                                   for i, a in enumerate(job.system.a)),
                         q**r)
-    bound = technical_bound(job.system, p)
-    k0, k_max = max(1, bound + 1), bound + 4
-    if _minors_gcd(job.system.forms, s) % p:
+    forms = job.system.forms
+    g = _minors_gcd(forms, s)
+    if g % p:
         return Fraction(1)
-    step = p ** (s + r)
-    prev = G(job, p, k0)
-    history = [(k0, prev)]
-    for k in range(k0, k_max + 1):
-        nxt = G(job, p, k + 1)
-        history.append((k + 1, nxt))
-        if nxt == step * prev:
-            return Fraction(prev, p ** ((s + r) * k))
-        prev = nxt
-    raise CountingError(
-        "no stabilization G(%d^(k+1)) = %d^(s+r) G(%d^k) for k <= %d; "
-        "history %r" % (p, p, p, k_max, history))
+    if g == 0:
+        raise CountingError(
+            "beta_%d: the form matrix has no nonzero %d x %d minor (r > s "
+            "or dependent forms); exact densities there are ROADMAP item 4"
+            % (p, r, r))
+    below = math.gcd(*(_minors_gcd(rows, s)
+                       for rows in itertools.combinations(forms, r - 1)))
+    k = max(1, valuation(g, p) - valuation(below, p))
+    return Fraction(G(job, p, k), p ** ((s + r) * k))
 
 
 class DensityReport(NamedTuple):
@@ -562,10 +571,12 @@ class DensityReport(NamedTuple):
     relative error is below 3.2e-28 for r <= 8 (beta_inf's bound plus at
     most three more correctly rounded operations).
     beta_p holds every prime up to prime_cutoff and every bad prime above
-    it: those dividing M and, when r <= s, those dividing the gcd of the
-    r x r minors of the form matrix.  For r <= s every other factor is
-    exactly 1, so the product is complete; for r > s the factors beyond
-    the cutoff are 1 + O(p^-2) and are not estimated.  The note keeps its
+    it: those dividing M and those dividing the gcd g of the r x r minors
+    of the form matrix.  When g != 0 every other factor is exactly 1, so
+    the product is complete.  When g = 0 (r > s or dependent forms)
+    beta_p refuses every prime not dividing M, so a report exists only
+    when each prime up to the cutoff divides M; the factors beyond it are
+    then 1 + O(p^-2) and are not estimated.  The note keeps its
     "tail factors ... not estimated" wording in both cases."""
 
     B: int
@@ -587,11 +598,13 @@ def predict_and_compare(job: CountJob,
     r x r minors of the form matrix: at each one up to prime_cutoff, and
     above it at those dividing M, or the gcd when it is nonzero (r <= s).
     Every other prime up to the cutoff gets 1, the value beta_p returns
-    there.  If some beta_p vanishes the job is locally obstructed: the
-    reports carry predicted = 0 and name the place, and the exact count is
-    still taken (it must be 0).  A prime_cutoff past
-    DEFAULT_ENUMERATION_CAP is refused before the sieve.  Counts run on
-    one thread; the CLI's `threads` option is inert."""
+    there.  A zero gcd makes every prime bad, and beta_p's CountingError
+    at the first one up to the cutoff not dividing M ends the call.  If
+    some beta_p vanishes the job is locally obstructed: the reports carry
+    predicted = 0 and name the place, and the exact count is still taken
+    (it must be 0).  A prime_cutoff past DEFAULT_ENUMERATION_CAP is
+    refused before the sieve.  Counts run on one thread; the CLI's
+    `threads` option is inert."""
     prime_cutoff = as_integer_at_least(prime_cutoff, 2, "prime_cutoff",
                                        CountingError)
     if not job.B_schedule:

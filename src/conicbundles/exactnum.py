@@ -614,7 +614,9 @@ def _echelon(m):
 
 def _det(m):
     """Determinant of the square matrix m: the signed last pivot of
-    `_echelon` when every column pivots, else 0."""
+    `_echelon` when every column pivots, else 0; 1 for the 0 x 0 matrix."""
+    if not m:
+        return 1
     rows, pivots, sign = _echelon(m)
     return sign * rows[-1][-1] if len(pivots) == len(m) else 0
 

@@ -400,6 +400,19 @@ def test_predict_writes_a_nan_ratio_as_null(tmp_path, capsys):
     assert row["beta_p"]["2"] == "0/1" and row["ratio"] is None
 
 
+def test_predict_with_a_zero_minors_gcd_exit_1(tmp_path, capsys):
+    # r = 3 > s = 2: beta_2 has no level to read, and is refused naming
+    # ROADMAP item 4 rather than written as 1
+    path = write_problem(tmp_path, "kind = count-job\na = 2, 6, 7\n"
+                                   "forms = 3 2; -2 2; 1 3\nuInf = 1, 1\n"
+                                   "B_schedule = 4\n")
+    code, report = run_cli(["predict", path, "--prime-cutoff", "2"],
+                           tmp_path)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert "computational failure" in err and "ROADMAP item 4" in err
+
+
 def test_count_matches_module(tmp_path):
     path = write_problem(tmp_path, REF_JOB)
     code, report = run_cli(["count", path], tmp_path)
@@ -473,6 +486,21 @@ def test_bm_resolution_flag(tmp_path):
     data = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
     table = obstruction_scan(data, (REAL_PLACE, Place(5)), resolution=1)
     assert report["results"]["scan"]["allowed_count"] == table.allowed_count()
+
+
+def test_bm_resolution_past_the_cap_exit_2(tmp_path, capsys):
+    # 5^11 residues at 5 pass the cap: a resolution set as a flag or a
+    # file key is the caller's to lower, so exit 2; at the default
+    # resolution a place past the cap stays exit 1 (the test below)
+    keyed = write_problem(tmp_path, FLAG_PENCIL + "resolution = 11\n",
+                          "keyed.txt")
+    plain = write_problem(tmp_path, FLAG_PENCIL, "plain.txt")
+    for args in (["bm", plain, "--resolution", "11"], ["bm", keyed]):
+        code, report = run_cli(args, tmp_path)
+        assert code == 2 and report is None, args
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+        assert "5^11 residues, beyond the cap" in err
 
 
 def test_bm_needs_support(tmp_path, capsys):

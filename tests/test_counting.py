@@ -380,6 +380,25 @@ def test_G_fully_brute_tiny():
         assert G(job, p, 1) == count
 
 
+def cokernel_exponent(forms, p, top):
+    # the least D with p^D (Z/p^k)^r inside the subgroup that the columns
+    # of the form matrix generate mod p^k, found at the first k > D: the
+    # exponent of the cokernel, p to the largest elementary divisor's
+    # exponent at p.  None when no k <= top shows it
+    r = len(forms)
+    for k in range(1, top + 1):
+        m = p**k
+        image = {(0,) * r}
+        for col in zip(*forms):
+            image = {tuple((x + t * c) % m for x, c in zip(v, col))
+                     for v in image for t in range(m)}
+        for d in range(k):
+            if all(tuple(p**d if h == i else 0 for h in range(r)) in image
+                   for i in range(r)):
+                return d
+    return None
+
+
 def test_G_stabilization_identity():
     # G(p^(k+1)) = p^(s+r) G(p^k) from the first admissible k onward
     from conicbundles.exactnum import valuation
@@ -390,6 +409,35 @@ def test_G_stabilization_identity():
                 continue
             k = max(valuation(4 * a, p) for a in job.system.a) + 1
             assert G(job, p, k + 1) == p ** (s + r) * G(job, p, k), (job, p)
+    # and from k = D on for seeded rank-r jobs, D the cokernel exponent,
+    # whatever the a_i: beta_p is the count scaled at any such level
+    rng = random.Random(46)
+    seen, depths = set(), set()
+    while len(seen) < 24:
+        p, s = rng.choice((2, 3)), rng.choice((2, 3))
+        r = rng.randint(1, s)
+        a = tuple(rng.choice((-1, 2, -3, 5, 6, p, -p, 2 * p, p * p))
+                  for _ in range(r))
+        forms = tuple(tuple(rng.choice((0, 1, -1, 2, p, -p, 2 * p, p * p))
+                            for _ in range(s)) for _ in range(r))
+        M = rng.choice((1, 5))
+        uM = tuple(rng.randrange(M) for _ in range(s))
+        try:
+            job = CountJob(system=NormFormSystem(r=r, s=s, a=a, forms=forms),
+                           M=M, uM=uM, uInf=(2,) * s)
+        except (PencilError, CountingError):
+            continue
+        D = cokernel_exponent(forms, p, 9 // (r + 1))
+        if not D or (job, p) in seen:
+            continue
+        seen.add((job, p))
+        depths.add(D)
+        counts = [G(job, p, k) for k in (D, D + 1, D + 2)]
+        assert counts[1] == p ** (s + r) * counts[0], (job, p, D)
+        assert counts[2] == p ** (s + r) * counts[1], (job, p, D)
+        assert beta_p(job, p) == Fraction(counts[1],
+                                          p ** ((s + r) * (D + 1))), (job, p)
+    assert depths == {1, 2}
 
 
 def test_G_tables_hold_one_period(monkeypatch):
@@ -444,6 +492,44 @@ def test_beta_p_one_for_good_primes():
         assert G(j, p, k0 + 1) == p ** (s + r) * G(j, p, k0)
         assert Fraction(G(j, p, k0), p ** ((s + r) * k0)) == 1
         assert beta_p(j, p) == 1
+
+
+def test_beta_p_reads_G_at_the_largest_elementary_divisor():
+    # forms u and u + 3^5 v have one elementary divisor 3^5 at 3, so the
+    # identity G(3^(k+1)) = 3^4 G(3^k) starts at k = 5, past the old
+    # search window k <= 4, and fails one level below it
+    sysm = NormFormSystem(r=2, s=2, a=(-1, 2), forms=((1, 0), (1, 3**5)))
+    job = CountJob(system=sysm, uInf=(Fraction(1), Fraction(1)))
+    counts = [G(job, 3, k) for k in (4, 5, 6)]
+    assert counts[2] == 3**4 * counts[1]
+    assert counts[1] != 3**4 * counts[0]
+    assert beta_p(job, 3) == Fraction(counts[1], 3**20) == Fraction(971, 729)
+    # 3^8 u and 3^8 v have D = 8 but v_3(g) = 16: the read at D sums 3^8
+    # lines, and a read at v_3(g), as valid, would pass G's cap
+    square = NormFormSystem(r=2, s=2, a=(-1, 2),
+                            forms=((3**8, 0), (0, 3**8)))
+    job = CountJob(system=square, uInf=(Fraction(1), Fraction(1)))
+    assert beta_p(job, 3) == Fraction(G(job, 3, 9), 3**36) == 1
+    with pytest.raises(CountingError, match="cap"):
+        G(job, 3, 16)
+
+
+def test_beta_p_refuses_a_zero_minors_gcd():
+    # r > s, and dependent forms with r = s, have no nonzero r x r minor:
+    # no level reads the density.  For a = (2, 6, 7) and forms (3u + 2v,
+    # -2u + 2v, u + 3v) the scaled counts 2^(-5k) G(2^k) read 1 up to
+    # k = 5, then 33/32 and 131/128, so a read at any fixed level would
+    # be wrong; beta_p refuses the prime and names ROADMAP item 4
+    wide = NormFormSystem(r=3, s=2, a=(2, 6, 7),
+                          forms=((3, 2), (-2, 2), (1, 3)))
+    job = CountJob(system=wide, uInf=(Fraction(1), Fraction(1)))
+    assert [Fraction(G(job, 2, k), 2 ** (5 * k)) for k in (5, 6, 7)] == [
+        1, Fraction(33, 32), Fraction(131, 128)]
+    flat = NormFormSystem(r=3, s=3, a=(3, 2, 6),
+                          forms=((1, 1, 0), (1, 5, -2), (0, 2, -1)))
+    for job, p in ((job, 2), (CountJob(system=flat), 3)):
+        with pytest.raises(CountingError, match="ROADMAP item 4"):
+            beta_p(job, p)
 
 
 def test_beta_p_dividing_M():
@@ -590,8 +676,8 @@ def test_predict_ratio_with_a_definite_form():
 
 
 @pytest.mark.xfail(strict=True, raises=CountingError, reason=(
-    "ROADMAP item 4: for r > s, or dependent forms, G(p^(k+1)) never "
-    "reaches p^(s+r) G(p^k), so beta_p reports no stabilization"))
+    "ROADMAP item 4: for r > s, or dependent forms, the r x r minors "
+    "gcd is 0, so beta_p refuses every prime not dividing M"))
 @pytest.mark.parametrize("a, forms, uInf", [
     ((-1, -2, 5), ((1, 0), (0, 1), (1, 1)), (1, 1)),
     ((3, 2, 6), ((1, 1, 0), (1, 5, -2), (0, 2, -1)), (1, 1, 1)),
