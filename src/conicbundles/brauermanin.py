@@ -17,11 +17,34 @@ Everywhere else it means the unramified default: an integral parameter
 whose invariant vanishes.  Away from 2, infinity, the primes in the a_i
 and in the denominators of the e_i, and the primes up to r, every
 residue avoiding the e_i gives symbols with unit arguments and unit
-first entry, which all vanish, so the default is automatic; at the
-finitely many remaining places the pairing searches the residue cells
-mod p^resolution for a vanishing one and reports an error naming the
-place when none is found, since the declared support then omits a place
-that can carry the invariant.
+first entry, which all vanish, so the default is automatic.  At the
+finitely many remaining places the pairing walks Z_p by balls to a
+depth K* that the fibre data certify.  A walk that finds no ball of
+invariant 0 proves that no integral parameter at p has invariant 0, so
+the declared support omits a place that carries a nonzero invariant,
+and the pairing reports an error naming the place.
+
+The depth.  Let u_p = `_unit_digits(p)`, and W the largest
+v_p(e_i - e_j) over pairs of selected fibres with e_i and e_j
+p-integral (W = 0 when there are fewer than two); K* = W + 2 u_p + 1.
+
+- Other symbols.  On the shell v_p(t - e_i) = v >= W + u_p, every other
+  selected t - e_j = (t - e_i) + (e_i - e_j) has valuation
+  v_p(e_i - e_j) <= W and a unit part fixed mod p^u_p, so its symbol
+  (a_j, t - e_j) is fixed.
+- The pole's own symbol.  (a_i, t - e_i) depends only on v mod 2 and
+  the unit class of (t - e_i) / p^v, since u -> p^2 u changes no symbol
+  (Serre, *A Course in Arithmetic*, ch. III).
+- Depth.  So the shells v and v + 2 take the same values, and every
+  value near e_i is taken on a shell v <= W + u_p + 1.  When
+  v = max_i v_p(t - e_i) over the selected p-integral poles (0 when
+  there are none), every symbol is constant on the ball
+  t + p^(v + u_p) Z_p.  So every invariant value at an integral t off
+  the poles is taken on a constant ball of level <= K*, and the walk,
+  which stops splitting only at constant balls or at level K*, meets it.
+- Other poles.  A selected e_j = n/d that is not p-integral has
+  v_p(t - e_j) = v_p(e_j) < 0 on all of Z_p, and the reader's
+  2 v_p(d) shift (below) fixes its unit part on those same balls.
 
 Every symbol is read through one reader per place, `_reader(data, v,
 fibres)`: the mask of the selected fibres with (a_i, t - e_i)_v = -1,
@@ -73,7 +96,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, product
+from itertools import combinations, islice, product
 from operator import xor
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
@@ -265,15 +288,20 @@ def _support_places(data: ConicBundleData, bits: Tuple[int, ...],
 
 
 def _default_trivial_parameter(data: ConicBundleData, bits: Tuple[int, ...],
-                               v: Place,
-                               resolution: Optional[int]) -> Optional[Fraction]:
-    """An unramified-default parameter at v with invariant 0, or None."""
+                               v: Place) -> Optional[Fraction]:
+    """An integral parameter at v with invariant 0, the first one the walk
+    meets, or None when there is none: the walk descends to
+    K* = W + 2 _unit_digits(p) + 1, W the largest v_p(e_i - e_j) over the
+    selected p-integral poles, and meets every value (module docstring)."""
     if v.is_real:
         return max(data.e) + 1  # every t - e_i > 0, all symbols +1
     p = v.p
-    K = resolution if resolution is not None else _default_resolution(p)
+    poles = [e for b, e in zip(bits, data.e) if b and e.denominator % p]
+    W = max((_valuation_unit(x - y, p)[0]
+             for x, y in combinations(poles, 2)), default=0)
     signs_at = _reader(data, v, bits)
-    for _, (c,), signs in _balls(p, 1, K, lambda u, k: signs_at(u[0], k)):
+    for _, (c,), signs in _balls(p, 1, W + 2 * _unit_digits(p) + 1,
+                                 lambda u, k: signs_at(u[0], k)):
         if signs is not None and signs.bit_count() % 2 == 0:
             return Fraction(c)
     return None
@@ -297,19 +325,21 @@ def invariant_vector(data: ConicBundleData, point: AdelicFiberPoint,
     return InvariantVector(tuple(entries))
 
 
-def pairing(data: ConicBundleData, point: AdelicFiberPoint, n,
-            resolution: Optional[int] = None) -> int:
+def pairing(data: ConicBundleData, point: AdelicFiberPoint, n) -> int:
     """Sum of local invariants of the class at the point, in F_2.
 
     The class must lie in Ker(delta); it is evaluated through its
     canonical representative, so the all-ones class pairs to 0.  Places
-    outside the support contribute 0 through the unramified default; at
-    the finitely many places where that is not automatic, a vanishing
-    residue cell is searched for, and its absence is an error asking for
-    an explicit component there."""
-    if resolution is not None:
-        resolution = as_integer_at_least(resolution, 1, "resolution",
-                                         BrauerManinError)
+    outside the support contribute 0 through the unramified default.  At
+    the finitely many places where that is not automatic, the balls of
+    Z_p are walked to K* = W + 2 u_p + 1, u_p = `_unit_digits(p)` and W
+    the largest v_p(e_i - e_j) over the selected p-integral poles.  Past
+    W + u_p a shell around a pole fixes every other symbol, and
+    u -> p^2 u changes no symbol, so the shells repeat with period 2 and
+    the walk meets every invariant value (module docstring).  A walk that
+    finds no ball of invariant 0 thus proves that no integral parameter
+    there has one, and the pairing raises, asking for an explicit
+    component there."""
     raw = _bits(data, n)
     if not delta(data, raw).is_trivial:
         raise BrauerManinError(
@@ -321,11 +351,11 @@ def pairing(data: ConicBundleData, point: AdelicFiberPoint, n,
     for v in _support_places(data, bits):
         if v in support:
             continue
-        if _default_trivial_parameter(data, bits, v, resolution) is None:
+        if _default_trivial_parameter(data, bits, v) is None:
             raise BrauerManinError(
-                "the class can carry a nonzero invariant at %s outside the "
-                "declared support; add a component there or raise the "
-                "resolution" % v)
+                "the class has a nonzero invariant at every integral "
+                "parameter at %s, outside the declared support; add a "
+                "component there" % v)
     return vec.total()
 
 

@@ -119,6 +119,7 @@ from .exactnum import (
     DEFAULT_ENUMERATION_CAP,
     ExactNumError,
     _clear_denominators,
+    _decimal,
     _det,
     _dot,
     _echelon,
@@ -504,8 +505,8 @@ def G(job: CountJob, p: int, k: int) -> int:
     cells = m ** (s if choice is None else s - 1)
     if cells > DEFAULT_ENUMERATION_CAP:
         raise CountingError(
-            "G(%d^%d) sums %d cells, beyond the cap %d"
-            % (p, k, cells, DEFAULT_ENUMERATION_CAP))
+            "G(%d^%d) sums %s cells, beyond the cap %d"
+            % (p, k, _decimal(cells), DEFAULT_ENUMERATION_CAP))
     # g_i(t) = f_i(uM) + M f_i(t) with every coefficient reduced mod m:
     # _grid_sum reduces each index once, below (s + 1) m^2 unreduced
     coeffs = []

@@ -85,6 +85,16 @@ class ExactNumError(ValueError):
     pass
 
 
+def _decimal(n: int) -> str:
+    """n in decimal for an error message, or "at least 2^b" when the
+    interpreter's limit on int-to-str digits would make the message itself
+    raise ValueError: a refusal past a cap must still name its count."""
+    try:
+        return "%d" % n
+    except ValueError:
+        return "at least 2^%d" % (n.bit_length() - 1)
+
+
 class FactorizationError(ExactNumError):
     """An integer resisted factorization at desk scale."""
 
@@ -643,8 +653,8 @@ def _primes_upto(n: int, error=ExactNumError) -> list:
     """The primes up to n, sieved: `is_prime`'s cache stays as it was.
     An n past DEFAULT_ENUMERATION_CAP raises `error` before the sieve."""
     if n > DEFAULT_ENUMERATION_CAP:
-        raise error("cannot sieve the primes up to %d, beyond the cap %d"
-                    % (n, DEFAULT_ENUMERATION_CAP))
+        raise error("cannot sieve the primes up to %s, beyond the cap %d"
+                    % (_decimal(n), DEFAULT_ENUMERATION_CAP))
     sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
     for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:

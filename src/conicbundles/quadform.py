@@ -76,9 +76,10 @@ from typing import NamedTuple
 
 import numpy
 
-from .exactnum import (DEFAULT_ENUMERATION_CAP, ExactNumError, _unit_digits,
-                       _valuation_unit, as_integer, as_integer_at_least,
-                       as_prime, factorize, is_square, legendre, valuation)
+from .exactnum import (DEFAULT_ENUMERATION_CAP, ExactNumError, _decimal,
+                       _unit_digits, _valuation_unit, as_integer,
+                       as_integer_at_least, as_prime, factorize, is_square,
+                       legendre, valuation)
 
 
 class QuadFormError(ExactNumError):
@@ -183,9 +184,9 @@ def _check_rows(a: int, ranges) -> None:
     # len() of a range stops at sys.maxsize, so they are counted here
     rows = sum(max(0, -((r.start - r.stop) // r.step)) for r in ranges)
     if rows > DEFAULT_ENUMERATION_CAP:
-        raise QuadFormError("the row search of x^2 - a y^2, a = %d, has %d "
+        raise QuadFormError("the row search of x^2 - a y^2, a = %d, has %s "
                             "rows, beyond the cap %d"
-                            % (a, rows, DEFAULT_ENUMERATION_CAP))
+                            % (a, _decimal(rows), DEFAULT_ENUMERATION_CAP))
 
 
 def _gather_rows(rows, width: int, step: int, roots: dict):
@@ -422,8 +423,9 @@ def rho_table(form: BinaryForm, p: int, k: int):
     a = form.a
     m = p**k
     if m > DEFAULT_ENUMERATION_CAP:
-        raise QuadFormError("rho_table(%d^%d) has %d entries, beyond the cap "
-                            "%d" % (p, k, m, DEFAULT_ENUMERATION_CAP))
+        raise QuadFormError("rho_table(%d^%d) has %s entries, beyond the cap "
+                            "%d" % (p, k, _decimal(m),
+                                    DEFAULT_ENUMERATION_CAP))
     tab = [_orbit_count(a, p, k, 0)] * m
     for v in range(k):
         # A = p^v w with w prime to p; up to unit squares w is its

@@ -241,26 +241,26 @@ def test_pairing_obstruction_instance():
 
 
 def test_pairing_low_resolution_demands_support():
-    # at resolution 1 no 2-adic residue cell determines the symbols (the
-    # poles 2 and 3 cover both parities), so the default at the undeclared
-    # place 2 cannot be certified
+    # no 2-adic residue mod 2 determines the symbols (the poles 2 and 3
+    # cover both parities), so a search stopped at level 1 would demand a
+    # component at the undeclared place 2; the certified walk descends
+    # further and finds a parameter of invariant 0 there
     obs = AdelicFiberPoint((LocalParameter(Place(5), 12),
                             LocalParameter(REAL_PLACE, 100)))
-    with pytest.raises(BrauerManinError, match="outside the declared support"):
-        pairing(FLAG, obs, (1, 1, 0, 0), resolution=1)
     assert pairing(FLAG, obs, (1, 1, 0, 0)) == 1
+    bits = (0, 0, 1, 1)  # the canonical representative
+    assert _walk(FLAG, bits, 2, 1) is None
+    t = brauermanin._default_trivial_parameter(FLAG, bits, Place(2))
+    assert t is not None and _default_is_invariant_zero(FLAG, bits, 2, t)
 
 
-@pytest.mark.parametrize("resolution", [0, -1])
-def test_pairing_refuses_resolution_below_one(resolution):
+def test_pairing_searches_the_places_off_the_support():
     # the support omits the places 3 and 5, so the pairing searches a
-    # default parameter there at the given resolution
+    # default parameter there
     point = AdelicFiberPoint.from_pairs({REAL_PLACE: Fraction(1, 2),
                                          Place(2): Fraction(1, 2)})
     gens = quotient_generators(FLAG)
     assert [pairing(FLAG, point, g.n) for g in gens] == [0, 0]
-    with pytest.raises(BrauerManinError, match="resolution must be >= 1"):
-        pairing(FLAG, point, gens[0].n, resolution=resolution)
 
 
 def test_pairing_defaults_the_real_place_above_every_fibre():
@@ -879,32 +879,170 @@ def test_scan_drops_unselected_pole_inside_constant_ball():
             1 - Fraction(4, 5 ** K)
 
 
+def _certified_depth(data, bits, p):
+    # K* = W + 2 u_p + 1, W the largest v_p(e_i - e_j) over pairs of
+    # selected p-integral poles (0 for fewer than two), u_p the unit
+    # digits: 3 at p = 2, 1 at odd p
+    poles = [e for b, e in zip(bits, data.e) if b and e.denominator % p]
+    W = max((valuation(x - y, p) for x, y in itertools.combinations(poles, 2)),
+            default=0)
+    return W + 2 * (3 if p == 2 else 1) + 1
+
+
+def _walk(data, bits, p, K):
+    # the first ball of invariant 0 a depth-first walk to level K meets
+    read = brauermanin._reader(data, Place(p), bits)
+    for _, (c,), signs in exactnum._balls(p, 1, K,
+                                          lambda u, k: read(u[0], k)):
+        if signs is not None and signs.bit_count() % 2 == 0:
+            return Fraction(c)
+    return None
+
+
+def _default_is_invariant_zero(data, bits, p, t):
+    # the brute-force parity at t and at three lifts in its ball, which
+    # has level at most K*
+    fibres = [i for i, b in enumerate(bits) if b]
+    step = p ** _certified_depth(data, bits, p)
+    for u in [t + j * step for j in range(4)]:
+        if u not in data.e:
+            sym = _oracle_symbols(data, fibres, u, p)
+            if sum(sym[i] == -1 for i in fibres) % 2:
+                return False
+    return True
+
+
+# a class with no integral parameter of invariant 0 at 2: its selected
+# fibres have the poles -5/2, 1/2 and 5
+REFUSED = (ConicBundleData(e=(-3, Fraction(-5, 2), Fraction(1, 2), 2, 5),
+                           a=(13, -1, 15, 13, -15)), (0, 1, 1, 0, 1))
+
+# draws at p = 3 (e, a, selected fibres): on the first three no ball of
+# level K* - 1 has invariant 0 but one of level K* has; on the last the
+# poles -7/3 and 722/3 lie 3^5 apart, but they are not 3-integral, so they
+# leave K* at 3, and a walk to level 8 returns another parameter
+DEEP_DEFAULTS = [(ConicBundleData(e=e, a=a), bits) for e, a, bits in [
+    ((-1, 0, 9, 7), (23, -10, -7, -7), (1, 1, 0, 1)),
+    ((4, -5, -9, -10), (6, -1, -1, -7), (0, 1, 1, 1)),
+    ((6, 3, Fraction(-8, 3), 0), (5, -19, 29, -22), (1, 1, 1, 1)),
+    ((Fraction(-7, 3), -8, 0, Fraction(722, 3)), (5, -11, -2, -13),
+     (1, 1, 1, 1)),
+]]
+
+
 def test_default_trivial_parameter_by_balls():
-    # None exactly when no residue mod p^K has constant symbols of even
-    # parity, as a walk over every residue finds; otherwise the answer's
-    # ball holds points of invariant 0 by the brute-force symbols
+    # the certified walk returns the first residue mod p^K* in digit order
+    # (lowest digit first) whose symbols are constant of even parity there,
+    # as a read of every residue finds, and None when there is none; a
+    # returned parameter's ball holds points of invariant 0 by the
+    # brute-force symbols.  The pinned draws select fibres of no kernel
+    # class: the walk's claim concerns the selected symbols only
     rng = random.Random(71)
+    classes = [(data, bits) for data in _scan_bundles(rng, 6)
+               for bits in map(brauermanin._canonical,
+                               brauer_group(data).kernel_basis) if any(bits)]
     nones = found = 0
-    for data in _scan_bundles(rng, 6):
-        for bits in map(brauermanin._canonical,
-                        brauer_group(data).kernel_basis):
-            if not any(bits):
+    for data, bits in classes + [REFUSED] + DEEP_DEFAULTS:
+        for p in (2, 3, 5):
+            read = brauermanin._reader(data, Place(p), bits)
+            K = _certified_depth(data, bits, p)
+            t = brauermanin._default_trivial_parameter(data, bits, Place(p))
+            first = None
+            for digits in itertools.product(range(p), repeat=K):
+                c = sum(d * p ** j for j, d in enumerate(digits))
+                signs = read(c, K)
+                if signs is not None and signs.bit_count() % 2 == 0:
+                    first = Fraction(c)
+                    break
+            assert t == first, (data, bits, p)
+            if t is None:
+                nones += 1
                 continue
-            fibres = [i for i, b in enumerate(bits) if b]
-            for p in (2, 3, 5):
-                read = brauermanin._reader(data, Place(p), bits)
-                for K in (1, 2, 3):
-                    t = brauermanin._default_trivial_parameter(
-                        data, bits, Place(p), K)
-                    flat = [read(c, K) for c in range(p ** K)]
-                    assert (t is None) == all(
-                        s is None or s.bit_count() % 2 for s in flat)
-                    if t is None:
-                        nones += 1
-                        continue
-                    found += 1
-                    lifts = [t + j * p ** K for j in range(1, 8)]
-                    for u in [u for u in lifts if u not in data.e][:3]:
-                        sym = _oracle_symbols(data, fibres, u, p)
-                        assert sum(sym[i] == -1 for i in fibres) % 2 == 0
+            found += 1
+            assert _default_is_invariant_zero(data, bits, p, t)
     assert nones and found > 20, (nones, found)
+
+
+def _close_pole_draws(rng, p, count):
+    # seeded bundles whose poles sit p^k apart (k <= 6) or carry p in the
+    # denominator, with any nonempty selection of fibres: the walk's claim
+    # concerns the selected symbols only
+    out = []
+    while len(out) < count:
+        r = rng.choice((2, 3, 4))
+        e = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, p)))]
+        while len(e) < r:
+            if rng.random() < 0.7:
+                x = rng.choice(e) + rng.choice((1, -1)) * p ** rng.randint(
+                    0, 6)
+            else:
+                x = Fraction(rng.randint(-9, 9), rng.choice((1, 1, p)))
+            if x not in e:
+                e.append(x)
+        bits = tuple(rng.randrange(2) for _ in range(r))
+        if any(bits):
+            out.append((ConicBundleData(e=tuple(e), a=random_classes(rng, r)),
+                        bits))
+    return out
+
+
+def test_default_trivial_parameter_is_certified_at_close_poles():
+    # a returned parameter's ball reads invariant 0 under the brute-force
+    # symbols, and a None agrees with a walk four levels deeper; on the
+    # pinned draws a walk to K* - 1 finds nothing, so one level less is
+    # not enough
+    rng = random.Random(4747)
+    draws = [(p, d) for p in (2, 3, 5) for d in _close_pole_draws(rng, p, 150)]
+    draws += [(3, draw) for draw in DEEP_DEFAULTS]
+    seen = Counter()
+    for p, (data, bits) in draws:
+        K = _certified_depth(data, bits, p)
+        seen["close poles"] += K > 2 * (3 if p == 2 else 1) + 1
+        t = brauermanin._default_trivial_parameter(data, bits, Place(p))
+        if t is None:
+            seen["none"] += 1
+            assert _walk(data, bits, p, K + 4) is None, (data, bits, p)
+            continue
+        seen["found"] += 1
+        assert _default_is_invariant_zero(data, bits, p, t), (data, bits, p)
+        seen["deeper than K* - 1"] += _walk(data, bits, p, K - 1) is None
+    assert seen["deeper than K* - 1"] >= 3, seen
+    assert min(seen.values()) >= 3 and seen["close poles"] > 100, seen
+
+
+def test_pairing_finds_a_default_past_the_old_resolution():
+    # without its place-2 component, the global point at t = 7 pairs to 1:
+    # no ball of level 4 or less at 2 has invariant 0, so a search of the
+    # residues mod 2^4 found none, but a deeper ball has
+    data = ConicBundleData(e=(-2, Fraction(-4, 3), Fraction(1, 2),
+                              Fraction(5, 3), 6), a=(-7, 6, -5, -7, -30))
+    bits = (0, 1, 1, 0, 1)
+    point = global_point(data, 7)
+    assert Place(2) in point.support and pairing(data, point, bits) == 0
+    bare = AdelicFiberPoint(tuple(c for c in point.components
+                                  if c.place != Place(2)))
+    assert pairing(data, bare, bits) == 1
+    t = brauermanin._default_trivial_parameter(data, bits, Place(2))
+    assert _walk(data, bits, 2, 4) is None
+    assert _default_is_invariant_zero(data, bits, 2, t)
+
+
+def test_pairing_refusal_is_certified():
+    # every non-pole residue mod 2^(K* + 4) has an odd invariant by the
+    # brute-force symbols, so no integral parameter at 2 has invariant 0
+    # and the refusal is a proof
+    data, bits = REFUSED
+    point = global_point(data, 7)
+    bare = AdelicFiberPoint(tuple(c for c in point.components
+                                  if c.place != Place(2)))
+    with pytest.raises(BrauerManinError, match="nonzero invariant at every "
+                       "integral parameter at 2, outside the declared "
+                       "support"):
+        pairing(data, bare, bits)
+    fibres = [1, 2, 4]
+    K = _certified_depth(data, bits, 2)
+    assert K == 7
+    for t in range(2 ** (K + 4)):
+        if t not in data.e:
+            sym = _oracle_symbols(data, fibres, Fraction(t), 2)
+            assert sum(sym[i] == -1 for i in fibres) % 2 == 1, t

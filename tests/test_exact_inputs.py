@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from conicbundles import exactnum
-from conicbundles.brauermanin import (AdelicFiberPoint, BrauerManinError,
-                                      LocalParameter, global_point,
-                                      local_invariant, obstruction_scan,
-                                      pairing)
+from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
+                                      global_point, local_invariant,
+                                      obstruction_scan)
 from conicbundles.cli import CLIInputError, run_selftest
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
                                    enumerate_N, predict_and_compare,
@@ -80,9 +79,6 @@ FLOAT_ENTRY_PATHS = {
     "local parameter precision": (BrauerManinError,
                                   lambda: LocalParameter(Place(5), 1, 2.0)),
     "global point": (BrauerManinError, lambda: global_point(FLAG, F64)),
-    "pairing resolution": (BrauerManinError, lambda: pairing(
-        FLAG, AdelicFiberPoint.from_pairs({REAL_PLACE: 100, Place(5): 12}),
-        (1, 1, 0, 0), resolution=2.5)),
     "scan resolution": (BrauerManinError, lambda: obstruction_scan(
         FLAG, [Place(5)], resolution=3.0)),
     "scan combinations limit": (BrauerManinError, lambda: obstruction_scan(
@@ -300,6 +296,24 @@ def test_sieves_past_the_cap_are_refused(monkeypatch, sieve, error):
     with pytest.raises(error, match="up to 2000, beyond the cap 1000"):
         sieve(2000)
     assert sieve(1000)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: representation_count(BinaryForm(-1), 10**9000), QuadFormError,
+     r"a = -1, has at least 2\^\d+ rows, beyond the cap 10000000"),
+    (lambda: rho_table(BinaryForm(-1), 2, 20000), QuadFormError,
+     r"rho_table\(2\^20000\) has at least 2\^20000 entries, beyond the cap"),
+    (lambda: G(job(), 2, 20000), CountingError,
+     r"G\(2\^20000\) sums at least 2\^20000 cells, beyond the cap"),
+    (lambda: _primes_upto(10**5000), ExactNumError,
+     r"primes up to at least 2\^\d+, beyond the cap"),
+], ids=["rows", "rho_table", "G", "primes"])
+def test_cap_refusals_name_counts_past_the_digit_limit(call, error, match):
+    # a count past the interpreter's int-to-str digit limit is written as
+    # the power of 2 it reaches, so the refusal raises its module's error
+    # at once rather than a ValueError from its own message
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_integral_cutoff_and_B_are_accepted():
