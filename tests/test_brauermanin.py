@@ -254,13 +254,17 @@ def test_pairing_low_resolution_demands_support():
     assert t is not None and _default_is_invariant_zero(FLAG, bits, 2, t)
 
 
-def test_pairing_searches_the_places_off_the_support():
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_pairing_refuses_resolution_below_one(resolution):
     # the support omits the places 3 and 5, so the pairing searches a
-    # default parameter there
+    # default parameter there, to the depth the fibre data certify; no
+    # resolution is taken, at any value
     point = AdelicFiberPoint.from_pairs({REAL_PLACE: Fraction(1, 2),
                                          Place(2): Fraction(1, 2)})
     gens = quotient_generators(FLAG)
     assert [pairing(FLAG, point, g.n) for g in gens] == [0, 0]
+    with pytest.raises(TypeError, match="resolution"):
+        pairing(FLAG, point, gens[0].n, resolution=resolution)
 
 
 def test_pairing_defaults_the_real_place_above_every_fibre():
