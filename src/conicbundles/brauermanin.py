@@ -101,11 +101,11 @@ from operator import xor
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .exactnum import (
-    DEFAULT_ENUMERATION_CAP,
     ExactNumError,
     Place,
     REAL_PLACE,
     _balls,
+    _check_cap,
     _checked_place,
     _exact_level,
     _places,
@@ -220,12 +220,6 @@ class AdelicFiberPoint:
     def support(self) -> Tuple[Place, ...]:
         return tuple(c.place for c in self.components)
 
-    def component(self, v: Place) -> Optional[LocalParameter]:
-        for c in self.components:
-            if c.place == v:
-                return c
-        return None
-
 
 class InvariantVector(NamedTuple):
     """Local invariants of one class at one point, place by place."""
@@ -237,9 +231,6 @@ class InvariantVector(NamedTuple):
         for _, val in self.entries:
             s ^= val
         return s
-
-    def nonzero_places(self) -> Tuple[Place, ...]:
-        return tuple(v for v, val in self.entries if val)
 
 
 def _reader(data: ConicBundleData, v: Place, fibres):
@@ -503,20 +494,18 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _PlaceCells:
     # valuation below K + shift, so its unit digits are known by level
     # K + _unit_digits(p) - 1; the walk allows one level more.  The
     # residues mod p^K get one slot each, so they are counted against the
-    # cap before any is made
-    if p**K > DEFAULT_ENUMERATION_CAP:
-        raise ScanCapError(
-            "the scan at %d has %d^%d residues, beyond the cap %d"
-            % (p, p, K, DEFAULT_ENUMERATION_CAP))
+    # cap before any is made, or p^K itself built
+    pK = _check_cap(p, K, ScanCapError, "the scan at {0} has {0}^{1} residues",
+                    p, K)
     # every fibre some generator selects, read once per ball
     signs_at = _reader(data, Place(p), map(any, zip(*(g.n for g in gens))))
     masks = [_mask(g.n) for g in gens]
     values = {}  # the generator values per sign mask
     # the residues mod p^K of the p-integral e_i; other e_i have
     # valuation(c - e_i) < 0 and never hug an integral cell
-    poles = {e.numerator * pow(e.denominator, -1, p ** K) % p ** K
+    poles = {e.numerator * pow(e.denominator, -1, pK) % pK
              for e in data.e if e.denominator % p}
-    at_K = [None] * p ** K  # the values of each residue mod p^K
+    at_K = [None] * pK  # the values of each residue mod p^K
     deeper = []
 
     def read(u, k):

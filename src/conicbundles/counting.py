@@ -116,8 +116,8 @@ from typing import NamedTuple, Tuple
 import numpy
 
 from .exactnum import (
-    DEFAULT_ENUMERATION_CAP,
     ExactNumError,
+    _check_cap,
     _clear_denominators,
     _decimal,
     _det,
@@ -174,7 +174,8 @@ class CountJob:
 
     def __post_init__(self):
         s = self.system.s
-        object.__setattr__(self, "M", as_integer(self.M, CountingError))
+        object.__setattr__(self, "M",
+                           as_integer_at_least(self.M, 1, "M", CountingError))
         object.__setattr__(self, "uM", tuple(
             as_integer(x, CountingError) for x in (self.uM or (0,) * s)))
         object.__setattr__(self, "uInf", tuple(
@@ -182,9 +183,8 @@ class CountJob:
         object.__setattr__(self, "epsilon",
                            as_rational(self.epsilon, CountingError))
         object.__setattr__(self, "B_schedule", tuple(
-            as_integer(b, CountingError) for b in self.B_schedule))
-        if self.M < 1:
-            raise CountingError("modulus M must be positive")
+            as_integer_at_least(b, 1, "B", CountingError)
+            for b in self.B_schedule))
         if len(self.uM) != s or len(self.uInf) != s:
             raise CountingError("uM and uInf must have length s = %d" % s)
         if self.epsilon <= 0:
@@ -206,12 +206,10 @@ class CountJob:
                     raise CountingError(
                         "f_%d(uM) vanishes mod %d^%d" % (i + 1, p, m))
         for B in self.B_schedule:
-            if B < 1:
-                raise CountingError("B must be positive, got %r" % B)
             c = math.isqrt(B)
             if c * c != B or c % self.M != 1 % self.M:
-                raise CountingError(
-                    "B = %d is not C^2 with C = 1 mod %d" % (B, self.M))
+                raise CountingError("B = %s is not C^2 with C = 1 mod %s"
+                                    % (_decimal(B), _decimal(self.M)))
 
     def _f(self, i: int, u):
         return _dot(self.system.forms[i], u)
@@ -492,21 +490,20 @@ def G(job: CountJob, p: int, k: int) -> int:
     the residue-class sums of rho_j.  When no form admits such a w
     (r > s), every cell is its own line.  DEFAULT_ENUMERATION_CAP bounds
     the cells summed, m^(s-1) with a line direction and m^s without,
-    before any table.  Its library callers are beta_p's one read at
-    k = max(1, D) at a prime dividing the minors gcd but not M (module
-    docstring) and the selftest's stabilization suite."""
-    p, k = as_prime(p, CountingError), as_integer(k, CountingError)
-    if k < 1:
-        raise CountingError("k must be >= 1")
+    before any table; m^(s-1) is checked before m itself is built.  Its
+    library callers are beta_p's one read at k = max(1, D) at a prime
+    dividing the minors gcd but not M (module docstring) and the
+    selftest's stabilization suite."""
+    p = as_prime(p, CountingError)
+    k = as_integer_at_least(k, 1, "k", CountingError)
     s = job.system.s
+    refusal = "G({}^{}) sums {count} cells"
+    lines = _check_cap(p, k * (s - 1), CountingError, refusal, p, k)
     m = p**k
     forms = job.system.forms
     choice = _line_direction(forms, (m,) * s)
-    cells = m ** (s if choice is None else s - 1)
-    if cells > DEFAULT_ENUMERATION_CAP:
-        raise CountingError(
-            "G(%d^%d) sums %s cells, beyond the cap %d"
-            % (p, k, _decimal(cells), DEFAULT_ENUMERATION_CAP))
+    if choice is None:
+        _check_cap(lines * m, 1, CountingError, refusal, p, k)
     # g_i(t) = f_i(uM) + M f_i(t) with every coefficient reduced mod m:
     # _grid_sum reduces each index once, below (s + 1) m^2 unreduced
     coeffs = []

@@ -54,11 +54,13 @@ the real place followed by 2 and given primes in increasing order
 (`hilbert_support`, `localsolve`, `brauermanin`); and `_echelon`, the
 one elimination loop (Bareiss's fraction-free echelon form), read by
 `_det` (`counting`, `delpezzo`, `localsolve`), `counting._nullspace`,
-`pencil` and `localsolve`.  Beside them sit `_checked_place`, the one
-check that a place argument is a `Place` (`hilbert`, `localsolve`,
-`brauermanin`), `json_value`, the one writer of the report encoding
-(`cli`, `counting`, `brauermanin`), and `Verdict`, the one shape of a
-yes/no answer with its evidence (`localsolve`, `delpezzo`).
+`pencil` and `localsolve`.  Beside them sit the one check of a place
+argument, `_checked_place`, of an integer's lower bound,
+`as_integer_at_least`, and of a count against DEFAULT_ENUMERATION_CAP,
+`_check_cap`; `_decimal`, the one writer of a refused value;
+`json_value`, the one writer of the report encoding (`cli`, `counting`,
+`brauermanin`); and `Verdict`, the one shape of a yes/no answer with its
+evidence (`localsolve`, `delpezzo`).
 """
 
 from __future__ import annotations
@@ -74,10 +76,10 @@ from typing import NamedTuple, Optional, Sequence, Union
 IntLike = Union[int, Fraction]
 
 POLLARD_BRENT_BUDGET = 1_000_000
-# the most cells an exhaustive sum or scan allocates: counting's G,
-# brauermanin's finite scan cells, quadform's row searches and rho_table
-# refuse larger jobs, as `_primes_upto` does for the L of localsolve's
-# everywhere_locally_soluble and the prime_cutoff of predict_and_compare
+# the most cells an exhaustive sum or scan allocates; `_check_cap`, its one
+# check, refuses larger jobs for counting's G, brauermanin's scan cells,
+# quadform's row searches and rho_table, and `_primes_upto`, the sieve of
+# the L of everywhere_locally_soluble and predict_and_compare's cutoff
 DEFAULT_ENUMERATION_CAP = 10**7
 
 
@@ -85,14 +87,46 @@ class ExactNumError(ValueError):
     pass
 
 
-def _decimal(n: int) -> str:
-    """n in decimal for an error message, or "at least 2^b" when the
-    interpreter's limit on int-to-str digits would make the message itself
-    raise ValueError: a refusal past a cap must still name its count."""
+def _decimal(x) -> str:
+    """x for an error message, the one writer of a refused value: an int
+    in decimal, anything else as its repr.  Past the int-to-str digit
+    limit, where writing it would raise ValueError in place of the
+    refusal, an int is named by its size ("at least 2^b", "at most -2^b")
+    and any other value by its type."""
+    if isinstance(x, int):
+        try:
+            return "%d" % x
+        except ValueError:
+            b = abs(x).bit_length() - 1
+            return ("at least 2^%d" if x > 0 else "at most -2^%d") % b
+    if isinstance(x, Fraction):
+        return "Fraction(%s, %s)" % (_decimal(x.numerator),
+                                     _decimal(x.denominator))
     try:
-        return "%d" % n
+        return repr(x)
     except ValueError:
-        return "at least 2^%d" % (n.bit_length() - 1)
+        return "a %s past the digit limit" % type(x).__name__
+
+
+def _check_cap(base: int, exponent: int, error, template: str, *args) -> int:
+    """base^exponent, a count of cells, entries, rows or primes, or `error`
+    past DEFAULT_ENUMERATION_CAP.  A power is not built past the cap: each
+    product by a base >= 2 at least doubles, so 24 pass 10^7.  The refusal
+    is `template` formatted by the args and `{count}`, each written by
+    `_decimal` (an unbuilt power as the power of 2 it reaches)."""
+    count, left = base, 0
+    if exponent != 1:
+        count, left = 1, exponent if base > 1 else 0
+        while left and count <= DEFAULT_ENUMERATION_CAP:
+            count *= base
+            left -= 1
+    if count <= DEFAULT_ENUMERATION_CAP:
+        return count
+    written = "at least 2^%s" % _decimal(
+        count.bit_length() - 1 + left * (base.bit_length() - 1)) \
+        if left else _decimal(count)
+    raise error(template.format(*map(_decimal, args), count=written)
+                + ", beyond the cap %d" % DEFAULT_ENUMERATION_CAP)
 
 
 class FactorizationError(ExactNumError):
@@ -105,11 +139,12 @@ def as_rational(x, error=ExactNumError) -> Fraction:
     Every module coerces its rational inputs here, passing its own error
     class, so a float never silently becomes its binary expansion."""
     if isinstance(x, float):
-        raise error("rational data must not pass through floats: %r" % (x,))
+        raise error("rational data must not pass through floats: %s"
+                    % _decimal(x))
     try:
         q = Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise error("not a rational number: %r" % (x,)) from exc
+        raise error("not a rational number: %s" % _decimal(x)) from exc
     if type(q.numerator) is not int:
         # Fraction keeps numpy integers, whose arithmetic wraps silently
         q = Fraction(int(q.numerator), int(q.denominator))
@@ -122,17 +157,18 @@ def as_integer(x, error=ExactNumError) -> int:
         return int(x)
     q = as_rational(x, error)
     if q.denominator != 1:
-        raise error("not an integer: %r" % (x,))
+        raise error("not an integer: %s" % _decimal(x))
     return q.numerator
 
 
 def as_integer_at_least(x, least: int, name: str,
                         error=ExactNumError) -> int:
     """x as a Python int no smaller than `least`; anything else raises
-    `error`, naming the parameter."""
+    `error`, naming the parameter: the one lower-bound check of an
+    integer argument."""
     x = as_integer(x, error)
     if x < least:
-        raise error("%s must be >= %d, got %d" % (name, least, x))
+        raise error("%s must be >= %d, got %s" % (name, least, _decimal(x)))
     return x
 
 
@@ -140,7 +176,7 @@ def as_prime(p, error=ExactNumError) -> int:
     """p as a Python int that is prime; anything else raises `error`."""
     p = as_integer(p, error)
     if not is_prime(p):
-        raise error("%r is not prime" % (p,))
+        raise error("%s is not prime" % _decimal(p))
     return p
 
 
@@ -307,10 +343,7 @@ def factorize(n: int) -> tuple:
     are both cached, so asking again for an n beyond the budget raises
     without searching again.
     """
-    n = as_integer(n)
-    if n < 1:
-        raise ExactNumError("factorize expects a positive integer, got %r" % (n,))
-    out = _factor(n)
+    out = _factor(as_integer_at_least(n, 1, "n"))
     if isinstance(out, str):
         raise FactorizationError(out)
     return out
@@ -335,8 +368,8 @@ def _factor(n: int):
         else:
             d = _pollard_brent(m, POLLARD_BRENT_BUDGET)
             if d is None:
-                return ("cofactor %d resisted %d Pollard-Brent steps"
-                        % (m, POLLARD_BRENT_BUDGET))
+                return ("cofactor %s resisted %d Pollard-Brent steps"
+                        % (_decimal(m), POLLARD_BRENT_BUDGET))
             rest += [d, m // d]
     return tuple(sorted(out.items()))
 
@@ -393,10 +426,6 @@ class Place:
     def is_real(self) -> bool:
         return self.p is None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.p is not None
-
     def __str__(self):
         return "oo" if self.p is None else str(self.p)
 
@@ -412,7 +441,7 @@ def _places(primes) -> tuple:
 def _checked_place(v, error=ExactNumError) -> Place:
     """v itself when it is a Place; anything else raises `error`."""
     if not isinstance(v, Place):
-        raise error("not a Place: %r" % (v,))
+        raise error("not a Place: %s" % _decimal(v))
     return v
 
 
@@ -435,11 +464,12 @@ class SquareClass:
         for q in primes:
             if not is_prime(q):
                 raise ExactNumError(
-                    "square class support must be prime, got %r" % (q,))
+                    "square class support must be prime, got %s"
+                    % _decimal(q))
         support = frozenset(primes)
         if len(support) != len(primes):
-            raise ExactNumError("square class support lists a prime twice: %r"
-                                % (sorted(primes),))
+            raise ExactNumError("square class support lists a prime twice: %s"
+                                % _decimal(sorted(primes)))
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "primes", support)
 
@@ -652,9 +682,7 @@ def _clear_denominators(xs):
 def _primes_upto(n: int, error=ExactNumError) -> list:
     """The primes up to n, sieved: `is_prime`'s cache stays as it was.
     An n past DEFAULT_ENUMERATION_CAP raises `error` before the sieve."""
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise error("cannot sieve the primes up to %s, beyond the cap %d"
-                    % (_decimal(n), DEFAULT_ENUMERATION_CAP))
+    _check_cap(n, 1, error, "cannot sieve the primes up to {count}")
     sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
     for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:

@@ -34,6 +34,7 @@ from .exactnum import (
     _balls,
     _checked_place,
     _clear_denominators,
+    _decimal,
     _det,
     _dot,
     _echelon,
@@ -237,8 +238,8 @@ def _place_solver(system: NormFormSystem):
             depth = max(bound + 2, 4)
         if depth < bound + 1:
             raise LocalSolveError(
-                "depth %d at p = %d does not exceed the technical bound %d"
-                % (depth, p, bound))
+                "depth %s at p = %d does not exceed the technical bound %d"
+                % (_decimal(depth), p, bound))
         if bound == 0 and p > top:
             for u, product in moment:
                 if product % p:

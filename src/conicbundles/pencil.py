@@ -31,6 +31,7 @@ from .exactnum import (
     _echelon,
     as_bits,
     as_integer,
+    as_integer_at_least,
     as_rational,
     class_masks,
     f2_insert,
@@ -154,10 +155,6 @@ class BrauerElement:
             return self.n
         return tuple(1 - b for b in self.n)
 
-    @property
-    def is_constant_class(self) -> bool:
-        return len(set(self.n)) == 1
-
 
 def brauer_element(data: ConicBundleData, n: Sequence[int]) -> BrauerElement:
     """Construct an element, checking membership in Ker(delta)."""
@@ -223,12 +220,10 @@ class NormFormSystem:
     clearing: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "r", as_integer(self.r, PencilError))
-        object.__setattr__(self, "s", as_integer(self.s, PencilError))
-        if self.r < 1:
-            raise PencilError("r must be positive")
-        if self.s < 2:
-            raise PencilError("at least two parameters are required")
+        object.__setattr__(self, "r",
+                           as_integer_at_least(self.r, 1, "r", PencilError))
+        object.__setattr__(self, "s",
+                           as_integer_at_least(self.s, 2, "s", PencilError))
         a = tuple(as_integer(x, PencilError) for x in self.a)
         forms = tuple(tuple(as_integer(c, PencilError) for c in f)
                       for f in self.forms)
@@ -256,10 +251,6 @@ class NormFormSystem:
     @property
     def i_minus(self) -> Tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.a) if x < 0)
-
-    @property
-    def i_plus(self) -> Tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.a) if x > 0)
 
 
 def technical_bound(system: NormFormSystem, p: int) -> int:

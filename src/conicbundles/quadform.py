@@ -76,10 +76,9 @@ from typing import NamedTuple
 
 import numpy
 
-from .exactnum import (DEFAULT_ENUMERATION_CAP, ExactNumError, _decimal,
-                       _unit_digits, _valuation_unit, as_integer,
-                       as_integer_at_least, as_prime, factorize, is_square,
-                       legendre, valuation)
+from .exactnum import (ExactNumError, _check_cap, _decimal, _unit_digits,
+                       _valuation_unit, as_integer, as_integer_at_least,
+                       as_prime, factorize, is_square, legendre, valuation)
 
 
 class QuadFormError(ExactNumError):
@@ -103,9 +102,6 @@ class BinaryForm:
         if is_square(self.a):
             raise QuadFormError("form coefficient must be nonzero and nonsquare")
 
-    def value(self, x: int, y: int) -> int:
-        return x * x - self.a * y * y
-
 
 class PellSolution(NamedTuple):
     t: int
@@ -116,7 +112,7 @@ def w(d: int) -> int:
     """Order of the automorph group for negative discriminant d."""
     d = as_integer(d, QuadFormError)
     if d >= 0:
-        raise QuadFormError("w(d) needs d < 0, got %r" % (d,))
+        raise QuadFormError("w(d) needs d < 0, got %s" % _decimal(d))
     return 4 if d == -4 else 2
 
 
@@ -183,10 +179,8 @@ def _check_rows(a: int, ranges) -> None:
     # its first row when it has more than DEFAULT_ENUMERATION_CAP rows;
     # len() of a range stops at sys.maxsize, so they are counted here
     rows = sum(max(0, -((r.start - r.stop) // r.step)) for r in ranges)
-    if rows > DEFAULT_ENUMERATION_CAP:
-        raise QuadFormError("the row search of x^2 - a y^2, a = %d, has %s "
-                            "rows, beyond the cap %d"
-                            % (a, _decimal(rows), DEFAULT_ENUMERATION_CAP))
+    _check_cap(rows, 1, QuadFormError,
+               "the row search of x^2 - a y^2, a = {}, has {count} rows", a)
 
 
 def _gather_rows(rows, width: int, step: int, roots: dict):
@@ -421,11 +415,8 @@ def rho_table(form: BinaryForm, p: int, k: int):
     p = as_prime(p, QuadFormError)
     k = as_integer_at_least(k, 0, "k", QuadFormError)
     a = form.a
-    m = p**k
-    if m > DEFAULT_ENUMERATION_CAP:
-        raise QuadFormError("rho_table(%d^%d) has %s entries, beyond the cap "
-                            "%d" % (p, k, _decimal(m),
-                                    DEFAULT_ENUMERATION_CAP))
+    m = _check_cap(p, k, QuadFormError, "rho_table({}^{}) has {count} entries",
+                   p, k)
     tab = [_orbit_count(a, p, k, 0)] * m
     for v in range(k):
         # A = p^v w with w prime to p; up to unit squares w is its
@@ -448,9 +439,8 @@ def rho_table(form: BinaryForm, p: int, k: int):
 def rho(form: BinaryForm, q: int, A: int) -> int:
     """Number of (x, y) mod q with x^2 - a y^2 = A, for q >= 1: the product
     of the prime-power counts over the factorization of q."""
-    q, A = as_integer(q, QuadFormError), as_integer(A, QuadFormError)
-    if q < 1:
-        raise QuadFormError("modulus must be positive")
+    q = as_integer_at_least(q, 1, "q", QuadFormError)
+    A = as_integer(A, QuadFormError)
     total = 1
     for p, k in factorize(q):
         total *= _local_count(form.a, p, k, A)

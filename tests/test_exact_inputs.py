@@ -8,18 +8,18 @@ import pytest
 
 from conicbundles import exactnum
 from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
-                                      global_point, local_invariant,
-                                      obstruction_scan)
-from conicbundles.cli import CLIInputError, run_selftest
+                                      ScanCapError, global_point,
+                                      local_invariant, obstruction_scan)
+from conicbundles.cli import CLIInputError, main, run_selftest
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
                                    enumerate_N, predict_and_compare,
                                    region_measure)
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
                                    SplitPolynomial)
 from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE,
-                                   SquareClass, _primes_upto, as_rational,
-                                   factorize, hilbert, is_prime, legendre,
-                                   squarefree_class, valuation)
+                                   SquareClass, _primes_upto, as_integer,
+                                   as_rational, factorize, hilbert, is_prime,
+                                   legendre, squarefree_class, valuation)
 from conicbundles.localsolve import (LocalSolveError, diagonal_quadric_soluble,
                                      everywhere_locally_soluble,
                                      padic_soluble)
@@ -191,7 +191,7 @@ NON_PRIME_MODULI = {
                                    lambda: SquareClass(0, (5, 5))),
     "rational 'x'": (ExactNumError, "not a rational number",
                      lambda: as_rational("x")),
-    "rho q 0": (QuadFormError, "modulus must be positive",
+    "rho q 0": (QuadFormError, "q must be >= 1, got 0",
                 lambda: rho(FORM, 0, 1)),
     "job epsilon 0": (CountingError, "epsilon must be positive",
                       lambda: job(epsilon=0)),
@@ -323,3 +323,82 @@ def test_integral_cutoff_and_B_are_accepted():
         job(), prime_cutoff=np.int64(2))[0].beta_p.keys() == {2}
     assert enumerate_N(job(), Fraction(100)) == \
         enumerate_N(job(), np.int64(100)) == base[0].empirical
+
+
+BIG = 10**5000  # 5001 digits, past the int-to-str limit of 4300
+CUBE = NormFormSystem(r=1, s=3, a=(-1,), forms=((1, 0, 0),))
+
+# test id -> (expected error, message, call that refuses an integer past
+# the digit limit, or a power far past the cap); each once raised a bare
+# ValueError from its own message, or built the power before refusing it
+# (a MemoryError, or no return within a minute)
+OVERSIZED_INPUTS = {
+    "place": (ExactNumError, r"at least 2\^16609 is not prime",
+              lambda: Place(BIG)),
+    "integer half": (ExactNumError,
+                     r"not an integer: Fraction\(at least 2\^16609, 2\)",
+                     lambda: as_integer(Fraction(BIG + 1, 2))),
+    "rho table k": (QuadFormError, r"k must be >= 0, got at most -2\^16609",
+                    lambda: rho_table(FORM, 2, -BIG)),
+    "job B": (CountingError, r"B must be >= 1, got at most -2\^16609",
+              lambda: job(B_schedule=(-BIG,))),
+    "w": (QuadFormError, r"needs d < 0, got at least 2\^16609",
+          lambda: w(BIG)),
+    "valuation p": (ExactNumError, r"at least 2\^16609 is not prime",
+                    lambda: valuation(5, BIG)),
+    "square class prime": (ExactNumError,
+                           r"must be prime, got at least 2\^16609",
+                           lambda: SquareClass(0, (BIG,))),
+    "factorize": (ExactNumError, r"n must be >= 1, got at most -2\^16609",
+                  lambda: factorize(-BIG)),
+    "padic depth": (LocalSolveError, r"depth at most -2\^16609 at p = 3",
+                    lambda: padic_soluble(SYSTEM, 3, depth=-BIG)),
+    "scan resolution": (BrauerManinError,
+                        r"resolution must be >= 1, got at most -2\^16609",
+                        lambda: obstruction_scan(FLAG, [Place(5)],
+                                                 resolution=-BIG)),
+    "local parameter precision": (
+        BrauerManinError, r"precision must be >= 1, got at most -2\^16609",
+        lambda: LocalParameter(Place(5), 1, -BIG)),
+    "hilbert place": (ExactNumError, r"not a Place: at least 2\^16609",
+                      lambda: hilbert(2, 3, BIG)),
+    "hilbert place tuple": (ExactNumError,
+                            "not a Place: a tuple past the digit limit",
+                            lambda: hilbert(2, 3, (BIG,))),
+    "rho table 3^(10^20)": (
+        QuadFormError, r"rho_table\(3\^100000000000000000000\) has at least "
+                       r"2\^\d+ entries, beyond the cap",
+        lambda: rho_table(FORM, 3, 10**20)),
+    "G 3^(10^20)": (
+        CountingError, r"G\(3\^100000000000000000000\) sums at least "
+                       r"2\^\d+ cells, beyond the cap",
+        lambda: G(CountJob(system=CUBE, uInf=(1, 0, 0)), 3, 10**20)),
+    "scan 5^(10^20)": (
+        ScanCapError, r"5\^100000000000000000000 residues, beyond the cap",
+        lambda: obstruction_scan(FLAG, [Place(5)], resolution=10**20)),
+}
+
+
+@pytest.mark.parametrize("error, match, call",
+                         list(OVERSIZED_INPUTS.values()),
+                         ids=list(OVERSIZED_INPUTS))
+def test_oversized_integers_get_the_module_error(error, match, call):
+    # the refused value is named by its size, and a power is decided
+    # without being built, so each refusal returns at once
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_bm_resolution_far_past_the_cap_exit_2(tmp_path, capsys):
+    # 5^(10^20) residues are refused before p^K is built, so a resolution
+    # far past the cap is an input error like one just past it
+    path = tmp_path / "flag.txt"
+    path.write_text("kind = pencil\ne = 0, 1, 2, 3\na = 5, 5, 5, 5\n"
+                    "support = oo, 5\n")
+    out = tmp_path / "report.json"
+    code = main(["bm", str(path), "--resolution", "100000000000000000000",
+                 "--out", str(out)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert "5^100000000000000000000 residues, beyond the cap" in err

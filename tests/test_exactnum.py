@@ -245,8 +245,8 @@ def test_valuation():
 
 
 def test_place():
-    assert REAL_PLACE.is_real and not REAL_PLACE.is_finite
-    assert Place(7).is_finite
+    assert REAL_PLACE.is_real and REAL_PLACE.p is None
+    assert not Place(7).is_real
     with pytest.raises(ExactNumError):
         Place(6)
 

@@ -276,9 +276,19 @@ def test_no_dead_names():
     assert {name: names for name, names in dead.items() if names} == {}
 
 
-# every package name that only tests read, with why it stays public; a
-# name the library or the bench starts to read leaves the list
+# every package name, or public method or property of a package class,
+# that only tests read, with why it stays public; a name the library or
+# the bench starts to read leaves the list
 TEST_ONLY_NAMES = {
+    "brauermanin.AdelicFiberPoint.from_pairs": "builds a point from a "
+                                               "{place: t} dict, as the "
+                                               "pairing tests write them",
+    "brauermanin.ScanTable.allowed_combinations": "the allowed cell tuples "
+                                                  "themselves, which README "
+                                                  "documents beside "
+                                                  "allowed_count",
+    "brauermanin.ScanTable.cells_at": "one place's cells, which the scan's "
+                                      "partition tests read place by place",
     "brauermanin.local_invariant": "the bare symbol sum at one point, with "
                                    "no canonical class: the scan's oracle",
     "localsolve.diagonal_quadric_soluble": "the rank-4 anisotropy test, "
@@ -292,15 +302,31 @@ TEST_ONLY_NAMES = {
 }
 
 
+def _members(tree):
+    """The public methods and properties of a module's classes, as
+    (class, name) pairs."""
+    return [(node.name, item.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
 def _test_only_names(package, readers):
     """The module-level names of the package modules (path -> tree) that no
-    reader (path -> tree) reads, as `module.name`."""
-    refs = set()
+    reader (path -> tree) reads, as `module.name`, and the public members
+    of their classes that no reader reads by attribute name, as
+    `module.Class.name`."""
+    refs, attributes = set(), set()
     for path, tree in readers.items():
         refs |= _counted_references(tree, path)
-    return sorted("%s.%s" % (path.stem, name)
-                  for path, tree in package.items()
-                  for name in _module_names(tree) if name not in refs)
+        attributes.update(node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute))
+    names = ["%s.%s" % (path.stem, name) for path, tree in package.items()
+             for name in _module_names(tree) if name not in refs]
+    members = ["%s.%s.%s" % (path.stem, cls, name)
+               for path, tree in package.items()
+               for cls, name in _members(tree) if name not in attributes]
+    return sorted(names + members)
 
 
 def test_test_only_name_detector():
@@ -317,6 +343,23 @@ def test_test_only_name_detector():
     assert "tested" in _counted_references(init, PACKAGE / "__init__.py")
 
 
+def test_test_only_member_detector():
+    # a public method or property counts as read only where some reader
+    # takes it as an attribute: a bare name or a string of that spelling
+    # does not keep it, and private members are left out
+    lib = {PACKAGE / "lib.py": ast.parse(
+        "class C:\n"
+        "    def used(self): return self.prop\n"
+        "    @property\n    def prop(self): pass\n"
+        "    def tested(self): pass\n"
+        "    def named(self): pass\n"
+        "    def _private(self): pass\n"
+        "    @classmethod\n    def make(cls): pass\n"
+        "C().used()\nnamed = 'named'\n")}
+    assert _test_only_names(lib, lib) == [
+        "lib.C.make", "lib.C.named", "lib.C.tested"]
+
+
 def test_every_test_only_name_has_a_reason():
     # public API that only tests use is listed, so that it cannot grow
     # unseen: its readers are src/ less __init__'s re-export, and bench/
@@ -328,6 +371,48 @@ def test_every_test_only_name_has_a_reason():
                    for p in sorted((ROOT / "bench").rglob("*.py")))
     assert _test_only_names(package, readers) == sorted(TEST_ONLY_NAMES)
     assert all(TEST_ONLY_NAMES.values())
+
+
+def _cap_comparisons(tree):
+    """The function around each comparison that reads
+    DEFAULT_ENUMERATION_CAP, as a name or an attribute, in source order;
+    "<module>" for one outside any function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                "DEFAULT_ENUMERATION_CAP" in (getattr(n, "id", None),
+                                              getattr(n, "attr", None))
+                for n in ast.walk(node)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_cap_comparison_detector():
+    tree = ast.parse(
+        "LIMIT = DEFAULT_ENUMERATION_CAP\n"
+        "def check(n):\n    return n > DEFAULT_ENUMERATION_CAP\n"
+        "def stray(n):\n    return exactnum.DEFAULT_ENUMERATION_CAP <= n\n"
+        "def reads():\n    return exactnum.DEFAULT_ENUMERATION_CAP\n"
+        "def outer():\n    def inner(m):\n"
+        "        return m in (1, DEFAULT_ENUMERATION_CAP)\n"
+        "assert DEFAULT_CAP < 2\nassert 1 < DEFAULT_ENUMERATION_CAP\n")
+    assert _cap_comparisons(tree) == ["check", "stray", "inner", "<module>"]
+
+
+def test_only_exactnum_compares_against_the_cap():
+    # one function decides whether a count passes the cap and writes the
+    # refusal; cli reads the cap only as the option table's maximum
+    found = sorted({"%s.%s" % (p.stem, where)
+                    for p in sorted(PACKAGE.glob("*.py"))
+                    for where in _cap_comparisons(ast.parse(p.read_text()))})
+    assert found == ["exactnum._check_cap"]
 
 
 def test_all_lists_exactly_the_reexported_names():

@@ -128,7 +128,7 @@ def _torsor_symbols_off(lam):
     = -1 by brute force, so that it is no point of the torsor of lam."""
     system = torsor_system(ConicBundleData(e=TORSOR_E, a=TORSOR_A, lam=lam))
     report = everywhere_locally_soluble(system, L=7)
-    return [(v.p, i) for v, wit in report.witnesses if v.is_finite
+    return [(v.p, i) for v, wit in report.witnesses if not v.is_real
             for i, (a, e, scale) in enumerate(zip(TORSOR_A, TORSOR_E, lam))
             if brute_hilbert(a, scale * (wit.u[0] - e * wit.u[1]), v.p) != 1]
 
