@@ -93,8 +93,8 @@ fixed number of piece-sized temporaries beside them.  The sums are int64:
 a count whose tables' maxima multiply past 2^62 is refused with
 CountingError before it starts, where one cell's product could wrap.
 
-Lattice counts, line directions (null vectors back-substituted on
-`exactnum._echelon`'s fraction-free elimination), box ends (integer
+Lattice counts, line directions (the null vectors of
+`exactnum._nullspace`, the package's one integer solver), box ends (integer
 floor division over one common denominator) and the rank test run on
 Python integers; the only Fractions are the job's uInf and eps, the box
 measure and the beta_p values, each an integer count over a power of
@@ -122,10 +122,9 @@ from .exactnum import (
     _decimal,
     _det,
     _dot,
-    _echelon,
+    _nullspace,
     _primes_dividing,
     _primes_upto,
-    _primitive,
     as_integer,
     as_integer_at_least,
     as_prime,
@@ -239,29 +238,6 @@ def _form_window(coeffs, spans):
         lo += min(c * t0, c * t1)
         hi += max(c * t0, c * t1)
     return lo, hi
-
-
-def _nullspace(rows, s: int):
-    # a basis of {w in Z^s : row . w = 0 for every row}, one primitive
-    # vector per free column f of `_echelon(rows)`: the solution with
-    # w_f > 0 and 0 at the other free columns, the vector read off the
-    # reduced echelon form.  Its pivot entries are back-substituted from
-    # the last pivot row up, the vector scaled by a positive integer where
-    # a pivot does not divide, so it stays integral
-    mat, pivots, _ = _echelon(rows)
-    basis = []
-    for free in range(s):
-        if free in pivots:
-            continue
-        w = [0] * s
-        w[free] = 1
-        for row, col in reversed(list(zip(mat, pivots))):
-            lead, t = row[col], _dot(row, w)
-            scale = abs(lead) // math.gcd(t, lead)
-            w = [x * scale for x in w]
-            w[col] = -t * scale // lead
-        basis.append(tuple(_primitive(w)))
-    return basis
 
 
 def _minors_gcd(forms, s: int) -> int:

@@ -47,15 +47,15 @@ with no depth limit, which `localsolve` walks for witnesses and
 
 The integer primitives live here once, beside the walker: `_dot`, a
 form's value f(u) (`localsolve`, `counting`); `_primitive`, a row over
-the gcd of its entries (`localsolve`, `counting`); `_clear_denominators`
+the gcd of its entries (`localsolve`, `_nullspace`); `_clear_denominators`
 (`localsolve`, `counting`, `pencil`, `delpezzo`); `_primes_upto` and
 `_primes_dividing` (`localsolve`, `counting`, `brauermanin`); `_places`,
 the real place followed by 2 and given primes in increasing order
 (`hilbert_support`, `localsolve`, `brauermanin`); and `_echelon`, the
 one elimination loop (Bareiss's fraction-free echelon form), read by
-`_det` (`counting`, `delpezzo`, `localsolve`), `counting._nullspace`,
-`pencil` and `localsolve`.  Beside them sit the one check of a place
-argument, `_checked_place`, of an integer's lower bound,
+`pencil`, `_det` (`counting`, `delpezzo`) and `_nullspace`, the one
+integer solver (`counting`, `localsolve`).  Beside them sit the one
+check of a place argument, `_checked_place`, of an integer's lower bound,
 `as_integer_at_least`, and of a count against DEFAULT_ENUMERATION_CAP,
 `_check_cap`; `_decimal`, the one writer of a refused value;
 `json_value`, the one writer of the report encoding (`cli`, `counting`,
@@ -659,6 +659,28 @@ def _det(m):
         return 1
     rows, pivots, sign = _echelon(m)
     return sign * rows[-1][-1] if len(pivots) == len(m) else 0
+
+
+def _nullspace(rows, s: int):
+    """A basis of {w in Z^s : row . w = 0 for every row}, one primitive
+    vector per free column f of `_echelon(rows)`, in column order: the one
+    with w_f > 0 and 0 at the other free columns.  Its pivot entries are
+    back-substituted from the last pivot row up, the vector scaled by a
+    positive integer where a pivot does not divide, so it stays integral."""
+    mat, pivots, _ = _echelon(rows)
+    basis = []
+    for free in range(s):
+        if free in pivots:
+            continue
+        w = [0] * s
+        w[free] = 1
+        for row, col in reversed(list(zip(mat, pivots))):
+            lead, t = row[col], _dot(row, w)
+            scale = abs(lead) // math.gcd(t, lead)
+            w = [x * scale for x in w]
+            w[col] = -t * scale // lead
+        basis.append(tuple(_primitive(w)))
+    return basis
 
 
 def _dot(form, u):

@@ -11,8 +11,8 @@ the unit part of each value as far as its digits reach.  padic_soluble
 takes a good place's witness from the moment curve, else walks the balls
 u + p^L Z_p^s with `exactnum._balls` reading each form on its whole value
 ball; its docstring states the cuts and the margin every witness keeps.
-When that walk ends empty and the forms have rank r <= s, a nonsingular
-minor of the form matrix gives u with every f_i(u) a square.
+When that walk ends empty, a null vector (w, c), c != 0, of [F | -1]
+gives u = c w with every f_i(u) = c^2: x_i = c, y_i = 0 is a rational point.
 
 diagonal_quadric_soluble decides c_1 x_1^2 + ... + c_4 x_4^2 = 0 by the
 classical rank-4 criterion: isotropic at v unless the determinant class
@@ -35,10 +35,9 @@ from .exactnum import (
     _checked_place,
     _clear_denominators,
     _decimal,
-    _det,
     _dot,
-    _echelon,
     _minus_on_odd_shells,
+    _nullspace,
     _places,
     _primes_dividing,
     _primes_upto,
@@ -164,7 +163,7 @@ def padic_soluble(system: NormFormSystem, p: int,
     holds when some residue u has every f_i(u) != 0 mod p^precision with
     all symbols (a_i, f_i(u))_p determined by the residue and equal to
     +1; such a u survives arbitrary lifting.  The precision is depth, or
-    more for the rank witness below.
+    more for the square witness below.
 
     At a good place, an odd p > r(s - 1) dividing no a_i, the witness is
     the first u_t = (1, t, ..., t^(s - 1)), t = 0, ..., r(s - 1), with
@@ -191,16 +190,16 @@ def padic_soluble(system: NormFormSystem, p: int,
     The walk runs over the coordinates some form reads and writes 0 in the
     others, where the digit search's first witness has 0 as well.
 
-    A walk that ends empty is not yet a verdict when the r forms have rank
-    r <= s.  Then, with S the pivot columns of `exactnum._echelon` on the
-    form matrix and d = det F_S != 0, Cramer's rule gives y with
-    F_S y = d (1, ..., 1), and u = d y on S, 0 off S, has every
-    f_i(u) = d^2, so every symbol is +1.  That rank witness is returned
-    reduced mod p^precision, precision = max(v_p(d^2) + need, bound + 1),
-    which exceeds depth: there the walk found nothing.  It is built once
-    per system, on the first empty walk.  So Verdict(False, None) comes
-    only from forms with r > s or of rank below r, and means no witness
-    mod p^depth, not insolubility: a deeper search may still find one.
+    A walk that ends empty is not yet a verdict when (1, ..., 1) is in the
+    column space of the form matrix F, as for r <= s forms of rank r.  Then
+    `exactnum._nullspace` on [F | -1] gives (w, c) with F w = c (1, ..., 1)
+    and c != 0, so u = c w has every f_i(u) = c^2: x_i = c, y_i = 0 is a
+    rational point.  That square witness is returned reduced mod
+    p^precision, precision = max(v_p(c^2) + need, bound + 1), which exceeds
+    depth: there the walk found nothing.  It is built once per system, on
+    the first empty walk.  So Verdict(False, None) comes only from forms
+    with (1, ..., 1) outside their column space, and means no witness mod
+    p^depth, not insolubility: a deeper search may still find one.
     """
     place = Place(as_prime(p, LocalSolveError))
     depth = None if depth is None else as_integer(depth, LocalSolveError)
@@ -223,7 +222,7 @@ def _place_solver(system: NormFormSystem):
     columns = list(zip(*forms))
     read_at = [j for j, col in enumerate(columns) if any(col)]
     read_forms = list(zip(*[col for col in columns if any(col)]))
-    rank = []  # the rank witness, built on the first walk that ends empty
+    square = []  # the square witness, built on the first empty walk
 
     def solve(place, depth):
         p = place.p
@@ -233,8 +232,8 @@ def _place_solver(system: NormFormSystem):
             # valuation on the values, and p^4 covers common cases but not
             # all.  At p = 5, a = (-1, -3), forms ((0, 25), (125, 0)) the
             # walk finds nothing, where depth 9 finds u = (3125, 15625);
-            # forms of rank r <= s fall back on the rank witness below,
-            # here u = (78125, 390625) at precision 11
+            # the square witness below answers, here u = (125, 625) at
+            # precision 7
             depth = max(bound + 2, 4)
         if depth < bound + 1:
             raise LocalSolveError(
@@ -280,35 +279,32 @@ def _place_solver(system: NormFormSystem):
                     witness[j] = x
                 return Verdict(True, LocalWitness(
                     place=place, u=tuple(witness), precision=depth))
-        if not rank:
-            rank.append(_rank_witness(forms))
-        if rank[0] is None:
+        if not square:
+            square.append(_square_witness(forms))
+        if square[0] is None:
             return Verdict(False, None)
-        # every f_i(u) = d^2: kept to v_p(d^2) + need digits, each value
+        # every f_i(u) = c^2: kept to v_p(c^2) + need digits, each value
         # keeps its unit square class, so every symbol is +1
-        d, u = rank[0]
-        precision = max(2 * _valuation_unit(d, p)[0] + need, bound + 1)
+        c, u = square[0]
+        precision = max(2 * _valuation_unit(c, p)[0] + need, bound + 1)
         return Verdict(True, LocalWitness(
             place=place, u=tuple([x % p**precision for x in u]),
             precision=precision))
     return solve
 
 
-def _rank_witness(forms):
-    """(d, u) with f_i(u) = d^2 != 0 for every form, or None when the r
-    forms do not have rank r.  S is the pivot columns of `_echelon(forms)`
-    and d = det F_S; by Cramer, y_k = det(F_S with column k replaced by
-    (1, ..., 1)) solves F_S y = d (1, ..., 1), so u = d y on S and 0 off S
-    has F u = d^2 (1, ..., 1)."""
-    pivots = _echelon(forms)[1]
-    if len(pivots) < len(forms):
+def _square_witness(forms):
+    """(c, u) with f_i(u) = c^2 != 0 for every form, or None when
+    (1, ..., 1) is not in the column space of the form matrix F.  A null
+    vector (w, c) of [F | -1] with c != 0 exists exactly when the last
+    column is free, and `_nullspace` lists that column's vector last, with
+    c > 0; F w = c (1, ..., 1), so u = c w has F u = c^2 (1, ..., 1)."""
+    s = len(forms[0])
+    basis = _nullspace([[*f, -1] for f in forms], s + 1)
+    if not basis or not basis[-1][-1]:
         return None
-    square = [[f[j] for j in pivots] for f in forms]
-    d = _det(square)
-    u = [0] * len(forms[0])
-    for k, j in enumerate(pivots):
-        u[j] = d * _det([row[:k] + [1] + row[k + 1:] for row in square])
-    return d, u
+    *w, c = basis[-1]
+    return c, [c * x for x in w]
 
 
 class LocalReport(NamedTuple):
@@ -325,10 +321,11 @@ def everywhere_locally_soluble(system: NormFormSystem, L: int = 100,
     Bad primes are those dividing some a_i or some coefficient of some
     f_i; beyond them and L, solubility is automatic for odd good primes.
     The per-prime depth defaults to the technical bound + 2, floored at
-    4 by a heuristic.  Forms of rank r <= s are soluble at every prime,
-    by the rank witness where the walk finds nothing; otherwise a place
-    insoluble at the default depth may be soluble deeper (see
-    `padic_soluble`).  Soluble places carry witnesses.  An L past
+    4 by a heuristic.  Forms with (1, ..., 1) in their column space have
+    a rational point, so the square witness makes every prime soluble where
+    the walk finds nothing; otherwise a place insoluble at the default
+    depth may be soluble deeper (see `padic_soluble`).  Soluble places
+    carry witnesses.  An L past
     DEFAULT_ENUMERATION_CAP raises LocalSolveError before the sieve.
 
     Each system is prepared once for all places: L, depth and the Places

@@ -387,8 +387,9 @@ def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
     """
     p = as_prime(p, QuadFormError)
     k = as_integer_at_least(k, 0, "k", QuadFormError)
-    A = as_integer(A, QuadFormError) % p**k
-    if A == 0:
+    A = as_integer(A, QuadFormError)
+    # p^k divides A exactly when A = 0 or v_p(A) >= k: p^k is never built
+    if A == 0 or valuation(A, p) >= k:
         return False
     v4a = valuation(4 * form.a, p)
     if p == 2:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -348,7 +349,7 @@ def test_padic_value_ball_prunes_keep_the_search():
                 (system, p, depth)
         else:
             # the walk ends empty, and forms of rank r <= s fall back on
-            # the rank witness, deeper than the walk
+            # the square witness, deeper than the walk
             rescued += 1
             assert ok and wit.precision > used, (system, p, depth)
         if ok:
@@ -381,11 +382,11 @@ def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
                           forms=((7, 1, 0), (-125, -125, 0)))
     monkeypatch.setattr(localsolve, "_symbol_reader", counting_reader(calls))
     # the walk at the default depth, whose heuristic floor of 4 is too
-    # shallow for this system's walk witnesses, ends empty; the forms have
-    # rank 2, so the rank witness u = -3125 (-25, -125) answers, with both
-    # values 3125^2 = 5^10, kept to precision 11
+    # shallow for this system's walk witnesses, ends empty; F w = c (1, 1)
+    # has c = 125, w = (1, 5), so the square witness u = c w = (125, 625)
+    # answers, with both values 125^2 = 5^6, kept to precision 7
     ok, wit = padic_soluble(item1, 5)
-    assert ok and (wit.u, wit.precision) == ((78125, 390625), 11)
+    assert ok and (wit.u, wit.precision) == ((125, 625), 7)
     check_padic_witness(item1, 5, wit)
     assert len(calls) < 1000
     calls.clear()
@@ -458,9 +459,10 @@ def test_padic_search_skips_coordinates_no_form_reads(monkeypatch):
 
 
 def test_full_rank_systems_are_soluble_at_every_prime():
-    # r <= s forms of rank r: some u has every f_i(u) = d^2, d a nonzero
-    # r x r minor, so every default-depth verdict is soluble, with a
-    # witness the checker accepts, also where the digit walk finds none
+    # r <= s forms of rank r: (1, ..., 1) is in their column space, so some
+    # u has every f_i(u) = c^2, c != 0, and every default-depth verdict is
+    # soluble, with a witness the checker accepts, also where the digit
+    # walk finds none
     rng = random.Random(3131)
     deeper = checked = 0
     while checked < 150:
@@ -480,6 +482,94 @@ def test_full_rank_systems_are_soluble_at_every_prime():
         check_padic_witness(system, p, wit)
         deeper += wit.precision > max(technical_bound(system, p) + 2, 4)
     assert deeper >= 20, deeper
+
+
+# r = 3 > s = 2 forms that share a nonzero value: the walk at the default
+# depth ends empty at p, yet u = c w with F w = c (1, 1, 1) makes every
+# f_i(u) = c^2, so x_i = c, y_i = 0 is a rational point
+SHARED_VALUE_SYSTEMS = [
+    (2, (7, -6, 10), ((-1, 32), (1, 32), (-16, 32))),
+    (3, (21, 5, -1), ((27, 9), (27, 1), (27, 243))),
+    (2, (-6, -10, 2), ((1, 2), (4, -16), (0, 8))),
+]
+
+
+@pytest.mark.parametrize("p, a, forms", SHARED_VALUE_SYSTEMS)
+def test_forms_sharing_a_value_are_soluble(p, a, forms):
+    system = NormFormSystem(r=3, s=2, a=a, forms=forms)
+    ok, wit = padic_soluble(system, p)
+    assert ok, (system, p)
+    check_padic_witness(system, p, wit)
+    (value,) = {evaluate(f, wit.u) for f in forms}
+    c = math.isqrt(value)
+    assert c and c * c == value
+    # x_i = c, y_i = 0 solves x_i^2 - a_i y_i^2 = f_i(u) exactly
+    assert all(c**2 - ai * 0**2 == evaluate(f, wit.u)
+               for ai, f in zip(a, forms))
+    report = everywhere_locally_soluble(system, L=30)
+    assert report.soluble and not report.bad_places, report
+    assert dict(report.witnesses)[Place(p)] == wit
+
+
+def ones_in_column_space(forms):
+    # Gauss-Jordan elimination over Fractions on [F | (1, ..., 1)]: the
+    # system F u = (1, ..., 1) is consistent exactly when no row reduces
+    # to (0, ..., 0 | nonzero)
+    rows = [[Fraction(x) for x in f] + [Fraction(1)] for f in forms]
+    k = 0
+    for col in range(len(forms[0])):
+        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for i in range(len(rows)):
+            if i != k and rows[i][col]:
+                t = rows[i][col] / rows[k][col]
+                rows[i] = [x - t * y for x, y in zip(rows[i], rows[k])]
+        k += 1
+    return all(row[-1] == 0 for row in rows[k:])
+
+
+def test_square_witness_exactly_when_ones_are_in_the_column_space():
+    # half the draws plant a shared value t = f_i(u0), so r > s systems
+    # meet the condition too; a witness has F u = c^2 (1, ..., 1), c != 0,
+    # and a system with one is soluble at every prime the test tries
+    rng = random.Random(5050)
+    found = missing = wide = solved = 0
+    for _ in range(600):
+        s = rng.choice((2, 3))
+        r = rng.randint(1, 4)
+        forms = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 9, -8, 27))
+                  for _ in range(s)] for _ in range(r)]
+        if rng.random() < 0.5:
+            u0 = [rng.randint(-3, 3) for _ in range(s - 1)] + [1]
+            t = rng.choice((1, -2, 3, 8, -9))
+            for f in forms:
+                f[-1] = t - evaluate(f[:-1], u0)
+        forms = tuple(map(tuple, forms))
+        witness = localsolve._square_witness(forms)
+        assert (witness is not None) == ones_in_column_space(forms), forms
+        if witness is None:
+            missing += 1
+            continue
+        found += 1
+        wide += r > s
+        c, u = witness
+        assert c != 0 and all(type(x) is int for x in u)
+        assert all(evaluate(f, u) == c * c for f in forms), (forms, witness)
+        try:
+            system = NormFormSystem(r=r, s=s, a=tuple(
+                rng.choice((-1, 2, -3, 5, 6, -7)) for _ in range(r)),
+                forms=forms)
+        except PencilError:
+            continue
+        p = rng.choice((2, 3, 5))
+        ok, wit = padic_soluble(system, p)
+        assert ok, (system, p)
+        check_padic_witness(system, p, wit)
+        solved += 1
+    assert found >= 300 and missing >= 100 and wide >= 80 and solved >= 250, \
+        (found, missing, wide, solved)
 
 
 def test_padic_deep_search_keeps_no_stack():
@@ -563,7 +653,7 @@ def test_everywhere_locally_soluble():
     zero_column = NormFormSystem(r=3, s=3, a=(-1, 2, 3),
                                  forms=((1, 1, 0), (1, -1, 0), (2, 1, 0)))
     # the digit walk at 5^4 finds nothing here; the forms have rank 2, so
-    # the rank witness answers at 5
+    # the square witness answers at 5
     rank_witness = NormFormSystem(r=2, s=2, a=(-1, -3),
                                   forms=((0, 25), (125, 0)))
     for system in (zero_column, rank_witness):

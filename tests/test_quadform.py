@@ -379,6 +379,41 @@ def test_rho_scaling_two_adic_margin():
     assert 2 * rho(f, 8, 2) == rho(f, 16, 2) == rho(f, 16, 10)
 
 
+def test_scaling_valid_never_builds_p_to_the_k():
+    # whether p^k divides A is read off v_p(A), so a k far past any power
+    # of p that fits in memory answers at once
+    assert scaling_valid(BinaryForm(-1), 3, 10**20, 5)
+    assert scaling_valid(BinaryForm(-1), 2, 10**20, 2**50)
+    assert not scaling_valid(BinaryForm(-1), 3, 10**20, 0)
+
+
+def test_scaling_valid_against_its_p_to_the_k_definition():
+    # the domain as stated, with A reduced mod p^k: A != 0 mod p^k, and
+    # k >= v_p(4a), plus v_2(A mod 2^k) at p = 2
+    def v(x, p):
+        n = 0
+        while x % p == 0:
+            x //= p
+            n += 1
+        return n
+
+    def by_definition(a, p, k, A):
+        A %= p**k
+        if A == 0:
+            return False
+        return k >= v(4 * a, p) + (v(A, p) if p == 2 else 0)
+
+    rng = random.Random(114)
+    for a in rng.sample([x for x in range(-30, 31)
+                         if x < 0 or math.isqrt(x)**2 != x], 12):
+        f = BinaryForm(a)
+        for p in (2, 3, 5):
+            for k in range(9):
+                for A in range(-60, 61):
+                    assert scaling_valid(f, p, k, A) == \
+                        by_definition(a, p, k, A), (a, p, k, A)
+
+
 def test_rho_cap_behaviour():
     f = BinaryForm(-1)
     # beyond any enumeration: 5^9 by scaling and by the split closed form
