@@ -227,10 +227,7 @@ class InvariantVector(NamedTuple):
     entries: Tuple[Tuple[Place, int], ...]
 
     def total(self) -> int:
-        s = 0
-        for _, val in self.entries:
-            s ^= val
-        return s
+        return reduce(xor, (val for _, val in self.entries), 0)
 
 
 def _reader(data: ConicBundleData, v: Place, fibres):

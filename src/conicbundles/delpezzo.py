@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Optional, Tuple
 
 from .exactnum import (
@@ -453,17 +453,11 @@ def dp1_minimality(data: DP1Data) -> DP1MinimalityReport:
     labeled = [("e%d-e%d" % (i + 1, j + 1), squarefree_class(e[i] - e[j]))
                for i in range(4) for j in range(4, 8)]
     rep = _independence(labeled)
-    fibre = []
-    for i in range(4):
-        prod = Fraction(1)
-        for j in range(4, 8):
-            prod *= e[i] - e[j]
-        fibre.append(squarefree_class(prod))
-    for j in range(4, 7):
-        prod = Fraction(1)
-        for i in range(4):
-            prod *= (e[j] - e[i]) / (e[7] - e[i])
-        fibre.append(squarefree_class(prod))
+    fibre = [squarefree_class(prod([e[i] - e[j] for j in range(4, 8)]))
+             for i in range(4)]
+    fibre += [squarefree_class(prod([(e[j] - e[i]) / (e[7] - e[i])
+                                     for i in range(4)]))
+              for j in range(4, 7)]
     bundle = None
     if all(not cls.is_trivial for cls in fibre):
         bundle = ConicBundleData(e=e[:7], a=tuple(fibre))

@@ -679,7 +679,7 @@ def _nullspace(rows, s: int):
             scale = abs(lead) // math.gcd(t, lead)
             w = [x * scale for x in w]
             w[col] = -t * scale // lead
-        basis.append(tuple(_primitive(w)))
+        basis.append(_primitive(w))
     return basis
 
 
@@ -688,10 +688,10 @@ def _dot(form, u):
     return sum(map(mul, form, u))
 
 
-def _primitive(row) -> list:
+def _primitive(row) -> tuple:
     """The integer row over the gcd of its entries; a zero row stays."""
     g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else list(row)
+    return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
 def _clear_denominators(xs):

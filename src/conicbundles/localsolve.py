@@ -5,7 +5,10 @@ makes every right-hand side a nonzero norm from the relevant quadratic
 extension of Q_v.  Over the reals only signs matter: the i with a_i < 0
 need f_i(u) > 0 and the rest just need f_i(u) != 0, so the question is
 feasibility of a homogeneous system of strict linear inequalities and is
-decided exactly by Fourier-Motzkin elimination.  Over Q_p the predicate
+decided exactly by Fourier-Motzkin elimination.  Its point depends only on
+the open cone, not on the rows that cut it out, so the combined rows that
+Chernikov's rule shows redundant are dropped with no point changed, and
+the rows no longer square at each elimination.  Over Q_p the predicate
 is finite by design: a residue u mod p^depth determines val_p(f_i(u)) and
 the unit part of each value as far as its digits reach.  padic_soluble
 takes a good place's witness from the moment curve, else walks the balls
@@ -22,7 +25,7 @@ differs from (-1, -1)_v.
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -81,27 +84,49 @@ def _fm_witness(rows, s: int):
 
     Homogeneous strict system; eliminates the last variable, recursing on
     the combined system, then back-substitutes into the open interval the
-    eliminated variable must occupy.  Rows are kept primitive, a positive
-    rescaling that keeps every inequality and back-substituted bound.
+    eliminated variable must occupy: its midpoint, one past its only end,
+    or 1 when it is unbounded both ways.  Rows are kept primitive, a
+    positive rescaling that keeps every inequality and back-substituted
+    bound.
+
+    The point is a function of the open cone the rows cut out, not of the
+    rows.  At any point of the cone's projection, the largest lower and
+    the least upper bound are the ends of the cone's fibre over it,
+    whatever rows describe the cone; so by induction on s any rows that
+    cut out each projected cone give the same point, and None exactly when
+    the cone is empty.  The rows that bound no projected cone are
+    therefore dropped, by Chernikov's rule (Imbert, "Fourier's elimination:
+    which to choose?", PPCP 1993).  Each row carries its history, the
+    input rows it combines, the smaller one when a row arrives twice.
+    After the (k + 1)-th elimination, a combination of more than k + 2
+    input rows is a positive combination of kept rows, so it cuts nothing
+    off the open cone.  Only 0 > 0 is not implied that way; two primitive
+    rows combine to it exactly when one is the other's negation, so such
+    a pair is looked for before any row is dropped.
     """
-    clean = []
-    for row in rows:
-        if not any(row):
-            return None  # 0 > 0 is infeasible
-        nr = _primitive(row)
-        if nr not in clean:
-            clean.append(nr)
+    return _fm_point({_primitive(row): 1 << i for i, row in enumerate(rows)},
+                     s, 2)
+
+
+def _fm_point(rows, s: int, cap: int):
+    """`_fm_witness` on primitive rows mapped to their histories, as bit
+    sets of the input rows; a combination of more than cap input rows is
+    dropped."""
     if s == 0:
-        return ()  # no rows: an empty one (0 > 0) returned None above
-    lower = [row for row in clean if row[-1] > 0]
-    upper = [row for row in clean if row[-1] < 0]
-    combined = [row[:-1] for row in clean if not row[-1]]
-    for lo in lower:
-        for up in upper:
+        return None if rows else ()  # a row left here reads 0 > 0
+    lower = [row for row in rows if row[-1] > 0]
+    upper = [row for row in rows if row[-1] < 0]
+    if any(tuple(-x for x in lo) in rows for lo in lower):
+        return None  # lo + (-lo) is 0 > 0
+    combined = {row[:-1]: h for row, h in rows.items() if not row[-1]}
+    for lo, up in product(lower, upper):
+        h = rows[lo] | rows[up]
+        if h.bit_count() <= cap:
             # lo_s (up . u) - up_s (lo . u) > 0 eliminates the last variable
-            combined.append(tuple(lo[-1] * up[j] - up[-1] * lo[j]
-                                  for j in range(s - 1)))
-    rest = _fm_witness(combined, s - 1)
+            nr = _primitive([lo[-1] * up[j] - up[-1] * lo[j]
+                             for j in range(s - 1)])
+            combined[nr] = min(combined.get(nr, h), h, key=int.bit_count)
+    rest = _fm_point(combined, s - 1, cap + 1)
     if rest is None:
         return None
     # each bound -(row' . rest) / row_s over rest's common denominator D

@@ -13,6 +13,7 @@ and the seeded local systems, which are library objects and live in
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -119,6 +120,80 @@ def cofactor_det(m):
     return sum((-1) ** j * m[0][j]
                * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)))
+
+
+# -- strict homogeneous linear systems ----------------------------------------
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else list(row)
+
+
+def _dot(form, u):
+    return sum(f * x for f, x in zip(form, u))
+
+
+def _clear_denominators(xs):
+    L = math.lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
+
+
+def fm_unpruned(rows, s):
+    """A rational point with row . u > 0 for every integer row, or None:
+    Fourier-Motzkin elimination keeping every combined row, the point
+    back-substituted into each eliminated variable's open interval (its
+    midpoint, one past its only end, or 1).  Its rows can square at each
+    elimination, so it is for small systems only."""
+    clean = []
+    for row in rows:
+        if not any(row):
+            return None  # 0 > 0 is infeasible
+        nr = _primitive(row)
+        if nr not in clean:
+            clean.append(nr)
+    if s == 0:
+        return ()  # no rows: an empty one (0 > 0) returned None above
+    lower = [row for row in clean if row[-1] > 0]
+    upper = [row for row in clean if row[-1] < 0]
+    combined = [row[:-1] for row in clean if not row[-1]]
+    for lo in lower:
+        for up in upper:
+            # lo_s (up . u) - up_s (lo . u) > 0 eliminates the last variable
+            combined.append(tuple(lo[-1] * up[j] - up[-1] * lo[j]
+                                  for j in range(s - 1)))
+    rest = fm_unpruned(combined, s - 1)
+    if rest is None:
+        return None
+    # each bound -(row' . rest) / row_s over rest's common denominator D
+    D, n = _clear_denominators(rest)
+    lo_vals = [Fraction(-_dot(row[:-1], n), D * row[-1]) for row in lower]
+    up_vals = [Fraction(-_dot(row[:-1], n), D * row[-1]) for row in upper]
+    if lo_vals and up_vals:
+        last = (max(lo_vals) + min(up_vals)) / 2
+    elif lo_vals:
+        last = max(lo_vals) + 1
+    elif up_vals:
+        last = min(up_vals) - 1
+    else:
+        last = Fraction(1)
+    return rest + (last,)
+
+
+def definite_rows(s, r, seed):
+    """r integer rows in s variables, each positive at one seeded point p:
+    rows drawn from [-9, 9]^s, those with row . p = 0 skipped and those
+    with row . p < 0 negated.  As forms with every a_i < 0 they make an
+    all-definite system, real-soluble at p, on which elimination that
+    keeps every combined row blows up from s = 4, r = 30."""
+    rng = random.Random(seed)
+    p = [rng.randint(-9, 9) or 1 for _ in range(s)]
+    rows = []
+    while len(rows) < r:
+        row = tuple(rng.randint(-9, 9) for _ in range(s))
+        d = _dot(row, p)
+        if d:
+            rows.append(row if d > 0 else tuple(-x for x in row))
+    return rows
 
 
 # -- x_i^2 - a_i y_i^2 = f_i(u, v) --------------------------------------------

@@ -26,7 +26,7 @@ from conicbundles.localsolve import (
 from conicbundles.pencil import NormFormSystem, PencilError, technical_bound
 from jobs import local_pool_system
 from oracle import check_local_witness, local_symbol
-from reference import cofactor_det, trial_primes
+from reference import cofactor_det, fm_unpruned, trial_primes
 
 
 def evaluate(form, u):
@@ -119,6 +119,26 @@ def test_real_soluble_examples():
     ok, wit = real_soluble(sys3)
     assert ok
     check_real_witness(sys3, wit)
+
+
+def test_fm_witness_is_the_unpruned_elimination_point():
+    # Chernikov's rule drops only rows that bound no projected cone, and
+    # the point is a function of the cone, so every point and every None
+    # is the one of the elimination that keeps all rows; 70% of the sets
+    # are flipped positive at a random point, so most are feasible
+    rng = random.Random(51)
+    for _ in range(3000):
+        s, C = rng.randint(1, 4), rng.choice((2, 3, 6))
+        rows = [tuple(rng.randint(-C, C) for _ in range(s))
+                for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.7:
+            p = [rng.randint(-C, C) for _ in range(s)]
+            rows = [row if evaluate(row, p) >= 0 else tuple(-x for x in row)
+                    for row in rows]
+        point = _fm_witness(rows, s)
+        assert point == fm_unpruned(rows, s), rows
+        if point is not None:
+            assert all(evaluate(row, point) > 0 for row in rows), rows
 
 
 def test_checked_places_are_two_small_and_bad_primes():
