@@ -691,7 +691,7 @@ def _dot(form, u):
 def _primitive(row) -> tuple:
     """The integer row over the gcd of its entries; a zero row stays."""
     g = math.gcd(*row)
-    return tuple(v // g for v in row) if g > 1 else tuple(row)
+    return tuple([v // g for v in row]) if g > 1 else tuple(row)
 
 
 def _clear_denominators(xs):

@@ -116,7 +116,7 @@ def _fm_point(rows, s: int, cap: int):
         return None if rows else ()  # a row left here reads 0 > 0
     lower = [row for row in rows if row[-1] > 0]
     upper = [row for row in rows if row[-1] < 0]
-    if any(tuple(-x for x in lo) in rows for lo in lower):
+    if any(tuple([-x for x in lo]) in rows for lo in lower):
         return None  # lo + (-lo) is 0 > 0
     combined = {row[:-1]: h for row, h in rows.items() if not row[-1]}
     for lo, up in product(lower, upper):
