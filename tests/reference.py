@@ -8,7 +8,12 @@ with `oracle.check_local_witness` (`bench/oracle.py`), so no oracle reads
 `exactnum.hilbert` or the symbol reader behind it.  A helper that more
 than one test module needs lives here, apart from the standard count jobs
 and the seeded local systems, which are library objects and live in
-`jobs.py`; test modules import no other test module.
+`jobs.py`; test modules import no other test module.  Each family has one
+copy: primes and square classes (`trial_primes`, `squarefree`,
+`local_class`, `brute_hilbert`), F_2 kernels, the determinant
+(`cofactor_det`), elimination over Q (`rref`, `nullspace`), real
+Fourier-Motzkin, norm-form point searches, Pell orbits, and exact
+polynomials with their `resultant`.
 """
 
 import itertools
@@ -49,6 +54,27 @@ def squarefree(x):
             out *= q
         q += 1
     return out * n
+
+
+def local_class(x, p):
+    """The canonical integer in the Q_p square class of the nonzero
+    rational x: p^(v_p(x) mod 2) times the unit part's residue mod 8 at
+    p = 2, and at odd p times 1 or the least non-square mod p, found among
+    the squares mod p.  Two units that agree mod p (mod 8 at p = 2) differ
+    by a square factor."""
+    x = Fraction(x)
+    n, d, v = x.numerator, x.denominator, 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    if p == 2:
+        unit = n * d % 8
+    else:
+        squares = {y * y % p for y in range(1, p)}
+        unit = 1 if n * d % p in squares else \
+            min(set(range(1, p)) - squares)
+    return p ** (v % 2) * unit
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +146,49 @@ def cofactor_det(m):
     return sum((-1) ** j * m[0][j]
                * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)))
+
+
+# -- linear algebra over Q ----------------------------------------------------
+
+def rref(rows, s):
+    """The reduced row echelon form over Q, in Fractions, of the rows
+    eliminated in their first s columns (any further column, such as a
+    right-hand side, is carried along), and its pivot columns."""
+    mat = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(s):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        mat[rank] = [v / mat[rank][col] for v in mat[rank]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != rank and f:
+                mat[i] = [v - f * q for v, q in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def nullspace(rows, s):
+    """A basis of the integer vectors w in s variables with row . w = 0
+    for every row: one primitive vector per free column of `rref`, with
+    w_free = 1 before scaling."""
+    mat, pivots = rref(rows, s)
+    basis = []
+    for free in range(s):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * s
+        vec[free] = Fraction(1)
+        for row, col in zip(mat, pivots):
+            vec[col] = -row[free]
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        g = math.gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return basis
 
 
 # -- strict homogeneous linear systems ----------------------------------------
@@ -370,6 +439,26 @@ def pgcd(a, b):
     while b:
         a, b = b, pdiv(a, b)[1]
     return [x / a[-1] for x in a] if a else []
+
+
+def resultant(a, b):
+    """res(a, b) over Q by the Euclidean recursion
+    res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r), r the
+    remainder of a by b, with res(a, c) = c^(deg a) for a constant c."""
+    a, b = ptrim(a), ptrim(b)
+    if not a or not b:
+        return Fraction(0)
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
+    if len(a) < len(b):
+        sign = -1 if ((len(a) - 1) * (len(b) - 1)) % 2 else 1
+        return sign * resultant(b, a)
+    r = pdiv(a, b)[1]
+    if not r:
+        return Fraction(0)
+    da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
+    sign = -1 if (da * db) % 2 else 1
+    return sign * b[-1] ** (da - dr) * resultant(b, r)
 
 
 def form_has_repeated_root(coeffs):

@@ -29,7 +29,7 @@ from conicbundles.delpezzo import (DP1Data, DP2Data, Quartic, SplitPolynomial,
 from jobs import job1, job2
 from oracle import check_local_witness, local_symbol
 from reference import (brute_solutions, form_has_repeated_root, pderiv,
-                       pdiv, pgcd, pmul, ptrim, reduce_to_domain)
+                       pdiv, pgcd, pmul, ptrim, reduce_to_domain, resultant)
 
 
 @contextmanager
@@ -243,24 +243,6 @@ def _peval(a, t):
     return acc
 
 
-def _euclid_resultant(a, b):
-    # classic recursion res(a, b) = lc(b)^(da - dr) (-1)^(da db) res(b, r)
-    a, b = ptrim(a), ptrim(b)
-    if not a or not b:
-        return Fraction(0)
-    if len(b) == 1:
-        return b[0] ** (len(a) - 1)
-    if len(a) < len(b):
-        sign = -1 if ((len(a) - 1) * (len(b) - 1)) % 2 else 1
-        return sign * _euclid_resultant(b, a)
-    r = pdiv(a, b)[1]
-    if not r:
-        return Fraction(0)
-    da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
-    sign = -1 if (da * db) % 2 else 1
-    return sign * b[-1] ** (da - dr) * _euclid_resultant(b, r)
-
-
 def _subresultant_prs(a, b):
     """Ducos-style subresultant polynomial remainder sequence.
 
@@ -315,7 +297,7 @@ def _dp1_second_route(data):
         if member[4] == 0:
             continue
         deriv = pderiv(member)
-        disc_val = -_euclid_resultant(member, deriv) / member[4]
+        disc_val = -resultant(member, deriv) / member[4]
         if len(disc_points) < 8:
             disc_points.append((Fraction(r0), disc_val))
         chain = _subresultant_prs(member, deriv)

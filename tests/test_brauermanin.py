@@ -28,8 +28,8 @@ from conicbundles.exactnum import (
 )
 from conicbundles.localsolve import padic_soluble
 from conicbundles.pencil import ConicBundleData, brauer_group, torsor_system
-from reference import (brute_hilbert, brute_kernel, random_classes, span,
-                       trial_primes)
+from reference import (brute_hilbert, brute_kernel, local_class,
+                       random_classes, span, trial_primes)
 
 FLAG = ConicBundleData(e=(0, 1, 2, 3), a=(5, 5, 5, 5))
 
@@ -529,26 +529,11 @@ def test_obstruction_scan_adaptive_refinement():
         obstruction_scan(data, [Place(2)], resolution=0)
 
 
-def _oracle_class(x, p):
-    # an integer in the Q_p square class of the nonzero rational x:
-    # p^(v_p(x) mod 2) times the unit part mod p (mod 8 at p = 2), since
-    # two units that agree mod p (mod 8) differ by a square factor
-    n, d = x.numerator, x.denominator
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return p ** (v % 2) * (n * d % (8 if p == 2 else p))
-
-
 def _oracle_symbols(data, fibres, t, p):
     # fibre -> (a_i, t - e_i)_p by the brute-force search, memoized on
     # the square class of t - e_i
     return {i: brute_hilbert(data.a[i].representative(),
-                             _oracle_class(t - data.e[i], p), p)
+                             local_class(t - data.e[i], p), p)
             for i in fibres}
 
 

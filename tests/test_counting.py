@@ -27,7 +27,7 @@ from conicbundles.quadform import (
     rho,
 )
 from jobs import job1, job2, system1, system2
-from reference import brute_orbit_count, brute_orbits
+from reference import brute_orbit_count, brute_orbits, nullspace
 
 
 def job_m12(**kw):
@@ -942,38 +942,6 @@ def test_enumerate_separable_at_ten_billion_cells():
     assert enumerate_N(job, B) == expect
 
 
-def _fraction_nullspace(rows, s):
-    # reference: reduced row echelon form over Q in Fractions, then one
-    # primitive integer vector per free column, w_free > 0
-    mat = [[Fraction(c) for c in row] for row in rows]
-    pivots = []
-    for col in range(s):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        mat[rank] = [v / mat[rank][col] for v in mat[rank]]
-        for i in range(len(mat)):
-            f = mat[i][col]
-            if i != rank and f:
-                mat[i] = [v - f * q for v, q in zip(mat[i], mat[rank])]
-        pivots.append(col)
-    basis = []
-    for free in range(s):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * s
-        vec[free] = Fraction(1)
-        for row, col in zip(mat, pivots):
-            vec[col] = -row[free]
-        scale = math.lcm(*(v.denominator for v in vec))
-        ints = [int(v * scale) for v in vec]
-        g = math.gcd(*ints)
-        basis.append(tuple(v // g for v in ints))
-    return basis
-
-
 def _reference_line_direction(forms, extents):
     # the fewest entry points over every form j and every reference
     # null vector w of the other forms, oriented so f_j . w >= 0; the
@@ -981,7 +949,7 @@ def _reference_line_direction(forms, extents):
     cells = math.prod(extents)
     best = None
     for j in range(len(forms)):
-        for w in _fraction_nullspace(forms[:j] + forms[j + 1:], len(extents)):
+        for w in nullspace(forms[:j] + forms[j + 1:], len(extents)):
             if sum(c * x for c, x in zip(forms[j], w)) < 0:
                 w = tuple(-c for c in w)
             entries = cells - math.prod(
@@ -1002,7 +970,7 @@ def test_nullspace_and_line_direction_against_fraction_reference():
                                   rng.randint(-30, 30)))
                       for _ in range(s)) for _ in range(r)]
         basis = _nullspace(rows, s)
-        assert basis == _fraction_nullspace(rows, s), rows
+        assert basis == nullspace(rows, s), rows
         for w in basis:
             assert all(type(c) is int for c in w)
             assert math.gcd(*w) == 1

@@ -21,7 +21,7 @@ from conicbundles.delpezzo import (_coprime, _det, _first_subresultant,
                                    _quartic_surface_smooth)
 from conicbundles.pencil import validate
 from reference import (cofactor_det, form_has_repeated_root, pderiv, pgcd,
-                       pmul, ptrim)
+                       pmul, ptrim, resultant)
 
 F = Fraction
 
@@ -33,45 +33,6 @@ def pfromroots(lead, roots):
     for r in roots:
         out = pmul(out, [F(-r), F(1)])
     return out
-
-
-def det(m):
-    m = [row[:] for row in m]
-    n = len(m)
-    sign = F(1)
-    out = F(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return F(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        out *= m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                s = m[r][c] / m[c][c]
-                for k in range(c, n):
-                    m[r][k] -= s * m[c][k]
-    return sign * out
-
-
-def sylvester_resultant(a, b):
-    a, b = ptrim(a), ptrim(b)
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [F(0)] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [F(0)] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    return det(rows)
 
 
 def tri_mul(d1, d2):
@@ -302,7 +263,7 @@ def test_quartic_discriminant_resultant_oracle():
         if coeffs[4] == 0:
             continue
         d4 = quartic_discriminant(Quartic(tuple(coeffs)))
-        res = sylvester_resultant(coeffs, pderiv(coeffs))
+        res = resultant(coeffs, pderiv(coeffs))
         assert d4 == -res / coeffs[4]
         checked += 1
 
@@ -407,7 +368,7 @@ def test_dp1_minimality_constructed_dependent():
 def test_first_subresultant_detects_gcd_degree():
     def psc01(roots):
         coeffs = pfromroots(1, roots)
-        res = sylvester_resultant(coeffs, pderiv(coeffs))
+        res = resultant(coeffs, pderiv(coeffs))
         return res, _first_subresultant(coeffs)
 
     res, s1 = psc01((1, 1, 2, 2))

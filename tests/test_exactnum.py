@@ -33,7 +33,16 @@ from conicbundles.exactnum import (
     valuation,
 )
 from oracle import local_symbol
-from reference import brute_hilbert, trial_primes
+from reference import brute_hilbert, local_class, trial_primes
+
+
+def eratosthenes(bound):
+    """sieve[n] is 1 exactly when n < bound is prime."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return sieve
 
 
 def test_is_prime_small():
@@ -43,10 +52,7 @@ def test_is_prime_small():
     assert not is_prime(2**32 + 1)
     # against a sieve of Eratosthenes below 10^5
     bound = 10**5
-    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    sieve = eratosthenes(bound)
     assert [n for n in range(bound) if is_prime(n)] == \
         [n for n in range(bound) if sieve[n]]
 
@@ -201,10 +207,7 @@ def test_strong_lucas_against_a_sieve():
     # pseudoprimes (Baillie and Wagstaff 1980; OEIS A217255) in range
     from conicbundles.exactnum import _strong_lucas
     bound = 10**5
-    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    sieve = eratosthenes(bound)
     pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
                     40309, 58519, 75077, 97439]
     odd = [n for n in range(43, bound, 2)
@@ -360,37 +363,24 @@ def test_residue_symbol_against_brute_on_balls():
     assert min(checked.values()) > 100, checked
 
 
-def _unit_class_rep(w, p):
-    """The least unit residue in the local square class of the unit w:
-    w mod 8 at p = 2, else 1 or the least non-square mod p, found among
-    the squares mod p."""
-    if p == 2:
-        return w % 8
-    squares = {x * x % p for x in range(1, p)}
-    return 1 if w % p in squares else min(set(range(1, p)) - squares)
-
-
 def test_odd_shell_formula_against_brute_over_unit_residues():
     # (a, p^v y)_p = -1 for every unit y exactly when v is odd and
     # _minus_on_odd_shells(a, p).  The brute runs over every unit residue
     # y mod p (mod 8 at p = 2) and reads the symbol once per local square
-    # class it meets, on the least members of the classes of a and p^v y,
-    # which carry the same symbols.
+    # class it meets, on the `local_class` members of the classes of a and
+    # p^v y, which carry the same symbols.
     # brute_hilbert's table has p^6 entries, out of reach at p = 101,
     # where the benchmark's independent local_symbol reads them instead
     assert [_unit_digits(p) for p in (2, 3, 5, 101)] == [3, 1, 1, 1]
     cases = 0
     for p in (2, 3, 5, 7, 11, 13, 101):
         symbol = local_symbol if p == 101 else brute_hilbert
-        classes = {_unit_class_rep(y, p)
+        classes = {local_class(y, p)
                    for y in range(1, 8 if p == 2 else p) if y % p}
         for a in range(-400, 401):
             if not a:
                 continue
-            alpha, u = 0, a
-            while u % p == 0:
-                alpha, u = alpha + 1, u // p
-            rep = p ** (alpha % 2) * _unit_class_rep(u, p)
+            rep = local_class(a, p)
             formula = _minus_on_odd_shells(a, p)
             for v in range(6):
                 seen = {symbol(rep, p ** (v % 2) * y, p) for y in classes}

@@ -26,32 +26,23 @@ from conicbundles.localsolve import (
 from conicbundles.pencil import NormFormSystem, PencilError, technical_bound
 from jobs import local_pool_system
 from oracle import check_local_witness, local_symbol
-from reference import cofactor_det, fm_unpruned, trial_primes
+from reference import fm_unpruned, rref, trial_primes
 
 
 def evaluate(form, u):
     return sum(c * x for c, x in zip(form, u))
 
 
-def check_real_witness(system, wit):
-    assert wit.place.is_real
-    for i in system.i_minus:
-        assert evaluate(system.forms[i], wit.u) > 0
-    for f in system.forms:
-        assert evaluate(f, wit.u) != 0
-
-
-def check_padic_witness(system, p, wit):
+def check_witness(system, p, wit):
+    # the benchmark oracle's check at the place p, None the real place
+    assert wit.place == Place(p)
     why = check_local_witness(system.a, system.forms, p, wit.u, wit.precision)
     assert why is None, why
 
 
 def full_rank(forms):
-    # whether some r x r minor of the form matrix is nonzero, by Laplace
-    # expansion: the r forms have rank r, and r <= s
-    return any(cofactor_det([[f[j] for j in cols] for f in forms])
-               for cols in itertools.combinations(range(len(forms[0])),
-                                                  len(forms)))
+    # whether the r forms have rank r (so r <= s), by elimination over Q
+    return len(rref(forms, len(forms[0]))[1]) == len(forms)
 
 
 def brute_padic(system, p, depth):
@@ -105,7 +96,7 @@ def test_real_soluble_examples():
     sys1 = NormFormSystem(r=2, s=2, a=(-1, -2), forms=((1, 0), (0, 1)))
     ok, wit = real_soluble(sys1)
     assert ok
-    check_real_witness(sys1, wit)
+    check_witness(sys1, None, wit)
 
     # the core decides u > 0 and -u > 0 infeasible; the packaged system
     # version needs non-proportional forms, so route the sum through r = 3
@@ -118,7 +109,7 @@ def test_real_soluble_examples():
     sys3 = NormFormSystem(r=1, s=2, a=(2,), forms=((1, 0),))
     ok, wit = real_soluble(sys3)
     assert ok
-    check_real_witness(sys3, wit)
+    check_witness(sys3, None, wit)
 
 
 def test_fm_witness_is_the_unpruned_elimination_point():
@@ -175,7 +166,7 @@ def test_real_soluble_against_sampling():
         system = random_system(rng)
         ok, wit = real_soluble(system)
         if ok:
-            check_real_witness(system, wit)
+            check_witness(system, None, wit)
             continue
         # sampled points must all violate some strict positivity
         for u in itertools.product(grid, repeat=system.s):
@@ -199,7 +190,7 @@ def test_real_nudge_skips_directions_inside_a_hyperplane(monkeypatch):
         cleared.clear()
         ok, wit = real_soluble(system)
         assert ok and wit.u == (2, 1)
-        check_real_witness(system, wit)
+        check_witness(system, None, wit)
         assert len(cleared) < 10
 
 
@@ -217,7 +208,7 @@ def test_real_nudge_halves_past_large_coefficients(a, forms):
     system = NormFormSystem(r=len(a), s=2, a=a, forms=forms)
     ok, wit = real_soluble(system)
     assert ok
-    check_real_witness(system, wit)
+    check_witness(system, None, wit)
     assert max(x.denominator for x in wit.u) > 2**64
 
 
@@ -226,7 +217,7 @@ def test_padic_examples():
     for p in (5, 3):
         ok, wit = padic_soluble(sys1, p)
         assert ok
-        check_padic_witness(sys1, p, wit)
+        check_witness(sys1, p, wit)
     with pytest.raises(LocalSolveError):
         padic_soluble(sys1, 5, depth=0)
     with pytest.raises(LocalSolveError):
@@ -249,7 +240,7 @@ def test_padic_matches_brute_force():
             assert ok == brute_padic(system, p, depth), (system, p, depth)
             seen.add(ok)
             if ok:
-                check_padic_witness(system, p, wit)
+                check_witness(system, p, wit)
     assert seen == {True, False}
 
 
@@ -373,7 +364,7 @@ def test_padic_value_ball_prunes_keep_the_search():
             rescued += 1
             assert ok and wit.precision > used, (system, p, depth)
         if ok:
-            check_padic_witness(system, p, wit)
+            check_witness(system, p, wit)
         if p**(used * system.s) <= 2**12:
             brute += 1
             assert want[0] == brute_padic(system, p, used), (system, p, used)
@@ -407,14 +398,14 @@ def test_padic_kernel_calls_on_small_value_balls(monkeypatch):
     # answers, with both values 125^2 = 5^6, kept to precision 7
     ok, wit = padic_soluble(item1, 5)
     assert ok and (wit.u, wit.precision) == ((125, 625), 7)
-    check_padic_witness(item1, 5, wit)
+    check_witness(item1, 5, wit)
     assert len(calls) < 1000
     calls.clear()
     ok, wit = padic_soluble(null, 5)
     assert ok and wit.u == (0, 1, 0) and len(calls) < 1000
     ok, wit = padic_soluble(item1, 5, depth=9)
     assert ok and wit.u == (3125, 15625) and wit.precision == 9
-    check_padic_witness(item1, 5, wit)
+    check_witness(item1, 5, wit)
 
 
 def test_padic_cuts_value_balls_whose_last_valuation_reads_minus_one(
@@ -474,7 +465,7 @@ def test_padic_search_skips_coordinates_no_form_reads(monkeypatch):
                 u.insert(j, 0)
             assert (wide_wit.u, wide_wit.precision) == \
                 (tuple(u), wit.precision), (system, zeros, p)
-            check_padic_witness(padded, p, wide_wit)
+            check_witness(padded, p, wide_wit)
     assert compared >= 120 and found >= 80, (compared, found)
 
 
@@ -499,7 +490,7 @@ def test_full_rank_systems_are_soluble_at_every_prime():
         system = NormFormSystem(r=r, s=s, a=a, forms=forms)
         ok, wit = padic_soluble(system, p)
         assert ok, (system, p)
-        check_padic_witness(system, p, wit)
+        check_witness(system, p, wit)
         deeper += wit.precision > max(technical_bound(system, p) + 2, 4)
     assert deeper >= 20, deeper
 
@@ -519,7 +510,7 @@ def test_forms_sharing_a_value_are_soluble(p, a, forms):
     system = NormFormSystem(r=3, s=2, a=a, forms=forms)
     ok, wit = padic_soluble(system, p)
     assert ok, (system, p)
-    check_padic_witness(system, p, wit)
+    check_witness(system, p, wit)
     (value,) = {evaluate(f, wit.u) for f in forms}
     c = math.isqrt(value)
     assert c and c * c == value
@@ -532,22 +523,10 @@ def test_forms_sharing_a_value_are_soluble(p, a, forms):
 
 
 def ones_in_column_space(forms):
-    # Gauss-Jordan elimination over Fractions on [F | (1, ..., 1)]: the
-    # system F u = (1, ..., 1) is consistent exactly when no row reduces
-    # to (0, ..., 0 | nonzero)
-    rows = [[Fraction(x) for x in f] + [Fraction(1)] for f in forms]
-    k = 0
-    for col in range(len(forms[0])):
-        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[k], rows[piv] = rows[piv], rows[k]
-        for i in range(len(rows)):
-            if i != k and rows[i][col]:
-                t = rows[i][col] / rows[k][col]
-                rows[i] = [x - t * y for x, y in zip(rows[i], rows[k])]
-        k += 1
-    return all(row[-1] == 0 for row in rows[k:])
+    # F u = (1, ..., 1) is consistent exactly when no row of the reduced
+    # [F | (1, ..., 1)] reads (0, ..., 0 | nonzero)
+    mat, pivots = rref([list(f) + [1] for f in forms], len(forms[0]))
+    return all(row[-1] == 0 for row in mat[len(pivots):])
 
 
 def test_square_witness_exactly_when_ones_are_in_the_column_space():
@@ -586,7 +565,7 @@ def test_square_witness_exactly_when_ones_are_in_the_column_space():
         p = rng.choice((2, 3, 5))
         ok, wit = padic_soluble(system, p)
         assert ok, (system, p)
-        check_padic_witness(system, p, wit)
+        check_witness(system, p, wit)
         solved += 1
     assert found >= 300 and missing >= 100 and wide >= 80 and solved >= 250, \
         (found, missing, wide, solved)
@@ -598,7 +577,7 @@ def test_padic_deep_search_keeps_no_stack():
     system = NormFormSystem(r=2, s=2, a=(-1, -3), forms=((0, 25), (125, 0)))
     ok, wit = padic_soluble(system, 5, depth=1100)
     assert ok and wit.precision == 1100
-    check_padic_witness(system, 5, wit)
+    check_witness(system, 5, wit)
 
 
 def test_padic_search_at_a_large_prime_lists_no_children():
@@ -611,7 +590,7 @@ def test_padic_search_at_a_large_prime_lists_no_children():
     p = 5964848081
     ok, wit = padic_soluble(system, p)
     assert ok and (wit.u, wit.precision) == ((0, p**2), 4)
-    check_padic_witness(system, p, wit)
+    check_witness(system, p, wit)
     report = everywhere_locally_soluble(system)
     assert report.soluble and Place(p) in report.checked
     assert dict(report.witnesses)[Place(p)] == wit
@@ -643,7 +622,7 @@ def test_padic_good_primes_are_soluble():
         if is_prime(p):
             ok, wit = padic_soluble(system, p)
             assert ok
-            check_padic_witness(system, p, wit)
+            check_witness(system, p, wit)
             count += 1
         p += 2
 
@@ -654,10 +633,7 @@ def test_everywhere_locally_soluble():
     assert report.soluble and not report.bad_places
     assert REAL_PLACE in report.checked and Place(2) in report.checked
     for place, wit in report.witnesses:
-        if place.is_real:
-            check_real_witness(system, wit)
-        else:
-            check_padic_witness(system, place.p, wit)
+        check_witness(system, place.p, wit)
 
     system = NormFormSystem(r=2, s=2, a=(-5, -5), forms=((1, 0), (0, 1)))
     report = everywhere_locally_soluble(system, L=20)
@@ -680,10 +656,7 @@ def test_everywhere_locally_soluble():
         report = everywhere_locally_soluble(system)
         assert report.soluble and not report.bad_places, system
         for place, wit in report.witnesses:
-            if place.is_real:
-                check_real_witness(system, wit)
-            else:
-                check_padic_witness(system, place.p, wit)
+            check_witness(system, place.p, wit)
 
 
 def test_everywhere_witnesses_agree_with_each_place():
@@ -707,7 +680,7 @@ def test_everywhere_witnesses_agree_with_each_place():
             if place.is_real:
                 assert real_soluble(system) == (wit is not None, wit)
                 if wit is not None:
-                    check_real_witness(system, wit)
+                    check_witness(system, None, wit)
                 continue
             q = place.p
             assert padic_soluble(system, q) == (wit is not None, wit), \
@@ -715,7 +688,7 @@ def test_everywhere_witnesses_agree_with_each_place():
             if wit is None:
                 bad += 1
                 continue
-            check_padic_witness(system, q, wit)
+            check_witness(system, q, wit)
             fast = moment_witness(system, q, wit.precision)
             if fast is None:
                 searched += 1
