@@ -79,7 +79,8 @@ REPORTS
 
 EXIT CODES
     0 success, 1 computational failure (including a failed selftest),
-    2 input error (bad flags, unparsable file, invalid payload, a
+    2 input error (bad flags, unparsable file, invalid payload, an
+    integer past the interpreter's digit limit, named by its length, a
     `local` depth at or below a place's technical bound, an `L` or a
     `prime_cutoff` past the sieve's cap, DEFAULT_ENUMERATION_CAP, in the
     file or as a flag and for every command, a `bm` resolution set in the
@@ -98,8 +99,8 @@ import time
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from . import __version__, exactnum
-from .exactnum import (ExactNumError, Place, REAL_PLACE,
+from . import __version__
+from .exactnum import (ExactNumError, Place, REAL_PLACE, _check_cap,
                        as_integer_at_least, hilbert, hilbert_support,
                        json_value)
 from .pencil import (ConicBundleData, NormFormSystem, brauer_group,
@@ -131,8 +132,20 @@ def _tokens(value: str):
 # A reader turns one raw value into what the kind's constructor takes; its
 # errors name the value's location, `line N (key)`.
 
+def _check_digits(where: str, *toks: str) -> None:
+    # an integer past the interpreter's limit on reading an int is refused
+    # by its digit count, as echoing it would flood the message
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for digits in (t.strip().lstrip("+-").replace("_", "") for t in toks):
+        if limit and len(digits) > limit and digits.isdecimal():
+            raise CLIInputError("%s: an integer of %d digits, past the limit "
+                                "of %d digits on reading an int"
+                                % (where, len(digits), limit))
+
+
 def _fraction_token(tok: str, where: str) -> Fraction:
     num, slash, den = tok.partition("/")
+    _check_digits(where, num, den)
     try:
         if slash:
             return Fraction(int(num), int(den))
@@ -142,6 +155,7 @@ def _fraction_token(tok: str, where: str) -> Fraction:
 
 
 def _int_token(tok: str, where: str) -> int:
+    _check_digits(where, tok)
     try:
         return int(tok)
     except ValueError:
@@ -311,20 +325,14 @@ def load_problem(path: str) -> ProblemFile:
 
 # ---------------------------------------------------------------- options
 
-def _sieve_cap() -> int:
-    # the primes up to L and up to prime_cutoff are sieved a byte per
-    # integer; read when called, so that a test can shrink the cap
-    return exactnum.DEFAULT_ENUMERATION_CAP
-
-
 _OPTION_SPECS = {
-    # key: (minimum, maximum or None, default)
-    "prime_cutoff": (2, _sieve_cap, DEFAULT_PRIME_CUTOFF),
-    "L": (2, _sieve_cap, 100),
-    "depth": (1, None, None),
-    "resolution": (1, None, None),
-    "threads": (1, None, 1),  # inert: checked and echoed, passed nowhere
-    "seed": (0, None, 0),
+    # key: (minimum, default)
+    "prime_cutoff": (2, DEFAULT_PRIME_CUTOFF),
+    "L": (2, 100),
+    "depth": (1, None),
+    "resolution": (1, None),
+    "threads": (1, 1),  # inert: checked and echoed, passed nowhere
+    "seed": (0, 0),
 }
 
 
@@ -332,7 +340,7 @@ def effective_options(problem: Optional[ProblemFile],
                       args: argparse.Namespace) -> Dict[str, object]:
     """File options overridden by flags, with defaults filled in."""
     out: Dict[str, object] = {}
-    for key, (minimum, maximum, default) in _OPTION_SPECS.items():
+    for key, (minimum, default) in _OPTION_SPECS.items():
         value = default
         if problem is not None and problem.raw(key) is not None:
             where = "%s (%s)" % (problem.where(key), key)
@@ -343,9 +351,9 @@ def effective_options(problem: Optional[ProblemFile],
         if value is not None:
             value = as_integer_at_least(value, minimum, "option " + key,
                                         CLIInputError)
-            if maximum is not None and value > maximum():
-                raise CLIInputError("option %s must be <= %d, got %d"
-                                    % (key, maximum(), value))
+            if key in ("prime_cutoff", "L"):  # sieved a byte per integer
+                _check_cap(value, 1, CLIInputError, "option " + key
+                           + ": cannot sieve the primes up to {count}")
         out[key] = value
     return out
 

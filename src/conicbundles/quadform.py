@@ -397,28 +397,20 @@ def scaling_valid(form: BinaryForm, p: int, k: int, A: int) -> bool:
     return k >= v4a
 
 
-@lru_cache(maxsize=None)
-def _orbit_count(a: int, p: int, k: int, A: int) -> int:
-    # rho(p^k; A) at the least member A of one of rho_table's orbits:
-    # O(k) ints per (a, p, k), where the tables themselves are p^k long
-    return _local_count(a, p, k, A)
-
-
 def rho_table(form: BinaryForm, p: int, k: int):
     """The full vector (rho(p^k; A))_{A mod p^k}, computed exactly.
 
     One `_local_count` per orbit (v_p(A), unit square class of A / p^v)
-    fills every A of that orbit.  Only those O(k) orbit counts are cached
-    (`_orbit_count`), so every call builds a fresh list of its own and a
-    dropped table frees its memory.  A table of more than
-    DEFAULT_ENUMERATION_CAP entries is refused with QuadFormError before
-    it is built."""
+    fills every A of that orbit.  Nothing is cached, so every call builds
+    a fresh list of its own and a dropped table frees its memory.  A
+    table of more than DEFAULT_ENUMERATION_CAP entries is refused with
+    QuadFormError before it is built."""
     p = as_prime(p, QuadFormError)
     k = as_integer_at_least(k, 0, "k", QuadFormError)
     a = form.a
     m = _check_cap(p, k, QuadFormError, "rho_table({}^{}) has {count} entries",
                    p, k)
-    tab = [_orbit_count(a, p, k, 0)] * m
+    tab = [_local_count(a, p, k, 0)] * m
     for v in range(k):
         # A = p^v w with w prime to p; up to unit squares w is its
         # Legendre symbol at odd p, and w mod 2^min(k - v, 3) at p = 2,
@@ -432,7 +424,7 @@ def rho_table(form: BinaryForm, p: int, k: int):
             start = w * p**v
             cls = w if p == 2 else legendre(w, p)
             if cls not in by_class:
-                by_class[cls] = _orbit_count(a, p, k, start)
+                by_class[cls] = _local_count(a, p, k, start)
             tab[start::step] = [by_class[cls]] * len(range(start, m, step))
     return tab
 

@@ -1,25 +1,29 @@
 """Exactness policy: no entry path lets a float, or a wrapping numpy
-integer, into exact data; each rejects a float with its module's error."""
+integer, into exact data; each rejects a float with its module's error.
+The internal-consistency raises, which only a broken helper reaches, are
+checked here too."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conicbundles import exactnum
+from conicbundles import brauermanin, delpezzo, exactnum
 from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
                                       ScanCapError, global_point,
-                                      local_invariant, obstruction_scan)
+                                      local_invariant, obstruction_scan,
+                                      quotient_generators)
 from conicbundles.cli import CLIInputError, main, run_selftest
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
                                    enumerate_N, predict_and_compare,
                                    region_measure)
 from conicbundles.delpezzo import (DelPezzoError, DP1Data, Quartic,
-                                   SplitPolynomial)
+                                   SplitPolynomial, bundle_from_fgh)
 from conicbundles.exactnum import (ExactNumError, Place, REAL_PLACE,
                                    SquareClass, _primes_upto, as_integer,
-                                   as_rational, factorize, hilbert, is_prime,
-                                   legendre, squarefree_class, valuation)
+                                   as_rational, f2_independent, factorize,
+                                   hilbert, is_prime, legendre,
+                                   squarefree_class, valuation)
 from conicbundles.localsolve import (LocalSolveError, diagonal_quadric_soluble,
                                      everywhere_locally_soluble,
                                      padic_soluble)
@@ -402,3 +406,43 @@ def test_bm_resolution_far_past_the_cap_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
     assert "5^100000000000000000000 residues, beyond the cap" in err
+
+
+def _keep_no_row(rows, vec, tag=0):
+    # an F_2 insert that reduces every vector to 0 and stores nothing
+    return 0, tag
+
+
+# test id -> (module, helper, broken stand-in, error, message, call): each
+# raise guards a fact the package's own helpers guarantee, so only a broken
+# helper reaches it
+INTERNAL_RAISES = {
+    "quotient rank": (
+        brauermanin, "f2_insert", _keep_no_row, BrauerManinError,
+        "internal rank mismatch: reduced 0 generators, group rank 2",
+        lambda: quotient_generators(FLAG)),
+    "scan refinement": (
+        brauermanin, "_reader", lambda data, v, fibres: lambda t, m: None,
+        BrauerManinError, r"the cell 5 mod 5\^4 resisted 2 refinements",
+        lambda: obstruction_scan(FLAG, [Place(5)], resolution=2)),
+    "bundle reciprocity": (
+        delpezzo, "squarefree_class", lambda value: squarefree_class(2),
+        DelPezzoError, "fibre classes violate reciprocity",
+        lambda: bundle_from_fgh(SplitPolynomial(1, (0,)),
+                                SplitPolynomial(1, (1,)),
+                                SplitPolynomial(1, (3,)))),
+    "f2 certificate": (
+        exactnum, "f2_insert", _keep_no_row, AssertionError,
+        "elimination found a dependency but enumeration did not",
+        lambda: f2_independent([squarefree_class(2), squarefree_class(3)])),
+}
+
+
+@pytest.mark.parametrize("module, helper, broken, error, match, call",
+                         list(INTERNAL_RAISES.values()),
+                         ids=list(INTERNAL_RAISES))
+def test_internal_consistency_raises(monkeypatch, module, helper, broken,
+                                     error, match, call):
+    monkeypatch.setattr(module, helper, broken)
+    with pytest.raises(error, match=match):
+        call()

@@ -146,8 +146,6 @@ UNBOUNDED_CACHES = {
     "exactnum._factor": "a few (p, e) pairs, or one message, per integer "
                         "factored",
     "quadform.pell_fundamental": "one (t, u) per form coefficient a",
-    "quadform._orbit_count": "one int per orbit of a table mod p^k: O(k) "
-                             "per (a, p, k), where the table is p^k long",
 }
 
 
@@ -373,19 +371,18 @@ def test_every_test_only_name_has_a_reason():
     assert all(TEST_ONLY_NAMES.values())
 
 
-def _cap_comparisons(tree):
-    """The function around each comparison that reads
-    DEFAULT_ENUMERATION_CAP, as a name or an attribute, in source order;
-    "<module>" for one outside any function."""
+def _cap_reads(tree):
+    """The function around each read of DEFAULT_ENUMERATION_CAP, as a name
+    or an attribute, in source order; "<module>" for one outside any
+    function.  Binding the name is not a read."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Compare) and any(
-                "DEFAULT_ENUMERATION_CAP" in (getattr(n, "id", None),
-                                              getattr(n, "attr", None))
-                for n in ast.walk(node)):
+        if isinstance(getattr(node, "ctx", None), ast.Load) and \
+                "DEFAULT_ENUMERATION_CAP" in (getattr(node, "id", None),
+                                              getattr(node, "attr", None)):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -395,7 +392,10 @@ def _cap_comparisons(tree):
 
 
 def test_cap_comparison_detector():
+    # `reads` has the shape of the option table's former maximum,
+    # cli._sieve_cap, which compared no count itself
     tree = ast.parse(
+        "DEFAULT_ENUMERATION_CAP = 10\n"
         "LIMIT = DEFAULT_ENUMERATION_CAP\n"
         "def check(n):\n    return n > DEFAULT_ENUMERATION_CAP\n"
         "def stray(n):\n    return exactnum.DEFAULT_ENUMERATION_CAP <= n\n"
@@ -403,15 +403,16 @@ def test_cap_comparison_detector():
         "def outer():\n    def inner(m):\n"
         "        return m in (1, DEFAULT_ENUMERATION_CAP)\n"
         "assert DEFAULT_CAP < 2\nassert 1 < DEFAULT_ENUMERATION_CAP\n")
-    assert _cap_comparisons(tree) == ["check", "stray", "inner", "<module>"]
+    assert _cap_reads(tree) == ["<module>", "check", "stray", "reads",
+                                "inner", "<module>"]
 
 
 def test_only_exactnum_compares_against_the_cap():
-    # one function decides whether a count passes the cap and writes the
-    # refusal; cli reads the cap only as the option table's maximum
+    # one function reads the cap: it decides whether a count passes and
+    # writes the refusal
     found = sorted({"%s.%s" % (p.stem, where)
                     for p in sorted(PACKAGE.glob("*.py"))
-                    for where in _cap_comparisons(ast.parse(p.read_text()))})
+                    for where in _cap_reads(ast.parse(p.read_text()))})
     assert found == ["exactnum._check_cap"]
 
 
