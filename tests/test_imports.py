@@ -392,8 +392,8 @@ def _cap_reads(tree):
 
 
 def test_cap_comparison_detector():
-    # `reads` has the shape of the option table's former maximum,
-    # cli._sieve_cap, which compared no count itself
+    # `reads` compares nothing, yet hands the cap to a caller that may
+    # compare it: a read, not a comparison, is what the rule counts
     tree = ast.parse(
         "DEFAULT_ENUMERATION_CAP = 10\n"
         "LIMIT = DEFAULT_ENUMERATION_CAP\n"
