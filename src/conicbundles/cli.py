@@ -80,7 +80,8 @@ REPORTS
 EXIT CODES
     0 success, 1 computational failure (including a failed selftest),
     2 input error (bad flags, unparsable file, invalid payload, an
-    integer past the interpreter's digit limit, named by its length, a
+    integer past the interpreter's digit limit, named by its length, in
+    the file or as a flag, since a flag is read as a file value is, a
     `local` depth at or below a place's technical bound, an `L` or a
     `prime_cutoff` past the sieve's cap, DEFAULT_ENUMERATION_CAP, in the
     file or as a flag and for every command, a `bm` resolution set in the
@@ -338,7 +339,11 @@ _OPTION_SPECS = {
 
 def effective_options(problem: Optional[ProblemFile],
                       args: argparse.Namespace) -> Dict[str, object]:
-    """File options overridden by flags, with defaults filled in."""
+    """File options overridden by flags, with defaults filled in.
+
+    The one place an option becomes an int: a file value or a flag token
+    is read by `_int_token`, held to its minimum, and for the sieved `L`
+    and `prime_cutoff` to the cap."""
     out: Dict[str, object] = {}
     for key, (minimum, default) in _OPTION_SPECS.items():
         value = default
@@ -347,7 +352,7 @@ def effective_options(problem: Optional[ProblemFile],
             value = _int_token(problem.raw(key), where)
         flag = getattr(args, key, None)
         if flag is not None:
-            value = flag
+            value = _int_token(flag, "option --" + key.replace("_", "-"))
         if value is not None:
             value = as_integer_at_least(value, minimum, "option " + key,
                                         CLIInputError)
@@ -674,8 +679,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--quick", action="store_true",
                                help="reduced case counts")
             else:
-                p.add_argument("--" + flag.replace("_", "-"), type=int,
-                               dest=flag)
+                p.add_argument("--" + flag.replace("_", "-"), dest=flag)
     return parser
 
 

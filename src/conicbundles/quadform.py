@@ -31,10 +31,13 @@ and t x < a u y (n < 0), whose rows reach y^2 < n u^2 and
 a y^2 < |n| t^2: about sqrt(t / 2) times as many row intervals, nearly
 all of them empty when t is large.  representation_table counts its rows
 before the first and raises QuadFormError when they number more than
-DEFAULT_ENUMERATION_CAP (the rows grow like sqrt(t |n| / a), so a large
-Pell solution meets the cap at once); a table numpy cannot allocate
-raises QuadFormError too.  representation_count(form, n) reads the table
-of the one-value window [n, n], so R(n) has one implementation.
+DEFAULT_ENUMERATION_CAP (the rows grow like sqrt(t |n| / a)).  For a > 0
+the convergent denominators k <= u of sqrt(a) bound the rows from below
+while the Pell solution is sought, so a large one is refused before it
+is built, and none is sought when no row can meet the window; a table
+numpy cannot allocate raises QuadFormError too.
+representation_count(form, n) reads the table of the one-value window
+[n, n], so R(n) has one implementation.
 
 rho(q, A) counts solutions of x^2 - a y^2 = A over Z/q, multiplicatively
 in q.  _local_count finds N_k(Q; A) = #{(x, y) mod p^k : c1 x^2 + c2 y^2 =
@@ -124,14 +127,18 @@ def fundamental_unit(a: int):
     a = as_integer(a, QuadFormError)
     if a <= 0 or is_square(a):
         raise QuadFormError("fundamental_unit needs a positive nonsquare")
+    return next(c for c in _convergents(a) if c[2] in (1, -1))
+
+
+def _convergents(a: int):
+    # (h, k, h^2 - a k^2) for the convergents h/k of the continued
+    # fraction of sqrt(a), a > 0 nonsquare, in order, so k increases
     a0 = math.isqrt(a)
     m, d, A = 0, 1, a0
     h1, h0 = 1, a0
     k1, k0 = 0, 1
     while True:
-        n = h0 * h0 - a * k0 * k0
-        if n == 1 or n == -1:
-            return h0, k0, n
+        yield h0, k0, h0 * h0 - a * k0 * k0
         m = d * A - m
         d = (a - m * m) // d
         A = (a0 + m) // d
@@ -174,13 +181,16 @@ def _class_ranges(start: int, stop: int, step: int, classes) -> list:
     return [range(start + (c - start) % step, stop, step) for c in classes]
 
 
-def _check_rows(a: int, ranges) -> None:
-    # a row search for x^2 - a y^2 over the ranges of y is refused before
-    # its first row when it has more than DEFAULT_ENUMERATION_CAP rows;
-    # len() of a range stops at sys.maxsize, so they are counted here
-    rows = sum(max(0, -((r.start - r.stop) // r.step)) for r in ranges)
+def _check_rows(a: int, rows: int) -> None:
+    # a row search for x^2 - a y^2 is refused before its first row when it
+    # has more than DEFAULT_ENUMERATION_CAP rows
     _check_cap(rows, 1, QuadFormError,
                "the row search of x^2 - a y^2, a = {}, has {count} rows", a)
+
+
+def _row_count(ranges) -> int:
+    # len() of a range stops at sys.maxsize, so they are counted here
+    return sum(max(0, -((r.start - r.stop) // r.step)) for r in ranges)
 
 
 def _gather_rows(rows, width: int, step: int, roots: dict):
@@ -247,7 +257,7 @@ def _definite_rows(b: int, lo: int, hi: int, step: int, classes):
         return
     ymax = math.isqrt(hi // b)
     ys = _class_ranges(0 if b == 1 else -ymax, ymax + 1, step, classes)
-    _check_rows(-b, ys)
+    _check_rows(-b, _row_count(ys))
     for y in chain.from_iterable(ys):
         by2 = b * y * y
         x0 = max(0 if b > 1 and y > 0 else 1, _ceil_isqrt(nlo - by2))
@@ -256,12 +266,34 @@ def _definite_rows(b: int, lo: int, hi: int, step: int, classes):
             yield x0, x1, by2 - lo
 
 
-def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int, step: int,
-                     classes):
-    # a > 0 with Pell solution (t, u): the rows of the balanced domain
-    # (module docstring) for n = x^2 - a y^2 in [lo, hi], n != 0, with
+def _check_pell_rows(a: int, lo: int, hi: int, step: int, classes) -> None:
+    # refuses the row search of the Pell solution (t, u) before building
+    # it, walking the convergents h/k of sqrt(a): each k is at most u, and
+    # with a0 = isqrt(a) and s = t + 1, u a0 <= s <= u (a0 + 3), so
+    # u^2 / s >= k / (a0 + 3) and s / a >= k a0 / a.  The rows such a k
+    # bounds hold len(classes) rows in each whole period of step, all of
+    # them rows of the search; k at least doubles every two steps, so a
+    # search past the cap is refused a few steps after its rows pass it,
+    # with this lower bound as its count
+    a0 = math.isqrt(a)
+    for _, k, n in _convergents(a):
+        above = math.isqrt(hi * k // (2 * (a0 + 3))) + 1 if hi >= 1 else 0
+        below = math.isqrt(-lo * k * a0 // (2 * a)) if lo <= -1 else 0
+        _check_rows(a, len(classes) * (above // step + below // step))
+        if n in (1, -1):
+            return
+
+
+def _indefinite_rows(a: int, lo: int, hi: int, step: int, classes):
+    # a > 0: the rows of the balanced domain (module docstring) of the
+    # Pell solution (t, u) for n = x^2 - a y^2 in [lo, hi], n != 0, with
     # y mod step in classes; rows y and -y, and the two signs of x for
-    # n < 0, share their values of n (and -y is in a class with y)
+    # n < 0, share their values of n (and -y is in a class with y).  No
+    # unit is built when no row can meet the window
+    if not classes or lo == hi == 0:
+        return
+    _check_pell_rows(a, lo, hi, step, classes)
+    t, u = pell_fundamental(a)
     s = t + 1
     above = below = []
     if hi >= 1:
@@ -270,7 +302,7 @@ def _indefinite_rows(a: int, t: int, u: int, lo: int, hi: int, step: int,
     if lo <= -1:
         below = _class_ranges(1, math.isqrt(-lo * s // (2 * a)) + 1,
                               step, classes)
-    _check_rows(a, above + below)
+    _check_rows(a, _row_count(above + below))
     nlo, nhi = max(lo, 1), min(hi, -1)
     # n > 0: x > s y / u for y >= 0, x >= s |y| / u for y < 0
     for y in chain.from_iterable(above):
@@ -315,8 +347,9 @@ def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
     added into the table in batches of _CHUNK_CELLS points, so memory
     beyond the table stays O(rows + batch); every int64 index is below
     the table length (_gather_rows).  QuadFormError is raised past
-    DEFAULT_ENUMERATION_CAP rows, and for a table that does not fit in
-    memory."""
+    DEFAULT_ENUMERATION_CAP rows, for a > 0 before the Pell solution is
+    built once its convergents bound the rows past the cap, and for a
+    table that does not fit in memory."""
     lo = as_integer(lo, QuadFormError)
     hi = as_integer(hi, QuadFormError)
     step = as_integer_at_least(step, 1, "step", QuadFormError)
@@ -332,8 +365,7 @@ def representation_table(form: BinaryForm, lo: int, hi: int, step: int = 1):
     if a < 0:
         rows = _definite_rows(-a, lo, hi, step, classes)
     else:
-        pell = pell_fundamental(a)
-        rows = _indefinite_rows(a, pell.t, pell.u, lo, hi, step, classes)
+        rows = _indefinite_rows(a, lo, hi, step, classes)
     return _gather_rows(rows, width, step, roots)
 
 

@@ -23,10 +23,12 @@ from reference import definite_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_LIMITED = """
+_LIMITS = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+"""
+_REAL_SOLUBLE = _LIMITS + """
 import json
 from conicbundles.localsolve import real_soluble
 from conicbundles.pencil import NormFormSystem
@@ -35,12 +37,16 @@ r, s = len(forms), len(forms[0])
 verdict = real_soluble(NormFormSystem(r=r, s=s, a=(-1,) * r, forms=forms))
 print(json.dumps([str(x) for x in verdict.evidence.u]))
 """
+_CLI = _LIMITS + """
+from conicbundles.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
-def _limited(forms):
+def _limited(script, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", _LIMITED, json.dumps(forms)],
+    return subprocess.run([sys.executable, "-c", script, *args],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=60)
 
@@ -52,10 +58,23 @@ def test_real_soluble_on_definite_systems_within_budget(s, r, seed):
     # answer in 20 s on the third; every form is positive at the family's
     # seeded point, so each system is soluble
     forms = definite_rows(s, r, seed)
-    proc = _limited(forms)
+    proc = _limited(_REAL_SOLUBLE, json.dumps(forms))
     assert proc.returncode == 0, proc.stderr
     u = [Fraction(x) for x in json.loads(proc.stdout)]
     # the witness, read in integers: every definite form is positive
     L = math.lcm(*(x.denominator for x in u))
     v = [x.numerator * (L // x.denominator) for x in u]
     assert all(sum(c * x for c, x in zip(f, v)) > 0 for f in forms)
+
+
+def test_count_refuses_a_large_pell_unit_within_budget(tmp_path):
+    # the Pell unit of 10^9 + 9 has 102,104 bits, and building it took 56 s
+    # before the row search refused; the convergents of its continued
+    # fraction bound the rows first, so the job is refused at once
+    path = tmp_path / "job.txt"
+    path.write_text("kind = count-job\na = 1000000009\nforms = 1 0\n"
+                    "B_schedule = 4\n")
+    proc = _limited(_CLI, "count", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "a = 1000000009, has" in proc.stderr
+    assert "beyond the cap" in proc.stderr

@@ -110,6 +110,34 @@ def test_bad_tokens_exit_2(tmp_path, capsys, command, text, needle):
     assert needle in capsys.readouterr().err
 
 
+SYSTEM_FILE = SYSTEM_HEAD + "forms = 1 0; 0 1\n"
+
+
+@pytest.mark.parametrize("command, text, flags, needle", [
+    pytest.param(
+        "predict", REF_JOB, ["--prime-cutoff", LONG],
+        "option --prime-cutoff: an integer of 5000 digits, past the limit of",
+        marks=pytest.mark.skipif(
+            not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+            reason="this interpreter reads an int of any length")),
+    ("local", SYSTEM_FILE, ["--L", "x"], "option --L: 'x' is not an integer"),
+    ("local", SYSTEM_FILE, ["--L", "20000000"],
+     "option L: cannot sieve the primes up to 20000000, beyond the cap"),
+    ("local", SYSTEM_FILE, ["--depth", "0"], "option depth must be >= 1"),
+    ("selftest", None, ["--seed", "-1"], "option seed must be >= 0"),
+], ids=["long flag", "flag token", "flag past the cap", "flag minimum",
+        "selftest flag minimum"])
+def test_bad_flags_exit_2(tmp_path, capsys, command, text, flags, needle):
+    # a flag is read as the same value in the file is: a token too long
+    # for int() is named by its size, and every refusal names the option
+    head = [command] if text is None else [command,
+                                           write_problem(tmp_path, text)]
+    code, report = run_cli(head + flags, tmp_path)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert needle in err and len(err.encode()) < 300
+
+
 def test_payload_error_exit_2(tmp_path, capsys):
     path = write_problem(tmp_path, "kind = pencil\ne = 0, 0\na = 5, 5\n")
     code, report = run_cli(["validate", path], tmp_path)
@@ -179,10 +207,12 @@ def test_each_command_takes_exactly_its_flags(tmp_path, capsys, command):
         command, str(tmp_path / "never-read.txt")]
     for flag in OPTION_FLAGS:
         args = head + ([flag] if flag == "--quick" else [flag, "3"])
-        if flag in COMMAND_FLAGS[command]:
+        if flag == "--quick" and flag in COMMAND_FLAGS[command]:
+            assert cli._build_parser().parse_args(args).quick is True
+        elif flag in COMMAND_FLAGS[command]:
             parsed = cli._build_parser().parse_args(args)
-            value = getattr(parsed, flag[2:].replace("-", "_"))
-            assert value == (True if flag == "--quick" else 3)
+            key = flag[2:].replace("-", "_")
+            assert cli.effective_options(None, parsed)[key] == 3
         else:
             assert main(args) == 2, flag
             assert "unrecognized arguments" in capsys.readouterr().err

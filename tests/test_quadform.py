@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conicbundles import quadform
+from conicbundles import exactnum, quadform
 from conicbundles.quadform import (
     BinaryForm,
     PellSolution,
@@ -244,6 +244,70 @@ def test_row_searches_refuse_more_rows_than_the_cap():
         with pytest.raises(QuadFormError, match=r"a = %d, has \d+ rows, "
                            r"beyond the cap 10000000" % a):
             search()
+
+
+def test_large_pell_solution_is_refused_before_it_is_built(monkeypatch):
+    # the convergents of sqrt(30781) bound the rows past the cap long
+    # before its 361-digit unit, and a window no row can meet needs none
+    def unbuilt(a):
+        pytest.fail("the Pell solution of %d was built" % a)
+
+    monkeypatch.setattr(quadform, "pell_fundamental", unbuilt)
+    big = BinaryForm(30781)
+    for lo, hi in ((1, 1), (-1, -1), (-10**6, 10**6)):
+        with pytest.raises(QuadFormError, match=r"a = 30781, has \d+ rows, "
+                           r"beyond the cap 10000000"):
+            representation_table(big, lo, hi)
+    assert representation_table(big, 0, 0).tolist() == [0]
+    # 5 + 2 y^2 is 5 or 7 mod 8, never a square: the class has no rows
+    assert representation_table(BinaryForm(2), 5, 2000, 8).tolist() == \
+        [0] * 250
+
+
+def test_early_row_refusal_refuses_only_past_the_cap(monkeypatch):
+    # under a cap of 1000 a table is refused exactly when its own row
+    # search, counted here from the Pell solution, has more rows: the
+    # bound the convergents give, which refuses before the solution is
+    # read, never refuses a search that fits
+    monkeypatch.setattr(exactnum, "DEFAULT_ENUMERATION_CAP", 1000)
+    reads = []
+
+    def read(a):
+        reads.append(a)
+        return pell_fundamental(a)
+
+    monkeypatch.setattr(quadform, "pell_fundamental", read)
+    forms = [a for a in range(2, 200) if math.isqrt(a) ** 2 != a
+             and pell_fundamental(a).u < 5000]
+    rng = random.Random(54)
+    refused = early = 0
+    for _ in range(1500):
+        a = rng.choice(forms)
+        lo = rng.randint(-10**5, 10**5)
+        step = rng.randint(1, 12)
+        hi = lo + rng.randint(0, 2000) // step * step
+        step = step if hi > lo else 1
+        t, u = pell_fundamental(a)
+        squares = {x * x % step for x in range(step)}
+        classes = [c for c in range(step) if (lo + a * c * c) % step in squares]
+        spans = []
+        if hi >= 1:
+            spans.append((0, math.isqrt(hi * u * u // (2 * t + 2))))
+        if lo <= -1:
+            spans.append((1, math.isqrt(-lo * (t + 1) // (2 * a))))
+        rows = sum(len(range(start + (c - start) % step, last + 1, step))
+                   for start, last in spans for c in classes)
+        del reads[:]
+        try:
+            representation_table(BinaryForm(a), lo, hi, step)
+        except QuadFormError:
+            refused += 1
+            early += not reads
+            assert rows > 1000, (a, lo, hi, step, rows)
+        else:
+            assert rows <= 1000, (a, lo, hi, step, rows)
+    # both the bound and the exact count refuse some of these windows
+    assert 0 < early < refused
 
 
 def test_representation_table_reports_a_table_past_memory(monkeypatch):
