@@ -132,7 +132,7 @@ def fundamental_unit(a: int):
 
 def _convergents(a: int):
     # (h, k, h^2 - a k^2) for the convergents h/k of the continued
-    # fraction of sqrt(a), a > 0 nonsquare, in order, so k increases
+    # fraction of sqrt(a), a > 0 nonsquare, in order, so k never decreases
     a0 = math.isqrt(a)
     m, d, A = 0, 1, a0
     h1, h0 = 1, a0
@@ -268,13 +268,13 @@ def _definite_rows(b: int, lo: int, hi: int, step: int, classes):
 
 def _check_pell_rows(a: int, lo: int, hi: int, step: int, classes) -> None:
     # refuses the row search of the Pell solution (t, u) before building
-    # it, walking the convergents h/k of sqrt(a): each k is at most u, and
+    # it, walking the convergents h/k of sqrt(a).  Each k is at most u, and
     # with a0 = isqrt(a) and s = t + 1, u a0 <= s <= u (a0 + 3), so
-    # u^2 / s >= k / (a0 + 3) and s / a >= k a0 / a.  The rows such a k
-    # bounds hold len(classes) rows in each whole period of step, all of
-    # them rows of the search; k at least doubles every two steps, so a
-    # search past the cap is refused a few steps after its rows pass it,
-    # with this lower bound as its count
+    # u^2 / s >= k / (a0 + 3) and s / a >= k a0 / a: the rows y up to the
+    # bounds below are rows of the search, and each whole period of step
+    # among them holds len(classes).  As k at least doubles every two
+    # steps, a search past the cap is refused a few steps after its rows
+    # pass it, with this lower bound as its count
     a0 = math.isqrt(a)
     for _, k, n in _convergents(a):
         above = math.isqrt(hi * k // (2 * (a0 + 3))) + 1 if hi >= 1 else 0

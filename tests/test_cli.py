@@ -75,14 +75,17 @@ SYSTEM_HEAD = "kind = system\na = -1, 2\n"
 LONG = "3" * 5000  # past the interpreter's default limit of 4300 digits
 
 
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter reads an int of any length")
+
+
 def _long(text):
     # an integer token too long for int() to read, where the interpreter
     # has that limit: the refusal gives its digit count, not the token
     return pytest.param(
         "validate", text, "an integer of 5000 digits, past the limit of",
-        marks=pytest.mark.skipif(
-            not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-            reason="this interpreter reads an int of any length"))
+        marks=NEEDS_DIGIT_LIMIT)
 
 
 @pytest.mark.parametrize("command, text, needle", [
@@ -117,9 +120,7 @@ SYSTEM_FILE = SYSTEM_HEAD + "forms = 1 0; 0 1\n"
     pytest.param(
         "predict", REF_JOB, ["--prime-cutoff", LONG],
         "option --prime-cutoff: an integer of 5000 digits, past the limit of",
-        marks=pytest.mark.skipif(
-            not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-            reason="this interpreter reads an int of any length")),
+        marks=NEEDS_DIGIT_LIMIT),
     ("local", SYSTEM_FILE, ["--L", "x"], "option --L: 'x' is not an integer"),
     ("local", SYSTEM_FILE, ["--L", "20000000"],
      "option L: cannot sieve the primes up to 20000000, beyond the cap"),
@@ -207,12 +208,13 @@ def test_each_command_takes_exactly_its_flags(tmp_path, capsys, command):
         command, str(tmp_path / "never-read.txt")]
     for flag in OPTION_FLAGS:
         args = head + ([flag] if flag == "--quick" else [flag, "3"])
-        if flag == "--quick" and flag in COMMAND_FLAGS[command]:
-            assert cli._build_parser().parse_args(args).quick is True
-        elif flag in COMMAND_FLAGS[command]:
+        if flag in COMMAND_FLAGS[command]:
             parsed = cli._build_parser().parse_args(args)
-            key = flag[2:].replace("-", "_")
-            assert cli.effective_options(None, parsed)[key] == 3
+            if flag == "--quick":
+                assert parsed.quick is True
+            else:
+                key = flag[2:].replace("-", "_")
+                assert cli.effective_options(None, parsed)[key] == 3
         else:
             assert main(args) == 2, flag
             assert "unrecognized arguments" in capsys.readouterr().err

@@ -289,7 +289,8 @@ def test_early_row_refusal_refuses_only_past_the_cap(monkeypatch):
         step = step if hi > lo else 1
         t, u = pell_fundamental(a)
         squares = {x * x % step for x in range(step)}
-        classes = [c for c in range(step) if (lo + a * c * c) % step in squares]
+        classes = [c for c in range(step)
+                   if (lo + a * c * c) % step in squares]
         spans = []
         if hi >= 1:
             spans.append((0, math.isqrt(hi * u * u // (2 * t + 2))))
