@@ -111,6 +111,7 @@ from .exactnum import (
     _places,
     _primes_dividing,
     _primes_upto,
+    _refusal,
     _symbol_reader,
     _unit_digits,
     _valuation_unit,
@@ -150,8 +151,8 @@ def _canonical(bits: Tuple[int, ...]) -> Tuple[int, ...]:
 def _check_pole(data: ConicBundleData, t: Fraction):
     for i, e in enumerate(data.e):
         if t == e:
-            raise BrauerManinError(
-                "the invariant has a pole at t = e_%d = %s" % (i + 1, e))
+            raise _refusal(BrauerManinError, "the invariant has a pole at "
+                           "t = e_{} = {}", i + 1, e)
 
 
 def local_invariant(data: ConicBundleData, n, t, v: Place) -> int:
@@ -199,7 +200,8 @@ class AdelicFiberPoint:
     def __post_init__(self):
         for c in self.components:
             if not isinstance(c, LocalParameter):
-                raise BrauerManinError("not a LocalParameter: %r" % (c,))
+                raise _refusal(BrauerManinError, "not a LocalParameter: {!r}",
+                               c)
         comps = tuple(sorted(self.components,
                              key=lambda c: _place_key(c.place)))
         object.__setattr__(self, "components", comps)
@@ -212,8 +214,8 @@ class AdelicFiberPoint:
         items = tuple(pairs.items() if hasattr(pairs, "items") else pairs)
         for item in items:
             if not isinstance(item, (tuple, list)) or len(item) != 2:
-                raise BrauerManinError(
-                    "not a (place, parameter) pair: %r" % (item,))
+                raise _refusal(BrauerManinError, "not a (place, parameter) "
+                               "pair: {!r}", item)
         return cls(tuple(LocalParameter(v, t) for v, t in items))
 
     @property
@@ -306,9 +308,8 @@ def invariant_vector(data: ConicBundleData, point: AdelicFiberPoint,
         _check_pole(data, t)
         signs = _reader(data, v, bits)(t, m)
         if signs is None:
-            raise BrauerManinError(
-                "precision %d at place %s does not determine every symbol "
-                "the class reads" % (m, v))
+            raise _refusal(BrauerManinError, "precision {} at place {} does "
+                           "not determine every symbol the class reads", m, v)
         entries.append((v, signs.bit_count() % 2))
     return InvariantVector(tuple(entries))
 
@@ -330,9 +331,9 @@ def pairing(data: ConicBundleData, point: AdelicFiberPoint, n) -> int:
     component there."""
     raw = _bits(data, n)
     if not delta(data, raw).is_trivial:
-        raise BrauerManinError(
-            "the vector %s is not in Ker(delta); the pairing is defined "
-            "on kernel classes only" % (raw,))
+        raise _refusal(BrauerManinError, "the vector {} is not in "
+                       "Ker(delta); the pairing is defined on kernel classes "
+                       "only", raw)
     bits = _canonical(raw)
     vec = invariant_vector(data, point, bits)
     support = set(point.support)
@@ -340,10 +341,10 @@ def pairing(data: ConicBundleData, point: AdelicFiberPoint, n) -> int:
         if v in support:
             continue
         if _default_trivial_parameter(data, bits, v) is None:
-            raise BrauerManinError(
-                "the class has a nonzero invariant at every integral "
-                "parameter at %s, outside the declared support; add a "
-                "component there" % v)
+            raise _refusal(BrauerManinError, "the class has a nonzero "
+                           "invariant at every integral parameter at {}, "
+                           "outside the declared support; add a component "
+                           "there", v)
     return vec.total()
 
 
@@ -368,9 +369,9 @@ def quotient_generators(data: ConicBundleData) -> Tuple[BrauerElement, ...]:
         f2_insert(rows, sum(b << (r - 1 - i)
                             for i, b in enumerate(_canonical(vec))))
     if len(rows) != group.quotient_rank:
-        raise BrauerManinError(
-            "internal rank mismatch: reduced %d generators, group rank %d"
-            % (len(rows), group.quotient_rank))
+        raise _refusal(BrauerManinError, "internal rank mismatch: reduced "
+                       "{} generators, group rank {}", len(rows),
+                       group.quotient_rank)
     return tuple(BrauerElement(tuple(row >> (r - 1 - i) & 1 for i in range(r)))
                  for _, row, _ in rows)
 
@@ -514,9 +515,8 @@ def _finite_cells(data: ConicBundleData, gens, p: int, K: int) -> _PlaceCells:
     extra = _unit_digits(p) + 1
     for k, (c,), signs in _balls(p, 1, K + extra, read):
         if signs is None:
-            raise BrauerManinError(
-                "the cell %d mod %d^%d resisted %d refinements"
-                % (c, p, k, extra))
+            raise _refusal(BrauerManinError, "the cell {} mod {}^{} resisted "
+                           "{} refinements", c, p, k, extra)
         if signs not in values:
             values[signs] = tuple((g & signs).bit_count() % 2 for g in masks)
         if k > K:

@@ -66,10 +66,12 @@ REPORTS
     JSON with sorted keys on stdout, or at --out PATH.  Results are
     written by `exactnum.json_value` alone: integers, booleans and
     strings as they are, rationals as `num/den` strings (denominator 1
-    included), places and square classes as their strings.  A float
-    appears only as an object holding its `value` and `precision_bits`
-    (53), or in the segregated `timings` field; a float that is not
-    finite (a NaN ratio where some beta_p is 0) is written `null`.
+    included) written exactly at any size, places and square classes as
+    their strings.  A float appears only as an object holding its
+    `value` and `precision_bits` (53), or in the segregated `timings`
+    field; a float that is not finite (a NaN ratio where some beta_p is
+    0) is written `null`, and so is a ratio past the float range
+    (`count`'s N_per_measure at a tiny epsilon).
     Reports are byte-identical across runs with the same inputs,
     options, and version, except for `timings`.
 
@@ -102,8 +104,8 @@ from typing import Dict, Optional, Tuple
 
 from . import __version__
 from .exactnum import (ExactNumError, Place, REAL_PLACE, _check_cap,
-                       as_integer_at_least, hilbert, hilbert_support,
-                       json_value)
+                       _refusal, as_integer_at_least, hilbert,
+                       hilbert_support, json_value)
 from .pencil import (ConicBundleData, NormFormSystem, brauer_group,
                      quadric_intersection_system, technical_bound,
                      torsor_system, validate)
@@ -440,7 +442,10 @@ def _cmd_count(problem: ProblemFile, job: CountJob, options: dict) -> dict:
         measure = region_measure(job, B)
         row = {"B": B, "N": N, "box_measure": measure}
         if measure:
-            row["N_per_measure"] = float(N / measure)
+            try:
+                row["N_per_measure"] = float(N / measure)
+            except OverflowError:  # past the float range: written null
+                row["N_per_measure"] = math.inf
         rows.append(row)
     return json_value({"job": job, "per_B": rows})
 
@@ -620,7 +625,8 @@ _SELFTEST_SUITES = (
 
 def run_selftest(quick: bool = False, seed: int = 0) -> dict:
     if not isinstance(quick, bool):
-        raise CLIInputError("quick must be True or False, got %r" % (quick,))
+        raise _refusal(CLIInputError, "quick must be True or False, got {!r}",
+                       quick)
     seed = as_integer_at_least(seed, 0, "seed", CLIInputError)
     suites = []
     for name, suite in _SELFTEST_SUITES:

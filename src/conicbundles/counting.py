@@ -119,12 +119,12 @@ from .exactnum import (
     ExactNumError,
     _check_cap,
     _clear_denominators,
-    _decimal,
     _det,
     _dot,
     _nullspace,
     _primes_dividing,
     _primes_upto,
+    _refusal,
     as_integer,
     as_integer_at_least,
     as_prime,
@@ -185,30 +185,29 @@ class CountJob:
             as_integer_at_least(b, 1, "B", CountingError)
             for b in self.B_schedule))
         if len(self.uM) != s or len(self.uInf) != s:
-            raise CountingError("uM and uInf must have length s = %d" % s)
+            raise _refusal(CountingError, "uM and uInf must have length "
+                           "s = {}", s)
         if self.epsilon <= 0:
             raise CountingError("epsilon must be positive")
         for i in self.system.i_minus:
             if self._f(i, self.uInf) <= 0:
-                raise CountingError(
-                    "f_%d(uInf) must be positive for definite index %d"
-                    % (i + 1, i + 1))
+                raise _refusal(CountingError, "f_{0}(uInf) must be positive "
+                               "for definite index {0}", i + 1)
         for p, m in factorize(self.M):
             bound = technical_bound(self.system, p)
             if m < bound:
-                raise CountingError(
-                    "val_%d(M) = %d is below the technical bound %d"
-                    % (p, m, bound))
+                raise _refusal(CountingError, "val_{}(M) = {} is below the "
+                               "technical bound {}", p, m, bound)
             pm = p**m
             for i in range(self.system.r):
                 if self._f(i, self.uM) % pm == 0:
-                    raise CountingError(
-                        "f_%d(uM) vanishes mod %d^%d" % (i + 1, p, m))
+                    raise _refusal(CountingError, "f_{}(uM) vanishes mod "
+                                   "{}^{}", i + 1, p, m)
         for B in self.B_schedule:
             c = math.isqrt(B)
             if c * c != B or c % self.M != 1 % self.M:
-                raise CountingError("B = %s is not C^2 with C = 1 mod %s"
-                                    % (_decimal(B), _decimal(self.M)))
+                raise _refusal(CountingError, "B = {} is not C^2 with C = 1 "
+                               "mod {}", B, self.M)
 
     def _f(self, i: int, u):
         return _dot(self.system.forms[i], u)
@@ -329,9 +328,8 @@ def _grid_sum(boxes, coeffs, consts, tables, modulus=None, line=None):
                              for n, c in zip(extents, w) if c)
     cap = max(1, math.prod(maxima))
     if cap > _SUM_GUARD:
-        raise CountingError(
-            "the factors' maxima multiply to %d, past the int64 guard %d"
-            % (cap, _SUM_GUARD))
+        raise _refusal(CountingError, "the factors' maxima multiply to {}, "
+                       "past the int64 guard {}", cap, _SUM_GUARD)
     limit = min(_CHUNK_CELLS, _SUM_GUARD // cap)
     total = 0
     for box in boxes:
@@ -527,10 +525,9 @@ def beta_p(job: CountJob, p: int) -> Fraction:
     if g % p:
         return Fraction(1)
     if g == 0:
-        raise CountingError(
-            "beta_%d: the form matrix has no nonzero %d x %d minor (r > s "
-            "or dependent forms); exact densities there are ROADMAP item 4"
-            % (p, r, r))
+        raise _refusal(CountingError, "beta_{0}: the form matrix has no "
+                       "nonzero {1} x {1} minor (r > s or dependent forms); "
+                       "exact densities there are ROADMAP item 4", p, r)
     below = math.gcd(*(_minors_gcd(rows, s)
                        for rows in itertools.combinations(forms, r - 1)))
     k = max(1, valuation(g, p) - valuation(below, p))

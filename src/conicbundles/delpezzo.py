@@ -57,6 +57,7 @@ from .exactnum import (
     SquareClass,
     _clear_denominators,
     _det,
+    _refusal,
     as_rational,
     f2_independent,
     squarefree_class,
@@ -171,8 +172,8 @@ def bundle_from_fgh(f: SplitPolynomial, g: SplitPolynomial,
     """
     degs = (f.degree, g.degree, h.degree)
     if len({d % 2 for d in degs}) != 1:
-        raise DelPezzoError(
-            "degrees %d, %d, %d do not share a parity" % degs)
+        raise _refusal(DelPezzoError, "degrees {}, {}, {} do not share a "
+                       "parity", *degs)
     roots = f.roots + g.roots + h.roots
     if len(set(roots)) != len(roots):
         raise DelPezzoError("the roots of f, g, h must be pairwise distinct")
@@ -182,9 +183,8 @@ def bundle_from_fgh(f: SplitPolynomial, g: SplitPolynomial,
             value = -left.evaluate(e) * right.evaluate(e)
             cls = squarefree_class(value)
             if cls.is_trivial:
-                raise DelPezzoError(
-                    "the fibre at t = %s is split: %s is a square"
-                    % (e, value))
+                raise _refusal(DelPezzoError, "the fibre at t = {} is split: "
+                               "{} is a square", e, value)
             classes.append(cls)
     data = ConicBundleData(e=roots, a=tuple(classes))
     if not data.faddeev_holds:

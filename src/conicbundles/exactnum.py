@@ -57,8 +57,12 @@ one elimination loop (Bareiss's fraction-free echelon form), read by
 integer solver (`counting`, `localsolve`).  Beside them sit the one
 check of a place argument, `_checked_place`, of an integer's lower bound,
 `as_integer_at_least`, and of a count against DEFAULT_ENUMERATION_CAP,
-`_check_cap`; `_decimal`, the one writer of a refused value;
-`json_value`, the one writer of the report encoding (`cli`, `counting`,
+`_check_cap`; `_refusal`, the one writer of a refusal's message, whose
+template holds the labels and whose values `_decimal` writes, in the
+notation of problem files and by size past the int-to-str digit limit
+(every raise of the engine modules goes through it or names no value, a
+rule `tests/test_imports.py` keeps); `json_value`, the one writer of the
+report encoding, rationals exact at any size (`cli`, `counting`,
 `brauermanin`); and `Verdict`, the one shape of a yes/no answer with its
 evidence (`localsolve`, `delpezzo`).
 """
@@ -68,6 +72,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -87,10 +92,13 @@ class ExactNumError(ValueError):
     pass
 
 
-def _decimal(x) -> str:
+def _decimal(x, notation=True) -> str:
     """x for an error message, the one writer of a refused value: an int
-    in decimal, anything else as its repr.  Past the int-to-str digit
-    limit, where writing it would raise ValueError in place of the
+    in decimal; in the notation of problem files a Fraction as n/d (n
+    alone when d = 1), a Place as oo or its prime and a SquareClass as its
+    representative, each part written as an int is; anything else, and
+    these too when `notation` is false, as its repr.  Past the int-to-str
+    digit limit, where writing it would raise ValueError in place of the
     refusal, an int is named by its size ("at least 2^b", "at most -2^b")
     and any other value by its type."""
     if isinstance(x, int):
@@ -99,21 +107,48 @@ def _decimal(x) -> str:
         except ValueError:
             b = abs(x).bit_length() - 1
             return ("at least 2^%d" if x > 0 else "at most -2^%d") % b
-    if isinstance(x, Fraction):
-        return "Fraction(%s, %s)" % (_decimal(x.numerator),
-                                     _decimal(x.denominator))
+    if notation and isinstance(x, Fraction):
+        n = _decimal(x.numerator)
+        return n if x.denominator == 1 else n + "/" + _decimal(x.denominator)
+    if notation and isinstance(x, (Place, SquareClass)):
+        return "oo" if x == REAL_PLACE else _decimal(
+            x.p if isinstance(x, Place) else x.representative())
     try:
         return repr(x)
     except ValueError:
         return "a %s past the digit limit" % type(x).__name__
 
 
+class _Value(NamedTuple):
+    """A value in a refusal's template: `{}` writes it by `_decimal` in
+    the notation of problem files, `{!r}` as its repr (an object refused
+    for its type), named by its size or type past the digit limit either
+    way."""
+
+    x: object
+
+    def __format__(self, spec) -> str:
+        return _decimal(self.x)
+
+    def __repr__(self) -> str:
+        return _decimal(self.x, False)
+
+
+def _refusal(error, template: str, *args, **named):
+    """`error` carrying `template` with its fields filled by the args and
+    the named args, each written by `_decimal`: the one writer of a
+    refusal's message.  The template holds only the labels the code
+    writes, so no caller chooses between %d, %s and %r."""
+    return error(template.format(*map(_Value, args),
+                                 **{k: _Value(v) for k, v in named.items()}))
+
+
 def _check_cap(base: int, exponent: int, error, template: str, *args) -> int:
     """base^exponent, a count of cells, entries, rows or primes, or `error`
     past DEFAULT_ENUMERATION_CAP.  A power is not built past the cap: each
     product by a base >= 2 at least doubles, so 24 pass 10^7.  The refusal
-    is `template` formatted by the args and `{count}`, each written by
-    `_decimal` (an unbuilt power as the power of 2 it reaches)."""
+    is `template` filled by the args and `{count}` (an unbuilt power as
+    the power of 2 it reaches), written by `_refusal`."""
     count, left = base, 0
     if exponent != 1:
         count, left = 1, exponent if base > 1 else 0
@@ -122,11 +157,11 @@ def _check_cap(base: int, exponent: int, error, template: str, *args) -> int:
             left -= 1
     if count <= DEFAULT_ENUMERATION_CAP:
         return count
-    written = "at least 2^%s" % _decimal(
-        count.bit_length() - 1 + left * (base.bit_length() - 1)) \
-        if left else _decimal(count)
-    raise error(template.format(*map(_decimal, args), count=written)
-                + ", beyond the cap %d" % DEFAULT_ENUMERATION_CAP)
+    if left:
+        template = template.replace("{count}", "at least 2^{count}")
+        count = count.bit_length() - 1 + left * (base.bit_length() - 1)
+    raise _refusal(error, template + ", beyond the cap {cap}", *args,
+                   count=count, cap=DEFAULT_ENUMERATION_CAP)
 
 
 class FactorizationError(ExactNumError):
@@ -139,12 +174,12 @@ def as_rational(x, error=ExactNumError) -> Fraction:
     Every module coerces its rational inputs here, passing its own error
     class, so a float never silently becomes its binary expansion."""
     if isinstance(x, float):
-        raise error("rational data must not pass through floats: %s"
-                    % _decimal(x))
+        raise _refusal(error, "rational data must not pass through floats: {}",
+                       x)
     try:
         q = Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise error("not a rational number: %s" % _decimal(x)) from exc
+        raise _refusal(error, "not a rational number: {!r}", x) from exc
     if type(q.numerator) is not int:
         # Fraction keeps numpy integers, whose arithmetic wraps silently
         q = Fraction(int(q.numerator), int(q.denominator))
@@ -157,7 +192,7 @@ def as_integer(x, error=ExactNumError) -> int:
         return int(x)
     q = as_rational(x, error)
     if q.denominator != 1:
-        raise error("not an integer: %s" % _decimal(x))
+        raise _refusal(error, "not an integer: {}", x)
     return q.numerator
 
 
@@ -168,7 +203,7 @@ def as_integer_at_least(x, least: int, name: str,
     integer argument."""
     x = as_integer(x, error)
     if x < least:
-        raise error("%s must be >= %d, got %s" % (name, least, _decimal(x)))
+        raise _refusal(error, name + " must be >= {}, got {}", least, x)
     return x
 
 
@@ -176,7 +211,7 @@ def as_prime(p, error=ExactNumError) -> int:
     """p as a Python int that is prime; anything else raises `error`."""
     p = as_integer(p, error)
     if not is_prime(p):
-        raise error("%s is not prime" % _decimal(p))
+        raise _refusal(error, "{} is not prime", p)
     return p
 
 
@@ -185,8 +220,8 @@ def as_bits(n, error=ExactNumError, r: Optional[int] = None) -> tuple:
     anything else raises `error`."""
     bits = tuple(as_integer(b, error) for b in n)
     if r is not None and len(bits) != r:
-        raise error("vector length %d does not match r = %d"
-                    % (len(bits), r))
+        raise _refusal(error, "vector length {} does not match r = {}",
+                       len(bits), r)
     if any(b not in (0, 1) for b in bits):
         raise error("coefficients must be 0 or 1")
     return bits
@@ -344,15 +379,16 @@ def factorize(n: int) -> tuple:
     without searching again.
     """
     out = _factor(as_integer_at_least(n, 1, "n"))
-    if isinstance(out, str):
-        raise FactorizationError(out)
+    if isinstance(out, int):
+        raise _refusal(FactorizationError, "cofactor {} resisted {} "
+                       "Pollard-Brent steps", out, POLLARD_BRENT_BUDGET)
     return out
 
 
 @lru_cache(maxsize=None)
 def _factor(n: int):
-    # factorize on a positive int: its (p, exponent) pairs, or the message
-    # of the FactorizationError it raises
+    # factorize on a positive int: its (p, exponent) pairs, or the cofactor
+    # that resisted, which factorize refuses
     out = {}
     for p in _MR_BASES:
         while n % p == 0:
@@ -368,8 +404,7 @@ def _factor(n: int):
         else:
             d = _pollard_brent(m, POLLARD_BRENT_BUDGET)
             if d is None:
-                return ("cofactor %s resisted %d Pollard-Brent steps"
-                        % (_decimal(m), POLLARD_BRENT_BUDGET))
+                return m
             rest += [d, m // d]
     return tuple(sorted(out.items()))
 
@@ -441,7 +476,7 @@ def _places(primes) -> tuple:
 def _checked_place(v, error=ExactNumError) -> Place:
     """v itself when it is a Place; anything else raises `error`."""
     if not isinstance(v, Place):
-        raise error("not a Place: %s" % _decimal(v))
+        raise _refusal(error, "not a Place: {!r}", v)
     return v
 
 
@@ -463,13 +498,12 @@ class SquareClass:
         primes = [as_integer(q) for q in self.primes]
         for q in primes:
             if not is_prime(q):
-                raise ExactNumError(
-                    "square class support must be prime, got %s"
-                    % _decimal(q))
+                raise _refusal(ExactNumError,
+                               "square class support must be prime, got {}", q)
         support = frozenset(primes)
         if len(support) != len(primes):
-            raise ExactNumError("square class support lists a prime twice: %s"
-                                % _decimal(sorted(primes)))
+            raise _refusal(ExactNumError, "square class support lists a "
+                           "prime twice: {}", sorted(primes))
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "primes", support)
 
@@ -839,7 +873,10 @@ def json_value(x):
     """x in the report encoding, the one place that encoding is written.
 
     Ints, bools, strings and None stay as they are; a Fraction becomes
-    "num/den" (denominator 1 included), a finite float {"value": x,
+    "num/den" (denominator 1 included), its parts written exactly at any
+    size by `decimal.Decimal`, which the int-to-str digit limit does not
+    bound (`cli._emit` lifts it for the ints that `json.dumps` writes);
+    a finite float {"value": x,
     "precision_bits": 53} and any other float None, as JSON has no NaN or
     infinity; a Place or SquareClass becomes its string; dict
     keys become strings; a record, a dataclass or a NamedTuple, becomes
@@ -848,7 +885,7 @@ def json_value(x):
     if x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
+        return "%s/%s" % (Decimal(x.numerator), Decimal(x.denominator))
     if isinstance(x, float):
         return {"value": x, "precision_bits": 53} if math.isfinite(x) else None
     if isinstance(x, (Place, SquareClass)):

@@ -37,7 +37,6 @@ from .exactnum import (
     _balls,
     _checked_place,
     _clear_denominators,
-    _decimal,
     _dot,
     _minus_on_odd_shells,
     _nullspace,
@@ -45,6 +44,7 @@ from .exactnum import (
     _primes_dividing,
     _primes_upto,
     _primitive,
+    _refusal,
     _symbol_reader,
     _unit_digits,
     _valuation_unit,
@@ -261,9 +261,8 @@ def _place_solver(system: NormFormSystem):
             # precision 7
             depth = max(bound + 2, 4)
         if depth < bound + 1:
-            raise LocalSolveError(
-                "depth %s at p = %d does not exceed the technical bound %d"
-                % (_decimal(depth), p, bound))
+            raise _refusal(LocalSolveError, "depth {} at p = {} does not "
+                           "exceed the technical bound {}", depth, p, bound)
         if bound == 0 and p > top:
             for u, product in moment:
                 if product % p:

@@ -29,6 +29,7 @@ from .exactnum import (
     TRIVIAL_CLASS,
     _clear_denominators,
     _echelon,
+    _refusal,
     as_bits,
     as_integer,
     as_integer_at_least,
@@ -160,9 +161,8 @@ def brauer_element(data: ConicBundleData, n: Sequence[int]) -> BrauerElement:
     """Construct an element, checking membership in Ker(delta)."""
     bits = as_bits(n, PencilError, data.r)
     if not delta(data, bits).is_trivial:
-        raise PencilError(
-            "the vector %s is not in Ker(delta): class %s"
-            % (bits, delta(data, bits)))
+        raise _refusal(PencilError, "the vector {} is not in Ker(delta): "
+                       "class {}", bits, delta(data, bits))
     return BrauerElement(bits)
 
 
@@ -188,9 +188,9 @@ def brauer_group(data: ConicBundleData) -> BrauerGroupDescription:
     """
     cls = data.faddeev_class()
     if not cls.is_trivial:
-        raise PencilError(
-            "product of the a_i is the nontrivial class %s; the Brauer "
-            "description needs it to be a square" % (cls,))
+        raise _refusal(PencilError, "product of the a_i is the nontrivial "
+                       "class {}; the Brauer description needs it to be a "
+                       "square", cls)
     # incremental nullspace of delta: an input dependent on the earlier
     # ones yields a kernel vector whose last nonzero entry is that input
     # and whose other entries lie on independent inputs only, so the
@@ -239,14 +239,15 @@ class NormFormSystem:
                 raise PencilError("each a_i must be a nonzero nonsquare")
         for f in forms:
             if len(f) != self.s:
-                raise PencilError("each form needs %d coefficients" % self.s)
+                raise _refusal(PencilError, "each form needs {} coefficients",
+                               self.s)
             if not any(f):
                 raise PencilError("forms must be nonzero")
         for i in range(self.r):
             for j in range(i + 1, self.r):
                 if len(_echelon((forms[i], forms[j]))[1]) < 2:
-                    raise PencilError(
-                        "forms %d and %d are proportional" % (i + 1, j + 1))
+                    raise _refusal(PencilError, "forms {} and {} are "
+                                   "proportional", i + 1, j + 1)
 
     @property
     def i_minus(self) -> Tuple[int, ...]:
@@ -314,13 +315,15 @@ def quadric_intersection_system(e: Sequence, a: Sequence,
     if n < 1:
         raise PencilError("at least one factor is required")
     if len(ee) != 2 * n:
-        raise PencilError("expected %d points, got %d" % (2 * n, len(ee)))
+        raise _refusal(PencilError, "expected {} points, got {}", 2 * n,
+                       len(ee))
     if len(cc) != n or any(x == 0 for x in cc):
         raise PencilError("each c_i must be a nonzero rational")
     factors = []
     for i in range(n):
         if ee[2 * i] == ee[2 * i + 1]:
-            raise PencilError("factor %d has a repeated point" % (i + 1))
+            raise _refusal(PencilError, "factor {} has a repeated point",
+                           i + 1)
         factors.append(ConicBundleData(e=(ee[2 * i], ee[2 * i + 1]),
                                        a=(aa[i], aa[i])))
     seen: dict = {}
@@ -333,9 +336,9 @@ def quadric_intersection_system(e: Sequence, a: Sequence,
                 seen[ee[j]] = aa[i]
                 order.append(ee[j])
             elif prev != aa[i]:
-                raise PencilError(
-                    "point %s is shared by factors with different classes "
-                    "%s and %s" % (ee[j], prev, aa[i]))
+                raise _refusal(PencilError, "point {} is shared by factors "
+                               "with different classes {} and {}", ee[j],
+                               prev, aa[i])
             else:
                 shared.append(ee[j])
     combined = ConicBundleData(e=tuple(order),

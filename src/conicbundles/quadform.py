@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 import numpy
 
-from .exactnum import (ExactNumError, _check_cap, _decimal, _unit_digits,
+from .exactnum import (ExactNumError, _check_cap, _refusal, _unit_digits,
                        _valuation_unit, as_integer, as_integer_at_least,
                        as_prime, factorize, is_square, legendre, valuation)
 
@@ -115,7 +115,7 @@ def w(d: int) -> int:
     """Order of the automorph group for negative discriminant d."""
     d = as_integer(d, QuadFormError)
     if d >= 0:
-        raise QuadFormError("w(d) needs d < 0, got %s" % _decimal(d))
+        raise _refusal(QuadFormError, "w(d) needs d < 0, got {}", d)
     return 4 if d == -4 else 2
 
 
@@ -221,8 +221,8 @@ def _gather_rows(rows, width: int, step: int, roots: dict):
     try:
         table = numpy.zeros(width, dtype=numpy.int64)
     except MemoryError:
-        raise QuadFormError("a table of %d entries does not fit in memory"
-                            % width) from None
+        raise _refusal(QuadFormError, "a table of {} entries does not fit "
+                       "in memory", width) from None
     if not lengths:
         return table
     bases = numpy.array(bases, dtype=numpy.int64)

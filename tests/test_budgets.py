@@ -42,6 +42,17 @@ from conicbundles.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
+_PADIC = _LIMITS + """
+from fractions import Fraction
+from conicbundles.localsolve import padic_soluble
+from conicbundles.pencil import ConicBundleData, torsor_system
+data = ConicBundleData(
+    e=(25, Fraction(12, 5), 2, Fraction(8, 5), Fraction(-1, 4)),
+    a=(2, 3, 6, 7, -2),
+    lam=(-9, 5, Fraction(160559, 369846), Fraction(893194, 817783), 9))
+print(padic_soluble(torsor_system(data), int(sys.argv[1])).holds)
+"""
+
 
 def _limited(script, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
@@ -78,3 +89,15 @@ def test_count_refuses_a_large_pell_unit_within_budget(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "a = 1000000009, has" in proc.stderr
     assert "beyond the cap" in proc.stderr
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: where a form's content carries p, each open ball "
+    "splits into p^2 children, so the walk reads 817783^2 balls a level"))
+def test_padic_soluble_at_a_prime_of_a_form_content_within_budget():
+    # this pencil's torsor system has the forms 2 3^5 761 (1, -2) and
+    # 817783 (5, -8); at p = 761 the walk reads 761^2 = 579,121 balls at
+    # level 2, about 1 s (a 2-core host), and at p = 817783 it gave no
+    # answer in 15 s
+    proc = _limited(_PADIC, "817783")
+    assert proc.returncode == 0, proc.stderr

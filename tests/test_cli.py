@@ -18,6 +18,7 @@ from conicbundles import exactnum, quadform
 from conicbundles.cli import CLIInputError, main, parse_problem
 from conicbundles.brauermanin import obstruction_scan
 from conicbundles.counting import CountJob, enumerate_N, region_measure
+from conicbundles.delpezzo import DP1Data
 from conicbundles.exactnum import Place, REAL_PLACE, factorize
 from conicbundles.pencil import ConicBundleData, NormFormSystem
 from oracle import check_local_witness
@@ -449,6 +450,43 @@ def test_predict_writes_a_nan_ratio_as_null(tmp_path, capsys):
     assert row["beta_p"]["2"] == "0/1" and row["ratio"] is None
 
 
+def _fractions_past_the_limit(texts):
+    # "num/den" strings read back as Fractions, the interpreter's limit on
+    # the digits of an int read from a string lifted meanwhile
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [Fraction(x) for x in texts]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+TINY_EPSILON_JOB = ("kind = count-job\na = -1\nforms = 1 0 0\n"
+                    "uInf = 1, 1, 1\nepsilon = 1/1%s\nB_schedule = 4\n"
+                    % ("0" * 1500))
+
+
+def test_count_writes_a_ratio_past_the_float_range_as_null(tmp_path):
+    # with epsilon = 10^-1500 the box holds only u = (4, 4, 4), so N = 1
+    # and N / measure is far past the float range: written null, as any
+    # non-finite float is, beside the measure's 4,500-digit denominator
+    path = write_problem(tmp_path, TINY_EPSILON_JOB)
+    code, report = run_cli(["count", path], tmp_path)
+    assert code == 0
+    row, = report["results"]["per_B"]
+    assert row["N"] == 1 and row["N_per_measure"] is None
+    assert len(row["box_measure"].split("/")[1]) > 4300
+    job = CountJob(system=NormFormSystem(r=1, s=3, a=(-1,),
+                                         forms=((1, 0, 0),)),
+                   uInf=(1, 1, 1), epsilon=Fraction(1, 10**1500),
+                   B_schedule=(4,))
+    assert _fractions_past_the_limit([row["box_measure"]]) == [
+        region_measure(job, 4)]
+
+
 def test_predict_with_a_zero_minors_gcd_exit_1(tmp_path, capsys):
     # r = 3 > s = 2: beta_2 has no level to read, and is refused naming
     # ROADMAP item 4 rather than written as 1
@@ -646,6 +684,21 @@ def test_dp1_report(tmp_path):
     contracted = res["minimality"]["contracted_bundle"]
     assert contracted["a"] == ["210", "10", "30", "6", "35", "7", "21"]
     assert len(res["minimality"]["classes"]) == 16
+
+
+def test_validate_dp1_writes_rationals_past_the_digit_limit(tmp_path):
+    # every point is inside the digit limit, but the pencil's coefficients
+    # have parts of 4,801 digits: the report writes them exactly
+    big = 10**1200
+    e = (big + 1, big + 3, big + 7, big + 13, 1, 2, 3, 5)
+    path = write_problem(tmp_path, "kind = dp1\ne = %s\nc1 = 1\nc2 = 1\n"
+                         % ", ".join(map(str, e)))
+    code, report = run_cli(["validate", path], tmp_path)
+    assert code == 0
+    p = report["results"]["p"]
+    assert max(len(part) for x in p for part in x.split("/")) == 4801
+    assert _fractions_past_the_limit(p) == list(
+        DP1Data(e, 1, 1).p_coefficients())
 
 
 def test_validate_quadric_intersection(tmp_path):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from conicbundles import brauermanin, delpezzo, exactnum
-from conicbundles.brauermanin import (BrauerManinError, LocalParameter,
-                                      ScanCapError, global_point,
-                                      local_invariant, obstruction_scan,
-                                      quotient_generators)
+from conicbundles.brauermanin import (AdelicFiberPoint, BrauerManinError,
+                                      LocalParameter, ScanCapError,
+                                      global_point, local_invariant,
+                                      obstruction_scan, quotient_generators)
 from conicbundles.cli import CLIInputError, main, run_selftest
 from conicbundles.counting import (CountJob, CountingError, G, beta_p,
                                    enumerate_N, predict_and_compare,
@@ -339,8 +339,7 @@ CUBE = NormFormSystem(r=1, s=3, a=(-1,), forms=((1, 0, 0),))
 OVERSIZED_INPUTS = {
     "place": (ExactNumError, r"at least 2\^16609 is not prime",
               lambda: Place(BIG)),
-    "integer half": (ExactNumError,
-                     r"not an integer: Fraction\(at least 2\^16609, 2\)",
+    "integer half": (ExactNumError, r"not an integer: at least 2\^16609/2",
                      lambda: as_integer(Fraction(BIG + 1, 2))),
     "rho table k": (QuadFormError, r"k must be >= 0, got at most -2\^16609",
                     lambda: rho_table(FORM, 2, -BIG)),
@@ -380,6 +379,20 @@ OVERSIZED_INPUTS = {
     "scan 5^(10^20)": (
         ScanCapError, r"5\^100000000000000000000 residues, beyond the cap",
         lambda: obstruction_scan(FLAG, [Place(5)], resolution=10**20)),
+    "local invariant pole": (
+        BrauerManinError, r"pole at t = e_1 = at least 2\^16609",
+        lambda: local_invariant(ConicBundleData(e=(BIG, 1), a=(5, 5)),
+                                (1, 1), BIG, Place(5))),
+    "adelic point component": (
+        BrauerManinError, r"not a LocalParameter: at least 2\^16609",
+        lambda: AdelicFiberPoint((BIG,))),
+    "adelic point pair": (
+        BrauerManinError,
+        r"not a \(place, parameter\) pair: a tuple past the digit limit",
+        lambda: AdelicFiberPoint.from_pairs([(BIG,)])),
+    "selftest quick": (CLIInputError,
+                       r"quick must be True or False, got at least 2\^16609",
+                       lambda: run_selftest(quick=BIG)),
 }
 
 

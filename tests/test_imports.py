@@ -371,24 +371,30 @@ def test_every_test_only_name_has_a_reason():
     assert all(TEST_ONLY_NAMES.values())
 
 
-def _cap_reads(tree):
-    """The function around each read of DEFAULT_ENUMERATION_CAP, as a name
-    or an attribute, in source order; "<module>" for one outside any
-    function.  Binding the name is not a read."""
+def _sites(tree, hit):
+    """The function around each node that `hit` accepts, in source order;
+    "<module>" for one outside any function."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(getattr(node, "ctx", None), ast.Load) and \
-                "DEFAULT_ENUMERATION_CAP" in (getattr(node, "id", None),
-                                              getattr(node, "attr", None)):
+        if hit(node):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, "<module>")
     return found
+
+
+def _cap_reads(tree):
+    """The function around each read of DEFAULT_ENUMERATION_CAP, as a name
+    or an attribute, in source order; "<module>" for one outside any
+    function.  Binding the name is not a read."""
+    return _sites(tree, lambda node: isinstance(
+        getattr(node, "ctx", None), ast.Load) and "DEFAULT_ENUMERATION_CAP"
+        in (getattr(node, "id", None), getattr(node, "attr", None)))
 
 
 def test_cap_comparison_detector():
@@ -414,6 +420,62 @@ def test_only_exactnum_compares_against_the_cap():
                     for p in sorted(PACKAGE.glob("*.py"))
                     for where in _cap_reads(ast.parse(p.read_text()))})
     assert found == ["exactnum._check_cap"]
+
+
+# the modules whose refusals name exact values
+ENGINE_MODULES = ("exactnum", "quadform", "pencil", "localsolve",
+                  "brauermanin", "counting", "delpezzo")
+
+
+def _formats(node):
+    """Whether an expression formats a string: a % operation, a call of a
+    `format` method or an f-string, at any depth."""
+    return any(isinstance(n, ast.JoinedStr)
+               or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+               or isinstance(n, ast.Call) and _name(n) == "format"
+               for n in ast.walk(node))
+
+
+def _self_written_raise(node):
+    """Whether a node raises an error whose message it writes itself: one
+    that formats a string, or that is not `_refusal(...)` and passes its
+    error anything but string literals."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc
+    if _formats(exc) or not isinstance(exc, ast.Call):
+        return True
+    return _name(exc) != "_refusal" and (exc.keywords or not all(
+        isinstance(a, ast.Constant) and isinstance(a.value, str)
+        for a in exc.args))
+
+
+def test_self_written_raise_detector():
+    tree = ast.parse(
+        "def a(x):\n    raise E('x %d' % x)\n"
+        "def b(x):\n    raise E('x {}'.format(x))\n"
+        "def c(x):\n    raise E(f'x {x}')\n"
+        "def d(message):\n    raise E(message)\n"
+        "def e(x):\n    raise _refusal(E, 'x {}', x) from None\n"
+        "def f():\n    raise E('fixed ' 'text')\n"
+        "def g(x):\n    raise exactnum._refusal(E, 'x {}', '%d' % x)\n"
+        "def h(error):\n    raise error\n"
+        "def i():\n    try:\n        pass\n    except E:\n        raise\n"
+        "raise E('x %s' % 1)\n")
+    assert _sites(tree, _self_written_raise) == [
+        "a", "b", "c", "d", "g", "h", "<module>"]
+
+
+def test_engine_refusals_write_values_through_exactnum():
+    # every value an engine refusal names is written by `_decimal`, at any
+    # size, in the notation of problem files; the CLI writes the file tokens
+    # it refuses itself, but not the selftest's `quick`, which is a value
+    found = {name: _sites(ast.parse((PACKAGE / (name + ".py")).read_text()),
+                          _self_written_raise)
+             for name in ENGINE_MODULES}
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    assert "run_selftest" not in _sites(
+        ast.parse((PACKAGE / "cli.py").read_text()), _self_written_raise)
 
 
 def test_all_lists_exactly_the_reexported_names():
